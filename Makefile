@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 5s
 COVER_FLOOR ?= 75
 
-.PHONY: build test race vet bench fuzz smoke cover perfcheck ci
+.PHONY: build test race vet bench fuzz smoke cover perfcheck perfbench-test ci
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,13 @@ bench:
 # costs more than the tolerance.
 perfcheck:
 	$(GO) run ./cmd/pageforge perfcheck -baseline BENCH_suite.json -tol 0.10
+
+# perfbench-test runs the benchmark module's unit tests and its tiny-size
+# smoke run. The module builds against internal/ through a replace
+# directive, so this is what catches a simulator change that breaks the
+# benchmark's build. It needs no network.
+perfbench-test:
+	cd perfbench && GOTOOLCHAIN=local GOPROXY=off $(GO) test ./...
 
 # smoke exercises the CLI's machine-readable path end to end: a fast
 # two-app table4 run must emit a JSON document with populated rows, and the
@@ -76,6 +83,6 @@ cover:
 # ci is the gate every change must pass: compile, static checks, the full
 # test suite under the race detector (the experiment suite runs its
 # simulations through a concurrent worker pool), the short fuzz budget,
-# the CLI JSON smoke run, the coverage floor, and the scan-throughput
-# regression gate.
-ci: build vet race fuzz smoke cover perfcheck
+# the CLI JSON smoke run, the benchmark module's tests, the coverage floor,
+# and the scan-throughput regression gate.
+ci: build vet race fuzz smoke perfbench-test cover perfcheck

@@ -117,7 +117,7 @@ func (c *Checker) checkContents() error {
 				i++
 			}
 			return fmt.Errorf("invariant 1: page %v (frame %d, %d mappers) diverges from model at byte %d: got %#x want %#x",
-				id, pfn, len(c.hv.Mappers(pfn)), i, got[i], want[i])
+				id, pfn, c.hv.MapperCount(pfn), i, got[i], want[i])
 		}
 		return nil
 	})
@@ -193,7 +193,7 @@ func (c *Checker) checkQuarantine(p platform.VerifyPoint) error {
 		if stable[pfn] {
 			return fmt.Errorf("invariant 3: quarantined frame %d is a stable-tree merge target", pfn)
 		}
-		if n := len(c.hv.Mappers(pfn)); n > 1 {
+		if n := c.hv.MapperCount(pfn); n > 1 {
 			return fmt.Errorf("invariant 3: quarantined frame %d gained sharers (%d mappers)", pfn, n)
 		}
 	}

@@ -156,7 +156,7 @@ func (m *Manager) classify(id vm.PageID, r *record, pfn mem.PFN, isCold func(vm.
 
 	// 1. Identical sharing.
 	h := esx.PageHash64(page)
-	if shared, ok := m.byHash[h]; ok && len(m.HV.Mappers(shared)) > 0 && shared != pfn {
+	if shared, ok := m.byHash[h]; ok && m.HV.MapperCount(shared) > 0 && shared != pfn {
 		if same, _ := m.HV.Phys.SamePage(pfn, shared); same {
 			if _, err := m.HV.Merge(id, shared); err == nil {
 				r.st = stateShared
@@ -263,7 +263,7 @@ func (m *Manager) ensureResident(id vm.PageID) error {
 		if err != nil {
 			return err
 		}
-		if len(m.HV.Mappers(r.refPFN)) == 0 && m.HV.Phys.Get(r.refPFN).Refs() == 1 {
+		if m.HV.MapperCount(r.refPFN) == 0 && m.HV.Phys.Get(r.refPFN).Refs() == 1 {
 			// Only our hold remains; still valid as patch base.
 			_ = r
 		}

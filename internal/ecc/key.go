@@ -96,16 +96,17 @@ func (a *KeyAssembler) Ready() bool {
 	return a.have[0] && a.have[1] && a.have[2] && a.have[3]
 }
 
-// Missing reports the page-relative line indices still needed to finish the
-// key; the hardware fetches exactly these on a Last-Refill forced finish.
-func (a *KeyAssembler) Missing() []int {
-	var m []int
+// Missing appends to dst the page-relative line indices still needed to
+// finish the key and returns the extended slice; the hardware fetches
+// exactly these on a Last-Refill forced finish. A dst with room for
+// Sections entries makes the call allocation-free.
+func (a *KeyAssembler) Missing(dst []int) []int {
 	for s := 0; s < Sections; s++ {
 		if !a.have[s] {
-			m = append(m, a.offsets.LineIndex(s))
+			dst = append(dst, a.offsets.LineIndex(s))
 		}
 	}
-	return m
+	return dst
 }
 
 // Key reports the assembled key; valid only when Ready.

@@ -123,13 +123,13 @@ func TestPageKeyMatchesAssembler(t *testing.T) {
 
 func TestKeyAssemblerMissingAndReset(t *testing.T) {
 	a := NewKeyAssembler(DefaultKeyOffsets)
-	if len(a.Missing()) != Sections {
-		t.Fatalf("fresh assembler missing %v", a.Missing())
+	if len(a.Missing(nil)) != Sections {
+		t.Fatalf("fresh assembler missing %v", a.Missing(nil))
 	}
 	page := make([]byte, PageSize)
 	li := DefaultKeyOffsets.LineIndex(2)
 	a.Observe(li, EncodeLine(page[li*LineSize:(li+1)*LineSize]))
-	m := a.Missing()
+	m := a.Missing(nil)
 	if len(m) != Sections-1 {
 		t.Fatalf("missing after one observe: %v", m)
 	}
@@ -139,7 +139,7 @@ func TestKeyAssemblerMissingAndReset(t *testing.T) {
 		}
 	}
 	a.Reset()
-	if a.Ready() || a.Key() != 0 || len(a.Missing()) != Sections {
+	if a.Ready() || a.Key() != 0 || len(a.Missing(nil)) != Sections {
 		t.Fatal("Reset did not clear assembler")
 	}
 }
@@ -153,7 +153,7 @@ func TestKeyAssemblerIgnoresUnsampledAndDuplicates(t *testing.T) {
 	// Unsampled line: no progress.
 	other := DefaultKeyOffsets.LineIndex(0) + 1
 	a.Observe(other, EncodeLine(page[other*LineSize:(other+1)*LineSize]))
-	if len(a.Missing()) != Sections {
+	if len(a.Missing(nil)) != Sections {
 		t.Fatal("unsampled line advanced the key")
 	}
 	// Duplicate observations of a sampled line must not corrupt the key.

@@ -196,7 +196,7 @@ func (t *Table) liveBucket(h uint64) []mem.PFN {
 	bucket := t.shared[h]
 	live := bucket[:0]
 	for _, pfn := range bucket {
-		if len(t.HV.Mappers(pfn)) > 0 {
+		if t.HV.MapperCount(pfn) > 0 {
 			live = append(live, pfn)
 		} else {
 			t.HV.Phys.DecRef(pfn)

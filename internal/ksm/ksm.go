@@ -239,7 +239,7 @@ func (a *Algorithm) EndPass() {
 	// tree's own hold).
 	var stale []*rbtree.Node
 	a.Stable.InOrder(func(n *rbtree.Node) bool {
-		if len(a.HV.Mappers(n.PFN)) == 0 {
+		if a.HV.MapperCount(n.PFN) == 0 {
 			stale = append(stale, n)
 		}
 		return true
@@ -441,7 +441,7 @@ func (a *Algorithm) UnstableSearchOrInsert(id vm.PageID) (match *rbtree.Node, in
 // have at least one mapper) and pages_sharing (guest pages mapping them).
 func (a *Algorithm) SharingStats() (shared, sharing int) {
 	a.Stable.InOrder(func(n *rbtree.Node) bool {
-		m := len(a.HV.Mappers(n.PFN))
+		m := a.HV.MapperCount(n.PFN)
 		if m > 0 {
 			shared++
 			sharing += m

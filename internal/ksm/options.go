@@ -156,7 +156,7 @@ func (a *Algorithm) Sysfs() map[string]uint64 {
 	shared, sharing := a.SharingStats()
 	zeroSharing := uint64(0)
 	if a.zeroPFN != nil {
-		zeroSharing = uint64(len(a.HV.Mappers(*a.zeroPFN)))
+		zeroSharing = uint64(a.HV.MapperCount(*a.zeroPFN))
 	}
 	return map[string]uint64{
 		"pages_shared":    uint64(shared),

@@ -113,7 +113,7 @@ func (a *Algorithm) VerifyRecovered() (RecoveryStats, error) {
 			continue
 		}
 		st.FramesAudited++
-		want := len(a.HV.Mappers(pfn)) + holds[pfn]
+		want := a.HV.MapperCount(pfn) + holds[pfn]
 		if got := phys.Get(pfn).Refs(); got != want {
 			return st, fmt.Errorf("ksm: refcount ledger mismatch on frame %d: refs=%d, mappers+holds=%d",
 				pfn, got, want)

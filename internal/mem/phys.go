@@ -4,11 +4,14 @@
 // makes "mergeable zero" pages exist at all), and copy-on-write sharing
 // state used by same-page merging.
 //
-// Frames are backed by one contiguous arena: Page and ReadLine hand out
-// sub-slices of a single []byte allocated up front, so the scan hot path
-// creates no garbage and page data is laid out with real spatial locality.
-// Frame offsets are fixed by PFN, so views stay stable across freelist
-// reuse (see DESIGN.md §10 for the aliasing rules).
+// Frames are backed by a chunked arena that is allocated lazily: each chunk
+// backs chunkFrames consecutive frames and is created the first time one
+// of them is allocated, so host memory tracks the frames the simulated
+// machine has touched rather than its capacity. Page and ReadLine hand out
+// sub-slices of a chunk, so the scan hot path creates no garbage and page
+// data keeps real spatial locality. A frame's window is fixed by its PFN
+// for the life of the Phys, so views stay stable across freelist reuse
+// (see DESIGN.md §10 for the aliasing rules).
 package mem
 
 import (
@@ -28,6 +31,9 @@ const LineSize = 64
 
 // LinesPerPage is the number of cache lines in a frame.
 const LinesPerPage = PageSize / LineSize
+
+// chunkFrames is the number of frames one arena chunk backs (256 KiB).
+const chunkFrames = 64
 
 // PFN is a physical frame number. Frame f spans physical addresses
 // [f*PageSize, (f+1)*PageSize).
@@ -86,7 +92,9 @@ const (
 
 // Phys is the physical memory of the machine.
 type Phys struct {
-	arena  []byte
+	// chunks[i] backs frames [i*chunkFrames, (i+1)*chunkFrames); nil until
+	// one of them is first allocated. Only the last chunk may be shorter.
+	chunks [][]byte
 	frames []Frame
 	free   []PFN
 
@@ -114,7 +122,7 @@ type Phys struct {
 func New(capacity uint64) *Phys {
 	n := int(capacity / PageSize)
 	p := &Phys{
-		arena:  make([]byte, n*PageSize),
+		chunks: make([][]byte, (n+chunkFrames-1)/chunkFrames),
 		frames: make([]Frame, n),
 		free:   make([]PFN, 0, n),
 	}
@@ -154,12 +162,28 @@ func (p *Phys) PeakFrames() int { return p.peak }
 // FreeFrames reports the number of frames available for allocation.
 func (p *Phys) FreeFrames() int { return len(p.free) }
 
-// pageAt returns the frame's arena window. The three-index slice caps the
-// view at the frame boundary so an erroneous append can never spill into a
-// neighbouring frame's bytes.
+// pageAt returns the frame's arena window; the frame's chunk must already
+// be backed. The three-index slice caps the view at the frame boundary so
+// an erroneous append can never spill into a neighbouring frame's bytes.
 func (p *Phys) pageAt(pfn PFN) []byte {
-	base := int(pfn) * PageSize
-	return p.arena[base : base+PageSize : base+PageSize]
+	base := int(pfn%chunkFrames) * PageSize
+	return p.chunks[pfn/chunkFrames][base : base+PageSize : base+PageSize]
+}
+
+// chunkLen reports the byte length of chunk i.
+func (p *Phys) chunkLen(i int) int {
+	return min(chunkFrames, len(p.frames)-i*chunkFrames) * PageSize
+}
+
+// back materialises chunk i. A fresh chunk is all zeroes, which is exactly
+// what its never-allocated frames held, so no accounting changes. Only the
+// single-threaded allocation and restore paths call it: parallel scan
+// workers read backed chunks and never create one.
+func (p *Phys) back(i int) []byte {
+	if p.chunks[i] == nil {
+		p.chunks[i] = make([]byte, p.chunkLen(i))
+	}
+	return p.chunks[i]
 }
 
 // take pops a frame off the freelist and marks it allocated (common body of
@@ -171,6 +195,7 @@ func (p *Phys) take() (PFN, error) {
 	}
 	pfn := p.free[len(p.free)-1]
 	p.free = p.free[:len(p.free)-1]
+	p.back(int(pfn / chunkFrames))
 	f := &p.frames[pfn]
 	f.refs = 1
 	f.cow = false
@@ -281,7 +306,7 @@ func (p *Phys) EndDeferredFrees() {
 // SetCoW marks the frame write-protected (shared read-only).
 func (p *Phys) SetCoW(pfn PFN, cow bool) { p.frame(pfn).cow = cow }
 
-// Page returns the frame's backing bytes: a window into the shared arena,
+// Page returns the frame's backing bytes: a window into its arena chunk,
 // capped at the frame boundary. Callers must treat CoW frames as read-only;
 // guest writes go through the hypervisor's fault path.
 func (p *Phys) Page(pfn PFN) []byte {

@@ -88,6 +88,12 @@ type Driver struct {
 	// cells are physical — so it survives frame reuse, like kernel page
 	// offlining.
 	quarantine map[mem.PFN]struct{}
+
+	// queue and sentinels are loadBatch's reused scratch: the BFS queue,
+	// whose first entries are the loaded batch, and the out-of-batch
+	// children indexed by sentinel - sentinelBase.
+	queue     []*rbtree.Node
+	sentinels []*rbtree.Node
 }
 
 // NewDriver builds a driver over shared KSM algorithm state and a hardware
@@ -118,34 +124,36 @@ type searchResult struct {
 	fault bool         // the hardware aborted on an uncorrectable error
 }
 
-// loadBatch fills the Scan Table with the BFS expansion of the subtree at
-// root and returns the sentinel mapping for out-of-batch children, plus
-// whether the whole subtree fit (no sentinels ⇒ this batch can be final).
-func (d *Driver) loadBatch(root *rbtree.Node) (batch []*rbtree.Node, sentinels map[int]*rbtree.Node) {
-	batch = rbtree.BFS(root, d.Cfg.batchEntries())
-	pos := make(map[*rbtree.Node]int, len(batch))
-	for i, n := range batch {
-		pos[n] = i
-	}
-	sentinels = make(map[int]*rbtree.Node)
-	next := sentinelBase
+// loadBatch fills the Scan Table with the BFS expansion of the non-nil
+// subtree at root. It returns the loaded nodes (batch[i] is table entry i) and the
+// out-of-batch children, where sentinels[k] is the subtree reported as Ptr
+// sentinelBase+k; no sentinels means the whole subtree fit, so this batch
+// can be final. Both slices are driver scratch, valid until the next call.
+func (d *Driver) loadBatch(root *rbtree.Node) (batch, sentinels []*rbtree.Node) {
+	limit := d.Cfg.batchEntries()
+	queue, sentinels := append(d.queue[:0], root), d.sentinels[:0]
+	// In BFS order a child is enqueued at the index it will occupy in the
+	// batch, so the index is known the moment the child is linked: below
+	// limit it is in the table, otherwise it becomes the next sentinel.
 	link := func(child *rbtree.Node) int {
 		if child == nil {
 			return InvalidIndex
 		}
-		if i, ok := pos[child]; ok {
+		if i := len(queue); i < limit {
+			queue = append(queue, child)
 			return i
 		}
-		sentinels[next] = child
-		next++
-		return next - 1
+		sentinels = append(sentinels, child)
+		return sentinelBase + len(sentinels) - 1
 	}
-	for i, n := range batch {
+	for i := 0; i < len(queue); i++ {
+		n := queue[i]
 		d.HW.InsertPPN(i, n.PFN, link(n.Left()), link(n.Right()))
 	}
+	d.queue, d.sentinels = queue, sentinels
 	d.Batches++
 	d.CoreCycles += d.Cfg.BatchSetupCost
-	return batch, sentinels
+	return queue, sentinels
 }
 
 // runBatch triggers the hardware and polls until Scanned, advancing the
@@ -200,8 +208,8 @@ func (d *Driver) searchTree(cand mem.PFN, root *rbtree.Node, now uint64, first, 
 			}
 			return searchResult{match: batch[info.Ptr], now: now}, false
 		}
-		if child, ok := sentinels[info.Ptr]; ok {
-			node = child // traversal left the table: continue in that subtree
+		if k := info.Ptr - sentinelBase; k >= 0 && k < len(sentinels) {
+			node = sentinels[k] // traversal left the table: continue in that subtree
 			continue
 		}
 		break // genuine leaf edge: not in this tree

@@ -191,7 +191,8 @@ func (e *Engine) Trigger(now uint64) {
 	// the candidate is headed for software fallback anyway, and a key
 	// built around a poisoned page is worthless.
 	if !p.Fault && (p.LastRefill || p.Duplicate) && !p.HashReady {
-		for _, li := range e.keyAsm.Missing() {
+		var missing [ecc.Sections]int
+		for _, li := range e.keyAsm.Missing(missing[:0]) {
 			res, done := e.fetchLine(p.PPN, li, clock)
 			clock = done
 			if res.Poisoned {

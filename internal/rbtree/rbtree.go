@@ -379,30 +379,6 @@ func (t *Tree) InOrder(visit func(*Node) bool) {
 	walk(t.root)
 }
 
-// BFS returns up to max nodes of the subtree rooted at start in
-// breadth-first order. This is exactly the batch the OS loads into the
-// PageForge Scan Table ("the root of the red-black tree ... and a few
-// subsequent levels of the tree in breadth-first order").
-func BFS(start *Node, max int) []*Node {
-	if start == nil || max <= 0 {
-		return nil
-	}
-	out := make([]*Node, 0, max)
-	queue := []*Node{start}
-	for len(queue) > 0 && len(out) < max {
-		n := queue[0]
-		queue = queue[1:]
-		out = append(out, n)
-		if n.left != nil {
-			queue = append(queue, n.left)
-		}
-		if n.right != nil {
-			queue = append(queue, n.right)
-		}
-	}
-	return out
-}
-
 // CheckInvariants validates the red-black properties and the content
 // ordering; it is used by property-based tests.
 func (t *Tree) CheckInvariants() error {

@@ -160,44 +160,6 @@ func TestComparisonAccounting(t *testing.T) {
 	}
 }
 
-func TestBFSOrderAndLimit(t *testing.T) {
-	f := newFixture(32)
-	// Build a balanced 7-node tree: ids 1..7 inserted to produce root 4.
-	for _, id := range []byte{40, 20, 60, 10, 30, 50, 70} {
-		f.t.InsertOrGet(f.page(id), nil)
-	}
-	all := BFS(f.t.Root(), 100)
-	if len(all) != 7 {
-		t.Fatalf("BFS returned %d nodes, want 7", len(all))
-	}
-	if all[0] != f.t.Root() {
-		t.Fatal("BFS does not start at the given root")
-	}
-	// Level property: children appear after their parents.
-	pos := map[*Node]int{}
-	for i, n := range all {
-		pos[n] = i
-	}
-	for _, n := range all {
-		if n.Left() != nil && pos[n.Left()] < pos[n] {
-			t.Fatal("child before parent in BFS order")
-		}
-		if n.Right() != nil && pos[n.Right()] < pos[n] {
-			t.Fatal("child before parent in BFS order")
-		}
-	}
-	limited := BFS(f.t.Root(), 3)
-	if len(limited) != 3 {
-		t.Fatalf("BFS limit ignored: %d", len(limited))
-	}
-	if BFS(nil, 5) != nil {
-		t.Fatal("BFS(nil) != nil")
-	}
-	if BFS(f.t.Root(), 0) != nil {
-		t.Fatal("BFS(max=0) != nil")
-	}
-}
-
 func TestRandomOpsInvariantsQuick(t *testing.T) {
 	if err := quick.Check(func(seed uint64) bool {
 		r := sim.NewRNG(seed)

@@ -428,7 +428,7 @@ func (img *Image) MeasureFootprint() Footprint {
 				continue
 			}
 			f.TotalGuestPages++
-			sharers := len(img.HV.Mappers(pfn))
+			sharers := img.HV.MapperCount(pfn)
 			if sharers <= 1 {
 				f.Unmergeable++
 				continue

@@ -322,6 +322,10 @@ func (h *Hypervisor) Mappers(pfn mem.PFN) []PageID {
 	return out
 }
 
+// MapperCount reports how many guest pages currently map the frame,
+// without copying the reverse map like Mappers does.
+func (h *Hypervisor) MapperCount(pfn mem.PFN) int { return len(h.rmap[pfn]) }
+
 // Resolve resolves a global page ID to its backing frame.
 func (h *Hypervisor) Resolve(id PageID) (mem.PFN, bool) {
 	return h.vms[id.VM].Resolve(id.GFN)

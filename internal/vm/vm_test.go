@@ -339,7 +339,8 @@ func TestIsolationUnderRandomMergeTraffic(t *testing.T) {
 		for _, v := range vms {
 			for g := GFN(0); g < nPg; g++ {
 				if pfn, ok := v.Resolve(g); ok {
-					if h.Phys.Get(pfn).Refs() != len(h.Mappers(pfn)) {
+					n := len(h.Mappers(pfn))
+					if h.Phys.Get(pfn).Refs() != n || h.MapperCount(pfn) != n {
 						return false
 					}
 				}
