@@ -14,7 +14,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
 
 # bench runs the Go micro-benchmarks, then the end-to-end suite benchmark
 # that snapshots per-run wall times and key metrics into BENCH_suite.json.

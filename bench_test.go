@@ -11,6 +11,8 @@ package pageforgesim
 // minutes; the cmd/pageforge binary runs the paper-scale versions.
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/cache"
@@ -840,4 +842,29 @@ func BenchmarkScanPass(b *testing.B) {
 		b.ReportMetric(res.OptimizedPagesPerSec, "opt_pages/s")
 		b.ReportMetric(res.Speedup, "speedup_x")
 	}
+}
+
+// BenchmarkBuildImage measures building the paper-size boot image (img_dnn,
+// 10 VMs of 1,600 pages in the platform's 10*PagesPerVM*2+1024 frames), the
+// bulk of a Runtime's start. BuildImage runs on GOMAXPROCS workers, so the
+// "workers=1" case pins GOMAXPROCS to 1: it isolates the one-core share of
+// the build (each duplicated content generated once), and the GOMAXPROCS
+// case adds the parallel arena backing and fill on top.
+func BenchmarkBuildImage(b *testing.B) {
+	app := *tailbench.ProfileByName("img_dnn")
+	frames := 10*app.PagesPerVM*2 + 1024
+	run := func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(10*app.PagesPerVM) * mem.PageSize)
+		for i := 0; i < b.N; i++ {
+			if _, err := tailbench.BuildImage(app, 10, frames, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("workers=1", func(b *testing.B) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		run(b)
+	})
+	b.Run(fmt.Sprintf("workers=%d", runtime.GOMAXPROCS(0)), run)
 }

@@ -181,3 +181,46 @@ func TestPhysSetStateOverwritesBackedChunks(t *testing.T) {
 		t.Fatal("restore moved frame windows")
 	}
 }
+
+// TestBackPrefixMatchesLazyBacking backs an arena prefix on several
+// goroutines (run it under -race), then allocates the prefix's frames: the
+// machine must equal one whose chunks take backed lazily, and no chunk past
+// the prefix may be backed.
+func TestBackPrefixMatchesLazyBacking(t *testing.T) {
+	const frames = 5*chunkFrames + 9
+	for _, n := range []int{0, 1, chunkFrames - 1, chunkFrames, chunkFrames + 1, 3*chunkFrames + 7, frames, frames + 100} {
+		for workers := 1; workers <= 7; workers++ {
+			lazy := New(frames * PageSize)
+			eager := New(frames * PageSize)
+			eager.BackPrefix(n, workers)
+			for i, c := range eager.chunks {
+				if want := i*chunkFrames < n; (c != nil) != want {
+					t.Fatalf("n=%d workers=%d: chunk %d backed = %v, want %v", n, workers, i, c != nil, want)
+				}
+			}
+			alloc := min(n, frames)
+			for i, pfn := range allocN(t, lazy, alloc) {
+				lazy.Page(pfn)[i%PageSize] = byte(i + 1)
+			}
+			for i, pfn := range allocN(t, eager, alloc) {
+				eager.Page(pfn)[i%PageSize] = byte(i + 1)
+			}
+			ls, err := lazy.State()
+			if err != nil {
+				t.Fatal(err)
+			}
+			es, err := eager.State()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(ls, es) {
+				t.Fatalf("n=%d workers=%d: State differs from lazy backing", n, workers)
+			}
+			for i := range lazy.chunks {
+				if (lazy.chunks[i] != nil) != (eager.chunks[i] != nil) {
+					t.Fatalf("n=%d workers=%d: chunk %d backed differently from lazy backing", n, workers, i)
+				}
+			}
+		}
+	}
+}

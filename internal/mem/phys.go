@@ -176,14 +176,41 @@ func (p *Phys) chunkLen(i int) int {
 }
 
 // back materialises chunk i. A fresh chunk is all zeroes, which is exactly
-// what its never-allocated frames held, so no accounting changes. Only the
-// single-threaded allocation and restore paths call it: parallel scan
-// workers read backed chunks and never create one.
+// what its never-allocated frames held, so no accounting changes. The
+// allocation and restore paths call it on one goroutine; the only
+// concurrent caller is BackPrefix, whose goroutines own disjoint chunk
+// indexes and are joined before it returns. Parallel scan workers read
+// backed chunks and never create one.
 func (p *Phys) back(i int) []byte {
 	if p.chunks[i] == nil {
 		p.chunks[i] = make([]byte, p.chunkLen(i))
 	}
 	return p.chunks[i]
+}
+
+// BackPrefix backs, on up to workers goroutines, every chunk holding one of
+// the frames [0, frames) — exactly the chunks take would back while a
+// fresh arena's lowest-free-PFN allocator hands out its first frames
+// frames — and returns once all of them are backed. Each goroutine backs a
+// contiguous range of chunk indexes disjoint from every other's. The image
+// builder calls it before its first allocation, so the zeroing of a boot
+// image's arena runs in parallel; no other goroutine may use p meanwhile.
+// Backing changes no accounting and no byte, so State is unaffected.
+func (p *Phys) BackPrefix(frames, workers int) {
+	n := (min(frames, len(p.frames)) + chunkFrames - 1) / chunkFrames
+	workers = max(1, min(workers, n))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		lo, hi := n*w/workers, n*(w+1)/workers
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := lo; i < hi; i++ {
+				p.back(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // take pops a frame off the freelist and marks it allocated (common body of

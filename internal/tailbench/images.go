@@ -3,7 +3,9 @@ package tailbench
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -54,8 +56,22 @@ type Image struct {
 //   - ZeroFrac of pages are touched but never written (zero pages).
 //   - The rest are unique per-VM contents; VolatileFrac of those churn.
 //
-// All pages are madvised mergeable, as a KVM deployment would.
+// All pages are madvised mergeable, as a KVM deployment would. The build
+// runs on runtime.GOMAXPROCS(0) goroutines; the image is identical for any
+// worker count (DESIGN.md §10).
 func BuildImage(p Profile, numVMs int, physFrames int, seed uint64) (*Image, error) {
+	return buildImage(p, numVMs, physFrames, seed, runtime.GOMAXPROCS(0))
+}
+
+// buildImage is BuildImage with an explicit worker count. It runs in two
+// phases. The mapping phase faults every resident page in on one
+// goroutine, in the fixed order dup (slot-major, VM-minor), zero, unique,
+// so frame numbers, the rmap and the page lists are those of a sequential
+// build. The content phase then writes each frame's bytes in place, on
+// workers goroutines that own disjoint shares of the page lists. The
+// hypervisor is created here, so no write observer exists to miss the
+// in-place fills.
+func buildImage(p Profile, numVMs, physFrames int, seed uint64, workers int) (*Image, error) {
 	img := &Image{Profile: p, HV: vm.NewHypervisor(uint64(physFrames) * mem.PageSize), rng: sim.NewRNG(seed)}
 
 	dupPerVM := int(p.DupFrac * float64(p.PagesPerVM))
@@ -67,9 +83,6 @@ func BuildImage(p Profile, numVMs int, physFrames int, seed uint64) (*Image, err
 	if distinct < 1 {
 		distinct = 1
 	}
-	// Content id c is assigned to dup slot s of VM v when a hash of
-	// (c, slot) selects v — realized simply by striding contents across
-	// slots so each content lands in ~DupCopies VMs.
 	for i := 0; i < numVMs; i++ {
 		v := img.HV.NewVM(uint64(p.PagesPerVM+p.BurstPagesPerVM) * mem.PageSize)
 		v.Madvise(0, p.PagesPerVM+p.BurstPagesPerVM, true)
@@ -77,26 +90,28 @@ func BuildImage(p Profile, numVMs int, physFrames int, seed uint64) (*Image, err
 	}
 	img.burstRNG = sim.NewRNG(seed ^ 0xB0057_F00D)
 
-	page := make([]byte, mem.PageSize)
 	// Image-specific salt: two deployments with different seeds must not
 	// share any content (their "library" pages are different builds).
 	salt := (seed + 1) * 0x9E3779B97F4A7C15
 	img.salt, img.dupDistinct = salt, distinct
-	// Duplicated region: gfns [0, dupPerVM).
+
+	// The fresh arena's lowest-free-PFN allocator hands the mapping phase
+	// frames [0, numVMs*PagesPerVM) in order; back their chunks up front,
+	// in parallel, so the mapping phase's allocations find them backed.
+	img.HV.Phys.BackPrefix(numVMs*p.PagesPerVM, workers)
+
+	// Mapping phase. Duplicated region: gfns [0, dupPerVM).
+	img.DupPages = make([]vm.PageID, 0, dupPerVM*numVMs)
 	for slot := 0; slot < dupPerVM; slot++ {
-		for i, v := range img.VMs {
-			// Deterministic content id: same slot shares content across a
-			// window of DupCopies VMs.
-			group := (slot*numVMs + i) / max(1, int(p.DupCopies+0.5))
-			contentID := group % max(1, distinct)
-			fillPage(page, uint64(contentID)*2654435761+salt)
-			if _, err := v.Write(vm.GFN(slot), 0, page); err != nil {
+		for _, v := range img.VMs {
+			if err := v.Touch(vm.GFN(slot)); err != nil {
 				return nil, fmt.Errorf("tailbench: dup page: %w", err)
 			}
 			img.DupPages = append(img.DupPages, vm.PageID{VM: v.ID, GFN: vm.GFN(slot)})
 		}
 	}
 	// Zero region: gfns [dupPerVM, dupPerVM+zeroPerVM) — touched only.
+	img.ZeroPages = make([]vm.PageID, 0, zeroPerVM*numVMs)
 	for z := 0; z < zeroPerVM; z++ {
 		g := vm.GFN(dupPerVM + z)
 		for _, v := range img.VMs {
@@ -107,13 +122,11 @@ func BuildImage(p Profile, numVMs int, physFrames int, seed uint64) (*Image, err
 		}
 	}
 	// Unique region: remaining gfns, globally unique contents.
-	next := salt ^ 0xF00D
+	img.UniquePages = make([]vm.PageID, 0, uniqPerVM*numVMs)
 	for u := 0; u < uniqPerVM; u++ {
 		g := vm.GFN(dupPerVM + zeroPerVM + u)
 		for _, v := range img.VMs {
-			next++
-			fillPage(page, next*0x9E3779B97F4A7C15+7)
-			if _, err := v.Write(g, 0, page); err != nil {
+			if err := v.Touch(g); err != nil {
 				return nil, fmt.Errorf("tailbench: unique page: %w", err)
 			}
 			id := vm.PageID{VM: v.ID, GFN: g}
@@ -123,14 +136,61 @@ func BuildImage(p Profile, numVMs int, physFrames int, seed uint64) (*Image, err
 			}
 		}
 	}
+
+	// Content phase. Worker w fills the w-th contiguous share of the dup
+	// list and of the unique list, so dup copies and unique fills spread
+	// evenly. Zero pages keep their fresh-chunk zeroes.
+	copies := max(1, int(p.DupCopies+0.5))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			img.fillDup(w, workers, copies, distinct, salt)
+			img.fillUnique(w, workers, salt)
+		}()
+	}
+	wg.Wait()
 	return img, nil
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
+// share reports the w-th of workers contiguous shares of [0, n).
+func share(n, w, workers int) (lo, hi int) { return n * w / workers, n * (w + 1) / workers }
+
+// fillDup writes share w of the dup pages. Dup page k (slot-major,
+// VM-minor) carries content group k/copies: striding contents across slots
+// lands each one in ~DupCopies VMs at the same slot. Consecutive pages
+// share a group, so each group's content is generated once and copied to
+// the rest.
+func (img *Image) fillDup(w, workers, copies, distinct int, salt uint64) {
+	lo, hi := share(len(img.DupPages), w, workers)
+	var prev []byte
+	for k := lo; k < hi; k++ {
+		page := img.page(img.DupPages[k])
+		if k > lo && k/copies == (k-1)/copies {
+			copy(page, prev)
+		} else {
+			contentID := k / copies % distinct
+			fillPage(page, uint64(contentID)*2654435761+salt)
+		}
+		prev = page
 	}
-	return b
+}
+
+// fillUnique writes share w of the unique pages. Unique page k (u-major,
+// VM-minor) draws the k-th content of the image's unique stream.
+func (img *Image) fillUnique(w, workers int, salt uint64) {
+	lo, hi := share(len(img.UniquePages), w, workers)
+	for k := lo; k < hi; k++ {
+		next := (salt ^ 0xF00D) + 1 + uint64(k)
+		fillPage(img.page(img.UniquePages[k]), next*0x9E3779B97F4A7C15+7)
+	}
+}
+
+// page returns the frame bytes backing a mapped image page.
+func (img *Image) page(id vm.PageID) []byte {
+	pfn, _ := img.HV.VM(id.VM).Resolve(id.GFN)
+	return img.HV.Phys.Page(pfn)
 }
 
 // fillPage writes deterministic content derived from seed: a zero prefix
