@@ -372,13 +372,15 @@ func BenchmarkECCEncodeLine(b *testing.B) {
 	}
 }
 
-// BenchmarkJHash2Page measures KSM's per-page hash (jhash2 over 1KB).
+// BenchmarkJHash2Page measures KSM's per-page hash (jhash2 over 1KB); the
+// hash runs on the page bytes in place, so it reports zero allocations.
 func BenchmarkJHash2Page(b *testing.B) {
 	page := make([]byte, 4096)
 	for i := range page {
 		page[i] = byte(i * 31)
 	}
 	b.SetBytes(hash.KSMDigestBytes)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = hash.PageHash(page)
 	}
@@ -396,8 +398,9 @@ func BenchmarkECCPageKey(b *testing.B) {
 	}
 }
 
-// BenchmarkPageCompare measures the byte-wise content comparison that
-// dominates KSM's cycles.
+// BenchmarkPageCompare measures the content comparison that dominates KSM's
+// cycles (internal/mem's BenchmarkComparePage contrasts it with the
+// byte-wise reference).
 func BenchmarkPageCompare(b *testing.B) {
 	phys := mem.New(16 * mem.PageSize)
 	a, _ := phys.Alloc()
@@ -766,82 +769,6 @@ func BenchmarkLLCDedup(b *testing.B) {
 	}
 	b.Run("conventional", func(b *testing.B) { run(b, 1024, 1024) })
 	b.Run("dedup-2x-tags", func(b *testing.B) { run(b, 2048, 1024) })
-}
-
-// BenchmarkComparePage contrasts the word-at-a-time early-exit comparison
-// against the byte-wise reference on the two interesting shapes: identical
-// pages (full 4KB examined) and pages diverging midway.
-func BenchmarkComparePage(b *testing.B) {
-	p := mem.New(4 * mem.PageSize)
-	eqA, _ := p.Alloc()
-	eqB, _ := p.Alloc()
-	mid, _ := p.Alloc()
-	r := sim.NewRNG(2)
-	r.FillBytes(p.Page(eqA))
-	p.CopyPage(eqB, eqA)
-	p.CopyPage(mid, eqA)
-	p.Page(mid)[mem.PageSize/2] ^= 1
-	for _, bc := range []struct {
-		name string
-		mode mem.CompareMode
-	}{{"word", mem.CompareWord}, {"byte", mem.CompareByte}} {
-		p.SetCompareMode(bc.mode)
-		b.Run(bc.name+"/equal", func(b *testing.B) {
-			b.SetBytes(mem.PageSize)
-			for i := 0; i < b.N; i++ {
-				p.ComparePage(eqA, eqB)
-			}
-		})
-		b.Run(bc.name+"/mid-diverge", func(b *testing.B) {
-			b.SetBytes(mem.PageSize / 2)
-			for i := 0; i < b.N; i++ {
-				p.ComparePage(eqA, mid)
-			}
-		})
-	}
-	p.SetCompareMode(mem.CompareWord)
-}
-
-// BenchmarkPageHash contrasts the allocation-free byte-slice hash against
-// the legacy allocating words-conversion path (same keys, different cost).
-func BenchmarkPageHash(b *testing.B) {
-	page := make([]byte, mem.PageSize)
-	sim.NewRNG(3).FillBytes(page)
-	b.Run("bytes", func(b *testing.B) {
-		b.SetBytes(hash.KSMDigestBytes)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			hash.PageHash(page)
-		}
-	})
-	b.Run("alloc-words", func(b *testing.B) {
-		b.SetBytes(hash.KSMDigestBytes)
-		b.ReportAllocs()
-		h := experiments.AllocHasher{}
-		for i := 0; i < b.N; i++ {
-			h.PageKey(page)
-		}
-	})
-}
-
-// BenchmarkScanPass measures whole-pass scan throughput: the legacy
-// implementation (byte compare, allocating hash, sequential single shard)
-// against the optimized one (word compare, allocation-free hash, sharded
-// pass) on identical dup-heavy deployments. `pageforge bench` records the
-// same measurement into BENCH_suite.json and `pageforge perfcheck` gates
-// on its speedup ratio.
-func BenchmarkScanPass(b *testing.B) {
-	cfg := experiments.DefaultScanPassConfig()
-	cfg.Repeats = 1
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunScanPassBench(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.LegacyPagesPerSec, "legacy_pages/s")
-		b.ReportMetric(res.OptimizedPagesPerSec, "opt_pages/s")
-		b.ReportMetric(res.Speedup, "speedup_x")
-	}
 }
 
 // BenchmarkBuildImage measures building the paper-size boot image (img_dnn,

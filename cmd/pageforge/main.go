@@ -84,7 +84,7 @@ func usage() {
   pageforge explain [-mode KSM|PageForge] [-app name] [-fast] [-seed N] [-pfn N] [-json]
   pageforge report -series file [-ledger file] [-track substr]
   pageforge bench [-out BENCH_suite.json] [-fast] [-parallel N] [-seed N]
-  pageforge perfcheck [-baseline BENCH_suite.json] [-tol 0.10]
+  pageforge perfcheck [-tol 0.10]
   pageforge sweep [-app name] [-pages N] [-seconds S]`)
 }
 
@@ -841,11 +841,9 @@ func bench(args []string) {
 	}
 	elapsed := time.Since(start)
 
-	// Scan-throughput benchmark: legacy (byte compare, allocating hash,
-	// sequential single shard) versus optimized implementation on identical
-	// work. The speedup ratio is machine-portable, which is what perfcheck
-	// gates on.
-	scanpass, err := experiments.RunScanPassBench(experiments.DefaultScanPassConfig())
+	// Scan hot-path benchmark: sharded scan-pass throughput with and without
+	// the provenance ledger attached, on identical work.
+	scan, err := experiments.RunLedgerOverheadBench()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
@@ -877,17 +875,17 @@ func bench(args []string) {
 		SavedFrac        float64 `json:"memory_savings_frac"`
 	}
 	artifact := struct {
-		Schema      string                        `json:"schema"`
-		GoVersion   string                        `json:"go_version"`
-		Fast        bool                          `json:"fast"`
-		Seed        uint64                        `json:"seed"`
-		Parallelism int                           `json:"parallelism"`
-		ElapsedSecs float64                       `json:"elapsed_seconds"`
-		ScanPass    experiments.ScanPassResult    `json:"scanpass"`
-		CrashRec    experiments.CrashBenchResult  `json:"crash_recovery"`
-		Stream      experiments.StreamBenchResult `json:"stream"`
-		Runs        []experiments.RunRecord       `json:"runs"`
-		KeyMetrics  map[string]keyMetrics         `json:"key_metrics"`
+		Schema      string                           `json:"schema"`
+		GoVersion   string                           `json:"go_version"`
+		Fast        bool                             `json:"fast"`
+		Seed        uint64                           `json:"seed"`
+		Parallelism int                              `json:"parallelism"`
+		ElapsedSecs float64                          `json:"elapsed_seconds"`
+		Scan        experiments.LedgerOverheadResult `json:"scan"`
+		CrashRec    experiments.CrashBenchResult     `json:"crash_recovery"`
+		Stream      experiments.StreamBenchResult    `json:"stream"`
+		Runs        []experiments.RunRecord          `json:"runs"`
+		KeyMetrics  map[string]keyMetrics            `json:"key_metrics"`
 	}{
 		Schema:      experiments.DocSchema,
 		GoVersion:   runtime.Version(),
@@ -895,7 +893,7 @@ func bench(args []string) {
 		Seed:        *seed,
 		Parallelism: *parallel,
 		ElapsedSecs: elapsed.Seconds(),
-		ScanPass:    scanpass,
+		Scan:        scan,
 		CrashRec:    crashRec,
 		Stream:      streamRec,
 		Runs:        progress.Records(),
@@ -919,61 +917,24 @@ func bench(args []string) {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "bench: %d runs in %.2fs, scanpass speedup %.2fx -> %s\n",
-		len(artifact.Runs), elapsed.Seconds(), scanpass.Speedup, *out)
+	fmt.Fprintf(os.Stderr, "bench: %d runs in %.2fs, scan %.0f pages/s -> %s\n",
+		len(artifact.Runs), elapsed.Seconds(), scan.OffPagesPerSec, *out)
 }
 
-// perfcheck re-runs the scan-throughput benchmark and gates on regression
-// against the committed baseline artifact. Absolute throughput is machine
-// dependent, so the gate compares the legacy-vs-optimized speedup RATIO:
-// it must stay within the tolerance band of the baseline's ratio and never
-// drop below the 2x floor the optimization work committed to.
+// perfcheck runs fresh on-vs-off gates on the machine at hand, with no
+// committed baseline: the merge-lifecycle ledger must stay nearly free on
+// the scan hot path, and a stepped Runtime must match batch Run bit for bit
+// at little extra cost.
 func perfcheck(args []string) {
 	fs := flag.NewFlagSet("perfcheck", flag.ExitOnError)
-	baselinePath := fs.String("baseline", "BENCH_suite.json", "committed benchmark artifact")
-	tol := fs.Float64("tol", 0.10, "allowed fractional speedup regression vs baseline")
+	tol := fs.Float64("tol", 0.10, "allowed fractional scan slowdown with the ledger attached")
 	fs.Parse(args)
-
-	raw, err := os.ReadFile(*baselinePath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "perfcheck:", err)
-		os.Exit(1)
-	}
-	var baseline struct {
-		ScanPass experiments.ScanPassResult `json:"scanpass"`
-	}
-	if err := json.Unmarshal(raw, &baseline); err != nil {
-		fmt.Fprintln(os.Stderr, "perfcheck:", err)
-		os.Exit(1)
-	}
-	if baseline.ScanPass.Speedup == 0 {
-		fmt.Fprintf(os.Stderr, "perfcheck: %s has no scanpass section — regenerate it with `pageforge bench`\n", *baselinePath)
-		os.Exit(1)
-	}
-
-	cur, err := experiments.RunScanPassBench(experiments.DefaultScanPassConfig())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "perfcheck:", err)
-		os.Exit(1)
-	}
-	floor := baseline.ScanPass.Speedup * (1 - *tol)
-	fmt.Fprintf(os.Stderr, "perfcheck: speedup %.2fx (baseline %.2fx, floor %.2fx; legacy %.0f optimized %.0f pages/s)\n",
-		cur.Speedup, baseline.ScanPass.Speedup, floor,
-		cur.LegacyPagesPerSec, cur.OptimizedPagesPerSec)
-	if cur.Speedup < floor {
-		fmt.Fprintf(os.Stderr, "perfcheck: FAIL — scan-throughput speedup regressed more than %.0f%% vs baseline\n", *tol*100)
-		os.Exit(1)
-	}
-	if cur.Speedup < 2 {
-		fmt.Fprintln(os.Stderr, "perfcheck: FAIL — speedup below the committed 2x floor")
-		os.Exit(1)
-	}
 
 	// Provenance-overhead gate: the merge-lifecycle ledger must stay nearly
 	// free on the scan hot path. This comparison is absolute and fresh —
 	// ledger-on vs ledger-off on this machine, right now — so it needs no
 	// committed baseline.
-	ov, err := experiments.RunLedgerOverheadBench(experiments.DefaultScanPassConfig())
+	ov, err := experiments.RunLedgerOverheadBench()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "perfcheck:", err)
 		os.Exit(1)
@@ -988,8 +949,7 @@ func perfcheck(args []string) {
 	// Streaming-runtime gate: a stepped Runtime must produce a bit-identical
 	// Result to batch Run (hard fail) and cost essentially nothing over it.
 	// Both runs do identical work on this machine right now, so the overhead
-	// band is a fixed constant, generous only for scheduler jitter — the
-	// scanpass ratio gate above remains the real throughput protector.
+	// band is a fixed constant, generous only for scheduler jitter.
 	const streamTol = 0.25
 	st, err := experiments.RunStreamBench(0)
 	if err != nil {

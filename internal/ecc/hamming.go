@@ -7,6 +7,8 @@
 // 64B cache line therefore carries an 8B ECC code, one byte per 64-bit word.
 package ecc
 
+import "math/bits"
+
 // The (72,64) code is a truncated Hamming code plus an overall parity bit,
 // exactly the construction the paper names ("a truncated version of the
 // (127,120) Hamming code with the addition of a parity bit").
@@ -60,15 +62,7 @@ func init() {
 }
 
 // parity64 reports the XOR-fold (parity) of all bits in v.
-func parity64(v uint64) uint64 {
-	v ^= v >> 32
-	v ^= v >> 16
-	v ^= v >> 8
-	v ^= v >> 4
-	v ^= v >> 2
-	v ^= v >> 1
-	return v & 1
-}
+func parity64(v uint64) uint64 { return uint64(bits.OnesCount64(v) & 1) }
 
 // hammingChecks computes the 7 Hamming check bits for a data word.
 func hammingChecks(data uint64) uint8 {

@@ -67,6 +67,30 @@ func TestAllocForCopySkipsZeroing(t *testing.T) {
 	}
 }
 
+// samePagesByte and comparePagesByte are the byte-wise reference loops the
+// word-at-a-time comparators must match: same verdict, same memcmp sign,
+// same bytes-examined count.
+func samePagesByte(pa, pb []byte) (bool, int) {
+	for i := 0; i < PageSize; i++ {
+		if pa[i] != pb[i] {
+			return false, i + 1
+		}
+	}
+	return true, PageSize
+}
+
+func comparePagesByte(pa, pb []byte) (int, int) {
+	for i := 0; i < PageSize; i++ {
+		if pa[i] != pb[i] {
+			if pa[i] < pb[i] {
+				return -1, i + 1
+			}
+			return 1, i + 1
+		}
+	}
+	return 0, PageSize
+}
+
 // TestWordCompareMatchesByteReference exhaustively checks the word-at-a-time
 // compare against the byte-wise reference at every divergence offset within
 // a word, at word boundaries, at page start/end, and on equal pages: the
@@ -81,13 +105,10 @@ func TestWordCompareMatchesByteReference(t *testing.T) {
 	positions := []int{0, 1, 6, 7, 8, 9, 15, 16, 63, 64, 100, 2048, 4087, 4088, 4094, 4095}
 	check := func() {
 		t.Helper()
-		p.SetCompareMode(CompareWord)
 		wc, wn := p.ComparePage(a, b)
 		ws, wsn := p.SamePage(a, b)
-		p.SetCompareMode(CompareByte)
-		bc, bn := p.ComparePage(a, b)
-		bs, bsn := p.SamePage(a, b)
-		p.SetCompareMode(CompareWord)
+		bc, bn := comparePagesByte(pa, pb)
+		bs, bsn := samePagesByte(pa, pb)
 		if wc != bc || wn != bn {
 			t.Fatalf("ComparePage: word (%d,%d) != byte (%d,%d)", wc, wn, bc, bn)
 		}
@@ -118,20 +139,47 @@ func TestWordCompareMatchesByteReference(t *testing.T) {
 }
 
 // TestComparePageZeroAlloc enforces the hot-path allocation contract for
-// steady-state comparisons (both modes).
+// steady-state comparisons.
 func TestComparePageZeroAlloc(t *testing.T) {
 	p := New(2 * PageSize)
 	a, _ := p.Alloc()
 	b, _ := p.Alloc()
 	p.Page(b)[PageSize-1] = 1 // worst case: full-page scan
-	for _, mode := range []CompareMode{CompareWord, CompareByte} {
-		p.SetCompareMode(mode)
-		if n := testing.AllocsPerRun(100, func() {
-			p.ComparePage(a, b)
-			p.SamePage(a, b)
-		}); n != 0 {
-			t.Fatalf("mode %d: %v allocs per compare, want 0", mode, n)
-		}
+	if n := testing.AllocsPerRun(100, func() {
+		p.ComparePage(a, b)
+		p.SamePage(a, b)
+	}); n != 0 {
+		t.Fatalf("%v allocs per compare, want 0", n)
+	}
+}
+
+var compareSink int
+
+// BenchmarkComparePage contrasts the word-at-a-time early-exit comparison
+// against the byte-wise reference on the two interesting shapes: identical
+// pages (full 4KB examined) and pages diverging midway.
+func BenchmarkComparePage(b *testing.B) {
+	eq := make([]byte, PageSize)
+	sim.NewRNG(2).FillBytes(eq)
+	same := append([]byte(nil), eq...)
+	mid := append([]byte(nil), eq...)
+	mid[PageSize/2] ^= 1
+	for _, bc := range []struct {
+		name string
+		cmp  func(pa, pb []byte) (int, int)
+	}{{"word", comparePages}, {"byte", comparePagesByte}} {
+		b.Run(bc.name+"/equal", func(b *testing.B) {
+			b.SetBytes(PageSize)
+			for i := 0; i < b.N; i++ {
+				compareSink, _ = bc.cmp(eq, same)
+			}
+		})
+		b.Run(bc.name+"/mid-diverge", func(b *testing.B) {
+			b.SetBytes(PageSize / 2)
+			for i := 0; i < b.N; i++ {
+				compareSink, _ = bc.cmp(eq, mid)
+			}
+		})
 	}
 }
 

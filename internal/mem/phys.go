@@ -76,20 +76,6 @@ func (f *Frame) Refs() int { return f.refs }
 // CoW reports whether the frame is write-protected copy-on-write.
 func (f *Frame) CoW() bool { return f.cow }
 
-// CompareMode selects the page-comparison implementation.
-type CompareMode int
-
-const (
-	// CompareWord is the word-at-a-time early-exit comparison (default):
-	// uint64 loads with a bit-scan to locate the first differing byte, so
-	// the memcmp sign and the bytes-examined count are bit-identical to the
-	// byte-wise loop at ~8x the throughput.
-	CompareWord CompareMode = iota
-	// CompareByte is the reference byte-wise loop. The bench suite uses it
-	// as the committed baseline; property tests pin CompareWord against it.
-	CompareByte
-)
-
 // Phys is the physical memory of the machine.
 type Phys struct {
 	// chunks[i] backs frames [i*chunkFrames, (i+1)*chunkFrames); nil until
@@ -100,7 +86,6 @@ type Phys struct {
 
 	allocated int
 	peak      int
-	cmpMode   CompareMode
 
 	// Deferred-free mode: while a sharded scan pass runs workers in
 	// parallel, frames released by merges are parked under mu and flushed
@@ -144,11 +129,6 @@ func (p *Phys) insertFree(pfn PFN) {
 	copy(p.free[i+1:], p.free[i:])
 	p.free[i] = pfn
 }
-
-// SetCompareMode selects the comparison implementation for SamePage and
-// ComparePage. Both modes return identical (sign, bytes) results; the bench
-// suite switches to CompareByte to measure the legacy baseline.
-func (p *Phys) SetCompareMode(m CompareMode) { p.cmpMode = m }
 
 // TotalFrames reports the machine's frame count.
 func (p *Phys) TotalFrames() int { return len(p.frames) }
@@ -388,47 +368,18 @@ func comparePages(pa, pb []byte) (int, int) {
 	return 0, PageSize
 }
 
-func samePagesByte(pa, pb []byte) (bool, int) {
-	for i := 0; i < PageSize; i++ {
-		if pa[i] != pb[i] {
-			return false, i + 1
-		}
-	}
-	return true, PageSize
-}
-
-func comparePagesByte(pa, pb []byte) (int, int) {
-	for i := 0; i < PageSize; i++ {
-		if pa[i] != pb[i] {
-			if pa[i] < pb[i] {
-				return -1, i + 1
-			}
-			return 1, i + 1
-		}
-	}
-	return 0, PageSize
-}
-
 // SamePage reports whether two frames have byte-identical contents, along
 // with the number of bytes that were compared before the verdict (the cost
 // a software comparator would pay: compare until first divergence).
 func (p *Phys) SamePage(a, b PFN) (bool, int) {
-	pa, pb := p.Page(a), p.Page(b)
-	if p.cmpMode == CompareByte {
-		return samePagesByte(pa, pb)
-	}
-	return samePages(pa, pb)
+	return samePages(p.Page(a), p.Page(b))
 }
 
 // ComparePage is a three-way content comparison (memcmp order), returning
 // <0, 0, >0 and the number of bytes examined. Content-indexed tree search
 // uses the sign to branch left or right.
 func (p *Phys) ComparePage(a, b PFN) (int, int) {
-	pa, pb := p.Page(a), p.Page(b)
-	if p.cmpMode == CompareByte {
-		return comparePagesByte(pa, pb)
-	}
-	return comparePages(pa, pb)
+	return comparePages(p.Page(a), p.Page(b))
 }
 
 // FirstNonZero scans b for its first nonzero byte word-at-a-time, returning

@@ -291,26 +291,17 @@ type Result struct {
 	Metrics *obs.Snapshot
 }
 
-// Run executes one (mode, application) configuration.
+// Run executes one (mode, application) configuration. It is the batch
+// driver over the tick-driven Runtime: build the world, then step every tick
+// to completion. Batch Run and a streaming Runtime stepped to the same
+// horizon are therefore the same code path, and their Results are
+// bit-identical by construction.
 func Run(mode Mode, app tailbench.Profile, cfg Config) (*Result, error) {
-	res, _, err := runInternal(mode, app, cfg)
-	return res, err
-}
-
-// runInternal is the batch driver over the tick-driven Runtime: build the
-// world, then step every tick to completion. Batch Run and a streaming
-// Runtime stepped to the same horizon are therefore the same code path, and
-// their Results are bit-identical by construction.
-func runInternal(mode Mode, app tailbench.Profile, cfg Config) (*Result, *dram.DRAM, error) {
 	r := NewRuntime(mode, app, cfg)
 	if err := r.Start(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	res, err := r.Drain()
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, r.dr, nil
+	return r.Drain()
 }
 
 // engineState tracks which engine is live across the demote/re-promote
@@ -395,13 +386,4 @@ func memQueueFactor(app tailbench.Profile, r *Result, cfg Config) float64 {
 		u = 0.85
 	}
 	return 1 / (1 - u)
-}
-
-// RunDebug is Run plus the DRAM statistics snapshot (calibration tooling).
-func RunDebug(mode Mode, app tailbench.Profile, cfg Config) (*Result, dram.Stats, error) {
-	res, dr, err := runInternal(mode, app, cfg)
-	if err != nil {
-		return nil, dram.Stats{}, err
-	}
-	return res, dr.Stats, nil
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -142,75 +141,3 @@ func (s *Sample) Reset() {
 	s.xs = s.xs[:0]
 	s.sorted = false
 }
-
-// Histogram is a fixed-width-bucket histogram for coarse distribution
-// summaries (e.g. bandwidth over time windows).
-type Histogram struct {
-	BucketWidth float64
-	buckets     map[int]uint64
-	n           uint64
-}
-
-// NewHistogram returns a histogram with the given bucket width.
-func NewHistogram(width float64) *Histogram {
-	if width <= 0 {
-		panic("sim: histogram bucket width must be positive")
-	}
-	return &Histogram{BucketWidth: width, buckets: make(map[int]uint64)}
-}
-
-// Add folds an observation into its bucket.
-func (h *Histogram) Add(x float64) {
-	h.buckets[int(math.Floor(x/h.BucketWidth))]++
-	h.n++
-}
-
-// N reports the number of observations.
-func (h *Histogram) N() uint64 { return h.n }
-
-// Bucket reports the count in the bucket containing x.
-func (h *Histogram) Bucket(x float64) uint64 {
-	return h.buckets[int(math.Floor(x/h.BucketWidth))]
-}
-
-// String renders the non-empty buckets in ascending order.
-func (h *Histogram) String() string {
-	keys := make([]int, 0, len(h.buckets))
-	for k := range h.buckets {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	out := ""
-	for _, k := range keys {
-		out += fmt.Sprintf("[%g,%g): %d\n", float64(k)*h.BucketWidth, float64(k+1)*h.BucketWidth, h.buckets[k])
-	}
-	return out
-}
-
-// Counters is a named bag of monotonically increasing uint64 counters, the
-// lingua franca for per-module statistics.
-type Counters struct {
-	m map[string]uint64
-}
-
-// NewCounters returns an empty counter bag.
-func NewCounters() *Counters { return &Counters{m: make(map[string]uint64)} }
-
-// Inc adds delta to the named counter.
-func (c *Counters) Inc(name string, delta uint64) { c.m[name] += delta }
-
-// Get reports the value of the named counter (0 if never incremented).
-func (c *Counters) Get(name string) uint64 { return c.m[name] }
-
-// Names reports all counter names in sorted order.
-func (c *Counters) Names() []string {
-	names := make([]string, 0, len(c.m))
-	for k := range c.m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Reset zeroes every counter.
-func (c *Counters) Reset() { c.m = make(map[string]uint64) }

@@ -127,54 +127,3 @@ func TestSamplePercentileMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram(10)
-	h.Add(0)
-	h.Add(5)
-	h.Add(9.999)
-	h.Add(10)
-	h.Add(25)
-	if h.Bucket(3) != 3 {
-		t.Fatalf("bucket [0,10) = %d, want 3", h.Bucket(3))
-	}
-	if h.Bucket(10) != 1 {
-		t.Fatalf("bucket [10,20) = %d, want 1", h.Bucket(10))
-	}
-	if h.Bucket(29) != 1 {
-		t.Fatalf("bucket [20,30) = %d, want 1", h.Bucket(29))
-	}
-	if h.N() != 5 {
-		t.Fatalf("N = %d, want 5", h.N())
-	}
-	if h.String() == "" {
-		t.Fatal("String() empty for populated histogram")
-	}
-}
-
-func TestHistogramRejectsBadWidth(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewHistogram(0) did not panic")
-		}
-	}()
-	NewHistogram(0)
-}
-
-func TestCounters(t *testing.T) {
-	c := NewCounters()
-	c.Inc("reads", 3)
-	c.Inc("reads", 2)
-	c.Inc("writes", 1)
-	if c.Get("reads") != 5 || c.Get("writes") != 1 || c.Get("absent") != 0 {
-		t.Fatal("counter arithmetic wrong")
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "reads" || names[1] != "writes" {
-		t.Fatalf("Names = %v", names)
-	}
-	c.Reset()
-	if c.Get("reads") != 0 {
-		t.Fatal("Reset did not zero counters")
-	}
-}

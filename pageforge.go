@@ -468,7 +468,7 @@ func EfficiencyExperiment(s *Suite) (*experiments.EfficiencyResult, error) {
 // without a provenance ledger attached — the fresh, baseline-free overhead
 // gate `pageforge perfcheck` enforces.
 func RunLedgerOverheadBench() (experiments.LedgerOverheadResult, error) {
-	return experiments.RunLedgerOverheadBench(experiments.DefaultScanPassConfig())
+	return experiments.RunLedgerOverheadBench()
 }
 
 // Timeline measures the savings convergence ramp of both engines on one
