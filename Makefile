@@ -16,10 +16,11 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-# bench runs the Go micro-benchmarks, then the end-to-end suite benchmark
-# that snapshots per-run wall times and key metrics into BENCH_suite.json.
+# bench runs the Go micro-benchmarks (-run '^$$' skips the unit tests, which
+# `make test` covers), then the end-to-end suite benchmark that snapshots
+# per-run wall times and key metrics into BENCH_suite.json.
 bench:
-	$(GO) test -bench=. -benchmem ./...
+	$(GO) test -run '^$$' -bench=. -benchmem ./...
 	$(GO) run ./cmd/pageforge bench -out BENCH_suite.json
 
 # perfcheck runs fresh on-vs-off gates on the machine at hand, with no

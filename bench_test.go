@@ -458,16 +458,11 @@ func BenchmarkEngineBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkKSMScanPass measures a full software scan pass over a 10-VM
-// deployment (the functional cost of the simulator itself).
-func BenchmarkKSMScanPass(b *testing.B) {
-	app := *tailbench.ProfileByName("silo")
-	app.PagesPerVM = 300
-	img, err := tailbench.BuildImage(app, 10, 10*app.PagesPerVM*2, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := ksm.NewScanner(ksm.NewAlgorithm(img.HV, ksm.JHasher{}), ksm.DefaultCosts())
+// BenchmarkKSMScanOne measures one pass's worth of sequential ScanOne
+// calls over a 10-VM deployment (the functional cost of the simulator
+// itself).
+func BenchmarkKSMScanOne(b *testing.B) {
+	s := ksmBenchScanner(b, 0)
 	pages := s.Alg.MergeablePages()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -475,6 +470,32 @@ func BenchmarkKSMScanPass(b *testing.B) {
 			s.ScanOne()
 		}
 	}
+}
+
+// BenchmarkKSMScanPassSharded measures full ScanPass calls over the same
+// deployment with 16 content shards and 2 workers, reporting allocations:
+// a steady-state pass allocates nothing.
+func BenchmarkKSMScanPassSharded(b *testing.B) {
+	s := ksmBenchScanner(b, 4)
+	s.ScanPass(2)
+	s.ScanPass(2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.ScanPass(2)
+	}
+}
+
+// ksmBenchScanner builds a software KSM scanner with 2^shardBits content
+// shards over ten 300-page silo VMs.
+func ksmBenchScanner(b *testing.B, shardBits int) *ksm.Scanner {
+	app := *tailbench.ProfileByName("silo")
+	app.PagesPerVM = 300
+	img, err := tailbench.BuildImage(app, 10, 10*app.PagesPerVM*2, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ksm.NewScanner(ksm.NewAlgorithmSharded(img.HV, ksm.JHasher{}, shardBits), ksm.DefaultCosts())
 }
 
 // BenchmarkQueueingSim measures the open-loop latency simulator.

@@ -47,6 +47,14 @@ type rmapItem struct {
 	oldHash uint32
 	hasHash bool
 	// unstableNode links the page to its node for the current pass only.
+	// EndPass recycles unstable nodes (rbtree.Tree.Reset), so after the
+	// pass it may point at a zeroed node or one reused for another page.
+	// The only reader, removeUnstable, reaches the item through
+	// node.Item, the node's current owner, and so only ever compares a
+	// live node with its own payload. No other *rbtree.Node outlives a
+	// Reset: the PageForge driver's Scan Table scratch is refilled per
+	// search, and the checker, recovery and ledger read trees in place or
+	// keep PFNs.
 	unstableNode *rbtree.Node
 	unstablePass uint64
 	// Smart-scan state: consecutive unchanged passes and the pass to
@@ -99,6 +107,8 @@ type Algorithm struct {
 
 	opts    Options
 	zeroPFN *mem.PFN // dedicated zero frame (use_zero_pages)
+
+	stale []*rbtree.Node // EndPass's prune buffer, reused every pass
 
 	Stats Stats
 }
@@ -237,7 +247,7 @@ func (a *Algorithm) EndPass() {
 
 	// Prune stable nodes nobody maps anymore (their only reference is the
 	// tree's own hold).
-	var stale []*rbtree.Node
+	stale := a.stale[:0]
 	a.Stable.InOrder(func(n *rbtree.Node) bool {
 		if a.HV.MapperCount(n.PFN) == 0 {
 			stale = append(stale, n)
@@ -249,6 +259,9 @@ func (a *Algorithm) EndPass() {
 		a.HV.Phys.DecRef(n.PFN)
 		bump(&a.Stats.StablePruned)
 	}
+	// Drop the pruned nodes so the buffer does not keep them alive.
+	clear(stale)
+	a.stale = stale[:0]
 	a.pass++
 	bump(&a.Stats.FullScans)
 }

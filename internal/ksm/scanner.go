@@ -2,6 +2,7 @@ package ksm
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/vm"
@@ -83,6 +84,15 @@ type Scanner struct {
 	// reads only the part of its 1KB prefix the comparisons did not
 	// already fetch.
 	DRAMBytes uint64
+
+	// ScanPass state kept across passes: per-shard candidate queues and
+	// accumulators, the next unclaimed shard, and the worker body that the
+	// pass's extra goroutines run.
+	queues     [][]vm.PageID
+	accts      []scanAcct
+	nextShard  atomic.Int32
+	wg         sync.WaitGroup
+	scanShards func()
 }
 
 // NewScanner wraps algorithm state with software cost accounting.
@@ -99,6 +109,7 @@ type scanAcct struct {
 	cycles       CycleBreakdown
 	bytesTouched uint64
 	dramBytes    uint64
+	merged       int // candidates merged (counted by ScanPass workers)
 	events       []obs.LedgerEvent
 }
 
@@ -333,13 +344,23 @@ func (s *Scanner) ScanPass(workers int) BatchResult {
 	// guest churn happens between passes), so partition-time routes hold
 	// for the whole pass. Unresolved candidates go to shard 0; they are
 	// skipped with only fixed overhead, which any shard accounts alike.
-	queues := make([][]vm.PageID, shards)
+	// The queues and accumulators are the scanner's own and are
+	// truncated, not reallocated, so a steady-state pass creates no
+	// garbage.
+	if len(s.queues) != shards {
+		s.queues = make([][]vm.PageID, shards)
+		s.accts = make([]scanAcct, shards)
+	}
+	for i := range s.queues {
+		s.queues[i] = s.queues[i][:0]
+		s.accts[i] = scanAcct{events: s.accts[i].events}
+	}
 	for _, id := range order {
 		shard := 0
 		if pfn, ok := a.HV.Resolve(id); ok {
 			shard = a.ShardOf(pfn)
 		}
-		queues[shard] = append(queues[shard], id)
+		s.queues[shard] = append(s.queues[shard], id)
 	}
 
 	// Workers must never mutate lazily-built shared state: materialize the
@@ -351,44 +372,57 @@ func (s *Scanner) ScanPass(workers int) BatchResult {
 		a.zeroFrame()
 	}
 
-	accts := make([]scanAcct, shards)
-	mergedBy := make([]int, shards)
 	phys := a.HV.Phys
 	phys.BeginDeferredFrees()
-	work := make(chan int, shards)
-	for i := 0; i < shards; i++ {
-		work <- i
+	// The caller is one of the workers. The others run the scanner's one
+	// closure, built on first use: a go statement on a ready-made func
+	// value with no arguments allocates nothing.
+	if s.scanShards == nil {
+		s.scanShards = func() {
+			defer s.wg.Done()
+			s.claimShards()
+		}
 	}
-	close(work)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for shard := range work {
-				for _, id := range queues[shard] {
-					if s.scanCandidate(id, &accts[shard]) {
-						mergedBy[shard]++
-					}
-				}
-			}
-		}()
+	s.nextShard.Store(0)
+	s.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go s.scanShards()
 	}
-	wg.Wait()
+	s.claimShards()
+	s.wg.Wait()
 	phys.EndDeferredFrees()
 
 	res := BatchResult{Scanned: len(order), PassEnded: true}
-	for i := range accts {
-		s.apply(&accts[i])
-		res.Cycles.Compare += accts[i].cycles.Compare
-		res.Cycles.Hash += accts[i].cycles.Hash
-		res.Cycles.Other += accts[i].cycles.Other
-		res.Bytes += accts[i].bytesTouched
-		res.Merged += mergedBy[i]
+	for i := range s.accts {
+		ac := &s.accts[i]
+		s.apply(ac)
+		res.Cycles.Compare += ac.cycles.Compare
+		res.Cycles.Hash += ac.cycles.Hash
+		res.Cycles.Other += ac.cycles.Other
+		res.Bytes += ac.bytesTouched
+		res.Merged += ac.merged
 	}
 	a.curs = 0
 	a.EndPass()
 	return res
+}
+
+// claimShards scans whole shards, claimed one at a time from the pass's
+// shared counter, until none is left. Which worker scans a shard does not
+// matter: each shard's queue and accumulator are its own.
+func (s *Scanner) claimShards() {
+	for {
+		shard := int(s.nextShard.Add(1)) - 1
+		if shard >= len(s.queues) {
+			return
+		}
+		ac := &s.accts[shard]
+		for _, id := range s.queues[shard] {
+			if s.scanCandidate(id, ac) {
+				ac.merged++
+			}
+		}
+	}
 }
 
 func (s *Scanner) chargeCompare(ac *scanAcct, bytes uint64) {

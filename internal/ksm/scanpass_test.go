@@ -175,3 +175,25 @@ func TestScanPassSingleShardDefault(t *testing.T) {
 		}
 	}
 }
+
+// TestScanPassZeroAlloc pins the zero-garbage contract of a steady-state
+// pass: once two warm-up passes have sized the shard queues, the
+// accumulators and the unstable trees' node free lists, a pass with no
+// churn allocates nothing, inline (one worker) or with a goroutine fan-out.
+// AllocsPerRun measures at GOMAXPROCS 1. With more Ps the runtime may
+// allocate a goroutine descriptor per fan-out until its per-P free lists
+// have filled (tens of passes); those descriptors are reused, not garbage.
+func TestScanPassZeroAlloc(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		s := buildDupWorld(t, 3)
+		s.ScanPass(workers)
+		s.ScanPass(workers)
+		cmps := s.Alg.Unstable.Comparisons()
+		if allocs := testing.AllocsPerRun(10, func() { s.ScanPass(workers) }); allocs != 0 {
+			t.Errorf("workers %d: steady-state ScanPass made %v allocations, want 0", workers, allocs)
+		}
+		if s.Alg.Unstable.Comparisons() == cmps {
+			t.Fatalf("workers %d: measured passes built no unstable tree — test exercised nothing", workers)
+		}
+	}
+}

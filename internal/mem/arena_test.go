@@ -153,33 +153,77 @@ func TestComparePageZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestBlockCompareMatchesByteReference checks the block compare against
+// the byte-wise references on random pages, with the divergence placed on
+// every edge where the traversal changes gear: the end of the word
+// prologue, each bytes.Equal block boundary, the page's last byte, and
+// random offsets. FirstNonZero gets the same positions.
+func TestBlockCompareMatchesByteReference(t *testing.T) {
+	pa, pb := make([]byte, PageSize), make([]byte, PageSize)
+	r := sim.NewRNG(11)
+	positions := []int{0, 7, 8, 63, 64, 65, 255, 256, 257, 4094, 4095}
+	for edge := cmpPrologue; edge < PageSize; edge += cmpBlock {
+		positions = append(positions, edge-1, edge, edge+1)
+	}
+	for trial := 0; trial < 50; trial++ {
+		positions = append(positions, r.Intn(PageSize))
+	}
+	zero := make([]byte, PageSize)
+	for trial := 0; trial < 10; trial++ {
+		r.FillBytes(pa)
+		for _, pos := range positions {
+			copy(pb, pa)
+			for pb[pos] == pa[pos] {
+				pb[pos] = byte(r.Intn(256))
+			}
+			r.FillBytes(pb[min(pos+1, PageSize):])
+			c, n := comparePages(pa, pb)
+			if bc, bn := comparePagesByte(pa, pb); c != bc || n != bn {
+				t.Fatalf("diverge at %d: comparePages (%d,%d) != byte (%d,%d)", pos, c, n, bc, bn)
+			}
+			same, sn := samePages(pa, pb)
+			if bs, bn := samePagesByte(pa, pb); same != bs || sn != bn {
+				t.Fatalf("diverge at %d: samePages (%v,%d) != byte (%v,%d)", pos, same, sn, bs, bn)
+			}
+			clear(zero)
+			zero[pos] = byte(1 + r.Intn(255))
+			if got := FirstNonZero(zero); got != pos {
+				t.Fatalf("FirstNonZero with byte %d set: got %d", pos, got)
+			}
+		}
+	}
+}
+
 var compareSink int
 
-// BenchmarkComparePage contrasts the word-at-a-time early-exit comparison
-// against the byte-wise reference on the two interesting shapes: identical
-// pages (full 4KB examined) and pages diverging midway.
+// BenchmarkComparePage contrasts the block comparison against the
+// byte-wise reference on three shapes: identical pages (full 4KB
+// examined), pages diverging at byte 3 (inside the word prologue, where
+// most tree compares exit) and pages diverging midway.
 func BenchmarkComparePage(b *testing.B) {
 	eq := make([]byte, PageSize)
 	sim.NewRNG(2).FillBytes(eq)
 	same := append([]byte(nil), eq...)
+	early := append([]byte(nil), eq...)
+	early[3] ^= 1
 	mid := append([]byte(nil), eq...)
 	mid[PageSize/2] ^= 1
 	for _, bc := range []struct {
 		name string
 		cmp  func(pa, pb []byte) (int, int)
-	}{{"word", comparePages}, {"byte", comparePagesByte}} {
-		b.Run(bc.name+"/equal", func(b *testing.B) {
-			b.SetBytes(PageSize)
-			for i := 0; i < b.N; i++ {
-				compareSink, _ = bc.cmp(eq, same)
-			}
-		})
-		b.Run(bc.name+"/mid-diverge", func(b *testing.B) {
-			b.SetBytes(PageSize / 2)
-			for i := 0; i < b.N; i++ {
-				compareSink, _ = bc.cmp(eq, mid)
-			}
-		})
+	}{{"block", comparePages}, {"byte", comparePagesByte}} {
+		for _, shape := range []struct {
+			name  string
+			other []byte
+			bytes int64
+		}{{"equal", same, PageSize}, {"early-diverge", early, 4}, {"mid-diverge", mid, PageSize / 2}} {
+			b.Run(bc.name+"/"+shape.name, func(b *testing.B) {
+				b.SetBytes(shape.bytes)
+				for i := 0; i < b.N; i++ {
+					compareSink, _ = bc.cmp(eq, shape.other)
+				}
+			})
+		}
 	}
 }
 
@@ -263,6 +307,26 @@ func TestDeferredFreesCanonicalOrder(t *testing.T) {
 		}
 		if got != want {
 			t.Fatalf("post-flush alloc = %d, want %d (canonical ascending order)", got, want)
+		}
+	}
+}
+
+// TestContentKeyGroupsByContent checks the digest's contract: frames with
+// equal contents share a key, and changing any single byte changes it.
+func TestContentKeyGroupsByContent(t *testing.T) {
+	p := New(2 * PageSize)
+	a, _ := p.Alloc()
+	b, _ := p.Alloc()
+	sim.NewRNG(5).FillBytes(p.Page(a))
+	copy(p.Page(b), p.Page(a))
+	if p.ContentKey(a) != p.ContentKey(b) {
+		t.Fatal("equal pages have different keys")
+	}
+	for _, pos := range []int{0, 7, 8, 63, 64, 2048, PageSize - 1} {
+		copy(p.Page(b), p.Page(a))
+		p.Page(b)[pos] ^= 0x80
+		if p.ContentKey(a) == p.ContentKey(b) {
+			t.Fatalf("flipping byte %d left the key unchanged", pos)
 		}
 	}
 }

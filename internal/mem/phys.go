@@ -15,10 +15,13 @@
 package mem
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -303,10 +306,14 @@ func (p *Phys) BeginDeferredFrees() { p.deferFrees = true }
 
 // EndDeferredFrees flushes pending frames to the freelist, restoring its
 // descending sorted order independent of the order workers released them.
+// Frames on the freelist are distinct, so any sort gives the same order.
 func (p *Phys) EndDeferredFrees() {
 	p.deferFrees = false
+	if len(p.pending) == 0 {
+		return
+	}
 	p.free = append(p.free, p.pending...)
-	sort.Slice(p.free, func(i, j int) bool { return p.free[i] > p.free[j] })
+	slices.SortFunc(p.free, func(a, b PFN) int { return cmp.Compare(b, a) })
 	p.pending = p.pending[:0]
 }
 
@@ -336,36 +343,72 @@ func (p *Phys) CopyPage(dst, src PFN) {
 	copy(p.pageAt(dst), p.pageAt(src))
 }
 
-// samePages reports content equality and the bytes examined until the first
-// divergence, word-at-a-time with a byte count identical to the byte loop.
-func samePages(pa, pb []byte) (bool, int) {
-	for off := 0; off < PageSize; off += 8 {
-		wa := binary.LittleEndian.Uint64(pa[off : off+8])
-		wb := binary.LittleEndian.Uint64(pb[off : off+8])
-		if wa != wb {
-			// Little-endian load: the lowest differing byte of the word is
-			// the first differing byte of the page.
-			return false, off + bits.TrailingZeros64(wa^wb)/8 + 1
+// The compare hot path checks the first cmpPrologue bytes a word at a
+// time, since most tree compares diverge there, then whole cmpBlock-byte
+// blocks with bytes.Equal (a vectorised memequal), and runs the word loop
+// only inside the first unequal block. The byte index it reports is the
+// one a byte-wise loop would find, so compare-cost accounting is unchanged.
+const (
+	cmpPrologue = 64
+	cmpBlock    = 256
+)
+
+// firstDiff returns the index of the first byte where two pages differ, or
+// -1 when they are equal.
+func firstDiff(pa, pb []byte) int {
+	off := 0
+	for ; off < cmpPrologue; off += 8 {
+		if i := wordDiff(pa, pb, off); i >= 0 {
+			return i
 		}
+	}
+	for ; off < PageSize; off += cmpBlock {
+		end := min(off+cmpBlock, PageSize)
+		if !bytes.Equal(pa[off:end], pb[off:end]) {
+			break
+		}
+	}
+	for ; off < PageSize; off += 8 {
+		if i := wordDiff(pa, pb, off); i >= 0 {
+			return i
+		}
+	}
+	return -1
+}
+
+// wordDiff compares the 8-byte words at off and returns the index of their
+// first differing byte, or -1. On a little-endian load the lowest
+// differing byte of the word is the first differing byte of the page.
+func wordDiff(pa, pb []byte, off int) int {
+	wa := binary.LittleEndian.Uint64(pa[off : off+8])
+	wb := binary.LittleEndian.Uint64(pb[off : off+8])
+	if wa == wb {
+		return -1
+	}
+	return off + bits.TrailingZeros64(wa^wb)/8
+}
+
+// samePages reports content equality and the bytes examined until the first
+// divergence.
+func samePages(pa, pb []byte) (bool, int) {
+	if i := firstDiff(pa, pb); i >= 0 {
+		return false, i + 1
 	}
 	return true, PageSize
 }
 
-// comparePages is the word-at-a-time three-way comparison: same traversal
-// as samePages, with the memcmp sign taken from the first differing byte.
+// comparePages is the three-way comparison: the same traversal as
+// samePages, with the memcmp sign taken from the first differing byte.
 func comparePages(pa, pb []byte) (int, int) {
-	for off := 0; off < PageSize; off += 8 {
-		wa := binary.LittleEndian.Uint64(pa[off : off+8])
-		wb := binary.LittleEndian.Uint64(pb[off : off+8])
-		if wa != wb {
-			i := off + bits.TrailingZeros64(wa^wb)/8
-			if pa[i] < pb[i] {
-				return -1, i + 1
-			}
-			return 1, i + 1
-		}
+	i := firstDiff(pa, pb)
+	switch {
+	case i < 0:
+		return 0, PageSize
+	case pa[i] < pb[i]:
+		return -1, i + 1
+	default:
+		return 1, i + 1
 	}
-	return 0, PageSize
 }
 
 // SamePage reports whether two frames have byte-identical contents, along
@@ -382,11 +425,23 @@ func (p *Phys) ComparePage(a, b PFN) (int, int) {
 	return comparePages(p.Page(a), p.Page(b))
 }
 
-// FirstNonZero scans b for its first nonzero byte word-at-a-time, returning
-// its index or -1 when b is all zeroes. The byte index matches what a
-// byte-wise scan would report, so zero-check cost accounting is unchanged.
+// FirstNonZero scans b for its first nonzero byte, returning its index or
+// -1 when b is all zeroes. It walks b the way firstDiff walks a page pair:
+// a word-at-a-time prologue, then blocks compared against zeroBlock, then
+// words inside the first nonzero block. The index matches what a byte-wise
+// scan would report, so zero-check cost accounting is unchanged.
 func FirstNonZero(b []byte) int {
 	i := 0
+	for ; i+8 <= len(b) && i < cmpPrologue; i += 8 {
+		if w := binary.LittleEndian.Uint64(b[i : i+8]); w != 0 {
+			return i + bits.TrailingZeros64(w)/8
+		}
+	}
+	for ; i+cmpBlock <= len(b); i += cmpBlock {
+		if !bytes.Equal(b[i:i+cmpBlock], zeroBlock[:]) {
+			break
+		}
+	}
 	for ; i+8 <= len(b); i += 8 {
 		if w := binary.LittleEndian.Uint64(b[i : i+8]); w != 0 {
 			return i + bits.TrailingZeros64(w)/8
@@ -400,18 +455,23 @@ func FirstNonZero(b []byte) int {
 	return -1
 }
 
-// ContentKey is a 64-bit FNV-1a digest of the frame's full contents, used
-// by verification tooling to group frames by content cheaply. Equal pages
-// have equal keys; distinct keys imply distinct contents (collisions are
-// possible in principle but negligible at simulated scales).
+// zeroBlock is FirstNonZero's all-zero comparand.
+var zeroBlock [cmpBlock]byte
+
+// ContentKey is a 64-bit FNV-1a-style digest of the frame's full contents,
+// folding the page in 8-byte little-endian words, used by verification
+// tooling to group frames by content cheaply. Equal pages have equal keys;
+// distinct keys imply distinct contents (collisions are possible in
+// principle but negligible at simulated scales). Keys are never stored.
 func (p *Phys) ContentKey(pfn PFN) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	for _, b := range p.Page(pfn) {
-		h = (h ^ uint64(b)) * prime64
+	pg := p.Page(pfn)
+	for off := 0; off < PageSize; off += 8 {
+		h = (h ^ binary.LittleEndian.Uint64(pg[off:off+8])) * prime64
 	}
 	return h
 }

@@ -43,6 +43,9 @@ type Tree struct {
 	root *Node
 	size int
 	cmp  CompareFunc
+	// free holds zeroed nodes that Reset retired, for reuse by later
+	// inserts, the way Linux KSM recycles rmap items from a slab cache.
+	free []*Node
 
 	// Comparisons counts three-way content comparisons performed.
 	Comparisons uint64
@@ -65,10 +68,40 @@ func (t *Tree) Size() int { return t.size }
 func (t *Tree) Root() *Node { return t.root }
 
 // Reset discards all nodes; KSM destroys the unstable tree after each pass
-// this way ("throw away and regenerate").
+// this way ("throw away and regenerate"). The nodes go, zeroed, onto the
+// tree's free list for later inserts to reuse, so a steady-state pass
+// allocates no nodes. A pointer kept from before the Reset may therefore
+// name a zero node or, once reused, another page's node: compare it only
+// against nodes reached through the tree. Deleted nodes are never
+// recycled, since callers read a node after Delete.
 func (t *Tree) Reset() {
+	// Collect first and zero afterwards: zeroing a node during the walk
+	// would cut off its right subtree before the walk reaches it.
+	start := len(t.free)
+	t.InOrder(func(n *Node) bool {
+		t.free = append(t.free, n)
+		return true
+	})
+	for _, n := range t.free[start:] {
+		*n = Node{}
+	}
 	t.root = nil
 	t.size = 0
+}
+
+// newNode returns a red node for pfn under parent, reusing a node from the
+// free list when there is one.
+func (t *Tree) newNode(pfn mem.PFN, item interface{}, parent *Node) *Node {
+	var n *Node
+	if k := len(t.free); k > 0 {
+		n = t.free[k-1]
+		t.free[k-1] = nil
+		t.free = t.free[:k-1]
+	} else {
+		n = new(Node)
+	}
+	*n = Node{PFN: pfn, Item: item, parent: parent, owner: t, red: true}
+	return n
 }
 
 func (t *Tree) compare(a, b mem.PFN) int {
@@ -112,7 +145,7 @@ func (t *Tree) InsertOrGet(pfn mem.PFN, item interface{}) (*Node, bool) {
 			return parent, false
 		}
 	}
-	n := &Node{PFN: pfn, Item: item, parent: parent, owner: t, red: true}
+	n := t.newNode(pfn, item, parent)
 	*link = n
 	t.size++
 	t.insertFixup(n)
@@ -133,7 +166,7 @@ func (t *Tree) Insert(pfn mem.PFN, item interface{}) *Node {
 			link = &parent.right
 		}
 	}
-	n := &Node{PFN: pfn, Item: item, parent: parent, owner: t, red: true}
+	n := t.newNode(pfn, item, parent)
 	*link = n
 	t.size++
 	t.insertFixup(n)

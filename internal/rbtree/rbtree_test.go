@@ -143,6 +143,81 @@ func TestResetEmptiesTree(t *testing.T) {
 	}
 }
 
+// TestResetRecyclesNodes runs rounds of Insert/InsertOrGet with a few
+// Deletes, then Reset. After each Reset every node the tree held sits
+// zeroed on the free list and no deleted node does; the next round's
+// inserts reuse those nodes before allocating, and the rebuilt tree keeps
+// every red-black invariant with no link or payload left from the round
+// before.
+func TestResetRecyclesNodes(t *testing.T) {
+	f := newFixture(64)
+	pages := make([]mem.PFN, 60)
+	for i := range pages {
+		pages[i] = f.page(byte(i))
+	}
+	r := sim.NewRNG(7)
+	retired := map[*Node]bool{}
+	for round := 0; round < 20; round++ {
+		live := map[*Node]bool{}
+		deleted := map[*Node]bool{}
+		inserts := 0
+		for op := 0; op < 80; op++ {
+			pfn := pages[r.Intn(len(pages))]
+			var n *Node
+			if r.Bool(0.5) {
+				n = f.t.Insert(pfn, round)
+			} else if got, inserted := f.t.InsertOrGet(pfn, round); inserted {
+				n = got
+			}
+			if n == nil {
+				continue
+			}
+			if n.Item != round || n.Owner() != f.t || n.PFN != pfn {
+				t.Fatalf("round %d: inserted node carries %+v", round, *n)
+			}
+			if inserts < len(retired) && !retired[n] {
+				t.Fatalf("round %d: insert allocated while the free list held nodes", round)
+			}
+			inserts++
+			live[n] = true
+			if r.Bool(0.1) {
+				f.t.Delete(n)
+				delete(live, n)
+				deleted[n] = true
+			}
+			if err := f.t.CheckInvariants(); err != nil {
+				t.Fatalf("round %d op %d: %v", round, op, err)
+			}
+		}
+		if f.t.Size() != len(live) {
+			t.Fatalf("round %d: size %d, want %d", round, f.t.Size(), len(live))
+		}
+		freeBefore := len(f.t.free)
+		f.t.Reset()
+		if f.t.Size() != 0 || f.t.Root() != nil {
+			t.Fatalf("round %d: Reset left residue", round)
+		}
+		if got, want := len(f.t.free), freeBefore+len(live); got != want {
+			t.Fatalf("round %d: free list holds %d nodes, want %d", round, got, want)
+		}
+		retired = map[*Node]bool{}
+		for _, n := range f.t.free {
+			if *n != (Node{}) {
+				t.Fatalf("round %d: recycled node not zeroed: %+v", round, *n)
+			}
+			if deleted[n] {
+				t.Fatalf("round %d: a deleted node was recycled", round)
+			}
+			retired[n] = true
+		}
+		for n := range live {
+			if !retired[n] {
+				t.Fatalf("round %d: node %d missing from the free list", round, n.PFN)
+			}
+		}
+	}
+}
+
 func TestComparisonAccounting(t *testing.T) {
 	f := newFixture(8)
 	f.t.InsertOrGet(f.page(1), nil)
