@@ -15,8 +15,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/cache"
-	"repro/internal/diffengine"
 	"repro/internal/dram"
 	"repro/internal/ecc"
 	"repro/internal/esx"
@@ -31,7 +29,6 @@ import (
 	"repro/internal/rbtree"
 	"repro/internal/sim"
 	"repro/internal/tailbench"
-	"repro/internal/vm"
 )
 
 // benchSuite builds the scaled suite used by the per-figure benchmarks.
@@ -645,51 +642,6 @@ func BenchmarkAblationTwoModules(b *testing.B) {
 	})
 }
 
-// BenchmarkDifferenceEngine compares plain same-page merging (KSM) against
-// Difference Engine-style sub-page sharing + compression (§7.2 of the
-// paper: "over 65% memory footprint reductions") on a deployment where a
-// third of the unique pages are per-VM *variants* of common contents —
-// sharable only at sub-page granularity.
-func BenchmarkDifferenceEngine(b *testing.B) {
-	app := *tailbench.ProfileByName("img_dnn")
-	app.PagesPerVM = 300
-	mkImage := func() *tailbench.Image {
-		img, err := tailbench.BuildImage(app, 10, 10*app.PagesPerVM*2, 13)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := img.AddSimilarity(0.5); err != nil {
-			b.Fatal(err)
-		}
-		return img
-	}
-	b.Run("ksm-only", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			img := mkImage()
-			s := ksm.NewScanner(ksm.NewAlgorithm(img.HV, ksm.JHasher{}), ksm.DefaultCosts())
-			s.RunToSteadyState(12)
-			b.ReportMetric(img.MeasureFootprint().Savings()*100, "savings_%")
-		}
-	})
-	b.Run("difference-engine", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			img := mkImage()
-			m := diffengine.New(img.HV, diffengine.DefaultConfig())
-			// Identical sharing + similarity patching + compressing the
-			// non-volatile remainder (cold pages).
-			volatileSet := map[vm.PageID]bool{}
-			for _, id := range img.Volatile {
-				volatileSet[id] = true
-			}
-			m.Sweep(func(id vm.PageID) bool { return !volatileSet[id] })
-			s := m.MeasureSavings()
-			b.ReportMetric(s.Fraction*100, "savings_%")
-			b.ReportMetric(float64(m.Stats.PatchedPages), "patched")
-			b.ReportMetric(float64(m.Stats.CompressedPages), "compressed")
-		}
-	})
-}
-
 // BenchmarkSatoriExtension measures short-lived-sharing capture (§7.2's
 // Satori discussion): at aggressive scan rates, KSM's core cost explodes
 // while PageForge's stays marginal.
@@ -749,47 +701,6 @@ func BenchmarkAblationHugePages(b *testing.B) {
 	b.Run("base-pages", func(b *testing.B) { run(b, 0, false) })
 	b.Run("half-huge", func(b *testing.B) { run(b, 0.5, false) })
 	b.Run("half-huge-broken", func(b *testing.B) { run(b, 0.5, true) })
-}
-
-// BenchmarkLLCDedup exercises §7.1's cache-line deduplication (Tian et
-// al.) with line traffic drawn from a consolidated-VM image: identical
-// lines across VM pages let the dedup LLC back more tags with fewer data
-// blocks, cutting its miss rate — orthogonal to PageForge's page merging.
-func BenchmarkLLCDedup(b *testing.B) {
-	app := *tailbench.ProfileByName("img_dnn")
-	app.PagesPerVM = 200
-	img, err := tailbench.BuildImage(app, 10, 10*app.PagesPerVM*2, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Collect the deployment's resident lines.
-	type rec struct {
-		addr    uint64
-		content []byte
-	}
-	var lines []rec
-	for _, v := range img.VMs {
-		for g := 0; g < v.Pages(); g++ {
-			if pfn, ok := v.Resolve(vm.GFN(g)); ok {
-				// One representative line per page, past the zero prefix.
-				lines = append(lines, rec{uint64(pfn.LineAddr(32)), img.HV.Phys.ReadLine(pfn, 32)})
-			}
-		}
-	}
-	run := func(b *testing.B, tags, blocks int) {
-		for i := 0; i < b.N; i++ {
-			c := cache.NewDedupCache(tags, blocks)
-			for pass := 0; pass < 2; pass++ {
-				for _, r := range lines {
-					c.Access(r.addr, r.content)
-				}
-			}
-			b.ReportMetric(c.MissRate()*100, "miss_%")
-			b.ReportMetric(c.EffectiveCapacityFactor(), "capacity_x")
-		}
-	}
-	b.Run("conventional", func(b *testing.B) { run(b, 1024, 1024) })
-	b.Run("dedup-2x-tags", func(b *testing.B) { run(b, 2048, 1024) })
 }
 
 // BenchmarkBuildImage measures building the paper-size boot image (img_dnn,

@@ -132,26 +132,45 @@ func startProfiling(cpuFile, memFile, addr string) (stop func(), err error) {
 	}, nil
 }
 
+// experimentTable names every experiment `run -exp` accepts (besides "all")
+// with its `list` description.
+var experimentTable = [][2]string{
+	{"fig7", "Figure 7: memory allocation without/with page merging (avg -48%)"},
+	{"fig8", "Figure 8: jhash vs ECC-based hash key comparison outcomes"},
+	{"table4", "Table 4: KSM configuration characterization"},
+	{"fig9", "Figure 9: mean sojourn latency (Baseline/KSM/PageForge)"},
+	{"fig10", "Figure 10: 95th percentile latency"},
+	{"fig11", "Figure 11: memory bandwidth in the dedup-intensive phase"},
+	{"table5", "Table 5: PageForge timing, area, and power"},
+	{"latency", "Demand-access latency distribution (mean/p50/p95/p99/max cycles)"},
+	{"satori", "Extension: short-lived sharing capture vs scan aggressiveness (Satori, §7.2)"},
+	{"timeline", "Extension: savings convergence ramp, KSM vs PageForge"},
+	{"ras", "Extension: DRAM fault rate vs merge coverage, scrub/retry overhead, degradation"},
+	{"verify", "Model-based verification: randomized scenarios, invariant checker, KSM≡PageForge differential"},
+	{"pressure", "Robustness: overcommit storm vs graceful OOM, ballooning, backpressure, degradation ladder"},
+	{"crash", "Robustness: host crash x checkpoint interval vs verified recovery, replay cost, bit-identity"},
+	{"efficiency", "Observability: scan-budget attribution (ledger causes), convergence speed, zero-perturbation proof"},
+	{"stream", "Runtime: tick-driven streaming runs — config-scheduled ≡ live-injected event equivalence per world shape"},
+}
+
+// checkExperiment rejects an -exp value that names no experiment.
+func checkExperiment(name string) error {
+	if name == "all" {
+		return nil
+	}
+	valid := []string{"all"}
+	for _, e := range experimentTable {
+		if e[0] == name {
+			return nil
+		}
+		valid = append(valid, e[0])
+	}
+	return fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(valid, ", "))
+}
+
 func list() {
 	fmt.Println("Experiments (paper artifact -> harness):")
-	for _, e := range [][2]string{
-		{"fig7", "Figure 7: memory allocation without/with page merging (avg -48%)"},
-		{"fig8", "Figure 8: jhash vs ECC-based hash key comparison outcomes"},
-		{"table4", "Table 4: KSM configuration characterization"},
-		{"fig9", "Figure 9: mean sojourn latency (Baseline/KSM/PageForge)"},
-		{"fig10", "Figure 10: 95th percentile latency"},
-		{"fig11", "Figure 11: memory bandwidth in the dedup-intensive phase"},
-		{"table5", "Table 5: PageForge timing, area, and power"},
-		{"latency", "Demand-access latency distribution (mean/p50/p95/p99/max cycles)"},
-		{"satori", "Extension: short-lived sharing capture vs scan aggressiveness (Satori, §7.2)"},
-		{"timeline", "Extension: savings convergence ramp, KSM vs PageForge"},
-		{"ras", "Extension: DRAM fault rate vs merge coverage, scrub/retry overhead, degradation"},
-		{"verify", "Model-based verification: randomized scenarios, invariant checker, KSM≡PageForge differential"},
-		{"pressure", "Robustness: overcommit storm vs graceful OOM, ballooning, backpressure, degradation ladder"},
-		{"crash", "Robustness: host crash x checkpoint interval vs verified recovery, replay cost, bit-identity"},
-		{"efficiency", "Observability: scan-budget attribution (ledger causes), convergence speed, zero-perturbation proof"},
-		{"stream", "Runtime: tick-driven streaming runs — config-scheduled ≡ live-injected event equivalence per world shape"},
-	} {
+	for _, e := range experimentTable {
 		fmt.Printf("  %-7s %s\n", e[0], e[1])
 	}
 	fmt.Println("\nApplications (Table 3):")
@@ -186,6 +205,10 @@ func run(args []string) {
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	fs.Parse(args)
 
+	if err := checkExperiment(*exp); err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(2)
+	}
 	checkArtifactPaths(*traceFile, *metricsFile, *seriesFile)
 	stopProf, err := startProfiling(*cpuProfile, *memProfile, *pprofAddr)
 	if err != nil {

@@ -57,18 +57,3 @@ func ExampleECCPageKey() {
 	fmt.Printf("32-bit key from 256B of page data; deterministic: %v\n", same)
 	// Output: 32-bit key from 256B of page data; deterministic: true
 }
-
-// ExamplePlanGangMigration deduplicates a two-VM gang on the wire.
-func ExamplePlanGangMigration() {
-	hv := pageforgesim.NewHypervisor(64 * 4096)
-	lib := bytes.Repeat([]byte{9}, 4096)
-	for i := 0; i < 2; i++ {
-		v := hv.NewVM(2 * 4096)
-		v.Madvise(0, 2, true)
-		v.Write(0, 0, lib) // shared library page
-		v.Write(1, 0, bytes.Repeat([]byte{byte(i + 1)}, 4096))
-	}
-	plan := pageforgesim.PlanGangMigration(hv, []int{0, 1})
-	fmt.Printf("%d pages -> %d on the wire\n", plan.TotalPages, plan.DistinctPages)
-	// Output: 4 pages -> 3 on the wire
-}

@@ -80,28 +80,11 @@ type Config struct {
 	// ZipfS is the kthread core-placement skew (Table 4's Max column).
 	ZipfS float64
 
-	// KthreadShare is the CPU fraction the dedup kthread receives while
-	// resident on a core (CFS equal-weight timesharing: 0.5); KthreadSlice
-	// is its scheduler migration granularity in cycles.
-	KthreadShare float64
-	KthreadSlice uint64
-
-	// MemPeakGBps is the memory system's deliverable bandwidth (2 channels
-	// of 1GHz DDR with a 64-bit data path at ~75% efficiency ≈ 24 GB/s),
-	// used by the analytical utilization component of the latency model.
-	MemPeakGBps float64
-
 	// Faults configures the injected DRAM fault population (RAS). The zero
 	// value injects nothing and leaves the machine bit-identical to a
 	// fault-free run. When enabled, a patrol scrubber and the
 	// PageForge→KSM degradation policy are armed alongside the model.
 	Faults faults.Config
-	// ScrubLinesPerInterval is the patrol scrubber's line budget per dedup
-	// pass/interval (0 disables patrol scrub even under injected faults).
-	ScrubLinesPerInterval int
-	// DegradeTrip is the UE-rate policy that demotes PageForge to software
-	// KSM; zero fields take the faults.DefaultTrip values.
-	DegradeTrip faults.Trip
 
 	// Pressure arms the memory-pressure resilience layer: overcommitted
 	// arena sizing, an allocation-burst storm, the stall/balloon reclaim
@@ -164,39 +147,53 @@ type Config struct {
 	// bit-identical Results to an unverified one.
 	Verifier Verifier
 
-	// MeasureL3 sizes the shared cache used during the measurement phase.
-	// The sampled application/kthread streams are ~3 orders of magnitude
-	// thinner than real traffic, so pollution fidelity requires scaling the
-	// modeled L3 with them; 2MB against the sampled streams corresponds to
-	// the 32MB L3 against full-rate traffic (see DESIGN.md).
-	MeasureL3 cache.Config
-
 	Seed uint64
 }
 
 // DefaultConfig is the paper's setup (Table 2).
 func DefaultConfig() Config {
 	return Config{
-		Cores:                 10,
-		VMs:                   10,
-		SleepMillis:           5,
-		PagesToScan:           400,
-		KSMCosts:              ksm.DefaultCosts(),
-		Driver:                pageforge.DefaultDriverConfig(),
-		Hier:                  cache.DefaultHierarchyConfig(),
-		DRAM:                  dram.DefaultConfig(),
-		ConvergePasses:        25,
-		MeasureIntervals:      40,
-		ZipfS:                 1.2,
-		MeasureL3:             cache.Config{SizeBytes: 2 << 20, Ways: 16},
-		ScrubLinesPerInterval: 512,
-		DegradeTrip:           faults.DefaultTrip(),
-		KthreadShare:          0.5,
-		KthreadSlice:          1_000_000,
-		MemPeakGBps:           24,
-		Seed:                  1,
+		Cores:            10,
+		VMs:              10,
+		SleepMillis:      5,
+		PagesToScan:      400,
+		KSMCosts:         ksm.DefaultCosts(),
+		Driver:           pageforge.DefaultDriverConfig(),
+		Hier:             cache.DefaultHierarchyConfig(),
+		DRAM:             dram.DefaultConfig(),
+		ConvergePasses:   25,
+		MeasureIntervals: 40,
+		ZipfS:            1.2,
+		Seed:             1,
 	}
 }
+
+// Fixed machine parameters of the paper's setup.
+const (
+	// kthreadShare is the CPU fraction the dedup kthread receives while
+	// resident on a core (CFS equal-weight timesharing); kthreadSlice is
+	// its scheduler migration granularity in cycles.
+	kthreadShare = 0.5
+	kthreadSlice = 1_000_000
+
+	// memPeakGBps is the memory system's deliverable bandwidth (2 channels
+	// of 1GHz DDR with a 64-bit data path at ~75% efficiency ≈ 24 GB/s),
+	// used by the analytical utilization component of the latency model.
+	memPeakGBps = 24
+
+	// scrubLinesPerInterval is the patrol scrubber's line budget per dedup
+	// pass/interval under injected faults.
+	scrubLinesPerInterval = 512
+
+	// measureL3Bytes and measureL3Ways size the shared cache used during
+	// the measurement phase. The sampled application/kthread streams are
+	// ~3 orders of magnitude thinner than real traffic, so pollution
+	// fidelity requires scaling the modeled L3 with them; 2MB against the
+	// sampled streams corresponds to the 32MB L3 against full-rate traffic
+	// (see DESIGN.md).
+	measureL3Bytes = 2 << 20
+	measureL3Ways  = 16
+)
 
 // IntervalCycles is one dedup work interval in cycles.
 func (c Config) IntervalCycles() uint64 { return sim.MillisToCycles(c.SleepMillis) }
@@ -320,14 +317,13 @@ type rasState struct {
 	scrub   *memctrl.Scrubber
 	tracker *faults.RateTracker
 	mc      *memctrl.Controller
-	budget  int
 }
 
 // tick runs one patrol-scrub slice starting at now and feeds the
 // degradation tracker one observation window from the controller's
 // cumulative ECC counters. It returns the cycle the scrub slice finished.
 func (r *rasState) tick(now, stamp uint64) uint64 {
-	end := r.scrub.Step(now, r.budget)
+	end := r.scrub.Step(now, scrubLinesPerInterval)
 	r.tracker.Observe(r.mc.Stats.ECCDecodes, r.mc.Stats.ECCUncorrectable, stamp)
 	return end
 }
@@ -350,7 +346,7 @@ func Latency(app tailbench.Profile, base, system *Result, cfg Config, minQueries
 		if ratio < 1 {
 			ratio = 1
 		}
-		ratio *= memQueueFactor(app, system, cfg) / memQueueFactor(app, base, cfg)
+		ratio *= memQueueFactor(app, system) / memQueueFactor(app, base)
 		dilation = 1 + app.MemStallFrac*(ratio-1)
 	}
 	sched := tailbench.NoBursts()
@@ -361,8 +357,8 @@ func Latency(app tailbench.Profile, base, system *Result, cfg Config, minQueries
 			StdCycles:      system.BurstStd,
 			ZipfS:          cfg.ZipfS,
 			Cores:          cfg.Cores,
-			Share:          cfg.KthreadShare,
-			SliceCycles:    cfg.KthreadSlice,
+			Share:          kthreadShare,
+			SliceCycles:    kthreadSlice,
 		}
 	}
 	horizon := tailbench.MeasureCyclesFor(app, minQueries)
@@ -377,11 +373,8 @@ const fullScaleDepthFactor = 1.45
 
 // memQueueFactor is the mean-latency multiplier of an M/M/1-approximated
 // memory system at the run's bandwidth utilization.
-func memQueueFactor(app tailbench.Profile, r *Result, cfg Config) float64 {
-	if cfg.MemPeakGBps <= 0 {
-		return 1
-	}
-	u := (app.DemandGBps + r.SteadyDedupGBps) / cfg.MemPeakGBps
+func memQueueFactor(app tailbench.Profile, r *Result) float64 {
+	u := (app.DemandGBps + r.SteadyDedupGBps) / memPeakGBps
 	if u > 0.85 {
 		u = 0.85
 	}

@@ -261,9 +261,7 @@ func (r *Runtime) Start() error {
 
 	hierCfg := cfg.Hier
 	hierCfg.Cores = cfg.Cores
-	if cfg.MeasureL3.SizeBytes > 0 {
-		hierCfg.L3 = cfg.MeasureL3
-	}
+	hierCfg.L3 = cache.Config{SizeBytes: measureL3Bytes, Ways: measureL3Ways}
 	hier := cache.NewHierarchy(hierCfg)
 	dr := dram.New(cfg.DRAM)
 	mc := memctrl.New(dr, img.HV.Phys, hier)
@@ -304,9 +302,8 @@ func (r *Runtime) Start() error {
 		r.ras = &rasState{
 			model:   faults.NewModel(fc),
 			scrub:   &memctrl.Scrubber{MC: mc, Trace: sc},
-			tracker: faults.NewRateTracker(cfg.DegradeTrip),
+			tracker: faults.NewRateTracker(faults.DefaultTrip()),
 			mc:      mc,
-			budget:  cfg.ScrubLinesPerInterval,
 		}
 		mc.Faults = r.ras.model
 	}

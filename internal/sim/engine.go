@@ -25,21 +25,6 @@ func MillisToCycles(ms float64) Cycle {
 	return Cycle(math.Round(ms * CyclesPerSecond / 1e3))
 }
 
-// MicrosToCycles converts microseconds of simulated wall-clock time to cycles.
-func MicrosToCycles(us float64) Cycle {
-	return Cycle(math.Round(us * CyclesPerSecond / 1e6))
-}
-
-// CyclesToMillis converts cycles to milliseconds of simulated time.
-func CyclesToMillis(c Cycle) float64 {
-	return float64(c) * 1e3 / CyclesPerSecond
-}
-
-// CyclesToSeconds converts cycles to seconds of simulated time.
-func CyclesToSeconds(c Cycle) float64 {
-	return float64(c) / CyclesPerSecond
-}
-
 // Event is a callback scheduled to fire at a specific cycle.
 type Event struct {
 	when Cycle

@@ -114,15 +114,6 @@ func TestTimeConversions(t *testing.T) {
 	if got := MillisToCycles(5); got != 10_000_000 {
 		t.Errorf("MillisToCycles(5) = %d, want 10e6", got)
 	}
-	if got := MicrosToCycles(1); got != 2_000 {
-		t.Errorf("MicrosToCycles(1) = %d, want 2000", got)
-	}
-	if got := CyclesToMillis(2_000_000); got != 1 {
-		t.Errorf("CyclesToMillis(2e6) = %g, want 1", got)
-	}
-	if got := CyclesToSeconds(CyclesPerSecond); got != 1 {
-		t.Errorf("CyclesToSeconds(1s) = %g, want 1", got)
-	}
 }
 
 func TestEngineCascadedEvents(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"repro/internal/mem"
@@ -511,44 +510,4 @@ func (img *Image) MeasureFootprint() Footprint {
 	}
 	f.FramesAllocated = img.HV.Phys.AllocatedFrames()
 	return f
-}
-
-// AddSimilarity rewrites a fraction of each VM's unique pages as per-VM
-// *variants* of common base contents: byte-identical except for a few
-// VM-specific words. Same-page merging cannot exploit these, but sub-page
-// techniques (Difference Engine-style patching) can — this models the
-// sharing the paper's related work (§7.2) attributes to similar pages.
-func (img *Image) AddSimilarity(frac float64) error {
-	if frac <= 0 {
-		return nil
-	}
-	// Group unique pages by gfn: each gfn gets one base content, each VM a
-	// tiny delta on it.
-	byGFN := map[vm.GFN][]vm.PageID{}
-	for _, id := range img.UniquePages {
-		byGFN[id.GFN] = append(byGFN[id.GFN], id)
-	}
-	gfns := make([]vm.GFN, 0, len(byGFN))
-	for g := range byGFN {
-		gfns = append(gfns, g)
-	}
-	sort.Slice(gfns, func(i, j int) bool { return gfns[i] < gfns[j] })
-	limit := int(frac * float64(len(gfns)))
-	base := make([]byte, mem.PageSize)
-	for i := 0; i < limit; i++ {
-		g := gfns[i]
-		fillPage(base, uint64(g)*0xA24BAED4963EE407+99)
-		for _, id := range byGFN[g] {
-			page := append([]byte(nil), base...)
-			// A VM-specific delta: 16 bytes at a VM-dependent offset.
-			off := 256 + (id.VM*193)%(mem.PageSize-512)
-			for k := 0; k < 16; k++ {
-				page[off+k] = byte(id.VM*31 + k + 1)
-			}
-			if _, err := img.HV.VM(id.VM).Write(id.GFN, 0, page); err != nil {
-				return fmt.Errorf("tailbench: similarity page %v: %w", id, err)
-			}
-		}
-	}
-	return nil
 }
