@@ -58,15 +58,17 @@ smoke:
 		| jq -e '.experiments.stream.Rows | all(.Identical) and length > 0' > /dev/null
 	@echo smoke OK
 
-# fuzz gives the ECC decoder, page-key, and snapshot-codec contracts a short
-# native-fuzzing budget per target (raise FUZZTIME for a real campaign). Any
-# ≤2-bit corruption must be corrected or detected, never silently
-# miscorrected; any mutated snapshot envelope must be rejected with a typed
-# error, never decoded into garbage or a panic.
+# fuzz gives the ECC decoder, page-key, snapshot-codec and frame-store
+# contracts a short native-fuzzing budget per target (raise FUZZTIME for a
+# real campaign). Any ≤2-bit corruption must be corrected or detected, never
+# silently miscorrected; any mutated snapshot envelope must be rejected with
+# a typed error, never decoded into garbage or a panic; any program of frame
+# operations must leave the copy-on-write slot store equal to a flat arena.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/ecc/
 	$(GO) test -run='^$$' -fuzz='^FuzzPageKey$$' -fuzztime=$(FUZZTIME) ./internal/ecc/
 	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotDecode$$' -fuzztime=$(FUZZTIME) ./internal/snapshot/
+	$(GO) test -run='^$$' -fuzz='^FuzzPhysOps$$' -fuzztime=$(FUZZTIME) ./internal/mem/
 
 # cover measures cross-package statement coverage over the whole test
 # suite and fails when the total drops below COVER_FLOOR percent. It prints

@@ -402,12 +402,13 @@ func BenchmarkPageCompare(b *testing.B) {
 	phys := mem.New(16 * mem.PageSize)
 	a, _ := phys.Alloc()
 	c, _ := phys.Alloc()
-	pa, pc := phys.Page(a), phys.Page(c)
-	for i := range pa {
-		pa[i] = byte(i)
-		pc[i] = byte(i)
+	buf := make([]byte, mem.PageSize)
+	for i := range buf {
+		buf[i] = byte(i)
 	}
-	pc[mem.PageSize-1] ^= 1 // diverge at the last byte: worst case
+	phys.WriteAt(a, 0, buf)
+	buf[mem.PageSize-1] ^= 1 // diverge at the last byte: worst case
+	phys.WriteAt(c, 0, buf)
 	b.SetBytes(mem.PageSize)
 	for i := 0; i < b.N; i++ {
 		_, _ = phys.ComparePage(a, c)
@@ -419,12 +420,14 @@ func BenchmarkRBTreeInsert(b *testing.B) {
 	phys := mem.New(4096 * mem.PageSize)
 	rng := sim.NewRNG(5)
 	var pfns []mem.PFN
+	buf := make([]byte, mem.PageSize)
 	for i := 0; i < 2048; i++ {
 		pfn, err := phys.Alloc()
 		if err != nil {
 			b.Fatal(err)
 		}
-		rng.FillBytes(phys.Page(pfn))
+		rng.FillBytes(buf)
+		phys.WriteAt(pfn, 0, buf)
 		pfns = append(pfns, pfn)
 	}
 	b.ResetTimer()
@@ -444,7 +447,7 @@ func BenchmarkEngineBatch(b *testing.B) {
 	eng := pageforge.NewEngine(mc)
 	a, _ := phys.Alloc()
 	c, _ := phys.Alloc()
-	copy(phys.Page(a), phys.Page(c))
+	phys.CopyPage(a, c)
 	now := uint64(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

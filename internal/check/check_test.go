@@ -109,8 +109,9 @@ func TestModelTracksWrites(t *testing.T) {
 }
 
 // tamperContent flips one byte of the first shared frame it sees, writing
-// the physical array directly (bypassing the hypervisor write path) — the
-// exact class of bug invariant 1 exists to catch.
+// the frame through mem.Phys directly (bypassing the hypervisor write path,
+// its CoW protection and its write observer) — the exact class of bug
+// invariant 1 exists to catch.
 func tamperContent(fired *bool) func(p platform.VerifyPoint) {
 	return func(p platform.VerifyPoint) {
 		if *fired {
@@ -119,7 +120,7 @@ func tamperContent(fired *bool) func(p platform.VerifyPoint) {
 		phys := p.HV.Phys
 		for pfn := mem.PFN(0); int(pfn) < phys.TotalFrames(); pfn++ {
 			if phys.Allocated(pfn) && len(p.HV.Mappers(pfn)) >= 2 && !phys.IsZero(pfn) {
-				phys.Page(pfn)[100] ^= 0xFF
+				phys.WriteAt(pfn, 100, []byte{phys.Page(pfn)[100] ^ 0xFF})
 				*fired = true
 				return
 			}

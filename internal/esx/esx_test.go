@@ -192,14 +192,11 @@ func TestHardwareListBatchesLongBuckets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pg := phys.Page(pfn)
-		for j := range pg {
-			pg[j] = byte(i + 1)
-		}
+		phys.WriteAt(pfn, 0, bytes.Repeat([]byte{byte(i + 1)}, mem.PageSize))
 		frames = append(frames, pfn)
 	}
 	cand, _ := phys.Alloc()
-	copy(phys.Page(cand), phys.Page(frames[37])) // match deep in batch 2
+	phys.CopyPage(cand, frames[37]) // match deep in batch 2
 	mc := memctrl.New(dram.New(dram.DefaultConfig()), phys, nil)
 	cmp := NewHardwareComparer(pageforge.NewEngine(mc))
 	match, bytesRead := cmp.SamePage(cand, frames)
@@ -214,7 +211,7 @@ func TestHardwareListBatchesLongBuckets(t *testing.T) {
 	}
 	// A no-match probe walks everything.
 	miss, _ := phys.Alloc()
-	phys.Page(miss)[0] = 0xEE
+	phys.WriteAt(miss, 0, []byte{0xEE})
 	if m, _ := cmp.SamePage(miss, frames); m != -1 {
 		t.Fatalf("phantom match %d", m)
 	}

@@ -74,11 +74,11 @@ func TestVerifyRecoveredDetectsFalseMergeState(t *testing.T) {
 	pfns := stablePFNs(a)
 	// Corrupt the "restored" state: two distinct stable nodes now carry
 	// identical contents, so the next lookup would split a merge group. The
-	// write goes straight to the arena, bypassing CoW — exactly what a
+	// copy goes straight to physical memory, bypassing CoW — exactly what a
 	// botched restore would produce. Equal contents pass the structural
 	// order check (it only rejects inversions), so only the
 	// hint-then-verify content audit can catch this.
-	copy(a.HV.Phys.Page(pfns[1]), a.HV.Phys.Page(pfns[0]))
+	a.HV.Phys.CopyPage(pfns[1], pfns[0])
 
 	_, err := a.VerifyRecovered()
 	if err == nil {

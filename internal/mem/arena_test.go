@@ -16,7 +16,7 @@ func TestZeroFillsCountsOnlyRealWork(t *testing.T) {
 	if p.ZeroFills != 0 {
 		t.Fatalf("ZeroFills = %d after fresh allocs, want 0", p.ZeroFills)
 	}
-	p.Page(a)[7] = 0xAA
+	p.WriteAt(a, 7, []byte{0xAA})
 	p.DecRef(a)
 	p.DecRef(b)
 	// Both freed frames are marked dirty on free, so the recycled alloc
@@ -35,11 +35,13 @@ func TestZeroFillsCountsOnlyRealWork(t *testing.T) {
 func TestAllocForCopySkipsZeroing(t *testing.T) {
 	p := New(4 * PageSize)
 	src, _ := p.Alloc()
-	for i := range p.Page(src) {
-		p.Page(src)[i] = byte(i)
+	pg := make([]byte, PageSize)
+	for i := range pg {
+		pg[i] = byte(i)
 	}
+	p.WriteAt(src, 0, pg)
 	victim, _ := p.Alloc()
-	p.Page(victim)[0] = 0xEE
+	p.WriteAt(victim, 0, []byte{0xEE})
 	p.DecRef(victim)
 
 	zf := p.ZeroFills
@@ -99,12 +101,14 @@ func TestWordCompareMatchesByteReference(t *testing.T) {
 	p := New(2 * PageSize)
 	a, _ := p.Alloc()
 	b, _ := p.Alloc()
-	pa, pb := p.Page(a), p.Page(b)
+	pa, pb := make([]byte, PageSize), make([]byte, PageSize)
 	r := sim.NewRNG(7)
 
 	positions := []int{0, 1, 6, 7, 8, 9, 15, 16, 63, 64, 100, 2048, 4087, 4088, 4094, 4095}
 	check := func() {
 		t.Helper()
+		p.WriteAt(a, 0, pa)
+		p.WriteAt(b, 0, pb)
 		wc, wn := p.ComparePage(a, b)
 		ws, wsn := p.SamePage(a, b)
 		bc, bn := comparePagesByte(pa, pb)
@@ -144,12 +148,45 @@ func TestComparePageZeroAlloc(t *testing.T) {
 	p := New(2 * PageSize)
 	a, _ := p.Alloc()
 	b, _ := p.Alloc()
-	p.Page(b)[PageSize-1] = 1 // worst case: full-page scan
+	p.WriteAt(b, PageSize-1, []byte{1}) // worst case: full-page scan
 	if n := testing.AllocsPerRun(100, func() {
 		p.ComparePage(a, b)
 		p.SamePage(a, b)
 	}); n != 0 {
 		t.Fatalf("%v allocs per compare, want 0", n)
+	}
+}
+
+// TestPhysHotPathsZeroAlloc pins the per-line and per-compare paths as
+// allocation-free once the frames hold private slots: ReadLine, SamePage
+// and ComparePage on distinct and on shared slots, and WriteAt into a
+// frame whose slot it already owns.
+func TestPhysHotPathsZeroAlloc(t *testing.T) {
+	p := New(4 * PageSize)
+	a, _ := p.Alloc()
+	b, _ := p.Alloc()
+	c, _ := p.Alloc()
+	pg := make([]byte, PageSize)
+	sim.NewRNG(3).FillBytes(pg)
+	p.WriteAt(a, 0, pg)
+	pg[PageSize-1] ^= 1
+	p.WriteAt(b, 0, pg)
+	p.CopyPage(c, a)
+	line := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"ReadLine", func() { p.ReadLine(a, 17) }},
+		{"SamePage", func() { p.SamePage(a, b) }},
+		{"ComparePage", func() { p.ComparePage(a, b) }},
+		{"SamePage/shared", func() { p.SamePage(a, c) }},
+		{"ComparePage/shared", func() { p.ComparePage(c, a) }},
+		{"WriteAt/private", func() { p.WriteAt(b, 40, line) }},
+	} {
+		if n := testing.AllocsPerRun(100, tc.fn); n != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", tc.name, n)
+		}
 	}
 }
 
@@ -248,34 +285,53 @@ func TestFirstNonZero(t *testing.T) {
 	}
 }
 
-// TestArenaAliasingRules pins the §10 aliasing contract: Page returns a
-// window whose capacity ends at the frame boundary (appends cannot spill
-// into a neighbour), neighbouring frames are disjoint, and a frame's
-// backing offset is stable across freelist reuse.
+// TestArenaAliasingRules pins the §10 view contract: Page returns a window
+// whose capacity ends at the frame boundary (appends cannot spill into a
+// neighbour), ReadLine aliases the Page view, CopyPage shares a slot until
+// either frame is written, a write never shows through another frame's
+// view, and a recycled frame comes back on the shared zero page.
 func TestArenaAliasingRules(t *testing.T) {
 	p := New(4 * PageSize)
 	a, _ := p.Alloc()
 	b, _ := p.Alloc()
+	p.WriteAt(a, PageSize-1, []byte{0x11})
+	p.WriteAt(b, 0, []byte{0x22})
 	pa, pb := p.Page(a), p.Page(b)
 	if len(pa) != PageSize || cap(pa) != PageSize {
 		t.Fatalf("Page len/cap = %d/%d, want %d/%d", len(pa), cap(pa), PageSize, PageSize)
 	}
-	pa[PageSize-1] = 0x11
-	if pb[0] != 0 {
-		t.Fatal("write to frame a visible in frame b")
+	if pb[PageSize-1] != 0 || pa[0] != 0 {
+		t.Fatal("write to one frame visible in the other")
 	}
 	if &p.ReadLine(a, 3)[0] != &pa[3*LineSize] {
 		t.Fatal("ReadLine does not alias the Page view")
 	}
-	// Offset stability: free and re-allocate; the PFN maps to the same
-	// backing window, so a stale view aliases the recycled frame's bytes.
+	// A write to a frame that owns its slot lands in place.
+	p.WriteAt(a, 5, []byte{0x33})
+	if &p.Page(a)[0] != &pa[0] || pa[5] != 0x33 {
+		t.Fatal("write to a private frame moved its window")
+	}
+	// CopyPage shares the slot; the first write unshares, leaving the
+	// source's bytes and view alone.
+	p.CopyPage(b, a)
+	if &p.Page(b)[0] != &pa[0] {
+		t.Fatal("CopyPage did not share the source's slot")
+	}
+	p.WriteAt(b, 5, []byte{0x44})
+	if pa[5] != 0x33 || p.Page(b)[5] != 0x44 || p.Page(b)[PageSize-1] != 0x11 {
+		t.Fatal("write to a sharing frame leaked into its source or lost bytes")
+	}
+	// Recycling scrubs by repointing at the zero page.
 	p.DecRef(a)
 	a2, _ := p.Alloc()
 	if a2 != a {
 		t.Fatalf("freelist reuse handed %d, want %d", a2, a)
 	}
-	if &p.Page(a2)[0] != &pa[0] {
-		t.Fatal("frame offset moved across freelist reuse")
+	if &p.Page(a2)[0] != &zeroPage[0] || !p.IsZero(a2) {
+		t.Fatal("recycled frame not on the zero page")
+	}
+	if pa[5] != 0x33 {
+		t.Fatal("recycling a frame cleared bytes instead of releasing its slot")
 	}
 }
 
@@ -317,14 +373,16 @@ func TestContentKeyGroupsByContent(t *testing.T) {
 	p := New(2 * PageSize)
 	a, _ := p.Alloc()
 	b, _ := p.Alloc()
-	sim.NewRNG(5).FillBytes(p.Page(a))
-	copy(p.Page(b), p.Page(a))
+	pg := make([]byte, PageSize)
+	sim.NewRNG(5).FillBytes(pg)
+	p.WriteAt(a, 0, pg)
+	p.WriteAt(b, 0, pg)
 	if p.ContentKey(a) != p.ContentKey(b) {
 		t.Fatal("equal pages have different keys")
 	}
 	for _, pos := range []int{0, 7, 8, 63, 64, 2048, PageSize - 1} {
-		copy(p.Page(b), p.Page(a))
-		p.Page(b)[pos] ^= 0x80
+		p.CopyPage(b, a)
+		p.WriteAt(b, pos, []byte{pg[pos] ^ 0x80})
 		if p.ContentKey(a) == p.ContentKey(b) {
 			t.Fatalf("flipping byte %d left the key unchanged", pos)
 		}

@@ -20,55 +20,82 @@ func allocN(t *testing.T, p *Phys, n int) []PFN {
 	return out
 }
 
-// TestArenaChunkBoundaryAliasing pins the §10 aliasing contract across a
-// chunk boundary (frames 63 and 64 live in different chunks) and at the end
-// of a short last chunk (130 frames: two full chunks plus two frames).
+// backedChunks reports how many store chunks are backed.
+func backedChunks(p *Phys) int {
+	n := 0
+	for _, c := range p.chunks {
+		if c != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestArenaChunkBoundaryAliasing pins the §10 view contract across a
+// chunk boundary and at the end of a short last chunk. With 130 frames each
+// written once in PFN order, frame i owns slot i+1: frames 63 and 64 then
+// sit in different chunks, and frames 128 and 129 fill the two-slot last
+// chunk. A slot recycled from a scrubbed frame must come back clean.
 func TestArenaChunkBoundaryAliasing(t *testing.T) {
-	const frames = 2*chunkFrames + 2
+	const frames = 2*chunkSlots + 2
 	p := New(frames * PageSize)
-	allocN(t, p, frames)
-	for _, pfn := range []PFN{chunkFrames - 1, chunkFrames, frames - 1} {
+	for _, pfn := range allocN(t, p, frames) {
+		p.WriteAt(pfn, 8, []byte{byte(pfn) | 1})
+	}
+	for _, pfn := range []PFN{chunkSlots - 1, chunkSlots, frames - 1} {
 		pg := p.Page(pfn)
 		if len(pg) != PageSize || cap(pg) != PageSize {
 			t.Fatalf("frame %d: Page len/cap = %d/%d, want %d/%d", pfn, len(pg), cap(pg), PageSize, PageSize)
 		}
 	}
-	lo, hi := p.Page(chunkFrames-1), p.Page(chunkFrames)
-	lo[PageSize-1] = 0x11
-	hi[0] = 0x22
+	lo, hi := p.Page(chunkSlots-1), p.Page(chunkSlots)
+	if &lo[0] != &p.chunks[0][(chunkSlots-1)*PageSize] || &hi[0] != &p.chunks[1][0] {
+		t.Fatal("frames 63 and 64 do not straddle the chunk boundary")
+	}
+	p.WriteAt(chunkSlots-1, PageSize-1, []byte{0x11})
+	p.WriteAt(chunkSlots, 0, []byte{0x22})
 	if hi[0] != 0x22 || lo[PageSize-1] != 0x11 || hi[1] != 0 || lo[PageSize-2] != 0 {
 		t.Fatal("frames 63 and 64 overlap across the chunk boundary")
 	}
 	if got := len(p.chunks[len(p.chunks)-1]); got != 2*PageSize {
 		t.Fatalf("short last chunk is %d bytes, want %d", got, 2*PageSize)
 	}
-	// Offset stability across freelist reuse on both sides of the boundary.
-	for _, pfn := range []PFN{chunkFrames - 1, chunkFrames} {
-		before := &p.Page(pfn)[0]
+	// Scrubbing a frame on reuse releases its slot; the next frame that
+	// needs a slot for a partial write reuses it and must not see the old
+	// bytes.
+	for _, pfn := range []PFN{chunkSlots - 1, chunkSlots} {
 		p.DecRef(pfn)
 		again, _ := p.Alloc()
 		if again != pfn {
 			t.Fatalf("freelist reuse handed %d, want %d", again, pfn)
 		}
-		if &p.Page(again)[0] != before {
-			t.Fatalf("frame %d window moved across freelist reuse", pfn)
-		}
 		if !p.IsZero(again) {
 			t.Fatalf("recycled frame %d not scrubbed", pfn)
 		}
-	}
-}
-
-// TestArenaChunksBackLazily checks that only chunks up to the high-water
-// PFN are backed, and that freeing frames does not release a chunk.
-func TestArenaChunksBackLazily(t *testing.T) {
-	p := New(10 * chunkFrames * PageSize)
-	for i, c := range p.chunks {
-		if c != nil {
-			t.Fatalf("chunk %d backed before any allocation", i)
+		p.WriteAt(again, 100, []byte{0x55})
+		pg := p.Page(again)
+		if pg[100] != 0x55 || FirstNonZero(pg[:100]) >= 0 || FirstNonZero(pg[101:]) >= 0 {
+			t.Fatalf("frame %d reused a slot that still held old bytes", pfn)
 		}
 	}
-	pfns := allocN(t, p, chunkFrames+1) // frames 0..64: chunks 0 and 1
+	checkSlots(t, p)
+}
+
+// TestArenaChunksBackLazily checks that the store backs chunks only as
+// slots are first handed out: allocating frames and writing zeroes back
+// nothing, writing 65 distinct pages backs exactly two chunks, and freeing
+// frames releases neither slots nor chunks.
+func TestArenaChunksBackLazily(t *testing.T) {
+	p := New(10 * chunkSlots * PageSize)
+	pfns := allocN(t, p, chunkSlots+1)
+	p.WriteAt(pfns[0], 0, make([]byte, PageSize))
+	p.WriteAt(pfns[1], 9, make([]byte, 17))
+	if n := backedChunks(p); n != 0 {
+		t.Fatalf("%d chunks backed by allocation and zero writes, want 0", n)
+	}
+	for i, pfn := range pfns {
+		p.WriteAt(pfn, i, []byte{1})
+	}
 	for i, c := range p.chunks {
 		if want := i < 2; (c != nil) != want {
 			t.Fatalf("chunk %d backed = %v, want %v", i, c != nil, want)
@@ -77,34 +104,40 @@ func TestArenaChunksBackLazily(t *testing.T) {
 	for _, pfn := range pfns {
 		p.DecRef(pfn)
 	}
-	if p.chunks[0] == nil || p.chunks[1] == nil {
-		t.Fatal("freeing frames released their chunk")
+	if p.chunks[0] == nil || p.chunks[1] == nil || len(p.freeSlots) != 0 {
+		t.Fatal("freeing frames released their slots or chunks")
 	}
+	checkSlots(t, p)
 }
 
 // TestPhysStateChunkedRoundTrip restores a captured image into a fresh
-// Phys and checks it is byte-identical: allocated data, a freed dirty
-// frame that still holds bytes, and chunks that were never backed. Every
-// allocated frame's chunk must be backed after the restore, and both
-// machines must go on allocating and scrubbing identically.
+// Phys and checks it is byte-identical: allocated data, freed dirty frames
+// that still hold bytes, frames that share a slot, and frames on the zero
+// page. After the restore every nonzero frame owns a slot and every zero
+// frame is on the zero page, and both machines must go on allocating and
+// scrubbing identically.
 func TestPhysStateChunkedRoundTrip(t *testing.T) {
-	const frames = 5*chunkFrames + 3
+	const frames = 5*chunkSlots + 3
 	src := New(frames * PageSize)
-	// Frames of chunks 0-2 hold data; chunk 3 holds one allocated frame
-	// that is still all zero, which the restore must back all the same.
-	pfns := allocN(t, src, 3*chunkFrames+1)
-	for i, pfn := range pfns[:3*chunkFrames] {
-		src.Page(pfn)[i%PageSize] = byte(i + 1)
+	// Frames of the first three chunks' worth hold data; one more
+	// allocated frame is still all zero.
+	pfns := allocN(t, src, 3*chunkSlots+1)
+	for i, pfn := range pfns[:3*chunkSlots] {
+		src.WriteAt(pfn, i%PageSize, []byte{byte(i + 1)})
 	}
-	// Free every frame of chunk 1 except its last, and all of chunk 2
-	// except its first: chunk 2's freed frames keep nonzero bytes.
-	for _, pfn := range pfns[chunkFrames : 2*chunkFrames-1] {
+	// Two frames share a slot with their source.
+	src.CopyPage(pfns[5], pfns[4])
+	src.CopyPage(pfns[6], pfns[4])
+	// Free the second chunk's worth except its last frame, and the third's
+	// except its first: freed frames keep nonzero bytes.
+	for _, pfn := range pfns[chunkSlots : 2*chunkSlots-1] {
 		src.DecRef(pfn)
 	}
-	for _, pfn := range pfns[2*chunkFrames+1 : 3*chunkFrames] {
+	for _, pfn := range pfns[2*chunkSlots+1 : 3*chunkSlots] {
 		src.DecRef(pfn)
 	}
 	src.SetCoW(pfns[0], true)
+	checkSlots(t, src)
 
 	st, err := src.State()
 	if err != nil {
@@ -113,23 +146,27 @@ func TestPhysStateChunkedRoundTrip(t *testing.T) {
 	if len(st.Arena) != frames*PageSize {
 		t.Fatalf("image arena is %d bytes, want %d", len(st.Arena), frames*PageSize)
 	}
-	if FirstNonZero(st.Arena[3*chunkFrames*PageSize:]) >= 0 {
-		t.Fatal("unbacked chunks captured nonzero bytes")
+	if FirstNonZero(st.Arena[3*chunkSlots*PageSize:]) >= 0 {
+		t.Fatal("frames on the zero page captured nonzero bytes")
+	}
+	if !bytes.Equal(st.Arena[5*PageSize:6*PageSize], st.Arena[4*PageSize:5*PageSize]) {
+		t.Fatal("a frame sharing a slot captured different bytes")
 	}
 
 	dst := New(frames * PageSize)
 	if err := dst.SetState(st); err != nil {
 		t.Fatal(err)
 	}
+	checkSlots(t, dst)
 	for pfn := PFN(0); pfn < frames; pfn++ {
-		if dst.Allocated(pfn) && dst.chunks[pfn/chunkFrames] == nil {
-			t.Fatalf("allocated frame %d has no backed chunk after restore", pfn)
+		nonzero := FirstNonZero(st.Arena[int(pfn)*PageSize:int(pfn+1)*PageSize]) >= 0
+		s := dst.frames[pfn].slot
+		if nonzero != (s != zeroSlot) || (nonzero && dst.slotRefs[s] != 1) {
+			t.Fatalf("frame %d: slot %d after restore, nonzero %v", pfn, s, nonzero)
 		}
 	}
-	for i := 4; i < len(dst.chunks); i++ {
-		if dst.chunks[i] != nil {
-			t.Fatalf("all-zero unallocated chunk %d backed by restore", i)
-		}
+	if got, want := backedChunks(dst), 3; got != want {
+		t.Fatalf("%d chunks backed after restore, want %d", got, want)
 	}
 	back, err := dst.State()
 	if err != nil {
@@ -140,8 +177,8 @@ func TestPhysStateChunkedRoundTrip(t *testing.T) {
 	}
 
 	// Both machines hand out the same frames with the same scrub work and
-	// the same bytes, across backed and unbacked chunks alike.
-	for i := 0; i < 3*chunkFrames; i++ {
+	// the same bytes.
+	for i := 0; i < 3*chunkSlots; i++ {
 		a, errA := src.Alloc()
 		b, errB := dst.Alloc()
 		if a != b || (errA == nil) != (errB == nil) {
@@ -154,73 +191,50 @@ func TestPhysStateChunkedRoundTrip(t *testing.T) {
 	if src.ZeroFills != dst.ZeroFills {
 		t.Fatalf("ZeroFills diverged: %d vs %d", src.ZeroFills, dst.ZeroFills)
 	}
+	checkSlots(t, src)
+	checkSlots(t, dst)
 }
 
 // TestPhysSetStateOverwritesBackedChunks restores an image over a machine
-// whose chunks are already backed: stale bytes must be replaced by the
-// image's (zeroes included) and existing windows must stay in place.
+// whose frames hold data: stale bytes must be replaced by the image's
+// (zeroes included), the slot store must be rebuilt rather than leak the
+// old slots, and the restored machine must equal a fresh one restored from
+// the same image.
 func TestPhysSetStateOverwritesBackedChunks(t *testing.T) {
-	const frames = 2 * chunkFrames
+	const frames = 2 * chunkSlots
 	img := New(frames * PageSize)
+	kept, _ := img.Alloc()
+	img.WriteAt(kept, 3, []byte{0x5A})
 	st, err := img.State()
 	if err != nil {
 		t.Fatal(err)
 	}
 	live := New(frames * PageSize)
-	pfns := allocN(t, live, frames)
-	view := live.Page(pfns[chunkFrames+5])
-	view[9] = 0x7F
+	for i, pfn := range allocN(t, live, frames) {
+		live.WriteAt(pfn, 9, []byte{byte(i) | 0x80})
+	}
 	if err := live.SetState(st); err != nil {
 		t.Fatal(err)
 	}
-	if view[9] != 0 {
-		t.Fatal("restore left stale bytes in a backed chunk")
+	checkSlots(t, live)
+	if live.Page(kept)[3] != 0x5A || live.Page(kept)[9] != 0 {
+		t.Fatal("restore did not replace the kept frame's bytes")
 	}
-	pfn, _ := live.Alloc()
-	if pfn != 0 || &live.Page(pfn)[0] != &live.chunks[0][0] {
-		t.Fatal("restore moved frame windows")
-	}
-}
-
-// TestBackPrefixMatchesLazyBacking backs an arena prefix on several
-// goroutines (run it under -race), then allocates the prefix's frames: the
-// machine must equal one whose chunks take backed lazily, and no chunk past
-// the prefix may be backed.
-func TestBackPrefixMatchesLazyBacking(t *testing.T) {
-	const frames = 5*chunkFrames + 9
-	for _, n := range []int{0, 1, chunkFrames - 1, chunkFrames, chunkFrames + 1, 3*chunkFrames + 7, frames, frames + 100} {
-		for workers := 1; workers <= 7; workers++ {
-			lazy := New(frames * PageSize)
-			eager := New(frames * PageSize)
-			eager.BackPrefix(n, workers)
-			for i, c := range eager.chunks {
-				if want := i*chunkFrames < n; (c != nil) != want {
-					t.Fatalf("n=%d workers=%d: chunk %d backed = %v, want %v", n, workers, i, c != nil, want)
-				}
-			}
-			alloc := min(n, frames)
-			for i, pfn := range allocN(t, lazy, alloc) {
-				lazy.Page(pfn)[i%PageSize] = byte(i + 1)
-			}
-			for i, pfn := range allocN(t, eager, alloc) {
-				eager.Page(pfn)[i%PageSize] = byte(i + 1)
-			}
-			ls, err := lazy.State()
-			if err != nil {
-				t.Fatal(err)
-			}
-			es, err := eager.State()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(ls, es) {
-				t.Fatalf("n=%d workers=%d: State differs from lazy backing", n, workers)
-			}
-			for i := range lazy.chunks {
-				if (lazy.chunks[i] != nil) != (eager.chunks[i] != nil) {
-					t.Fatalf("n=%d workers=%d: chunk %d backed differently from lazy backing", n, workers, i)
-				}
-			}
+	for pfn := kept + 1; pfn < frames; pfn++ {
+		if live.frames[pfn].slot != zeroSlot {
+			t.Fatalf("restore left frame %d off the zero page", pfn)
 		}
+	}
+	if n := backedChunks(live); n != 1 {
+		t.Fatalf("%d chunks backed after restoring one nonzero frame, want 1", n)
+	}
+	fresh := New(frames * PageSize)
+	if err := fresh.SetState(st); err != nil {
+		t.Fatal(err)
+	}
+	a, errA := live.State()
+	b, errB := fresh.State()
+	if errA != nil || errB != nil || !reflect.DeepEqual(a, b) {
+		t.Fatal("restore over a live machine differs from restore into a fresh one")
 	}
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // TestExhaustionTyped pins the exhaustion contract: both Alloc variants
-// return ErrOutOfFrames (never panic), the historical ErrOutOfMemory alias
-// still matches, and AllocFails counts every failed attempt.
+// return ErrOutOfFrames (never panic), and AllocFails counts every failed
+// attempt.
 func TestExhaustionTyped(t *testing.T) {
 	p := New(4 * PageSize)
 	var got []PFN
@@ -16,9 +16,6 @@ func TestExhaustionTyped(t *testing.T) {
 		if err != nil {
 			if !errors.Is(err, ErrOutOfFrames) {
 				t.Fatalf("exhaustion err = %v, want ErrOutOfFrames", err)
-			}
-			if !errors.Is(err, ErrOutOfMemory) {
-				t.Fatal("ErrOutOfMemory alias does not match ErrOutOfFrames")
 			}
 			break
 		}

@@ -4,14 +4,20 @@
 // makes "mergeable zero" pages exist at all), and copy-on-write sharing
 // state used by same-page merging.
 //
-// Frames are backed by a chunked arena that is allocated lazily: each chunk
-// backs chunkFrames consecutive frames and is created the first time one
-// of them is allocated, so host memory tracks the frames the simulated
-// machine has touched rather than its capacity. Page and ReadLine hand out
-// sub-slices of a chunk, so the scan hot path creates no garbage and page
-// data keeps real spatial locality. A frame's window is fixed by its PFN
-// for the life of the Phys, so views stay stable across freelist reuse
-// (see DESIGN.md §10 for the aliasing rules).
+// The simulator stores frame contents the way the machine it models wants
+// them stored: each distinct page once. Every frame points at a slot, a
+// refcounted 4KB window in a store of lazily allocated 64-slot chunks, and
+// frames that hold only zeroes point at one shared zero page that needs no
+// backing at all. CopyPage shares the source's slot instead of copying
+// bytes; a write to a frame whose slot is shared first gives the frame a
+// private slot (copy-on-write at host level, invisible to the simulated
+// machine, whose own CoW state lives in Frame). Slots are recycled through
+// a freelist.
+//
+// All mutation goes through Phys methods: Alloc, AllocForCopy, CopyPage,
+// WriteAt, FillPages and SetState. Page and ReadLine return read-only
+// views that stay valid until the next write to that frame (see DESIGN.md
+// §10 for the store's rules).
 package mem
 
 import (
@@ -35,8 +41,16 @@ const LineSize = 64
 // LinesPerPage is the number of cache lines in a frame.
 const LinesPerPage = PageSize / LineSize
 
-// chunkFrames is the number of frames one arena chunk backs (256 KiB).
-const chunkFrames = 64
+// chunkSlots is the number of slots one store chunk backs (256 KiB).
+const chunkSlots = 64
+
+// zeroSlot is the slot number of the shared zero page. Real slots are
+// numbered from 1, so a zero Frame points at the zero page.
+const zeroSlot = 0
+
+// zeroPage backs every frame that points at zeroSlot. Nothing writes it:
+// a write to such a frame first gives the frame a private slot.
+var zeroPage [PageSize]byte
 
 // PFN is a physical frame number. Frame f spans physical addresses
 // [f*PageSize, (f+1)*PageSize).
@@ -63,14 +77,12 @@ func LineIndexOf(a Addr) int { return int(a % PageSize / LineSize) }
 // rather than treating it as fatal.
 var ErrOutOfFrames = errors.New("mem: out of physical frames")
 
-// ErrOutOfMemory is the historical name of ErrOutOfFrames.
-var ErrOutOfMemory = ErrOutOfFrames
-
 // Frame is the per-frame metadata the hypervisor tracks.
 type Frame struct {
-	refs  int  // number of guest mappings pointing at this frame
-	cow   bool // write-protected shared frame (merged or pre-CoW)
-	dirty bool // arena bytes may be nonzero from a previous owner
+	refs  int   // number of guest mappings pointing at this frame
+	cow   bool  // write-protected shared frame (merged or pre-CoW)
+	dirty bool  // bytes may be nonzero from a previous owner
+	slot  int32 // slot holding the frame's bytes; zeroSlot for all zeroes
 }
 
 // Refs reports the number of mappings sharing the frame.
@@ -81,11 +93,19 @@ func (f *Frame) CoW() bool { return f.cow }
 
 // Phys is the physical memory of the machine.
 type Phys struct {
-	// chunks[i] backs frames [i*chunkFrames, (i+1)*chunkFrames); nil until
-	// one of them is first allocated. Only the last chunk may be shorter.
-	chunks [][]byte
 	frames []Frame
 	free   []PFN
+
+	// The slot store. Slot s >= 1 is window (s-1)%chunkSlots of
+	// chunks[(s-1)/chunkSlots]; a chunk is nil until a slot in it is first
+	// handed out. slotRefs[s] counts the frames pointing at slot s, free
+	// frames included: a freed frame keeps its slot until it is handed out
+	// again. Slots below nextSlot with no referencing frame are on
+	// freeSlots; slots from nextSlot up have never been used and are zero.
+	chunks    [][]byte
+	slotRefs  []int32
+	freeSlots []int32
+	nextSlot  int32
 
 	allocated int
 	peak      int
@@ -106,13 +126,16 @@ type Phys struct {
 }
 
 // New creates a physical memory of the given capacity in bytes, rounded
-// down to whole frames.
+// down to whole frames. Every frame starts on the zero page, so a new
+// machine holds no backing at all.
 func New(capacity uint64) *Phys {
 	n := int(capacity / PageSize)
 	p := &Phys{
-		chunks: make([][]byte, (n+chunkFrames-1)/chunkFrames),
-		frames: make([]Frame, n),
-		free:   make([]PFN, 0, n),
+		frames:   make([]Frame, n),
+		free:     make([]PFN, 0, n),
+		chunks:   make([][]byte, (n+chunkSlots-1)/chunkSlots),
+		slotRefs: make([]int32, n+1),
+		nextSlot: 1,
 	}
 	// The freelist is kept sorted descending at all times, so Alloc (which
 	// pops from the end) always hands out the lowest free PFN. Allocation
@@ -145,55 +168,70 @@ func (p *Phys) PeakFrames() int { return p.peak }
 // FreeFrames reports the number of frames available for allocation.
 func (p *Phys) FreeFrames() int { return len(p.free) }
 
-// pageAt returns the frame's arena window; the frame's chunk must already
-// be backed. The three-index slice caps the view at the frame boundary so
-// an erroneous append can never spill into a neighbouring frame's bytes.
-func (p *Phys) pageAt(pfn PFN) []byte {
-	base := int(pfn%chunkFrames) * PageSize
-	return p.chunks[pfn/chunkFrames][base : base+PageSize : base+PageSize]
+// window returns slot s's bytes. The three-index slice caps the view at
+// the slot boundary, so an erroneous append can never spill into a
+// neighbouring slot.
+func (p *Phys) window(s int32) []byte {
+	if s == zeroSlot {
+		return zeroPage[:]
+	}
+	i := int(s - 1)
+	base := i % chunkSlots * PageSize
+	return p.chunks[i/chunkSlots][base : base+PageSize : base+PageSize]
 }
 
-// chunkLen reports the byte length of chunk i.
+// chunkLen reports the byte length of chunk i. Live slots never outnumber
+// frames, so the store needs no more slots than the machine has frames.
 func (p *Phys) chunkLen(i int) int {
-	return min(chunkFrames, len(p.frames)-i*chunkFrames) * PageSize
+	return min(chunkSlots, len(p.frames)-i*chunkSlots) * PageSize
 }
 
-// back materialises chunk i. A fresh chunk is all zeroes, which is exactly
-// what its never-allocated frames held, so no accounting changes. The
-// allocation and restore paths call it on one goroutine; the only
-// concurrent caller is BackPrefix, whose goroutines own disjoint chunk
-// indexes and are joined before it returns. Parallel scan workers read
-// backed chunks and never create one.
-func (p *Phys) back(i int) []byte {
-	if p.chunks[i] == nil {
-		p.chunks[i] = make([]byte, p.chunkLen(i))
+// newSlot hands out an unreferenced slot, preferring a recycled one. A
+// recycled slot holds a previous owner's bytes; zeroed asks for them to be
+// cleared. Never-used slots are zero already.
+func (p *Phys) newSlot(zeroed bool) int32 {
+	if n := len(p.freeSlots); n > 0 {
+		s := p.freeSlots[n-1]
+		p.freeSlots = p.freeSlots[:n-1]
+		if zeroed {
+			clear(p.window(s))
+		}
+		return s
 	}
-	return p.chunks[i]
+	s := p.nextSlot
+	p.nextSlot++
+	if c := int(s-1) / chunkSlots; p.chunks[c] == nil {
+		p.chunks[c] = make([]byte, p.chunkLen(c))
+	}
+	return s
 }
 
-// BackPrefix backs, on up to workers goroutines, every chunk holding one of
-// the frames [0, frames) — exactly the chunks take would back while a
-// fresh arena's lowest-free-PFN allocator hands out its first frames
-// frames — and returns once all of them are backed. Each goroutine backs a
-// contiguous range of chunk indexes disjoint from every other's. The image
-// builder calls it before its first allocation, so the zeroing of a boot
-// image's arena runs in parallel; no other goroutine may use p meanwhile.
-// Backing changes no accounting and no byte, so State is unaffected.
-func (p *Phys) BackPrefix(frames, workers int) {
-	n := (min(frames, len(p.frames)) + chunkFrames - 1) / chunkFrames
-	workers = max(1, min(workers, n))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := n*w/workers, n*(w+1)/workers
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				p.back(i)
-			}
-		}()
+// release drops a frame reference from slot s, recycling it at zero.
+func (p *Phys) release(s int32) {
+	if s == zeroSlot {
+		return
 	}
-	wg.Wait()
+	if p.slotRefs[s]--; p.slotRefs[s] == 0 {
+		p.freeSlots = append(p.freeSlots, s)
+	}
+}
+
+// own gives frame f a slot no other frame points at and returns its
+// window for writing. keep preserves the frame's bytes; without it the
+// caller must overwrite the whole window.
+func (p *Phys) own(f *Frame, keep bool) []byte {
+	old := f.slot
+	if old != zeroSlot && p.slotRefs[old] == 1 {
+		return p.window(old)
+	}
+	s := p.newSlot(keep && old == zeroSlot)
+	p.slotRefs[s] = 1
+	if keep && old != zeroSlot {
+		copy(p.window(s), p.window(old))
+	}
+	p.release(old)
+	f.slot = s
+	return p.window(s)
 }
 
 // take pops a frame off the freelist and marks it allocated (common body of
@@ -205,7 +243,6 @@ func (p *Phys) take() (PFN, error) {
 	}
 	pfn := p.free[len(p.free)-1]
 	p.free = p.free[:len(p.free)-1]
-	p.back(int(pfn / chunkFrames))
 	f := &p.frames[pfn]
 	f.refs = 1
 	f.cow = false
@@ -217,9 +254,10 @@ func (p *Phys) take() (PFN, error) {
 	return pfn, nil
 }
 
-// Alloc hands out a zeroed frame with refcount 1. Fresh frames come out of
-// the arena already zero; only recycled frames that were actually written
-// since are scrubbed, and ZeroFills counts exactly that real zeroing work.
+// Alloc hands out a zeroed frame with refcount 1. A frame that never held
+// data is on the zero page already; a recycled frame that was written
+// since is scrubbed by pointing it back at the zero page, which releases
+// the slot it kept while free. ZeroFills counts exactly those scrubs.
 func (p *Phys) Alloc() (PFN, error) {
 	pfn, err := p.take()
 	if err != nil {
@@ -227,10 +265,8 @@ func (p *Phys) Alloc() (PFN, error) {
 	}
 	f := &p.frames[pfn]
 	if f.dirty {
-		pg := p.pageAt(pfn)
-		for i := range pg {
-			pg[i] = 0
-		}
+		p.release(f.slot)
+		f.slot = zeroSlot
 		f.dirty = false
 		p.ZeroFills++
 	}
@@ -276,7 +312,10 @@ func (p *Phys) Allocated(pfn PFN) bool {
 func (p *Phys) IncRef(pfn PFN) { p.frame(pfn).refs++ }
 
 // DecRef drops a mapping reference; when the last reference is gone the
-// frame returns to the freelist (or the pending list in deferred mode).
+// frame returns to the freelist (or the pending list in deferred mode). The
+// frame keeps its slot, and so its bytes, until it is handed out again, so
+// DecRef never touches the slot store and deferred-mode workers may call
+// it concurrently.
 func (p *Phys) DecRef(pfn PFN) {
 	f := p.frame(pfn)
 	f.refs--
@@ -320,15 +359,17 @@ func (p *Phys) EndDeferredFrees() {
 // SetCoW marks the frame write-protected (shared read-only).
 func (p *Phys) SetCoW(pfn PFN, cow bool) { p.frame(pfn).cow = cow }
 
-// Page returns the frame's backing bytes: a window into its arena chunk,
-// capped at the frame boundary. Callers must treat CoW frames as read-only;
-// guest writes go through the hypervisor's fault path.
+// Page returns a read-only view of the frame's bytes, capped at the frame
+// boundary. The view may be shared with other frames holding the same
+// bytes, so nothing may write through it; it stays valid until the next
+// write to the frame (WriteAt, CopyPage into it, FillPages, a scrubbing
+// Alloc, or SetState).
 func (p *Phys) Page(pfn PFN) []byte {
-	p.frame(pfn)
-	return p.pageAt(pfn)
+	return p.window(p.frame(pfn).slot)
 }
 
-// ReadLine returns the i-th 64B line of the frame.
+// ReadLine returns a read-only view of the i-th 64B line of the frame,
+// under the same rules as Page.
 func (p *Phys) ReadLine(pfn PFN, i int) []byte {
 	if i < 0 || i >= LinesPerPage {
 		panic(fmt.Sprintf("mem: line index %d out of range", i))
@@ -336,11 +377,95 @@ func (p *Phys) ReadLine(pfn PFN, i int) []byte {
 	return p.Page(pfn)[i*LineSize : (i+1)*LineSize]
 }
 
-// CopyPage copies the contents of frame src into frame dst.
+// WriteAt stores src in the frame at byte offset off. A frame that shares
+// its slot with other frames, or sits on the zero page, gets a private
+// slot first. Writing zeroes over a whole page, or onto the zero page,
+// just points the frame at the zero page. A write that does not fit the
+// page panics: callers own their bounds.
+func (p *Phys) WriteAt(pfn PFN, off int, src []byte) {
+	f := p.frame(pfn)
+	if off < 0 || len(src) > PageSize-off {
+		panic(fmt.Sprintf("mem: write of %d bytes at offset %d overruns frame %d", len(src), off, pfn))
+	}
+	if len(src) == 0 {
+		return
+	}
+	whole := off == 0 && len(src) == PageSize
+	if (whole || f.slot == zeroSlot) && FirstNonZero(src) < 0 {
+		p.release(f.slot)
+		f.slot = zeroSlot
+		return
+	}
+	copy(p.own(f, !whole)[off:], src)
+}
+
+// CopyPage makes frame dst hold the contents of frame src. It copies no
+// bytes: dst shares src's slot until either frame is written.
 func (p *Phys) CopyPage(dst, src PFN) {
-	p.frame(dst)
-	p.frame(src)
-	copy(p.pageAt(dst), p.pageAt(src))
+	fd, fs := p.frame(dst), p.frame(src)
+	if fd.slot == fs.slot {
+		return
+	}
+	if fs.slot != zeroSlot {
+		p.slotRefs[fs.slot]++
+	}
+	p.release(fd.slot)
+	fd.slot = fs.slot
+}
+
+// FillPages gives every listed frame a private slot and has fill write
+// it: fill(i, pg) must overwrite all of pg, the slot of pfns[i], and may
+// touch nothing else of p. The frames must be distinct. The chunks of the
+// never-used slots the list may need are backed (zeroed) first, on up to
+// workers goroutines; slots are then handed out on the calling goroutine,
+// in list order, and the fills run on up to workers goroutines, each
+// owning a contiguous share of the list. FillPages returns once all of
+// them are done. The boot image builder uses it to generate a
+// deployment's contents in parallel.
+func (p *Phys) FillPages(pfns []PFN, workers int, fill func(i int, pg []byte)) {
+	workers = max(1, min(workers, len(pfns)))
+	p.backSlots(len(pfns)-len(p.freeSlots), workers)
+	for _, pfn := range pfns {
+		p.own(p.frame(pfn), false)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		lo, hi := len(pfns)*w/workers, len(pfns)*(w+1)/workers
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := lo; i < hi; i++ {
+				fill(i, p.window(p.frames[pfns[i]].slot))
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// backSlots backs, on up to workers goroutines, the chunks holding the next
+// n never-used slots, so that newSlot finds them backed. Each goroutine
+// backs a contiguous range of chunk indexes disjoint from every other's.
+func (p *Phys) backSlots(n, workers int) {
+	if n <= 0 {
+		return
+	}
+	lo, hi := int(p.nextSlot-1)/chunkSlots, (int(p.nextSlot-1)+n-1)/chunkSlots+1
+	hi = min(hi, len(p.chunks))
+	workers = max(1, min(workers, hi-lo))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		clo, chi := lo+(hi-lo)*w/workers, lo+(hi-lo)*(w+1)/workers
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for c := clo; c < chi; c++ {
+				if p.chunks[c] == nil {
+					p.chunks[c] = make([]byte, p.chunkLen(c))
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // The compare hot path checks the first cmpPrologue bytes a word at a
@@ -414,15 +539,24 @@ func comparePages(pa, pb []byte) (int, int) {
 // SamePage reports whether two frames have byte-identical contents, along
 // with the number of bytes that were compared before the verdict (the cost
 // a software comparator would pay: compare until first divergence).
+// Frames sharing a slot are equal without a look at their bytes.
 func (p *Phys) SamePage(a, b PFN) (bool, int) {
-	return samePages(p.Page(a), p.Page(b))
+	sa, sb := p.frame(a).slot, p.frame(b).slot
+	if sa == sb {
+		return true, PageSize
+	}
+	return samePages(p.window(sa), p.window(sb))
 }
 
 // ComparePage is a three-way content comparison (memcmp order), returning
 // <0, 0, >0 and the number of bytes examined. Content-indexed tree search
 // uses the sign to branch left or right.
 func (p *Phys) ComparePage(a, b PFN) (int, int) {
-	return comparePages(p.Page(a), p.Page(b))
+	sa, sb := p.frame(a).slot, p.frame(b).slot
+	if sa == sb {
+		return 0, PageSize
+	}
+	return comparePages(p.window(sa), p.window(sb))
 }
 
 // FirstNonZero scans b for its first nonzero byte, returning its index or
@@ -478,5 +612,6 @@ func (p *Phys) ContentKey(pfn PFN) uint64 {
 
 // IsZero reports whether the frame is all zeroes.
 func (p *Phys) IsZero(pfn PFN) bool {
-	return FirstNonZero(p.Page(pfn)) < 0
+	s := p.frame(pfn).slot
+	return s == zeroSlot || FirstNonZero(p.window(s)) < 0
 }

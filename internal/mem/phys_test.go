@@ -37,8 +37,8 @@ func TestAllocExhaustion(t *testing.T) {
 	if _, err := p.Alloc(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Alloc(); err != ErrOutOfMemory {
-		t.Fatalf("third alloc err = %v, want ErrOutOfMemory", err)
+	if _, err := p.Alloc(); err != ErrOutOfFrames {
+		t.Fatalf("third alloc err = %v, want ErrOutOfFrames", err)
 	}
 }
 
@@ -67,7 +67,7 @@ func TestRefcountLifecycle(t *testing.T) {
 func TestFreedFrameIsRezeroedOnReuse(t *testing.T) {
 	p := New(1 * PageSize)
 	pfn, _ := p.Alloc()
-	p.Page(pfn)[100] = 0xAB
+	p.WriteAt(pfn, 100, []byte{0xAB})
 	p.DecRef(pfn)
 	pfn2, err := p.Alloc()
 	if err != nil {
@@ -116,7 +116,7 @@ func TestSameAndComparePage(t *testing.T) {
 	if !same || n != PageSize {
 		t.Fatalf("identical zero pages: same=%v n=%d", same, n)
 	}
-	p.Page(b)[10] = 5
+	p.WriteAt(b, 10, []byte{5})
 	same, n = p.SamePage(a, b)
 	if same {
 		t.Fatal("different pages reported same")
@@ -144,11 +144,19 @@ func TestComparePageAntisymmetricQuick(t *testing.T) {
 		p := New(2 * PageSize)
 		a, _ := p.Alloc()
 		b, _ := p.Alloc()
-		r.FillBytes(p.Page(a))
-		copy(p.Page(b), p.Page(a))
-		// Perturb b at a random position half the time.
-		if r.Bool(0.5) {
-			p.Page(b)[r.Intn(PageSize)] ^= byte(1 + r.Intn(255))
+		pg := make([]byte, PageSize)
+		r.FillBytes(pg)
+		p.WriteAt(a, 0, pg)
+		// Perturb b at a random position half the time; otherwise b is
+		// either an equal private copy or shares a's slot.
+		switch {
+		case r.Bool(0.5):
+			pg[r.Intn(PageSize)] ^= byte(1 + r.Intn(255))
+			p.WriteAt(b, 0, pg)
+		case r.Bool(0.5):
+			p.WriteAt(b, 0, pg)
+		default:
+			p.CopyPage(b, a)
 		}
 		ab, _ := p.ComparePage(a, b)
 		ba, _ := p.ComparePage(b, a)
@@ -165,7 +173,7 @@ func TestCopyPageAndIsZero(t *testing.T) {
 	if !p.IsZero(a) {
 		t.Fatal("fresh frame not zero")
 	}
-	p.Page(a)[0] = 1
+	p.WriteAt(a, 0, []byte{1})
 	if p.IsZero(a) {
 		t.Fatal("dirty frame reported zero")
 	}
@@ -196,7 +204,7 @@ func TestCoWFlag(t *testing.T) {
 func TestReadLineBounds(t *testing.T) {
 	p := New(PageSize)
 	pfn, _ := p.Alloc()
-	p.Page(pfn)[64] = 0xCD
+	p.WriteAt(pfn, 64, []byte{0xCD})
 	line := p.ReadLine(pfn, 1)
 	if len(line) != LineSize || line[0] != 0xCD {
 		t.Fatal("ReadLine returned wrong slice")

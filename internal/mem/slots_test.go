@@ -1,0 +1,427 @@
+package mem
+
+import (
+	"bytes"
+	"cmp"
+	"errors"
+	"reflect"
+	"slices"
+	"sort"
+	"testing"
+)
+
+// checkSlots audits the slot store: every slot's refcount equals the number
+// of frames pointing at it; every slot ever handed out is either referenced
+// or on the slot freelist, exactly once; every handed-out slot's chunk is
+// backed; and the shared zero page still holds only zeroes.
+func checkSlots(t *testing.T, p *Phys) {
+	t.Helper()
+	if FirstNonZero(zeroPage[:]) >= 0 {
+		t.Fatal("the shared zero page was written")
+	}
+	refs := make([]int32, len(p.slotRefs))
+	for pfn, f := range p.frames {
+		if f.slot < 0 || f.slot >= p.nextSlot {
+			t.Fatalf("frame %d points at slot %d, outside [0, %d)", pfn, f.slot, p.nextSlot)
+		}
+		refs[f.slot]++
+	}
+	onFree := make([]bool, len(p.slotRefs))
+	for _, s := range p.freeSlots {
+		if s <= zeroSlot || s >= p.nextSlot || onFree[s] {
+			t.Fatalf("slot freelist holds %d twice or out of range", s)
+		}
+		onFree[s] = true
+	}
+	for s := int32(1); s < p.nextSlot; s++ {
+		if p.slotRefs[s] != refs[s] {
+			t.Fatalf("slot %d: refcount %d, but %d frames point at it", s, p.slotRefs[s], refs[s])
+		}
+		if (refs[s] == 0) != onFree[s] {
+			t.Fatalf("slot %d: %d frames point at it, on freelist %v (leaked or double-owned)", s, refs[s], onFree[s])
+		}
+		if p.chunks[(s-1)/chunkSlots] == nil {
+			t.Fatalf("slot %d handed out from an unbacked chunk", s)
+		}
+	}
+	for s := p.nextSlot; int(s) < len(p.slotRefs); s++ {
+		if p.slotRefs[s] != 0 {
+			t.Fatalf("never-used slot %d has refcount %d", s, p.slotRefs[s])
+		}
+	}
+}
+
+// flatPhys is the reference model FuzzPhysOps holds the slot store to: the
+// same frame, freelist and counter semantics over one flat arena in which
+// every frame owns a fixed PageSize window and every copy copies bytes.
+type flatPhys struct {
+	arena     []byte
+	frames    []FrameState
+	free      []PFN // descending
+	pending   []PFN
+	deferred  bool
+	allocated int
+	peak      int
+
+	allocs, allocFails, frees, zeroFills uint64
+}
+
+func newFlat(n int) *flatPhys {
+	r := &flatPhys{arena: make([]byte, n*PageSize), frames: make([]FrameState, n)}
+	for i := n - 1; i >= 0; i-- {
+		r.free = append(r.free, PFN(i))
+	}
+	return r
+}
+
+func (r *flatPhys) bytes(pfn PFN) []byte { return r.arena[int(pfn)*PageSize : int(pfn+1)*PageSize] }
+
+func (r *flatPhys) take() (PFN, error) {
+	if len(r.free) == 0 {
+		r.allocFails++
+		return 0, ErrOutOfFrames
+	}
+	pfn := r.free[len(r.free)-1]
+	r.free = r.free[:len(r.free)-1]
+	r.frames[pfn].Refs, r.frames[pfn].CoW = 1, false
+	r.allocated++
+	r.peak = max(r.peak, r.allocated)
+	r.allocs++
+	return pfn, nil
+}
+
+func (r *flatPhys) alloc() (PFN, error) {
+	pfn, err := r.take()
+	if err == nil && r.frames[pfn].Dirty {
+		clear(r.bytes(pfn))
+		r.frames[pfn].Dirty = false
+		r.zeroFills++
+	}
+	return pfn, err
+}
+
+func (r *flatPhys) allocForCopy() (PFN, error) {
+	pfn, err := r.take()
+	if err == nil {
+		r.frames[pfn].Dirty = true
+	}
+	return pfn, err
+}
+
+func (r *flatPhys) decRef(pfn PFN) {
+	f := &r.frames[pfn]
+	if f.Refs--; f.Refs != 0 {
+		return
+	}
+	f.CoW, f.Dirty = false, true
+	r.allocated--
+	r.frees++
+	if r.deferred {
+		r.pending = append(r.pending, pfn)
+		return
+	}
+	i := sort.Search(len(r.free), func(i int) bool { return r.free[i] < pfn })
+	r.free = slices.Insert(r.free, i, pfn)
+}
+
+func (r *flatPhys) endDeferred() {
+	r.deferred = false
+	r.free = append(r.free, r.pending...)
+	slices.SortFunc(r.free, func(a, b PFN) int { return cmp.Compare(b, a) })
+	r.pending = r.pending[:0]
+}
+
+func (r *flatPhys) state() (PhysState, error) {
+	if r.deferred || len(r.pending) > 0 {
+		return PhysState{}, errors.New("deferred")
+	}
+	return PhysState{
+		Arena:     slices.Clone(r.arena),
+		Frames:    slices.Clone(r.frames),
+		Free:      append([]PFN(nil), r.free...),
+		Allocated: r.allocated, Peak: r.peak,
+		Allocs: r.allocs, AllocFails: r.allocFails, Frees: r.frees, ZeroFills: r.zeroFills,
+	}, nil
+}
+
+// physProgram decodes a fuzz input into a program of Phys operations and
+// runs it on the slot store and on the flat reference side by side.
+type physProgram struct {
+	t    *testing.T
+	data []byte
+	p    *Phys
+	r    *flatPhys
+}
+
+// next consumes one program byte; an exhausted program reads zeroes.
+func (g *physProgram) next() int {
+	if len(g.data) == 0 {
+		return 0
+	}
+	b := g.data[0]
+	g.data = g.data[1:]
+	return int(b)
+}
+
+// frame picks a frame number from the next byte; allocated picks an
+// allocated frame, or reports false when none is.
+func (g *physProgram) frame() PFN { return PFN(g.next() % len(g.r.frames)) }
+
+func (g *physProgram) allocated() (PFN, bool) {
+	start := g.frame()
+	for i := range g.r.frames {
+		pfn := (start + PFN(i)) % PFN(len(g.r.frames))
+		if g.r.frames[pfn].Refs > 0 {
+			return pfn, true
+		}
+	}
+	return 0, false
+}
+
+// content builds n bytes: zeroes, a byte pattern, or bytes lifted from
+// another frame (so distinct slots come to hold equal pages).
+func (g *physProgram) content(n int) []byte {
+	buf := make([]byte, n)
+	if n == 0 {
+		return buf
+	}
+	switch g.next() % 4 {
+	case 0:
+	case 1:
+		seed := g.next()
+		for i := range buf {
+			buf[i] = byte(seed + i*(seed|1)>>3)
+		}
+	case 2:
+		copy(buf, g.r.bytes(g.frame())[PageSize-n:])
+	default:
+		buf[g.next()%n] = byte(g.next() | 1)
+	}
+	return buf
+}
+
+func (g *physProgram) step() {
+	t, p, r := g.t, g.p, g.r
+	switch op := g.next() % 13; op {
+	case 0, 1: // Alloc
+		a, errA := p.Alloc()
+		b, errB := r.alloc()
+		if a != b || errA != errB {
+			t.Fatalf("Alloc: %d/%v, reference %d/%v", a, errA, b, errB)
+		}
+	case 2: // AllocForCopy, then CopyPage from an allocated frame
+		src, ok := g.allocated()
+		a, errA := p.AllocForCopy()
+		b, errB := r.allocForCopy()
+		if a != b || (errA == nil) != (errB == nil) {
+			t.Fatalf("AllocForCopy: %d/%v, reference %d/%v", a, errA, b, errB)
+		}
+		if errA == nil && ok {
+			p.CopyPage(a, src)
+			copy(r.bytes(a), r.bytes(src))
+		}
+	case 3: // CopyPage between allocated frames
+		dst, ok1 := g.allocated()
+		src, ok2 := g.allocated()
+		if ok1 && ok2 {
+			p.CopyPage(dst, src)
+			copy(r.bytes(dst), r.bytes(src))
+		}
+	case 4, 5: // WriteAt
+		pfn, ok := g.allocated()
+		if !ok {
+			return
+		}
+		var off, n int
+		switch g.next() % 3 {
+		case 0:
+			off, n = 0, PageSize
+		case 1:
+			off = g.next() * 16
+			n = min(g.next()%65, PageSize-off)
+		default:
+			off = (g.next()<<8 | g.next()) % PageSize
+			n = g.next() % (PageSize - off + 1)
+		}
+		src := g.content(n)
+		p.WriteAt(pfn, off, src)
+		copy(r.bytes(pfn)[off:], src)
+	case 6: // IncRef
+		if pfn, ok := g.allocated(); ok {
+			p.IncRef(pfn)
+			r.frames[pfn].Refs++
+		}
+	case 7, 8: // DecRef
+		if pfn, ok := g.allocated(); ok {
+			p.DecRef(pfn)
+			r.decRef(pfn)
+		}
+	case 9: // open or close a deferred-free window
+		if r.deferred {
+			p.EndDeferredFrees()
+			r.endDeferred()
+		} else {
+			p.BeginDeferredFrees()
+			r.deferred = true
+		}
+	case 10: // SetCoW
+		if pfn, ok := g.allocated(); ok {
+			cow := g.next()%2 == 0
+			p.SetCoW(pfn, cow)
+			r.frames[pfn].CoW = cow
+		}
+	case 11: // State, then SetState into this machine or a fresh one
+		st, err := p.State()
+		want, werr := r.state()
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("State error %v, reference %v", err, werr)
+		}
+		if err != nil {
+			return
+		}
+		if !reflect.DeepEqual(st, want) {
+			t.Fatal("State differs from the reference")
+		}
+		target := p
+		if g.next()%2 == 0 {
+			target = New(uint64(len(r.frames)) * PageSize)
+		}
+		if err := target.SetState(st); err != nil {
+			t.Fatal(err)
+		}
+		g.p = target
+	case 12: // FillPages over distinct allocated frames
+		var pfns []PFN
+		for k := g.next() % 5; k > 0; k-- {
+			if pfn, ok := g.allocated(); ok && !slices.Contains(pfns, pfn) {
+				pfns = append(pfns, pfn)
+			}
+		}
+		seed := byte(g.next())
+		fill := func(i int, pg []byte) {
+			for j := range pg {
+				pg[j] = seed + byte(i) + byte(j>>4)
+			}
+		}
+		p.FillPages(pfns, 1+g.next()%3, fill)
+		for i, pfn := range pfns {
+			fill(i, r.bytes(pfn))
+		}
+	}
+}
+
+// compare checks every observable of the two machines against each other.
+func (g *physProgram) compare() {
+	t, p, r := g.t, g.p, g.r
+	checkSlots(t, p)
+	if p.Allocs != r.allocs || p.AllocFails != r.allocFails || p.Frees != r.frees || p.ZeroFills != r.zeroFills ||
+		p.AllocatedFrames() != r.allocated || p.PeakFrames() != r.peak || p.FreeFrames() != len(r.free) {
+		t.Fatalf("counters: allocs %d/%d fails %d/%d frees %d/%d zerofills %d/%d allocated %d/%d peak %d/%d free %d/%d",
+			p.Allocs, r.allocs, p.AllocFails, r.allocFails, p.Frees, r.frees, p.ZeroFills, r.zeroFills,
+			p.AllocatedFrames(), r.allocated, p.PeakFrames(), r.peak, p.FreeFrames(), len(r.free))
+	}
+	var live []PFN
+	for i, f := range r.frames {
+		pfn := PFN(i)
+		if p.Allocated(pfn) != (f.Refs > 0) {
+			t.Fatalf("frame %d: allocated %v, reference refs %d", pfn, p.Allocated(pfn), f.Refs)
+		}
+		if f.Refs == 0 {
+			continue
+		}
+		live = append(live, pfn)
+		got := p.Get(pfn)
+		if got.Refs() != f.Refs || got.CoW() != f.CoW || p.frames[pfn].dirty != f.Dirty {
+			t.Fatalf("frame %d: metadata differs from the reference", pfn)
+		}
+		if !bytes.Equal(p.Page(pfn), r.bytes(pfn)) || p.IsZero(pfn) != (FirstNonZero(r.bytes(pfn)) < 0) ||
+			!bytes.Equal(p.ReadLine(pfn, LinesPerPage-1), r.bytes(pfn)[PageSize-LineSize:]) {
+			t.Fatalf("frame %d: bytes differ from the reference", pfn)
+		}
+	}
+	// A handful of pairs per step keeps the byte-wise reference cheap.
+	for i := 0; i < min(len(live), 6); i++ {
+		a, b := live[i], live[(i*7+1)%len(live)]
+		same, n := p.SamePage(a, b)
+		c, m := p.ComparePage(a, b)
+		// Equal pages skip the byte loops, which would walk all 4 KiB.
+		wsame, wn, wc, wm := true, PageSize, 0, PageSize
+		if !bytes.Equal(r.bytes(a), r.bytes(b)) {
+			wsame, wn = samePagesByte(r.bytes(a), r.bytes(b))
+			wc, wm = comparePagesByte(r.bytes(a), r.bytes(b))
+		}
+		if same != wsame || n != wn || c != wc || m != wm {
+			t.Fatalf("frames %d,%d: SamePage (%v,%d) ComparePage (%d,%d), reference (%v,%d) (%d,%d)",
+				a, b, same, n, c, m, wsame, wn, wc, wm)
+		}
+	}
+}
+
+// runPhysProgram runs the program data encodes (its first byte picks the
+// frame count, up to two chunks' worth plus four) and checks the two
+// machines after every step and their State images at the end.
+func runPhysProgram(t *testing.T, data []byte) {
+	n := 1 + int(data[0])%(2*chunkSlots+4)
+	g := &physProgram{t: t, data: data[1:], p: New(uint64(n) * PageSize), r: newFlat(n)}
+	for len(g.data) > 0 {
+		g.step()
+		g.compare()
+	}
+	if g.r.deferred {
+		g.p.EndDeferredFrees()
+		g.r.endDeferred()
+	}
+	st, err := g.p.State()
+	want, werr := g.r.state()
+	if err != nil || werr != nil || !reflect.DeepEqual(st, want) {
+		t.Fatalf("final State differs from the reference (errors %v, %v)", err, werr)
+	}
+}
+
+// FuzzPhysOps runs random programs of Alloc, AllocForCopy+CopyPage,
+// CopyPage, WriteAt, FillPages, IncRef/DecRef (inside and outside
+// deferred-free windows), SetCoW and State→SetState on the slot store and
+// on the flat reference, and requires identical bytes, compare verdicts and
+// byte counts, State images, and counters, with a consistent, leak-free
+// slot store after every step. The seed corpus runs with the unit tests.
+// Programs are capped at 512 bytes so that the fuzzer's executions, and
+// its minimisation of new inputs, stay fast; TestPhysOpsLongProgram runs a
+// long one.
+func FuzzPhysOps(f *testing.F) {
+	f.Add([]byte{5, 0, 0, 0, 4, 0, 1, 1, 9, 3, 1, 0, 2, 11, 0})
+	f.Add([]byte{130, 0, 0, 0, 0, 0, 0, 4, 1, 0, 1, 3, 4, 2, 1, 2, 3, 0, 1, 2, 7, 1, 6, 0, 7, 0, 11, 1, 0, 1})
+	f.Add([]byte{
+		9, 0, 0, 0, 0, 0, 0, 4, 0, 0, 1, 77, 3, 1, 0, 2, 0, 9, 8, 1, 8, 0, 9, 1, 0,
+		2, 0, 4, 2, 0, 3, 1, 2, 0, 5, 1, 1, 0, 11, 0, 10, 1, 0, 8, 2, 7, 2, 11, 1,
+		12, 3, 0, 1, 2, 9, 2,
+	})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || len(data) > 512 {
+			return
+		}
+		runPhysProgram(t, data)
+	})
+}
+
+// TestPhysOpsLongProgram runs FuzzPhysOps's check on a long program over a
+// frame count straddling two chunk boundaries: fill every frame with a
+// distinct page, then share, unshare, free and recycle frames, with
+// checkpoints and a deferred-free window along the way.
+func TestPhysOpsLongProgram(t *testing.T) {
+	long := []byte{2*chunkSlots + 3}
+	for i := 0; i < 140; i++ {
+		long = append(long, 0, 4, byte(i), 0, 1, byte(i)) // Alloc; whole-page write
+	}
+	for i := 0; i < 60; i++ {
+		long = append(long,
+			3, byte(i*3), byte(i*5), // CopyPage
+			4, byte(i), 2, 0, byte(i), 1, 1, byte(i*3), // one-byte write at offset i
+			7, byte(i*11), // DecRef
+			0) // Alloc
+		if i%20 == 0 {
+			long = append(long, 11, byte(i))
+		}
+	}
+	long = append(long, 9, 7, 1, 7, 2, 7, 3, 9, 0, 0, 2, 5, 12, 4, 0, 1, 2, 3, 17, 2, 11, 0)
+	runPhysProgram(t, long)
+}

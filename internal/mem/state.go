@@ -6,9 +6,9 @@ import "fmt"
 // physical memory: arena bytes, per-frame metadata, the canonical freelist,
 // and the allocation counters. Capturing and restoring it is bit-exact —
 // the freelist order is preserved verbatim so post-restore allocation order
-// matches the uninterrupted run. The image holds the whole arena flat, one
-// PageSize window per frame; chunks that were never backed read as zeroes,
-// so the format does not depend on which chunks happen to be backed.
+// matches the uninterrupted run. The image holds every frame's bytes flat,
+// one PageSize window per frame, free frames included, so the format does
+// not depend on which frames share a slot or sit on the zero page.
 
 // FrameState is the exported image of one frame's metadata.
 type FrameState struct {
@@ -49,35 +49,37 @@ func (p *Phys) State() (PhysState, error) {
 		Frees:      p.Frees,
 		ZeroFills:  p.ZeroFills,
 	}
-	for i, c := range p.chunks {
-		copy(st.Arena[i*chunkFrames*PageSize:], c)
-	}
 	for i, f := range p.frames {
 		st.Frames[i] = FrameState{Refs: f.refs, CoW: f.cow, Dirty: f.dirty}
+		if f.slot != zeroSlot {
+			copy(st.Arena[i*PageSize:], p.window(f.slot))
+		}
 	}
 	return st, nil
 }
 
 // SetState restores a previously captured image in place. The frame count
-// must match the live machine (capacity is configuration, not state).
-// Every chunk that holds an allocated frame or nonzero bytes ends up
-// backed; a chunk that is already backed keeps its windows and is
-// overwritten, so views taken before the restore stay valid.
+// must match the live machine (capacity is configuration, not state). The
+// slot store is rebuilt from scratch: every frame holding a nonzero byte
+// gets a private slot and every other frame points at the zero page, so
+// views taken before the restore are no longer valid.
 func (p *Phys) SetState(st PhysState) error {
 	if len(st.Frames) != len(p.frames) || len(st.Arena) != len(p.frames)*PageSize {
 		return fmt.Errorf("mem: restore frame-count mismatch (have %d frames, snapshot %d)",
 			len(p.frames), len(st.Frames))
 	}
+	clear(p.chunks)
+	clear(p.slotRefs)
+	p.freeSlots = p.freeSlots[:0]
+	p.nextSlot = 1
 	for i, f := range st.Frames {
-		p.frames[i] = Frame{refs: f.Refs, cow: f.CoW, dirty: f.Dirty}
-	}
-	for i := range p.chunks {
-		base := i * chunkFrames * PageSize
-		src := st.Arena[base : base+p.chunkLen(i)]
-		if p.chunks[i] == nil && FirstNonZero(src) < 0 && !p.anyAllocated(i) {
-			continue
+		fr := Frame{refs: f.Refs, cow: f.CoW, dirty: f.Dirty}
+		if src := st.Arena[i*PageSize : (i+1)*PageSize]; FirstNonZero(src) >= 0 {
+			fr.slot = p.newSlot(false)
+			p.slotRefs[fr.slot] = 1
+			copy(p.window(fr.slot), src)
 		}
-		copy(p.back(i), src)
+		p.frames[i] = fr
 	}
 	p.free = append(p.free[:0], st.Free...)
 	p.allocated = st.Allocated
@@ -89,14 +91,4 @@ func (p *Phys) SetState(st PhysState) error {
 	p.Frees = st.Frees
 	p.ZeroFills = st.ZeroFills
 	return nil
-}
-
-// anyAllocated reports whether chunk i holds an allocated frame.
-func (p *Phys) anyAllocated(i int) bool {
-	for _, f := range p.frames[i*chunkFrames : i*chunkFrames+p.chunkLen(i)/PageSize] {
-		if f.refs > 0 {
-			return true
-		}
-	}
-	return false
 }

@@ -30,10 +30,11 @@ func fillFrame(p *mem.Phys) mem.PFN {
 	if err != nil {
 		panic(err)
 	}
-	pg := p.Page(pfn)
+	pg := make([]byte, mem.PageSize)
 	for i := range pg {
 		pg[i] = byte(i * 7)
 	}
+	p.WriteAt(pfn, 0, pg)
 	return pfn
 }
 
@@ -251,5 +252,27 @@ func TestPendingMapPruning(t *testing.T) {
 	}
 	if len(c.pending) > 4200 {
 		t.Fatalf("pending map grew to %d entries", len(c.pending))
+	}
+}
+
+// TestFetchLineZeroAlloc pins the PageForge line fetch as allocation-free
+// in steady state with no fault model: once the in-flight table and DRAM
+// bank state have seen the frame's lines, fetching them again from DRAM
+// allocates nothing.
+func TestFetchLineZeroAlloc(t *testing.T) {
+	c, phys, _ := newCtrl(4, false)
+	pfn := fillFrame(phys)
+	now := uint64(0)
+	fetchAll := func() {
+		for li := 0; li < mem.LinesPerPage; li++ {
+			res := c.FetchLine(pfn, li, now, dram.SrcPageForge)
+			now += res.Latency/2 + 1
+		}
+	}
+	for i := 0; i < 4; i++ {
+		fetchAll()
+	}
+	if n := testing.AllocsPerRun(20, fetchAll); n != 0 {
+		t.Fatalf("%v allocs per 64-line page fetch, want 0", n)
 	}
 }

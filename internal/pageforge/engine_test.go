@@ -31,10 +31,7 @@ func (r *rig) page(id byte) mem.PFN {
 	if err != nil {
 		panic(err)
 	}
-	pg := r.phys.Page(pfn)
-	for i := range pg {
-		pg[i] = id
-	}
+	r.phys.WriteAt(pfn, 0, bytes.Repeat([]byte{id}, mem.PageSize))
 	return pfn
 }
 
@@ -274,7 +271,7 @@ func TestDivergenceStopsLineFetches(t *testing.T) {
 	cand := r.page(5)
 	other := r.page(5)
 	// Diverge at line 2 (byte 128).
-	r.phys.Page(other)[2*mem.LineSize] = 0xFF
+	r.phys.WriteAt(other, 2*mem.LineSize, []byte{0xFF})
 	r.eng.InsertPPN(0, other, InvalidIndex, InvalidIndex)
 	r.eng.InsertPFE(cand, false, 0)
 	r.run(0)
@@ -321,7 +318,7 @@ func TestLockstepOffsetsReused(t *testing.T) {
 	a := r.page(1)
 	b := r.page(1)
 	// Equal pages; make line 63 differ so the comparison runs to the end.
-	r.phys.Page(b)[mem.PageSize-1] = 2
+	r.phys.WriteAt(b, mem.PageSize-1, []byte{2})
 	r.eng.InsertPPN(0, b, InvalidIndex, InvalidIndex)
 	r.eng.InsertPFE(a, false, 0)
 	info, _ := r.run(0)

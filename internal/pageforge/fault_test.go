@@ -37,7 +37,7 @@ func TestScanUnderSingleBitFaults(t *testing.T) {
 
 	a, _ := phys.Alloc()
 	b, _ := phys.Alloc()
-	rng.FillBytes(phys.Page(a))
+	fillRandom(phys, a, rng)
 	phys.CopyPage(b, a)
 
 	eng.InsertPPN(0, b, InvalidIndex, InvalidIndex)
@@ -117,7 +117,7 @@ func TestTransientPoisonHealsByRetry(t *testing.T) {
 	rng := sim.NewRNG(5)
 	a, _ := phys.Alloc()
 	b, _ := phys.Alloc()
-	rng.FillBytes(phys.Page(a))
+	fillRandom(phys, a, rng)
 	phys.CopyPage(b, a)
 
 	eng.InsertPPN(0, b, InvalidIndex, InvalidIndex)
@@ -152,7 +152,7 @@ func TestUELinesNeverFeedMinikeys(t *testing.T) {
 
 	a, _ := phys.Alloc()
 	rng := sim.NewRNG(9)
-	rng.FillBytes(phys.Page(a))
+	fillRandom(phys, a, rng)
 
 	// Persistently poison exactly the key-offset lines of the candidate.
 	keyLines := map[uint64]bool{}
@@ -323,4 +323,11 @@ func TestDriverConvergesUnderFaultyDIMM(t *testing.T) {
 // mcOf digs the memory controller out of a driver's engine (test helper).
 func mcOf(d *Driver) *memctrl.Controller {
 	return d.HW.MC.(*memctrl.Controller)
+}
+
+// fillRandom writes the frame full of bytes from rng.
+func fillRandom(phys *mem.Phys, pfn mem.PFN, rng *sim.RNG) {
+	pg := make([]byte, mem.PageSize)
+	rng.FillBytes(pg)
+	phys.WriteAt(pfn, 0, pg)
 }

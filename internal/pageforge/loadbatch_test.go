@@ -77,8 +77,7 @@ func treeRig(t *testing.T, r *sim.RNG, n int) *rbtree.Tree {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pg := phys.Page(pfn)
-		pg[0], pg[1] = byte(k>>8), byte(k)
+		phys.WriteAt(pfn, 0, []byte{byte(k >> 8), byte(k)})
 		tree.Insert(pfn, nil)
 	}
 	return tree

@@ -28,9 +28,7 @@ func TestPropertyInvariants10k(t *testing.T) {
 		if err != nil {
 			t.Fatalf("out of frames: the test leaked allocations (%v)", err)
 		}
-		pg := phys.Page(pfn)
-		pg[0] = byte(id >> 8)
-		pg[1] = byte(id)
+		phys.WriteAt(pfn, 0, []byte{byte(id >> 8), byte(id)})
 		return pfn
 	}
 

@@ -1,6 +1,7 @@
 package rbtree
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -29,10 +30,7 @@ func (f *fixture) page(id byte) mem.PFN {
 	if err != nil {
 		panic(err)
 	}
-	pg := f.phys.Page(pfn)
-	for i := range pg {
-		pg[i] = id
-	}
+	f.phys.WriteAt(pfn, 0, bytes.Repeat([]byte{id}, mem.PageSize))
 	return pfn
 }
 

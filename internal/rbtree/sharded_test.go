@@ -1,6 +1,7 @@
 package rbtree
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/mem"
@@ -31,10 +32,7 @@ func (f *shardedFixture) page(id byte) mem.PFN {
 	if err != nil {
 		panic(err)
 	}
-	pg := f.phys.Page(pfn)
-	for i := range pg {
-		pg[i] = id
-	}
+	f.phys.WriteAt(pfn, 0, bytes.Repeat([]byte{id}, mem.PageSize))
 	return pfn
 }
 
@@ -89,10 +87,7 @@ func TestShardedDeleteByOwner(t *testing.T) {
 		t.Fatal("low page not inserted into shard 0")
 	}
 	// Mutate content so the route flips to shard 1.
-	pg := f.phys.Page(low)
-	for i := range pg {
-		pg[i] = 200
-	}
+	f.phys.WriteAt(low, 0, bytes.Repeat([]byte{200}, mem.PageSize))
 	if f.s.ShardIndex(low) != 1 {
 		t.Fatal("mutated page should route to shard 1")
 	}
@@ -127,10 +122,7 @@ func TestShardedSingleShardMatchesPlainTree(t *testing.T) {
 	p := mem.New(64 * mem.PageSize)
 	mkPage := func(id byte) mem.PFN {
 		pfn, _ := p.Alloc()
-		pg := p.Page(pfn)
-		for i := range pg {
-			pg[i] = id
-		}
+		p.WriteAt(pfn, 0, bytes.Repeat([]byte{id}, mem.PageSize))
 		return pfn
 	}
 	plain := New(func(a, b mem.PFN) (int, int) { return p.ComparePage(a, b) })
@@ -160,10 +152,7 @@ func TestShardedCrossShardViolationDetected(t *testing.T) {
 	p := mem.New(8 * mem.PageSize)
 	mkPage := func(id byte) mem.PFN {
 		pfn, _ := p.Alloc()
-		pg := p.Page(pfn)
-		for i := range pg {
-			pg[i] = id
-		}
+		p.WriteAt(pfn, 0, bytes.Repeat([]byte{id}, mem.PageSize))
 		return pfn
 	}
 	// Inverted route: big contents to shard 0, small to shard 1.

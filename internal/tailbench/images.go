@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -66,10 +65,10 @@ func BuildImage(p Profile, numVMs int, physFrames int, seed uint64) (*Image, err
 // phases. The mapping phase faults every resident page in on one
 // goroutine, in the fixed order dup (slot-major, VM-minor), zero, unique,
 // so frame numbers, the rmap and the page lists are those of a sequential
-// build. The content phase then writes each frame's bytes in place, on
-// workers goroutines that own disjoint shares of the page lists. The
-// hypervisor is created here, so no write observer exists to miss the
-// in-place fills.
+// build. The content phase then fills one slot per distinct content with
+// mem.Phys.FillPages, on workers goroutines, and points every other dup
+// frame at its content's slot. The hypervisor is created here, so no write
+// observer exists to miss the fills.
 func buildImage(p Profile, numVMs, physFrames int, seed uint64, workers int) (*Image, error) {
 	img := &Image{Profile: p, HV: vm.NewHypervisor(uint64(physFrames) * mem.PageSize), rng: sim.NewRNG(seed)}
 
@@ -93,11 +92,6 @@ func buildImage(p Profile, numVMs, physFrames int, seed uint64, workers int) (*I
 	// share any content (their "library" pages are different builds).
 	salt := (seed + 1) * 0x9E3779B97F4A7C15
 	img.salt, img.dupDistinct = salt, distinct
-
-	// The fresh arena's lowest-free-PFN allocator hands the mapping phase
-	// frames [0, numVMs*PagesPerVM) in order; back their chunks up front,
-	// in parallel, so the mapping phase's allocations find them backed.
-	img.HV.Phys.BackPrefix(numVMs*p.PagesPerVM, workers)
 
 	// Mapping phase. Duplicated region: gfns [0, dupPerVM).
 	img.DupPages = make([]vm.PageID, 0, dupPerVM*numVMs)
@@ -136,60 +130,43 @@ func buildImage(p Profile, numVMs, physFrames int, seed uint64, workers int) (*I
 		}
 	}
 
-	// Content phase. Worker w fills the w-th contiguous share of the dup
-	// list and of the unique list, so dup copies and unique fills spread
-	// evenly. Zero pages keep their fresh-chunk zeroes.
+	// Content phase. Dup page k (slot-major, VM-minor) carries content
+	// k/copies % distinct: striding contents across slots lands each one in
+	// ~DupCopies VMs at the same slot. The first page of each content is
+	// filled and the others share its frame's slot through CopyPage; each
+	// unique page k draws the k-th content of the image's unique stream.
+	// Zero pages stay on the shared zero page.
 	copies := max(1, int(p.DupCopies+0.5))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			img.fillDup(w, workers, copies, distinct, salt)
-			img.fillUnique(w, workers, salt)
-		}()
+	fills := make([]mem.PFN, 0, distinct+len(img.UniquePages))
+	seeds := make([]uint64, 0, cap(fills))
+	leaders := make([]mem.PFN, distinct)
+	filled := make([]bool, distinct)
+	for k, id := range img.DupPages {
+		if c := k / copies % distinct; !filled[c] {
+			filled[c] = true
+			leaders[c] = img.pfn(id)
+			fills = append(fills, leaders[c])
+			seeds = append(seeds, uint64(c)*2654435761+salt)
+		}
 	}
-	wg.Wait()
+	for k, id := range img.UniquePages {
+		next := (salt ^ 0xF00D) + 1 + uint64(k)
+		fills = append(fills, img.pfn(id))
+		seeds = append(seeds, next*0x9E3779B97F4A7C15+7)
+	}
+	img.HV.Phys.FillPages(fills, workers, func(i int, pg []byte) { fillPage(pg, seeds[i]) })
+	for k, id := range img.DupPages {
+		if pfn, lead := img.pfn(id), leaders[k/copies%distinct]; pfn != lead {
+			img.HV.Phys.CopyPage(pfn, lead)
+		}
+	}
 	return img, nil
 }
 
-// share reports the w-th of workers contiguous shares of [0, n).
-func share(n, w, workers int) (lo, hi int) { return n * w / workers, n * (w + 1) / workers }
-
-// fillDup writes share w of the dup pages. Dup page k (slot-major,
-// VM-minor) carries content group k/copies: striding contents across slots
-// lands each one in ~DupCopies VMs at the same slot. Consecutive pages
-// share a group, so each group's content is generated once and copied to
-// the rest.
-func (img *Image) fillDup(w, workers, copies, distinct int, salt uint64) {
-	lo, hi := share(len(img.DupPages), w, workers)
-	var prev []byte
-	for k := lo; k < hi; k++ {
-		page := img.page(img.DupPages[k])
-		if k > lo && k/copies == (k-1)/copies {
-			copy(page, prev)
-		} else {
-			contentID := k / copies % distinct
-			fillPage(page, uint64(contentID)*2654435761+salt)
-		}
-		prev = page
-	}
-}
-
-// fillUnique writes share w of the unique pages. Unique page k (u-major,
-// VM-minor) draws the k-th content of the image's unique stream.
-func (img *Image) fillUnique(w, workers int, salt uint64) {
-	lo, hi := share(len(img.UniquePages), w, workers)
-	for k := lo; k < hi; k++ {
-		next := (salt ^ 0xF00D) + 1 + uint64(k)
-		fillPage(img.page(img.UniquePages[k]), next*0x9E3779B97F4A7C15+7)
-	}
-}
-
-// page returns the frame bytes backing a mapped image page.
-func (img *Image) page(id vm.PageID) []byte {
+// pfn returns the frame backing a mapped image page.
+func (img *Image) pfn(id vm.PageID) mem.PFN {
 	pfn, _ := img.HV.VM(id.VM).Resolve(id.GFN)
-	return img.HV.Phys.Page(pfn)
+	return pfn
 }
 
 // fillPage writes deterministic content derived from seed: a zero prefix

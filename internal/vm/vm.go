@@ -209,18 +209,31 @@ func (v *VM) Touch(g GFN) error {
 	return err
 }
 
+// checkRange rejects an access of n bytes at off that does not fit a page.
+func checkRange(off, n int) error {
+	if off < 0 || n > mem.PageSize-off {
+		return fmt.Errorf("vm: access of %d bytes at offset %d overruns the %d-byte page", n, off, mem.PageSize)
+	}
+	return nil
+}
+
 // Read copies page bytes at [off, off+len(dst)) into dst, faulting the page
-// in if needed.
+// in if needed. A range that does not fit the page is an error.
 func (v *VM) Read(g GFN, off int, dst []byte) error {
+	if err := checkRange(off, len(dst)); err != nil {
+		return err
+	}
 	e, err := v.fault(g)
 	if err != nil {
 		return err
 	}
-	copy(dst, v.hv.Phys.Page(e.pfn)[off:off+len(dst)])
+	copy(dst, v.hv.Phys.Page(e.pfn)[off:])
 	return nil
 }
 
-// Page returns a read-only view of the page contents (faulting it in).
+// Page returns a read-only view of the page contents (faulting it in). The
+// view follows mem.Phys.Page's rules: nothing may write through it, and it
+// stays valid until the next write to the page.
 func (v *VM) Page(g GFN) ([]byte, error) {
 	e, err := v.fault(g)
 	if err != nil {
@@ -230,8 +243,12 @@ func (v *VM) Page(g GFN) ([]byte, error) {
 }
 
 // Write stores src at [off, off+len(src)), handling the soft fault and any
-// CoW break. It reports whether a CoW break occurred.
+// CoW break. It reports whether a CoW break occurred. A range that does not
+// fit the page is an error, returned before the page is faulted in.
 func (v *VM) Write(g GFN, off int, src []byte) (cowBroke bool, err error) {
+	if err := checkRange(off, len(src)); err != nil {
+		return false, err
+	}
 	e, err := v.fault(g)
 	if err != nil {
 		return false, err
@@ -242,7 +259,7 @@ func (v *VM) Write(g GFN, off int, src []byte) (cowBroke bool, err error) {
 		}
 		cowBroke = true
 	}
-	copy(v.hv.Phys.Page(e.pfn)[off:], src)
+	v.hv.Phys.WriteAt(e.pfn, off, src)
 	if v.hv.OnWrite != nil {
 		v.hv.OnWrite(PageID{v.ID, g}, off, src)
 	}

@@ -57,6 +57,52 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAccessPastPageEndRejected pins the bounds contract of Read and
+// Write: a range that runs past the page end, or starts before it, is an
+// error returned before any fault or CoW break, and the write observer
+// never sees it. A range that ends exactly at the page end is fine.
+func TestAccessPastPageEndRejected(t *testing.T) {
+	h := newHV(8)
+	a := h.NewVM(2 * mem.PageSize)
+	b := h.NewVM(2 * mem.PageSize)
+	content := bytes.Repeat([]byte{3}, mem.PageSize)
+	a.Write(0, 0, content)
+	b.Write(0, 0, content)
+	pb, _ := b.Resolve(0)
+	if _, err := h.Merge(PageID{a.ID, 0}, pb); err != nil {
+		t.Fatal(err)
+	}
+	observed := 0
+	h.OnWrite = func(PageID, int, []byte) { observed++ }
+	faults, allocs := a.SoftFaults, h.Phys.Allocs
+	for _, c := range []struct {
+		g   GFN
+		off int
+		n   int
+	}{{1, 4000, 200}, {1, -1, 8}, {0, 4000, 200}, {0, mem.PageSize, 1}} {
+		if _, err := a.Write(c.g, c.off, make([]byte, c.n)); err == nil {
+			t.Fatalf("Write(%d, %d, %d bytes) accepted", c.g, c.off, c.n)
+		}
+		if err := a.Read(c.g, c.off, make([]byte, c.n)); err == nil {
+			t.Fatalf("Read(%d, %d, %d bytes) accepted", c.g, c.off, c.n)
+		}
+	}
+	if a.Present(1) || a.SoftFaults != faults || h.Phys.Allocs != allocs {
+		t.Fatal("a rejected access faulted a page in or allocated a frame")
+	}
+	if !a.WriteProtected(0) || a.CoWBreaks != 0 || observed != 0 {
+		t.Fatal("a rejected write broke CoW or reached the write observer")
+	}
+	tail := bytes.Repeat([]byte{9}, 200)
+	if _, err := a.Write(0, mem.PageSize-200, tail); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 200)
+	if err := a.Read(0, mem.PageSize-200, got); err != nil || !bytes.Equal(got, tail) || observed != 1 {
+		t.Fatalf("write ending at the page end: err %v, observed %d", err, observed)
+	}
+}
+
 func TestMergeSharesFrame(t *testing.T) {
 	h := newHV(16)
 	a := h.NewVM(2 * mem.PageSize)
@@ -107,7 +153,7 @@ func TestMergeDetectsRacingWrite(t *testing.T) {
 	b.Write(0, 0, content)
 	// Diverge b after the engine decided to merge but before Merge runs.
 	pb, _ := b.Resolve(0)
-	h.Phys.Page(pb)[0] = 99
+	h.Phys.WriteAt(pb, 0, []byte{99})
 	pa, _ := a.Resolve(0)
 	_ = pa
 	if _, err := h.Merge(PageID{a.ID, 0}, pb); err != ErrContentChanged {
