@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 5s
 COVER_FLOOR ?= 75
 
-.PHONY: build test race vet bench fuzz smoke cover perfcheck perfbench-test ci
+.PHONY: build test race vet bench fuzz smoke cover perfbench-test ci
 
 build:
 	$(GO) build ./...
@@ -23,15 +23,6 @@ bench:
 	$(GO) test -run '^$$' -bench=. -benchmem ./...
 	$(GO) run ./cmd/pageforge bench -out BENCH_suite.json
 
-# perfcheck runs fresh on-vs-off gates on the machine at hand, with no
-# committed baseline. It times identical sharded scan passes with and
-# without the merge-lifecycle ledger (off and on alternate inside each
-# repeat) and fails when provenance costs more than 10% or perturbs the
-# scan; then it fails when a stepped Runtime diverges from batch Run or
-# costs more than 25% over it.
-perfcheck:
-	$(GO) run ./cmd/pageforge perfcheck -tol 0.10
-
 # perfbench-test runs the benchmark module's unit tests and its tiny-size
 # smoke run. The module builds against internal/ through a replace
 # directive, so this is what catches a simulator change that breaks the
@@ -42,21 +33,26 @@ perfbench-test:
 # smoke exercises the CLI's machine-readable path end to end: a fast
 # two-app table4 run must emit a JSON document with populated rows, and the
 # efficiency run must prove zero perturbation while writing a well-formed
-# per-pass series artifact.
+# per-pass series artifact. It builds the CLI once into a fresh temporary
+# directory, which also holds the series file, so a stale artifact from an
+# earlier run cannot mask a failed write; pipefail makes a failing
+# pageforge run fail the step, not only a failing jq check.
+smoke: SHELL := /bin/bash
 smoke:
-	$(GO) run ./cmd/pageforge run -exp table4 -fast -quiet -json -apps img_dnn,silo \
-		| jq -e '.experiments.table4.Rows | length > 0' > /dev/null
-	$(GO) run ./cmd/pageforge run -exp pressure -fast -quiet -json \
-		| jq -e '.experiments.pressure.Rows | map(select(.Ratio >= 1.5)) | all(.Recovered) and length > 0' > /dev/null
-	$(GO) run ./cmd/pageforge run -exp crash -fast -quiet -json -crash-passes 2 -ckpt-every 0,2 \
-		| jq -e '.experiments.crash.Rows | all(.Identical) and length > 0' > /dev/null
-	$(GO) run ./cmd/pageforge run -exp efficiency -fast -quiet -json -apps img_dnn \
-		-series /tmp/pageforge-smoke-series.json \
-		| jq -e '.experiments.efficiency.Rows | all(.Identical) and length > 0' > /dev/null
-	jq -e '.schema == "pageforge-series/v1" and (.tracks | length > 0) and ([.tracks[].points | length] | add > 0)' /tmp/pageforge-smoke-series.json > /dev/null
-	$(GO) run ./cmd/pageforge run -exp stream -fast -quiet -json \
-		| jq -e '.experiments.stream.Rows | all(.Identical) and length > 0' > /dev/null
-	@echo smoke OK
+	@set -eo pipefail; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/pageforge" ./cmd/pageforge; \
+	"$$dir/pageforge" run -exp table4 -fast -quiet -json -apps img_dnn,silo \
+		| jq -e '.experiments.table4.Rows | length > 0' > /dev/null; \
+	"$$dir/pageforge" run -exp pressure -fast -quiet -json \
+		| jq -e '.experiments.pressure.Rows | map(select(.Ratio >= 1.5)) | all(.Recovered) and length > 0' > /dev/null; \
+	"$$dir/pageforge" run -exp crash -fast -quiet -json -crash-passes 2 -ckpt-every 0,2 \
+		| jq -e '.experiments.crash.Rows | all(.Identical) and length > 0' > /dev/null; \
+	"$$dir/pageforge" run -exp efficiency -fast -quiet -json -apps img_dnn -series "$$dir/series.json" \
+		| jq -e '.experiments.efficiency.Rows | all(.Identical) and length > 0' > /dev/null; \
+	jq -e '.schema == "pageforge-series/v1" and (.tracks | length > 0) and ([.tracks[].points | length] | add > 0)' "$$dir/series.json" > /dev/null; \
+	"$$dir/pageforge" run -exp stream -fast -quiet -json \
+		| jq -e '.experiments.stream.Rows | all(.Identical) and length > 0' > /dev/null; \
+	echo smoke OK
 
 # fuzz gives the ECC decoder, page-key, snapshot-codec and frame-store
 # contracts a short native-fuzzing budget per target (raise FUZZTIME for a
@@ -83,7 +79,8 @@ cover:
 
 # ci is the gate every change must pass: compile, static checks, the full
 # test suite under the race detector (the experiment suite runs its
-# simulations through a concurrent worker pool), the short fuzz budget,
-# the CLI JSON smoke run, the benchmark module's tests, the coverage floor,
-# and the ledger and streaming overhead gates.
-ci: build vet race fuzz smoke perfbench-test cover perfcheck
+# simulations through a concurrent worker pool; the suite includes the
+# exact work-count golden and the zero-allocation pins), the short fuzz
+# budget, the CLI JSON smoke run, the benchmark module's tests and the
+# coverage floor. Every step is deterministic: no step gates on wall time.
+ci: build vet race fuzz smoke perfbench-test cover

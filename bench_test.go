@@ -23,6 +23,7 @@ import (
 	"repro/internal/ksm"
 	"repro/internal/mem"
 	"repro/internal/memctrl"
+	"repro/internal/obs"
 	"repro/internal/pageforge"
 	"repro/internal/platform"
 	"repro/internal/power"
@@ -474,15 +475,28 @@ func BenchmarkKSMScanOne(b *testing.B) {
 
 // BenchmarkKSMScanPassSharded measures full ScanPass calls over the same
 // deployment with 16 content shards and 2 workers, reporting allocations:
-// a steady-state pass allocates nothing.
+// a steady-state pass allocates nothing. The ledger-on case attaches the
+// merge-lifecycle provenance ledger, so the pair reports its overhead;
+// nothing gates on the ratio.
 func BenchmarkKSMScanPassSharded(b *testing.B) {
-	s := ksmBenchScanner(b, 4)
-	s.ScanPass(2)
-	s.ScanPass(2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.ScanPass(2)
+	for _, withLedger := range []bool{false, true} {
+		name := "ledger-off"
+		if withLedger {
+			name = "ledger-on"
+		}
+		b.Run(name, func(b *testing.B) {
+			s := ksmBenchScanner(b, 4)
+			if withLedger {
+				s.Ledger = obs.NewLedger(0)
+			}
+			s.ScanPass(2)
+			s.ScanPass(2)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.ScanPass(2)
+			}
+		})
 	}
 }
 

@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -66,8 +67,6 @@ func main() {
 		report(os.Args[2:])
 	case "bench":
 		bench(os.Args[2:])
-	case "perfcheck":
-		perfcheck(os.Args[2:])
 	case "sweep":
 		sweep(os.Args[2:])
 	default:
@@ -84,7 +83,6 @@ func usage() {
   pageforge explain [-mode KSM|PageForge] [-app name] [-fast] [-seed N] [-pfn N] [-json]
   pageforge report -series file [-ledger file] [-track substr]
   pageforge bench [-out BENCH_suite.json] [-fast] [-parallel N] [-seed N]
-  pageforge perfcheck [-tol 0.10]
   pageforge sweep [-app name] [-pages N] [-seconds S]`)
 }
 
@@ -864,31 +862,6 @@ func bench(args []string) {
 	}
 	elapsed := time.Since(start)
 
-	// Scan hot-path benchmark: sharded scan-pass throughput with and without
-	// the provenance ledger attached, on identical work.
-	scan, err := experiments.RunLedgerOverheadBench()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
-	}
-
-	// Crash-recovery benchmark: wall-clock cost of one audited
-	// checkpoint-crash-restore-replay point, including its bit-identity
-	// cross-check against the uninterrupted run.
-	crashRec, err := experiments.RunCrashBench(*seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
-	}
-
-	// Streaming-runtime benchmark: tick throughput of the stepped Runtime
-	// against batch Run on the same world, plus their bit-identity.
-	streamRec, err := experiments.RunStreamBench(*seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
-	}
-
 	type keyMetrics struct {
 		AvgDemandLatency float64 `json:"avg_demand_latency_cycles"`
 		DemandLatP95     float64 `json:"demand_latency_p95_cycles"`
@@ -898,17 +871,14 @@ func bench(args []string) {
 		SavedFrac        float64 `json:"memory_savings_frac"`
 	}
 	artifact := struct {
-		Schema      string                           `json:"schema"`
-		GoVersion   string                           `json:"go_version"`
-		Fast        bool                             `json:"fast"`
-		Seed        uint64                           `json:"seed"`
-		Parallelism int                              `json:"parallelism"`
-		ElapsedSecs float64                          `json:"elapsed_seconds"`
-		Scan        experiments.LedgerOverheadResult `json:"scan"`
-		CrashRec    experiments.CrashBenchResult     `json:"crash_recovery"`
-		Stream      experiments.StreamBenchResult    `json:"stream"`
-		Runs        []experiments.RunRecord          `json:"runs"`
-		KeyMetrics  map[string]keyMetrics            `json:"key_metrics"`
+		Schema      string                  `json:"schema"`
+		GoVersion   string                  `json:"go_version"`
+		Fast        bool                    `json:"fast"`
+		Seed        uint64                  `json:"seed"`
+		Parallelism int                     `json:"parallelism"`
+		ElapsedSecs float64                 `json:"elapsed_seconds"`
+		Runs        []experiments.RunRecord `json:"runs"`
+		KeyMetrics  map[string]keyMetrics   `json:"key_metrics"`
 	}{
 		Schema:      experiments.DocSchema,
 		GoVersion:   runtime.Version(),
@@ -916,9 +886,6 @@ func bench(args []string) {
 		Seed:        *seed,
 		Parallelism: *parallel,
 		ElapsedSecs: elapsed.Seconds(),
-		Scan:        scan,
-		CrashRec:    crashRec,
-		Stream:      streamRec,
 		Runs:        progress.Records(),
 		KeyMetrics:  make(map[string]keyMetrics),
 	}
@@ -940,56 +907,8 @@ func bench(args []string) {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "bench: %d runs in %.2fs, scan %.0f pages/s -> %s\n",
-		len(artifact.Runs), elapsed.Seconds(), scan.OffPagesPerSec, *out)
-}
-
-// perfcheck runs fresh on-vs-off gates on the machine at hand, with no
-// committed baseline: the merge-lifecycle ledger must stay nearly free on
-// the scan hot path, and a stepped Runtime must match batch Run bit for bit
-// at little extra cost.
-func perfcheck(args []string) {
-	fs := flag.NewFlagSet("perfcheck", flag.ExitOnError)
-	tol := fs.Float64("tol", 0.10, "allowed fractional scan slowdown with the ledger attached")
-	fs.Parse(args)
-
-	// Provenance-overhead gate: the merge-lifecycle ledger must stay nearly
-	// free on the scan hot path. This comparison is absolute and fresh —
-	// ledger-on vs ledger-off on this machine, right now — so it needs no
-	// committed baseline.
-	ov, err := experiments.RunLedgerOverheadBench()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "perfcheck:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "perfcheck: ledger overhead %.1f%% (off %.0f, on %.0f pages/s, %d events)\n",
-		ov.Overhead*100, ov.OffPagesPerSec, ov.OnPagesPerSec, ov.Events)
-	if ov.Overhead > *tol {
-		fmt.Fprintf(os.Stderr, "perfcheck: FAIL — provenance ledger costs more than %.0f%% of scan throughput\n", *tol*100)
-		os.Exit(1)
-	}
-
-	// Streaming-runtime gate: a stepped Runtime must produce a bit-identical
-	// Result to batch Run (hard fail) and cost essentially nothing over it.
-	// Both runs do identical work on this machine right now, so the overhead
-	// band is a fixed constant, generous only for scheduler jitter.
-	const streamTol = 0.25
-	st, err := experiments.RunStreamBench(0)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "perfcheck:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "perfcheck: stream overhead %.1f%% (%d ticks, %.0f ticks/s streamed, %.0f batch, identical=%v)\n",
-		st.Overhead*100, st.Ticks, st.TicksPerSec, st.BatchTicksPerSec, st.Identical)
-	if !st.Identical {
-		fmt.Fprintln(os.Stderr, "perfcheck: FAIL — streamed Runtime result diverged from batch Run")
-		os.Exit(1)
-	}
-	if st.Overhead > streamTol {
-		fmt.Fprintf(os.Stderr, "perfcheck: FAIL — streaming runtime costs more than %.0f%% over batch Run\n", streamTol*100)
-		os.Exit(1)
-	}
-	fmt.Fprintln(os.Stderr, "perfcheck: OK")
+	fmt.Fprintf(os.Stderr, "bench: %d runs in %.2fs -> %s\n",
+		len(artifact.Runs), elapsed.Seconds(), *out)
 }
 
 // sweep runs the dedup-aggressiveness study: the sleep_millisecs x
@@ -1008,6 +927,17 @@ func sweep(args []string) {
 		fmt.Fprintf(os.Stderr, "unknown application %q\n", *appName)
 		os.Exit(2)
 	}
+	if *pages < 1 {
+		fmt.Fprintf(os.Stderr, "-pages %d: need at least 1 page per VM\n", *pages)
+		os.Exit(2)
+	}
+	sleeps := []float64{2.5, 5, 10, 20}
+	longest := uint64(sleeps[len(sleeps)-1] * 2e6)
+	if math.IsNaN(*budget) || math.IsInf(*budget, 0) || *budget < 0 || uint64(*budget*2e9) < longest {
+		fmt.Fprintf(os.Stderr, "-seconds %g: need a finite budget covering at least one %g ms interval\n",
+			*budget, sleeps[len(sleeps)-1])
+		os.Exit(2)
+	}
 	app := *p
 	app.PagesPerVM = *pages
 
@@ -1016,7 +946,7 @@ func sweep(args []string) {
 	fmt.Printf("%12s %14s %12s %14s %12s\n",
 		"sleep_ms", "pages_to_scan", "savings", "kthread_core%", "full_scans")
 
-	for _, sleepMS := range []float64{2.5, 5, 10, 20} {
+	for _, sleepMS := range sleeps {
 		for _, pts := range []int{100, 400, 1600} {
 			img, err := pageforgesim.BuildImage(app, 10, 10*app.PagesPerVM*2, 31)
 			if err != nil {

@@ -64,3 +64,26 @@ func TestCheckExperimentAcceptsListedNames(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepRejectsBadInput pins the sweep's input checks. Unchecked, a
+// page count below 1 panics, a negative budget never returns, and a
+// budget shorter than the longest 20 ms interval prints NaN rows.
+func TestSweepRejectsBadInput(t *testing.T) {
+	for _, args := range [][]string{
+		{"-pages", "0"},
+		{"-pages", "-3"},
+		{"-seconds", "-1"},
+		{"-seconds", "0"},
+		{"-seconds", "0.015"},
+		{"-seconds", "NaN"},
+		{"-seconds", "+Inf"},
+	} {
+		stdout, stderr, code := runCLI(t, append([]string{"sweep"}, args...)...)
+		if code != 2 {
+			t.Errorf("sweep %v: exit status %d, want 2 (stderr %q)", args, code, stderr)
+		}
+		if stdout != "" || !strings.Contains(stderr, args[0]) {
+			t.Errorf("sweep %v: stdout %q, stderr %q; want no rows and a message naming %s", args, stdout, stderr, args[0])
+		}
+	}
+}

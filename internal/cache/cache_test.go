@@ -401,3 +401,29 @@ func TestWriteToL2ResidentSharedLine(t *testing.T) {
 		t.Fatal("writer not Modified after L2-hit write")
 	}
 }
+
+// TestHierarchyAccessZeroAlloc pins the cache model's hot path: once the
+// caches are warm, a coherent access allocates nothing, whether it hits a
+// private level or fills L1 and L2 from the L3 or memory.
+func TestHierarchyAccessZeroAlloc(t *testing.T) {
+	h := NewHierarchy(DefaultHierarchyConfig())
+	rng := sim.NewRNG(3)
+	const lines = 1 << 20 // 64 MB of lines: twice the L3
+	access := func() {
+		h.Access(rng.Intn(h.Cores()), uint64(rng.Intn(lines))*LineSize, rng.Bool(0.3), SrcApp)
+	}
+	for i := 0; i < 1<<16; i++ {
+		access()
+	}
+	// AllocsPerRun truncates its per-run average to an integer, so each run
+	// makes many calls: one allocation in a thousand still reads nonzero.
+	const calls = 1000
+	allocs := testing.AllocsPerRun(10, func() {
+		for i := 0; i < calls; i++ {
+			access()
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm Access made %v allocations per %d calls, want 0", allocs, calls)
+	}
+}

@@ -211,15 +211,17 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool, src SourceClass) A
 // (levels>=2), handling private-cache evictions (write back dirty victims
 // to the L3 / memory and clear directory bits when the last copy leaves).
 func (h *Hierarchy) fillPrivate(core int, addr uint64, state MESI, levels int) {
-	caches := []*Cache{h.l1[core]}
+	h.fillOne(core, h.l1[core], addr, state)
 	if levels >= 2 {
-		caches = append(caches, h.l2[core])
+		h.fillOne(core, h.l2[core], addr, state)
 	}
-	for _, c := range caches {
-		ev := c.Insert(addr, state)
-		if ev.Valid {
-			h.privateEvict(core, ev)
-		}
+}
+
+// fillOne inserts the line into one of the core's private caches and
+// handles the victim it displaces.
+func (h *Hierarchy) fillOne(core int, c *Cache, addr uint64, state MESI) {
+	if ev := c.Insert(addr, state); ev.Valid {
+		h.privateEvict(core, ev)
 	}
 }
 

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"reflect"
-	"time"
 
 	"repro/internal/check"
 	"repro/internal/faults"
@@ -169,39 +168,6 @@ func Crash(s *Suite, crashPasses, intervals []int) (*CrashResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// CrashBenchResult is the bench artifact's crash_recovery section: the
-// wall-clock cost of one audited crash-recovery point (including its
-// identity cross-check against the uninterrupted run) plus the simulated
-// recovery economics.
-type CrashBenchResult struct {
-	ElapsedMs      float64 `json:"elapsed_ms"`
-	Crashes        int     `json:"crashes"`
-	Checkpoints    int     `json:"checkpoints"`
-	RecoveryCycles uint64  `json:"recovery_cycles"`
-	ReplayedPasses int     `json:"replayed_passes"`
-	RemergedPages  uint64  `json:"remerged_pages"`
-	Identical      bool    `json:"identical"`
-}
-
-// RunCrashBench times one mid-convergence crash-recovery point for the
-// bench artifact.
-func RunCrashBench(seed uint64) (CrashBenchResult, error) {
-	start := time.Now()
-	row, err := crashPoint(seed, 2, 2)
-	if err != nil {
-		return CrashBenchResult{}, err
-	}
-	return CrashBenchResult{
-		ElapsedMs:      float64(time.Since(start).Microseconds()) / 1e3,
-		Crashes:        row.Crashes,
-		Checkpoints:    row.Checkpoints,
-		RecoveryCycles: row.RecoveryCycles,
-		ReplayedPasses: row.ReplayedPasses,
-		RemergedPages:  row.RemergedPages,
-		Identical:      row.Identical,
-	}, nil
 }
 
 // String renders the sweep as a table.

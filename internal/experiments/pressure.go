@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 
 	"repro/internal/check"
@@ -146,11 +147,13 @@ func Pressure(s *Suite, ratios []float64) (*PressureResult, error) {
 	if len(ratios) == 0 {
 		ratios = DefaultPressureRatios()
 	}
+	for _, ratio := range ratios {
+		if !(ratio >= 1) || math.IsInf(ratio, 1) { // also rejects NaN
+			return nil, fmt.Errorf("experiments: overcommit ratio %g not a finite value of at least 1", ratio)
+		}
+	}
 	res := &PressureResult{StormPages: 30, StormPasses: 3}
 	for _, ratio := range ratios {
-		if ratio < 1 {
-			return nil, fmt.Errorf("experiments: overcommit ratio %g below 1", ratio)
-		}
 		row, err := pressurePoint(s.Cfg.Seed, ratio)
 		if err != nil {
 			return nil, err

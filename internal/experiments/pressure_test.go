@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -39,7 +40,9 @@ func TestPressureSweepShape(t *testing.T) {
 }
 
 func TestPressureRatioValidation(t *testing.T) {
-	if _, err := Pressure(NewFastSuite(), []float64{0.5}); err == nil {
-		t.Fatal("ratio < 1 accepted")
+	for _, ratio := range []float64{0.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Pressure(NewFastSuite(), []float64{1.5, ratio}); err == nil {
+			t.Errorf("ratio %g accepted", ratio)
+		}
 	}
 }

@@ -171,11 +171,13 @@ func RAS(s *Suite, rates []float64) (*RASResult, error) {
 		passes      = 10
 		scrubBudget = 512
 	)
-	res := &RASResult{Passes: passes}
 	for _, rate := range rates {
-		if rate < 0 || rate > 1 {
+		if !(rate >= 0 && rate <= 1) { // also rejects NaN
 			return nil, fmt.Errorf("experiments: fault rate %g out of [0,1]", rate)
 		}
+	}
+	res := &RASResult{Passes: passes}
+	for _, rate := range rates {
 		res.Rows = append(res.Rows, rasPoint(s.Cfg.Seed, rate, passes, scrubBudget))
 	}
 	anchor := res.Rows[0].Merged

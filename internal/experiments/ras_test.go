@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -79,8 +80,10 @@ func TestRASSweepDeterminism(t *testing.T) {
 }
 
 func TestRASRateValidation(t *testing.T) {
-	if _, err := RAS(NewFastSuite(), []float64{0, 2}); err == nil {
-		t.Fatal("rate > 1 accepted")
+	for _, rate := range []float64{2, -0.1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := RAS(NewFastSuite(), []float64{0, rate}); err == nil {
+			t.Errorf("rate %g accepted", rate)
+		}
 	}
 }
 

@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 	"reflect"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/platform"
-	"repro/internal/tailbench"
 )
 
 // The stream experiment (a service-runtime extension beyond the paper's
@@ -168,88 +166,6 @@ func Stream(s *Suite) (*StreamResult, error) {
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
-}
-
-// StreamBenchResult is the bench artifact's stream section: steady-state
-// tick throughput of the streaming runtime against the batch driver on the
-// same world — the runtime must cost nothing over batch Run, which is the
-// machine-portable quantity perfcheck gates on (plus the bit-identity of
-// the two results).
-type StreamBenchResult struct {
-	ElapsedMs        float64 `json:"elapsed_ms"`
-	Ticks            int     `json:"ticks"`
-	TicksPerSec      float64 `json:"ticks_per_sec"`
-	BatchTicksPerSec float64 `json:"batch_ticks_per_sec"`
-	// Overhead is streamed wall-clock over batch wall-clock minus one
-	// (min-of-reps on both sides).
-	Overhead  float64 `json:"overhead"`
-	Identical bool    `json:"identical"`
-}
-
-// streamBenchWorld is a steady-state world: more passes and intervals than
-// the equivalence sweep so per-tick cost dominates setup.
-func streamBenchWorld(seed uint64) (tailbench.Profile, platform.Config) {
-	app, cfg := crashWorld()
-	cfg.Seed = seed
-	cfg.ConvergePasses = 12
-	cfg.MeasureIntervals = 4
-	return app, cfg
-}
-
-// RunStreamBench times the tick-driven runtime against batch Run on an
-// identical world, min-of-reps on both sides to shed scheduler noise.
-func RunStreamBench(seed uint64) (StreamBenchResult, error) {
-	const reps = 3
-	app, cfg := streamBenchWorld(seed)
-
-	var want *platform.Result
-	batchBest := time.Duration(0)
-	for r := 0; r < reps; r++ {
-		start := time.Now()
-		res, err := platform.Run(platform.PageForge, app, cfg)
-		if err != nil {
-			return StreamBenchResult{}, fmt.Errorf("experiments: stream bench (batch): %w", err)
-		}
-		if el := time.Since(start); batchBest == 0 || el < batchBest {
-			batchBest = el
-		}
-		want = res
-	}
-
-	var got *platform.Result
-	ticks := 0
-	streamBest := time.Duration(0)
-	for r := 0; r < reps; r++ {
-		rt := platform.NewRuntime(platform.PageForge, app, cfg)
-		start := time.Now()
-		if err := rt.Start(); err != nil {
-			return StreamBenchResult{}, fmt.Errorf("experiments: stream bench: %w", err)
-		}
-		n := 0
-		for {
-			done, err := rt.Step()
-			if err != nil {
-				return StreamBenchResult{}, fmt.Errorf("experiments: stream bench (streamed): %w", err)
-			}
-			n++
-			if done {
-				break
-			}
-		}
-		if el := time.Since(start); streamBest == 0 || el < streamBest {
-			streamBest = el
-		}
-		got, ticks = rt.Result(), n
-	}
-
-	return StreamBenchResult{
-		ElapsedMs:        float64(streamBest.Microseconds()) / 1e3,
-		Ticks:            ticks,
-		TicksPerSec:      float64(ticks) / streamBest.Seconds(),
-		BatchTicksPerSec: float64(ticks) / batchBest.Seconds(),
-		Overhead:         streamBest.Seconds()/batchBest.Seconds() - 1,
-		Identical:        reflect.DeepEqual(want, got),
-	}, nil
 }
 
 // String renders the sweep as a table.

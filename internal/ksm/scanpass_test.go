@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/rbtree"
 	"repro/internal/tailbench"
 )
@@ -179,21 +180,41 @@ func TestScanPassSingleShardDefault(t *testing.T) {
 // TestScanPassZeroAlloc pins the zero-garbage contract of a steady-state
 // pass: once two warm-up passes have sized the shard queues, the
 // accumulators and the unstable trees' node free lists, a pass with no
-// churn allocates nothing, inline (one worker) or with a goroutine fan-out.
+// churn allocates nothing, inline (one worker) or with a goroutine fan-out,
+// with or without the provenance ledger attached. The ledger-on case must
+// also scan the same candidates and reach the same merges as ledger-off,
+// and record events: a ledger that saw nothing pinned nothing.
 // AllocsPerRun measures at GOMAXPROCS 1. With more Ps the runtime may
 // allocate a goroutine descriptor per fan-out until its per-P free lists
 // have filled (tens of passes); those descriptors are reused, not garbage.
 func TestScanPassZeroAlloc(t *testing.T) {
 	for _, workers := range []int{1, 2} {
-		s := buildDupWorld(t, 3)
-		s.ScanPass(workers)
-		s.ScanPass(workers)
-		cmps := s.Alg.Unstable.Comparisons()
-		if allocs := testing.AllocsPerRun(10, func() { s.ScanPass(workers) }); allocs != 0 {
-			t.Errorf("workers %d: steady-state ScanPass made %v allocations, want 0", workers, allocs)
-		}
-		if s.Alg.Unstable.Comparisons() == cmps {
-			t.Fatalf("workers %d: measured passes built no unstable tree — test exercised nothing", workers)
+		var offCandidates int
+		var offMerges uint64
+		for _, withLedger := range []bool{false, true} {
+			s := buildDupWorld(t, 3)
+			if withLedger {
+				s.Ledger = obs.NewLedger(0)
+			}
+			candidates := s.ScanPass(workers).Scanned + s.ScanPass(workers).Scanned
+			cmps := s.Alg.Unstable.Comparisons()
+			if allocs := testing.AllocsPerRun(10, func() { candidates += s.ScanPass(workers).Scanned }); allocs != 0 {
+				t.Errorf("workers %d, ledger %v: steady-state ScanPass made %v allocations, want 0", workers, withLedger, allocs)
+			}
+			if s.Alg.Unstable.Comparisons() == cmps {
+				t.Fatalf("workers %d, ledger %v: measured passes built no unstable tree — test exercised nothing", workers, withLedger)
+			}
+			if !withLedger {
+				offCandidates, offMerges = candidates, s.Alg.HV.Merges
+				continue
+			}
+			if candidates != offCandidates || s.Alg.HV.Merges != offMerges {
+				t.Errorf("workers %d: ledger perturbed the scan: candidates %d, merges %d; ledger off %d, %d",
+					workers, candidates, s.Alg.HV.Merges, offCandidates, offMerges)
+			}
+			if s.Ledger.Len() == 0 {
+				t.Errorf("workers %d: ledger recorded no events", workers)
+			}
 		}
 	}
 }

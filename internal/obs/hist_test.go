@@ -229,6 +229,25 @@ func TestHistogramReset(t *testing.T) {
 	}
 }
 
+// TestHistogramAddZeroAlloc pins the histogram's hot path: once every
+// bucket an observation lands in exists, Add allocates nothing. Each
+// measured run makes many calls because AllocsPerRun truncates its
+// per-run average to an integer.
+func TestHistogramAddZeroAlloc(t *testing.T) {
+	h := NewHistogram()
+	i := 0
+	add := func() {
+		for j := 0; j < 1000; j++ {
+			h.Add(float64(i%600) - 10) // spans the zero bucket and ~600 cycles of latency
+			i++
+		}
+	}
+	add()
+	if allocs := testing.AllocsPerRun(10, add); allocs != 0 {
+		t.Errorf("warm Add made %v allocations per 1000 calls, want 0", allocs)
+	}
+}
+
 func BenchmarkHistogramAdd(b *testing.B) {
 	h := NewHistogram()
 	for i := 0; i < b.N; i++ {

@@ -20,10 +20,9 @@ import (
 // Crash tolerance. A checkpoint captures the ENTIRE simulated world at a
 // convergence-pass boundary — arena, page tables, rmap, dedup index
 // structure, engine counters, DRAM bank state, RAS and pressure policy
-// state, RNG streams, and the loop's own clocks — through the versioned
+// state, RNG streams, and the runtime's own clocks — through the versioned
 // snapshot codec. A host crash throws the live world away and restores the
-// newest checkpoint in place; the convergence loop then replays the lost
-// passes. Because the restore is bit-exact and every source of
+// newest checkpoint in place; the runtime then replays the lost passes. Because the restore is bit-exact and every source of
 // nondeterminism is part of the image, the replay reproduces exactly the
 // work the crash destroyed: a crashed-and-recovered run finishes with a
 // Result deeply equal to the uninterrupted run's (minus the Crash report
@@ -201,8 +200,7 @@ type worldPayload struct {
 }
 
 // crashEnv binds the crash machinery to one run's live objects, including
-// pointers into the convergence loop's locals so a restore can rewind them
-// in place (the objects keep their identity — every closure wired at build
+// pointers into the Runtime's fields so a restore can rewind them in place (the objects keep their identity — every closure wired at build
 // time stays valid across a restore).
 type crashEnv struct {
 	mode Mode
@@ -232,7 +230,7 @@ type crashEnv struct {
 	clk        *uint64
 	candidates *uint64
 	prevFrames *int
-	converged  *bool // the loop's early-convergence verdict; may be nil
+	converged  *bool // the early-convergence verdict; may be nil
 	passes     *int  // convergence passes recorded for the result; may be nil
 }
 
@@ -250,14 +248,14 @@ type crashState struct {
 	lastPass int
 
 	// forcedSW pins the software engine after recovery verification
-	// exhausted every fallback; the converge loop ORs it into wantSW.
+	// exhausted every fallback; Runtime.stepConverge ORs it into wantSW.
 	forcedSW bool
 
 	rep CrashReport
 }
 
-// newCrashState arms the machinery; env's loop-local pointers are bound by
-// converge before the first pass.
+// newCrashState arms the machinery over env, whose pointers Runtime.Start
+// binds to the Runtime's fields before the first pass.
 func newCrashState(cfg Config, env *crashEnv) *crashState {
 	cs := &crashState{every: cfg.CheckpointEvery, failures: cfg.RecoveryFailures, env: env}
 	if cfg.Crash.Enabled() {

@@ -59,10 +59,9 @@ type Config struct {
 	// stable/unstable trees (0 = single tree pair, classic KSM — the
 	// default, bit-identical to pre-sharding builds).
 	ShardBits int
-	// ShardWorkers, when > 0, runs KSM convergence passes through
-	// Scanner.ScanPass with that many workers fanning out across shards.
-	// Results are bit-identical at any worker count, including 1; 0 keeps
-	// the legacy sequential candidate loop. The measurement phase always
+	// ShardWorkers is the worker count KSM convergence passes fan out
+	// across shards through Scanner.ScanPass; 0 means one worker. Results
+	// are bit-identical at any worker count. The measurement phase always
 	// scans sequentially (its batches interleave with application traffic
 	// in simulated time).
 	ShardWorkers int

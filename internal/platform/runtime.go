@@ -529,8 +529,8 @@ func (r *Runtime) applyEvent(p int, e Event) error {
 // stepConverge runs one convergence pass: pending live events, the storm
 // windows, the pressure storm schedule, one engine pass, the RAS slice, the
 // health-driven engine swap, churn, verification, the convergence verdict,
-// the series sample, and the checkpoint/crash boundary. It is the batch
-// loop's body, statement for statement.
+// the series sample, and the checkpoint/crash boundary. Batch Run reaches
+// it through Drain, so streamed and batch runs share this one body.
 func (r *Runtime) stepConverge() error {
 	cfg, img, ps, ras, es, cs, sc := r.cfg, r.img, r.ps, r.ras, r.es, r.cs, r.sc
 	p := r.p
@@ -559,15 +559,7 @@ func (r *Runtime) stepConverge() error {
 		if ps != nil {
 			workers = ps.ctl.ScanWorkers(workers)
 		}
-		if workers > 0 {
-			res := r.scanner.ScanPass(workers)
-			r.candidates += uint64(res.Scanned)
-		} else {
-			for i := 0; i < pages; i++ {
-				r.scanner.ScanOne()
-				r.candidates++
-			}
-		}
+		r.candidates += uint64(r.scanner.ScanPass(max(1, workers)).Scanned)
 	default:
 		for i := 0; i < pages; i++ {
 			_, t, ok := r.driver.ScanOne(r.now)

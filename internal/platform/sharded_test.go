@@ -33,30 +33,3 @@ func TestShardedWorkerCountBitIdentical(t *testing.T) {
 		t.Fatal("sharded KSM run produced no savings — nothing was exercised")
 	}
 }
-
-// TestShardedMatchesMetricsOfSequential checks that turning sharding on
-// with a single shard and one worker reproduces the classic sequential
-// configuration's KSM scan metrics exactly (the degenerate path).
-func TestShardedMatchesMetricsOfSequential(t *testing.T) {
-	app := fastApp("silo")
-	legacy, err := Run(KSM, app, fastConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fastConfig()
-	cfg.ShardBits = 0
-	cfg.ShardWorkers = 1 // parallel code path, single shard
-	sharded, err := Run(KSM, app, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"ksm/bytes_touched", "ksm/dram_bytes", "ksm/pages_scanned"} {
-		if legacy.Metrics.Counters[key] != sharded.Metrics.Counters[key] {
-			t.Errorf("%s: legacy %d, sharded %d", key,
-				legacy.Metrics.Counters[key], sharded.Metrics.Counters[key])
-		}
-	}
-	if legacy.Footprint != sharded.Footprint {
-		t.Fatalf("footprint diverged: %+v vs %+v", legacy.Footprint, sharded.Footprint)
-	}
-}
