@@ -31,7 +31,9 @@ perfbench-test:
 	cd perfbench && GOTOOLCHAIN=local GOPROXY=off $(GO) test ./...
 
 # smoke exercises the CLI's machine-readable path end to end: a fast
-# two-app table4 run must emit a JSON document with populated rows, and the
+# two-app table4 run must emit a JSON document with populated rows, the
+# overcommitted pressure rows must have run their storm and recovered, every
+# crash row must have fired a crash and recovered bit-identically, and the
 # efficiency run must prove zero perturbation while writing a well-formed
 # per-pass series artifact. It builds the CLI once into a fresh temporary
 # directory, which also holds the series file, so a stale artifact from an
@@ -44,9 +46,9 @@ smoke:
 	"$$dir/pageforge" run -exp table4 -fast -quiet -json -apps img_dnn,silo \
 		| jq -e '.experiments.table4.Rows | length > 0' > /dev/null; \
 	"$$dir/pageforge" run -exp pressure -fast -quiet -json \
-		| jq -e '.experiments.pressure.Rows | map(select(.Ratio >= 1.5)) | all(.Recovered) and length > 0' > /dev/null; \
+		| jq -e '.experiments.pressure.Rows | map(select(.Ratio >= 1.5)) | all(.Recovered and .BurstPages > 0) and length > 0' > /dev/null; \
 	"$$dir/pageforge" run -exp crash -fast -quiet -json -crash-passes 2 -ckpt-every 0,2 \
-		| jq -e '.experiments.crash.Rows | all(.Identical) and length > 0' > /dev/null; \
+		| jq -e '.experiments.crash.Rows | all(.Identical and .Crashes > 0) and length > 0' > /dev/null; \
 	"$$dir/pageforge" run -exp efficiency -fast -quiet -json -apps img_dnn -series "$$dir/series.json" \
 		| jq -e '.experiments.efficiency.Rows | all(.Identical) and length > 0' > /dev/null; \
 	jq -e '.schema == "pageforge-series/v1" and (.tracks | length > 0) and ([.tracks[].points | length] | add > 0)' "$$dir/series.json" > /dev/null; \

@@ -5,7 +5,6 @@ import (
 	"reflect"
 
 	"repro/internal/check"
-	"repro/internal/faults"
 	"repro/internal/platform"
 	"repro/internal/tailbench"
 )
@@ -65,7 +64,8 @@ type CrashResult struct {
 // needs at least three passes (p >= 2), and the pass boundary fires the
 // crash plan before the convergence verdict, so every point up to pass 2
 // is guaranteed to crash on any world. (A pass scheduled beyond convergence
-// would simply never fire and degenerate to a pure checkpointing run.)
+// never fires; crashPoint rejects such a point rather than report a
+// recovery that never ran.)
 func DefaultCrashPasses() []int { return []int{0, 1, 2} }
 
 // DefaultCheckpointIntervals spans boot-only through every-pass
@@ -95,7 +95,7 @@ func crashPoint(seed uint64, crashPass, every int) (CrashRow, error) {
 	app, cfg := crashWorld()
 	cfg.Seed = seed
 	cfg.CheckpointEvery = every
-	cfg.Crash = faults.CrashConfig{Passes: []int{crashPass}}
+	cfg.Events = []platform.Event{{Pass: crashPass, Kind: platform.EvCrash}}
 
 	ck := &check.Checker{}
 	cfg.Verifier = ck
@@ -106,7 +106,7 @@ func crashPoint(seed uint64, crashPass, every int) (CrashRow, error) {
 
 	plain := cfg
 	plain.Verifier = nil
-	plain.Crash = faults.CrashConfig{}
+	plain.Events = nil
 	plain.CheckpointEvery = 0
 	want, err := platform.Run(platform.PageForge, app, plain)
 	if err != nil {
@@ -114,6 +114,13 @@ func crashPoint(seed uint64, crashPass, every int) (CrashRow, error) {
 	}
 
 	rep := res.Crash
+	if rep.Crashes == 0 {
+		// A crash scheduled past convergence never fires: the row would
+		// claim a recovery that never ran.
+		return CrashRow{}, fmt.Errorf(
+			"experiments: crash pass %d every %d: no crash fired (the run converged after %d passes)",
+			crashPass, every, res.ConvergedPasses)
+	}
 	a, b := *res, *want
 	a.Crash, b.Crash = platform.CrashReport{}, platform.CrashReport{}
 	identical := reflect.DeepEqual(&a, &b)

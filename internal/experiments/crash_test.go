@@ -65,3 +65,17 @@ func TestCrashGridValidation(t *testing.T) {
 		t.Fatal("negative checkpoint interval accepted")
 	}
 }
+
+// TestCrashPointRejectsUnfiredCrash: a crash scheduled after the world has
+// converged never fires, so the point must fail with an error naming the
+// crash pass and the converged pass count instead of printing a row that
+// claims a recovery it never ran.
+func TestCrashPointRejectsUnfiredCrash(t *testing.T) {
+	_, err := Crash(NewFastSuite(), []int{5}, []int{1})
+	if err == nil {
+		t.Fatal("crash scheduled past convergence produced a row")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "crash pass 5") || !strings.Contains(msg, "converged after") {
+		t.Fatalf("error does not name the crash pass and the converged passes: %v", err)
+	}
+}

@@ -68,6 +68,10 @@ func DefaultPressureRatios() []float64 {
 	return []float64{1.0, 1.25, 1.5, 2.0}
 }
 
+// pressureStorm is every point's allocation-burst storm: from pass 1, 30
+// fresh pages per VM per pass for 3 passes, torn down at pass 4.
+var pressureStorm = platform.Event{Pass: 1, Kind: platform.EvBalloonStorm, Pages: 30, Passes: 3}
+
 // pressureWorld is the storm deployment: a compact merge-poor fleet (low
 // dup/zero fractions, churn) so scanning cannot instantly reclaim the
 // burst — demand has to race merging for the ladder to see real pressure.
@@ -95,11 +99,8 @@ func pressurePoint(seed uint64, ratio float64) (PressureRow, error) {
 	pc := pressure.DefaultConfig()
 	pc.Enabled = true
 	pc.OvercommitRatio = ratio
-	pc.BurstStart = 1
-	pc.BurstPasses = 3
-	pc.BurstPages = 30
-	pc.BurstDupFrac = 0.5
 	cfg.Pressure = pc
+	cfg.Events = []platform.Event{pressureStorm}
 
 	ck := &check.Checker{}
 	cfg.Verifier = ck
@@ -152,7 +153,7 @@ func Pressure(s *Suite, ratios []float64) (*PressureResult, error) {
 			return nil, fmt.Errorf("experiments: overcommit ratio %g not a finite value of at least 1", ratio)
 		}
 	}
-	res := &PressureResult{StormPages: 30, StormPasses: 3}
+	res := &PressureResult{StormPages: pressureStorm.Pages, StormPasses: pressureStorm.Passes}
 	for _, ratio := range ratios {
 		row, err := pressurePoint(s.Cfg.Seed, ratio)
 		if err != nil {

@@ -8,32 +8,22 @@ import "sort"
 // generator or configured by an experiment), so two runs with the same
 // plan crash at exactly the same convergence passes.
 
-// CrashConfig schedules host crashes for one run. The zero value injects
-// nothing.
-type CrashConfig struct {
-	// Passes lists the 0-based convergence passes at whose boundary the
-	// host dies. Duplicates model back-to-back crashes within one re-arm
-	// window: the host comes back up, recovers, and dies again at the same
-	// boundary before taking another checkpoint.
-	Passes []int
-}
-
-// Enabled reports whether the configuration schedules any crash.
-func (c CrashConfig) Enabled() bool { return len(c.Passes) > 0 }
-
-// CrashPlan is the consumable schedule built from a CrashConfig: a sorted
-// queue of crash passes, popped as the convergence loop reaches them.
+// CrashPlan is the consumable crash schedule of one run: a sorted queue of
+// the 0-based convergence passes at whose boundary the host dies, popped as
+// the convergence loop reaches them. A pass listed twice models
+// back-to-back crashes within one re-arm window: the host comes back up,
+// recovers, and dies again at the same boundary before taking another
+// checkpoint.
 type CrashPlan struct {
 	queue []int
-	fired int
 }
 
-// NewCrashPlan builds a plan from the configuration. Negative passes are
-// dropped; the rest are sorted ascending so replayed boundaries (which
+// NewCrashPlan builds a plan crashing at the given passes. Negative passes
+// are dropped; the rest are sorted ascending so replayed boundaries (which
 // re-run earlier passes after a restore) never re-fire a consumed crash.
-func NewCrashPlan(cfg CrashConfig) *CrashPlan {
+func NewCrashPlan(passes []int) *CrashPlan {
 	p := &CrashPlan{}
-	for _, pass := range cfg.Passes {
+	for _, pass := range passes {
 		if pass >= 0 {
 			p.queue = append(p.queue, pass)
 		}
@@ -50,7 +40,6 @@ func (p *CrashPlan) FireAt(pass int) bool {
 		return false
 	}
 	p.queue = p.queue[1:]
-	p.fired++
 	return true
 }
 
@@ -67,9 +56,3 @@ func (p *CrashPlan) Add(pass int) {
 	copy(p.queue[i+1:], p.queue[i:])
 	p.queue[i] = pass
 }
-
-// Remaining reports how many scheduled crashes have not fired yet.
-func (p *CrashPlan) Remaining() int { return len(p.queue) }
-
-// Fired reports how many crashes have fired.
-func (p *CrashPlan) Fired() int { return p.fired }

@@ -7,17 +7,12 @@
 //     sensing) — always corrected by SECDED and healed by a re-read;
 //   - transient double-bit upsets per read — uncorrectable, but a bounded
 //     re-read usually returns clean data;
-//   - persistent stuck-at cells and stuck word pairs — hard faults that no
-//     retry or scrub heals, the quarantine policy's target;
-//   - latent retention errors — bits that decay in the array and persist
-//     until the line is rewritten, the patrol scrubber's reason to exist;
-//   - row-correlated bursts — windows during which every read of one DRAM
-//     row is corrupted (a weak wordline or neighbouring-row disturbance).
+//   - persistent stuck word pairs — hard faults that no retry or scrub
+//     heals, the quarantine policy's target.
 //
-// Everything derives from one seed through sim.RNG streams and stateless
-// per-line hashes, so a fixed access sequence produces a bit-identical
-// fault schedule: experiments stay reproducible and sequential and
-// parallel suite runs agree.
+// Everything derives from one seed through sim.RNG streams, so a fixed
+// access sequence produces a bit-identical fault schedule: experiments stay
+// reproducible and sequential and parallel suite runs agree.
 package faults
 
 import (
@@ -46,37 +41,18 @@ type Config struct {
 	// transient double-bit upset within one 64-bit word (uncorrectable
 	// poison; a re-read usually heals it).
 	DoubleBitPerRead float64
-	// StuckCells scatters this many persistent stuck-at bits over the
-	// Frames-frame array. A stuck cell forces its bit to a fixed value on
-	// every read, so it corrupts only content that disagrees with it.
-	StuckCells int
 	// StuckUEWords places this many word-aligned stuck-at bit *pairs*:
 	// lines that read uncorrectably for any content disagreeing with both
 	// cells. These never heal — the quarantine policy's target.
 	StuckUEWords int
 	// Frames is the physical frame count the hard-fault population
-	// scatters over (required when StuckCells or StuckUEWords is set).
+	// scatters over (required when StuckUEWords is set).
 	Frames int
-	// LatentMeanCycles, when non-zero, gives every line an independent
-	// retention-error process: one single-bit flip arrives in the array
-	// roughly every LatentMeanCycles cycles and persists until the line is
-	// rewritten. Unscrubbed lines accumulate flips into multi-bit
-	// (uncorrectable) corruption; patrol scrubbing resets the clock.
-	LatentMeanCycles uint64
-	// BurstMeanCycles, when non-zero, opens a burst window every
-	// BurstMeanCycles cycles, lasting BurstCycles, during which every read
-	// of one deterministically-chosen DRAM row suffers a double-bit upset
-	// (row-correlated errors: weak wordline, disturb noise).
-	BurstMeanCycles uint64
-	// BurstCycles is the length of each burst window.
-	BurstCycles uint64
 }
 
 // Enabled reports whether the configuration injects any faults at all.
 func (c Config) Enabled() bool {
-	return c.TransientPerRead > 0 || c.DoubleBitPerRead > 0 ||
-		c.StuckCells > 0 || c.StuckUEWords > 0 ||
-		c.LatentMeanCycles > 0 || c.BurstMeanCycles > 0
+	return c.TransientPerRead > 0 || c.DoubleBitPerRead > 0 || c.StuckUEWords > 0
 }
 
 // Stats counts injections by class.
@@ -84,9 +60,6 @@ type Stats struct {
 	TransientBits uint64 // transient single-bit upsets injected
 	DoubleBits    uint64 // transient double-bit upsets injected
 	StuckHits     uint64 // reads corrupted by stuck-at cells
-	LatentBits    uint64 // latent retention bits applied to reads
-	BurstHits     uint64 // reads corrupted inside a burst window
-	Rewrites      uint64 // lines rewritten (latent errors cleared)
 }
 
 // stuckCell is one hard-failed bit: it always reads as value set.
@@ -96,16 +69,12 @@ type stuckCell struct {
 }
 
 // Model is a deterministic fault injector for one DIMM. It satisfies
-// memctrl's FaultModel interface structurally (Corrupt + Rewrite).
+// memctrl's FaultModel interface structurally (Corrupt).
 type Model struct {
 	cfg   Config
 	rng   *sim.RNG               // per-read transient draws
 	stuck map[uint64][]stuckCell // line addr -> hard-failed cells
-	// lastWrite records, per line, the cycle of the last rewrite; latent
-	// retention flips are the arrivals of a deterministic per-line renewal
-	// process in (lastWrite, now]. Lines never written use time zero.
-	lastWrite map[uint64]uint64
-	stats     Stats
+	stats Stats
 	// boost is a live multiplier on the per-read transient/double-bit
 	// rates (1 = nominal). A fault-storm window raises it temporarily; it
 	// only amplifies an existing population (a zero base rate stays zero),
@@ -116,26 +85,21 @@ type Model struct {
 	boost float64
 }
 
-// NewModel builds the fault population from the configuration. Stuck-cell
+// NewModel builds the fault population from the configuration. Stuck-word
 // placement consumes a placement stream forked from the seed, so the same
 // seed always fails the same cells.
 func NewModel(cfg Config) *Model {
 	m := &Model{
-		cfg:       cfg,
-		rng:       sim.NewRNG(cfg.Seed ^ 0x0DD5EED5),
-		stuck:     make(map[uint64][]stuckCell),
-		lastWrite: make(map[uint64]uint64),
-		boost:     1,
+		cfg:   cfg,
+		rng:   sim.NewRNG(cfg.Seed ^ 0x0DD5EED5),
+		stuck: make(map[uint64][]stuckCell),
+		boost: 1,
 	}
 	frames := cfg.Frames
 	if frames <= 0 {
 		frames = 1
 	}
 	place := sim.NewRNG(cfg.Seed ^ 0x57C4C311)
-	for i := 0; i < cfg.StuckCells; i++ {
-		addr := m.randLineAddr(place, frames)
-		m.stuck[addr] = append(m.stuck[addr], stuckCell{bit: place.Intn(lineBits), set: place.Bool(0.5)})
-	}
 	for i := 0; i < cfg.StuckUEWords; i++ {
 		addr := m.randLineAddr(place, frames)
 		w := place.Intn(mem.LineSize * 8 / wordBits)
@@ -208,12 +172,6 @@ func (m *Model) Corrupt(addr, now uint64, line []byte) {
 			m.stats.StuckHits++
 		}
 	}
-	if m.cfg.LatentMeanCycles > 0 {
-		m.applyLatent(addr, now, line)
-	}
-	if m.cfg.BurstMeanCycles > 0 {
-		m.applyBurst(addr, now, line)
-	}
 	if m.cfg.TransientPerRead > 0 && m.rng.Bool(m.rate(m.cfg.TransientPerRead)) {
 		flipBit(line, m.rng.Intn(lineBits))
 		m.stats.TransientBits++
@@ -226,84 +184,6 @@ func (m *Model) Corrupt(addr, now uint64, line []byte) {
 		flipBit(line, w*wordBits+b2)
 		m.stats.DoubleBits++
 	}
-}
-
-// Rewrite tells the model that the line at addr was re-encoded and written
-// back at cycle now (a demand write or a patrol-scrub repair): accumulated
-// latent retention errors are cleared. Hard faults remain, by definition.
-func (m *Model) Rewrite(addr, now uint64) {
-	if m.cfg.LatentMeanCycles == 0 {
-		return
-	}
-	m.lastWrite[addr] = now
-	m.stats.Rewrites++
-}
-
-// latentCap bounds how many retention flips one line accumulates; beyond a
-// handful the line is thoroughly uncorrectable anyway and unbounded counts
-// would only slow pathological configurations down.
-const latentCap = 6
-
-// applyLatent flips the retention-error bits that have arrived in the
-// line's array cells since its last rewrite. Arrivals are a deterministic
-// per-line renewal process: flip k of line L happens at a cycle derived by
-// hashing (seed, L, k), spaced LatentMeanCycles apart on average. The same
-// (line, rewrite history, now) therefore always yields the same corruption
-// — reads do not mutate state, so replaying a schedule is exact.
-func (m *Model) applyLatent(addr, now uint64, line []byte) {
-	since := m.lastWrite[addr] // zero if never rewritten
-	if now <= since {
-		return
-	}
-	mean := m.cfg.LatentMeanCycles
-	// Walk the line's arrival sequence. Arrival k lands at the cumulative
-	// sum of k hashed inter-arrival gaps in [mean/2, 3*mean/2); the epoch
-	// restarts at each rewrite so healed flips stay healed.
-	t := since
-	for k := 0; k < latentCap; k++ {
-		h := mix64(m.cfg.Seed ^ addr ^ uint64(k)*0x9E3779B97F4A7C15 ^ since)
-		gap := mean/2 + h%mean
-		t += gap
-		if t > now {
-			return
-		}
-		flipBit(line, int(mix64(h^0xB17F11B5)%lineBits))
-		m.stats.LatentBits++
-	}
-}
-
-// applyBurst corrupts the read when now falls inside a burst window that
-// targets the read's DRAM row. Window w spans
-// [w*BurstMeanCycles, w*BurstMeanCycles+BurstCycles) and targets row
-// hash(seed, w) of the array; rows are 8KB-aligned address ranges, the
-// row-buffer granularity of the dram model's default geometry.
-func (m *Model) applyBurst(addr, now uint64, line []byte) {
-	w := now / m.cfg.BurstMeanCycles
-	if now-w*m.cfg.BurstMeanCycles >= m.cfg.BurstCycles {
-		return
-	}
-	const rowBytes = 8 << 10
-	frames := m.cfg.Frames
-	if frames <= 0 {
-		frames = 1
-	}
-	rows := uint64(frames) * mem.PageSize / rowBytes
-	if rows == 0 {
-		rows = 1
-	}
-	target := mix64(m.cfg.Seed^0xB0857^w) % rows
-	if addr/rowBytes != target {
-		return
-	}
-	// Double-bit corruption within one word: uncorrectable for the whole
-	// window, healing only when the window closes.
-	h := mix64(m.cfg.Seed ^ addr ^ w)
-	word := int(h % (lineBits / wordBits))
-	b1 := int((h >> 8) % wordBits)
-	b2 := (b1 + 1 + int((h>>16)%(wordBits-1))) % wordBits
-	flipBit(line, word*wordBits+b1)
-	flipBit(line, word*wordBits+b2)
-	m.stats.BurstHits++
 }
 
 func flipBit(line []byte, bit int) {
@@ -319,13 +199,4 @@ func forceBit(line []byte, bit int, v bool) bool {
 	}
 	line[bit/8] ^= mask
 	return true
-}
-
-// mix64 is one splitmix64 finalization step: the stateless hash behind
-// latent and burst scheduling.
-func mix64(z uint64) uint64 {
-	z += 0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
 }

@@ -23,9 +23,6 @@ func replay(m *Model, scheduleSeed uint64, steps int) []byte {
 		}
 		m.Corrupt(addr, now, line)
 		out = append(out, line...)
-		if r.Bool(0.1) {
-			m.Rewrite(addr, now)
-		}
 	}
 	return out
 }
@@ -35,12 +32,8 @@ func TestModelDeterminism(t *testing.T) {
 		Seed:             42,
 		TransientPerRead: 0.3,
 		DoubleBitPerRead: 0.1,
-		StuckCells:       16,
 		StuckUEWords:     4,
 		Frames:           32,
-		LatentMeanCycles: 5_000,
-		BurstMeanCycles:  20_000,
-		BurstCycles:      4_000,
 	}
 	a := replay(NewModel(cfg), 7, 500)
 	b := replay(NewModel(cfg), 7, 500)
@@ -55,7 +48,11 @@ func TestModelDeterminism(t *testing.T) {
 	}
 }
 
-func TestStuckCellsPersistAcrossRewrites(t *testing.T) {
+// TestStuckWordsPersist: a stuck word is a hard fault. The model keeps no
+// write history, so a write-back cannot heal it: its corruption depends
+// only on the line and its contents, and repeated reads of the same
+// contents corrupt identically.
+func TestStuckWordsPersist(t *testing.T) {
 	cfg := Config{Seed: 9, StuckUEWords: 2, Frames: 4}
 	m := NewModel(cfg)
 	lines := m.StuckLines()
@@ -79,81 +76,11 @@ func TestStuckCellsPersistAcrossRewrites(t *testing.T) {
 		}
 		first = l
 	}
-	// Persistent: the same read yields the same corruption, and a rewrite
-	// does not clear hard faults.
-	m.Rewrite(addr, 200)
+	// Persistent: the same read yields the same corruption.
 	second := read()
 	third := read()
 	if !bytes.Equal(second, third) {
 		t.Fatal("stuck-cell corruption is not stable across reads")
-	}
-}
-
-func TestLatentErrorsAccumulateAndRewriteHeals(t *testing.T) {
-	cfg := Config{Seed: 5, LatentMeanCycles: 1_000, Frames: 4}
-	m := NewModel(cfg)
-	addr := uint64(mem.PFN(1).LineAddr(3))
-	flips := func(now uint64) int {
-		l := make([]byte, mem.LineSize)
-		m.Corrupt(addr, now, l)
-		n := 0
-		for _, b := range l {
-			for ; b != 0; b &= b - 1 {
-				n++
-			}
-		}
-		return n
-	}
-	if n := flips(100); n != 0 {
-		t.Fatalf("latent flips before the first mean interval: %d", n)
-	}
-	early := flips(2_000)
-	late := flips(100_000)
-	if late < early || late == 0 {
-		t.Fatalf("latent errors do not accumulate: early=%d late=%d", early, late)
-	}
-	if late > latentCap {
-		t.Fatalf("latent flips exceed cap: %d", late)
-	}
-	// Identical reads are identical: no read-side state.
-	if a, b := flips(50_000), flips(50_000); a != b {
-		t.Fatalf("latent corruption not deterministic: %d vs %d", a, b)
-	}
-	// A rewrite resets the retention clock.
-	m.Rewrite(addr, 100_000)
-	if n := flips(100_100); n != 0 {
-		t.Fatalf("rewrite did not clear latent errors: %d flips", n)
-	}
-	if n := flips(400_000); n == 0 {
-		t.Fatal("no new latent errors accumulate after a rewrite")
-	}
-}
-
-func TestBurstWindowTargetsOneRow(t *testing.T) {
-	cfg := Config{Seed: 11, BurstMeanCycles: 100_000, BurstCycles: 10_000, Frames: 32}
-	m := NewModel(cfg)
-	const rowBytes = 8 << 10
-	rows := 32 * mem.PageSize / rowBytes
-	inWindow := uint64(5_000)   // inside window 0
-	outWindow := uint64(50_000) // between windows
-	corrupted := -1
-	for row := 0; row < rows; row++ {
-		l := make([]byte, mem.LineSize)
-		m.Corrupt(uint64(row*rowBytes), inWindow, l)
-		if !bytes.Equal(l, make([]byte, mem.LineSize)) {
-			if corrupted >= 0 {
-				t.Fatalf("burst hit rows %d and %d; want exactly one row", corrupted, row)
-			}
-			corrupted = row
-		}
-	}
-	if corrupted < 0 {
-		t.Fatal("burst window corrupted no row")
-	}
-	l := make([]byte, mem.LineSize)
-	m.Corrupt(uint64(corrupted*rowBytes), outWindow, l)
-	if !bytes.Equal(l, make([]byte, mem.LineSize)) {
-		t.Fatal("burst corruption outside the window")
 	}
 }
 
@@ -209,10 +136,7 @@ func TestEnabled(t *testing.T) {
 	for _, c := range []Config{
 		{TransientPerRead: 0.1},
 		{DoubleBitPerRead: 0.1},
-		{StuckCells: 1},
 		{StuckUEWords: 1},
-		{LatentMeanCycles: 1},
-		{BurstMeanCycles: 1},
 	} {
 		if !c.Enabled() {
 			t.Fatalf("config %+v reports disabled", c)

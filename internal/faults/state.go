@@ -1,43 +1,24 @@
 package faults
 
-import "sort"
-
 // Checkpoint support. The stuck-cell population is immutable configuration
 // (rebuilt identically from the seed), so a model image is just the
-// transient-draw RNG position, the per-line rewrite epochs, and the
-// injection counters. The rate tracker is pure policy state and serializes
-// field-for-field.
-
-// RewriteState is one line's last-rewrite epoch.
-type RewriteState struct {
-	Addr uint64
-	At   uint64
-}
+// transient-draw RNG position and the injection counters. The rate tracker
+// is pure policy state and serializes field-for-field.
 
 // ModelState is the serialized image of a fault Model.
 type ModelState struct {
-	RNG       uint64
-	LastWrite []RewriteState
-	Stats     Stats
+	RNG   uint64
+	Stats Stats
 }
 
 // State captures the model's mutable state.
 func (m *Model) State() ModelState {
-	st := ModelState{RNG: m.rng.State(), Stats: m.stats}
-	for addr, at := range m.lastWrite {
-		st.LastWrite = append(st.LastWrite, RewriteState{Addr: addr, At: at})
-	}
-	sort.Slice(st.LastWrite, func(i, j int) bool { return st.LastWrite[i].Addr < st.LastWrite[j].Addr })
-	return st
+	return ModelState{RNG: m.rng.State(), Stats: m.stats}
 }
 
 // SetState restores the model's mutable state in place.
 func (m *Model) SetState(st ModelState) {
 	m.rng.SetState(st.RNG)
-	m.lastWrite = make(map[uint64]uint64, len(st.LastWrite))
-	for _, rw := range st.LastWrite {
-		m.lastWrite[rw.Addr] = rw.At
-	}
 	m.stats = st.Stats
 }
 

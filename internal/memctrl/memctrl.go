@@ -37,24 +37,18 @@ type pendingRead struct {
 // FaultModel corrupts line data arriving from the DRAM array before the
 // controller's ECC decoder sees it. Implementations must be deterministic
 // for a deterministic access sequence (the RAS experiments depend on it).
-// Rewrite tells the model a line was re-encoded and written back — a
-// demand write or a patrol-scrub repair — clearing accumulated soft
-// errors; hard faults survive it. faults.Model is the production
-// implementation; FaultFunc adapts ad-hoc test closures.
+// faults.Model is the production implementation; FaultFunc adapts test
+// closures.
 type FaultModel interface {
 	Corrupt(addr, now uint64, line []byte)
-	Rewrite(addr, now uint64)
 }
 
-// FaultFunc adapts a plain corruption closure (the old FaultInject test
-// hook) to the FaultModel interface; rewrites are ignored.
+// FaultFunc adapts a plain corruption closure, which needs no read cycle,
+// to the FaultModel interface.
 type FaultFunc func(addr uint64, line []byte)
 
 // Corrupt applies the closure.
 func (f FaultFunc) Corrupt(addr, now uint64, line []byte) { f(addr, line) }
-
-// Rewrite is a no-op: closure-injected faults carry no array state.
-func (f FaultFunc) Rewrite(addr, now uint64) {}
 
 // Controller is one memory controller. The platform instantiates two and
 // places the PageForge module in one of them (Figure 5).
@@ -102,11 +96,6 @@ func (c *Controller) DemandAccess(addr uint64, now uint64, write bool, src dram.
 		// read must not coalesce into the pre-write read's completion
 		// window and observe stale data timing.
 		delete(c.pending, lineAddr)
-		if c.Faults != nil {
-			// A write re-encodes the line: accumulated soft errors in the
-			// array are overwritten along with the data.
-			c.Faults.Rewrite(lineAddr, now)
-		}
 		return c.DRAM.Access(lineAddr, now, true, src)
 	}
 	c.Stats.DemandReads++

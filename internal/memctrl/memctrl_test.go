@@ -218,27 +218,6 @@ func TestFaultInjectionPath(t *testing.T) {
 	}
 }
 
-// rewriteRecorder verifies the controller notifies the fault model of
-// line write-backs.
-type rewriteRecorder struct {
-	rewrites map[uint64]uint64
-}
-
-func (r *rewriteRecorder) Corrupt(addr, now uint64, line []byte) {}
-func (r *rewriteRecorder) Rewrite(addr, now uint64)              { r.rewrites[addr] = now }
-
-func TestDemandWriteNotifiesFaultModel(t *testing.T) {
-	c, phys, _ := newCtrl(4, false)
-	pfn := fillFrame(phys)
-	rec := &rewriteRecorder{rewrites: make(map[uint64]uint64)}
-	c.Faults = rec
-	addr := uint64(pfn.LineAddr(2))
-	c.DemandAccess(addr, 500, true, dram.SrcCore)
-	if now, ok := rec.rewrites[addr]; !ok || now != 500 {
-		t.Fatalf("write did not reach the fault model: %v", rec.rewrites)
-	}
-}
-
 func TestPendingMapPruning(t *testing.T) {
 	c, phys, _ := newCtrl(8, false)
 	pfn := fillFrame(phys)

@@ -23,9 +23,10 @@ type ScrubStats struct {
 // array line by line on a per-call budget, issuing background-class DRAM
 // reads (dram.SrcScrub — demand traffic preempts them exactly like
 // PageForge traffic), re-encoding and writing back lines the SECDED
-// engine corrected, and logging uncorrectable lines for policy. Scrubbing
-// is what keeps latent retention errors from accumulating past the
-// correction capability.
+// engine corrected, and logging uncorrectable lines for policy. Its reads
+// decode through the same fault model and SECDED engine as every fetch, so
+// the walk also samples the array's error rate for the controller's ECC
+// counters, which the platform's degradation tracker watches.
 type Scrubber struct {
 	MC *Controller
 
@@ -90,13 +91,10 @@ func (s *Scrubber) Step(now uint64, budget int) uint64 {
 				s.Trace.Instant(obs.TIDScrub, "ras", "scrub_ue", now, "addr", addr)
 			}
 		case s.MC.Stats.ECCCorrected > corrBefore:
-			// Corrected: write the repaired line back, clearing the
-			// array's accumulated soft errors before they compound.
+			// Corrected: write the repaired line back, as a patrol
+			// scrubber does.
 			wlat := s.MC.DRAM.Access(addr, now, true, dram.SrcScrub)
 			s.MC.Stats.ECCEncodes++
-			if s.MC.Faults != nil {
-				s.MC.Faults.Rewrite(addr, now)
-			}
 			now += wlat
 			s.Stats.BusyCycles += wlat
 			s.Stats.Corrected++

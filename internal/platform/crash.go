@@ -236,10 +236,10 @@ type crashEnv struct {
 
 // crashState is the per-run crash/checkpoint machinery.
 type crashState struct {
-	plan     *faults.CrashPlan // nil when only checkpointing is armed
-	every    int               // checkpoint cadence in passes (0 = boot only)
-	failures int               // injected recovery failures remaining (test hook)
-	obs      CrashObserver     // may be nil
+	plan     *faults.CrashPlan
+	every    int           // checkpoint cadence in passes (0 = boot only)
+	failures int           // injected recovery failures remaining (test hook)
+	obs      CrashObserver // may be nil
 	env      *crashEnv
 
 	boot     []byte // blob captured before the first pass
@@ -255,11 +255,14 @@ type crashState struct {
 }
 
 // newCrashState arms the machinery over env, whose pointers Runtime.Start
-// binds to the Runtime's fields before the first pass.
-func newCrashState(cfg Config, env *crashEnv) *crashState {
-	cs := &crashState{every: cfg.CheckpointEvery, failures: cfg.RecoveryFailures, env: env}
-	if cfg.Crash.Enabled() {
-		cs.plan = faults.NewCrashPlan(cfg.Crash)
+// binds to the Runtime's fields before the first pass, crashing the host at
+// the boundaries closing crashPasses.
+func newCrashState(cfg Config, crashPasses []int, env *crashEnv) *crashState {
+	cs := &crashState{
+		plan:     faults.NewCrashPlan(crashPasses),
+		every:    cfg.CheckpointEvery,
+		failures: cfg.RecoveryFailures,
+		env:      env,
 	}
 	if o, ok := cfg.Verifier.(CrashObserver); ok {
 		cs.obs = o
@@ -486,7 +489,7 @@ func (cs *crashState) boundary(p int) (resume int, restored bool, err error) {
 			return 0, false, err
 		}
 	}
-	if cs.plan != nil && cs.plan.FireAt(p) {
+	if cs.plan.FireAt(p) {
 		resume, err = cs.crashAt(p)
 		if err != nil {
 			return 0, false, err

@@ -17,6 +17,29 @@ func crashTestConfig() Config {
 	return cfg
 }
 
+// crashAt schedules host crashes at the given pass boundaries on top of
+// cfg's event schedule, copying the schedule so the caller's slice is never
+// aliased.
+func crashAt(cfg *Config, passes ...int) {
+	events := append([]Event(nil), cfg.Events...)
+	for _, p := range passes {
+		events = append(events, Event{Pass: p, Kind: EvCrash})
+	}
+	cfg.Events = events
+}
+
+// withoutCrashes returns the event schedule minus its EvCrash entries: the
+// uninterrupted reference run of a crash test.
+func withoutCrashes(events []Event) []Event {
+	var out []Event
+	for _, e := range events {
+		if e.Kind != EvCrash {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 // assertCrashIdentity runs cfg as given (crash machinery armed) and once
 // more with the machinery stripped, and requires the two Results to be
 // deeply equal once the Crash report — the one section documenting the
@@ -30,7 +53,7 @@ func assertCrashIdentity(t *testing.T, mode Mode, app tailbench.Profile, cfg Con
 		t.Fatalf("crashed run failed: %v", err)
 	}
 	plain := cfg
-	plain.Crash = faults.CrashConfig{}
+	plain.Events = withoutCrashes(cfg.Events)
 	plain.CheckpointEvery = 0
 	plain.RecoveryFailures = 0
 	want, err := Run(mode, app, plain)
@@ -69,7 +92,7 @@ func TestCrashRestoreResultIdentity(t *testing.T) {
 				tc.tune(&cfg)
 			}
 			cfg.CheckpointEvery = 2
-			cfg.Crash = faults.CrashConfig{Passes: []int{2}}
+			crashAt(&cfg, 2)
 			rep := assertCrashIdentity(t, tc.mode, fastApp("img_dnn"), cfg)
 			if rep.Crashes != 1 || rep.Restores != 1 {
 				t.Fatalf("crashes=%d restores=%d, want 1/1", rep.Crashes, rep.Restores)
@@ -110,7 +133,7 @@ func TestCheckpointingIsPure(t *testing.T) {
 // target is the boot checkpoint — the whole convergence phase replays.
 func TestCrashWithZeroCheckpoints(t *testing.T) {
 	cfg := crashTestConfig()
-	cfg.Crash = faults.CrashConfig{Passes: []int{2}}
+	crashAt(&cfg, 2)
 	rep := assertCrashIdentity(t, PageForge, fastApp("img_dnn"), cfg)
 	if rep.Crashes != 1 || rep.Restores != 1 {
 		t.Fatalf("crashes=%d restores=%d, want 1/1", rep.Crashes, rep.Restores)
@@ -132,7 +155,7 @@ func TestCrashWithZeroCheckpoints(t *testing.T) {
 func TestBackToBackCrashes(t *testing.T) {
 	cfg := crashTestConfig()
 	cfg.CheckpointEvery = 2
-	cfg.Crash = faults.CrashConfig{Passes: []int{2, 2}}
+	crashAt(&cfg, 2, 2)
 	rep := assertCrashIdentity(t, KSM, fastApp("img_dnn"), cfg)
 	if rep.Crashes != 2 || rep.Restores != 2 {
 		t.Fatalf("crashes=%d restores=%d, want 2/2", rep.Crashes, rep.Restores)
@@ -150,7 +173,7 @@ func TestCrashDuringBalloonStorm(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			app, cfg := stormConfig(7)
 			cfg.CheckpointEvery = 2
-			cfg.Crash = faults.CrashConfig{Passes: []int{2}} // mid-burst (storm runs passes 1-3)
+			crashAt(&cfg, 2) // mid-burst (storm runs passes 1-3)
 			rep := assertCrashIdentity(t, mode, app, cfg)
 			if rep.Crashes != 1 {
 				t.Fatalf("Crashes = %d, want 1", rep.Crashes)
@@ -171,7 +194,7 @@ func TestRecoveryRetryAndDegradation(t *testing.T) {
 	// still holds.
 	cfg := crashTestConfig()
 	cfg.CheckpointEvery = 2
-	cfg.Crash = faults.CrashConfig{Passes: []int{2}}
+	crashAt(&cfg, 2)
 	cfg.RecoveryFailures = 2
 	rep := assertCrashIdentity(t, PageForge, app, cfg)
 	if rep.RecoveryRetries != 2 {

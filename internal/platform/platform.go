@@ -86,21 +86,21 @@ type Config struct {
 	Faults faults.Config
 
 	// Pressure arms the memory-pressure resilience layer: overcommitted
-	// arena sizing, an allocation-burst storm, the stall/balloon reclaim
-	// protocol, watermark-driven scan backpressure, and the reversible
-	// degradation ladder. The zero value (Enabled false) creates nothing
-	// and leaves runs bit-identical to pre-pressure builds.
+	// arena sizing, the stall/balloon reclaim protocol, watermark-driven
+	// scan backpressure, and the reversible degradation ladder. The storm
+	// that exercises it is an EvBalloonStorm in Events. The zero value
+	// (Enabled false) creates nothing and leaves runs bit-identical to
+	// pre-pressure builds.
 	Pressure pressure.Config
 
-	// Crash schedules deterministic host crashes at convergence-pass
-	// boundaries (see internal/faults.CrashConfig); CheckpointEvery
-	// checkpoints the full simulator state every N convergence passes
-	// (0 = boot checkpoint only). A crashed run restores the newest
-	// checkpoint, verifies the recovered dedup index, and replays the lost
-	// passes; its Result (minus the Crash report) is bit-identical to the
-	// uninterrupted run's. Both zero values create nothing and leave runs
-	// bit-identical to pre-crash builds.
-	Crash           faults.CrashConfig
+	// CheckpointEvery checkpoints the full simulator state every N
+	// convergence passes (0 = boot checkpoint only). The checkpoint/crash
+	// machinery is armed when CheckpointEvery > 0 or Events holds an
+	// EvCrash. A crashed run restores the newest checkpoint, verifies the
+	// recovered dedup index, and replays the lost passes; its Result (minus
+	// the Crash report) is bit-identical to the uninterrupted run's. With
+	// neither set nothing is created and runs stay bit-identical to
+	// pre-crash builds.
 	CheckpointEvery int
 	// RecoveryFailures injects that many recovery-verification failures
 	// (test hook): each consumes one restore attempt, exercising the
@@ -130,13 +130,15 @@ type Config struct {
 	// to an unledgered one.
 	Ledger *obs.Ledger
 
-	// Events schedules live workload events — VM spawn/kill, application
-	// phase changes, balloon storms, fault storms, host crashes — at
-	// convergence-pass boundaries. Each event applies at the top of its
-	// pass, in Pass order (ties keep list order), exactly as if the same
-	// event had been Injected into a streaming Runtime before that pass ran;
-	// EvCrash entries fold into Crash.Passes at Start. Ignored by Baseline
-	// (which runs no convergence passes).
+	// Events is the one schedule of pass-boundary disturbances — VM
+	// spawn/kill, application phase changes, balloon storms, fault storms,
+	// host crashes. Each event applies at the top of its pass, in Pass
+	// order (ties keep list order), exactly as if the same event had been
+	// Injected into a streaming Runtime before that pass ran; an EvCrash
+	// fires at the boundary closing its pass. An event at or past
+	// ConvergePasses never applies and is ignored, where Inject rejects
+	// it: the workload shrinker lowers ConvergePasses under fixed event
+	// passes. Ignored by Baseline (which runs no convergence passes).
 	Events []Event
 
 	// Verifier, when non-nil, receives model-based checking callbacks: once
@@ -277,7 +279,7 @@ type Result struct {
 	Pressure pressure.Report
 
 	// Crash is the checkpoint/crash/recovery machinery's report (Enabled
-	// false when neither Config.Crash nor CheckpointEvery is armed). It is
+	// false when neither an EvCrash nor CheckpointEvery is configured). It is
 	// the one Result section excluded from the crash bit-identity contract.
 	Crash CrashReport
 

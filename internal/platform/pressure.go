@@ -1,8 +1,6 @@
 package platform
 
 import (
-	"fmt"
-
 	"repro/internal/obs"
 	"repro/internal/pressure"
 	"repro/internal/tailbench"
@@ -10,13 +8,13 @@ import (
 )
 
 // pressureState bundles the live memory-pressure resilience machinery of
-// one run: the watermark/latency controller, the degradation ladder, the
-// balloon device, and the synthetic allocation-burst storm. It installs the
-// hypervisor's Reclaim hook, so every guest-path allocation that finds the
-// arena exhausted stalls (simulated backoff) and balloon-reclaims instead
-// of failing outright. Everything it does is deterministic: policy state
-// advances only on simulation observations, never on wall-clock or
-// randomness, so same-seed runs produce deeply-equal pressure.Reports.
+// one run: the watermark/latency controller, the degradation ladder, and
+// the balloon device. It installs the hypervisor's Reclaim hook, so every
+// guest-path allocation that finds the arena exhausted stalls (simulated
+// backoff) and balloon-reclaims instead of failing outright. Everything it
+// does is deterministic: policy state advances only on simulation
+// observations, never on wall-clock or randomness, so same-seed runs
+// produce deeply-equal pressure.Reports.
 type pressureState struct {
 	cfg     pressure.Config
 	ctl     *pressure.Controller
@@ -96,36 +94,12 @@ func (ps *pressureState) ueRate() float64 {
 	return ps.ras.tracker.Rate()
 }
 
-// stormActive reports whether converge pass p is inside the burst window.
-func (ps *pressureState) stormActive(p int) bool {
-	return p >= ps.cfg.BurstStart && p < ps.cfg.BurstStart+ps.cfg.BurstPasses
-}
-
-// quiescent reports whether the storm is over and the ladder is back to
-// Healthy — the gate for converge's early-exit (a run must not declare
-// steady state while degraded or mid-storm).
-func (ps *pressureState) quiescent(p int) bool {
-	return p >= ps.cfg.BurstStart+ps.cfg.BurstPasses && ps.ladder.State() == pressure.Healthy
-}
-
-// beginPass drives the storm schedule at the top of converge pass p: burst
-// writes inside the window, teardown of the whole burst region at its end.
-// Burst writes run on the guest demand path, so they stall and balloon when
-// the arena is exhausted; an error here is a genuine OOM (the hook gave up).
-func (ps *pressureState) beginPass(p int, now uint64) error {
-	switch {
-	case ps.stormActive(p):
-		n, err := ps.img.BurstWrite(ps.cfg.BurstPages, ps.cfg.BurstDupFrac)
-		ps.rep.BurstPages += uint64(n)
-		if err != nil {
-			return fmt.Errorf("platform: burst at pass %d: %w", p, err)
-		}
-		ps.sc.Instant(obs.TIDPlatform, "pressure", "burst", now, "pages", uint64(n))
-	case p == ps.cfg.BurstStart+ps.cfg.BurstPasses:
-		released := ps.img.ReleaseBurst()
-		ps.sc.Instant(obs.TIDPlatform, "pressure", "burst_teardown", now, "pages", uint64(released))
-	}
-	return nil
+// quiescent reports whether converge pass p is past the balloon-storm
+// window closing at stormUntil and the ladder is back to Healthy — the gate
+// for converge's early exit (a run must not declare steady state while
+// degraded or mid-storm).
+func (ps *pressureState) quiescent(p, stormUntil int) bool {
+	return p >= stormUntil && ps.ladder.State() == pressure.Healthy
 }
 
 // observe closes one observation window (a converge pass or a measurement

@@ -9,8 +9,8 @@ import (
 )
 
 // stormConfig builds a compact overcommitted deployment: demand (resident
-// image + burst region) is ~1.6x the arena, and the storm runs for three
-// converge passes. The image is deliberately merge-poor (low dup/zero
+// image + burst region) is ~1.6x the arena, and a balloon storm runs for
+// converge passes 1-3. The image is deliberately merge-poor (low dup/zero
 // fractions) with churn, so scanning cannot instantly reclaim the burst —
 // demand has to outpace merging for the ladder to see sustained pressure.
 func stormConfig(seed uint64) (tailbench.Profile, Config) {
@@ -29,11 +29,8 @@ func stormConfig(seed uint64) (tailbench.Profile, Config) {
 	pc := pressure.DefaultConfig()
 	pc.Enabled = true
 	pc.OvercommitRatio = 1.6
-	pc.BurstStart = 1
-	pc.BurstPasses = 3
-	pc.BurstPages = 30
-	pc.BurstDupFrac = 0.5
 	cfg.Pressure = pc
+	cfg.Events = []Event{{Pass: 1, Kind: EvBalloonStorm, Pages: 30, Passes: 3}}
 	return app, cfg
 }
 

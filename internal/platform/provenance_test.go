@@ -46,7 +46,7 @@ func TestProvenanceBitIdentical(t *testing.T) {
 		{"PageForge-crash", PageForge, func() (tailbench.Profile, Config) {
 			cfg := crashTestConfig()
 			cfg.CheckpointEvery = 2
-			cfg.Crash = faults.CrashConfig{Passes: []int{2}}
+			crashAt(&cfg, 2)
 			return fastApp("img_dnn"), cfg
 		}},
 	}
@@ -89,7 +89,7 @@ func TestCrashRoundTripWithProvenance(t *testing.T) {
 		cfg := crashTestConfig()
 		if crash {
 			cfg.CheckpointEvery = 2
-			cfg.Crash = faults.CrashConfig{Passes: []int{2}}
+			crashAt(&cfg, 2)
 		}
 		return cfg
 	}
@@ -164,7 +164,7 @@ func TestMetricNameHygiene(t *testing.T) {
 	app, cfg := stormConfig(11)
 	cfg.Faults = faults.Config{Seed: 3, TransientPerRead: 0.01, DoubleBitPerRead: 0.001}
 	cfg.CheckpointEvery = 2
-	cfg.Crash = faults.CrashConfig{Passes: []int{2}}
+	crashAt(&cfg, 2)
 	instrument(&cfg)
 	res, err := Run(PageForge, app, cfg)
 	if err != nil {

@@ -53,16 +53,19 @@ const (
 	EvPhaseChange
 	// EvBalloonStorm opens an allocation-burst window: Event.Pages burst
 	// writes per pass for Event.Passes passes, torn down at the window's
-	// end. No-op for profiles without a burst region.
+	// end. One window is open at a time; a later storm replaces the open
+	// one (the teardown releases the whole burst region either way). Under
+	// an armed pressure layer the written pages count toward the pressure
+	// report's BurstPages. No-op for profiles without a burst region.
 	EvBalloonStorm
 	// EvFaultStorm multiplies the DRAM fault model's transient rates by
 	// Event.Boost for Event.Passes passes. No-op without an armed fault
 	// model.
 	EvFaultStorm
 	// EvCrash kills the host at the boundary closing pass Event.Pass. It
-	// never enters the event stream: a config-scheduled EvCrash folds into
-	// Config.Crash at Start, an injected one goes straight to the armed
-	// crash plan.
+	// never enters the pass stream: Start builds the crash plan from the
+	// config-scheduled EvCrash entries, and Inject adds an injected one to
+	// that plan.
 	EvCrash
 )
 
@@ -100,9 +103,11 @@ type Event struct {
 	Boost  float64 // EvFaultStorm: transient fault-rate multiplier
 }
 
-// eventBurstDupFrac is the duplicate fraction of event-driven balloon-storm
-// writes (the pressure layer's config-scheduled storm has its own knob).
-const eventBurstDupFrac = 0.5
+// stormDupFrac is the duplicate fraction of balloon-storm writes: half
+// of each storm's pages draw contents from a small shared pool the scanner
+// can merge away (serverless cold-start: near-identical sandboxes spiking
+// allocation), which is the reclaim race the pressure layer is built for.
+const stormDupFrac = 0.5
 
 // eventState is the live-event stream's mutable state: the schedule, the
 // applied cursor, and the storm windows applied events opened. The cursor
@@ -206,14 +211,14 @@ func (r *Runtime) Start() error {
 	r.started = true
 	mode, app := r.mode, r.app
 
-	// Fold the config-scheduled event stream: EvCrash entries arm the crash
+	// Split the config-scheduled events: EvCrash entries go to the crash
 	// plan (they are boundary actions, not pass-top events); the rest sort
-	// stably by pass into the live stream. The cfg copy gets its own Passes
-	// slice so the caller's config is never aliased.
+	// stably by pass into the live stream.
 	r.ev = newEventState()
+	var crashPasses []int
 	for _, e := range r.cfg.Events {
 		if e.Kind == EvCrash {
-			r.cfg.Crash.Passes = append(append([]int(nil), r.cfg.Crash.Passes...), e.Pass)
+			crashPasses = append(crashPasses, e.Pass)
 			continue
 		}
 		r.ev.events = append(r.ev.events, e)
@@ -402,10 +407,10 @@ func (r *Runtime) Start() error {
 			converged: &r.convergedEarly, passes: &r.passes,
 		}
 		// Crash tolerance: checkpoint/restore machinery, armed only when a
-		// crash schedule or a checkpoint cadence is configured. Baseline has
-		// no dedup state to recover (and no convergence phase to crash in).
-		if cfg.Crash.Enabled() || cfg.CheckpointEvery > 0 {
-			r.cs = newCrashState(cfg, r.env)
+		// crash event or a checkpoint cadence is configured. Baseline has no
+		// dedup state to recover (and no convergence phase to crash in).
+		if len(crashPasses) > 0 || cfg.CheckpointEvery > 0 {
+			r.cs = newCrashState(cfg, crashPasses, r.env)
 			// Boot checkpoint: recovery always has at least the pre-pass
 			// world to fall back to.
 			if err := r.cs.checkpoint(-1); err != nil {
@@ -459,7 +464,10 @@ func (r *Runtime) Step() (done bool, err error) {
 // p, then drives the storm windows: balloon-storm burst writes inside the
 // window (teardown at its end) and the fault model's transient-rate boost,
 // both re-derived from the checkpointed window fields every pass so crash
-// replays and fresh-runtime restores reproduce them exactly.
+// replays and fresh-runtime restores reproduce them exactly. Burst writes
+// run on the guest demand path, so under an armed pressure layer they stall
+// and balloon when the arena is exhausted; an error is a genuine OOM (the
+// reclaim hook gave up).
 func (r *Runtime) applyEvents(p int) error {
 	ev := r.ev
 	for ev.cursor < len(ev.events) && ev.events[ev.cursor].Pass <= p {
@@ -472,7 +480,10 @@ func (r *Runtime) applyEvents(p int) error {
 	if ev.bsUntil > ev.bsStart {
 		switch {
 		case p >= ev.bsStart && p < ev.bsUntil:
-			n, err := r.img.BurstWrite(ev.bsPages, eventBurstDupFrac)
+			n, err := r.img.BurstWrite(ev.bsPages, stormDupFrac)
+			if r.ps != nil {
+				r.ps.rep.BurstPages += uint64(n)
+			}
 			if err != nil {
 				return fmt.Errorf("platform: event burst at pass %d: %w", p, err)
 			}
@@ -527,9 +538,9 @@ func (r *Runtime) applyEvent(p int, e Event) error {
 }
 
 // stepConverge runs one convergence pass: pending live events, the storm
-// windows, the pressure storm schedule, one engine pass, the RAS slice, the
-// health-driven engine swap, churn, verification, the convergence verdict,
-// the series sample, and the checkpoint/crash boundary. Batch Run reaches
+// windows, one engine pass, the RAS slice, the health-driven engine swap,
+// churn, verification, the convergence verdict, the series sample, and the
+// checkpoint/crash boundary. Batch Run reaches
 // it through Drain, so streamed and batch runs share this one body.
 func (r *Runtime) stepConverge() error {
 	cfg, img, ps, ras, es, cs, sc := r.cfg, r.img, r.ps, r.ras, r.es, r.cs, r.sc
@@ -537,11 +548,6 @@ func (r *Runtime) stepConverge() error {
 	cfg.Ledger.SetPass(p)
 	if err := r.applyEvents(p); err != nil {
 		return err
-	}
-	if ps != nil {
-		if err := ps.beginPass(p, r.now); err != nil {
-			return err
-		}
 	}
 	pages := r.alg.MergeablePages()
 	switch {
@@ -555,11 +561,7 @@ func (r *Runtime) stepConverge() error {
 		cfg.Ledger.Append(obs.LedgerEvent{Kind: obs.LKShed, Cause: obs.CauseBackpressureShed,
 			VM: -1, PFN: obs.LedgerNoPFN, Arg: uint64(pages)})
 	case r.scanner != nil:
-		workers := cfg.ShardWorkers
-		if ps != nil {
-			workers = ps.ctl.ScanWorkers(workers)
-		}
-		r.candidates += uint64(r.scanner.ScanPass(max(1, workers)).Scanned)
+		r.candidates += uint64(r.scanner.ScanPass(max(1, cfg.ShardWorkers)).Scanned)
 	default:
 		for i := 0; i < pages; i++ {
 			_, t, ok := r.driver.ScanOne(r.now)
@@ -619,7 +621,7 @@ func (r *Runtime) stepConverge() error {
 	}
 	frames := img.HV.Phys.AllocatedFrames()
 	sc.Instant(obs.TIDPlatform, "interval", "pass", r.now, "frames", uint64(frames))
-	converged := frames == r.prevFrames && p >= 2 && (ps == nil || ps.quiescent(p))
+	converged := frames == r.prevFrames && p >= 2 && (ps == nil || ps.quiescent(p, r.ev.bsUntil))
 	r.prevFrames = frames
 	// Sample the series at the pass boundary, before the checkpoint: the
 	// track's ring is part of the checkpointed world, so a replayed pass
@@ -780,8 +782,10 @@ func (r *Runtime) finishRun() {
 // Inject schedules one live event into the running stream. Events apply at
 // the top of a convergence pass; an event scheduled for a pass the runtime
 // has already reached applies at the top of the next pass. EvCrash routes
-// to the armed crash plan (Config.Crash or CheckpointEvery must have armed
-// the machinery at Start). Only the convergence phase accepts events.
+// to the crash plan (CheckpointEvery or a config-scheduled EvCrash must
+// have armed the machinery at Start). Only the convergence phase accepts
+// events, and only for passes below ConvergePasses: the phase ends before
+// any later pass, so such an event could never apply.
 func (r *Runtime) Inject(e Event) error {
 	if !r.started {
 		return fmt.Errorf("platform: inject: runtime not started")
@@ -795,12 +799,13 @@ func (r *Runtime) Inject(e Event) error {
 	if e.Pass < r.p {
 		e.Pass = r.p
 	}
+	if e.Pass >= r.cfg.ConvergePasses {
+		return fmt.Errorf("platform: inject: %v at pass %d is past the last convergence pass %d",
+			e.Kind, e.Pass, r.cfg.ConvergePasses-1)
+	}
 	if e.Kind == EvCrash {
 		if r.cs == nil {
-			return fmt.Errorf("platform: inject: crash machinery not armed (set CheckpointEvery or Crash)")
-		}
-		if r.cs.plan == nil {
-			r.cs.plan = faults.NewCrashPlan(faults.CrashConfig{})
+			return fmt.Errorf("platform: inject: crash machinery not armed (set CheckpointEvery or schedule an EvCrash)")
 		}
 		r.cs.plan.Add(e.Pass)
 		return nil

@@ -101,11 +101,18 @@ func TestStreamEquivalence(t *testing.T) {
 				{Pass: 2, Kind: EvFaultStorm, Passes: 3, Boost: 25},
 				{Pass: 3, Kind: EvVMKill, VM: 1},
 			}},
+		// The overcommit storm itself moves from the config schedule to the
+		// live stream: a pressure storm injected live must match the same
+		// storm scheduled in the config.
 		{"KSM-storm", KSM,
-			func() (tailbench.Profile, Config) { return stormConfig(7) },
+			func() (tailbench.Profile, Config) {
+				app, cfg := stormConfig(7)
+				cfg.Events = nil
+				return app, cfg
+			},
 			[]Event{
+				{Pass: 1, Kind: EvBalloonStorm, Pages: 30, Passes: 3},
 				{Pass: 1, Kind: EvVMKill, VM: 0},
-				{Pass: 2, Kind: EvBalloonStorm, Pages: 20, Passes: 2},
 			}},
 		{"PageForge-crash", PageForge,
 			func() (tailbench.Profile, Config) {
@@ -242,6 +249,37 @@ func TestSnapshotBaselineRejected(t *testing.T) {
 	}
 	if err := r.Inject(Event{Kind: EvVMSpawn}); err == nil {
 		t.Fatal("Baseline inject succeeded")
+	}
+}
+
+// TestInjectRejectsPastHorizon pins the Inject contract at the end of the
+// convergence phase: an event whose pass is at or past ConvergePasses could
+// never apply (the phase ends first), so Inject rejects it rather than
+// accepting an event that silently never happens. The last pass still
+// accepts events, crashes included.
+func TestInjectRejectsPastHorizon(t *testing.T) {
+	cfg := fastConfig()
+	cfg.CheckpointEvery = 2
+	r := NewRuntime(KSM, fastApp("silo"), cfg)
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	last := cfg.ConvergePasses - 1
+	for _, e := range []Event{
+		{Pass: cfg.ConvergePasses, Kind: EvVMKill},
+		{Pass: cfg.ConvergePasses + 5, Kind: EvCrash},
+	} {
+		if err := r.Inject(e); err == nil {
+			t.Fatalf("Inject accepted %v at pass %d, past the last convergence pass %d", e.Kind, e.Pass, last)
+		}
+	}
+	for _, e := range []Event{
+		{Pass: last, Kind: EvPhaseChange, Frac: 0.1},
+		{Pass: last, Kind: EvCrash},
+	} {
+		if err := r.Inject(e); err != nil {
+			t.Fatalf("Inject rejected %v at the last convergence pass %d: %v", e.Kind, last, err)
+		}
 	}
 }
 

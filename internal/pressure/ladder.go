@@ -220,7 +220,7 @@ type Report struct {
 
 	// ThrottledPoints counts observation windows spent latency-throttled;
 	// PausedPasses counts scan passes skipped on the ScanPaused rung;
-	// BurstPages is the total storm pages written.
+	// BurstPages is the total balloon-storm pages written.
 	ThrottledPoints uint64
 	PausedPasses    uint64
 	BurstPages      uint64

@@ -75,8 +75,9 @@ func (w Watermarks) levelOf(freeFrac float64) Level {
 	}
 }
 
-// Config carries every knob of the resilience layer, plus the storm the
-// platform synthesizes to exercise it. The zero value disables everything.
+// Config carries every knob of the resilience layer. It is pure policy:
+// the allocation storms that exercise it are scheduled as platform events.
+// The zero value disables everything.
 type Config struct {
 	// Enabled arms the layer: overcommitted arena sizing, the stall/balloon
 	// reclaim path, watermark backpressure, and the degradation ladder.
@@ -87,28 +88,14 @@ type Config struct {
 	// the default (comfortable) arena sizing.
 	OvercommitRatio float64
 
-	// Allocation-burst storm schedule, in convergence passes: starting at
-	// pass BurstStart, every VM writes BurstPages fresh pages per pass for
-	// BurstPasses passes (serverless cold-start: near-identical sandboxes
-	// spiking allocation), then tears the burst region down. BurstDupFrac
-	// of the writes draw contents from a small shared pool — duplicates the
-	// scanner can merge away, which is exactly the reclaim race the paper's
-	// consolidation story is about.
-	BurstStart   int
-	BurstPasses  int
-	BurstPages   int
-	BurstDupFrac float64
-
 	Watermarks Watermarks
 
 	// BoostBudget multiplies the per-interval scan-page budget while the
 	// level is at or above LevelMin (merging is reclaim); ShedBudget
 	// multiplies it while the controller is latency-throttled or the ladder
-	// sits on its throttled rung. BoostWorkers adds scan-pass workers under
-	// the same high-pressure condition.
-	BoostBudget  float64
-	ShedBudget   float64
-	BoostWorkers int
+	// sits on its throttled rung.
+	BoostBudget float64
+	ShedBudget  float64
 
 	// Demand-path p99 latency backpressure: the smoothed p99, as a ratio
 	// over the first measured baseline, trips throttling above LatTrip and
@@ -130,13 +117,12 @@ type Config struct {
 }
 
 // DefaultConfig returns the policy defaults with Enabled left false; the
-// caller arms it and sets the overcommit/storm shape.
+// caller arms it and sets the overcommit ratio.
 func DefaultConfig() Config {
 	return Config{
 		Watermarks:      DefaultWatermarks(),
 		BoostBudget:     2,
 		ShedBudget:      0.5,
-		BoostWorkers:    2,
 		LatAlpha:        0.4,
 		LatTrip:         1.5,
 		LatClear:        1.15,
@@ -256,18 +242,4 @@ func (c *Controller) ScanBudget(base int) int {
 	default:
 		return base
 	}
-}
-
-// ScanWorkers scales a scan-pass worker count: extra workers at LevelMin
-// and above (unless throttled). A base of 0 (sequential scanning) is
-// preserved — worker fan-out never switches on implicitly, because the
-// parallel pass is bit-identical but a different code path.
-func (c *Controller) ScanWorkers(base int) int {
-	if base <= 0 {
-		return base
-	}
-	if c.level >= LevelMin && !c.throttled {
-		return base + c.cfg.BoostWorkers
-	}
-	return base
 }

@@ -78,25 +78,16 @@ func TestLatencyThrottleHysteresis(t *testing.T) {
 	}
 }
 
-// TestScanScaling pins the budget/worker outputs in each controller state.
+// TestScanScaling pins the budget output in each controller state.
 func TestScanScaling(t *testing.T) {
-	cfg := DefaultConfig() // boost 2x, shed 0.5x, +2 workers
+	cfg := DefaultConfig() // boost 2x, shed 0.5x
 	c := NewController(cfg)
 	if got := c.ScanBudget(400); got != 400 {
 		t.Fatalf("healthy budget = %d", got)
 	}
-	if got := c.ScanWorkers(2); got != 2 {
-		t.Fatalf("healthy workers = %d", got)
-	}
 	c.ObserveFree(5, 100) // min pressure
 	if got := c.ScanBudget(400); got != 800 {
 		t.Fatalf("boosted budget = %d, want 800", got)
-	}
-	if got := c.ScanWorkers(2); got != 4 {
-		t.Fatalf("boosted workers = %d, want 4", got)
-	}
-	if got := c.ScanWorkers(0); got != 0 {
-		t.Fatal("worker boost switched on parallel scanning implicitly")
 	}
 	// Latency throttling overrides the boost.
 	c.ObserveLatency(100)
@@ -109,9 +100,6 @@ func TestScanScaling(t *testing.T) {
 	}
 	if got := c.ScanBudget(1); got != 1 {
 		t.Fatal("shed budget dropped below 1")
-	}
-	if got := c.ScanWorkers(2); got != 2 {
-		t.Fatalf("throttled workers = %d, want base", got)
 	}
 }
 

@@ -53,8 +53,8 @@ type Scenario struct {
 
 	// Memory-pressure shape (0/0/0 = pressure layer off). Overcommit > 1
 	// sizes the arena below guest demand and arms the stall/balloon/ladder
-	// machinery; the storm writes BurstPages fresh pages per VM per pass
-	// for BurstPasses passes.
+	// machinery; a balloon storm from pass 1 writes BurstPages fresh pages
+	// per VM per pass for BurstPasses passes.
 	Overcommit  float64
 	BurstPages  int
 	BurstPasses int
@@ -75,9 +75,10 @@ type Scenario struct {
 	LedgerOn bool
 
 	// Live-event schedule (0 = none; passes are 1-based like CrashPassA/B).
-	// The scenario streams these through platform.Config.Events: a VM spawned
-	// mid-run, a live VM killed mid-run, and an application phase flip.
-	// Scalars only, same shrinker-== discipline as the crash shape.
+	// The scenario streams these, like its storm and crashes, through
+	// platform.Config.Events: a VM spawned mid-run, a live VM killed
+	// mid-run, and an application phase flip. Scalars only, same
+	// shrinker-== discipline as the crash shape.
 	SpawnAtPass     int
 	KillVMAtPass    int
 	KillVM          int // victim ID when KillVMAtPass > 0
@@ -235,18 +236,16 @@ func (s Scenario) Config() platform.Config {
 		pc := pressure.DefaultConfig()
 		pc.Enabled = true
 		pc.OvercommitRatio = s.Overcommit
-		pc.BurstStart = 1
-		pc.BurstPasses = s.BurstPasses
-		pc.BurstPages = s.BurstPages
-		pc.BurstDupFrac = 0.5
 		cfg.Pressure = pc
+		cfg.Events = append(cfg.Events, platform.Event{Pass: 1, Kind: platform.EvBalloonStorm,
+			Pages: s.BurstPages, Passes: s.BurstPasses})
 	}
 	cfg.CheckpointEvery = s.CheckpointEvery
 	if s.CrashPassA > 0 {
-		cfg.Crash.Passes = append(cfg.Crash.Passes, s.CrashPassA-1)
+		cfg.Events = append(cfg.Events, platform.Event{Pass: s.CrashPassA - 1, Kind: platform.EvCrash})
 	}
 	if s.CrashPassB > 0 {
-		cfg.Crash.Passes = append(cfg.Crash.Passes, s.CrashPassB-1)
+		cfg.Events = append(cfg.Events, platform.Event{Pass: s.CrashPassB - 1, Kind: platform.EvCrash})
 	}
 	if s.LedgerOn {
 		// A ledger is per-run state, so every Config() call mints a fresh one

@@ -165,9 +165,13 @@ func TestScenarioConfigMapsFields(t *testing.T) {
 	}
 
 	sc.Overcommit, sc.BurstPages, sc.BurstPasses = 1.5, 20, 2
-	pcfg := sc.Config().Pressure
-	if !pcfg.Enabled || pcfg.OvercommitRatio != 1.5 || pcfg.BurstPages != 20 || pcfg.BurstPasses != 2 {
-		t.Fatalf("pressure shape not mapped: %+v", pcfg)
+	pcfg := sc.Config()
+	if !pcfg.Pressure.Enabled || pcfg.Pressure.OvercommitRatio != 1.5 {
+		t.Fatalf("pressure shape not mapped: %+v", pcfg.Pressure)
+	}
+	storm := platform.Event{Pass: 1, Kind: platform.EvBalloonStorm, Pages: 20, Passes: 2}
+	if len(pcfg.Events) == 0 || pcfg.Events[0] != storm {
+		t.Fatalf("storm not scheduled as %+v: %+v", storm, pcfg.Events)
 	}
 	if bp := sc.Profile().BurstPagesPerVM; bp != 40 {
 		t.Fatalf("burst region not sized for the whole storm: %d", bp)
