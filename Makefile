@@ -56,13 +56,17 @@ smoke:
 		| jq -e '.experiments.stream.Rows | all(.Identical) and length > 0' > /dev/null; \
 	echo smoke OK
 
-# fuzz gives the ECC decoder, page-key, snapshot-codec and frame-store
-# contracts a short native-fuzzing budget per target (raise FUZZTIME for a
-# real campaign). Any ≤2-bit corruption must be corrected or detected, never
-# silently miscorrected; any mutated snapshot envelope must be rejected with
-# a typed error, never decoded into garbage or a panic; any program of frame
-# operations must leave the copy-on-write slot store equal to a flat arena.
+# fuzz gives the ECC encoder, ECC decoder, page-key, snapshot-codec and
+# frame-store contracts a short native-fuzzing budget per target (raise
+# FUZZTIME for a real campaign). The table-driven encoder must match the
+# popcount reference on any word; any ≤2-bit corruption must be corrected or
+# detected, never silently miscorrected; any mutated snapshot envelope must
+# be rejected with a typed error, never decoded into garbage or a panic; any
+# program of frame operations must leave the copy-on-write slot store equal
+# to a flat arena, with free frames on the zero page and one slot per
+# distinct content after every restore.
 fuzz:
+	$(GO) test -run='^$$' -fuzz='^FuzzEncodeTable$$' -fuzztime=$(FUZZTIME) ./internal/ecc/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/ecc/
 	$(GO) test -run='^$$' -fuzz='^FuzzPageKey$$' -fuzztime=$(FUZZTIME) ./internal/ecc/
 	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotDecode$$' -fuzztime=$(FUZZTIME) ./internal/snapshot/

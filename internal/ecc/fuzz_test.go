@@ -54,6 +54,23 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
+// FuzzEncodeTable checks the table-driven encoder against the reference
+// popcount encoder on arbitrary words, and that Decode accepts the table's
+// code as clean.
+func FuzzEncodeTable(f *testing.F) {
+	f.Add(uint64(0))
+	f.Add(^uint64(0))
+	f.Add(uint64(0xDEADBEEFCAFEF00D))
+	f.Fuzz(func(t *testing.T, data uint64) {
+		if got, want := Encode(data), encodeRef(data); got != want {
+			t.Fatalf("Encode(%#x) = %#x, reference %#x", data, got, want)
+		}
+		if got, st := Decode(data, encodeRef(data)); st != OK || got != data {
+			t.Fatalf("Decode(%#x, reference code): %v, %#x", data, st, got)
+		}
+	})
+}
+
 // FuzzPageKey checks the hash-key contract over arbitrary page contents:
 // the software-reference PageKey, the incremental KeyAssembler fed encoded
 // line codes (in reverse order, as hardware may observe them), and the

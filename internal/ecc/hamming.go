@@ -30,10 +30,11 @@ const (
 var (
 	dataPos [64]int
 	posData [codewordBits + 1]int
-	// checkMask[c] has bit i set when data bit i participates in check bit c.
-	// Precomputing the masks makes Encode seven 64-bit AND+popcount-parity
-	// operations, mirroring the XOR-tree a hardware encoder would use.
-	checkMask [checkBits]uint64
+	// encodeTable[b][v] is the code of the data word whose byte b is v and
+	// whose other bytes are zero. The code is linear over GF(2), overall
+	// parity included, so a word's code is the XOR of its eight bytes'
+	// entries: the software image of the XOR tree a hardware encoder uses.
+	encodeTable [8][256]uint8
 )
 
 func init() {
@@ -52,10 +53,15 @@ func init() {
 	if d != 64 {
 		panic("ecc: (72,64) construction must place exactly 64 data bits")
 	}
-	for c := 0; c < checkBits; c++ {
-		for i := 0; i < 64; i++ {
-			if dataPos[i]&(1<<c) != 0 {
-				checkMask[c] |= 1 << i
+	// Check bit c covers every position with bit c set, so the Hamming
+	// checks of a word holding only data bit i spell dataPos[i]; the
+	// overall parity adds that word's one data bit to the set check bits.
+	for i, p := range dataPos {
+		col := uint8(p) | uint8(1^parity64(uint64(p)))<<7
+		b, bit := i/8, i%8
+		for v := range 256 {
+			if v>>bit&1 != 0 {
+				encodeTable[b][v] ^= col
 			}
 		}
 	}
@@ -64,22 +70,14 @@ func init() {
 // parity64 reports the XOR-fold (parity) of all bits in v.
 func parity64(v uint64) uint64 { return uint64(bits.OnesCount64(v) & 1) }
 
-// hammingChecks computes the 7 Hamming check bits for a data word.
-func hammingChecks(data uint64) uint8 {
-	var code uint8
-	for c := 0; c < checkBits; c++ {
-		code |= uint8(parity64(data&checkMask[c])) << c
-	}
-	return code
-}
-
 // Encode computes the 8-bit SECDED code for a 64-bit data word. Bits 0..6
 // are the Hamming check bits p1,p2,p4,...,p64; bit 7 is the overall parity
 // of the 71-bit codeword (data bits plus check bits).
 func Encode(data uint64) uint8 {
-	code := hammingChecks(data)
-	overall := parity64(data) ^ parity64(uint64(code))
-	return code | uint8(overall)<<7
+	return encodeTable[0][uint8(data)] ^ encodeTable[1][uint8(data>>8)] ^
+		encodeTable[2][uint8(data>>16)] ^ encodeTable[3][uint8(data>>24)] ^
+		encodeTable[4][uint8(data>>32)] ^ encodeTable[5][uint8(data>>40)] ^
+		encodeTable[6][uint8(data>>48)] ^ encodeTable[7][uint8(data>>56)]
 }
 
 // Status classifies the outcome of decoding a (data, code) pair.
@@ -123,8 +121,7 @@ func (s Status) String() string {
 // that any single flipped bit (data, check, or parity) shows up as exactly
 // one parity violation.
 func Decode(data uint64, stored uint8) (uint64, Status) {
-	recomputed := hammingChecks(data)
-	syndrome := (recomputed ^ stored) & 0x7F
+	syndrome := (Encode(data) ^ stored) & 0x7F
 	received := parity64(data) ^ parity64(uint64(stored)) // parity of data + 7 check bits + parity bit
 	parityMismatch := received != 0
 

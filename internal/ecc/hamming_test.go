@@ -146,3 +146,65 @@ func TestParity64(t *testing.T) {
 		}
 	}
 }
+
+// checkMask[c] has bit i set when data bit i participates in check bit c:
+// data bits fill the codeword positions that are not powers of two in
+// ascending order, and check bit c covers every position with bit c set.
+var checkMask = func() (m [checkBits]uint64) {
+	i := 0
+	for p := 1; p <= codewordBits; p++ {
+		if p&(p-1) == 0 {
+			continue
+		}
+		for c := range m {
+			if p&(1<<c) != 0 {
+				m[c] |= 1 << i
+			}
+		}
+		i++
+	}
+	return m
+}()
+
+// hammingChecks is the reference for the table encoder's low 7 bits: check
+// bit c is the parity of the data bits it covers, one AND+popcount each.
+func hammingChecks(data uint64) uint8 {
+	var code uint8
+	for c := 0; c < checkBits; c++ {
+		code |= uint8(parity64(data&checkMask[c])) << c
+	}
+	return code
+}
+
+// encodeRef is the reference SECDED encoder the table must match: the
+// Hamming checks plus the overall parity of data and check bits.
+func encodeRef(data uint64) uint8 {
+	code := hammingChecks(data)
+	return code | uint8(parity64(data)^parity64(uint64(code)))<<7
+}
+
+// TestEncodeTableSweep holds the table encoder to the reference on a fixed
+// sweep of 1M words: every single-bit and double-bit word, then
+// pseudo-random ones.
+func TestEncodeTableSweep(t *testing.T) {
+	const words = 1 << 20
+	check := func(w uint64) {
+		if got, want := Encode(w), encodeRef(w); got != want {
+			t.Fatalf("Encode(%#x) = %#x, reference %#x", w, got, want)
+		}
+	}
+	n := 1
+	check(0)
+	for i := 0; i < 64; i++ {
+		for j := i; j < 64; j++ {
+			check(1<<i | 1<<j)
+			n++
+		}
+	}
+	for x := uint64(0x9E3779B97F4A7C15); n < words; n++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		check(x)
+	}
+}

@@ -68,10 +68,11 @@ type VerifyResult struct {
 // deterministically from the suite seed and run across the suite's worker
 // pool; results are order-independent, and on failure the lowest-index
 // failing scenario is selected, shrunk to a minimal reproduction, and
-// reported as an error carrying a ready-to-paste regression test.
+// reported as an error carrying a ready-to-paste regression test. A
+// scenario count below 1 is an error.
 func Verify(s *Suite, n int) (*VerifyResult, error) {
-	if n <= 0 {
-		n = DefaultVerifyScenarios
+	if n < 1 {
+		return nil, fmt.Errorf("experiments: verify scenario count %d below 1", n)
 	}
 	res := &VerifyResult{N: n, Seed: s.Cfg.Seed}
 

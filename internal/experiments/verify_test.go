@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -35,6 +36,20 @@ func TestVerifySweepPasses(t *testing.T) {
 	for _, want := range []string{"12 randomized scenarios", "fault-free", "faulted", "diff eq"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendering missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestVerifyRejectsBadCount pins that a scenario count below 1 is an error
+// naming the count, not a silent run of the default sweep.
+func TestVerifyRejectsBadCount(t *testing.T) {
+	for _, n := range []int{0, -3} {
+		res, err := Verify(NewFastSuite(), n)
+		if err == nil || res != nil {
+			t.Fatalf("Verify(%d) = %v, %v; want an error", n, res, err)
+		}
+		if want := fmt.Sprintf("count %d ", n); !strings.Contains(err.Error(), want) {
+			t.Fatalf("Verify(%d) error %q does not name the count", n, err)
 		}
 	}
 }

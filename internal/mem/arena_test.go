@@ -321,7 +321,8 @@ func TestArenaAliasingRules(t *testing.T) {
 	if pa[5] != 0x33 || p.Page(b)[5] != 0x44 || p.Page(b)[PageSize-1] != 0x11 {
 		t.Fatal("write to a sharing frame leaked into its source or lost bytes")
 	}
-	// Recycling scrubs by repointing at the zero page.
+	// Freeing releases the slot without clearing it; the recycled frame is on
+	// the zero page.
 	p.DecRef(a)
 	a2, _ := p.Alloc()
 	if a2 != a {
@@ -331,7 +332,7 @@ func TestArenaAliasingRules(t *testing.T) {
 		t.Fatal("recycled frame not on the zero page")
 	}
 	if pa[5] != 0x33 {
-		t.Fatal("recycling a frame cleared bytes instead of releasing its slot")
+		t.Fatal("freeing a frame cleared bytes instead of releasing its slot")
 	}
 }
 

@@ -84,7 +84,7 @@ func TestArenaChunkBoundaryAliasing(t *testing.T) {
 // TestArenaChunksBackLazily checks that the store backs chunks only as
 // slots are first handed out: allocating frames and writing zeroes back
 // nothing, writing 65 distinct pages backs exactly two chunks, and freeing
-// frames releases neither slots nor chunks.
+// the frames releases every slot to the slot freelist but no chunk.
 func TestArenaChunksBackLazily(t *testing.T) {
 	p := New(10 * chunkSlots * PageSize)
 	pfns := allocN(t, p, chunkSlots+1)
@@ -104,32 +104,63 @@ func TestArenaChunksBackLazily(t *testing.T) {
 	for _, pfn := range pfns {
 		p.DecRef(pfn)
 	}
-	if p.chunks[0] == nil || p.chunks[1] == nil || len(p.freeSlots) != 0 {
-		t.Fatal("freeing frames released their slots or chunks")
+	if p.chunks[0] == nil || p.chunks[1] == nil || len(p.freeSlots) != len(pfns) {
+		t.Fatalf("freeing %d frames left %d slots free (chunks backed %d), want every slot free and both chunks kept",
+			len(pfns), len(p.freeSlots), backedChunks(p))
+	}
+	checkSlots(t, p)
+}
+
+// TestFreedSlotsBackRewrites pins the store bound under churn: freeing
+// frames that hold distinct pages releases their slots, so writing as many
+// new distinct pages, into other frames, reuses those slots and backs no
+// new chunk.
+func TestFreedSlotsBackRewrites(t *testing.T) {
+	const n = 2*chunkSlots + 5
+	p := New(4 * n * PageSize)
+	first := allocN(t, p, n)
+	for i, pfn := range first {
+		p.WriteAt(pfn, 0, []byte{byte(i), byte(i >> 8), 1})
+	}
+	chunks := backedChunks(p)
+	for _, pfn := range first {
+		p.DecRef(pfn)
+	}
+	// Allocate past the freed frames so the rewrites land in frames that
+	// never held data.
+	second := allocN(t, p, 2*n)[n:]
+	for i, pfn := range second {
+		p.WriteAt(pfn, 100, []byte{byte(i), byte(i >> 8), 2})
+	}
+	if got := backedChunks(p); got != chunks {
+		t.Fatalf("%d chunks backed after rewriting %d freed pages, want %d", got, n, chunks)
 	}
 	checkSlots(t, p)
 }
 
 // TestPhysStateChunkedRoundTrip restores a captured image into a fresh
-// Phys and checks it is byte-identical: allocated data, freed dirty frames
-// that still hold bytes, frames that share a slot, and frames on the zero
-// page. After the restore every nonzero frame owns a slot and every zero
-// frame is on the zero page, and both machines must go on allocating and
-// scrubbing identically.
+// Phys and checks it is identical: allocated data, frames that share a
+// slot, distinct slots holding equal bytes, freed frames and frames on the
+// zero page. The image holds each distinct content once, numbered by the
+// lowest PFN holding it, and freed frames read as zero; after the restore
+// every distinct content owns one slot shared by all its frames, and both
+// machines must go on allocating and scrubbing identically.
 func TestPhysStateChunkedRoundTrip(t *testing.T) {
 	const frames = 5*chunkSlots + 3
 	src := New(frames * PageSize)
-	// Frames of the first three chunks' worth hold data; one more
+	// Frames of the first three chunks' worth hold distinct data; one more
 	// allocated frame is still all zero.
 	pfns := allocN(t, src, 3*chunkSlots+1)
 	for i, pfn := range pfns[:3*chunkSlots] {
 		src.WriteAt(pfn, i%PageSize, []byte{byte(i + 1)})
 	}
-	// Two frames share a slot with their source.
+	// Two frames share a slot with their source; another is rewritten to
+	// hold its neighbour's bytes in a slot of its own.
 	src.CopyPage(pfns[5], pfns[4])
 	src.CopyPage(pfns[6], pfns[4])
+	src.WriteAt(pfns[7], 0, bytes.Clone(src.Page(pfns[8])))
 	// Free the second chunk's worth except its last frame, and the third's
-	// except its first: freed frames keep nonzero bytes.
+	// except its first.
 	for _, pfn := range pfns[chunkSlots : 2*chunkSlots-1] {
 		src.DecRef(pfn)
 	}
@@ -143,29 +174,38 @@ func TestPhysStateChunkedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Arena) != frames*PageSize {
-		t.Fatalf("image arena is %d bytes, want %d", len(st.Arena), frames*PageSize)
+	// Frames 0..63 hold 61 distinct pages (5 and 6 share 4's, 7 equals
+	// 8's); frames 127 and 128 hold two more.
+	if got, want := len(st.Pages), (chunkSlots-1)*PageSize; got != want {
+		t.Fatalf("image holds %d content bytes, want %d", got, want)
 	}
-	if FirstNonZero(st.Arena[3*chunkSlots*PageSize:]) >= 0 {
-		t.Fatal("frames on the zero page captured nonzero bytes")
+	seen := int32(0)
+	for pfn, k := range st.PageIndex {
+		live := src.Allocated(PFN(pfn)) && !src.IsZero(PFN(pfn))
+		if !live && k != 0 {
+			t.Fatalf("frame %d reads as zero or is free, but holds content %d", pfn, k)
+		}
+		if live && k > seen+1 {
+			t.Fatalf("frame %d holds content %d before content %d was seen", pfn, k, seen+1)
+		}
+		seen = max(seen, k)
 	}
-	if !bytes.Equal(st.Arena[5*PageSize:6*PageSize], st.Arena[4*PageSize:5*PageSize]) {
-		t.Fatal("a frame sharing a slot captured different bytes")
+	if k := st.PageIndex[pfns[4]]; st.PageIndex[pfns[5]] != k || st.PageIndex[pfns[6]] != k {
+		t.Fatal("frames sharing a slot captured different contents")
+	}
+	if st.PageIndex[pfns[7]] != st.PageIndex[pfns[8]] {
+		t.Fatal("equal pages in distinct slots captured twice")
 	}
 
 	dst := New(frames * PageSize)
 	if err := dst.SetState(st); err != nil {
 		t.Fatal(err)
 	}
-	checkSlots(t, dst)
-	for pfn := PFN(0); pfn < frames; pfn++ {
-		nonzero := FirstNonZero(st.Arena[int(pfn)*PageSize:int(pfn+1)*PageSize]) >= 0
-		s := dst.frames[pfn].slot
-		if nonzero != (s != zeroSlot) || (nonzero && dst.slotRefs[s] != 1) {
-			t.Fatalf("frame %d: slot %d after restore, nonzero %v", pfn, s, nonzero)
-		}
+	checkRestored(t, dst, st)
+	if dst.frames[pfns[7]].slot != dst.frames[pfns[8]].slot {
+		t.Fatal("restore did not share equal pages")
 	}
-	if got, want := backedChunks(dst), 3; got != want {
+	if got, want := backedChunks(dst), 1; got != want {
 		t.Fatalf("%d chunks backed after restore, want %d", got, want)
 	}
 	back, err := dst.State()
@@ -236,5 +276,34 @@ func TestPhysSetStateOverwritesBackedChunks(t *testing.T) {
 	b, errB := fresh.State()
 	if errA != nil || errB != nil || !reflect.DeepEqual(a, b) {
 		t.Fatal("restore over a live machine differs from restore into a fresh one")
+	}
+}
+
+// TestPhysSetStateRejectsMalformedImage feeds SetState images State never
+// writes: a ragged content array, an index past the contents, and a free
+// frame holding content. Each is an error that leaves the machine as it
+// was.
+func TestPhysSetStateRejectsMalformedImage(t *testing.T) {
+	p := New(4 * PageSize)
+	pfn, _ := p.Alloc()
+	p.WriteAt(pfn, 0, []byte{7})
+	good, err := p.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string]func(st *PhysState){
+		"ragged pages":       func(st *PhysState) { st.Pages = st.Pages[:PageSize-1] },
+		"index past pages":   func(st *PhysState) { st.PageIndex[pfn] = 2 },
+		"negative index":     func(st *PhysState) { st.PageIndex[pfn] = -1 },
+		"free frame content": func(st *PhysState) { st.PageIndex[pfn+1] = 1 },
+	} {
+		st, _ := p.State()
+		bad(&st)
+		if err := p.SetState(st); err == nil {
+			t.Fatalf("%s: SetState accepted the image", name)
+		}
+		if back, _ := p.State(); !reflect.DeepEqual(back, good) {
+			t.Fatalf("%s: a rejected image changed the machine", name)
+		}
 	}
 }

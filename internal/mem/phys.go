@@ -11,8 +11,11 @@
 // backing at all. CopyPage shares the source's slot instead of copying
 // bytes; a write to a frame whose slot is shared first gives the frame a
 // private slot (copy-on-write at host level, invisible to the simulated
-// machine, whose own CoW state lives in Frame). Slots are recycled through
-// a freelist.
+// machine, whose own CoW state lives in Frame). A slot lives exactly as
+// long as an allocated frame points at it: freeing a frame releases its
+// slot and puts it on the zero page, and released slots are recycled
+// through a freelist, so the store is bounded by the distinct pages the
+// allocated frames hold.
 //
 // All mutation goes through Phys methods: Alloc, AllocForCopy, CopyPage,
 // WriteAt, FillPages and SetState. Page and ReadLine return read-only
@@ -98,9 +101,10 @@ type Phys struct {
 
 	// The slot store. Slot s >= 1 is window (s-1)%chunkSlots of
 	// chunks[(s-1)/chunkSlots]; a chunk is nil until a slot in it is first
-	// handed out. slotRefs[s] counts the frames pointing at slot s, free
-	// frames included: a freed frame keeps its slot until it is handed out
-	// again. Slots below nextSlot with no referencing frame are on
+	// handed out. slotRefs[s] counts the frames pointing at slot s. Only
+	// allocated frames, and freed frames still pending in a deferred-free
+	// window, point at a real slot; every other free frame is on the zero
+	// page. Slots below nextSlot with no referencing frame are on
 	// freeSlots; slots from nextSlot up have never been used and are zero.
 	chunks    [][]byte
 	slotRefs  []int32
@@ -135,7 +139,9 @@ func New(capacity uint64) *Phys {
 		free:     make([]PFN, 0, n),
 		chunks:   make([][]byte, (n+chunkSlots-1)/chunkSlots),
 		slotRefs: make([]int32, n+1),
-		nextSlot: 1,
+		// Live slots never outnumber frames, so release never grows it.
+		freeSlots: make([]int32, 0, n),
+		nextSlot:  1,
 	}
 	// The freelist is kept sorted descending at all times, so Alloc (which
 	// pops from the end) always hands out the lowest free PFN. Allocation
@@ -254,19 +260,16 @@ func (p *Phys) take() (PFN, error) {
 	return pfn, nil
 }
 
-// Alloc hands out a zeroed frame with refcount 1. A frame that never held
-// data is on the zero page already; a recycled frame that was written
-// since is scrubbed by pointing it back at the zero page, which releases
-// the slot it kept while free. ZeroFills counts exactly those scrubs.
+// Alloc hands out a zeroed frame with refcount 1. Every free frame is on
+// the zero page already (DecRef released its slot); ZeroFills counts the
+// scrubs a real hypervisor would pay, one per recycled frame that held
+// data since it was last zeroed.
 func (p *Phys) Alloc() (PFN, error) {
 	pfn, err := p.take()
 	if err != nil {
 		return 0, err
 	}
-	f := &p.frames[pfn]
-	if f.dirty {
-		p.release(f.slot)
-		f.slot = zeroSlot
+	if f := &p.frames[pfn]; f.dirty {
 		f.dirty = false
 		p.ZeroFills++
 	}
@@ -312,10 +315,10 @@ func (p *Phys) Allocated(pfn PFN) bool {
 func (p *Phys) IncRef(pfn PFN) { p.frame(pfn).refs++ }
 
 // DecRef drops a mapping reference; when the last reference is gone the
-// frame returns to the freelist (or the pending list in deferred mode). The
-// frame keeps its slot, and so its bytes, until it is handed out again, so
-// DecRef never touches the slot store and deferred-mode workers may call
-// it concurrently.
+// frame releases its slot, moves to the zero page and returns to the
+// freelist. In deferred mode the frame instead parks on the pending list
+// with its slot, because deferred-mode workers call DecRef concurrently
+// and must not touch the slot store; EndDeferredFrees releases the slot.
 func (p *Phys) DecRef(pfn PFN) {
 	f := p.frame(pfn)
 	f.refs--
@@ -333,6 +336,8 @@ func (p *Phys) DecRef(pfn PFN) {
 		p.mu.Unlock()
 		return
 	}
+	p.release(f.slot)
+	f.slot = zeroSlot
 	p.allocated--
 	p.Frees++
 	p.insertFree(pfn)
@@ -343,13 +348,21 @@ func (p *Phys) DecRef(pfn PFN) {
 // workers with Begin/EndDeferredFrees so freelist order stays canonical.
 func (p *Phys) BeginDeferredFrees() { p.deferFrees = true }
 
-// EndDeferredFrees flushes pending frames to the freelist, restoring its
-// descending sorted order independent of the order workers released them.
-// Frames on the freelist are distinct, so any sort gives the same order.
+// EndDeferredFrees releases the pending frames' slots in ascending PFN
+// order, so the slot freelist never depends on the order workers freed
+// them, then flushes the frames to the freelist, restoring its descending
+// sorted order. Frames on the freelist are distinct, so any sort gives the
+// same order.
 func (p *Phys) EndDeferredFrees() {
 	p.deferFrees = false
 	if len(p.pending) == 0 {
 		return
+	}
+	slices.Sort(p.pending)
+	for _, pfn := range p.pending {
+		f := &p.frames[pfn]
+		p.release(f.slot)
+		f.slot = zeroSlot
 	}
 	p.free = append(p.free, p.pending...)
 	slices.SortFunc(p.free, func(a, b PFN) int { return cmp.Compare(b, a) })
@@ -362,8 +375,8 @@ func (p *Phys) SetCoW(pfn PFN, cow bool) { p.frame(pfn).cow = cow }
 // Page returns a read-only view of the frame's bytes, capped at the frame
 // boundary. The view may be shared with other frames holding the same
 // bytes, so nothing may write through it; it stays valid until the next
-// write to the frame (WriteAt, CopyPage into it, FillPages, a scrubbing
-// Alloc, or SetState).
+// write to the frame (WriteAt, CopyPage into it, FillPages, the DecRef
+// that frees it, or SetState).
 func (p *Phys) Page(pfn PFN) []byte {
 	return p.window(p.frame(pfn).slot)
 }
@@ -597,13 +610,15 @@ var zeroBlock [cmpBlock]byte
 // tooling to group frames by content cheaply. Equal pages have equal keys;
 // distinct keys imply distinct contents (collisions are possible in
 // principle but negligible at simulated scales). Keys are never stored.
-func (p *Phys) ContentKey(pfn PFN) uint64 {
+func (p *Phys) ContentKey(pfn PFN) uint64 { return contentKey(p.Page(pfn)) }
+
+// contentKey is ContentKey over a page's bytes.
+func contentKey(pg []byte) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	pg := p.Page(pfn)
 	for off := 0; off < PageSize; off += 8 {
 		h = (h ^ binary.LittleEndian.Uint64(pg[off:off+8])) * prime64
 	}

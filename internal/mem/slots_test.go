@@ -10,10 +10,11 @@ import (
 	"testing"
 )
 
-// checkSlots audits the slot store: every slot's refcount equals the number
-// of frames pointing at it; every slot ever handed out is either referenced
-// or on the slot freelist, exactly once; every handed-out slot's chunk is
-// backed; and the shared zero page still holds only zeroes.
+// checkSlots audits the slot store: every free frame, bar those pending in
+// a deferred-free window, is on the zero page; every slot's refcount equals
+// the number of frames pointing at it; every slot ever handed out is either
+// referenced or on the slot freelist, exactly once; every handed-out slot's
+// chunk is backed; and the shared zero page still holds only zeroes.
 func checkSlots(t *testing.T, p *Phys) {
 	t.Helper()
 	if FirstNonZero(zeroPage[:]) >= 0 {
@@ -23,6 +24,9 @@ func checkSlots(t *testing.T, p *Phys) {
 	for pfn, f := range p.frames {
 		if f.slot < 0 || f.slot >= p.nextSlot {
 			t.Fatalf("frame %d points at slot %d, outside [0, %d)", pfn, f.slot, p.nextSlot)
+		}
+		if f.refs == 0 && f.slot != zeroSlot && !slices.Contains(p.pending, PFN(pfn)) {
+			t.Fatalf("free frame %d still holds slot %d", pfn, f.slot)
 		}
 		refs[f.slot]++
 	}
@@ -51,9 +55,46 @@ func checkSlots(t *testing.T, p *Phys) {
 	}
 }
 
+// checkRestored audits the store SetState rebuilt from st: it holds one
+// live slot per distinct content, every frame holding content k points at
+// content k's slot, and that slot's refcount is the number of such frames.
+func checkRestored(t *testing.T, p *Phys, st PhysState) {
+	t.Helper()
+	checkSlots(t, p)
+	pages := len(st.Pages) / PageSize
+	if live := int(p.nextSlot-1) - len(p.freeSlots); live != pages {
+		t.Fatalf("%d live slots after restore, want one per distinct content (%d)", live, pages)
+	}
+	slotOf := make([]int32, pages+1)
+	holders := make([]int32, pages+1)
+	for pfn, k := range st.PageIndex {
+		s := p.frames[pfn].slot
+		if k == 0 {
+			if s != zeroSlot {
+				t.Fatalf("frame %d reads as zero but points at slot %d", pfn, s)
+			}
+			continue
+		}
+		if slotOf[k] == zeroSlot {
+			slotOf[k] = s
+		}
+		if s != slotOf[k] || !bytes.Equal(p.window(s), st.page(k)) {
+			t.Fatalf("frame %d holds content %d but points at slot %d (content's slot %d)", pfn, k, s, slotOf[k])
+		}
+		holders[k]++
+	}
+	for k := 1; k <= pages; k++ {
+		if got := p.slotRefs[slotOf[k]]; got != holders[k] {
+			t.Fatalf("content %d: slot %d has refcount %d, %d frames hold it", k, slotOf[k], got, holders[k])
+		}
+	}
+}
+
 // flatPhys is the reference model FuzzPhysOps holds the slot store to: the
 // same frame, freelist and counter semantics over one flat arena in which
-// every frame owns a fixed PageSize window and every copy copies bytes.
+// every frame owns a fixed PageSize window and every copy copies bytes. A
+// frame's bytes are cleared when it is freed, or when a deferred-free
+// window that freed it closes.
 type flatPhys struct {
 	arena     []byte
 	frames    []FrameState
@@ -120,12 +161,16 @@ func (r *flatPhys) decRef(pfn PFN) {
 		r.pending = append(r.pending, pfn)
 		return
 	}
+	clear(r.bytes(pfn))
 	i := sort.Search(len(r.free), func(i int) bool { return r.free[i] < pfn })
 	r.free = slices.Insert(r.free, i, pfn)
 }
 
 func (r *flatPhys) endDeferred() {
 	r.deferred = false
+	for _, pfn := range r.pending {
+		clear(r.bytes(pfn))
+	}
 	r.free = append(r.free, r.pending...)
 	slices.SortFunc(r.free, func(a, b PFN) int { return cmp.Compare(b, a) })
 	r.pending = r.pending[:0]
@@ -135,13 +180,34 @@ func (r *flatPhys) state() (PhysState, error) {
 	if r.deferred || len(r.pending) > 0 {
 		return PhysState{}, errors.New("deferred")
 	}
-	return PhysState{
-		Arena:     slices.Clone(r.arena),
+	st := PhysState{
+		PageIndex: make([]int32, len(r.frames)),
 		Frames:    slices.Clone(r.frames),
 		Free:      append([]PFN(nil), r.free...),
 		Allocated: r.allocated, Peak: r.peak,
 		Allocs: r.allocs, AllocFails: r.allocFails, Frees: r.frees, ZeroFills: r.zeroFills,
-	}, nil
+	}
+	// Each distinct nonzero page, numbered by the lowest PFN holding it,
+	// found by a linear search over the pages kept so far.
+	zero := make([]byte, PageSize)
+	for i := range r.frames {
+		pg := r.bytes(PFN(i))
+		if bytes.Equal(pg, zero) {
+			continue
+		}
+		k := 0
+		for j := 0; j < len(st.Pages) && k == 0; j += PageSize {
+			if bytes.Equal(st.Pages[j:j+PageSize], pg) {
+				k = j/PageSize + 1
+			}
+		}
+		if k == 0 {
+			st.Pages = append(st.Pages, pg...)
+			k = len(st.Pages) / PageSize
+		}
+		st.PageIndex[i] = int32(k)
+	}
+	return st, nil
 }
 
 // physProgram decodes a fuzz input into a program of Phys operations and
@@ -289,6 +355,10 @@ func (g *physProgram) step() {
 		if err := target.SetState(st); err != nil {
 			t.Fatal(err)
 		}
+		checkRestored(t, target, st)
+		if back, err := target.State(); err != nil || !reflect.DeepEqual(back, st) {
+			t.Fatalf("State → SetState → State is not identical (error %v)", err)
+		}
 		g.p = target
 	case 12: // FillPages over distinct allocated frames
 		var pfns []PFN
@@ -383,7 +453,8 @@ func runPhysProgram(t *testing.T, data []byte) {
 // deferred-free windows), SetCoW and State→SetState on the slot store and
 // on the flat reference, and requires identical bytes, compare verdicts and
 // byte counts, State images, and counters, with a consistent, leak-free
-// slot store after every step. The seed corpus runs with the unit tests.
+// slot store after every step and one slot per distinct content after
+// every restore. The seed corpus runs with the unit tests.
 // Programs are capped at 512 bytes so that the fuzzer's executions, and
 // its minimisation of new inputs, stay fast; TestPhysOpsLongProgram runs a
 // long one.

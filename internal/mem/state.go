@@ -1,14 +1,23 @@
 package mem
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+)
 
 // Checkpoint support. PhysState is a plain-data, gob-friendly image of the
-// physical memory: arena bytes, per-frame metadata, the canonical freelist,
-// and the allocation counters. Capturing and restoring it is bit-exact —
-// the freelist order is preserved verbatim so post-restore allocation order
-// matches the uninterrupted run. The image holds every frame's bytes flat,
-// one PageSize window per frame, free frames included, so the format does
-// not depend on which frames share a slot or sit on the zero page.
+// physical memory: the distinct contents of the allocated frames, a
+// per-frame content index, per-frame metadata, the canonical freelist, and
+// the allocation counters. Capturing and restoring it is bit-exact — the
+// freelist order is preserved verbatim so post-restore allocation order
+// matches the uninterrupted run.
+//
+// The image is content-addressed the way the live store is: each distinct
+// nonzero page an allocated frame holds is written once, and pages are
+// numbered in order of the lowest PFN holding them. The image therefore
+// depends only on what the frames hold, never on slot numbers, slot
+// history, or which equal frames happen to share a slot. Free frames read
+// as zero.
 
 // FrameState is the exported image of one frame's metadata.
 type FrameState struct {
@@ -19,7 +28,11 @@ type FrameState struct {
 
 // PhysState is the full serialized image of a Phys.
 type PhysState struct {
-	Arena     []byte
+	// Pages holds the distinct nonzero contents, PageSize bytes each.
+	Pages []byte
+	// PageIndex[pfn] is 0 for a frame that reads as zero, and k for a
+	// frame holding content k-1 of Pages.
+	PageIndex []int32
 	Frames    []FrameState
 	Free      []PFN
 	Allocated int
@@ -38,8 +51,12 @@ func (p *Phys) State() (PhysState, error) {
 	if p.deferFrees || len(p.pending) > 0 {
 		return PhysState{}, fmt.Errorf("mem: checkpoint during deferred-free window (%d pending)", len(p.pending))
 	}
+	// Frames sharing a slot hold the same bytes, so the live slots bound
+	// the number of distinct contents.
+	live := int(p.nextSlot-1) - len(p.freeSlots)
 	st := PhysState{
-		Arena:      make([]byte, len(p.frames)*PageSize),
+		Pages:      make([]byte, 0, live*PageSize),
+		PageIndex:  make([]int32, len(p.frames)),
 		Frames:     make([]FrameState, len(p.frames)),
 		Free:       append([]PFN(nil), p.free...),
 		Allocated:  p.allocated,
@@ -49,38 +66,97 @@ func (p *Phys) State() (PhysState, error) {
 		Frees:      p.Frees,
 		ZeroFills:  p.ZeroFills,
 	}
+	// slotIndex memoises each live slot's content index (+1, so that 0
+	// means not yet seen); byKey groups the contents found so far by
+	// ContentKey, and bytes.Equal rules out collisions.
+	slotIndex := make([]int32, p.nextSlot)
+	byKey := make(map[uint64][]int32)
 	for i, f := range p.frames {
 		st.Frames[i] = FrameState{Refs: f.refs, CoW: f.cow, Dirty: f.dirty}
-		if f.slot != zeroSlot {
-			copy(st.Arena[i*PageSize:], p.window(f.slot))
+		if f.slot == zeroSlot {
+			continue
 		}
+		if slotIndex[f.slot] == 0 {
+			slotIndex[f.slot] = 1 + st.addPage(p.window(f.slot), byKey)
+		}
+		st.PageIndex[i] = slotIndex[f.slot] - 1
+	}
+	if len(st.Pages) == 0 {
+		st.Pages = nil // as a decoded image without contents reads
 	}
 	return st, nil
 }
 
+// addPage returns pg's content index in st, appending pg to Pages if no
+// earlier frame holds the same bytes. An all-zero page is index 0.
+func (st *PhysState) addPage(pg []byte, byKey map[uint64][]int32) int32 {
+	if FirstNonZero(pg) < 0 {
+		return 0
+	}
+	key := contentKey(pg)
+	for _, k := range byKey[key] {
+		if bytes.Equal(st.page(k), pg) {
+			return k
+		}
+	}
+	st.Pages = append(st.Pages, pg...)
+	k := int32(len(st.Pages) / PageSize)
+	byKey[key] = append(byKey[key], k)
+	return k
+}
+
+// page returns content k (k >= 1) of the image.
+func (st *PhysState) page(k int32) []byte {
+	return st.Pages[int(k-1)*PageSize : int(k)*PageSize]
+}
+
 // SetState restores a previously captured image in place. The frame count
 // must match the live machine (capacity is configuration, not state). The
-// slot store is rebuilt from scratch: every frame holding a nonzero byte
-// gets a private slot and every other frame points at the zero page, so
-// views taken before the restore are no longer valid.
+// slot store is rebuilt from the image: each distinct content gets one
+// slot, shared by every frame that holds it, and every other frame points
+// at the zero page, so views taken before the restore are no longer valid.
+// Backed chunks are reused where the rebuilt store needs them and dropped
+// beyond it.
 func (p *Phys) SetState(st PhysState) error {
-	if len(st.Frames) != len(p.frames) || len(st.Arena) != len(p.frames)*PageSize {
-		return fmt.Errorf("mem: restore frame-count mismatch (have %d frames, snapshot %d)",
-			len(p.frames), len(st.Frames))
+	n := len(p.frames)
+	if len(st.Frames) != n || len(st.PageIndex) != n {
+		return fmt.Errorf("mem: restore frame-count mismatch (have %d frames, snapshot %d)", n, len(st.Frames))
 	}
-	clear(p.chunks)
+	pages := len(st.Pages) / PageSize
+	if len(st.Pages)%PageSize != 0 {
+		return fmt.Errorf("mem: restore image holds %d content bytes, not whole pages", len(st.Pages))
+	}
+	for i, k := range st.PageIndex {
+		if k < 0 || int(k) > pages || (k != 0 && st.Frames[i].Refs <= 0) {
+			return fmt.Errorf("mem: restore frame %d (refs %d) holds content %d of %d", i, st.Frames[i].Refs, k, pages)
+		}
+	}
 	clear(p.slotRefs)
 	p.freeSlots = p.freeSlots[:0]
 	p.nextSlot = 1
+	// pageSlot maps a content index to its slot once a frame has claimed
+	// it; contents no frame holds get none, so slots never outnumber
+	// frames.
+	pageSlot := make([]int32, pages+1)
 	for i, f := range st.Frames {
 		fr := Frame{refs: f.Refs, cow: f.CoW, dirty: f.Dirty}
-		if src := st.Arena[i*PageSize : (i+1)*PageSize]; FirstNonZero(src) >= 0 {
-			fr.slot = p.newSlot(false)
-			p.slotRefs[fr.slot] = 1
-			copy(p.window(fr.slot), src)
+		if k := st.PageIndex[i]; k != 0 {
+			if pageSlot[k] == zeroSlot {
+				pageSlot[k] = p.newSlot(false)
+				copy(p.window(pageSlot[k]), st.page(k))
+			}
+			fr.slot = pageSlot[k]
+			p.slotRefs[fr.slot]++
 		}
 		p.frames[i] = fr
 	}
+	// Slots from nextSlot up must read as never used: zero the rest of the
+	// last chunk in use, and drop every chunk past it.
+	used := int(p.nextSlot-1+chunkSlots-1) / chunkSlots
+	if tail := int(p.nextSlot-1) % chunkSlots; tail != 0 {
+		clear(p.chunks[used-1][tail*PageSize:])
+	}
+	clear(p.chunks[used:])
 	p.free = append(p.free[:0], st.Free...)
 	p.allocated = st.Allocated
 	p.peak = st.Peak

@@ -37,8 +37,9 @@ import (
 // scanner (KSM-only) — the same degradation rung the pressure ladder uses.
 
 // crashSnapshotVersion is the worldPayload schema version. Version 2 added
-// the live-event stream cursor and the balloon/fault storm-window fields.
-const crashSnapshotVersion = 2
+// the live-event stream cursor and the balloon/fault storm-window fields;
+// version 3 made the memory image content-addressed (mem.PhysState).
+const crashSnapshotVersion = 3
 
 // Recovery cost model (deterministic, charged only to RecoveryCycles):
 // restoring a checkpoint, one backoff quantum (doubled per retry), and the

@@ -259,9 +259,9 @@ func Timeline(s *experiments.Suite, app Profile, intervals int) (*experiments.Ti
 
 // --- Model-based verification -----------------------------------------------
 
-// VerifyExperiment runs n randomized scenarios (n <= 0 uses the default of
-// 200) with full invariant checking; on failure the offending scenario is
-// shrunk and the error carries a ready-to-paste regression test.
+// VerifyExperiment runs n >= 1 randomized scenarios with full invariant
+// checking; on failure the offending scenario is shrunk and the error
+// carries a ready-to-paste regression test.
 func VerifyExperiment(s *experiments.Suite, n int) (*experiments.VerifyResult, error) {
 	return experiments.Verify(s, n)
 }
