@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 5s
 COVER_FLOOR ?= 75
 
-.PHONY: build test race vet bench fuzz smoke cover perfbench-test ci
+.PHONY: build test race vet bench fuzz smoke cover perfbench-test digests ci
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,21 @@ bench:
 # benchmark's build. It needs no network.
 perfbench-test:
 	cd perfbench && GOTOOLCHAIN=local GOPROXY=off $(GO) test ./...
+
+# digests runs every perfbench workload for one operation at seeds 1 and
+# 7919 (about 3 s each). perfbench checks each operation's deterministic
+# results against the digest it has recorded for that workload and seed, so
+# a change that moves any simulated value fails here.
+digests: SHELL := /bin/bash
+digests:
+	@set -eo pipefail; for w in pf-merge ksm-churn baseline-traffic; do \
+		for s in 1 7919; do \
+			bash perfbench/run.sh --workload $$w --seed $$s --seconds 0 --trace 0 \
+				| tail -n 1 | jq -e '.correct and .failed == 0' > /dev/null \
+				|| { echo "digests: $$w seed $$s does not match its recorded digest"; exit 1; }; \
+		done; \
+	done; \
+	echo digests OK
 
 # smoke exercises the CLI's machine-readable path end to end: a fast
 # two-app table4 run must emit a JSON document with populated rows, the
@@ -87,6 +102,7 @@ cover:
 # test suite under the race detector (the experiment suite runs its
 # simulations through a concurrent worker pool; the suite includes the
 # exact work-count golden and the zero-allocation pins), the short fuzz
-# budget, the CLI JSON smoke run, the benchmark module's tests and the
-# coverage floor. Every step is deterministic: no step gates on wall time.
-ci: build vet race fuzz smoke perfbench-test cover
+# budget, the CLI JSON smoke run, the benchmark module's tests, the
+# benchmark's recorded result digests and the coverage floor. Every step
+# is deterministic: no step gates on wall time.
+ci: build vet race fuzz smoke perfbench-test digests cover

@@ -1,43 +1,15 @@
-// Package cache models the on-chip memory hierarchy of Table 2: per-core
-// write-back L1 and L2 caches, a shared inclusive L3 with MESI coherence
-// (directory state kept at the L3, behaviourally equivalent to the paper's
-// snoopy MESI at L3), and per-source statistics.
+// Package cache models the shared L3 the measurement phase samples
+// application and kthread traffic against: one set-associative array with
+// LRU replacement and hit/miss statistics, allocating on miss.
 //
 // The cache model serves two purposes in the reproduction: it produces the
 // L3 miss rates of Table 4 (KSM's streaming comparisons pollute the shared
 // L3), and it answers PageForge's "issue the request to the on-chip network
-// first" probes (Section 3.2.2) — a scanned line that is cached must be
+// first" probes (Section 3.5) — a scanned line that is cached must be
 // supplied by the network, not the DRAM.
 package cache
 
 import "fmt"
-
-// MESI is the coherence state of a cached line.
-type MESI uint8
-
-// Coherence states.
-const (
-	Invalid MESI = iota
-	Shared
-	Exclusive
-	Modified
-)
-
-// String renders the state.
-func (s MESI) String() string {
-	switch s {
-	case Invalid:
-		return "I"
-	case Shared:
-		return "S"
-	case Exclusive:
-		return "E"
-	case Modified:
-		return "M"
-	default:
-		return "?"
-	}
-}
 
 // LineSize is the cache-line size in bytes (Table 2: 64B everywhere).
 const LineSize = 64
@@ -58,22 +30,19 @@ func (c Config) Sets() int {
 	return s
 }
 
+// line is one way of the tag store. key is the line number plus one, so
+// the zero value is an invalid way.
 type line struct {
-	tag   uint64
-	state MESI
-	dirty bool
-	lru   uint64
-	// sharers is used only by the (inclusive) L3: a bitmap of cores whose
-	// private caches may hold the line, plus whether one holds it dirty.
-	sharers uint16
-	privM   bool
+	key uint64
+	lru uint64
 }
 
-// Cache is one set-associative write-back cache array.
+// Cache is one set-associative cache array.
 type Cache struct {
-	cfg  Config
-	sets [][]line
-	tick uint64
+	ways  int
+	nsets uint64
+	lines []line // set-major: set s holds lines[s*ways : (s+1)*ways]
+	tick  uint64
 
 	Hits   uint64
 	Misses uint64
@@ -84,28 +53,22 @@ func NewCache(cfg Config) *Cache {
 	if cfg.Ways < 1 || cfg.SizeBytes < LineSize*cfg.Ways {
 		panic(fmt.Sprintf("cache: bad config %+v", cfg))
 	}
-	sets := make([][]line, cfg.Sets())
-	for i := range sets {
-		sets[i] = make([]line, cfg.Ways)
-	}
-	return &Cache{cfg: cfg, sets: sets}
+	sets := cfg.Sets()
+	return &Cache{ways: cfg.Ways, nsets: uint64(sets), lines: make([]line, sets*cfg.Ways)}
 }
 
-// Sets reports the set count.
-func (c *Cache) Sets() int { return len(c.sets) }
-
-func (c *Cache) set(addr uint64) []line {
-	return c.sets[(addr/LineSize)%uint64(len(c.sets))]
+// set returns the ways of the line's set and the line's tag-store key.
+func (c *Cache) set(addr uint64) ([]line, uint64) {
+	n := addr / LineSize
+	s := int(n % c.nsets)
+	return c.lines[s*c.ways : (s+1)*c.ways], n + 1
 }
-
-func lineTag(addr uint64) uint64 { return addr / LineSize }
 
 // find returns the way holding the line, or nil.
 func (c *Cache) find(addr uint64) *line {
-	tag := lineTag(addr)
-	set := c.set(addr)
+	set, key := c.set(addr)
 	for i := range set {
-		if set[i].state != Invalid && set[i].tag == tag {
+		if set[i].key == key {
 			return &set[i]
 		}
 	}
@@ -114,37 +77,27 @@ func (c *Cache) find(addr uint64) *line {
 
 // Lookup reports whether the line is present, updating hit/miss counters
 // and LRU on hit.
-func (c *Cache) Lookup(addr uint64) *line {
-	l := c.find(addr)
-	if l != nil {
+func (c *Cache) Lookup(addr uint64) bool {
+	if l := c.find(addr); l != nil {
 		c.tick++
 		l.lru = c.tick
 		c.Hits++
-		return l
+		return true
 	}
 	c.Misses++
-	return nil
+	return false
 }
 
-// Peek is Lookup without statistics or LRU side effects (snoops).
-func (c *Cache) Peek(addr uint64) *line { return c.find(addr) }
+// Peek is Lookup without statistics or LRU side effects (network probes).
+func (c *Cache) Peek(addr uint64) bool { return c.find(addr) != nil }
 
-// Eviction describes a line displaced by Insert.
-type Eviction struct {
-	Addr    uint64
-	Dirty   bool
-	Sharers uint16
-	Valid   bool
-}
-
-// Insert allocates the line in the given state, returning any eviction.
-// The caller handles write-back of dirty victims and (for the inclusive
-// L3) back-invalidation of the victim's private copies.
-func (c *Cache) Insert(addr uint64, state MESI) Eviction {
-	set := c.set(addr)
+// Insert allocates the line as most recently used, displacing the set's
+// first invalid way, else its least recently used one.
+func (c *Cache) Insert(addr uint64) {
+	set, key := c.set(addr)
 	victim := &set[0]
 	for i := range set {
-		if set[i].state == Invalid {
+		if set[i].key == 0 {
 			victim = &set[i]
 			break
 		}
@@ -152,38 +105,19 @@ func (c *Cache) Insert(addr uint64, state MESI) Eviction {
 			victim = &set[i]
 		}
 	}
-	var ev Eviction
-	if victim.state != Invalid {
-		ev = Eviction{Addr: victim.tag * LineSize, Dirty: victim.dirty, Sharers: victim.sharers, Valid: true}
-	}
 	c.tick++
-	*victim = line{tag: lineTag(addr), state: state, lru: c.tick}
-	return ev
-}
-
-// Invalidate drops the line if present, reporting (present, wasDirty).
-func (c *Cache) Invalidate(addr uint64) (bool, bool) {
-	l := c.find(addr)
-	if l == nil {
-		return false, false
-	}
-	dirty := l.dirty
-	*l = line{}
-	return true, dirty
+	*victim = line{key: key, lru: c.tick}
 }
 
 // Occupancy reports the fraction of ways holding valid lines; tests use it.
 func (c *Cache) Occupancy() float64 {
-	total, valid := 0, 0
-	for _, set := range c.sets {
-		for i := range set {
-			total++
-			if set[i].state != Invalid {
-				valid++
-			}
+	valid := 0
+	for i := range c.lines {
+		if c.lines[i].key != 0 {
+			valid++
 		}
 	}
-	return float64(valid) / float64(total)
+	return float64(valid) / float64(len(c.lines))
 }
 
 // MissRate reports misses / (hits+misses), 0 when idle.

@@ -32,7 +32,7 @@ type Suite struct {
 	MinQueries int
 	// Parallelism bounds how many platform runs RunAll executes
 	// concurrently (0 means GOMAXPROCS). Each run is hermetic — it owns
-	// its image, cache hierarchy, DRAM model, and RNG streams — so
+	// its image, L3, DRAM model, and RNG streams — so
 	// parallel execution is bit-identical to sequential for the same
 	// seeds.
 	Parallelism int

@@ -174,6 +174,10 @@ func (p *Phys) PeakFrames() int { return p.peak }
 // FreeFrames reports the number of frames available for allocation.
 func (p *Phys) FreeFrames() int { return len(p.free) }
 
+// LiveSlots reports the slots holding bytes for some frame: the shared
+// zero page plus every real slot a frame points at.
+func (p *Phys) LiveSlots() int { return 1 + int(p.nextSlot-1) - len(p.freeSlots) }
+
 // window returns slot s's bytes. The three-index slice caps the view at
 // the slot boundary, so an erroneous append can never spill into a
 // neighbouring slot.

@@ -1,8 +1,11 @@
-// Package memctrl models the memory controller of Figure 3: read/write
-// request paths with the ECC encode/decode engine on the data path, request
-// coalescing between demand traffic and PageForge traffic, and the line
-// fetch service the PageForge module uses ("issue each request to the
-// on-chip network first; otherwise place it in the Read Request Buffer").
+// Package memctrl models the memory controller of Figure 3: the demand read
+// path and the line fetch service the PageForge module uses ("issue each
+// request to the on-chip network first; otherwise place it in the Read
+// Request Buffer"), with the ECC encode/decode engine on the data path.
+//
+// The controller keeps no table of in-flight reads, so it never coalesces
+// two reads of one line: in this model no two reads of the same line
+// overlap in time (DESIGN.md §5 gives the reasons).
 package memctrl
 
 import (
@@ -15,23 +18,13 @@ import (
 // Stats counts controller activity.
 type Stats struct {
 	DemandReads      uint64
-	DemandWrites     uint64
 	PFFetches        uint64 // PageForge line fetches requested
-	PFNetworkHits    uint64 // serviced by the on-chip network (caches)
+	PFNetworkHits    uint64 // serviced by the on-chip network (the L3)
 	PFDRAMReads      uint64 // serviced by the local DRAM
-	PFCoalesced      uint64 // PageForge fetches folded into an in-flight read
-	DemandCoalesced  uint64 // demand reads folded into an in-flight read
-	ECCEncodes       uint64 // lines encoded (writes + network-serviced fetches)
+	ECCEncodes       uint64 // lines encoded (network-serviced fetches)
 	ECCDecodes       uint64 // lines decoded (DRAM reads)
 	ECCCorrected     uint64
 	ECCUncorrectable uint64
-}
-
-// pendingRead is one in-flight read: its completion cycle and the source
-// that issued it, so coalescing can be attributed to the right side.
-type pendingRead struct {
-	done uint64
-	src  dram.Source
 }
 
 // FaultModel corrupts line data arriving from the DRAM array before the
@@ -55,58 +48,37 @@ func (f FaultFunc) Corrupt(addr, now uint64, line []byte) { f(addr, line) }
 type Controller struct {
 	DRAM *dram.DRAM
 	Phys *mem.Phys
-	// Hier, when set, is probed for cached copies before going to DRAM on
-	// PageForge fetches. Demand traffic arrives *from* the hierarchy, so it
-	// never probes.
-	Hier *cache.Hierarchy
+	// L3, when set, is the shared cache PageForge fetches probe for a
+	// cached copy before going to DRAM. Demand traffic arrives *from* the
+	// L3, so it never probes.
+	L3 *cache.Cache
 	// NetworkLatency is the round-trip cost of a network-serviced fetch.
 	NetworkLatency uint64
 	// Faults, when set, corrupts line data fetched from the DIMM before
 	// ECC decoding (the RAS layer's DRAM fault model).
 	Faults FaultModel
 
-	Stats   Stats
-	pending map[uint64]pendingRead // line addr -> in-flight read
+	Stats Stats
 }
 
-// New wires a controller over a DRAM model and backing store.
-func New(d *dram.DRAM, phys *mem.Phys, hier *cache.Hierarchy) *Controller {
+// New wires a controller over a DRAM model, backing store and the shared
+// L3 its PageForge fetches probe (nil: no cache to probe).
+func New(d *dram.DRAM, phys *mem.Phys, l3 *cache.Cache) *Controller {
 	return &Controller{
 		DRAM:           d,
 		Phys:           phys,
-		Hier:           hier,
+		L3:             l3,
 		NetworkLatency: 40, // bus + L3 tag + transfer on the 512b bus
-		pending:        make(map[uint64]pendingRead),
 	}
 }
 
-// DemandAccess services a cache-hierarchy fill or write-back at cycle now
-// and returns its latency. Reads coalesce with any in-flight read for the
-// same line — PageForge-issued (Section 3.2.2) or earlier demand traffic —
-// counted under Stats.DemandCoalesced; writes invalidate the pending entry
-// so later reads cannot fold into a pre-write completion window. src
-// attributes the DRAM traffic: core demand, or the software KSM kthread
-// streaming pages through the caches.
-func (c *Controller) DemandAccess(addr uint64, now uint64, write bool, src dram.Source) uint64 {
-	lineAddr := addr &^ uint64(mem.LineSize-1)
-	if write {
-		c.Stats.DemandWrites++
-		c.Stats.ECCEncodes++
-		// The write supersedes any in-flight read for this line: a later
-		// read must not coalesce into the pre-write read's completion
-		// window and observe stale data timing.
-		delete(c.pending, lineAddr)
-		return c.DRAM.Access(lineAddr, now, true, src)
-	}
+// DemandAccess services an L3 miss fill at cycle now and returns its
+// latency. src attributes the DRAM traffic: core demand, or the software
+// KSM kthread streaming pages through the L3.
+func (c *Controller) DemandAccess(addr uint64, now uint64, src dram.Source) uint64 {
 	c.Stats.DemandReads++
-	if p, ok := c.pending[lineAddr]; ok && p.done > now {
-		c.Stats.DemandCoalesced++
-		return p.done - now
-	}
 	c.Stats.ECCDecodes++
-	lat := c.DRAM.Access(lineAddr, now, false, src)
-	c.trackPending(lineAddr, now, now+lat, src)
-	return lat
+	return c.DRAM.Access(addr&^uint64(mem.LineSize-1), now, false, src)
 }
 
 // FetchResult describes a PageForge line fetch.
@@ -125,34 +97,24 @@ type FetchResult struct {
 }
 
 // FetchLine services a PageForge request for one line of a physical frame
-// at cycle now, per Section 3.2.2 / 3.3.2: probe the on-chip network first;
-// otherwise coalesce with pending requests or access DRAM, attributing the
-// traffic to the PageForge source.
+// at cycle now, per Section 3.2.2 / 3.5: probe the on-chip network (the L3)
+// first; otherwise read DRAM, attributing the traffic to src.
 func (c *Controller) FetchLine(pfn mem.PFN, lineIdx int, now uint64, src dram.Source) FetchResult {
 	c.Stats.PFFetches++
 	addr := uint64(pfn.LineAddr(lineIdx))
 	data := c.Phys.ReadLine(pfn, lineIdx)
 
-	if c.Hier != nil && c.Hier.ProbeNetwork(addr) {
-		// Serviced from a cache: the response passes through the memory
+	if c.L3 != nil && c.L3.Peek(addr) {
+		// Serviced from the cache: the response passes through the memory
 		// controller and the ECC engine generates the code on the fly.
 		c.Stats.PFNetworkHits++
 		c.Stats.ECCEncodes++
 		return FetchResult{Data: data, Code: ecc.EncodeLine(data), Latency: c.NetworkLatency, FromNetwork: true}
 	}
 
-	if p, ok := c.pending[addr]; ok && p.done > now {
-		// Another request for this line is already in flight: coalesce.
-		c.Stats.PFCoalesced++
-		res := c.readDIMM(addr, now, data)
-		res.Latency = p.done - now
-		return res
-	}
-
 	c.Stats.PFDRAMReads++
 	c.Stats.ECCDecodes++
 	lat := c.DRAM.Access(addr, now, false, src)
-	c.trackPending(addr, now, now+lat, src)
 	res := c.readDIMM(addr, now, data)
 	res.Latency = lat
 	return res
@@ -185,17 +147,4 @@ func (c *Controller) readDIMM(addr, now uint64, data []byte) FetchResult {
 		c.Stats.ECCUncorrectable++
 		return FetchResult{Data: raw, Poisoned: true}
 	}
-}
-
-// trackPending records an in-flight read and prunes already-completed
-// entries so the map stays small.
-func (c *Controller) trackPending(addr, now, done uint64, src dram.Source) {
-	if len(c.pending) > 4096 {
-		for a, p := range c.pending {
-			if p.done <= now {
-				delete(c.pending, a)
-			}
-		}
-	}
-	c.pending[addr] = pendingRead{done: done, src: src}
 }

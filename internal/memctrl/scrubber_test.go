@@ -9,7 +9,7 @@ import (
 )
 
 func TestScrubTrafficIsBackgroundClass(t *testing.T) {
-	c, phys, _ := newCtrl(4, false)
+	c, phys := newCtrl(4, false)
 	fillFrame(phys) // PFN 0
 	scrub := &Scrubber{MC: c}
 
@@ -33,14 +33,14 @@ func TestScrubTrafficIsBackgroundClass(t *testing.T) {
 	residual := dcfg.TCL + dcfg.TBurst
 	addr := uint64(mem.PFN(0).LineAddr(3)) // the last line scrubbed
 	demandAt := end - residual - 20        // raw bank wait would exceed the cap
-	c.DemandAccess(addr, demandAt, false, dram.SrcCore)
+	c.DemandAccess(addr, demandAt, dram.SrcCore)
 	if wait := c.DRAM.Stats.BankWaitBySrc[dram.SrcCore]; wait != residual {
 		t.Fatalf("demand bank wait = %d, want the %d-cycle residual cap", wait, residual)
 	}
 }
 
 func TestScrubRewritesCorrectableLines(t *testing.T) {
-	c, phys, _ := newCtrl(4, false)
+	c, phys := newCtrl(4, false)
 	pfn := fillFrame(phys)
 	faultAddr := uint64(pfn.LineAddr(5))
 	c.Faults = FaultFunc(func(addr uint64, line []byte) {
@@ -75,7 +75,7 @@ func TestScrubRewritesCorrectableLines(t *testing.T) {
 }
 
 func TestScrubLogsUncorrectableLines(t *testing.T) {
-	c, phys, _ := newCtrl(4, false)
+	c, phys := newCtrl(4, false)
 	pfn := fillFrame(phys)
 	ueAddr := uint64(pfn.LineAddr(7))
 	c.Faults = FaultFunc(func(addr uint64, line []byte) {
@@ -97,7 +97,7 @@ func TestScrubLogsUncorrectableLines(t *testing.T) {
 }
 
 func TestScrubSkipsUnallocatedFrames(t *testing.T) {
-	c, phys, _ := newCtrl(8, false)
+	c, phys := newCtrl(8, false)
 	fillFrame(phys) // only PFN 0 allocated
 	scrub := &Scrubber{MC: c}
 	scrub.Step(0, 1000) // budget far above the allocated line count

@@ -1,47 +1,17 @@
 package memctrl
 
-import (
-	"sort"
-
-	"repro/internal/dram"
-)
-
-// Checkpoint support. The controller's only mutable state beyond the stats
-// is the in-flight read map, serialized as a sorted slice (maps have no
-// stable order); coalescing decisions after a restore then see exactly the
-// completion windows the uninterrupted run would have seen.
-
-// PendingState is one serialized in-flight read.
-type PendingState struct {
-	Addr uint64
-	Done uint64
-	Src  dram.Source
-}
+// Checkpoint support. The controller's only mutable state is its stats.
 
 // ControllerState is the serialized image of a Controller.
 type ControllerState struct {
-	Stats   Stats
-	Pending []PendingState
+	Stats Stats
 }
 
 // State captures the controller.
-func (c *Controller) State() ControllerState {
-	st := ControllerState{Stats: c.Stats}
-	for addr, p := range c.pending {
-		st.Pending = append(st.Pending, PendingState{Addr: addr, Done: p.done, Src: p.src})
-	}
-	sort.Slice(st.Pending, func(i, j int) bool { return st.Pending[i].Addr < st.Pending[j].Addr })
-	return st
-}
+func (c *Controller) State() ControllerState { return ControllerState{Stats: c.Stats} }
 
 // SetState restores the controller in place.
-func (c *Controller) SetState(st ControllerState) {
-	c.Stats = st.Stats
-	c.pending = make(map[uint64]pendingRead, len(st.Pending))
-	for _, p := range st.Pending {
-		c.pending[p.Addr] = pendingRead{done: p.Done, src: p.Src}
-	}
-}
+func (c *Controller) SetState(st ControllerState) { c.Stats = st.Stats }
 
 // ScrubberState is the serialized image of a Scrubber.
 type ScrubberState struct {

@@ -3,7 +3,6 @@ package platform
 import (
 	"fmt"
 
-	"repro/internal/cache"
 	"repro/internal/dram"
 	"repro/internal/faults"
 	"repro/internal/ksm"
@@ -38,8 +37,10 @@ import (
 
 // crashSnapshotVersion is the worldPayload schema version. Version 2 added
 // the live-event stream cursor and the balloon/fault storm-window fields;
-// version 3 made the memory image content-addressed (mem.PhysState).
-const crashSnapshotVersion = 3
+// version 3 made the memory image content-addressed (mem.PhysState);
+// version 4 dropped the cache-hierarchy counters and the controller's
+// in-flight read table.
+const crashSnapshotVersion = 4
 
 // Recovery cost model (deterministic, charged only to RecoveryCycles):
 // restoring a checkpoint, one backoff quantum (doubled per retry), and the
@@ -140,16 +141,10 @@ type worldPayload struct {
 	Fallback        scanEngineImage // PageForge-mode software fallback
 
 	// Memory system.
+	// The measurement L3 is not captured: it stays empty and its counters
+	// zero through convergence, the only phase a checkpoint is taken in.
 	MC   memctrl.ControllerState
 	DRAM dram.DRAMState
-	// Cache-hierarchy statistics (the caches themselves are empty during
-	// convergence — application traffic only runs in the measurement phase —
-	// so the counters are the hierarchy's only mutable state here).
-	HierL3Access  []uint64
-	HierL3Miss    []uint64
-	HierWB        uint64
-	HierProbes    uint64
-	HierProbeHits uint64
 
 	// RAS (fault model, UE-rate tracker, patrol scrubber).
 	HasRAS  bool
@@ -207,7 +202,6 @@ type crashEnv struct {
 	mode Mode
 	img  *tailbench.Image
 	alg  *ksm.Algorithm
-	hier *cache.Hierarchy
 	dr   *dram.DRAM
 	mc   *memctrl.Controller
 	ras  *rasState
@@ -297,13 +291,8 @@ func (env *crashEnv) capture(p int) ([]byte, error) {
 
 		EngineIsSW: *env.driver == nil,
 
-		MC:            env.mc.State(),
-		DRAM:          env.dr.State(),
-		HierL3Access:  append([]uint64(nil), env.hier.L3AccessBySource[:]...),
-		HierL3Miss:    append([]uint64(nil), env.hier.L3MissBySource[:]...),
-		HierWB:        env.hier.Writebacks,
-		HierProbes:    env.hier.NetworkProbes,
-		HierProbeHits: env.hier.NetworkProbeHits,
+		MC:   env.mc.State(),
+		DRAM: env.dr.State(),
 
 		DegradedAtPass:   env.es.degradedAtPass,
 		RepromotedAtPass: env.es.repromotedAtPass,
@@ -412,11 +401,6 @@ func (env *crashEnv) restore(blob []byte, pass int) (int, error) {
 	if err := env.dr.SetState(w.DRAM); err != nil {
 		return 0, err
 	}
-	copy(env.hier.L3AccessBySource[:], w.HierL3Access)
-	copy(env.hier.L3MissBySource[:], w.HierL3Miss)
-	env.hier.Writebacks = w.HierWB
-	env.hier.NetworkProbes = w.HierProbes
-	env.hier.NetworkProbeHits = w.HierProbeHits
 
 	if env.ras != nil && w.HasRAS {
 		env.ras.model.SetState(w.Faults)

@@ -3,7 +3,6 @@ package platform
 import (
 	"math"
 
-	"repro/internal/cache"
 	"repro/internal/dram"
 	"repro/internal/ksm"
 	"repro/internal/mem"
@@ -38,7 +37,6 @@ const (
 
 type measurement struct {
 	img   *tailbench.Image
-	hier  *cache.Hierarchy
 	dr    *dram.DRAM
 	mc    *memctrl.Controller
 	cfg   Config
@@ -108,12 +106,12 @@ func (p *pumpFetcher) FetchLine(pfn mem.PFN, lineIdx int, now uint64, src dram.S
 	return p.mc.FetchLine(pfn, lineIdx, now, src)
 }
 
-func newMeasurement(img *tailbench.Image, hier *cache.Hierarchy, dr *dram.DRAM,
+func newMeasurement(img *tailbench.Image, dr *dram.DRAM,
 	mc *memctrl.Controller, cfg Config, app tailbench.Profile, clock *uint64,
 	reg *obs.Registry) *measurement {
 
 	m := &measurement{
-		img: img, hier: hier, dr: dr, mc: mc, cfg: cfg, app: app, clock: clock,
+		img: img, dr: dr, mc: mc, cfg: cfg, app: app, clock: clock,
 		rng:       sim.NewRNG(cfg.Seed ^ 0xBEEF),
 		demandLat: reg.Histogram("platform/demand_latency_cycles"),
 	}
@@ -155,11 +153,11 @@ func warmAddr(core int, line int) uint64 {
 // allocating on miss, and returns its latency.
 func (m *measurement) l3Access(addr uint64, t uint64, src dram.Source) uint64 {
 	*m.clock = t
-	if m.hier.L3().Lookup(addr) != nil {
+	if m.mc.L3.Lookup(addr) {
 		return l3HitLatency
 	}
-	lat := m.mc.DemandAccess(addr, t, false, src)
-	m.hier.L3().Insert(addr, cache.Exclusive)
+	lat := m.mc.DemandAccess(addr, t, src)
+	m.mc.L3.Insert(addr)
 	return l3HitLatency + lat
 }
 
@@ -198,7 +196,7 @@ func (m *measurement) stepInterval(k int, scanner *ksm.Scanner, driver *pageforg
 		start := base + uint64(k)*interval
 		*m.clock = start
 		if k == warmupIntervals {
-			m.hier.ResetStats()
+			m.mc.L3.ResetStats()
 			m.dr.ResetBandwidthWindows()
 			m.burst.Reset()
 			m.demandLat.Reset()
@@ -405,7 +403,7 @@ func (e *appEmitter) emitUntil(deadline uint64) {
 func (m *measurement) fill(res *Result) {
 	res.BurstMean = m.burst.Mean()
 	res.BurstStd = m.burst.Stddev()
-	res.L3MissRate = m.hier.L3MissRate()
+	res.L3MissRate = m.mc.L3.MissRate()
 	res.AvgDemandLatency = m.demandLat.Mean()
 	res.DemandLatP50 = m.demandLat.P50()
 	res.DemandLatP95 = m.demandLat.P95()
@@ -413,9 +411,6 @@ func (m *measurement) fill(res *Result) {
 	res.DemandLatMax = m.demandLat.Max()
 	res.MeasuredCycles = uint64(m.cfg.MeasureIntervals) * m.cfg.IntervalCycles()
 }
-
-// ControllerStats exposes the memory-controller counters for experiments.
-func (m *measurement) ControllerStats() memctrl.Stats { return m.mc.Stats }
 
 // totalIntervals reports warm-up plus measured work intervals.
 func (m *measurement) totalIntervals() int { return warmupIntervals + m.cfg.MeasureIntervals }

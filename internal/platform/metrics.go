@@ -3,7 +3,6 @@ package platform
 import (
 	"fmt"
 
-	"repro/internal/cache"
 	"repro/internal/dram"
 	"repro/internal/ksm"
 	"repro/internal/memctrl"
@@ -21,19 +20,21 @@ import (
 // exported snapshot, and the per-pass series sampler may call it any number
 // of times before that without perturbing the final values.
 func publishMetrics(reg *obs.Registry, mc *memctrl.Controller, dr *dram.DRAM,
-	hier *cache.Hierarchy, scanner *ksm.Scanner, driver *pageforge.Driver, ras *rasState,
+	scanner *ksm.Scanner, driver *pageforge.Driver, ras *rasState,
 	ps *pressureState, img *tailbench.Image) {
 
-	// Memory controller: demand traffic, PageForge fetch routing,
-	// coalescing, and the ECC pipe.
+	// Memory controller: demand traffic, PageForge fetch routing, and the
+	// ECC pipe.
 	ms := mc.Stats
 	reg.SetCounter("memctrl/demand_reads", ms.DemandReads)
-	reg.SetCounter("memctrl/demand_writes", ms.DemandWrites)
-	reg.SetCounter("memctrl/demand_coalesced", ms.DemandCoalesced)
 	reg.SetCounter("memctrl/pf_fetches", ms.PFFetches)
 	reg.SetCounter("memctrl/pf_network_hits", ms.PFNetworkHits)
 	reg.SetCounter("memctrl/pf_dram_reads", ms.PFDRAMReads)
-	reg.SetCounter("memctrl/pf_coalesced", ms.PFCoalesced)
+	// The model has no writes and no coalescing, but perfbench's recorded
+	// digests cover every counter name, so these stay published as zeros.
+	reg.SetCounter("memctrl/demand_writes", 0)
+	reg.SetCounter("memctrl/demand_coalesced", 0)
+	reg.SetCounter("memctrl/pf_coalesced", 0)
 	reg.SetCounter("memctrl/ecc_encodes", ms.ECCEncodes)
 	reg.SetCounter("memctrl/ecc_decodes", ms.ECCDecodes)
 	reg.SetCounter("memctrl/ecc_corrected", ms.ECCCorrected)
@@ -83,10 +84,10 @@ func publishMetrics(reg *obs.Registry, mc *memctrl.Controller, dr *dram.DRAM,
 	reg.SetGauge("platform/frames_allocated", float64(hv.Phys.AllocatedFrames()))
 
 	// Shared cache.
-	l3 := hier.L3()
+	l3 := mc.L3
 	reg.SetCounter("cache/l3_hits", l3.Hits)
 	reg.SetCounter("cache/l3_misses", l3.Misses)
-	reg.SetGauge("cache/l3_miss_rate", hier.L3MissRate())
+	reg.SetGauge("cache/l3_miss_rate", l3.MissRate())
 
 	// Dedup algorithm outcomes (shared by both engines; under degradation
 	// the software scanner continues on the hardware driver's state, so

@@ -1,6 +1,6 @@
-// Package platform wires the full Table 2 machine: 10 out-of-order cores
-// with the three-level cache hierarchy, the DDR memory system behind a
-// memory controller hosting the PageForge module, 10 VMs (one per core)
+// Package platform wires the full Table 2 machine: 10 cores whose traffic
+// is sampled at the shared L3, the DDR memory system behind a memory
+// controller hosting the PageForge module, 10 VMs (one per core)
 // running a TailBench application, and the page-deduplication engine of the
 // selected configuration. It runs the paper's three configurations —
 // Baseline (no merging), KSM (software), PageForge (hardware) — through a
@@ -9,7 +9,6 @@
 package platform
 
 import (
-	"repro/internal/cache"
 	"repro/internal/dram"
 	"repro/internal/faults"
 	"repro/internal/ksm"
@@ -68,7 +67,6 @@ type Config struct {
 
 	KSMCosts ksm.Costs
 	Driver   pageforge.DriverConfig
-	Hier     cache.HierarchyConfig
 	DRAM     dram.Config
 
 	// ConvergePasses caps the steady-state convergence phase.
@@ -160,7 +158,6 @@ func DefaultConfig() Config {
 		PagesToScan:      400,
 		KSMCosts:         ksm.DefaultCosts(),
 		Driver:           pageforge.DefaultDriverConfig(),
-		Hier:             cache.DefaultHierarchyConfig(),
 		DRAM:             dram.DefaultConfig(),
 		ConvergePasses:   25,
 		MeasureIntervals: 40,

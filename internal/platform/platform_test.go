@@ -4,7 +4,11 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/dram"
 	"repro/internal/faults"
+	"repro/internal/mem"
+	"repro/internal/memctrl"
+	"repro/internal/pageforge"
 	"repro/internal/tailbench"
 )
 
@@ -235,5 +239,58 @@ func TestFaultConfigZeroIsIdentical(t *testing.T) {
 	}
 	if a.ScrubLines != 0 || a.ECCUncorrectable != 0 || a.Degraded {
 		t.Fatalf("zero fault config produced RAS activity: %+v", a)
+	}
+}
+
+// overlapCheck wraps the PageForge engine's line fetcher and records each
+// line's latest completion, failing on a fetch issued while an earlier
+// fetch of the same line is still in flight.
+type overlapCheck struct {
+	t     *testing.T
+	inner pageforge.LineFetcher
+	done  map[uint64]uint64
+	n     int
+}
+
+func (o *overlapCheck) FetchLine(pfn mem.PFN, li int, now uint64, src dram.Source) memctrl.FetchResult {
+	res := o.inner.FetchLine(pfn, li, now, src)
+	addr := uint64(pfn.LineAddr(li))
+	if d, ok := o.done[addr]; ok && d > now {
+		o.t.Fatalf("fetch of frame %d line %d at cycle %d overlaps a fetch completing at %d", pfn, li, now, d)
+	}
+	o.done[addr] = now + res.Latency
+	o.n++
+	return res
+}
+
+// TestPageForgeFetchesNeverOverlap backs the memory controller's lack of
+// an in-flight read table (DESIGN.md §5): across whole PageForge runs, with
+// live events and with poisoned-line retries, no line fetch is issued while
+// an earlier fetch of the same line is in flight, so there is nothing to
+// coalesce. Demand lines live above every frame address, so demand reads
+// cannot overlap a fetch either.
+func TestPageForgeFetchesNeverOverlap(t *testing.T) {
+	events := fastConfig()
+	events.Events = streamSchedule()
+	faulted := fastConfig()
+	faulted.Faults = faults.Config{Seed: 7, TransientPerRead: 0.01}
+	for name, cfg := range map[string]Config{"plain": fastConfig(), "events": events, "faulted": faulted} {
+		t.Run(name, func(t *testing.T) {
+			r := NewRuntime(PageForge, fastApp("img_dnn"), cfg)
+			if err := r.Start(); err != nil {
+				t.Fatal(err)
+			}
+			if top := uint64(r.img.HV.Phys.TotalFrames()) * mem.PageSize; top > warmRegionBase {
+				t.Fatalf("frame addresses reach %#x, into the demand regions at %#x", top, warmRegionBase)
+			}
+			chk := &overlapCheck{t: t, inner: r.driver.HW.MC, done: map[uint64]uint64{}}
+			r.driver.HW.MC = chk
+			if _, err := r.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			if chk.n == 0 {
+				t.Fatal("the engine fetched nothing")
+			}
+		})
 	}
 }

@@ -145,7 +145,6 @@ type Runtime struct {
 	// World, built by Start.
 	res   *Result
 	img   *tailbench.Image
-	hier  *cache.Hierarchy
 	dr    *dram.DRAM
 	mc    *memctrl.Controller
 	reg   *obs.Registry
@@ -209,6 +208,9 @@ func (r *Runtime) Start() error {
 		return fmt.Errorf("platform: runtime already started")
 	}
 	r.started = true
+	if r.cfg.Cores < 1 {
+		return fmt.Errorf("platform: %d cores, want at least 1", r.cfg.Cores)
+	}
 	mode, app := r.mode, r.app
 
 	// Split the config-scheduled events: EvCrash entries go to the crash
@@ -264,19 +266,11 @@ func (r *Runtime) Start() error {
 		return cfg.Verifier.Interval(p)
 	}
 
-	hierCfg := cfg.Hier
-	hierCfg.Cores = cfg.Cores
-	hierCfg.L3 = cache.Config{SizeBytes: measureL3Bytes, Ways: measureL3Ways}
-	hier := cache.NewHierarchy(hierCfg)
+	// The measurement L3 lives in the controller: application misses fill
+	// it and PageForge fetches probe it.
 	dr := dram.New(cfg.DRAM)
-	mc := memctrl.New(dr, img.HV.Phys, hier)
-	r.hier, r.dr, r.mc = hier, dr, mc
-
-	// The hierarchy's misses go to the memory controller; the closure binds
-	// the runtime's clock.
-	hier.MemAccess = func(addr uint64, write bool) uint64 {
-		return mc.DemandAccess(addr, r.clock, write, dram.SrcCore)
-	}
+	mc := memctrl.New(dr, img.HV.Phys, cache.NewCache(cache.Config{SizeBytes: measureL3Bytes, Ways: measureL3Ways}))
+	r.dr, r.mc = dr, mc
 
 	r.res = &Result{Mode: mode, App: app, DegradedAtPass: -1, RepromotedAtPass: -1}
 
@@ -375,7 +369,7 @@ func (r *Runtime) Start() error {
 		if r.track == nil {
 			return
 		}
-		publishMetrics(r.reg, r.mc, r.dr, r.hier, sw, r.hwDriver, r.ras, r.ps, r.img)
+		publishMetrics(r.reg, r.mc, r.dr, sw, r.hwDriver, r.ras, r.ps, r.img)
 		r.track.Sample(phase, idx, now, r.reg)
 	}
 
@@ -397,7 +391,7 @@ func (r *Runtime) Start() error {
 		// Snapshot/Restore work without arming the crash machinery; the
 		// crash machinery reuses it when configured.
 		r.env = &crashEnv{
-			mode: mode, img: img, alg: r.alg, hier: hier, dr: dr, mc: mc,
+			mode: mode, img: img, alg: r.alg, dr: dr, mc: mc,
 			ras: r.ras, ps: r.ps, es: r.es, sc: sc,
 			hwDriver: r.hwDriver, ksmScanner: r.scanner,
 			track: r.track, ledger: cfg.Ledger,
@@ -581,7 +575,7 @@ func (r *Runtime) stepConverge() error {
 	}
 	// Unified engine selection: either health signal demotes the hardware
 	// driver to software KSM on the same algorithm state (the software path
-	// reads through the cache hierarchy, not the poisoned ECC fetch pipe,
+	// reads through the cores' own load path, not the poisoned ECC fetch pipe,
 	// and costs core cycles the throttled rungs are willing to pay); both
 	// clearing re-promotes the retained driver.
 	wantSW := (ras != nil && ras.tracker.Degraded()) ||
@@ -689,7 +683,7 @@ func (r *Runtime) finishConverge() {
 	// cache traffic and the dedup engine interleaved, recording bursts,
 	// pollution, and demand latency. The engine pair is pinned here — the
 	// swap policy only acts during convergence.
-	meas := newMeasurement(r.img, r.hier, r.dr, r.mc, cfg, r.app, &r.clock, r.reg)
+	meas := newMeasurement(r.img, r.dr, r.mc, cfg, r.app, &r.clock, r.reg)
 	meas.pump = r.pump
 	meas.trace = r.sc
 	meas.ps = r.ps
@@ -774,7 +768,7 @@ func (r *Runtime) finishRun() {
 		res.Pressure = r.ps.finalize()
 	}
 
-	publishMetrics(r.reg, r.mc, r.dr, r.hier, r.measScanner, r.hwDriver, r.ras, r.ps, r.img)
+	publishMetrics(r.reg, r.mc, r.dr, r.measScanner, r.hwDriver, r.ras, r.ps, r.img)
 	res.Metrics = r.reg.Snapshot()
 	r.finished = true
 }
@@ -900,7 +894,7 @@ func (r *Runtime) Metrics() *obs.Snapshot {
 	if sw == nil {
 		sw = r.fallback
 	}
-	publishMetrics(r.reg, r.mc, r.dr, r.hier, sw, r.hwDriver, r.ras, r.ps, r.img)
+	publishMetrics(r.reg, r.mc, r.dr, sw, r.hwDriver, r.ras, r.ps, r.img)
 	return r.reg.Snapshot()
 }
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/rbtree"
+	"repro/internal/snapshot"
 	"repro/internal/tailbench"
 	"repro/internal/vm"
 )
@@ -231,6 +232,76 @@ func TestSnapshotRestoreFreshRuntime(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRestoreSlotCensus checks the frame store a platform Restore rebuilds
+// against the checkpoint it came from: one live slot per distinct nonzero
+// content of the captured mem.PhysState plus the zero page, and a memory
+// image that captures back to exactly that state. The world runs on past
+// the snapshot first, through a VM kill and a phase change (which also keep
+// it converging), so the restore has frees, merges and CoW breaks to undo.
+func TestRestoreSlotCensus(t *testing.T) {
+	for _, mode := range []Mode{KSM, PageForge} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := fastConfig()
+			cfg.Events = []Event{
+				{Pass: 1, Kind: EvVMSpawn},
+				{Pass: 2, Kind: EvVMKill, VM: 1},
+				{Pass: 3, Kind: EvPhaseChange, Frac: 0.4},
+			}
+			r := NewRuntime(mode, fastApp("silo"), cfg)
+			if err := r.Start(); err != nil {
+				t.Fatal(err)
+			}
+			step := func(n int) {
+				for i := 0; i < n; i++ {
+					if done, err := r.Step(); err != nil || done {
+						t.Fatalf("step: done=%v err=%v", done, err)
+					}
+				}
+			}
+			step(2)
+			blob, err := r.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var w worldPayload
+			if err := snapshot.Decode(blob, crashSnapshotVersion, &w); err != nil {
+				t.Fatal(err)
+			}
+			step(2)
+			if err := r.Restore(blob); err != nil {
+				t.Fatal(err)
+			}
+			phys := r.img.HV.Phys
+			contents := len(w.Phys.Pages) / mem.PageSize
+			if contents == 0 {
+				t.Fatal("checkpoint holds no nonzero content")
+			}
+			if got := phys.LiveSlots(); got != contents+1 {
+				t.Fatalf("%d live slots after restore, want %d distinct contents + the zero page", got, contents)
+			}
+			got, err := phys.State()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, w.Phys) {
+				t.Fatal("restored memory image captures to a different PhysState than the checkpoint")
+			}
+		})
+	}
+}
+
+// TestStartRejectsBadCoreCount pins the machine-shape check: a world with
+// no cores is a configuration error Start reports, not a panic.
+func TestStartRejectsBadCoreCount(t *testing.T) {
+	for _, cores := range []int{0, -1} {
+		cfg := fastConfig()
+		cfg.Cores = cores
+		if err := NewRuntime(KSM, fastApp("silo"), cfg).Start(); err == nil {
+			t.Fatalf("Start accepted %d cores", cores)
+		}
 	}
 }
 

@@ -11,8 +11,8 @@
 //   - Every substrate the paper's evaluation depends on: a SECDED (72,64)
 //     ECC engine, the Linux jhash2 function, a hypervisor with
 //     guest-to-host page mappings and copy-on-write, RedHat's KSM
-//     algorithm (stable/unstable content-indexed red-black trees), a MESI
-//     cache hierarchy, a DDR bank/row DRAM model with demand-priority
+//     algorithm (stable/unstable content-indexed red-black trees), a
+//     shared set-associative L3, a DDR bank/row DRAM model with demand-priority
 //     scheduling, TailBench-like latency-critical workloads, and an
 //     analytical area/power model.
 //   - Experiment runners that regenerate every table and figure of the
