@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 5s
 COVER_FLOOR ?= 75
 
-.PHONY: build test race vet bench fuzz smoke cover perfbench-test digests ci
+.PHONY: build test race vet bench benchsmoke fuzz smoke cover perfbench-test digests ci
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,13 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem ./...
 	$(GO) run ./cmd/pageforge bench -out BENCH_suite.json
+
+# benchsmoke runs every benchmark exactly once, so one that no longer runs
+# fails the gate. The §4 ablation benchmarks are the only callers of some
+# knobs (DriverConfig.BatchEntries, for one). It gates nothing on the
+# reported times or metrics.
+benchsmoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # perfbench-test runs the benchmark module's unit tests and its tiny-size
 # smoke run. The module builds against internal/ through a replace
@@ -102,7 +109,7 @@ cover:
 # test suite under the race detector (the experiment suite runs its
 # simulations through a concurrent worker pool; the suite includes the
 # exact work-count golden and the zero-allocation pins), the short fuzz
-# budget, the CLI JSON smoke run, the benchmark module's tests, the
-# benchmark's recorded result digests and the coverage floor. Every step
-# is deterministic: no step gates on wall time.
-ci: build vet race fuzz smoke perfbench-test digests cover
+# budget, one run of every benchmark, the CLI JSON smoke run, the
+# benchmark module's tests, the benchmark's recorded result digests and the
+# coverage floor. Every step is deterministic: no step gates on wall time.
+ci: build vet race fuzz benchsmoke smoke perfbench-test digests cover

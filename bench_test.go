@@ -575,40 +575,6 @@ func BenchmarkAlgorithmESXvsKSM(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationKSMOptions measures the post-paper Linux KSM features:
-// use_zero_pages removes zero pages from the trees and smart scan skips
-// stable candidates, both cutting steady-state kthread cycles.
-func BenchmarkAblationKSMOptions(b *testing.B) {
-	app := *tailbench.ProfileByName("img_dnn")
-	app.PagesPerVM = 300
-	run := func(b *testing.B, opts ksm.Options) {
-		for i := 0; i < b.N; i++ {
-			img, err := tailbench.BuildImage(app, 10, 10*app.PagesPerVM*2, 5)
-			if err != nil {
-				b.Fatal(err)
-			}
-			s := ksm.NewScanner(ksm.NewAlgorithm(img.HV, ksm.JHasher{}), ksm.DefaultCosts())
-			s.Alg.SetOptions(opts)
-			s.RunToSteadyState(10)
-			// Steady-state cost: cycles per page over four more passes.
-			before := s.Cycles.Total()
-			pages := s.Alg.MergeablePages()
-			for p := 0; p < 4; p++ {
-				for j := 0; j < pages; j++ {
-					s.ScanOne()
-				}
-				img.ChurnVolatile()
-			}
-			b.ReportMetric(float64(s.Cycles.Total()-before)/float64(4*pages), "cycles/page")
-			b.ReportMetric(img.MeasureFootprint().Savings()*100, "savings_%")
-		}
-	}
-	b.Run("plain", func(b *testing.B) { run(b, ksm.Options{}) })
-	b.Run("zeropages", func(b *testing.B) { run(b, ksm.Options{UseZeroPages: true}) })
-	b.Run("smartscan", func(b *testing.B) { run(b, ksm.Options{SmartScan: true}) })
-	b.Run("both", func(b *testing.B) { run(b, ksm.Options{UseZeroPages: true, SmartScan: true}) })
-}
-
 // BenchmarkAblationTwoModules quantifies §4.1's argument against one
 // PageForge module per memory controller: two modules scanning disjoint
 // halves of the VMs double the scan rate, but cross-partition duplicates
@@ -683,41 +649,6 @@ func BenchmarkSatoriExtension(b *testing.B) {
 		b.ReportMetric(pfHi.CoreBusyPct, "pf_core_%")
 		b.ReportMetric(pfHi.CapturedPct, "pf_captured_%")
 	}
-}
-
-// BenchmarkAblationHugePages quantifies §7.3: duplicate pages under 2MB
-// mappings are invisible to merging; proactively breaking the mappings
-// (Guo et al., VEE 2015) recovers the savings.
-func BenchmarkAblationHugePages(b *testing.B) {
-	app := *tailbench.ProfileByName("img_dnn")
-	app.PagesPerVM = 300
-	run := func(b *testing.B, hugeFrac float64, breakThem bool) {
-		for i := 0; i < b.N; i++ {
-			img, err := tailbench.BuildImage(app, 10, 10*app.PagesPerVM*2, 23)
-			if err != nil {
-				b.Fatal(err)
-			}
-			hugePages := int(hugeFrac * float64(app.PagesPerVM))
-			for _, v := range img.VMs {
-				if hugePages > 0 {
-					if err := v.MapHuge(0, hugePages); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			if breakThem {
-				for _, v := range img.VMs {
-					v.BreakAllHuge()
-				}
-			}
-			s := ksm.NewScanner(ksm.NewAlgorithm(img.HV, ksm.JHasher{}), ksm.DefaultCosts())
-			s.RunToSteadyState(12)
-			b.ReportMetric(img.MeasureFootprint().Savings()*100, "savings_%")
-		}
-	}
-	b.Run("base-pages", func(b *testing.B) { run(b, 0, false) })
-	b.Run("half-huge", func(b *testing.B) { run(b, 0.5, false) })
-	b.Run("half-huge-broken", func(b *testing.B) { run(b, 0.5, true) })
 }
 
 // BenchmarkBuildImage measures building the paper-size boot image (img_dnn,

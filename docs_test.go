@@ -37,13 +37,18 @@ var (
 	commandLine  = regexp.MustCompile(`^(?:\$ )?(?:go |make |bash |pageforge |/tmp/pf )`)
 	testFuncDecl = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark|Example)[A-Za-z0-9_]*)\(`)
 	makeTarget   = regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`)
+	// A row of DESIGN.md §3's inventory: package cell, role, file list.
+	inventoryRow = regexp.MustCompile("^\\| `([^`]+)`([^|]*)\\|[^|]*\\|([^|]*)\\|\\s*$")
+	goFileName   = regexp.MustCompile(`[A-Za-z0-9_]+\.go\b`)
 )
 
 // TestDocCitationsExist fails on any test, fuzz target, benchmark or
 // example name, -exp experiment, make target or internal/ path that the
-// docs cite but the repository does not have, so a rename or deletion
-// cannot leave the docs pointing at nothing.
+// docs cite but the repository does not have, or on a file that DESIGN.md
+// §3's inventory lists but its package does not have, so a rename or
+// deletion cannot leave the docs pointing at nothing.
 func TestDocCitationsExist(t *testing.T) {
+	checkInventoryFiles(t)
 	funcs := declaredTestFuncs(t)
 	exps := experimentNames(t)
 	mk, err := os.ReadFile("Makefile")
@@ -199,4 +204,48 @@ func hasPrefixIn(names map[string]bool, prefix string) bool {
 		}
 	}
 	return false
+}
+
+// checkInventoryFiles requires every *.go name in the file column of
+// DESIGN.md §3's inventory table to exist in that row's package directory.
+// The row "`pageforge` (root)" is the repository root, and "`examples/*`"
+// means every example directory.
+func checkInventoryFiles(t *testing.T) {
+	t.Helper()
+	text, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sec, ok := strings.Cut(string(text), "\n## 3. ")
+	if !ok {
+		t.Fatal("DESIGN.md has no section 3")
+	}
+	sec, _, _ = strings.Cut(sec, "\n## ")
+	files := 0
+	for _, line := range strings.Split(sec, "\n") {
+		m := inventoryRow.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		dir := m[1]
+		if strings.Contains(m[2], "(root)") {
+			dir = "."
+		}
+		dirs, err := filepath.Glob(dir)
+		if err != nil || len(dirs) == 0 {
+			t.Errorf("DESIGN.md §3: package %s does not exist", m[1])
+			continue
+		}
+		for _, name := range goFileName.FindAllString(m[3], -1) {
+			for _, d := range dirs {
+				if _, err := os.Stat(filepath.Join(d, name)); err != nil {
+					t.Errorf("DESIGN.md §3: %s lists %s, which %s does not have", m[1], name, d)
+				}
+			}
+			files++
+		}
+	}
+	if files < 40 {
+		t.Fatalf("DESIGN.md §3 lists only %d files; has the inventory table changed shape?", files)
+	}
 }

@@ -124,7 +124,7 @@ func (c *Checker) checkContents() error {
 }
 
 // engineHolds counts the dedup engine's non-mapping frame references: one
-// per stable node, one per unstable node, one for the dedicated zero frame.
+// per stable node and one per unstable node.
 func engineHolds(p platform.VerifyPoint) map[mem.PFN]int {
 	holds := map[mem.PFN]int{}
 	if p.Alg == nil {
@@ -133,9 +133,6 @@ func engineHolds(p platform.VerifyPoint) map[mem.PFN]int {
 	count := func(n *rbtree.Node) bool { holds[n.PFN]++; return true }
 	p.Alg.Stable.InOrder(count)
 	p.Alg.Unstable.InOrder(count)
-	if zf, ok := p.Alg.ZeroPFN(); ok {
-		holds[zf]++
-	}
 	return holds
 }
 
@@ -213,7 +210,7 @@ func (c *Checker) Final(converged bool) error {
 	groups := map[string][]vm.PageID{}
 	frames := map[string][]mem.PFN{}
 	err := c.eachPresent(func(id vm.PageID, pfn mem.PFN) error {
-		if !c.Model.Clean(id) || !c.hv.VM(id.VM).Mergeable(id.GFN) || c.hv.VM(id.VM).InHuge(id.GFN) {
+		if !c.Model.Clean(id) || !c.hv.VM(id.VM).Mergeable(id.GFN) {
 			return nil
 		}
 		key := string(c.Model.Expected(id))

@@ -90,7 +90,7 @@ func efficiencyPoint(base platform.Config, series *obs.Series, mode platform.Mod
 		App:           app.Name,
 		Passes:        res.ConvergedPasses,
 		Scanned:       st.PagesScanned,
-		Merged:        st.StableMerges + st.UnstableMerges + st.ZeroMerges,
+		Merged:        st.StableMerges + st.UnstableMerges,
 		SavingsPct:    res.Footprint.Savings() * 100,
 		Churned:       at.Causes["content_churn"],
 		Unstable:      at.Causes["checksum_instability"],

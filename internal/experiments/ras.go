@@ -118,13 +118,7 @@ func rasPoint(seed uint64, rate float64, passes, scrubBudget int) RASRow {
 	degradeAt := -1
 	var now uint64
 	for pass := 0; pass < passes; pass++ {
-		for i, n := 0, drv.Alg.MergeablePages(); i < n; i++ {
-			_, t, ok := drv.ScanOne(now)
-			if !ok {
-				break
-			}
-			now = t
-		}
+		_, _, now = drv.ScanBatch(drv.Alg.MergeablePages(), now, math.MaxUint64)
 		now = scrub.Step(now, scrubBudget)
 		if tracker.Observe(mc.Stats.ECCDecodes, mc.Stats.ECCUncorrectable, uint64(pass)) && degradeAt < 0 {
 			degradeAt = pass

@@ -168,13 +168,7 @@ func Satori(s *Suite) (*SatoriResult, error) {
 				}
 				end := start + interval
 				cc := driver.CoreCycles
-				for scanned := 0; scanned < pts && pfNow < end; scanned++ {
-					_, t, ok := driver.ScanOne(pfNow)
-					if !ok {
-						break
-					}
-					pfNow = t
-				}
+				_, _, pfNow = driver.ScanBatch(pts, pfNow, end)
 				busy += driver.CoreCycles - cc
 			}
 			if w.identical {

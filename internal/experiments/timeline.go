@@ -67,13 +67,7 @@ func Timeline(s *Suite, app tailbench.Profile, intervals int) (*TimelineResult, 
 			}
 			end := start + interval
 			cc := drv.CoreCycles
-			for scanned := 0; scanned < s.Cfg.PagesToScan && pfNow < end; scanned++ {
-				_, t, ok := drv.ScanOne(pfNow)
-				if !ok {
-					break
-				}
-				pfNow = t
-			}
+			_, _, pfNow = drv.ScanBatch(s.Cfg.PagesToScan, pfNow, end)
 			busy += drv.CoreCycles - cc
 			res.SavingsPF = append(res.SavingsPF, img.MeasureFootprint().Savings())
 		}

@@ -57,10 +57,6 @@ type rmapItem struct {
 	// keep PFNs.
 	unstableNode *rbtree.Node
 	unstablePass uint64
-	// Smart-scan state: consecutive unchanged passes and the pass to
-	// resume scanning at.
-	unchangedStreak uint64
-	skipUntilPass   uint64
 }
 
 // stableItem is the payload of a stable-tree node: the tree holds one
@@ -82,8 +78,8 @@ type Stats struct {
 	HashFirstSeen  uint64 // first scan of a page (no previous hash)
 	StaleUnstable  uint64 // unstable matches invalidated before merge
 	StablePruned   uint64 // stable nodes dropped after last sharer left
-	ZeroMerges     uint64 // pages merged with the dedicated zero frame
-	SmartSkips     uint64 // candidates skipped by smart scan
+	ZeroMerges     uint64 // always 0: kept because result digests hash every Stats field
+	SmartSkips     uint64 // always 0: kept because result digests hash every Stats field
 	FaultFallbacks uint64 // candidates completed in software after a hardware UE abort
 }
 
@@ -104,9 +100,6 @@ type Algorithm struct {
 	pass      uint64
 	shardBits int
 	maxCmp    []int // per-shard deepest-comparison tracker
-
-	opts    Options
-	zeroPFN *mem.PFN // dedicated zero frame (use_zero_pages)
 
 	stale []*rbtree.Node // EndPass's prune buffer, reused every pass
 
@@ -161,7 +154,7 @@ func NewAlgorithmSharded(hv *vm.Hypervisor, h Hasher, shardBits int) *Algorithm 
 // ShardOf routes a frame to a shard by the top shardBits bits of its first
 // 8 content bytes read big-endian — a memcmp-order-preserving prefix, so
 // equal pages always share a shard and the shard order is the content
-// order. All-zero pages (and the dedicated zero frame) route to shard 0.
+// order. All-zero pages route to shard 0.
 func (a *Algorithm) ShardOf(pfn mem.PFN) int {
 	if a.shardBits == 0 {
 		return 0
@@ -279,9 +272,6 @@ func (a *Algorithm) item(id vm.PageID) *rmapItem {
 // SkipCandidate reports whether the candidate should be skipped outright:
 // not present (never touched) or already a merged KSM page.
 func (a *Algorithm) SkipCandidate(id vm.PageID) bool {
-	if a.HV.VM(id.VM).InHuge(id.GFN) {
-		return true // huge mappings cannot be remapped at 4KB granularity
-	}
 	pfn, ok := a.HV.Resolve(id)
 	if !ok {
 		return true
@@ -305,9 +295,9 @@ const (
 func (o HashOutcome) Changed() bool { return o != HashSame }
 
 // recordKey updates a page's hash-tracking state with a freshly computed
-// key and classifies the check — the shared body of HashCheckOutcome and
-// RecordHashOutcome.
-func (a *Algorithm) recordKey(it *rmapItem, id vm.PageID, key uint32) HashOutcome {
+// key and classifies the check — the shared body of HashCheck and
+// RecordHash.
+func (a *Algorithm) recordKey(it *rmapItem, key uint32) HashOutcome {
 	var out HashOutcome
 	switch {
 	case !it.hasHash:
@@ -322,41 +312,26 @@ func (a *Algorithm) recordKey(it *rmapItem, id vm.PageID, key uint32) HashOutcom
 	}
 	it.oldHash = key
 	it.hasHash = true
-	a.noteHashOutcome(id, out.Changed())
 	return out
 }
 
-// HashCheckOutcome computes the candidate's hash key and compares it with
-// the key from the previous pass, recording the new key either way.
-func (a *Algorithm) HashCheckOutcome(id vm.PageID) (HashOutcome, int) {
+// HashCheck computes the candidate's hash key and compares it with the key
+// from the previous pass, recording the new key either way. Only HashSame
+// permits the unstable-tree search. It also reports the bytes hashed.
+func (a *Algorithm) HashCheck(id vm.PageID) (HashOutcome, int) {
 	pfn, ok := a.HV.Resolve(id)
 	if !ok {
 		return HashChanged, 0
 	}
 	key := a.Hasher.PageKey(a.HV.Phys.Page(pfn))
-	return a.recordKey(a.item(id), id, key), a.Hasher.BytesRead()
+	return a.recordKey(a.item(id), key), a.Hasher.BytesRead()
 }
 
-// HashCheck computes the candidate's hash key and compares it with the key
-// from the previous pass. It returns changed=false only when the page has a
-// previous key and it matches — the precondition for searching the unstable
-// tree. The new key is recorded either way.
-func (a *Algorithm) HashCheck(id vm.PageID) (changed bool, bytesRead int) {
-	o, n := a.HashCheckOutcome(id)
-	return o.Changed(), n
-}
-
-// RecordHashOutcome stores an externally computed hash key (the PageForge
-// driver receives the key from hardware instead of computing it) and
-// classifies the change check.
-func (a *Algorithm) RecordHashOutcome(id vm.PageID, key uint32) HashOutcome {
-	return a.recordKey(a.item(id), id, key)
-}
-
-// RecordHash stores an externally computed hash key and reports whether the
-// page changed since the last pass.
-func (a *Algorithm) RecordHash(id vm.PageID, key uint32) (changed bool) {
-	return a.RecordHashOutcome(id, key).Changed()
+// RecordHash stores an externally computed hash key (the PageForge driver
+// receives the key from hardware instead of computing it) and classifies
+// the change check.
+func (a *Algorithm) RecordHash(id vm.PageID, key uint32) HashOutcome {
+	return a.recordKey(a.item(id), key)
 }
 
 // MergeIntoStable merges the candidate with the stable node's frame.

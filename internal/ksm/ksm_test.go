@@ -134,6 +134,11 @@ func TestZeroPagesAllMergeToOneFrame(t *testing.T) {
 	if shared != 1 || sharing != 8 {
 		t.Fatalf("sharing = %d/%d, want 1/8", shared, sharing)
 	}
+	// Zero pages take the ordinary Algorithm 1 path through the trees:
+	// nothing writes the zero-merge or skip counters.
+	if s.Alg.Stats.ZeroMerges != 0 || s.Alg.Stats.SmartSkips != 0 {
+		t.Fatalf("ZeroMerges/SmartSkips = %d/%d, want 0/0", s.Alg.Stats.ZeroMerges, s.Alg.Stats.SmartSkips)
+	}
 }
 
 func TestCoWBreakThenRemerge(t *testing.T) {

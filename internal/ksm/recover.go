@@ -100,14 +100,11 @@ func (a *Algorithm) VerifyRecovered() (RecoveryStats, error) {
 	st.HintGroups = len(hints)
 
 	// 3. Refcount ledger: every allocated frame's refcount must equal its
-	// guest mappers plus the engine's holds (stable nodes, unstable nodes,
-	// and the permanent zero-frame reference).
+	// guest mappers plus the engine's holds (stable nodes and unstable
+	// nodes).
 	holds := map[mem.PFN]int{}
 	a.Stable.InOrder(func(n *rbtree.Node) bool { holds[n.PFN]++; return true })
 	a.Unstable.InOrder(func(n *rbtree.Node) bool { holds[n.PFN]++; return true })
-	if zf, ok := a.ZeroPFN(); ok {
-		holds[zf]++
-	}
 	for pfn := mem.PFN(0); int(pfn) < phys.TotalFrames(); pfn++ {
 		if !phys.Allocated(pfn) {
 			continue

@@ -208,9 +208,6 @@ func (s *Scanner) scanCandidate(id vm.PageID, ac *scanAcct) (merged bool) {
 	if a.SkipCandidate(id) {
 		return false
 	}
-	if a.SmartSkip(id) {
-		return false
-	}
 	ldg := s.Ledger.Enabled()
 	var candPFN uint64
 	if ldg {
@@ -219,18 +216,6 @@ func (s *Scanner) scanCandidate(id vm.PageID, ac *scanAcct) (merged bool) {
 			ac.event(obs.LedgerEvent{Kind: obs.LKScanned, VM: id.VM, GFN: uint64(id.GFN), PFN: candPFN})
 		} else {
 			ldg = false
-		}
-	}
-	if a.Options().UseZeroPages {
-		zeroMerged, scanned := a.TryMergeZero(id)
-		s.chargeCompare(ac, uint64(scanned))
-		if zeroMerged {
-			ac.cycles.Other += s.Costs.MergeOverhead
-			if ldg {
-				zf, _ := a.ZeroPFN()
-				ac.event(obs.LedgerEvent{Kind: obs.LKMerged, VM: id.VM, GFN: uint64(id.GFN), PFN: candPFN, Arg: uint64(zf)})
-			}
-			return true
 		}
 	}
 	pfn, okr := a.HV.Resolve(id)
@@ -277,7 +262,7 @@ func (s *Scanner) scanCandidate(id vm.PageID, ac *scanAcct) (merged bool) {
 	}
 
 	// Not in the stable tree: hash-based change detection (lines 11-12).
-	outcome, bytesRead := a.HashCheckOutcome(id)
+	outcome, bytesRead := a.HashCheck(id)
 	hashed = bytesRead
 	s.chargeHash(ac, uint64(bytesRead))
 	if outcome.Changed() {
@@ -364,13 +349,8 @@ func (s *Scanner) ScanPass(workers int) BatchResult {
 	}
 
 	// Workers must never mutate lazily-built shared state: materialize the
-	// rmap-item map and the dedicated zero frame before fan-out. (If the
-	// zero frame cannot be allocated, the freelist is empty and stays empty
-	// while frees are deferred, so worker-side retries fail read-only.)
+	// rmap-item map before fan-out.
 	a.PrepareItems()
-	if a.Options().UseZeroPages {
-		a.zeroFrame()
-	}
 
 	phys := a.HV.Phys
 	phys.BeginDeferredFrees()

@@ -12,7 +12,7 @@ import (
 // Checkpoint support. AlgorithmState is a plain-data image of the KSM
 // engine state: per-page tracking items (sorted by PageID so the encoding
 // is deterministic — the live map has no stable order), the scan order and
-// cursor, pass number, statistics, the dedicated zero frame, the per-shard
+// cursor, pass number, statistics, the per-shard
 // deepest-comparison trackers, and the exact structure of every tree shard.
 //
 // Capture is only legal at a pass boundary, where the unstable tree is
@@ -21,12 +21,10 @@ import (
 
 // ItemState is the exported image of one rmapItem.
 type ItemState struct {
-	ID              vm.PageID
-	OldHash         uint32
-	HasHash         bool
-	UnstablePass    uint64
-	UnchangedStreak uint64
-	SkipUntilPass   uint64
+	ID           vm.PageID
+	OldHash      uint32
+	HasHash      bool
+	UnstablePass uint64
 }
 
 // AlgorithmState is the serialized image of an Algorithm.
@@ -36,7 +34,6 @@ type AlgorithmState struct {
 	Curs     int
 	Pass     uint64
 	Stats    Stats
-	ZeroPFN  int64 // -1 when the dedicated zero frame is unallocated
 	MaxCmp   []int
 	Stable   []rbtree.TreeState
 	Unstable []rbtree.TreeState
@@ -53,22 +50,16 @@ func (a *Algorithm) State() (AlgorithmState, error) {
 		Curs:     a.curs,
 		Pass:     a.pass,
 		Stats:    a.Stats,
-		ZeroPFN:  -1,
 		MaxCmp:   append([]int(nil), a.maxCmp...),
 		Stable:   a.Stable.Export(),
 		Unstable: a.Unstable.Export(),
 	}
-	if a.zeroPFN != nil {
-		st.ZeroPFN = int64(*a.zeroPFN)
-	}
 	for _, it := range a.items {
 		st.Items = append(st.Items, ItemState{
-			ID:              it.id,
-			OldHash:         it.oldHash,
-			HasHash:         it.hasHash,
-			UnstablePass:    it.unstablePass,
-			UnchangedStreak: it.unchangedStreak,
-			SkipUntilPass:   it.skipUntilPass,
+			ID:           it.id,
+			OldHash:      it.oldHash,
+			HasHash:      it.hasHash,
+			UnstablePass: it.unstablePass,
 		})
 	}
 	sort.Slice(st.Items, func(i, j int) bool {
@@ -93,24 +84,16 @@ func (a *Algorithm) SetState(st AlgorithmState) error {
 	a.items = make(map[vm.PageID]*rmapItem, len(st.Items))
 	for _, is := range st.Items {
 		a.items[is.ID] = &rmapItem{
-			id:              is.ID,
-			oldHash:         is.OldHash,
-			hasHash:         is.HasHash,
-			unstablePass:    is.UnstablePass,
-			unchangedStreak: is.UnchangedStreak,
-			skipUntilPass:   is.SkipUntilPass,
+			id:           is.ID,
+			oldHash:      is.OldHash,
+			hasHash:      is.HasHash,
+			unstablePass: is.UnstablePass,
 		}
 	}
 	a.order = append(a.order[:0], st.Order...)
 	a.curs = st.Curs
 	a.pass = st.Pass
 	a.Stats = st.Stats
-	if st.ZeroPFN >= 0 {
-		pfn := mem.PFN(st.ZeroPFN)
-		a.zeroPFN = &pfn
-	} else {
-		a.zeroPFN = nil
-	}
 	copy(a.maxCmp, st.MaxCmp)
 	a.Stable.Import(st.Stable, func(pfn mem.PFN) interface{} {
 		return stableItem{pfn: pfn}

@@ -172,25 +172,26 @@ func (d *Driver) runBatch(now uint64) (PFEInfo, uint64) {
 	}
 }
 
-// searchTree drives the hardware search of one red-black tree. first marks
-// the first batch for this candidate (insert_PFE resets the background
-// hash); finishKey marks the search during which the hash key must
-// complete (the stable-tree search per Section 3.4).
-func (d *Driver) searchTree(cand mem.PFN, root *rbtree.Node, now uint64, first, finishKey bool) (res searchResult, notFound bool) {
+// searchTree drives the hardware search of one red-black tree. The stable
+// search comes first for each candidate, so its first batch inserts the PFE
+// (insert_PFE resets the background hash), and the hash key must complete
+// during it (Section 3.4); the unstable search only updates the PFE.
+func (d *Driver) searchTree(cand mem.PFN, root *rbtree.Node, now uint64, stable bool) (res searchResult, notFound bool) {
 	start, batchesBefore := now, d.Batches
 	defer func() {
 		if d.Trace.Enabled() {
 			name := "stable_search"
-			if !finishKey {
+			if !stable {
 				name = "unstable_search"
 			}
 			d.Trace.Complete(obs.TIDDriver, "scan", name, start, res.now-start, "batches", d.Batches-batchesBefore)
 		}
 	}()
+	first := stable
 	node := root
 	for node != nil {
 		batch, sentinels := d.loadBatch(node)
-		last := finishKey && len(sentinels) == 0
+		last := stable && len(sentinels) == 0
 		if first {
 			d.HW.InsertPFE(cand, last, 0)
 			first = false
@@ -221,7 +222,7 @@ func (d *Driver) searchTree(cand mem.PFN, root *rbtree.Node, now uint64, first, 
 	}
 	// Key must be finished even if the search ended early or the tree was
 	// empty: one empty reload with Last Refill forces it (Section 3.3.1).
-	if finishKey && !d.HW.GetPFEInfo(now).HashReady {
+	if stable && !d.HW.GetPFEInfo(now).HashReady {
 		d.HW.UpdatePFE(true, InvalidIndex)
 		info, t := d.runBatch(now)
 		now = t
@@ -337,9 +338,6 @@ func (d *Driver) ScanOne(now uint64) (merged bool, doneAt uint64, ok bool) {
 	if a.SkipCandidate(id) {
 		return false, now, true
 	}
-	if a.SmartSkip(id) {
-		return false, now, true
-	}
 	pfn, okr := a.HV.Resolve(id)
 	if !okr {
 		return false, now, true
@@ -354,39 +352,9 @@ func (d *Driver) ScanOne(now uint64) (merged bool, doneAt uint64, ok bool) {
 		d.Ledger.Append(obs.LedgerEvent{Kind: obs.LKScanned, VM: id.VM, GFN: uint64(id.GFN), PFN: uint64(pfn)})
 	}
 
-	first := true
-	if a.Options().UseZeroPages {
-		// Compare against the dedicated zero frame first, in hardware: one
-		// single-entry batch. Its candidate-line fetches already feed the
-		// background ECC key.
-		if zf, err := a.ZeroFramePFN(); err == nil && zf != pfn {
-			d.HW.InsertPPN(0, zf, InvalidIndex, InvalidIndex)
-			d.HW.InsertPFE(pfn, false, 0)
-			first = false
-			info, t := d.runBatch(now)
-			now = t
-			if info.Fault {
-				merged, t := d.faultFallback(id, pfn, true, now)
-				return merged, t, true
-			}
-			if info.Duplicate {
-				if a.MergeWithZeroFrame(id) {
-					d.CoreCycles += d.Cfg.MergeCost
-					if ldg {
-						d.Ledger.Append(obs.LedgerEvent{Kind: obs.LKMerged, VM: id.VM, GFN: uint64(id.GFN), PFN: uint64(pfn), Arg: uint64(zf)})
-					}
-					return true, now, true
-				}
-				if ldg {
-					d.Ledger.Append(obs.LedgerEvent{Kind: obs.LKMergeFailed, Cause: obs.CauseChecksumInstability, VM: id.VM, GFN: uint64(id.GFN), PFN: uint64(pfn), Arg: uint64(zf)})
-				}
-			}
-		}
-	}
-
 	// Stable-tree search in hardware; the ECC hash key is generated in the
 	// background during this search.
-	res, notFound := d.searchTree(pfn, a.Stable.For(pfn).Root(), now, first, true)
+	res, notFound := d.searchTree(pfn, a.Stable.For(pfn).Root(), now, true)
 	now = res.now
 	if res.fault {
 		merged, t := d.faultFallback(id, pfn, true, now)
@@ -426,7 +394,7 @@ func (d *Driver) ScanOne(now uint64) (merged bool, doneAt uint64, ok bool) {
 	if !info.HashReady {
 		panic("pageforge: hash key not ready after stable search")
 	}
-	if outcome := a.RecordHashOutcome(id, info.Hash); outcome.Changed() {
+	if outcome := a.RecordHash(id, info.Hash); outcome.Changed() {
 		if ldg && outcome == ksm.HashChanged {
 			d.Ledger.Append(obs.LedgerEvent{Kind: obs.LKChurned, Cause: obs.CauseContentChurn, VM: id.VM, GFN: uint64(id.GFN), PFN: uint64(pfn)})
 		}
@@ -434,7 +402,7 @@ func (d *Driver) ScanOne(now uint64) (merged bool, doneAt uint64, ok bool) {
 	}
 
 	// Unstable-tree search in hardware.
-	res, notFound = d.searchTree(pfn, a.Unstable.For(pfn).Root(), now, false, false)
+	res, notFound = d.searchTree(pfn, a.Unstable.For(pfn).Root(), now, false)
 	now = res.now
 	if res.fault {
 		merged, t := d.faultFallback(id, pfn, false, now)
@@ -477,11 +445,13 @@ func (d *Driver) ScanOne(now uint64) (merged bool, doneAt uint64, ok bool) {
 	return false, now, true
 }
 
-// ScanBatch processes up to n candidates starting at cycle now — one work
-// interval of pages_to_scan pages. It returns the number merged and the
-// cycle at which the interval's work completed.
-func (d *Driver) ScanBatch(n int, now uint64) (scanned, mergedCount int, doneAt uint64) {
-	for i := 0; i < n; i++ {
+// ScanBatch processes up to n candidates starting at cycle now, and starts
+// none at or after cycle end — one work interval of pages_to_scan pages
+// inside its wall-clock window (pass math.MaxUint64 for no deadline). It
+// returns the number scanned and merged and the cycle at which the
+// interval's work completed.
+func (d *Driver) ScanBatch(n int, now, end uint64) (scanned, mergedCount int, doneAt uint64) {
+	for scanned < n && now < end {
 		merged, t, ok := d.ScanOne(now)
 		if !ok {
 			break

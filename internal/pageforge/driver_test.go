@@ -2,6 +2,7 @@ package pageforge
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/dram"
@@ -46,11 +47,11 @@ func TestDriverMergesIdenticalPages(t *testing.T) {
 	r := newDriverRig(t, 64, []byte{7}, []byte{7})
 	// Pass 1: hashes recorded (hardware-generated ECC keys). Pass 2: merge.
 	var now uint64
-	_, m1, now := r.drv.ScanBatch(2, now)
+	_, m1, now := r.drv.ScanBatch(2, now, math.MaxUint64)
 	if m1 != 0 {
 		t.Fatal("merged on first pass")
 	}
-	_, m2, _ := r.drv.ScanBatch(2, now)
+	_, m2, _ := r.drv.ScanBatch(2, now, math.MaxUint64)
 	if m2 != 1 {
 		t.Fatalf("merged %d on second pass, want 1", m2)
 	}
@@ -131,18 +132,18 @@ func TestDriverDeepTreeMultiBatchSearch(t *testing.T) {
 func TestDriverHashGatingWithECCKeys(t *testing.T) {
 	r := newDriverRig(t, 64, []byte{3}, []byte{4})
 	var now uint64
-	_, _, now = r.drv.ScanBatch(2, now)
+	_, _, now = r.drv.ScanBatch(2, now, math.MaxUint64)
 	if r.drv.Alg.Stats.HashFirstSeen != 2 {
 		t.Fatalf("HashFirstSeen = %d", r.drv.Alg.Stats.HashFirstSeen)
 	}
-	_, _, now = r.drv.ScanBatch(2, now)
+	_, _, now = r.drv.ScanBatch(2, now, math.MaxUint64)
 	if r.drv.Alg.Stats.HashMatches != 2 {
 		t.Fatalf("HashMatches = %d, want 2 (pages unchanged)", r.drv.Alg.Stats.HashMatches)
 	}
 	// Change a page between passes in a *sampled* line so the ECC key
 	// catches it (section 0 samples line DefaultKeyOffsets[0]).
 	r.vms[0].Write(0, ecc.DefaultKeyOffsets.LineIndex(0)*64, []byte{99})
-	_, _, _ = r.drv.ScanBatch(2, now)
+	_, _, _ = r.drv.ScanBatch(2, now, math.MaxUint64)
 	if r.drv.Alg.Stats.HashMismatches == 0 {
 		t.Fatal("ECC key missed a sampled-line change")
 	}
@@ -152,7 +153,7 @@ func TestDriverVolatilePageNotMerged(t *testing.T) {
 	r := newDriverRig(t, 64, []byte{9}, []byte{9})
 	var now uint64
 	for i := 0; i < 6; i++ {
-		_, _, now = r.drv.ScanBatch(1, now)
+		_, _, now = r.drv.ScanBatch(1, now, math.MaxUint64)
 		// Touch a sampled line each interval so the key flips.
 		r.vms[1].Write(0, 0, []byte{byte(20 + i)})
 	}
@@ -169,8 +170,8 @@ func TestDriverCoreCyclesAreSmall(t *testing.T) {
 		[]byte{1, 2, 3, 4, 5, 6, 7, 8},
 	)
 	var now uint64
-	_, _, now = r.drv.ScanBatch(16, 0)
-	_, _, now = r.drv.ScanBatch(16, now)
+	_, _, now = r.drv.ScanBatch(16, 0, math.MaxUint64)
+	_, _, now = r.drv.ScanBatch(16, now, math.MaxUint64)
 	if now == 0 {
 		t.Fatal("no wall-clock progress")
 	}
@@ -183,15 +184,15 @@ func TestDriverCoreCyclesAreSmall(t *testing.T) {
 func TestDriverRecoversAfterCoWBreak(t *testing.T) {
 	r := newDriverRig(t, 64, []byte{5}, []byte{5})
 	var now uint64
-	_, _, now = r.drv.ScanBatch(2, now)
-	_, _, now = r.drv.ScanBatch(2, now)
+	_, _, now = r.drv.ScanBatch(2, now, math.MaxUint64)
+	_, _, now = r.drv.ScanBatch(2, now, math.MaxUint64)
 	if r.hv.Merges != 1 {
 		t.Fatal("setup merge failed")
 	}
 	r.vms[0].Write(0, 0, bytes.Repeat([]byte{6}, mem.PageSize))
 	r.vms[0].Write(0, 0, bytes.Repeat([]byte{5}, mem.PageSize))
-	_, _, now = r.drv.ScanBatch(2, now)
-	_, _, _ = r.drv.ScanBatch(2, now)
+	_, _, now = r.drv.ScanBatch(2, now, math.MaxUint64)
+	_, _, _ = r.drv.ScanBatch(2, now, math.MaxUint64)
 	if r.hv.Merges != 2 {
 		t.Fatalf("Merges = %d, want re-merge", r.hv.Merges)
 	}
@@ -218,84 +219,6 @@ func TestDriverWallClockAdvancesByPolls(t *testing.T) {
 	}
 	if t1 == 0 {
 		t.Fatal("no time consumed")
-	}
-}
-
-func TestDriverUseZeroPages(t *testing.T) {
-	hv := vm.NewHypervisor(64 * mem.PageSize)
-	v := hv.NewVM(4 * mem.PageSize)
-	v.Madvise(0, 4, true)
-	for g := vm.GFN(0); g < 4; g++ {
-		v.Touch(g) // zero pages
-	}
-	mc := memctrl.New(dram.New(dram.DefaultConfig()), hv.Phys, nil)
-	alg := ksm.NewAlgorithm(hv, ksm.NewECCHasher())
-	alg.SetOptions(ksm.Options{UseZeroPages: true})
-	drv := NewDriver(alg, NewEngine(mc), DefaultDriverConfig())
-	// One pass suffices: zero merging does not wait for hash stability.
-	var now uint64
-	_, merged, _ := drv.ScanBatch(4, now)
-	if merged != 4 {
-		t.Fatalf("merged %d zero pages, want 4", merged)
-	}
-	if alg.Stats.ZeroMerges != 4 {
-		t.Fatalf("ZeroMerges = %d", alg.Stats.ZeroMerges)
-	}
-	// Everything shares the dedicated zero frame.
-	if hv.Phys.AllocatedFrames() != 1 {
-		t.Fatalf("frames = %d, want 1", hv.Phys.AllocatedFrames())
-	}
-}
-
-func TestDriverSmartScanSkips(t *testing.T) {
-	r := newDriverRig(t, 64, []byte{1, 2}, []byte{3, 4})
-	r.drv.Alg.SetOptions(ksm.Options{SmartScan: true})
-	var now uint64
-	for p := 0; p < 8; p++ {
-		_, _, now = r.drv.ScanBatch(4, now)
-	}
-	if r.drv.Alg.Stats.SmartSkips == 0 {
-		t.Fatal("driver never smart-skipped")
-	}
-	// Skipped candidates consume no hardware batches; batch count is far
-	// below 8 passes x 4 pages x (2 searches).
-	if r.drv.Batches >= 8*4*2 {
-		t.Fatalf("batches = %d, smart scan saved no hardware work", r.drv.Batches)
-	}
-}
-
-func TestDriverZeroPageOptionMatchesScannerOutcome(t *testing.T) {
-	build := func() (*vm.Hypervisor, *vm.VM) {
-		hv := vm.NewHypervisor(64 * mem.PageSize)
-		v := hv.NewVM(6 * mem.PageSize)
-		v.Madvise(0, 6, true)
-		for g := vm.GFN(0); g < 3; g++ {
-			v.Touch(g)
-		}
-		for g := vm.GFN(3); g < 6; g++ {
-			v.Write(g, 0, bytes.Repeat([]byte{byte(g)}, mem.PageSize))
-		}
-		return hv, v
-	}
-	hvSW, _ := build()
-	sw := ksm.NewScanner(ksm.NewAlgorithm(hvSW, ksm.JHasher{}), ksm.DefaultCosts())
-	sw.Alg.SetOptions(ksm.Options{UseZeroPages: true})
-	sw.RunToSteadyState(8)
-
-	hvHW, _ := build()
-	mc := memctrl.New(dram.New(dram.DefaultConfig()), hvHW.Phys, nil)
-	alg := ksm.NewAlgorithm(hvHW, ksm.NewECCHasher())
-	alg.SetOptions(ksm.Options{UseZeroPages: true})
-	drv := NewDriver(alg, NewEngine(mc), DefaultDriverConfig())
-	drv.RunToSteadyState(8)
-
-	if hvSW.Phys.AllocatedFrames() != hvHW.Phys.AllocatedFrames() {
-		t.Fatalf("software %d frames vs hardware %d",
-			hvSW.Phys.AllocatedFrames(), hvHW.Phys.AllocatedFrames())
-	}
-	if sw.Alg.Stats.ZeroMerges != alg.Stats.ZeroMerges {
-		t.Fatalf("zero merges differ: sw %d vs hw %d",
-			sw.Alg.Stats.ZeroMerges, alg.Stats.ZeroMerges)
 	}
 }
 

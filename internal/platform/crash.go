@@ -30,25 +30,23 @@ import (
 //
 // Before a restored index is trusted, ksm.VerifyRecovered audits it against
 // the restored memory image (structure, hint-then-verify content audit, and
-// the refcount ledger). A failed verification retries with exponential
-// backoff, then falls back to the boot checkpoint (cold rebuild), and if
-// even that cannot be verified the run permanently demotes to the software
-// scanner (KSM-only) — the same degradation rung the pressure ladder uses.
+// the refcount ledger). A failed audit is fatal: the restore is a
+// deterministic replay of state that was consistent when captured, so a
+// retry would fail the same way and the failure can only be a bug.
 
 // crashSnapshotVersion is the worldPayload schema version. Version 2 added
 // the live-event stream cursor and the balloon/fault storm-window fields;
 // version 3 made the memory image content-addressed (mem.PhysState);
 // version 4 dropped the cache-hierarchy counters and the controller's
-// in-flight read table.
-const crashSnapshotVersion = 4
+// in-flight read table; version 5 dropped the KSM zero-frame and smart-scan
+// state and the VMs' huge-page regions.
+const crashSnapshotVersion = 5
 
 // Recovery cost model (deterministic, charged only to RecoveryCycles):
-// restoring a checkpoint, one backoff quantum (doubled per retry), and the
-// per-frame/per-byte cost of the recovery audit.
+// restoring a checkpoint and the per-frame/per-byte cost of the recovery
+// audit.
 const (
-	maxRecoveryRetries       = 3
 	recoveryRestoreCycles    = 250_000
-	recoveryBackoffCycles    = 100_000
 	recoveryAuditFrameCycles = 40
 	recoveryVerifyByteCycles = 2
 )
@@ -79,14 +77,13 @@ type CrashReport struct {
 	// RemergedPages the merges the crashes destroyed and replay re-did.
 	ReplayedPasses int
 	RemergedPages  uint64
-	// RecoveryRetries counts failed recovery attempts that were retried;
-	// ColdRebuilds counts fallbacks to the boot checkpoint; KSMFallbacks
-	// counts terminal demotions to the software scanner.
+	// Always 0: recovery has no retry or fallback rungs. Kept because
+	// result digests hash every field.
 	RecoveryRetries int
 	ColdRebuilds    int
 	KSMFallbacks    int
-	// RecoveryCycles is the out-of-band recovery latency (restore + backoff
-	// + audit cost model); StableVerified/BytesVerified summarize the
+	// RecoveryCycles is the out-of-band recovery latency (restore + audit
+	// cost model); StableVerified/BytesVerified summarize the
 	// recovery audits' work.
 	RecoveryCycles uint64
 	StableVerified int
@@ -231,20 +228,15 @@ type crashEnv struct {
 
 // crashState is the per-run crash/checkpoint machinery.
 type crashState struct {
-	plan     *faults.CrashPlan
-	every    int           // checkpoint cadence in passes (0 = boot only)
-	failures int           // injected recovery failures remaining (test hook)
-	obs      CrashObserver // may be nil
-	env      *crashEnv
+	plan  *faults.CrashPlan
+	every int           // checkpoint cadence in passes (0 = boot only)
+	obs   CrashObserver // may be nil
+	env   *crashEnv
 
 	boot     []byte // blob captured before the first pass
 	bootPass int
 	last     []byte // newest periodic checkpoint blob
 	lastPass int
-
-	// forcedSW pins the software engine after recovery verification
-	// exhausted every fallback; Runtime.stepConverge ORs it into wantSW.
-	forcedSW bool
 
 	rep CrashReport
 }
@@ -254,10 +246,9 @@ type crashState struct {
 // the boundaries closing crashPasses.
 func newCrashState(cfg Config, crashPasses []int, env *crashEnv) *crashState {
 	cs := &crashState{
-		plan:     faults.NewCrashPlan(crashPasses),
-		every:    cfg.CheckpointEvery,
-		failures: cfg.RecoveryFailures,
-		env:      env,
+		plan:  faults.NewCrashPlan(crashPasses),
+		every: cfg.CheckpointEvery,
+		env:   env,
 	}
 	if o, ok := cfg.Verifier.(CrashObserver); ok {
 		cs.obs = o
@@ -484,82 +475,34 @@ func (cs *crashState) boundary(p int) (resume int, restored bool, err error) {
 	return 0, false, nil
 }
 
-// attemptChain runs the bounded restore-verify-retry loop against one
-// checkpoint blob. It reports whether a restore was verified; a non-nil
-// error is a real (non-injected) failure and aborts the run. Every exit
-// leaves the world restored to the blob.
-func (cs *crashState) attemptChain(blob []byte, pass int) (bool, error) {
-	for attempt := 0; attempt <= maxRecoveryRetries; attempt++ {
-		if attempt > 0 {
-			cs.rep.RecoveryRetries++
-			cs.rep.RecoveryCycles += recoveryBackoffCycles << uint(attempt-1)
-		}
-		if _, err := cs.env.restore(blob, pass); err != nil {
-			// Our own checkpoint failed to decode or re-apply: the harness
-			// is corrupt, not the simulated state. Fatal.
-			return false, err
-		}
-		cs.rep.RecoveryCycles += recoveryRestoreCycles
-		if cs.failures > 0 {
-			// Injected recovery fault (Config.RecoveryFailures test hook):
-			// this attempt is declared failed before verification.
-			cs.failures--
-			continue
-		}
-		stats, err := cs.env.alg.VerifyRecovered()
-		cs.rep.StableVerified += stats.StableNodes
-		cs.rep.BytesVerified += stats.BytesVerified
-		cs.rep.RecoveryCycles += uint64(stats.FramesAudited)*recoveryAuditFrameCycles +
-			stats.BytesVerified*recoveryVerifyByteCycles
-		if err != nil {
-			// A restored-from-verified-state index that fails its audit is a
-			// genuine corruption bug; retrying a deterministic audit cannot
-			// help. Surface it.
-			return false, fmt.Errorf("platform: recovery verification at pass %d: %w", pass, err)
-		}
-		return true, nil
-	}
-	return false, nil
-}
-
-// crashAt kills the host at the boundary closing pass p and drives the
-// recovery ladder: newest checkpoint with bounded retries, cold rebuild
-// from the boot checkpoint, then permanent software fallback. It returns
-// the pass the world was rewound to.
+// crashAt kills the host at the boundary closing pass p and recovers from
+// the newest checkpoint (the boot checkpoint if no periodic one was taken
+// yet). It returns the pass the world was rewound to.
 func (cs *crashState) crashAt(p int) (int, error) {
 	env := cs.env
 	cs.rep.Crashes++
 	env.sc.Instant(obs.TIDPlatform, "crash", "host_crash", *env.now, "pass", uint64(p))
 	mergesAtCrash := env.img.HV.Merges
 
-	primary, primaryPass := cs.last, cs.lastPass
-	hasPrimary := primary != nil
-	if !hasPrimary {
-		primary, primaryPass = cs.boot, cs.bootPass
+	blob, restoredPass := cs.last, cs.lastPass
+	if blob == nil {
+		blob, restoredPass = cs.boot, cs.bootPass
 	}
-	restoredPass := primaryPass
-	ok, err := cs.attemptChain(primary, primaryPass)
-	if err != nil {
+	// Restore, then audit the recovered dedup index; both charge only
+	// RecoveryCycles. Either failing is fatal: a blob that fails to decode or
+	// re-apply means the harness is corrupt, and an index that fails its
+	// audit is a genuine corruption bug.
+	if _, err := env.restore(blob, restoredPass); err != nil {
 		return 0, err
 	}
-	if !ok && hasPrimary {
-		// Retries exhausted on the newest checkpoint: cold rebuild from boot.
-		cs.rep.ColdRebuilds++
-		restoredPass = cs.bootPass
-		if ok, err = cs.attemptChain(cs.boot, cs.bootPass); err != nil {
-			return 0, err
-		}
-	}
-	if !ok {
-		// Even the boot image could not be verified (injected faults all the
-		// way down). The world is left restored to the last attempt's blob;
-		// stop trusting the hardware path and pin the software scanner.
-		cs.forcedSW = true
-		cs.rep.KSMFallbacks++
-		if env.ps != nil {
-			env.ps.ladder.Force(p, pressure.KSMFallback, "crash-recovery")
-		}
-		env.sc.Instant(obs.TIDPlatform, "crash", "ksm_fallback", *env.now, "pass", uint64(p))
+	cs.rep.RecoveryCycles += recoveryRestoreCycles
+	stats, err := env.alg.VerifyRecovered()
+	cs.rep.StableVerified += stats.StableNodes
+	cs.rep.BytesVerified += stats.BytesVerified
+	cs.rep.RecoveryCycles += uint64(stats.FramesAudited)*recoveryAuditFrameCycles +
+		stats.BytesVerified*recoveryVerifyByteCycles
+	if err != nil {
+		return 0, fmt.Errorf("platform: recovery verification at pass %d: %w", restoredPass, err)
 	}
 
 	cs.rep.Restores++

@@ -55,7 +55,6 @@ func assertCrashIdentity(t *testing.T, mode Mode, app tailbench.Profile, cfg Con
 	plain := cfg
 	plain.Events = withoutCrashes(cfg.Events)
 	plain.CheckpointEvery = 0
-	plain.RecoveryFailures = 0
 	want, err := Run(mode, app, plain)
 	if err != nil {
 		t.Fatalf("uninterrupted run failed: %v", err)
@@ -179,56 +178,5 @@ func TestCrashDuringBalloonStorm(t *testing.T) {
 				t.Fatalf("Crashes = %d, want 1", rep.Crashes)
 			}
 		})
-	}
-}
-
-// TestRecoveryRetryAndDegradation drives the injected-failure ladder: a few
-// failures retry and still preserve identity; enough failures to exhaust
-// the newest checkpoint AND the boot fallback force the permanent software
-// demotion, and the run still completes and merges.
-func TestRecoveryRetryAndDegradation(t *testing.T) {
-	app := fastApp("img_dnn")
-
-	// Retries: 2 injected failures burn attempts 0 and 1; attempt 2
-	// verifies. The retried restores land on the same state, so identity
-	// still holds.
-	cfg := crashTestConfig()
-	cfg.CheckpointEvery = 2
-	crashAt(&cfg, 2)
-	cfg.RecoveryFailures = 2
-	rep := assertCrashIdentity(t, PageForge, app, cfg)
-	if rep.RecoveryRetries != 2 {
-		t.Fatalf("RecoveryRetries = %d, want 2", rep.RecoveryRetries)
-	}
-	if rep.ColdRebuilds != 0 || rep.KSMFallbacks != 0 {
-		t.Fatalf("unexpected escalation: %+v", rep)
-	}
-
-	// Exhaustion: 8 failures consume all 4 attempts on the newest
-	// checkpoint (cold rebuild) and all 4 on boot — terminal KSM fallback.
-	cfg.RecoveryFailures = 8
-	res, err := Run(PageForge, app, cfg)
-	if err != nil {
-		t.Fatalf("run with exhausted recovery failed outright: %v", err)
-	}
-	rep = res.Crash
-	if rep.ColdRebuilds != 1 {
-		t.Fatalf("ColdRebuilds = %d, want 1", rep.ColdRebuilds)
-	}
-	if rep.KSMFallbacks != 1 {
-		t.Fatalf("KSMFallbacks = %d, want 1", rep.KSMFallbacks)
-	}
-	if rep.RecoveryRetries != 6 {
-		t.Fatalf("RecoveryRetries = %d, want 6 (3 per chain)", rep.RecoveryRetries)
-	}
-	// The demoted run must still deduplicate through the software scanner.
-	if !res.Degraded {
-		t.Fatal("terminal recovery failure did not leave the run degraded")
-	}
-	if res.KSMBreakdown.Compare == 0 {
-		t.Fatal("software scanner never ran after the forced fallback")
-	}
-	if s := res.Footprint.Savings(); s < 0.20 {
-		t.Fatalf("degraded run stopped merging: savings %.2f", s)
 	}
 }

@@ -280,14 +280,9 @@ func (m *measurement) stepInterval(k int, scanner *ksm.Scanner, driver *pageforg
 			// step with the engine's fetches, so DRAM sees one merged,
 			// time-ordered stream.
 			m.pump.emit = em.emitUntil
-			for scanned := 0; scanned < budget && m.pfNow < end; scanned++ {
-				_, done, ok := driver.ScanOne(m.pfNow)
-				if !ok {
-					break
-				}
-				m.pfNow = done
-				m.pagesSinceChurn++
-			}
+			scanned, _, done := driver.ScanBatch(budget, m.pfNow, end)
+			m.pfNow = done
+			m.pagesSinceChurn += scanned
 			m.pump.emit = nil
 			if measuring {
 				m.burst.Add(float64(driver.CoreCycles - ccBefore))

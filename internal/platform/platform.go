@@ -100,10 +100,6 @@ type Config struct {
 	// neither set nothing is created and runs stay bit-identical to
 	// pre-crash builds.
 	CheckpointEvery int
-	// RecoveryFailures injects that many recovery-verification failures
-	// (test hook): each consumes one restore attempt, exercising the
-	// retry/backoff, cold-rebuild, and KSM-fallback ladder.
-	RecoveryFailures int
 
 	// Trace, when non-nil, receives simulation events (batches, merges,
 	// intervals, RAS incidents) for Chrome trace_event export. Tracing is

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/cache"
@@ -557,14 +558,9 @@ func (r *Runtime) stepConverge() error {
 	case r.scanner != nil:
 		r.candidates += uint64(r.scanner.ScanPass(max(1, cfg.ShardWorkers)).Scanned)
 	default:
-		for i := 0; i < pages; i++ {
-			_, t, ok := r.driver.ScanOne(r.now)
-			if !ok {
-				break
-			}
-			r.now = t
-			r.candidates++
-		}
+		var scanned int
+		scanned, _, r.now = r.driver.ScanBatch(pages, r.now, math.MaxUint64)
+		r.candidates += uint64(scanned)
 	}
 	if ras != nil {
 		r.now = ras.tick(r.now, uint64(p))
@@ -579,8 +575,7 @@ func (r *Runtime) stepConverge() error {
 	// and costs core cycles the throttled rungs are willing to pay); both
 	// clearing re-promotes the retained driver.
 	wantSW := (ras != nil && ras.tracker.Degraded()) ||
-		(ps != nil && ps.ladder.State() >= pressure.KSMFallback) ||
-		(cs != nil && cs.forcedSW)
+		(ps != nil && ps.ladder.State() >= pressure.KSMFallback)
 	switch {
 	case wantSW && r.driver != nil:
 		if r.fallback == nil {

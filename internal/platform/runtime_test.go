@@ -395,14 +395,11 @@ func TestVMKillTeardown(t *testing.T) {
 				t.Fatalf("live VM count %d, want %d", r.img.LiveVMs(), cfg.VMs-1)
 			}
 
-			// Engine holds: stable nodes, unstable nodes, the zero frame.
+			// Engine holds: stable nodes and unstable nodes.
 			holds := map[mem.PFN]int{}
 			count := func(n *rbtree.Node) bool { holds[n.PFN]++; return true }
 			r.alg.Stable.InOrder(count)
 			r.alg.Unstable.InOrder(count)
-			if zf, ok := r.alg.ZeroPFN(); ok {
-				holds[zf]++
-			}
 			phys := hv.Phys
 			for pfn := mem.PFN(0); int(pfn) < phys.TotalFrames(); pfn++ {
 				if !phys.Allocated(pfn) {

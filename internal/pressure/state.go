@@ -63,17 +63,3 @@ func (l *Ladder) SetState(st LadderState) {
 	l.clearStreak = st.ClearStreak
 	l.transitions = append(l.transitions[:0], st.Transitions...)
 }
-
-// Force moves the ladder directly to the given rung, recording the
-// transition with the supplied cause. Crash recovery uses it when the
-// restored dedup index cannot be verified and the platform demotes to the
-// software scanner outside the normal signal-driven path. A no-op when the
-// ladder is already on that rung.
-func (l *Ladder) Force(pass int, to State, cause string) State {
-	if to == l.state {
-		return l.state
-	}
-	l.clearStreak = 0
-	l.move(pass, to, cause)
-	return l.state
-}

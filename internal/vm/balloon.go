@@ -54,7 +54,7 @@ func (b *Balloon) reclaimFrom(v *VM, want int) int {
 	for g := GFN(len(v.table)); g > 0 && freed < want; {
 		g--
 		e := &v.table[g]
-		if !e.present || v.InHuge(g) {
+		if !e.present {
 			continue
 		}
 		if b.hv.Phys.Get(e.pfn).Refs() != 1 {

@@ -20,19 +20,11 @@ type MappingState struct {
 	Mergeable bool
 }
 
-// HugeRangeState is the exported image of one huge mapping.
-type HugeRangeState struct {
-	Start GFN
-	N     int
-}
-
 // VMState is the serialized image of one VM.
 type VMState struct {
 	Table      []MappingState
-	Huge       []HugeRangeState
 	SoftFaults uint64
 	CoWBreaks  uint64
-	HugeBreaks uint64
 }
 
 // HypervisorState is the serialized image of the hypervisor (excluding
@@ -60,7 +52,6 @@ func (h *Hypervisor) State() HypervisorState {
 			Table:      make([]MappingState, len(v.table)),
 			SoftFaults: v.SoftFaults,
 			CoWBreaks:  v.CoWBreaks,
-			HugeBreaks: v.HugeBreaks,
 		}
 		for g, e := range v.table {
 			vs.Table[g] = MappingState{
@@ -69,9 +60,6 @@ func (h *Hypervisor) State() HypervisorState {
 				WriteProt: e.writeProt,
 				Mergeable: e.mergeable,
 			}
-		}
-		for _, r := range v.huge {
-			vs.Huge = append(vs.Huge, HugeRangeState{Start: r.start, N: r.n})
 		}
 		st.VMs[i] = vs
 	}
@@ -117,13 +105,8 @@ func (h *Hypervisor) SetState(st HypervisorState) error {
 				mergeable: ms.Mergeable,
 			}
 		}
-		v.huge = v.huge[:0]
-		for _, r := range vs.Huge {
-			v.huge = append(v.huge, hugeRange{start: r.Start, n: r.N})
-		}
 		v.SoftFaults = vs.SoftFaults
 		v.CoWBreaks = vs.CoWBreaks
-		v.HugeBreaks = vs.HugeBreaks
 	}
 	for pfn := range h.rmap {
 		h.rmap[pfn] = h.rmap[pfn][:0]

@@ -43,10 +43,6 @@ type VM struct {
 	SoftFaults uint64
 	// CoWBreaks counts write faults on shared pages.
 	CoWBreaks uint64
-	// HugeBreaks counts huge mappings split into base pages.
-	HugeBreaks uint64
-
-	huge []hugeRange
 }
 
 // Pages reports the guest-physical size of the VM in pages.
@@ -132,10 +128,6 @@ func (h *Hypervisor) NumVMs() int { return len(h.vms) }
 
 // ErrNotPresent is returned when an operation needs a backed page.
 var ErrNotPresent = errors.New("vm: guest page not present")
-
-// ErrHugeMapped is returned when a merge targets a page under a huge
-// mapping; the mapping must be broken into base pages first.
-var ErrHugeMapped = errors.New("vm: page is under a huge mapping")
 
 func (v *VM) entry(g GFN) *mapping {
 	if int(g) >= len(v.table) {
@@ -376,11 +368,7 @@ var ErrContentChanged = errors.New("vm: page contents diverged before merge")
 // only then remap the candidate's mapping to dst and free its old frame.
 // It returns the number of bytes compared by the final check.
 func (h *Hypervisor) Merge(candidate PageID, dst mem.PFN) (int, error) {
-	v := h.vms[candidate.VM]
-	if v.InHuge(candidate.GFN) {
-		return 0, ErrHugeMapped
-	}
-	e := v.entry(candidate.GFN)
+	e := h.vms[candidate.VM].entry(candidate.GFN)
 	if !e.present {
 		return 0, ErrNotPresent
 	}
@@ -425,71 +413,4 @@ func (h *Hypervisor) SharedFrames() (frames, mappers int) {
 		}
 	}
 	return frames, mappers
-}
-
-// --- Huge-page regions (§7.3 of the paper) ---------------------------------
-//
-// Large pages and memory consolidation conflict: a 2MB guest mapping cannot
-// share one 4KB-sized piece of its backing, so pages under a huge mapping
-// are invisible to same-page merging until the hypervisor proactively
-// breaks the mapping into base pages (Guo et al., VEE 2015). The model
-// tracks huge regions as ranges; frames stay 4KB (the backing layout is
-// unchanged, only remappability is constrained).
-
-// hugeRange is one huge mapping: [start, start+n) guest pages.
-type hugeRange struct {
-	start GFN
-	n     int
-}
-
-// HugePages is the base-page span of one huge mapping (2MB / 4KB).
-const HugePages = 512
-
-// MapHuge marks [start, start+n) as covered by huge mappings. Pages inside
-// cannot be individually remapped (merged) until BreakHuge splits them.
-// Regions must not overlap existing huge regions or shared pages.
-func (v *VM) MapHuge(start GFN, n int) error {
-	for g := start; g < start+GFN(n); g++ {
-		if v.InHuge(g) {
-			return fmt.Errorf("vm: huge region overlap at gfn %d", g)
-		}
-		e := v.entry(g)
-		if e.present && e.writeProt {
-			return fmt.Errorf("vm: gfn %d is shared; cannot promote to huge", g)
-		}
-	}
-	v.huge = append(v.huge, hugeRange{start: start, n: n})
-	return nil
-}
-
-// InHuge reports whether the guest page lies under a huge mapping.
-func (v *VM) InHuge(g GFN) bool {
-	for _, r := range v.huge {
-		if g >= r.start && g < r.start+GFN(r.n) {
-			return true
-		}
-	}
-	return false
-}
-
-// BreakHuge splits the huge mapping containing g into base pages, making
-// them individually remappable. It reports whether a mapping was broken.
-func (v *VM) BreakHuge(g GFN) bool {
-	for i, r := range v.huge {
-		if g >= r.start && g < r.start+GFN(r.n) {
-			v.huge = append(v.huge[:i], v.huge[i+1:]...)
-			v.HugeBreaks++
-			return true
-		}
-	}
-	return false
-}
-
-// BreakAllHuge splits every huge mapping (proactive breaking for maximum
-// sharing; Guo et al.'s policy), returning how many were broken.
-func (v *VM) BreakAllHuge() int {
-	n := len(v.huge)
-	v.huge = nil
-	v.HugeBreaks += uint64(n)
-	return n
 }
