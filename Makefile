@@ -2,13 +2,18 @@ GO ?= go
 FUZZTIME ?= 5s
 COVER_FLOOR ?= 75
 
-.PHONY: build test race vet bench benchsmoke fuzz smoke cover perfbench-test digests ci
+.PHONY: build fmt test race vet bench benchsmoke fuzz smoke cover perfbench-test digests ci
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails when any Go file is not gofmt-formatted, listing the files.
+fmt: SHELL := /bin/bash
+fmt:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -105,11 +110,11 @@ cover:
 		END { printf "total coverage: %.1f%% (floor %d%%)\n", total, floor; \
 		      if (total + 0 < floor + 0) { print "FAIL: coverage below floor"; exit 1 } }'
 
-# ci is the gate every change must pass: compile, static checks, the full
-# test suite under the race detector (the experiment suite runs its
-# simulations through a concurrent worker pool; the suite includes the
-# exact work-count golden and the zero-allocation pins), the short fuzz
+# ci is the gate every change must pass: compile, gofmt formatting, static
+# checks, the full test suite under the race detector (the experiment suite
+# runs its simulations through a concurrent worker pool; the suite includes
+# the exact work-count golden and the zero-allocation pins), the short fuzz
 # budget, one run of every benchmark, the CLI JSON smoke run, the
 # benchmark module's tests, the benchmark's recorded result digests and the
 # coverage floor. Every step is deterministic: no step gates on wall time.
-ci: build vet race fuzz benchsmoke smoke perfbench-test digests cover
+ci: build fmt vet race fuzz benchsmoke smoke perfbench-test digests cover

@@ -55,13 +55,6 @@ func (c Config) Enabled() bool {
 	return c.TransientPerRead > 0 || c.DoubleBitPerRead > 0 || c.StuckUEWords > 0
 }
 
-// Stats counts injections by class.
-type Stats struct {
-	TransientBits uint64 // transient single-bit upsets injected
-	DoubleBits    uint64 // transient double-bit upsets injected
-	StuckHits     uint64 // reads corrupted by stuck-at cells
-}
-
 // stuckCell is one hard-failed bit: it always reads as value set.
 type stuckCell struct {
 	bit int
@@ -74,7 +67,6 @@ type Model struct {
 	cfg   Config
 	rng   *sim.RNG               // per-read transient draws
 	stuck map[uint64][]stuckCell // line addr -> hard-failed cells
-	stats Stats
 	// boost is a live multiplier on the per-read transient/double-bit
 	// rates (1 = nominal). A fault-storm window raises it temporarily; it
 	// only amplifies an existing population (a zero base rate stays zero),
@@ -154,27 +146,15 @@ func (m *Model) StuckLines() []uint64 {
 	return addrs
 }
 
-// InjectionStats reports cumulative injection accounting (a copy).
-func (m *Model) InjectionStats() Stats { return m.stats }
-
 // Corrupt applies the fault population to one line read: line is the 64B
 // data as stored, addr its physical line address, now the read cycle.
 // The controller decodes the result against the line's stored ECC code.
 func (m *Model) Corrupt(addr, now uint64, line []byte) {
-	if cells := m.stuck[addr]; len(cells) > 0 {
-		hit := false
-		for _, c := range cells {
-			if forceBit(line, c.bit, c.set) {
-				hit = true
-			}
-		}
-		if hit {
-			m.stats.StuckHits++
-		}
+	for _, c := range m.stuck[addr] {
+		forceBit(line, c.bit, c.set)
 	}
 	if m.cfg.TransientPerRead > 0 && m.rng.Bool(m.rate(m.cfg.TransientPerRead)) {
 		flipBit(line, m.rng.Intn(lineBits))
-		m.stats.TransientBits++
 	}
 	if m.cfg.DoubleBitPerRead > 0 && m.rng.Bool(m.rate(m.cfg.DoubleBitPerRead)) {
 		w := m.rng.Intn(lineBits / wordBits)
@@ -182,7 +162,6 @@ func (m *Model) Corrupt(addr, now uint64, line []byte) {
 		b2 := (b1 + 1 + m.rng.Intn(wordBits-1)) % wordBits
 		flipBit(line, w*wordBits+b1)
 		flipBit(line, w*wordBits+b2)
-		m.stats.DoubleBits++
 	}
 }
 
@@ -190,13 +169,12 @@ func flipBit(line []byte, bit int) {
 	line[bit/8] ^= 1 << (bit % 8)
 }
 
-// forceBit sets the bit to v, reporting whether the stored value changed.
-func forceBit(line []byte, bit int, v bool) bool {
+// forceBit sets the bit to v.
+func forceBit(line []byte, bit int, v bool) {
 	mask := byte(1) << (bit % 8)
-	old := line[bit/8]&mask != 0
-	if old == v {
-		return false
+	if v {
+		line[bit/8] |= mask
+	} else {
+		line[bit/8] &^= mask
 	}
-	line[bit/8] ^= mask
-	return true
 }

@@ -2,24 +2,22 @@ package faults
 
 // Checkpoint support. The stuck-cell population is immutable configuration
 // (rebuilt identically from the seed), so a model image is just the
-// transient-draw RNG position and the injection counters. The rate tracker
-// is pure policy state and serializes field-for-field.
+// transient-draw RNG position. The rate tracker is pure policy state and
+// serializes field-for-field.
 
 // ModelState is the serialized image of a fault Model.
 type ModelState struct {
-	RNG   uint64
-	Stats Stats
+	RNG uint64
 }
 
 // State captures the model's mutable state.
 func (m *Model) State() ModelState {
-	return ModelState{RNG: m.rng.State(), Stats: m.stats}
+	return ModelState{RNG: m.rng.State()}
 }
 
 // SetState restores the model's mutable state in place.
 func (m *Model) SetState(st ModelState) {
 	m.rng.SetState(st.RNG)
-	m.stats = st.Stats
 }
 
 // TrackerState is the serialized image of a RateTracker.

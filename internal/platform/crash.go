@@ -39,8 +39,9 @@ import (
 // version 3 made the memory image content-addressed (mem.PhysState);
 // version 4 dropped the cache-hierarchy counters and the controller's
 // in-flight read table; version 5 dropped the KSM zero-frame and smart-scan
-// state and the VMs' huge-page regions.
-const crashSnapshotVersion = 5
+// state and the VMs' huge-page regions; version 6 dropped the fault model's
+// injection counters.
+const crashSnapshotVersion = 6
 
 // Recovery cost model (deterministic, charged only to RecoveryCycles):
 // restoring a checkpoint and the per-frame/per-byte cost of the recovery
@@ -192,46 +193,12 @@ type worldPayload struct {
 	PassesDone int
 }
 
-// crashEnv binds the crash machinery to one run's live objects, including
-// pointers into the Runtime's fields so a restore can rewind them in place (the objects keep their identity — every closure wired at build
-// time stays valid across a restore).
-type crashEnv struct {
-	mode Mode
-	img  *tailbench.Image
-	alg  *ksm.Algorithm
-	dr   *dram.DRAM
-	mc   *memctrl.Controller
-	ras  *rasState
-	ps   *pressureState
-	es   *engineState
-	sc   obs.Scope
-
-	hwDriver   *pageforge.Driver
-	ksmScanner *ksm.Scanner
-	track      *obs.SeriesTrack // per-run series track; may be nil
-	ledger     *obs.Ledger      // provenance ledger; may be nil
-
-	scanner      **ksm.Scanner
-	driver       **pageforge.Driver
-	fallback     **ksm.Scanner
-	makeFallback func() *ksm.Scanner
-
-	ev *eventState // live-event stream; may be nil (no runtime armed)
-
-	now        *uint64
-	clk        *uint64
-	candidates *uint64
-	prevFrames *int
-	converged  *bool // the early-convergence verdict; may be nil
-	passes     *int  // convergence passes recorded for the result; may be nil
-}
-
-// crashState is the per-run crash/checkpoint machinery.
+// crashState is the per-run crash/checkpoint machinery. The world it
+// captures and restores is the Runtime's.
 type crashState struct {
 	plan  *faults.CrashPlan
 	every int           // checkpoint cadence in passes (0 = boot only)
 	obs   CrashObserver // may be nil
-	env   *crashEnv
 
 	boot     []byte // blob captured before the first pass
 	bootPass int
@@ -241,14 +208,12 @@ type crashState struct {
 	rep CrashReport
 }
 
-// newCrashState arms the machinery over env, whose pointers Runtime.Start
-// binds to the Runtime's fields before the first pass, crashing the host at
-// the boundaries closing crashPasses.
-func newCrashState(cfg Config, crashPasses []int, env *crashEnv) *crashState {
+// newCrashState arms the machinery, crashing the host at the boundaries
+// closing crashPasses.
+func newCrashState(cfg Config, crashPasses []int) *crashState {
 	cs := &crashState{
 		plan:  faults.NewCrashPlan(crashPasses),
 		every: cfg.CheckpointEvery,
-		env:   env,
 	}
 	if o, ok := cfg.Verifier.(CrashObserver); ok {
 		cs.obs = o
@@ -258,188 +223,183 @@ func newCrashState(cfg Config, crashPasses []int, env *crashEnv) *crashState {
 }
 
 // capture serializes the whole world at the boundary closing pass p. It is
-// a crashEnv method (not crashState) so the runtime's Snapshot can reuse it
-// without arming the crash machinery.
-func (env *crashEnv) capture(p int) ([]byte, error) {
-	phys, err := env.img.HV.Phys.State()
+// a Runtime method (not crashState) so Snapshot can use it without arming
+// the crash machinery.
+func (r *Runtime) capture(p int) ([]byte, error) {
+	phys, err := r.img.HV.Phys.State()
 	if err != nil {
 		return nil, fmt.Errorf("platform: checkpoint at pass %d: %w", p, err)
 	}
-	algSt, err := env.alg.State()
+	algSt, err := r.alg.State()
 	if err != nil {
 		return nil, fmt.Errorf("platform: checkpoint at pass %d: %w", p, err)
 	}
+	ev := r.ev
 	w := worldPayload{
 		Pass:       p,
-		Now:        *env.now,
-		Clk:        *env.clk,
-		Candidates: *env.candidates,
-		PrevFrames: *env.prevFrames,
+		Now:        r.now,
+		Clk:        r.clock,
+		Candidates: r.candidates,
+		PrevFrames: r.prevFrames,
 		Phys:       phys,
-		HV:         env.img.HV.State(),
-		Img:        env.img.State(),
+		HV:         r.img.HV.State(),
+		Img:        r.img.State(),
 		Alg:        algSt,
 
-		EngineIsSW: *env.driver == nil,
+		EngineIsSW: r.driver == nil,
 
-		MC:   env.mc.State(),
-		DRAM: env.dr.State(),
+		MC:   r.mc.State(),
+		DRAM: r.dr.State(),
 
-		DegradedAtPass:   env.es.degradedAtPass,
-		RepromotedAtPass: env.es.repromotedAtPass,
+		DegradedAtPass:   r.degradedAtPass,
+		RepromotedAtPass: r.repromotedAtPass,
+
+		EvCursor:       ev.cursor,
+		EvBalloonStart: ev.bsStart,
+		EvBalloonUntil: ev.bsUntil,
+		EvBalloonPages: ev.bsPages,
+		EvFaultStart:   ev.fsStart,
+		EvFaultUntil:   ev.fsUntil,
+		EvFaultBoost:   ev.fsBoost,
+
+		Converged:  r.convergedEarly,
+		PassesDone: r.passes,
 	}
-	if env.hwDriver != nil {
+	if r.hwDriver != nil {
 		w.HasDriver = true
-		w.Engine = env.hwDriver.HW.State()
-		w.Driver = env.hwDriver.State()
+		w.Engine = r.hwDriver.HW.State()
+		w.Driver = r.hwDriver.State()
 	}
-	if env.ksmScanner != nil {
-		w.Scanner = captureScanner(env.ksmScanner)
+	if r.mode == KSM {
+		w.Scanner = captureScanner(r.scanner)
 	}
-	if *env.fallback != nil {
+	if r.fallback != nil {
 		w.FallbackCreated = true
-		w.Fallback = captureScanner(*env.fallback)
+		w.Fallback = captureScanner(r.fallback)
 	}
-	if env.ras != nil {
+	if r.ras != nil {
 		w.HasRAS = true
-		w.Faults = env.ras.model.State()
-		w.Tracker = env.ras.tracker.State()
-		w.Scrub = env.ras.scrub.State()
+		w.Faults = r.ras.model.State()
+		w.Tracker = r.ras.tracker.State()
+		w.Scrub = r.ras.scrub.State()
 	}
-	if env.ps != nil {
+	if ps := r.ps; ps != nil {
 		w.HasPressure = true
-		w.Ctl = env.ps.ctl.State()
-		w.Ladder = env.ps.ladder.CaptureState()
-		w.Balloon = env.ps.balloon.State()
-		w.PSStallTicks = env.ps.stallTicks
-		w.PSLastStalls = env.ps.lastStalls
-		w.PSLastAllocs = env.ps.lastAllocs
-		w.PSReport = env.ps.rep
+		w.Ctl = ps.ctl.State()
+		w.Ladder = ps.ladder.CaptureState()
+		w.Balloon = ps.balloon.State()
+		w.PSStallTicks = ps.stallTicks
+		w.PSLastStalls = ps.lastStalls
+		w.PSLastAllocs = ps.lastAllocs
+		w.PSReport = ps.rep
 	}
-	if env.track != nil {
+	if r.track != nil {
 		w.HasSeries = true
-		w.Series = env.track.State()
+		w.Series = r.track.State()
 	}
-	if env.ledger.Enabled() {
+	if r.cfg.Ledger.Enabled() {
 		w.HasLedger = true
-		w.Ledger = env.ledger.State()
-	}
-	if env.ev != nil {
-		w.EvCursor = env.ev.cursor
-		w.EvBalloonStart = env.ev.bsStart
-		w.EvBalloonUntil = env.ev.bsUntil
-		w.EvBalloonPages = env.ev.bsPages
-		w.EvFaultStart = env.ev.fsStart
-		w.EvFaultUntil = env.ev.fsUntil
-		w.EvFaultBoost = env.ev.fsBoost
-	}
-	if env.converged != nil {
-		w.Converged = *env.converged
-		w.PassesDone = *env.passes
+		w.Ledger = r.cfg.Ledger.State()
 	}
 	return snapshot.Encode(crashSnapshotVersion, w)
 }
 
 // restore rewinds the world to a checkpoint blob, in place, and reports the
 // pass the blob was captured at (so the runtime's Restore can resume from
-// the right boundary; the crash path already knows it).
-func (env *crashEnv) restore(blob []byte, pass int) (int, error) {
+// the right boundary; the crash path already knows it). Every object keeps
+// its identity, so every closure wired at build time stays valid across a
+// restore.
+func (r *Runtime) restore(blob []byte, pass int) (int, error) {
 	var w worldPayload
 	if err := snapshot.Decode(blob, crashSnapshotVersion, &w); err != nil {
 		return 0, fmt.Errorf("platform: restoring checkpoint at pass %d: %w", pass, err)
 	}
-	if err := env.img.HV.Phys.SetState(w.Phys); err != nil {
+	if err := r.img.HV.Phys.SetState(w.Phys); err != nil {
 		return 0, err
 	}
-	if err := env.img.HV.SetState(w.HV); err != nil {
+	if err := r.img.HV.SetState(w.HV); err != nil {
 		return 0, err
 	}
-	env.img.SetState(w.Img)
-	if err := env.alg.SetState(w.Alg); err != nil {
+	r.img.SetState(w.Img)
+	if err := r.alg.SetState(w.Alg); err != nil {
 		return 0, err
 	}
 
-	if env.hwDriver != nil && w.HasDriver {
-		env.hwDriver.HW.SetState(w.Engine)
-		env.hwDriver.SetState(w.Driver)
+	if r.hwDriver != nil && w.HasDriver {
+		r.hwDriver.HW.SetState(w.Engine)
+		r.hwDriver.SetState(w.Driver)
 	}
-	if env.ksmScanner != nil {
-		restoreScanner(env.ksmScanner, w.Scanner)
+	if r.mode == KSM {
+		restoreScanner(r.scanner, w.Scanner)
 	}
 	// The fallback scanner may exist now but not at the checkpoint (it was
 	// created during the replayed window): restoring its zero image resets
 	// its counters so the replay re-accumulates them identically.
-	if *env.fallback == nil && w.FallbackCreated {
-		*env.fallback = env.makeFallback()
+	if r.fallback == nil && w.FallbackCreated {
+		r.fallback = r.newScanner()
 	}
-	if *env.fallback != nil {
-		restoreScanner(*env.fallback, w.Fallback)
+	if r.fallback != nil {
+		restoreScanner(r.fallback, w.Fallback)
 	}
-	// Engine selection is world state: rewind which engine is live.
-	if w.EngineIsSW {
-		*env.driver = nil
-		if env.ksmScanner != nil {
-			*env.scanner = env.ksmScanner
+	// Engine selection is world state: rewind which PageForge engine is
+	// live (the KSM mode's scanner never swaps).
+	if r.mode == PageForge {
+		if w.EngineIsSW {
+			r.driver, r.scanner = nil, r.fallback
 		} else {
-			*env.scanner = *env.fallback
+			r.driver, r.scanner = r.hwDriver, nil
 		}
-	} else {
-		*env.driver = env.hwDriver
-		*env.scanner = nil
 	}
 
-	env.mc.SetState(w.MC)
-	if err := env.dr.SetState(w.DRAM); err != nil {
+	r.mc.SetState(w.MC)
+	if err := r.dr.SetState(w.DRAM); err != nil {
 		return 0, err
 	}
 
-	if env.ras != nil && w.HasRAS {
-		env.ras.model.SetState(w.Faults)
-		env.ras.tracker.SetState(w.Tracker)
-		env.ras.scrub.SetState(w.Scrub)
+	if r.ras != nil && w.HasRAS {
+		r.ras.model.SetState(w.Faults)
+		r.ras.tracker.SetState(w.Tracker)
+		r.ras.scrub.SetState(w.Scrub)
 	}
-	if env.ps != nil && w.HasPressure {
-		env.ps.ctl.SetState(w.Ctl)
-		env.ps.ladder.SetState(w.Ladder)
-		env.ps.balloon.SetState(w.Balloon)
-		env.ps.stallTicks = w.PSStallTicks
-		env.ps.lastStalls = w.PSLastStalls
-		env.ps.lastAllocs = w.PSLastAllocs
-		env.ps.rep = w.PSReport
+	if ps := r.ps; ps != nil && w.HasPressure {
+		ps.ctl.SetState(w.Ctl)
+		ps.ladder.SetState(w.Ladder)
+		ps.balloon.SetState(w.Balloon)
+		ps.stallTicks = w.PSStallTicks
+		ps.lastStalls = w.PSLastStalls
+		ps.lastAllocs = w.PSLastAllocs
+		ps.rep = w.PSReport
 	}
-	env.es.degradedAtPass = w.DegradedAtPass
-	env.es.repromotedAtPass = w.RepromotedAtPass
-	if env.track != nil && w.HasSeries {
-		env.track.SetState(w.Series)
+	r.degradedAtPass = w.DegradedAtPass
+	r.repromotedAtPass = w.RepromotedAtPass
+	if r.track != nil && w.HasSeries {
+		r.track.SetState(w.Series)
 	}
-	if env.ledger.Enabled() && w.HasLedger {
-		env.ledger.SetState(w.Ledger)
+	if r.cfg.Ledger.Enabled() && w.HasLedger {
+		r.cfg.Ledger.SetState(w.Ledger)
 	}
-	if env.ev != nil {
-		env.ev.cursor = w.EvCursor
-		env.ev.bsStart = w.EvBalloonStart
-		env.ev.bsUntil = w.EvBalloonUntil
-		env.ev.bsPages = w.EvBalloonPages
-		env.ev.fsStart = w.EvFaultStart
-		env.ev.fsUntil = w.EvFaultUntil
-		env.ev.fsBoost = w.EvFaultBoost
-	}
-	if env.converged != nil {
-		*env.converged = w.Converged
-		*env.passes = w.PassesDone
-	}
+	ev := r.ev
+	ev.cursor = w.EvCursor
+	ev.bsStart = w.EvBalloonStart
+	ev.bsUntil = w.EvBalloonUntil
+	ev.bsPages = w.EvBalloonPages
+	ev.fsStart = w.EvFaultStart
+	ev.fsUntil = w.EvFaultUntil
+	ev.fsBoost = w.EvFaultBoost
+	r.convergedEarly = w.Converged
+	r.passes = w.PassesDone
 
-	*env.now = w.Now
-	*env.clk = w.Clk
-	*env.candidates = w.Candidates
-	*env.prevFrames = w.PrevFrames
+	r.now = w.Now
+	r.clock = w.Clk
+	r.candidates = w.Candidates
+	r.prevFrames = w.PrevFrames
 	return w.Pass, nil
 }
 
 // checkpoint captures the boundary closing pass p and makes it the newest
 // restore target.
-func (cs *crashState) checkpoint(p int) error {
-	blob, err := cs.env.capture(p)
+func (cs *crashState) checkpoint(r *Runtime, p int) error {
+	blob, err := r.capture(p)
 	if err != nil {
 		return err
 	}
@@ -447,7 +407,7 @@ func (cs *crashState) checkpoint(p int) error {
 		cs.boot, cs.bootPass = blob, p
 	} else {
 		cs.last, cs.lastPass = blob, p
-		cs.env.sc.Instant(obs.TIDPlatform, "crash", "checkpoint", *cs.env.now, "pass", uint64(p))
+		r.sc.Instant(obs.TIDPlatform, "crash", "checkpoint", r.now, "pass", uint64(p))
 	}
 	cs.rep.Checkpoints++
 	if cs.obs != nil {
@@ -459,14 +419,14 @@ func (cs *crashState) checkpoint(p int) error {
 // boundary closes convergence pass p: take the periodic checkpoint if one
 // is due, then fire the crash plan. It returns the pass to resume from and
 // whether a restore happened (the loop then replays from resume+1).
-func (cs *crashState) boundary(p int) (resume int, restored bool, err error) {
+func (cs *crashState) boundary(r *Runtime, p int) (resume int, restored bool, err error) {
 	if cs.every > 0 && (p+1)%cs.every == 0 {
-		if err := cs.checkpoint(p); err != nil {
+		if err := cs.checkpoint(r, p); err != nil {
 			return 0, false, err
 		}
 	}
 	if cs.plan.FireAt(p) {
-		resume, err = cs.crashAt(p)
+		resume, err = cs.crashAt(r, p)
 		if err != nil {
 			return 0, false, err
 		}
@@ -478,11 +438,10 @@ func (cs *crashState) boundary(p int) (resume int, restored bool, err error) {
 // crashAt kills the host at the boundary closing pass p and recovers from
 // the newest checkpoint (the boot checkpoint if no periodic one was taken
 // yet). It returns the pass the world was rewound to.
-func (cs *crashState) crashAt(p int) (int, error) {
-	env := cs.env
+func (cs *crashState) crashAt(r *Runtime, p int) (int, error) {
 	cs.rep.Crashes++
-	env.sc.Instant(obs.TIDPlatform, "crash", "host_crash", *env.now, "pass", uint64(p))
-	mergesAtCrash := env.img.HV.Merges
+	r.sc.Instant(obs.TIDPlatform, "crash", "host_crash", r.now, "pass", uint64(p))
+	mergesAtCrash := r.img.HV.Merges
 
 	blob, restoredPass := cs.last, cs.lastPass
 	if blob == nil {
@@ -492,11 +451,11 @@ func (cs *crashState) crashAt(p int) (int, error) {
 	// RecoveryCycles. Either failing is fatal: a blob that fails to decode or
 	// re-apply means the harness is corrupt, and an index that fails its
 	// audit is a genuine corruption bug.
-	if _, err := env.restore(blob, restoredPass); err != nil {
+	if _, err := r.restore(blob, restoredPass); err != nil {
 		return 0, err
 	}
 	cs.rep.RecoveryCycles += recoveryRestoreCycles
-	stats, err := env.alg.VerifyRecovered()
+	stats, err := r.alg.VerifyRecovered()
 	cs.rep.StableVerified += stats.StableNodes
 	cs.rep.BytesVerified += stats.BytesVerified
 	cs.rep.RecoveryCycles += uint64(stats.FramesAudited)*recoveryAuditFrameCycles +
@@ -507,17 +466,17 @@ func (cs *crashState) crashAt(p int) (int, error) {
 
 	cs.rep.Restores++
 	cs.rep.ReplayedPasses += p - restoredPass
-	cs.rep.RemergedPages += mergesAtCrash - env.img.HV.Merges
+	cs.rep.RemergedPages += mergesAtCrash - r.img.HV.Merges
 	// Mark the rewind in the provenance stream: replayed passes re-append
 	// their events on top of the restored ring, and the marker lets ledger
 	// consumers (and crashed-vs-uninterrupted comparisons) find the seam.
 	// Arg is the restored-to pass + 1, so the boot checkpoint (-1) encodes
 	// as 0 in an unsigned field.
-	env.ledger.Append(obs.LedgerEvent{Kind: obs.LKRestored, VM: -1,
+	r.cfg.Ledger.Append(obs.LedgerEvent{Kind: obs.LKRestored, VM: -1,
 		PFN: obs.LedgerNoPFN, Arg: uint64(restoredPass + 1)})
 	if cs.obs != nil {
 		cs.obs.Restored(restoredPass)
 	}
-	env.sc.Instant(obs.TIDPlatform, "crash", "restored", *env.now, "pass", uint64(p))
+	r.sc.Instant(obs.TIDPlatform, "crash", "restored", r.now, "pass", uint64(p))
 	return restoredPass, nil
 }

@@ -72,6 +72,7 @@ func assertCrashIdentity(t *testing.T, mode Mode, app tailbench.Profile, cfg Con
 // engine modes and index shapes, including a run with an armed fault model
 // (RNG streams and tracker state must survive the restore too).
 func TestCrashRestoreResultIdentity(t *testing.T) {
+	t.Parallel()
 	cases := []struct {
 		name string
 		mode Mode
@@ -113,6 +114,7 @@ func TestCrashRestoreResultIdentity(t *testing.T) {
 // TestCheckpointingIsPure: capturing checkpoints without ever crashing must
 // not perturb the run at all.
 func TestCheckpointingIsPure(t *testing.T) {
+	t.Parallel()
 	for _, mode := range []Mode{KSM, PageForge} {
 		t.Run(mode.String(), func(t *testing.T) {
 			cfg := crashTestConfig()
@@ -131,6 +133,7 @@ func TestCheckpointingIsPure(t *testing.T) {
 // TestCrashWithZeroCheckpoints: with no periodic cadence the only restore
 // target is the boot checkpoint — the whole convergence phase replays.
 func TestCrashWithZeroCheckpoints(t *testing.T) {
+	t.Parallel()
 	cfg := crashTestConfig()
 	crashAt(&cfg, 2)
 	rep := assertCrashIdentity(t, PageForge, fastApp("img_dnn"), cfg)
@@ -152,6 +155,7 @@ func TestCrashWithZeroCheckpoints(t *testing.T) {
 // TestBackToBackCrashes: two crashes at the same pass exercise restoring
 // the same checkpoint twice within one re-arm window.
 func TestBackToBackCrashes(t *testing.T) {
+	t.Parallel()
 	cfg := crashTestConfig()
 	cfg.CheckpointEvery = 2
 	crashAt(&cfg, 2, 2)
@@ -168,6 +172,7 @@ func TestBackToBackCrashes(t *testing.T) {
 // burst: the restore must rewind the balloon, the ladder, the stall
 // accounting, and the half-written burst region along with everything else.
 func TestCrashDuringBalloonStorm(t *testing.T) {
+	t.Parallel()
 	for _, mode := range []Mode{KSM, PageForge} {
 		t.Run(mode.String(), func(t *testing.T) {
 			app, cfg := stormConfig(7)

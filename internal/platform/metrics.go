@@ -4,11 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/dram"
-	"repro/internal/ksm"
-	"repro/internal/memctrl"
-	"repro/internal/obs"
-	"repro/internal/pageforge"
-	"repro/internal/tailbench"
 )
 
 // publishMetrics copies every simulation layer's cumulative counters into
@@ -19,9 +14,8 @@ import (
 // publish is an idempotent overwrite: the end-of-run call produces the
 // exported snapshot, and the per-pass series sampler may call it any number
 // of times before that without perturbing the final values.
-func publishMetrics(reg *obs.Registry, mc *memctrl.Controller, dr *dram.DRAM,
-	scanner *ksm.Scanner, driver *pageforge.Driver, ras *rasState,
-	ps *pressureState, img *tailbench.Image) {
+func (r *Runtime) publishMetrics() {
+	reg, mc, dr, ras, ps := r.reg, r.mc, r.dr, r.ras, r.ps
 
 	// Memory controller: demand traffic, PageForge fetch routing, and the
 	// ECC pipe.
@@ -77,7 +71,7 @@ func publishMetrics(reg *obs.Registry, mc *memctrl.Controller, dr *dram.DRAM,
 	// Hypervisor and arena occupancy: the per-pass series plots its
 	// convergence curves from these (merges vs CoW breaks vs allocated
 	// frames), so they are published here, not derived from Result fields.
-	hv := img.HV
+	hv := r.img.HV
 	reg.SetCounter("vm/merges", hv.Merges)
 	reg.SetCounter("vm/unmerges", hv.Unmerges)
 	reg.SetCounter("vm/alloc_stalls", hv.AllocStalls)
@@ -89,36 +83,40 @@ func publishMetrics(reg *obs.Registry, mc *memctrl.Controller, dr *dram.DRAM,
 	reg.SetCounter("cache/l3_misses", l3.Misses)
 	reg.SetGauge("cache/l3_miss_rate", l3.MissRate())
 
-	// Dedup algorithm outcomes (shared by both engines; under degradation
-	// the software scanner continues on the hardware driver's state, so
-	// exactly one Stats is live per run — the caller passes the engine that
-	// owns it).
-	publishKSMStats := func(prefix string, st ksm.Stats) {
-		reg.SetCounter(prefix+"/pages_scanned", st.PagesScanned)
-		reg.SetCounter(prefix+"/full_scans", st.FullScans)
-		reg.SetCounter(prefix+"/stable_merges", st.StableMerges)
-		reg.SetCounter(prefix+"/unstable_merges", st.UnstableMerges)
-		reg.SetCounter(prefix+"/failed_merges", st.FailedMerges)
-		reg.SetCounter(prefix+"/hash_matches", st.HashMatches)
-		reg.SetCounter(prefix+"/hash_mismatches", st.HashMismatches)
-		reg.SetCounter(prefix+"/hash_first_seen", st.HashFirstSeen)
-		reg.SetCounter(prefix+"/stale_unstable", st.StaleUnstable)
-		reg.SetCounter(prefix+"/fault_fallbacks", st.FaultFallbacks)
+	// Dedup algorithm outcomes: both engines run on the one algorithm
+	// state, so exactly one Stats is live per dedup run.
+	if alg := r.alg; alg != nil {
+		st := alg.Stats
+		reg.SetCounter("ksm/pages_scanned", st.PagesScanned)
+		reg.SetCounter("ksm/full_scans", st.FullScans)
+		reg.SetCounter("ksm/stable_merges", st.StableMerges)
+		reg.SetCounter("ksm/unstable_merges", st.UnstableMerges)
+		reg.SetCounter("ksm/failed_merges", st.FailedMerges)
+		reg.SetCounter("ksm/hash_matches", st.HashMatches)
+		reg.SetCounter("ksm/hash_mismatches", st.HashMismatches)
+		reg.SetCounter("ksm/hash_first_seen", st.HashFirstSeen)
+		reg.SetCounter("ksm/stale_unstable", st.StaleUnstable)
+		reg.SetCounter("ksm/fault_fallbacks", st.FaultFallbacks)
 		// No zero-page merging and no smart scan, but perfbench's recorded
 		// digests cover every counter name, so these stay published as zeros.
-		reg.SetCounter(prefix+"/zero_merges", 0)
-		reg.SetCounter(prefix+"/smart_skips", 0)
+		reg.SetCounter("ksm/zero_merges", 0)
+		reg.SetCounter("ksm/smart_skips", 0)
+	}
+	// The software engine is the live scanner, or else the fallback once
+	// one exists: a re-promoted run keeps publishing the cycles its
+	// fallback spent, whether or not a series sampled it mid-run.
+	scanner := r.scanner
+	if scanner == nil {
+		scanner = r.fallback
 	}
 	if scanner != nil {
-		publishKSMStats("ksm", scanner.Alg.Stats)
 		reg.SetCounter("ksm/cycles_compare", scanner.Cycles.Compare)
 		reg.SetCounter("ksm/cycles_hash", scanner.Cycles.Hash)
 		reg.SetCounter("ksm/cycles_other", scanner.Cycles.Other)
 		reg.SetCounter("ksm/bytes_touched", scanner.BytesTouched)
 		reg.SetCounter("ksm/dram_bytes", scanner.DRAMBytes)
 	}
-	if driver != nil {
-		publishKSMStats("ksm", driver.Alg.Stats)
+	if driver := r.hwDriver; driver != nil {
 		hw := driver.HW
 		reg.SetCounter("pageforge/batches", driver.Batches)
 		reg.SetCounter("pageforge/polls", driver.Polls)

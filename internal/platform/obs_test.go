@@ -14,6 +14,7 @@ import (
 // and untraced runs must agree on every Result field — including the full
 // metrics snapshot, which DeepEqual follows through the pointer.
 func TestTraceDisabledBitIdentical(t *testing.T) {
+	t.Parallel()
 	app := fastApp("silo")
 	plain, err := Run(PageForge, app, fastConfig())
 	if err != nil {
@@ -39,6 +40,7 @@ func TestTraceDisabledBitIdentical(t *testing.T) {
 // metrics snapshot, yet the traced run must stay deeply equal to the
 // untraced one — stalls, transitions, and all.
 func TestTracePressureBitIdentical(t *testing.T) {
+	t.Parallel()
 	app, cfg := stormConfig(7)
 	plain, err := Run(KSM, app, cfg)
 	if err != nil {
@@ -65,6 +67,7 @@ func TestTracePressureBitIdentical(t *testing.T) {
 // trace_event contract Perfetto loads: a traceEvents array of objects that
 // each carry ph/pid/tid/ts, with complete ('X') events adding a dur.
 func TestTracePerfettoShape(t *testing.T) {
+	t.Parallel()
 	cfg := fastConfig()
 	cfg.Trace = obs.NewTracer(obs.DefaultTraceCapacity)
 	if _, err := Run(PageForge, fastApp("img_dnn"), cfg); err != nil {
@@ -127,6 +130,7 @@ func TestTracePerfettoShape(t *testing.T) {
 // the measured demand-latency distribution is ordered (p50 <= p95 <= p99
 // <= max) and right-skewed enough that p95 sits at or above the mean.
 func TestDemandLatencyQuantiles(t *testing.T) {
+	t.Parallel()
 	res, err := Run(PageForge, fastApp("silo"), fastConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -147,6 +151,7 @@ func TestDemandLatencyQuantiles(t *testing.T) {
 // TestMetricsSnapshotDeterminism repeats a run and requires the full
 // registry snapshot — every counter, gauge, and histogram — to match.
 func TestMetricsSnapshotDeterminism(t *testing.T) {
+	t.Parallel()
 	app := fastApp("img_dnn")
 	a, err := Run(PageForge, app, fastConfig())
 	if err != nil {

@@ -295,14 +295,6 @@ func Run(mode Mode, app tailbench.Profile, cfg Config) (*Result, error) {
 	return r.Drain()
 }
 
-// engineState tracks which engine is live across the demote/re-promote
-// swaps: the RAS trip and the pressure ladder both demote the hardware
-// driver to software KSM, and both are reversible.
-type engineState struct {
-	degradedAtPass   int
-	repromotedAtPass int
-}
-
 // rasState bundles the live RAS machinery of one run: the fault model
 // attached to the controller, the patrol scrubber, and the UE-rate tracker
 // driving the PageForge→KSM degradation policy.

@@ -29,6 +29,7 @@ func fastApp(name string) tailbench.Profile {
 }
 
 func TestRunBaseline(t *testing.T) {
+	t.Parallel()
 	res, err := Run(Baseline, fastApp("img_dnn"), fastConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -51,6 +52,7 @@ func TestRunBaseline(t *testing.T) {
 }
 
 func TestRunKSMShape(t *testing.T) {
+	t.Parallel()
 	cfg := fastConfig()
 	app := fastApp("img_dnn")
 	base, err := Run(Baseline, app, cfg)
@@ -92,6 +94,7 @@ func TestRunKSMShape(t *testing.T) {
 }
 
 func TestRunPageForgeShape(t *testing.T) {
+	t.Parallel()
 	cfg := fastConfig()
 	app := fastApp("img_dnn")
 	ksmRes, err := Run(KSM, app, cfg)
@@ -125,6 +128,7 @@ func TestRunPageForgeShape(t *testing.T) {
 }
 
 func TestLatencyOrdering(t *testing.T) {
+	t.Parallel()
 	cfg := fastConfig()
 	app := fastApp("silo")
 	base, err := Run(Baseline, app, cfg)
@@ -161,6 +165,7 @@ func TestLatencyOrdering(t *testing.T) {
 }
 
 func TestModeString(t *testing.T) {
+	t.Parallel()
 	if Baseline.String() != "Baseline" || KSM.String() != "KSM" || PageForge.String() != "PageForge" {
 		t.Fatal("mode names wrong")
 	}
@@ -170,6 +175,7 @@ func TestModeString(t *testing.T) {
 }
 
 func TestPageForgeDegradesUnderPathologicalFaults(t *testing.T) {
+	t.Parallel()
 	cfg := fastConfig()
 	cfg.ConvergePasses = 6
 	cfg.MeasureIntervals = 4
@@ -222,6 +228,7 @@ func TestPageForgeDegradesUnderPathologicalFaults(t *testing.T) {
 }
 
 func TestFaultConfigZeroIsIdentical(t *testing.T) {
+	t.Parallel()
 	cfg := fastConfig()
 	cfg.ConvergePasses = 4
 	cfg.MeasureIntervals = 4
@@ -270,6 +277,7 @@ func (o *overlapCheck) FetchLine(pfn mem.PFN, li int, now uint64, src dram.Sourc
 // coalesce. Demand lines live above every frame address, so demand reads
 // cannot overlap a fetch either.
 func TestPageForgeFetchesNeverOverlap(t *testing.T) {
+	t.Parallel()
 	events := fastConfig()
 	events.Events = streamSchedule()
 	faulted := fastConfig()

@@ -39,6 +39,7 @@ func stormConfig(seed uint64) (tailbench.Profile, Config) {
 // stall/balloon path, walk down the degradation ladder, and recover to
 // Healthy after the storm ends.
 func TestPressureStormSurvival(t *testing.T) {
+	t.Parallel()
 	for _, mode := range []Mode{KSM, PageForge} {
 		t.Run(mode.String(), func(t *testing.T) {
 			app, cfg := stormConfig(7)
@@ -87,6 +88,7 @@ func TestPressureStormSurvival(t *testing.T) {
 // passes: balloon reclaim and the deferred-free windows must not interact
 // (the balloon only runs between passes). Run under -race in CI.
 func TestPressureStormParallelScan(t *testing.T) {
+	t.Parallel()
 	app, cfg := stormConfig(11)
 	cfg.ShardBits = 2
 	cfg.ShardWorkers = 3
@@ -103,6 +105,7 @@ func TestPressureStormParallelScan(t *testing.T) {
 // equal Results — transitions, stall counts, and all measured statistics
 // included.
 func TestPressureDeterminism(t *testing.T) {
+	t.Parallel()
 	run := func() *Result {
 		app, cfg := stormConfig(3)
 		res, err := Run(PageForge, app, cfg)
@@ -124,6 +127,7 @@ func TestPressureDeterminism(t *testing.T) {
 // the run bit-identical to one that never heard of the layer (the armed
 // code paths are all gated).
 func TestPressureOffBitIdentical(t *testing.T) {
+	t.Parallel()
 	app := *tailbench.ProfileByName("silo")
 	app.PagesPerVM = 120
 	cfg := DefaultConfig()

@@ -18,12 +18,34 @@ func instrument(cfg *Config) *obs.Ledger {
 	return cfg.Ledger
 }
 
+// repromoteConfig is a PageForge world that falls back to software KSM and
+// is later re-promoted: a fault storm trips the UE-rate policy, and VM
+// spawns and kills keep the scan going until the tracker recovers. On
+// img_dnn it degrades at pass 2 and re-promotes at pass 9.
+func repromoteConfig() (tailbench.Profile, Config) {
+	cfg := fastConfig()
+	cfg.ConvergePasses = 12
+	cfg.Faults = faults.Config{Seed: 7, TransientPerRead: 0.01, DoubleBitPerRead: 0.0002}
+	cfg.Events = []Event{{Pass: 1, Kind: EvFaultStorm, Passes: 2, Boost: 100}}
+	for p := 2; p < 12; p++ {
+		if p%2 == 0 {
+			cfg.Events = append(cfg.Events, Event{Pass: p, Kind: EvVMSpawn})
+		} else {
+			cfg.Events = append(cfg.Events, Event{Pass: p, Kind: EvVMKill, VM: cfg.VMs + (p-3)/2})
+		}
+	}
+	return fastApp("img_dnn"), cfg
+}
+
 // TestProvenanceBitIdentical is the tentpole invariant extended from the
 // tracer to the full provenance stack: attaching the merge-lifecycle ledger
 // AND the per-pass series must never perturb the simulation, in any world —
 // plain engines, the sharded-parallel index, injected faults, an overcommit
-// storm, and a crash-with-recovery run.
+// storm, a crash-with-recovery run, and a run re-promoted from the software
+// fallback (whose fallback counters must be published with or without a
+// series sampling them).
 func TestProvenanceBitIdentical(t *testing.T) {
+	t.Parallel()
 	cases := []struct {
 		name  string
 		mode  Mode
@@ -49,6 +71,7 @@ func TestProvenanceBitIdentical(t *testing.T) {
 			crashAt(&cfg, 2)
 			return fastApp("img_dnn"), cfg
 		}},
+		{"PageForge-repromote", PageForge, repromoteConfig},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -56,6 +79,10 @@ func TestProvenanceBitIdentical(t *testing.T) {
 			plain, err := Run(tc.mode, app, plainCfg)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.name == "PageForge-repromote" && (plain.DegradedAtPass < 0 || plain.RepromotedAtPass < 0) {
+				t.Fatalf("world did not degrade and re-promote: degraded at %d, re-promoted at %d",
+					plain.DegradedAtPass, plain.RepromotedAtPass)
 			}
 			_, cfg := tc.setup()
 			ldg := instrument(&cfg)
@@ -84,6 +111,7 @@ func TestProvenanceBitIdentical(t *testing.T) {
 // markers, which exist precisely to document the recovery) as an
 // uninterrupted instrumented run.
 func TestCrashRoundTripWithProvenance(t *testing.T) {
+	t.Parallel()
 	app := fastApp("img_dnn")
 	mkCfg := func(crash bool) Config {
 		cfg := crashTestConfig()
@@ -161,6 +189,7 @@ var metricName = regexp.MustCompile(`^[a-z0-9_]+(/[a-z0-9_.]+)+$`)
 // contract plus cross-kind uniqueness (a counter, gauge, and histogram may
 // never share a name: snapshot diffing and the series sampler key on it).
 func TestMetricNameHygiene(t *testing.T) {
+	t.Parallel()
 	app, cfg := stormConfig(11)
 	cfg.Faults = faults.Config{Seed: 3, TransientPerRead: 0.01, DoubleBitPerRead: 0.001}
 	cfg.CheckpointEvery = 2

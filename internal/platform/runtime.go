@@ -152,27 +152,28 @@ type Runtime struct {
 	sc    obs.Scope
 	ras   *rasState
 	ps    *pressureState
-	es    *engineState
 	cs    *crashState
-	env   *crashEnv // non-nil for dedup modes; Snapshot/Restore reuse it
 	ev    *eventState
 	pump  *pumpFetcher
+	track *obs.SeriesTrack
 	clock uint64
 
-	// Engine handles. scanner/driver are the live pair (degradation swaps
+	// Engine handles. alg is the one Algorithm 1 state both engines run on
+	// (nil for Baseline). scanner/driver are the live pair (degradation swaps
 	// them); hwDriver retains the hardware engine across demotions and is
 	// the statistics source; fallback is the software stand-in, created
 	// once.
-	scanner      *ksm.Scanner
-	driver       *pageforge.Driver
-	hwDriver     *pageforge.Driver
-	fallback     *ksm.Scanner
-	makeFallback func() *ksm.Scanner
-	alg          *ksm.Algorithm
+	alg      *ksm.Algorithm
+	scanner  *ksm.Scanner
+	driver   *pageforge.Driver
+	hwDriver *pageforge.Driver
+	fallback *ksm.Scanner
 
-	track  *obs.SeriesTrack
-	verify func(string, int, *ksm.Scanner, *pageforge.Driver) error
-	sample func(string, int, uint64, *ksm.Scanner)
+	// Engine-selection history across the reversible demote/re-promote
+	// swaps: the pass of the first demotion and of the latest re-promotion
+	// (-1: never).
+	degradedAtPass   int
+	repromotedAtPass int
 
 	// Convergence-loop state (the old loop locals, now resumable).
 	now            uint64
@@ -182,17 +183,14 @@ type Runtime struct {
 	p              int // next convergence pass to run
 	convergedEarly bool
 
-	// Measurement-phase state.
+	// Measurement-phase state. The engine pair needs no pinning: the swap
+	// policy only acts during convergence.
 	meas             *measurement
 	k                int // next measurement interval to run
-	measScanner      *ksm.Scanner
-	measDriver       *pageforge.Driver
 	dedupBytesBefore uint64
 
-	phase    runPhase
-	started  bool
-	stopped  bool
-	finished bool
+	phase   runPhase
+	started bool
 }
 
 // NewRuntime prepares a runtime; Start builds the world.
@@ -253,20 +251,6 @@ func (r *Runtime) Start() error {
 		cfg.Verifier.BeginRun(mode, img)
 	}
 
-	// verify delivers one observation point to the configured verifier; the
-	// engine arguments are whatever is live at the call (degradation swaps
-	// the driver out for a software scanner mid-run).
-	r.verify = func(phase string, idx int, s *ksm.Scanner, d *pageforge.Driver) error {
-		if cfg.Verifier == nil {
-			return nil
-		}
-		p := VerifyPoint{Mode: mode, Phase: phase, Index: idx, HV: img.HV, Alg: algOf(s, d)}
-		if d != nil {
-			p.Quarantined = d.Quarantined
-		}
-		return cfg.Verifier.Interval(p)
-	}
-
 	// The measurement L3 lives in the controller: application misses fill
 	// it and PageForge fetches probe it.
 	dr := dram.New(cfg.DRAM)
@@ -314,7 +298,7 @@ func (r *Runtime) Start() error {
 	if cfg.Pressure.Enabled {
 		r.ps = newPressureState(cfg.Pressure, img, r.ras, sc)
 	}
-	r.es = &engineState{degradedAtPass: -1, repromotedAtPass: -1}
+	r.degradedAtPass, r.repromotedAtPass = -1, -1
 
 	// Deduplication engine for this mode. The PageForge engine's fetches go
 	// through a pumped fetcher so the measurement phase can interleave
@@ -323,14 +307,14 @@ func (r *Runtime) Start() error {
 	switch mode {
 	case Baseline:
 	case KSM:
-		r.scanner = ksm.NewScanner(ksm.NewAlgorithmSharded(img.HV, ksm.JHasher{}, cfg.ShardBits), cfg.KSMCosts)
-		r.scanner.Trace = sc
-		r.scanner.TraceNow = func() uint64 { return r.clock }
+		r.alg = ksm.NewAlgorithmSharded(img.HV, ksm.JHasher{}, cfg.ShardBits)
+		r.scanner = r.newScanner()
 		r.scanner.Ledger = cfg.Ledger
 	case PageForge:
+		r.alg = ksm.NewAlgorithmSharded(img.HV, ksm.NewECCHasher(), cfg.ShardBits)
 		engine := pageforge.NewEngine(r.pump)
 		engine.Trace = sc
-		r.driver = pageforge.NewDriver(ksm.NewAlgorithmSharded(img.HV, ksm.NewECCHasher(), cfg.ShardBits), engine, cfg.Driver)
+		r.driver = pageforge.NewDriver(r.alg, engine, cfg.Driver)
 		r.driver.Trace = sc
 		r.driver.Ledger = cfg.Ledger
 	}
@@ -358,63 +342,63 @@ func (r *Runtime) Start() error {
 	// the degradation policy swaps the live engine to software KSM.
 	r.hwDriver = r.driver
 	// Per-pass time series: one track per run, sampled at every convergence
-	// and measurement boundary. A sample re-publishes the cumulative layer
-	// counters into the registry — publishMetrics is an idempotent overwrite
-	// and the end-of-run publish rewrites every name, so mid-run publishes
-	// cannot perturb the final snapshot — then lets the track window them
-	// into deltas.
+	// and measurement boundary.
 	if cfg.Series.Enabled() {
 		r.track = cfg.Series.Track(fmt.Sprintf("%s/%s", mode, app.Name))
-	}
-	r.sample = func(phase string, idx int, now uint64, sw *ksm.Scanner) {
-		if r.track == nil {
-			return
-		}
-		publishMetrics(r.reg, r.mc, r.dr, sw, r.hwDriver, r.ras, r.ps, r.img)
-		r.track.Sample(phase, idx, now, r.reg)
 	}
 
 	r.prevFrames = -1
 	r.passes = cfg.ConvergePasses
-	if mode != Baseline {
-		if r.scanner != nil {
-			r.alg = r.scanner.Alg
-		} else {
-			r.alg = r.driver.Alg
-		}
-		r.makeFallback = func() *ksm.Scanner {
-			f := ksm.NewScanner(r.hwDriver.Alg, cfg.KSMCosts)
-			f.Trace = sc
-			f.TraceNow = func() uint64 { return r.clock }
-			return f
-		}
-		// The world-snapshot environment is bound for every dedup mode so
-		// Snapshot/Restore work without arming the crash machinery; the
-		// crash machinery reuses it when configured.
-		r.env = &crashEnv{
-			mode: mode, img: img, alg: r.alg, dr: dr, mc: mc,
-			ras: r.ras, ps: r.ps, es: r.es, sc: sc,
-			hwDriver: r.hwDriver, ksmScanner: r.scanner,
-			track: r.track, ledger: cfg.Ledger,
-			scanner: &r.scanner, driver: &r.driver, fallback: &r.fallback,
-			makeFallback: r.makeFallback, ev: r.ev,
-			now: &r.now, clk: &r.clock, candidates: &r.candidates, prevFrames: &r.prevFrames,
-			converged: &r.convergedEarly, passes: &r.passes,
-		}
-		// Crash tolerance: checkpoint/restore machinery, armed only when a
-		// crash event or a checkpoint cadence is configured. Baseline has no
-		// dedup state to recover (and no convergence phase to crash in).
-		if len(crashPasses) > 0 || cfg.CheckpointEvery > 0 {
-			r.cs = newCrashState(cfg, crashPasses, r.env)
-			// Boot checkpoint: recovery always has at least the pre-pass
-			// world to fall back to.
-			if err := r.cs.checkpoint(-1); err != nil {
-				return err
-			}
+	// Crash tolerance: checkpoint/restore machinery, armed only when a crash
+	// event or a checkpoint cadence is configured. Baseline has no dedup
+	// state to recover (and no convergence phase to crash in). Snapshot and
+	// Restore capture the same world without arming it.
+	if mode != Baseline && (len(crashPasses) > 0 || cfg.CheckpointEvery > 0) {
+		r.cs = newCrashState(cfg, crashPasses)
+		// Boot checkpoint: recovery always has at least the pre-pass world
+		// to fall back to.
+		if err := r.cs.checkpoint(r, -1); err != nil {
+			return err
 		}
 	}
 	r.phase = phaseConverge
 	return nil
+}
+
+// newScanner builds a software KSM engine over the run's algorithm state:
+// the KSM mode's scanner, or PageForge's software fallback.
+func (r *Runtime) newScanner() *ksm.Scanner {
+	s := ksm.NewScanner(r.alg, r.cfg.KSMCosts)
+	s.Trace = r.sc
+	s.TraceNow = func() uint64 { return r.clock }
+	return s
+}
+
+// verify delivers one observation point to the configured verifier.
+// Quarantine exclusion is in force only while the hardware driver is the
+// live engine.
+func (r *Runtime) verify(phase string, idx int) error {
+	if r.cfg.Verifier == nil {
+		return nil
+	}
+	p := VerifyPoint{Mode: r.mode, Phase: phase, Index: idx, HV: r.img.HV, Alg: r.alg}
+	if r.driver != nil {
+		p.Quarantined = r.driver.Quarantined
+	}
+	return r.cfg.Verifier.Interval(p)
+}
+
+// sample takes one series sample: it re-publishes the cumulative layer
+// counters into the registry, then lets the track window them into deltas.
+// publishMetrics is an idempotent overwrite and the end-of-run publish
+// rewrites every name, so mid-run publishes cannot perturb the final
+// snapshot.
+func (r *Runtime) sample(phase string, idx int, now uint64) {
+	if r.track == nil {
+		return
+	}
+	r.publishMetrics()
+	r.track.Sample(phase, idx, now, r.reg)
 }
 
 // Step advances the runtime by exactly one tick — one convergence pass or
@@ -438,12 +422,12 @@ func (r *Runtime) Step() (done bool, err error) {
 			}
 			return false, nil
 		case phaseMeasure:
-			if r.k >= r.meas.totalIntervals() {
+			if r.k >= r.measureIntervals() {
 				r.finishRun()
 				r.phase = phaseDone
 				continue
 			}
-			if err := r.meas.stepInterval(r.k, r.measScanner, r.measDriver); err != nil {
+			if err := r.stepMeasure(r.k); err != nil {
 				r.phase = phaseDone
 				return true, err
 			}
@@ -538,7 +522,7 @@ func (r *Runtime) applyEvent(p int, e Event) error {
 // checkpoint/crash boundary. Batch Run reaches
 // it through Drain, so streamed and batch runs share this one body.
 func (r *Runtime) stepConverge() error {
-	cfg, img, ps, ras, es, cs, sc := r.cfg, r.img, r.ps, r.ras, r.es, r.cs, r.sc
+	cfg, img, ps, ras, cs, sc := r.cfg, r.img, r.ps, r.ras, r.cs, r.sc
 	p := r.p
 	cfg.Ledger.SetPass(p)
 	if err := r.applyEvents(p); err != nil {
@@ -579,19 +563,19 @@ func (r *Runtime) stepConverge() error {
 	switch {
 	case wantSW && r.driver != nil:
 		if r.fallback == nil {
-			r.fallback = r.makeFallback()
+			r.fallback = r.newScanner()
 		}
 		r.scanner = r.fallback
 		r.driver = nil
-		if es.degradedAtPass < 0 {
-			es.degradedAtPass = p
+		if r.degradedAtPass < 0 {
+			r.degradedAtPass = p
 		}
-		es.repromotedAtPass = -1
+		r.repromotedAtPass = -1
 		sc.Instant(obs.TIDRAS, "ras", "degrade_trip", r.now, "pass", uint64(p))
-	case !wantSW && r.driver == nil && r.hwDriver != nil && es.degradedAtPass >= 0:
+	case !wantSW && r.driver == nil && r.hwDriver != nil && r.degradedAtPass >= 0:
 		r.driver = r.hwDriver
 		r.scanner = nil
-		es.repromotedAtPass = p
+		r.repromotedAtPass = p
 		sc.Instant(obs.TIDRAS, "ras", "repromote", r.now, "pass", uint64(p))
 	}
 	if err := img.ChurnVolatile(); err != nil {
@@ -605,7 +589,7 @@ func (r *Runtime) stepConverge() error {
 	// is what makes traced and untraced runs bit-identical. Nothing in the
 	// simulation reads it back here.
 	r.clock = r.now
-	if err := r.verify("converge", p, r.scanner, r.driver); err != nil {
+	if err := r.verify("converge", p); err != nil {
 		return err
 	}
 	frames := img.HV.Phys.AllocatedFrames()
@@ -614,20 +598,14 @@ func (r *Runtime) stepConverge() error {
 	r.prevFrames = frames
 	// Sample the series at the pass boundary, before the checkpoint: the
 	// track's ring is part of the checkpointed world, so a replayed pass
-	// re-takes exactly the samples the crash destroyed. The software engine
-	// handle falls back to the retained fallback scanner so its cycle
-	// counters stay published across re-promotions.
-	sw := r.scanner
-	if sw == nil {
-		sw = r.fallback
-	}
-	r.sample("converge", p, r.now, sw)
+	// re-takes exactly the samples the crash destroyed.
+	r.sample("converge", p, r.now)
 	// Close the pass boundary: periodic checkpoint, then the crash plan. A
 	// restore rewinds every loop field (including prevFrames and the
 	// convergence verdict baked into it) to the checkpointed pass; the loop
 	// replays from there and re-reaches this boundary identically.
 	if cs != nil {
-		resume, restored, err := cs.boundary(p)
+		resume, restored, err := cs.boundary(r, p)
 		if err != nil {
 			return err
 		}
@@ -676,47 +654,29 @@ func (r *Runtime) finishConverge() {
 
 	// Measurement phase: MeasureIntervals work intervals with application
 	// cache traffic and the dedup engine interleaved, recording bursts,
-	// pollution, and demand latency. The engine pair is pinned here — the
-	// swap policy only acts during convergence.
-	meas := newMeasurement(r.img, r.dr, r.mc, cfg, r.app, &r.clock, r.reg)
-	meas.pump = r.pump
-	meas.trace = r.sc
-	meas.ps = r.ps
-	meas.ledger = cfg.Ledger
-	r.measScanner, r.measDriver = r.scanner, r.driver
-	meas.sample = func(k int, end uint64) { r.sample("measure", k, end, r.measScanner) }
-	if r.ras != nil {
-		// Patrol scrub keeps running through the measurement phase as
-		// background DRAM traffic; the tracker keeps refining the UE-rate
-		// estimate (the engine swap itself only happens during converge).
-		ras := r.ras
-		meas.onInterval = func(start uint64) { ras.tick(start, ^uint64(0)) }
-	}
-	if r.measScanner != nil {
-		r.dedupBytesBefore = r.measScanner.DRAMBytes
+	// pollution, and demand latency.
+	r.beginMeasure()
+	if r.scanner != nil {
+		r.dedupBytesBefore = r.scanner.DRAMBytes
 	} else {
 		r.dedupBytesBefore = r.dr.TotalBytes(dram.SrcPageForge)
 	}
-	meas.verify = func(k int) error { return r.verify("measure", k, r.measScanner, r.measDriver) }
-	r.meas = meas
-	meas.begin()
 }
 
 // finishRun extracts every measured statistic into the Result.
 func (r *Runtime) finishRun() {
 	res, cfg := r.res, r.cfg
-	r.meas.finish()
-	r.meas.fill(res)
+	r.finishMeasure()
 
 	// Steady-state dedup bandwidth over the whole measurement phase
 	// (including warm-up intervals: the engine works identically in both).
 	var dedupBytes uint64
-	if r.measScanner != nil {
-		dedupBytes = r.measScanner.DRAMBytes - r.dedupBytesBefore
-	} else if r.measDriver != nil {
+	if r.scanner != nil {
+		dedupBytes = r.scanner.DRAMBytes - r.dedupBytesBefore
+	} else if r.driver != nil {
 		dedupBytes = r.dr.TotalBytes(dram.SrcPageForge) - r.dedupBytesBefore
 	}
-	phaseSeconds := float64(r.meas.totalIntervals()) * cfg.SleepMillis / 1e3
+	phaseSeconds := float64(r.measureIntervals()) * cfg.SleepMillis / 1e3
 	if phaseSeconds > 0 {
 		res.SteadyDedupGBps = float64(dedupBytes) / 1e9 / phaseSeconds * fullScaleDepthFactor
 	}
@@ -730,12 +690,13 @@ func (r *Runtime) finishRun() {
 	}
 	res.TotalGBps = res.DemandGBps + res.DedupGBps
 
-	if r.measScanner != nil {
-		res.Stats = r.measScanner.Alg.Stats
-		res.KSMBreakdown = r.measScanner.Cycles
+	if r.alg != nil {
+		res.Stats = r.alg.Stats
+	}
+	if r.scanner != nil {
+		res.KSMBreakdown = r.scanner.Cycles
 	}
 	if r.hwDriver != nil {
-		res.Stats = r.hwDriver.Alg.Stats
 		res.PFBatchMean = r.hwDriver.HW.BatchCycles.Mean()
 		res.PFBatchStd = r.hwDriver.HW.BatchCycles.Stddev()
 		res.PFBatches = r.hwDriver.Batches
@@ -748,9 +709,9 @@ func (r *Runtime) finishRun() {
 		res.SWFallbacks = r.hwDriver.SWFallbacks
 		res.QuarantinedFrames = r.hwDriver.QuarantinedFrames()
 	}
-	res.Degraded = r.es.degradedAtPass >= 0 && r.es.repromotedAtPass < 0
-	res.DegradedAtPass = r.es.degradedAtPass
-	res.RepromotedAtPass = r.es.repromotedAtPass
+	res.Degraded = r.degradedAtPass >= 0 && r.repromotedAtPass < 0
+	res.DegradedAtPass = r.degradedAtPass
+	res.RepromotedAtPass = r.repromotedAtPass
 	if r.ras != nil {
 		res.UERate = r.ras.tracker.Rate()
 		res.ECCCorrected = r.mc.Stats.ECCCorrected
@@ -763,9 +724,8 @@ func (r *Runtime) finishRun() {
 		res.Pressure = r.ps.finalize()
 	}
 
-	publishMetrics(r.reg, r.mc, r.dr, r.measScanner, r.hwDriver, r.ras, r.ps, r.img)
+	r.publishMetrics()
 	res.Metrics = r.reg.Snapshot()
-	r.finished = true
 }
 
 // Inject schedules one live event into the running stream. Events apply at
@@ -829,22 +789,21 @@ func (r *Runtime) Drain() (*Result, error) {
 // Stop abandons the run. Subsequent Steps report done; Result holds
 // whatever had been filled in (complete only if the run finished first).
 func (r *Runtime) Stop() {
-	r.stopped = true
 	r.phase = phaseDone
 }
 
 // Snapshot serializes the entire simulated world at the last closed
 // convergence-pass boundary — the same image the crash machinery
-// checkpoints — without arming crash handling. Convergence phase and dedup
-// modes only (Baseline has no recoverable dedup state).
+// checkpoints — without arming crash handling. Convergence phase of a
+// started dedup run only (Baseline has no recoverable dedup state).
 func (r *Runtime) Snapshot() ([]byte, error) {
-	if r.env == nil {
+	if r.alg == nil {
 		return nil, fmt.Errorf("platform: snapshot: no dedup world armed")
 	}
 	if r.phase != phaseConverge {
 		return nil, fmt.Errorf("platform: snapshot: only convergence-phase snapshots are supported")
 	}
-	blob, err := r.env.capture(r.p - 1)
+	blob, err := r.capture(r.p - 1)
 	if err != nil {
 		return nil, err
 	}
@@ -864,13 +823,13 @@ func (r *Runtime) Snapshot() ([]byte, error) {
 // restore its own snapshots (the verifier's shadow model rewinds through
 // the CrashObserver callback, which a fresh verifier has no history for).
 func (r *Runtime) Restore(blob []byte) error {
-	if r.env == nil {
+	if r.alg == nil {
 		return fmt.Errorf("platform: restore: no dedup world armed")
 	}
 	if r.phase != phaseConverge {
 		return fmt.Errorf("platform: restore: only convergence-phase restores are supported")
 	}
-	pass, err := r.env.restore(blob, r.p-1)
+	pass, err := r.restore(blob, r.p-1)
 	if err != nil {
 		return err
 	}
@@ -879,18 +838,6 @@ func (r *Runtime) Restore(blob []byte) error {
 		o.Restored(pass)
 	}
 	return nil
-}
-
-// Metrics publishes the cumulative layer counters and returns a live
-// registry snapshot — the streaming observability surface between ticks.
-// Purely observational (publishMetrics is an idempotent overwrite).
-func (r *Runtime) Metrics() *obs.Snapshot {
-	sw := r.scanner
-	if sw == nil {
-		sw = r.fallback
-	}
-	publishMetrics(r.reg, r.mc, r.dr, sw, r.hwDriver, r.ras, r.ps, r.img)
-	return r.reg.Snapshot()
 }
 
 // Result returns the run's result, fully populated only once Step has

@@ -72,6 +72,7 @@ func runStreamed(t *testing.T, mode Mode, app tailbench.Profile, cfg Config, sch
 // per-pass series points, provenance ledger events — to an event stream
 // injected live into a stepped Runtime.
 func TestStreamEquivalence(t *testing.T) {
+	t.Parallel()
 	cases := []struct {
 		name  string
 		mode  Mode
@@ -169,6 +170,7 @@ func TestStreamEquivalence(t *testing.T) {
 // No verifier: a fresh runtime's shadow model would have no history of the
 // churned contents (see Runtime.Restore).
 func TestSnapshotRestoreFreshRuntime(t *testing.T) {
+	t.Parallel()
 	for _, mode := range []Mode{KSM, PageForge} {
 		t.Run(mode.String(), func(t *testing.T) {
 			app := fastApp("silo")
@@ -242,6 +244,7 @@ func TestSnapshotRestoreFreshRuntime(t *testing.T) {
 // the snapshot first, through a VM kill and a phase change (which also keep
 // it converging), so the restore has frees, merges and CoW breaks to undo.
 func TestRestoreSlotCensus(t *testing.T) {
+	t.Parallel()
 	for _, mode := range []Mode{KSM, PageForge} {
 		t.Run(mode.String(), func(t *testing.T) {
 			cfg := fastConfig()
@@ -296,6 +299,7 @@ func TestRestoreSlotCensus(t *testing.T) {
 // TestStartRejectsBadCoreCount pins the machine-shape check: a world with
 // no cores is a configuration error Start reports, not a panic.
 func TestStartRejectsBadCoreCount(t *testing.T) {
+	t.Parallel()
 	for _, cores := range []int{0, -1} {
 		cfg := fastConfig()
 		cfg.Cores = cores
@@ -308,6 +312,7 @@ func TestStartRejectsBadCoreCount(t *testing.T) {
 // TestSnapshotBaselineRejected pins the Snapshot/Restore surface contract:
 // Baseline has no dedup world to capture.
 func TestSnapshotBaselineRejected(t *testing.T) {
+	t.Parallel()
 	r := NewRuntime(Baseline, fastApp("silo"), fastConfig())
 	if err := r.Start(); err != nil {
 		t.Fatal(err)
@@ -329,6 +334,7 @@ func TestSnapshotBaselineRejected(t *testing.T) {
 // accepting an event that silently never happens. The last pass still
 // accepts events, crashes included.
 func TestInjectRejectsPastHorizon(t *testing.T) {
+	t.Parallel()
 	cfg := fastConfig()
 	cfg.CheckpointEvery = 2
 	r := NewRuntime(KSM, fastApp("silo"), cfg)
@@ -360,6 +366,7 @@ func TestInjectRejectsPastHorizon(t *testing.T) {
 // ledger balances (mappers + engine holds), and the kill actually returned
 // frames to the arena relative to the same run without it.
 func TestVMKillTeardown(t *testing.T) {
+	t.Parallel()
 	app := fastApp("silo")
 	for _, mode := range []Mode{KSM, PageForge} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -426,6 +433,7 @@ func TestVMKillTeardown(t *testing.T) {
 // teardown must be recorded as eviction events for every present frame the
 // victim held, and attaching the ledger must not perturb the run.
 func TestVMKillLedgerBalanced(t *testing.T) {
+	t.Parallel()
 	app := fastApp("silo")
 	cfg := fastConfig()
 	cfg.Events = []Event{{Pass: 2, Kind: EvVMKill, VM: 2}}

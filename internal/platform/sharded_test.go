@@ -10,6 +10,7 @@ import (
 // worker pool must produce Results bit-identical to the same configuration
 // with one worker. Run with -race to also certify the fan-out is clean.
 func TestShardedWorkerCountBitIdentical(t *testing.T) {
+	t.Parallel()
 	app := fastApp("img_dnn")
 	base := fastConfig()
 	base.ShardBits = 3

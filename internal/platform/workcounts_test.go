@@ -61,6 +61,7 @@ func workCounts(t *testing.T) map[string]map[string]uint64 {
 //
 //	go test ./internal/platform -run TestWorkCounts -args -update
 func TestWorkCounts(t *testing.T) {
+	t.Parallel()
 	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
 		t.Skipf("work counts are pinned for linux/amd64, not %s/%s", runtime.GOOS, runtime.GOARCH)
 	}
