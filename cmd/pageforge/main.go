@@ -3,7 +3,7 @@
 // Usage:
 //
 //	pageforge list
-//	pageforge run [-exp all|fig7|fig8|fig9|fig10|fig11|table4|table5|latency|satori|timeline|ras|verify|pressure|crash|efficiency|stream]
+//	pageforge run [-exp all|NAME]
 //	              [-apps img_dnn,silo,...] [-fast] [-seed N] [-fault-rate r1,r2,...] [-verify-n N] [-overcommit r1,r2,...]
 //	              [-crash-passes p1,p2,...] [-ckpt-every n1,n2,...]
 //	              [-json] [-trace file] [-metrics file] [-series file]
@@ -12,10 +12,11 @@
 //	pageforge report -series file [-ledger file] [-track substr]
 //	pageforge bench [-out BENCH_suite.json] [-fast] [-parallel N] [-seed N]
 //
-// Each experiment prints the same rows/series the corresponding table or
-// figure of the paper reports, with the paper's headline numbers noted for
-// comparison; -json replaces the text tables with one machine-readable
-// document on stdout. -trace writes a Chrome trace_event file of the runs'
+// `pageforge list` names every experiment of the registry in
+// internal/experiments. Each experiment prints the same rows/series the
+// corresponding table or figure of the paper reports, with the paper's
+// headline numbers noted for comparison; -json replaces the text tables with
+// one machine-readable document on stdout. -trace writes a Chrome trace_event file of the runs'
 // simulation events (open in Perfetto or chrome://tracing); -metrics dumps
 // every run's full counter/histogram snapshot; -series dumps every run's
 // per-pass time-series samples (counter deltas and gauges at each
@@ -78,7 +79,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   pageforge list
-  pageforge run [-exp all|fig7|fig8|fig9|fig10|fig11|table4|table5|latency|satori|timeline|ras|verify|pressure|crash|efficiency|stream] [-apps a,b] [-fast] [-seed N] [-parallel N] [-quiet] [-fault-rate r1,r2,...] [-verify-n N] [-overcommit r1,r2,...] [-crash-passes p1,p2,...] [-ckpt-every n1,n2,...]
+  pageforge run [-exp all|`+strings.Join(pageforgesim.Experiments().Names(), "|")+`] [-apps a,b] [-fast] [-seed N] [-parallel N] [-quiet] [-fault-rate r1,r2,...] [-verify-n N] [-overcommit r1,r2,...] [-crash-passes p1,p2,...] [-ckpt-every n1,n2,...]
                 [-json] [-trace file] [-metrics file] [-series file] [-cpuprofile file] [-memprofile file] [-pprof addr]
   pageforge explain [-mode KSM|PageForge] [-app name] [-fast] [-seed N] [-pfn N] [-json]
   pageforge report -series file [-ledger file] [-track substr]
@@ -89,8 +90,8 @@ func usage() {
 // startProfiling arms the optional profiling hooks: a CPU profile written
 // until stop, a heap profile written at stop, and a live net/http/pprof
 // server. The returned stop must run before exit for the files to be
-// complete.
-func startProfiling(cpuFile, memFile, addr string) (stop func(), err error) {
+// complete; it reports a heap profile it could not write.
+func startProfiling(cpuFile, memFile, addr string) (stop func() error, err error) {
 	var cpuF *os.File
 	if cpuFile != "" {
 		cpuF, err = os.Create(cpuFile)
@@ -110,66 +111,26 @@ func startProfiling(cpuFile, memFile, addr string) (stop func(), err error) {
 		}()
 		fmt.Fprintf(os.Stderr, "pprof server on http://%s/debug/pprof/\n", addr)
 	}
-	return func() {
+	return func() error {
 		if cpuF != nil {
 			pprof.StopCPUProfile()
 			cpuF.Close()
 		}
-		if memFile != "" {
-			f, err := os.Create(memFile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows live objects
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-			}
-		}
-	}, nil
-}
-
-// experimentTable names every experiment `run -exp` accepts (besides "all")
-// with its `list` description.
-var experimentTable = [][2]string{
-	{"fig7", "Figure 7: memory allocation without/with page merging (avg -48%)"},
-	{"fig8", "Figure 8: jhash vs ECC-based hash key comparison outcomes"},
-	{"table4", "Table 4: KSM configuration characterization"},
-	{"fig9", "Figure 9: mean sojourn latency (Baseline/KSM/PageForge)"},
-	{"fig10", "Figure 10: 95th percentile latency"},
-	{"fig11", "Figure 11: memory bandwidth in the dedup-intensive phase"},
-	{"table5", "Table 5: PageForge timing, area, and power"},
-	{"latency", "Demand-access latency distribution (mean/p50/p95/p99/max cycles)"},
-	{"satori", "Extension: short-lived sharing capture vs scan aggressiveness (Satori, §7.2)"},
-	{"timeline", "Extension: savings convergence ramp, KSM vs PageForge"},
-	{"ras", "Extension: DRAM fault rate vs merge coverage, scrub/retry overhead, degradation"},
-	{"verify", "Model-based verification: randomized scenarios, invariant checker, KSM≡PageForge differential"},
-	{"pressure", "Robustness: overcommit storm vs graceful OOM, ballooning, backpressure, degradation ladder"},
-	{"crash", "Robustness: host crash x checkpoint interval vs verified recovery, replay cost, bit-identity"},
-	{"efficiency", "Observability: scan-budget attribution (ledger causes), convergence speed, zero-perturbation proof"},
-	{"stream", "Runtime: tick-driven streaming runs — config-scheduled ≡ live-injected event equivalence per world shape"},
-}
-
-// checkExperiment rejects an -exp value that names no experiment.
-func checkExperiment(name string) error {
-	if name == "all" {
-		return nil
-	}
-	valid := []string{"all"}
-	for _, e := range experimentTable {
-		if e[0] == name {
+		if memFile == "" {
 			return nil
 		}
-		valid = append(valid, e[0])
-	}
-	return fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(valid, ", "))
+		runtime.GC() // settle the heap so the profile shows live objects
+		if err := writeFile(memFile, func(f *os.File) error { return pprof.WriteHeapProfile(f) }); err != nil {
+			return fmt.Errorf("memprofile: %w", err)
+		}
+		return nil
+	}, nil
 }
 
 func list() {
 	fmt.Println("Experiments (paper artifact -> harness):")
-	for _, e := range experimentTable {
-		fmt.Printf("  %-7s %s\n", e[0], e[1])
+	for _, e := range pageforgesim.Experiments() {
+		fmt.Printf("  %-7s %s\n", e.Name, e.Title)
 	}
 	fmt.Println("\nApplications (Table 3):")
 	for _, p := range pageforgesim.Profiles() {
@@ -180,6 +141,34 @@ func list() {
 	fmt.Printf("\nMachine (Table 2): %d cores @2GHz, %d VMs, sleep=%gms, pages_to_scan=%d\n",
 		cfg.Cores, cfg.VMs, cfg.SleepMillis, cfg.PagesToScan)
 }
+
+// newSuite builds the paper-sized suite, or the scaled-down one when fast.
+func newSuite(fast bool) *experiments.Suite {
+	if fast {
+		return pageforgesim.NewFastSuite()
+	}
+	return pageforgesim.NewSuite()
+}
+
+// parseList parses a comma-separated flag value, exiting with status 2 on
+// a malformed element. An empty value is an empty list.
+func parseList[T any](flagName, s string, parse func(string) (T, error)) []T {
+	var out []T
+	if s == "" {
+		return out
+	}
+	for _, tok := range strings.Split(s, ",") {
+		v, err := parse(strings.TrimSpace(tok))
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "bad %s %q: %v\n", flagName, tok, err)
+			os.Exit(2)
+		}
+		out = append(out, v)
+	}
+	return out
+}
+
+func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
 
 func run(args []string) {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
@@ -192,8 +181,8 @@ func run(args []string) {
 	faultRates := fs.String("fault-rate", "", "comma-separated UE-per-read rates for the ras experiment (default sweep when empty)")
 	verifyN := fs.Int("verify-n", experiments.DefaultVerifyScenarios, "randomized scenario count for the verify experiment")
 	overcommit := fs.String("overcommit", "", "comma-separated demand/capacity ratios for the pressure experiment (default sweep when empty)")
-	crashPassesFlag := fs.String("crash-passes", "", "comma-separated convergence passes to crash at for the crash experiment (default sweep when empty)")
-	ckptEveryFlag := fs.String("ckpt-every", "", "comma-separated checkpoint intervals for the crash experiment (default sweep when empty)")
+	crashPasses := fs.String("crash-passes", "", "comma-separated convergence passes to crash at for the crash experiment (default sweep when empty)")
+	ckptEvery := fs.String("ckpt-every", "", "comma-separated checkpoint intervals for the crash experiment (default sweep when empty)")
 	jsonOut := fs.Bool("json", false, "emit one machine-readable JSON document on stdout instead of text tables")
 	traceFile := fs.String("trace", "", "write a Chrome trace_event JSON file of the simulation runs (Perfetto-loadable)")
 	metricsFile := fs.String("metrics", "", "write every run's full metrics snapshot (counters, gauges, histograms) as JSON")
@@ -203,75 +192,44 @@ func run(args []string) {
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	fs.Parse(args)
 
-	if err := checkExperiment(*exp); err != nil {
+	selected, err := pageforgesim.Experiments().Select(*exp)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(2)
 	}
-	checkArtifactPaths(*traceFile, *metricsFile, *seriesFile)
+	in := pageforgesim.Inputs{
+		FaultRates:  parseList("-fault-rate", *faultRates, parseFloat),
+		VerifyN:     *verifyN,
+		Overcommit:  parseList("-overcommit", *overcommit, parseFloat),
+		CrashPasses: parseList("-crash-passes", *crashPasses, strconv.Atoi),
+		CkptEvery:   parseList("-ckpt-every", *ckptEvery, strconv.Atoi),
+	}
+	suite := newSuite(*fast)
+	suite.Cfg.Seed = *seed
+	if *apps != "" {
+		// Each named app leaves the pool as it is selected, so a repeat is
+		// rejected rather than counted twice in the averages.
+		pool := map[string]pageforgesim.Profile{}
+		for _, p := range suite.Apps {
+			pool[p.Name] = p
+		}
+		var sel []pageforgesim.Profile
+		for _, name := range strings.Split(*apps, ",") {
+			p, ok := pool[name]
+			if !ok {
+				fmt.Fprintf(os.Stderr, "unknown or repeated application %q\n", name)
+				os.Exit(2)
+			}
+			delete(pool, name)
+			sel = append(sel, p)
+		}
+		suite.Apps = sel
+	}
+	checkArtifactPaths(*traceFile, *metricsFile, *seriesFile, *cpuProfile, *memProfile)
 	stopProf, err := startProfiling(*cpuProfile, *memProfile, *pprofAddr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
-	}
-
-	parseFloats := func(flagName, s string) []float64 {
-		var out []float64
-		if s == "" {
-			return out
-		}
-		for _, tok := range strings.Split(s, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "bad %s %q: %v\n", flagName, tok, err)
-				os.Exit(2)
-			}
-			out = append(out, v)
-		}
-		return out
-	}
-	rates := parseFloats("-fault-rate", *faultRates)
-	ratios := parseFloats("-overcommit", *overcommit)
-	parseInts := func(flagName, s string) []int {
-		var out []int
-		if s == "" {
-			return out
-		}
-		for _, tok := range strings.Split(s, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(tok))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "bad %s %q: %v\n", flagName, tok, err)
-				os.Exit(2)
-			}
-			out = append(out, v)
-		}
-		return out
-	}
-	crashPasses := parseInts("-crash-passes", *crashPassesFlag)
-	ckptEvery := parseInts("-ckpt-every", *ckptEveryFlag)
-
-	var suite *experiments.Suite
-	if *fast {
-		suite = pageforgesim.NewFastSuite()
-	} else {
-		suite = pageforgesim.NewSuite()
-	}
-	suite.Cfg.Seed = *seed
-	if *apps != "" {
-		var sel []pageforgesim.Profile
-		for _, name := range strings.Split(*apps, ",") {
-			found := false
-			for _, p := range suite.Apps {
-				if p.Name == name {
-					sel = append(sel, p)
-					found = true
-				}
-			}
-			if !found {
-				fmt.Fprintf(os.Stderr, "unknown application %q\n", name)
-				os.Exit(2)
-			}
-		}
-		suite.Apps = sel
 	}
 
 	// A failing experiment must not silently take the rest down: the error
@@ -282,27 +240,19 @@ func run(args []string) {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		exitCode = 1
 	}
-	want := func(name string) bool { return *exp == "all" || *exp == name }
 
 	// -trace arms event recording and -series per-pass sampling on every
 	// platform run; -json redirects experiment results into one document
 	// instead of printing tables.
 	if *traceFile != "" {
-		suite.Cfg.Trace = pageforgesim.NewTracer(pageforgesim.DefaultTraceCapacity)
+		suite.Cfg.Trace = obs.NewTracer(obs.DefaultTraceCapacity)
 	}
 	if *seriesFile != "" {
-		suite.Cfg.Series = pageforgesim.NewSeries(pageforgesim.DefaultSeriesCapacity)
+		suite.Cfg.Series = obs.NewSeries(obs.DefaultSeriesCapacity)
 	}
 	var doc *experiments.Doc
 	if *jsonOut {
 		doc = experiments.NewDoc(suite)
-	}
-	emit := func(name string, r any) {
-		if doc != nil {
-			doc.Add(name, r)
-		} else {
-			fmt.Println(r)
-		}
 	}
 
 	// Fan the selected experiments' (mode × app) simulation matrix out
@@ -315,154 +265,26 @@ func run(args []string) {
 		progress = experiments.NewProgressReporter(os.Stderr)
 		suite.Reporter = progress
 	}
-	modeSet := map[platform.Mode]bool{}
-	if want("fig7") {
-		modeSet[platform.KSM] = true
-	}
-	if want("table4") {
-		modeSet[platform.Baseline] = true
-		modeSet[platform.KSM] = true
-	}
-	if want("fig9") || want("fig10") || want("fig11") || want("latency") {
-		for _, m := range experiments.AllModes() {
-			modeSet[m] = true
-		}
-	}
-	if want("table5") {
-		modeSet[platform.PageForge] = true
-	}
-	if len(modeSet) > 0 {
-		var modes []platform.Mode
-		for _, m := range experiments.AllModes() {
-			if modeSet[m] {
-				modes = append(modes, m)
-			}
-		}
+	modes := selected.Modes()
+	if len(modes) > 0 {
 		if err := suite.RunAll(modes...); err != nil {
 			fail(err)
 		}
 	}
-
-	if want("fig7") {
-		if r, err := pageforgesim.Figure7(suite); err != nil {
-			fail(err)
-		} else {
-			emit("fig7", r)
-		}
-	}
-	if want("fig8") {
-		if r, err := pageforgesim.Figure8(suite); err != nil {
-			fail(err)
-		} else {
-			emit("fig8", r)
-		}
-	}
-	if want("table4") {
-		if r, err := pageforgesim.Table4(suite); err != nil {
-			fail(err)
-		} else {
-			emit("table4", r)
-		}
-	}
-	if want("fig9") || want("fig10") {
-		if r, err := pageforgesim.LatencyExperiment(suite); err != nil {
-			fail(err)
-		} else if doc != nil {
-			if want("fig9") {
-				doc.Add("fig9", r)
-			}
-			if want("fig10") {
-				doc.Add("fig10", r)
-			}
-		} else {
-			if want("fig9") {
-				fmt.Println(r.Figure9())
-			}
-			if want("fig10") {
-				fmt.Println(r.Figure10())
-			}
-		}
-	}
-	if want("fig11") {
-		if r, err := pageforgesim.Figure11(suite); err != nil {
-			fail(err)
-		} else {
-			emit("fig11", r)
-		}
-	}
-	if want("table5") {
-		if r, err := pageforgesim.Table5(suite); err != nil {
-			fail(err)
-		} else {
-			emit("table5", r)
-		}
-	}
-	if want("latency") {
-		if r, err := pageforgesim.DemandLatency(suite); err != nil {
-			fail(err)
-		} else {
-			emit("latency", r)
-		}
-	}
-	if want("satori") {
-		if r, err := pageforgesim.Satori(suite); err != nil {
-			fail(err)
-		} else {
-			emit("satori", r)
-		}
-	}
-	if want("timeline") {
-		for _, app := range suite.Apps {
-			if r, err := pageforgesim.Timeline(suite, app, 60); err != nil {
-				fail(err)
+	for _, e := range selected {
+		arts, err := e.Run(suite, in)
+		for _, a := range arts {
+			if doc != nil {
+				doc.Add(a.Key, a.Value)
 			} else {
-				emit("timeline_"+app.Name, r)
+				fmt.Println(a.Text)
 			}
 		}
-	}
-	if want("ras") {
-		if r, err := pageforgesim.RASExperiment(suite, rates); err != nil {
+		if err != nil {
 			fail(err)
-		} else {
-			emit("ras", r)
 		}
 	}
-	if want("verify") {
-		if r, err := pageforgesim.VerifyExperiment(suite, *verifyN); err != nil {
-			fail(err)
-		} else {
-			emit("verify", r)
-		}
-	}
-	if want("pressure") {
-		if r, err := pageforgesim.PressureExperiment(suite, ratios); err != nil {
-			fail(err)
-		} else {
-			emit("pressure", r)
-		}
-	}
-	if want("crash") {
-		if r, err := pageforgesim.CrashExperiment(suite, crashPasses, ckptEvery); err != nil {
-			fail(err)
-		} else {
-			emit("crash", r)
-		}
-	}
-	if want("efficiency") {
-		if r, err := pageforgesim.EfficiencyExperiment(suite); err != nil {
-			fail(err)
-		} else {
-			emit("efficiency", r)
-		}
-	}
-	if want("stream") {
-		if r, err := pageforgesim.StreamExperiment(suite); err != nil {
-			fail(err)
-		} else {
-			emit("stream", r)
-		}
-	}
-	if progress != nil && len(modeSet) > 0 {
+	if progress != nil && len(modes) > 0 {
 		fmt.Fprintln(os.Stderr, "\n"+progress.Summary())
 	}
 
@@ -477,8 +299,8 @@ func run(args []string) {
 		}
 	}
 	if *metricsFile != "" {
-		if err := writeFileJSON(*metricsFile, func(f *os.File) error {
-			return pageforgesim.NewMetricsDoc(suite).Encode(f)
+		if err := writeFile(*metricsFile, func(f *os.File) error {
+			return experiments.NewMetricsDoc(suite).Encode(f)
 		}); err != nil {
 			fail(err)
 		}
@@ -488,7 +310,9 @@ func run(args []string) {
 			fail(err)
 		}
 	}
-	stopProf()
+	if err := stopProf(); err != nil {
+		fail(err)
+	}
 	if exitCode != 0 {
 		os.Exit(exitCode)
 	}
@@ -496,16 +320,16 @@ func run(args []string) {
 
 // writeTrace serializes the tracer to a Chrome trace_event file and notes
 // the volume (and any ring-buffer drops) on stderr.
-func writeTrace(tr *pageforgesim.Tracer, path string) error {
-	err := writeFileJSON(path, func(f *os.File) error { return tr.WriteJSON(f) })
+func writeTrace(tr *obs.Tracer, path string) error {
+	err := writeFile(path, func(f *os.File) error { return tr.WriteJSON(f) })
 	if err == nil {
 		fmt.Fprintf(os.Stderr, "trace: %d events -> %s (dropped %d)\n", tr.Len(), path, tr.Dropped())
 	}
 	return err
 }
 
-// writeFileJSON creates path and streams JSON into it via write.
-func writeFileJSON(path string, write func(*os.File) error) error {
+// writeFile creates path and streams its content into it via write.
+func writeFile(path string, write func(*os.File) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -519,8 +343,8 @@ func writeFileJSON(path string, write func(*os.File) error) error {
 
 // checkArtifactPaths fails fast — exit status 3, before any simulation work
 // — when an output artifact path cannot be created: discovering an
-// unwritable -trace/-metrics/-series destination after a long run would
-// throw the whole run away. The probe opens without truncating so an
+// unwritable -trace/-metrics/-series/-cpuprofile/-memprofile or bench -out
+// destination after a long run would throw the whole run away. The probe opens without truncating so an
 // existing artifact survives an unrelated later failure.
 func checkArtifactPaths(paths ...string) {
 	for _, p := range paths {
@@ -538,8 +362,8 @@ func checkArtifactPaths(paths ...string) {
 
 // writeSeries serializes the per-pass series artifact and notes its volume
 // on stderr.
-func writeSeries(s *pageforgesim.Series, path string) error {
-	err := writeFileJSON(path, func(f *os.File) error { return s.WriteJSON(f) })
+func writeSeries(s *obs.Series, path string) error {
+	err := writeFile(path, func(f *os.File) error { return s.WriteJSON(f) })
 	if err == nil {
 		fmt.Fprintf(os.Stderr, "series: %d tracks -> %s\n", len(s.TrackNames()), path)
 	}
@@ -570,12 +394,7 @@ func explain(args []string) {
 		fmt.Fprintf(os.Stderr, "unknown mode %q (want KSM or PageForge)\n", *modeName)
 		os.Exit(2)
 	}
-	var suite *experiments.Suite
-	if *fast {
-		suite = pageforgesim.NewFastSuite()
-	} else {
-		suite = pageforgesim.NewSuite()
-	}
+	suite := newSuite(*fast)
 	var app *pageforgesim.Profile
 	for i := range suite.Apps {
 		if suite.Apps[i].Name == *appName {
@@ -589,7 +408,7 @@ func explain(args []string) {
 
 	cfg := suite.Cfg
 	cfg.Seed = *seed
-	ledger := pageforgesim.NewLedger(0)
+	ledger := obs.NewLedger(0)
 	cfg.Ledger = ledger
 	res, err := pageforgesim.Run(mode, *app, cfg)
 	if err != nil {
@@ -623,7 +442,7 @@ func explain(args []string) {
 		// which -pfn values have a story to tell.
 		counts := map[uint64]int{}
 		for _, e := range ledger.Events() {
-			if e.PFN != pageforgesim.LedgerNoPFN {
+			if e.PFN != obs.LedgerNoPFN {
 				counts[e.PFN]++
 			}
 		}
@@ -844,12 +663,8 @@ func bench(args []string) {
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulation runs")
 	fs.Parse(args)
 
-	var suite *experiments.Suite
-	if *fast {
-		suite = pageforgesim.NewFastSuite()
-	} else {
-		suite = pageforgesim.NewSuite()
-	}
+	checkArtifactPaths(*out)
+	suite := newSuite(*fast)
 	suite.Cfg.Seed = *seed
 	suite.Parallelism = *parallel
 	progress := experiments.NewProgressReporter(os.Stderr)
@@ -899,7 +714,7 @@ func bench(args []string) {
 			SavedFrac:        r.Footprint.Savings(),
 		}
 	}
-	if err := writeFileJSON(*out, func(f *os.File) error {
+	if err := writeFile(*out, func(f *os.File) error {
 		enc := json.NewEncoder(f)
 		enc.SetIndent("", "  ")
 		return enc.Encode(artifact)

@@ -5,8 +5,13 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
+
+	pageforgesim "repro"
 )
 
 // TestMain lets a test re-run this binary as the pageforge command: with
@@ -54,13 +59,77 @@ func TestRunUnknownExperimentExits2(t *testing.T) {
 	}
 }
 
-func TestCheckExperimentAcceptsListedNames(t *testing.T) {
-	if err := checkExperiment("all"); err != nil {
-		t.Errorf("all: %v", err)
+// TestExperimentNamesMatchRegistry pins list, usage and -exp validation to
+// the one experiment registry, and checks that a selection renders only
+// itself: -exp fig9 prints Figure 9 but not Figure 10, though the two
+// share one queueing phase.
+func TestExperimentNamesMatchRegistry(t *testing.T) {
+	reg := pageforgesim.Experiments()
+	want := reg.Names()
+
+	stdout, _, code := runCLI(t, "list")
+	if code != 0 {
+		t.Fatalf("list: exit status %d", code)
 	}
-	for _, e := range experimentTable {
-		if err := checkExperiment(e[0]); err != nil {
-			t.Errorf("%s: %v", e[0], err)
+	section, _, _ := strings.Cut(stdout, "\n\n")
+	var listed []string
+	for _, line := range strings.Split(section, "\n")[1:] {
+		listed = append(listed, strings.Fields(line)[0])
+	}
+	if !slices.Equal(listed, want) {
+		t.Errorf("list names %v, want %v", listed, want)
+	}
+
+	_, stderr, code := runCLI(t)
+	m := regexp.MustCompile(`-exp all\|([a-z0-9|]+)\]`).FindStringSubmatch(stderr)
+	if code != 2 || m == nil {
+		t.Fatalf("usage: exit status %d, no -exp alternatives in %q", code, stderr)
+	}
+	if got := strings.Split(m[1], "|"); !slices.Equal(got, want) {
+		t.Errorf("usage names %v, want %v", got, want)
+	}
+
+	_, err := reg.Select("bogus")
+	if err == nil || !strings.Contains(err.Error(), "(valid: all, "+strings.Join(want, ", ")+")") {
+		t.Errorf("Select(bogus) = %v, want the registry's names", err)
+	}
+	if all, err := reg.Select("all"); err != nil || !slices.Equal(all.Names(), want) {
+		t.Errorf("Select(all) = %v, %v; want the whole registry", all.Names(), err)
+	}
+	for _, name := range want {
+		if sel, err := reg.Select(name); err != nil || !slices.Equal(sel.Names(), []string{name}) {
+			t.Errorf("Select(%s) = %v, %v", name, sel.Names(), err)
+		}
+	}
+
+	stdout, stderr, code = runCLI(t, "run", "-exp", "fig9", "-fast", "-quiet", "-apps", "img_dnn")
+	if code != 0 || !strings.Contains(stdout, "Figure 9:") || strings.Contains(stdout, "Figure 10:") {
+		t.Errorf("run -exp fig9: exit status %d, stdout %q, stderr %q; want Figure 9 alone", code, stdout, stderr)
+	}
+}
+
+// TestRunRejectsDuplicateApps pins that a repeated -apps name exits 2
+// before any run, rather than counting the app twice in every average.
+func TestRunRejectsDuplicateApps(t *testing.T) {
+	stdout, stderr, code := runCLI(t, "run", "-exp", "fig7", "-fast", "-quiet", "-apps", "img_dnn,img_dnn")
+	if code != 2 || stdout != "" || !strings.Contains(stderr, `"img_dnn"`) {
+		t.Errorf("exit status %d, stdout %q, stderr %q; want 2, no rows and the repeated name", code, stdout, stderr)
+	}
+}
+
+// TestOutputPathsCheckedBeforeRuns pins that a profile or bench artifact
+// path that cannot be created fails with exit 3 before any simulation,
+// rather than after the whole run.
+func TestOutputPathsCheckedBeforeRuns(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing", "out")
+	for _, args := range [][]string{
+		{"run", "-exp", "table5", "-fast", "-memprofile", missing},
+		{"run", "-exp", "table5", "-fast", "-cpuprofile", missing},
+		{"bench", "-fast", "-out", missing},
+	} {
+		stdout, stderr, code := runCLI(t, args...)
+		if code != 3 || stdout != "" || !strings.Contains(stderr, "not writable") || strings.Contains(stderr, "run  ") {
+			t.Errorf("%v: exit status %d, stdout %q, stderr %q; want 3 before any run", args, code, stdout, stderr)
 		}
 	}
 }

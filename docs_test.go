@@ -1,9 +1,6 @@
 package pageforgesim
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -50,7 +47,7 @@ var (
 func TestDocCitationsExist(t *testing.T) {
 	checkInventoryFiles(t)
 	funcs := declaredTestFuncs(t)
-	exps := experimentNames(t)
+	exps := experimentNames()
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
 		t.Fatal(err)
@@ -168,33 +165,45 @@ func declaredTestFuncs(t *testing.T) map[string]bool {
 	return funcs
 }
 
-// experimentNames reads the names `pageforge run -exp` accepts from the
-// CLI's experimentTable, plus "all".
-func experimentNames(t *testing.T) map[string]bool {
-	t.Helper()
-	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("cmd", "pageforge", "main.go"), nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+// experimentNames is the set of names `pageforge run -exp` accepts: the
+// experiment registry's, plus "all".
+func experimentNames() map[string]bool {
 	names := map[string]bool{"all": true}
-	ast.Inspect(f, func(n ast.Node) bool {
-		vs, ok := n.(*ast.ValueSpec)
-		if !ok || len(vs.Names) != 1 || vs.Names[0].Name != "experimentTable" || len(vs.Values) != 1 {
-			return true
-		}
-		for _, e := range vs.Values[0].(*ast.CompositeLit).Elts {
-			row := e.(*ast.CompositeLit)
-			if lit, ok := row.Elts[0].(*ast.BasicLit); ok {
-				name, _ := strconv.Unquote(lit.Value)
-				names[name] = true
-			}
-		}
-		return false
-	})
-	if len(names) < 10 {
-		t.Fatalf("found only %d experiments in cmd/pageforge's experimentTable", len(names))
+	for _, name := range Experiments().Names() {
+		names[name] = true
 	}
 	return names
+}
+
+// indexHeading is the heading of the per-experiment index in DESIGN.md
+// (§4) and EXPERIMENTS.md.
+var indexHeading = regexp.MustCompile(`(?m)^## (?:[0-9]+\. )?Per-experiment index$`)
+
+// TestDocsIndexEveryExperiment is the reverse of the -exp check in
+// TestDocCitationsExist: every registered experiment is cited as -exp NAME
+// in the per-experiment index of DESIGN.md and of EXPERIMENTS.md, so a new
+// experiment cannot ship undocumented.
+func TestDocsIndexEveryExperiment(t *testing.T) {
+	for _, doc := range []string{"DESIGN.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loc := indexHeading.FindIndex(text)
+		if loc == nil {
+			t.Fatalf("%s has no per-experiment index section", doc)
+		}
+		sec, _, _ := strings.Cut(string(text[loc[1]:]), "\n## ")
+		cited := map[string]bool{}
+		for _, m := range citedExp.FindAllStringSubmatch(sec, -1) {
+			cited[m[1]] = true
+		}
+		for _, name := range Experiments().Names() {
+			if !cited[name] {
+				t.Errorf("%s's per-experiment index does not cite -exp %s", doc, name)
+			}
+		}
+	}
 }
 
 func hasPrefixIn(names map[string]bool, prefix string) bool {

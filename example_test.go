@@ -3,6 +3,7 @@ package pageforgesim_test
 import (
 	"bytes"
 	"fmt"
+	"strings"
 
 	pageforgesim "repro"
 )
@@ -56,4 +57,23 @@ func ExampleECCPageKey() {
 	same := key == pageforgesim.ECCPageKey(page, pageforgesim.DefaultKeyOffsets)
 	fmt.Printf("32-bit key from 256B of page data; deterministic: %v\n", same)
 	// Output: 32-bit key from 256B of page data; deterministic: true
+}
+
+// ExampleExperiments regenerates Table 5 through the experiment registry,
+// as `pageforge run -exp table5` does, on one application of the
+// scaled-down suite.
+func ExampleExperiments() {
+	suite := pageforgesim.NewFastSuite()
+	suite.Apps = suite.Apps[:1]
+	table5, err := pageforgesim.Experiments().Select("table5")
+	if err != nil {
+		panic(err)
+	}
+	arts, err := table5[0].Run(suite, pageforgesim.Inputs{})
+	if err != nil {
+		panic(err)
+	}
+	title, _, _ := strings.Cut(arts[0].Text, "\n")
+	fmt.Println(arts[0].Key+":", title)
+	// Output: table5: Table 5: PageForge design characteristics
 }

@@ -66,6 +66,12 @@ func Latency(s *Suite) (*LatencyResult, error) {
 	return res, nil
 }
 
+// latency returns the suite's Latency result, computing it on first use.
+func (s *Suite) latency() (*LatencyResult, error) {
+	s.latOnce.Do(func() { s.lat, s.latErr = Latency(s) })
+	return s.lat, s.latErr
+}
+
 // Figure9 renders the mean sojourn latency comparison.
 func (r *LatencyResult) Figure9() string {
 	t := &table{

@@ -43,6 +43,12 @@ type Suite struct {
 	mu      sync.Mutex
 	results map[string]*runEntry
 
+	// latOnce guards the queueing phase Figures 9 and 10 share, so a run
+	// selecting both computes it once.
+	latOnce sync.Once
+	lat     *LatencyResult
+	latErr  error
+
 	// runFn is the simulation entry point; tests substitute it to observe
 	// scheduling without paying for real runs.
 	runFn func(platform.Mode, tailbench.Profile, platform.Config) (*platform.Result, error)

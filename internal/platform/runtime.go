@@ -189,8 +189,9 @@ type Runtime struct {
 	k                int // next measurement interval to run
 	dedupBytesBefore uint64
 
-	phase   runPhase
-	started bool
+	phase    runPhase
+	started  bool
+	startErr error // a failed Start's error, which every later entry point returns
 }
 
 // NewRuntime prepares a runtime; Start builds the world.
@@ -201,12 +202,28 @@ func NewRuntime(mode Mode, app tailbench.Profile, cfg Config) *Runtime {
 // Start builds the simulated world — image, memory system, engines, RAS,
 // pressure, crash machinery, event stream — leaving the runtime at the top
 // of convergence pass 0. It performs exactly the setup the batch Run
-// performs, in the same order.
+// performs, in the same order. After a failed Start every entry point
+// returns its error.
 func (r *Runtime) Start() error {
 	if r.started {
 		return fmt.Errorf("platform: runtime already started")
 	}
 	r.started = true
+	r.startErr = r.build()
+	return r.startErr
+}
+
+// ready reports why the runtime cannot run: it was never started, or its
+// Start failed.
+func (r *Runtime) ready() error {
+	if !r.started {
+		return fmt.Errorf("platform: runtime not started")
+	}
+	return r.startErr
+}
+
+// build is Start's body: it builds the world into r.
+func (r *Runtime) build() error {
 	if r.cfg.Cores < 1 {
 		return fmt.Errorf("platform: %d cores, want at least 1", r.cfg.Cores)
 	}
@@ -405,8 +422,8 @@ func (r *Runtime) sample(phase string, idx int, now uint64) {
 // one measurement interval — and reports whether the run is complete. After
 // done, Result returns the finished result.
 func (r *Runtime) Step() (done bool, err error) {
-	if !r.started {
-		return false, fmt.Errorf("platform: runtime not started")
+	if err := r.ready(); err != nil {
+		return false, err
 	}
 	for {
 		switch r.phase {
@@ -736,8 +753,8 @@ func (r *Runtime) finishRun() {
 // events, and only for passes below ConvergePasses: the phase ends before
 // any later pass, so such an event could never apply.
 func (r *Runtime) Inject(e Event) error {
-	if !r.started {
-		return fmt.Errorf("platform: inject: runtime not started")
+	if err := r.ready(); err != nil {
+		return err
 	}
 	if r.mode == Baseline {
 		return fmt.Errorf("platform: inject: Baseline runs no convergence passes")
@@ -797,6 +814,9 @@ func (r *Runtime) Stop() {
 // checkpoints — without arming crash handling. Convergence phase of a
 // started dedup run only (Baseline has no recoverable dedup state).
 func (r *Runtime) Snapshot() ([]byte, error) {
+	if err := r.ready(); err != nil {
+		return nil, err
+	}
 	if r.alg == nil {
 		return nil, fmt.Errorf("platform: snapshot: no dedup world armed")
 	}
@@ -823,6 +843,9 @@ func (r *Runtime) Snapshot() ([]byte, error) {
 // restore its own snapshots (the verifier's shadow model rewinds through
 // the CrashObserver callback, which a fresh verifier has no history for).
 func (r *Runtime) Restore(blob []byte) error {
+	if err := r.ready(); err != nil {
+		return err
+	}
 	if r.alg == nil {
 		return fmt.Errorf("platform: restore: no dedup world armed")
 	}

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -306,6 +307,42 @@ func TestStartRejectsBadCoreCount(t *testing.T) {
 		if err := NewRuntime(KSM, fastApp("silo"), cfg).Start(); err == nil {
 			t.Fatalf("Start accepted %d cores", cores)
 		}
+	}
+}
+
+// TestEntryPointsAfterFailedStart pins that a Start which failed leaves a
+// runtime every entry point rejects with Start's error instead of stepping
+// a half-built world into a nil-pointer panic.
+func TestEntryPointsAfterFailedStart(t *testing.T) {
+	t.Parallel()
+	cfg := fastConfig()
+	cfg.Cores = 0
+	r := NewRuntime(KSM, fastApp("silo"), cfg)
+	startErr := r.Start()
+	if startErr == nil {
+		t.Fatal("Start accepted 0 cores")
+	}
+	calls := map[string]func() error{
+		"Step":     func() error { _, err := r.Step(); return err },
+		"Inject":   func() error { return r.Inject(Event{Kind: EvVMSpawn}) },
+		"Drain":    func() error { _, err := r.Drain(); return err },
+		"Snapshot": func() error { _, err := r.Snapshot(); return err },
+		"Restore":  func() error { return r.Restore(nil) },
+	}
+	for name, call := range calls {
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%s panicked: %v", name, p)
+				}
+			}()
+			if err := call(); !errors.Is(err, startErr) {
+				t.Errorf("%s = %v, want Start's error %v", name, err, startErr)
+			}
+		}()
+	}
+	if err := r.Start(); err == nil {
+		t.Error("a second Start succeeded")
 	}
 }
 
