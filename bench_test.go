@@ -11,8 +11,6 @@ package pageforgesim
 // minutes; the cmd/pageforge binary runs the paper-scale versions.
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/dram"
@@ -30,6 +28,7 @@ import (
 	"repro/internal/rbtree"
 	"repro/internal/sim"
 	"repro/internal/tailbench"
+	"repro/internal/vm"
 )
 
 // benchSuite builds the scaled suite used by the per-figure benchmarks.
@@ -652,26 +651,33 @@ func BenchmarkSatoriExtension(b *testing.B) {
 }
 
 // BenchmarkBuildImage measures building the paper-size boot image (img_dnn,
-// 10 VMs of 1,600 pages in the platform's 10*PagesPerVM*2+1024 frames), the
-// bulk of a Runtime's start. BuildImage runs on GOMAXPROCS workers, so the
-// "workers=1" case pins GOMAXPROCS to 1: it isolates the one-core share of
-// the build (each duplicated content generated once), and the GOMAXPROCS
-// case adds the parallel arena backing and fill on top.
+// 10 VMs of 1,600 pages in the platform's 10*PagesPerVM*2+1024 frames). The
+// build seeds every distinct content and generates none, so "seed" is all
+// a Baseline world pays; "read" adds a first read of every page, which
+// generates each distinct content once, as a dedup world's first pass does.
 func BenchmarkBuildImage(b *testing.B) {
 	app := *tailbench.ProfileByName("img_dnn")
 	frames := 10*app.PagesPerVM*2 + 1024
-	run := func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(10*app.PagesPerVM) * mem.PageSize)
-		for i := 0; i < b.N; i++ {
-			if _, err := tailbench.BuildImage(app, 10, frames, 1); err != nil {
-				b.Fatal(err)
+	for _, name := range []string{"seed", "read"} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(10*app.PagesPerVM) * mem.PageSize)
+			for i := 0; i < b.N; i++ {
+				img, err := tailbench.BuildImage(app, 10, frames, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if name == "seed" {
+					continue
+				}
+				for _, v := range img.VMs {
+					for g := vm.GFN(0); int(g) < app.PagesPerVM; g++ {
+						if _, err := v.Page(g); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
 			}
-		}
+		})
 	}
-	b.Run("workers=1", func(b *testing.B) {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		run(b)
-	})
-	b.Run(fmt.Sprintf("workers=%d", runtime.GOMAXPROCS(0)), run)
 }

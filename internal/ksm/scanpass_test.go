@@ -157,6 +157,26 @@ func TestScanPassBitIdenticalToSequential(t *testing.T) {
 	}
 }
 
+// TestScanPassFirstReadsSharded runs a sharded pass as the very first
+// pass over a freshly built image, whose pages are seeded and not yet
+// generated, and requires the state ScanPass(1) reaches. Under -race it
+// fails if a worker generates a page.
+func TestScanPassFirstReadsSharded(t *testing.T) {
+	one := buildDupWorld(t, 3)
+	par := buildDupWorld(t, 3)
+	if n := par.Alg.HV.Phys.GeneratedPages(); n != 0 {
+		t.Fatalf("%d pages generated before the first pass; the test would read no seeded page", n)
+	}
+	one.ScanPass(1)
+	par.ScanPass(2)
+	if so, sp := snapshot(one), snapshot(par); !reflect.DeepEqual(so, sp) {
+		t.Fatalf("first ScanPass(2) diverged from ScanPass(1)\none: %+v\npar: %+v", so, sp)
+	}
+	if par.Alg.HV.Phys.GeneratedPages() == 0 {
+		t.Fatal("first pass read no seeded page — test exercised nothing")
+	}
+}
+
 // TestScanPassSingleShardDefault checks the degenerate configuration the
 // platform uses by default (shardBits 0): ScanPass still works and matches
 // the sequential loop exactly.

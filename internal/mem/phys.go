@@ -15,10 +15,12 @@
 // long as an allocated frame points at it: freeing a frame releases its
 // slot and puts it on the zero page, and released slots are recycled
 // through a freelist, so the store is bounded by the distinct pages the
-// allocated frames hold.
+// allocated frames hold. A slot handed out by SeedPages holds a seed
+// instead of bytes: its generator writes them the first time anything
+// reads the slot, so contents nothing reads are never built.
 //
 // All mutation goes through Phys methods: Alloc, AllocForCopy, CopyPage,
-// WriteAt, FillPages and SetState. Page and ReadLine return read-only
+// WriteAt, SeedPages and SetState. Page and ReadLine return read-only
 // views that stay valid until the next write to that frame (see DESIGN.md
 // §10 for the store's rules).
 package mem
@@ -111,6 +113,17 @@ type Phys struct {
 	freeSlots []int32
 	nextSlot  int32
 
+	// Seeded slots. seeded[s] marks a referenced slot whose bytes gen has
+	// not written yet; seeds[s] is what it will write them from. Both are
+	// made by the first SeedPages. unread counts the seeded slots, so that
+	// once all are generated a read costs one branch. A seeded slot's
+	// chunk may be unbacked; every other referenced slot's is backed.
+	seeded    []bool
+	seeds     []uint64
+	unread    int
+	gen       func(pg []byte, seed uint64)
+	generated uint64
+
 	allocated int
 	peak      int
 
@@ -178,10 +191,74 @@ func (p *Phys) FreeFrames() int { return len(p.free) }
 // zero page plus every real slot a frame points at.
 func (p *Phys) LiveSlots() int { return 1 + int(p.nextSlot-1) - len(p.freeSlots) }
 
-// window returns slot s's bytes. The three-index slice caps the view at
-// the slot boundary, so an erroneous append can never spill into a
-// neighbouring slot.
+// GeneratedPages reports how many seeded slots have had their bytes
+// generated. It is host bookkeeping, like LiveSlots: no simulated value or
+// PhysState byte depends on it.
+func (p *Phys) GeneratedPages() uint64 { return p.generated }
+
+// window returns slot s's bytes, generating them first if s is seeded.
+// Page, SamePage and ComparePage repeat its test inline, so that once every
+// seeded slot is generated a read costs one predictable branch and keeps
+// view inlined.
 func (p *Phys) window(s int32) []byte {
+	if p.unread != 0 {
+		p.ready(s)
+	}
+	return p.view(s)
+}
+
+// ready generates slot s's bytes if s is seeded.
+func (p *Phys) ready(s int32) {
+	if p.seeded[s] {
+		p.generate(s)
+	}
+}
+
+// generate has gen write seeded slot s's bytes. Deferred-free workers read
+// the store concurrently, so BeginDeferredFrees generates every seeded slot
+// before they start, and generating inside the window panics.
+func (p *Phys) generate(s int32) {
+	if p.deferFrees {
+		panic(fmt.Sprintf("mem: seeded slot %d read inside a deferred-free window", s))
+	}
+	p.unseed(s)
+	p.back(s)
+	p.gen(p.view(s), p.seeds[s])
+	p.generated++
+}
+
+// generateAll generates every seeded slot, in slot order.
+func (p *Phys) generateAll() {
+	for s := int32(1); p.unread != 0; s++ {
+		if p.seeded[s] {
+			p.generate(s)
+		}
+	}
+}
+
+// unseed drops slot s's seed, if it has one, without generating its bytes.
+func (p *Phys) unseed(s int32) {
+	if p.unread != 0 && p.seeded[s] {
+		p.seeded[s] = false
+		p.unread--
+	}
+}
+
+// back backs slot s's chunk if it is not yet, reporting whether it was
+// backed now (a fresh chunk is all zeroes).
+func (p *Phys) back(s int32) bool {
+	c := int(s-1) / chunkSlots
+	if p.chunks[c] != nil {
+		return false
+	}
+	p.chunks[c] = make([]byte, p.chunkLen(c))
+	return true
+}
+
+// view returns slot s's bytes as they are; s's chunk must be backed. The
+// three-index slice caps the view at the slot boundary, so an erroneous
+// append can never spill into a neighbouring slot.
+func (p *Phys) view(s int32) []byte {
 	if s == zeroSlot {
 		return zeroPage[:]
 	}
@@ -196,42 +273,52 @@ func (p *Phys) chunkLen(i int) int {
 	return min(chunkSlots, len(p.frames)-i*chunkSlots) * PageSize
 }
 
-// newSlot hands out an unreferenced slot, preferring a recycled one. A
-// recycled slot holds a previous owner's bytes; zeroed asks for them to be
-// cleared. Never-used slots are zero already.
-func (p *Phys) newSlot(zeroed bool) int32 {
+// takeSlot hands out an unreferenced slot, preferring a recycled one,
+// without backing its chunk.
+func (p *Phys) takeSlot() int32 {
 	if n := len(p.freeSlots); n > 0 {
 		s := p.freeSlots[n-1]
 		p.freeSlots = p.freeSlots[:n-1]
-		if zeroed {
-			clear(p.window(s))
-		}
 		return s
 	}
-	s := p.nextSlot
 	p.nextSlot++
-	if c := int(s-1) / chunkSlots; p.chunks[c] == nil {
-		p.chunks[c] = make([]byte, p.chunkLen(c))
+	return p.nextSlot - 1
+}
+
+// newSlot hands out an unreferenced slot with its chunk backed. A recycled
+// slot in a chunk backed earlier holds a previous owner's bytes; zeroed
+// asks for them to be cleared. Every other slot is zero already.
+func (p *Phys) newSlot(zeroed bool) int32 {
+	recycled := len(p.freeSlots) > 0
+	s := p.takeSlot()
+	if !p.back(s) && recycled && zeroed {
+		clear(p.view(s))
 	}
 	return s
 }
 
-// release drops a frame reference from slot s, recycling it at zero.
+// release drops a frame reference from slot s, recycling it at zero and
+// dropping its seed, if any, ungenerated.
 func (p *Phys) release(s int32) {
 	if s == zeroSlot {
 		return
 	}
 	if p.slotRefs[s]--; p.slotRefs[s] == 0 {
+		p.unseed(s)
 		p.freeSlots = append(p.freeSlots, s)
 	}
 }
 
 // own gives frame f a slot no other frame points at and returns its
 // window for writing. keep preserves the frame's bytes; without it the
-// caller must overwrite the whole window.
+// caller must overwrite the whole window, so a seed is dropped ungenerated.
 func (p *Phys) own(f *Frame, keep bool) []byte {
 	old := f.slot
 	if old != zeroSlot && p.slotRefs[old] == 1 {
+		if !keep {
+			p.unseed(old)
+			p.back(old)
+		}
 		return p.window(old)
 	}
 	s := p.newSlot(keep && old == zeroSlot)
@@ -350,7 +437,12 @@ func (p *Phys) DecRef(pfn PFN) {
 // BeginDeferredFrees switches DecRef to park fully-released frames on a
 // pending list instead of the freelist. A parallel scan pass brackets its
 // workers with Begin/EndDeferredFrees so freelist order stays canonical.
-func (p *Phys) BeginDeferredFrees() { p.deferFrees = true }
+// Workers read the store concurrently, so every seeded slot is generated
+// first, here on the calling goroutine.
+func (p *Phys) BeginDeferredFrees() {
+	p.generateAll()
+	p.deferFrees = true
+}
 
 // EndDeferredFrees releases the pending frames' slots in ascending PFN
 // order, so the slot freelist never depends on the order workers freed
@@ -379,10 +471,14 @@ func (p *Phys) SetCoW(pfn PFN, cow bool) { p.frame(pfn).cow = cow }
 // Page returns a read-only view of the frame's bytes, capped at the frame
 // boundary. The view may be shared with other frames holding the same
 // bytes, so nothing may write through it; it stays valid until the next
-// write to the frame (WriteAt, CopyPage into it, FillPages, the DecRef
+// write to the frame (WriteAt, CopyPage into it, SeedPages, the DecRef
 // that frees it, or SetState).
 func (p *Phys) Page(pfn PFN) []byte {
-	return p.window(p.frame(pfn).slot)
+	s := p.frame(pfn).slot
+	if p.unread != 0 {
+		p.ready(s)
+	}
+	return p.view(s)
 }
 
 // ReadLine returns a read-only view of the i-th 64B line of the frame,
@@ -430,59 +526,37 @@ func (p *Phys) CopyPage(dst, src PFN) {
 	fd.slot = fs.slot
 }
 
-// FillPages gives every listed frame a private slot and has fill write
-// it: fill(i, pg) must overwrite all of pg, the slot of pfns[i], and may
-// touch nothing else of p. The frames must be distinct. The chunks of the
-// never-used slots the list may need are backed (zeroed) first, on up to
-// workers goroutines; slots are then handed out on the calling goroutine,
-// in list order, and the fills run on up to workers goroutines, each
-// owning a contiguous share of the list. FillPages returns once all of
-// them are done. The boot image builder uses it to generate a
-// deployment's contents in parallel.
-func (p *Phys) FillPages(pfns []PFN, workers int, fill func(i int, pg []byte)) {
-	workers = max(1, min(workers, len(pfns)))
-	p.backSlots(len(pfns)-len(p.freeSlots), workers)
-	for _, pfn := range pfns {
-		p.own(p.frame(pfn), false)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := len(pfns)*w/workers, len(pfns)*(w+1)/workers
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fill(i, p.window(p.frames[pfns[i]].slot))
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// backSlots backs, on up to workers goroutines, the chunks holding the next
-// n never-used slots, so that newSlot finds them backed. Each goroutine
-// backs a contiguous range of chunk indexes disjoint from every other's.
-func (p *Phys) backSlots(n, workers int) {
-	if n <= 0 {
+// SeedPages gives every listed frame a private slot holding seeds[i] in
+// place of bytes: gen(pg, seeds[i]) writes the slot's bytes the first time
+// anything reads them, and must overwrite all of pg. A frame whose slot is
+// dropped first (freed, wholly overwritten, or restored over) never has
+// its bytes generated. The frames must be distinct, and slots are handed
+// out in list order. One generator serves the store at a time, so slots
+// seeded by an earlier call with another generator are generated first.
+// The boot image builder uses it so that contents nothing reads are never
+// built.
+func (p *Phys) SeedPages(pfns []PFN, seeds []uint64, gen func(pg []byte, seed uint64)) {
+	if len(pfns) == 0 {
 		return
 	}
-	lo, hi := int(p.nextSlot-1)/chunkSlots, (int(p.nextSlot-1)+n-1)/chunkSlots+1
-	hi = min(hi, len(p.chunks))
-	workers = max(1, min(workers, hi-lo))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		clo, chi := lo+(hi-lo)*w/workers, lo+(hi-lo)*(w+1)/workers
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c := clo; c < chi; c++ {
-				if p.chunks[c] == nil {
-					p.chunks[c] = make([]byte, p.chunkLen(c))
-				}
-			}
-		}()
+	p.generateAll()
+	if p.seeded == nil {
+		p.seeded = make([]bool, len(p.slotRefs))
+		p.seeds = make([]uint64, len(p.slotRefs))
 	}
-	wg.Wait()
+	p.gen = gen
+	for i, pfn := range pfns {
+		f := p.frame(pfn)
+		s := f.slot
+		if s == zeroSlot || p.slotRefs[s] > 1 {
+			s = p.takeSlot()
+			p.slotRefs[s] = 1
+			p.release(f.slot)
+			f.slot = s
+		}
+		p.seeded[s], p.seeds[s] = true, seeds[i]
+		p.unread++
+	}
 }
 
 // The compare hot path checks the first cmpPrologue bytes a word at a
@@ -562,7 +636,11 @@ func (p *Phys) SamePage(a, b PFN) (bool, int) {
 	if sa == sb {
 		return true, PageSize
 	}
-	return samePages(p.window(sa), p.window(sb))
+	if p.unread != 0 {
+		p.ready(sa)
+		p.ready(sb)
+	}
+	return samePages(p.view(sa), p.view(sb))
 }
 
 // ComparePage is a three-way content comparison (memcmp order), returning
@@ -573,7 +651,11 @@ func (p *Phys) ComparePage(a, b PFN) (int, int) {
 	if sa == sb {
 		return 0, PageSize
 	}
-	return comparePages(p.window(sa), p.window(sb))
+	if p.unread != 0 {
+		p.ready(sa)
+		p.ready(sb)
+	}
+	return comparePages(p.view(sa), p.view(sb))
 }
 
 // FirstNonZero scans b for its first nonzero byte, returning its index or

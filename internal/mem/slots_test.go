@@ -13,8 +13,10 @@ import (
 // checkSlots audits the slot store: every free frame, bar those pending in
 // a deferred-free window, is on the zero page; every slot's refcount equals
 // the number of frames pointing at it; every slot ever handed out is either
-// referenced or on the slot freelist, exactly once; every handed-out slot's
-// chunk is backed; and the shared zero page still holds only zeroes.
+// referenced or on the slot freelist, exactly once; only referenced slots
+// are seeded, and unread counts them; every referenced slot that is not
+// seeded has its chunk backed; and the shared zero page still holds only
+// zeroes.
 func checkSlots(t *testing.T, p *Phys) {
 	t.Helper()
 	if FirstNonZero(zeroPage[:]) >= 0 {
@@ -31,6 +33,7 @@ func checkSlots(t *testing.T, p *Phys) {
 		refs[f.slot]++
 	}
 	onFree := make([]bool, len(p.slotRefs))
+	unread := 0
 	for _, s := range p.freeSlots {
 		if s <= zeroSlot || s >= p.nextSlot || onFree[s] {
 			t.Fatalf("slot freelist holds %d twice or out of range", s)
@@ -44,9 +47,19 @@ func checkSlots(t *testing.T, p *Phys) {
 		if (refs[s] == 0) != onFree[s] {
 			t.Fatalf("slot %d: %d frames point at it, on freelist %v (leaked or double-owned)", s, refs[s], onFree[s])
 		}
-		if p.chunks[(s-1)/chunkSlots] == nil {
-			t.Fatalf("slot %d handed out from an unbacked chunk", s)
+		seeded := p.unread != 0 && p.seeded[s]
+		if seeded {
+			unread++
+			if refs[s] == 0 {
+				t.Fatalf("free slot %d is still seeded", s)
+			}
 		}
+		if refs[s] > 0 && !seeded && p.chunks[(s-1)/chunkSlots] == nil {
+			t.Fatalf("slot %d holds bytes in an unbacked chunk", s)
+		}
+	}
+	if unread != p.unread {
+		t.Fatalf("%d seeded slots, but unread is %d", unread, p.unread)
 	}
 	for s := p.nextSlot; int(s) < len(p.slotRefs); s++ {
 		if p.slotRefs[s] != 0 {
@@ -268,7 +281,7 @@ func (g *physProgram) content(n int) []byte {
 
 func (g *physProgram) step() {
 	t, p, r := g.t, g.p, g.r
-	switch op := g.next() % 13; op {
+	switch op := g.next() % 14; op {
 	case 0, 1: // Alloc
 		a, errA := p.Alloc()
 		b, errB := r.alloc()
@@ -360,27 +373,45 @@ func (g *physProgram) step() {
 			t.Fatalf("State → SetState → State is not identical (error %v)", err)
 		}
 		g.p = target
-	case 12: // FillPages over distinct allocated frames
+	case 12: // SeedPages over distinct allocated frames, outside a deferred-free window
+		if r.deferred {
+			return // reading a slot seeded inside the window panics
+		}
 		var pfns []PFN
+		var seeds []uint64
 		for k := g.next() % 5; k > 0; k-- {
 			if pfn, ok := g.allocated(); ok && !slices.Contains(pfns, pfn) {
 				pfns = append(pfns, pfn)
+				seeds = append(seeds, uint64(g.next()))
 			}
 		}
-		seed := byte(g.next())
-		fill := func(i int, pg []byte) {
-			for j := range pg {
-				pg[j] = seed + byte(i) + byte(j>>4)
-			}
-		}
-		p.FillPages(pfns, 1+g.next()%3, fill)
+		p.SeedPages(pfns, seeds, genPage)
 		for i, pfn := range pfns {
-			fill(i, r.bytes(pfn))
+			genPage(r.bytes(pfn), seeds[i])
+		}
+	case 13: // read two frames, generating them if seeded
+		a, ok1 := g.allocated()
+		b, ok2 := g.allocated()
+		if ok1 && ok2 {
+			g.comparePair(a, b)
+			if !bytes.Equal(p.Page(a), r.bytes(a)) || !bytes.Equal(p.Page(b), r.bytes(b)) {
+				t.Fatalf("frames %d,%d: bytes differ from the reference", a, b)
+			}
 		}
 	}
 }
 
+// genPage is the generator the seeded-slot tests hand SeedPages: seeds that
+// are multiples of 4 give an all-zero page, the others a byte pattern.
+func genPage(pg []byte, seed uint64) {
+	for j := range pg {
+		pg[j] = byte(seed%4) * (byte(seed) + byte(j>>4))
+	}
+}
+
 // compare checks every observable of the two machines against each other.
+// It reads only frames whose slots are not seeded, so that seeded slots
+// live on until an operation drops or reads them.
 func (g *physProgram) compare() {
 	t, p, r := g.t, g.p, g.r
 	checkSlots(t, p)
@@ -399,11 +430,14 @@ func (g *physProgram) compare() {
 		if f.Refs == 0 {
 			continue
 		}
-		live = append(live, pfn)
 		got := p.Get(pfn)
 		if got.Refs() != f.Refs || got.CoW() != f.CoW || p.frames[pfn].dirty != f.Dirty {
 			t.Fatalf("frame %d: metadata differs from the reference", pfn)
 		}
+		if p.unread != 0 && p.seeded[p.frames[pfn].slot] {
+			continue
+		}
+		live = append(live, pfn)
 		if !bytes.Equal(p.Page(pfn), r.bytes(pfn)) || p.IsZero(pfn) != (FirstNonZero(r.bytes(pfn)) < 0) ||
 			!bytes.Equal(p.ReadLine(pfn, LinesPerPage-1), r.bytes(pfn)[PageSize-LineSize:]) {
 			t.Fatalf("frame %d: bytes differ from the reference", pfn)
@@ -411,19 +445,25 @@ func (g *physProgram) compare() {
 	}
 	// A handful of pairs per step keeps the byte-wise reference cheap.
 	for i := 0; i < min(len(live), 6); i++ {
-		a, b := live[i], live[(i*7+1)%len(live)]
-		same, n := p.SamePage(a, b)
-		c, m := p.ComparePage(a, b)
-		// Equal pages skip the byte loops, which would walk all 4 KiB.
-		wsame, wn, wc, wm := true, PageSize, 0, PageSize
-		if !bytes.Equal(r.bytes(a), r.bytes(b)) {
-			wsame, wn = samePagesByte(r.bytes(a), r.bytes(b))
-			wc, wm = comparePagesByte(r.bytes(a), r.bytes(b))
-		}
-		if same != wsame || n != wn || c != wc || m != wm {
-			t.Fatalf("frames %d,%d: SamePage (%v,%d) ComparePage (%d,%d), reference (%v,%d) (%d,%d)",
-				a, b, same, n, c, m, wsame, wn, wc, wm)
-		}
+		g.comparePair(live[i], live[(i*7+1)%len(live)])
+	}
+}
+
+// comparePair checks SamePage and ComparePage on two frames against the
+// byte-wise reference.
+func (g *physProgram) comparePair(a, b PFN) {
+	p, r := g.p, g.r
+	same, n := p.SamePage(a, b)
+	c, m := p.ComparePage(a, b)
+	// Equal pages skip the byte loops, which would walk all 4 KiB.
+	wsame, wn, wc, wm := true, PageSize, 0, PageSize
+	if !bytes.Equal(r.bytes(a), r.bytes(b)) {
+		wsame, wn = samePagesByte(r.bytes(a), r.bytes(b))
+		wc, wm = comparePagesByte(r.bytes(a), r.bytes(b))
+	}
+	if same != wsame || n != wn || c != wc || m != wm {
+		g.t.Fatalf("frames %d,%d: SamePage (%v,%d) ComparePage (%d,%d), reference (%v,%d) (%d,%d)",
+			a, b, same, n, c, m, wsame, wn, wc, wm)
 	}
 }
 
@@ -449,12 +489,13 @@ func runPhysProgram(t *testing.T, data []byte) {
 }
 
 // FuzzPhysOps runs random programs of Alloc, AllocForCopy+CopyPage,
-// CopyPage, WriteAt, FillPages, IncRef/DecRef (inside and outside
+// CopyPage, WriteAt, SeedPages, reads, IncRef/DecRef (inside and outside
 // deferred-free windows), SetCoW and State→SetState on the slot store and
-// on the flat reference, and requires identical bytes, compare verdicts and
-// byte counts, State images, and counters, with a consistent, leak-free
-// slot store after every step and one slot per distinct content after
-// every restore. The seed corpus runs with the unit tests.
+// on the flat reference, which generates seeded pages at once, and requires
+// identical bytes, compare verdicts and byte counts, State images, and
+// counters, with a consistent, leak-free slot store after every step and
+// one slot per distinct content after every restore. The seed corpus runs
+// with the unit tests.
 // Programs are capped at 512 bytes so that the fuzzer's executions, and
 // its minimisation of new inputs, stay fast; TestPhysOpsLongProgram runs a
 // long one.
@@ -464,7 +505,11 @@ func FuzzPhysOps(f *testing.F) {
 	f.Add([]byte{
 		9, 0, 0, 0, 0, 0, 0, 4, 0, 0, 1, 77, 3, 1, 0, 2, 0, 9, 8, 1, 8, 0, 9, 1, 0,
 		2, 0, 4, 2, 0, 3, 1, 2, 0, 5, 1, 1, 0, 11, 0, 10, 1, 0, 8, 2, 7, 2, 11, 1,
-		12, 3, 0, 1, 2, 9, 2,
+		12, 3, 0, 5, 1, 6, 2, 7, 9, 2,
+	})
+	f.Add([]byte{
+		6, 0, 0, 0, 0, 12, 4, 0, 1, 1, 2, 2, 3, 3, 4, 3, 0, 1, 4, 1, 0, 9, 1, 8, 2,
+		4, 3, 0, 0, 1, 2, 2, 0, 0, 13, 0, 2, 9, 11, 1, 13, 1, 3,
 	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 512 {
@@ -493,6 +538,6 @@ func TestPhysOpsLongProgram(t *testing.T) {
 			long = append(long, 11, byte(i))
 		}
 	}
-	long = append(long, 9, 7, 1, 7, 2, 7, 3, 9, 0, 0, 2, 5, 12, 4, 0, 1, 2, 3, 17, 2, 11, 0)
+	long = append(long, 9, 7, 1, 7, 2, 7, 3, 9, 0, 0, 2, 5, 12, 4, 0, 17, 1, 18, 2, 19, 3, 20, 13, 0, 1, 11, 0)
 	runPhysProgram(t, long)
 }

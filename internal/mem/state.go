@@ -47,6 +47,7 @@ type PhysState struct {
 // State captures the memory image. It must be called at a quiescent point:
 // deferred-free mode (a parallel scan pass in flight) has pending frames
 // whose ordering is not yet canonical, so capturing there is an error.
+// It reads every allocated frame, so it generates every seeded slot.
 func (p *Phys) State() (PhysState, error) {
 	if p.deferFrees || len(p.pending) > 0 {
 		return PhysState{}, fmt.Errorf("mem: checkpoint during deferred-free window (%d pending)", len(p.pending))
@@ -115,8 +116,8 @@ func (st *PhysState) page(k int32) []byte {
 // slot store is rebuilt from the image: each distinct content gets one
 // slot, shared by every frame that holds it, and every other frame points
 // at the zero page, so views taken before the restore are no longer valid.
-// Backed chunks are reused where the rebuilt store needs them and dropped
-// beyond it.
+// Seeds are dropped ungenerated. Backed chunks are reused where the rebuilt
+// store needs them and dropped beyond it.
 func (p *Phys) SetState(st PhysState) error {
 	n := len(p.frames)
 	if len(st.Frames) != n || len(st.PageIndex) != n {
@@ -132,6 +133,8 @@ func (p *Phys) SetState(st PhysState) error {
 		}
 	}
 	clear(p.slotRefs)
+	clear(p.seeded)
+	p.unread = 0
 	p.freeSlots = p.freeSlots[:0]
 	p.nextSlot = 1
 	// pageSlot maps a content index to its slot once a frame has claimed

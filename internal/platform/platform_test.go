@@ -51,6 +51,36 @@ func TestRunBaseline(t *testing.T) {
 	}
 }
 
+// TestBootContentsGeneratedOnRead pins what seeding the boot image saves:
+// a Baseline world reads no boot page's bytes from start to done, so it
+// generates none, and a PageForge world generates each distinct boot
+// content at most once. The count is host bookkeeping, outside every
+// Result and checkpoint.
+func TestBootContentsGeneratedOnRead(t *testing.T) {
+	t.Parallel()
+	for _, mode := range []Mode{Baseline, PageForge} {
+		r := NewRuntime(mode, fastApp("img_dnn"), fastConfig())
+		if err := r.Start(); err != nil {
+			t.Fatal(err)
+		}
+		phys := r.img.HV.Phys
+		boot := uint64(phys.LiveSlots() - 1) // one slot per distinct nonzero content
+		for done := false; !done; {
+			var err error
+			if done, err = r.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := phys.GeneratedPages()
+		switch {
+		case mode == Baseline && got != 0:
+			t.Errorf("Baseline generated %d boot pages, want 0", got)
+		case mode == PageForge && (got == 0 || got > boot):
+			t.Errorf("PageForge generated %d boot pages, want 1..%d (one per distinct content)", got, boot)
+		}
+	}
+}
+
 func TestRunKSMShape(t *testing.T) {
 	t.Parallel()
 	cfg := fastConfig()

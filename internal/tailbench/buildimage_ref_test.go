@@ -1,8 +1,11 @@
 package tailbench
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/mem"
@@ -12,8 +15,8 @@ import (
 
 // buildImageRef is the sequential reference image builder: every page is
 // created through VM.Write (or Touch for zero pages) from a staging buffer,
-// one page at a time, in the dup/zero/unique order. buildImage must produce
-// exactly the machine this one does, for any worker count.
+// one page at a time, in the dup/zero/unique order. BuildImage must produce
+// exactly the machine this one does.
 func buildImageRef(p Profile, numVMs int, physFrames int, seed uint64) (*Image, error) {
 	img := &Image{Profile: p, HV: vm.NewHypervisor(uint64(physFrames) * mem.PageSize), rng: sim.NewRNG(seed)}
 
@@ -135,9 +138,39 @@ func requireSameFacts(t *testing.T, want, got imageFacts) {
 	}
 }
 
-// TestBuildImageMatchesSequentialReference pins parallel ≡ sequential for
-// the image builder: every profile, several seeds, VM counts whose worker
-// shares split chunks and dup groups mid-way, and 1..4 workers.
+// readConcurrently makes the first reads of img's memory the way a sharded
+// scan pass does: it opens a deferred-free window, which generates every
+// seeded page, and has workers goroutines each compare every workers-th
+// allocated frame with the same frame of ref. It reports the first frame
+// whose bytes differ, or -1.
+func readConcurrently(img, ref *Image, workers int) int {
+	phys := img.HV.Phys
+	same := make([]bool, phys.TotalFrames())
+	phys.BeginDeferredFrees()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for pfn := mem.PFN(w); int(pfn) < len(same); pfn += mem.PFN(workers) {
+				same[pfn] = !phys.Allocated(pfn) || bytes.Equal(phys.Page(pfn), ref.HV.Phys.Page(pfn))
+			}
+		}()
+	}
+	wg.Wait()
+	phys.EndDeferredFrees()
+	return slices.Index(same, false)
+}
+
+// TestBuildImageMatchesSequentialReference pins the seeded image builder
+// against the page-at-a-time reference, for every profile, several seeds,
+// VM counts whose dup groups straddle chunk boundaries, and 1..4 workers
+// that make the fresh image's first reads concurrently (readConcurrently).
+// At every worker count the workers must read the reference's bytes, which
+// under -race also proves that none of them generates a page. The build
+// itself is sequential and deterministic, so the image's facts (the
+// captured State, every page's bytes included) are compared with the
+// reference's once per shape, at one worker.
 func TestBuildImageMatchesSequentialReference(t *testing.T) {
 	for _, p := range Profiles() {
 		p.PagesPerVM = 40
@@ -151,11 +184,16 @@ func TestBuildImageMatchesSequentialReference(t *testing.T) {
 				want := factsOf(t, ref)
 				for workers := 1; workers <= 4; workers++ {
 					t.Run(fmt.Sprintf("%s/seed%d/vms%d/w%d", p.Name, seed, numVMs, workers), func(t *testing.T) {
-						img, err := buildImage(p, numVMs, frames, seed, workers)
+						img, err := BuildImage(p, numVMs, frames, seed)
 						if err != nil {
 							t.Fatal(err)
 						}
-						requireSameFacts(t, want, factsOf(t, img))
+						if pfn := readConcurrently(img, ref, workers); pfn >= 0 {
+							t.Fatalf("frame %d: concurrent first read differs from the sequential reference", pfn)
+						}
+						if workers == 1 {
+							requireSameFacts(t, want, factsOf(t, img))
+						}
 					})
 				}
 			}
@@ -169,7 +207,7 @@ func TestBuildImageExhaustionMatchesReference(t *testing.T) {
 	p := smallProfile()
 	for _, frames := range []int{10, 3 * 120, 4*120 - 1} {
 		_, want := buildImageRef(p, 4, frames, 5)
-		_, got := buildImage(p, 4, frames, 5, 3)
+		_, got := BuildImage(p, 4, frames, 5)
 		if want == nil || got == nil || want.Error() != got.Error() {
 			t.Fatalf("%d frames: error %v, want %v", frames, got, want)
 		}

@@ -3,7 +3,6 @@ package tailbench
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -54,22 +53,16 @@ type Image struct {
 //   - ZeroFrac of pages are touched but never written (zero pages).
 //   - The rest are unique per-VM contents; VolatileFrac of those churn.
 //
-// All pages are madvised mergeable, as a KVM deployment would. The build
-// runs on runtime.GOMAXPROCS(0) goroutines; the image is identical for any
-// worker count (DESIGN.md §10).
+// All pages are madvised mergeable, as a KVM deployment would.
+//
+// The build runs in two phases. The mapping phase faults every resident
+// page in, in the fixed order dup (slot-major, VM-minor), zero, unique.
+// The content phase seeds one slot per distinct content with
+// mem.Phys.SeedPages, which generates a page's bytes only when something
+// first reads them, and points every other dup frame at its content's
+// slot. The hypervisor is created here, so no write observer exists to
+// miss the contents (DESIGN.md §10).
 func BuildImage(p Profile, numVMs int, physFrames int, seed uint64) (*Image, error) {
-	return buildImage(p, numVMs, physFrames, seed, runtime.GOMAXPROCS(0))
-}
-
-// buildImage is BuildImage with an explicit worker count. It runs in two
-// phases. The mapping phase faults every resident page in on one
-// goroutine, in the fixed order dup (slot-major, VM-minor), zero, unique,
-// so frame numbers, the rmap and the page lists are those of a sequential
-// build. The content phase then fills one slot per distinct content with
-// mem.Phys.FillPages, on workers goroutines, and points every other dup
-// frame at its content's slot. The hypervisor is created here, so no write
-// observer exists to miss the fills.
-func buildImage(p Profile, numVMs, physFrames int, seed uint64, workers int) (*Image, error) {
 	img := &Image{Profile: p, HV: vm.NewHypervisor(uint64(physFrames) * mem.PageSize), rng: sim.NewRNG(seed)}
 
 	dupPerVM := int(p.DupFrac * float64(p.PagesPerVM))
@@ -133,7 +126,7 @@ func buildImage(p Profile, numVMs, physFrames int, seed uint64, workers int) (*I
 	// Content phase. Dup page k (slot-major, VM-minor) carries content
 	// k/copies % distinct: striding contents across slots lands each one in
 	// ~DupCopies VMs at the same slot. The first page of each content is
-	// filled and the others share its frame's slot through CopyPage; each
+	// seeded and the others share its frame's slot through CopyPage; each
 	// unique page k draws the k-th content of the image's unique stream.
 	// Zero pages stay on the shared zero page.
 	copies := max(1, int(p.DupCopies+0.5))
@@ -154,7 +147,7 @@ func buildImage(p Profile, numVMs, physFrames int, seed uint64, workers int) (*I
 		fills = append(fills, img.pfn(id))
 		seeds = append(seeds, next*0x9E3779B97F4A7C15+7)
 	}
-	img.HV.Phys.FillPages(fills, workers, func(i int, pg []byte) { fillPage(pg, seeds[i]) })
+	img.HV.Phys.SeedPages(fills, seeds, fillPage)
 	for k, id := range img.DupPages {
 		if pfn, lead := img.pfn(id), leaders[k/copies%distinct]; pfn != lead {
 			img.HV.Phys.CopyPage(pfn, lead)
