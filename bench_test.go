@@ -538,6 +538,38 @@ func BenchmarkPlatformRun(b *testing.B) {
 	}
 }
 
+// BenchmarkRuntimeStart measures one Runtime.Start, which builds a whole
+// paper-size world, in the shapes of perfbench's three workloads, reporting
+// its allocations: every short-lived world pays this once.
+func BenchmarkRuntimeStart(b *testing.B) {
+	for _, w := range []struct {
+		name  string
+		mode  platform.Mode
+		app   string
+		shape func(app *tailbench.Profile, cfg *platform.Config)
+	}{
+		{"pf-merge", platform.PageForge, "img_dnn", func(*tailbench.Profile, *platform.Config) {}},
+		{"ksm-churn", platform.KSM, "masstree", func(app *tailbench.Profile, cfg *platform.Config) {
+			app.BurstPagesPerVM = 800
+			cfg.ShardBits, cfg.ShardWorkers = 4, 2
+		}},
+		{"baseline-traffic", platform.Baseline, "silo", func(_ *tailbench.Profile, cfg *platform.Config) {
+			cfg.MeasureIntervals = 1000
+		}},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			app, cfg := *tailbench.ProfileByName(w.app), platform.DefaultConfig()
+			w.shape(&app, &cfg)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := platform.NewRuntime(w.mode, app, cfg).Start(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkAlgorithmESXvsKSM contrasts the two merging algorithms the
 // hardware supports (§4.2): KSM's content-indexed trees versus ESX-style
 // hash-indexed hints, on identical deployments. The metrics show the

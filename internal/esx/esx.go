@@ -83,15 +83,7 @@ func New(hv *vm.Hypervisor, cmp Comparer) *Table {
 
 // RefreshOrder rebuilds the scan order over mergeable pages.
 func (t *Table) RefreshOrder() {
-	t.order = t.order[:0]
-	for i := 0; i < t.HV.NumVMs(); i++ {
-		v := t.HV.VM(i)
-		for g := vm.GFN(0); int(g) < v.Pages(); g++ {
-			if v.Mergeable(g) {
-				t.order = append(t.order, vm.PageID{VM: i, GFN: g})
-			}
-		}
-	}
+	t.order = t.HV.AppendMergeable(t.order[:0])
 	if t.curs >= len(t.order) {
 		t.curs = 0
 	}
@@ -196,7 +188,7 @@ func (t *Table) liveBucket(h uint64) []mem.PFN {
 	bucket := t.shared[h]
 	live := bucket[:0]
 	for _, pfn := range bucket {
-		if t.HV.MapperCount(pfn) > 0 {
+		if t.HV.Mapped(pfn) {
 			live = append(live, pfn)
 		} else {
 			t.HV.Phys.DecRef(pfn)

@@ -112,7 +112,7 @@ func (w *satoriWorld) sharedTransientPages() int {
 	for _, v := range w.vms {
 		for g := 0; g < w.transPgs; g++ {
 			if pfn, ok := v.Resolve(vm.GFN(w.stablePgs + g)); ok {
-				if w.hv.MapperCount(pfn) > 1 {
+				if w.hv.Shared(pfn) {
 					n++
 				}
 			}

@@ -178,15 +178,7 @@ func (a *Algorithm) TakeMaxCmp(shard int) int {
 
 // RefreshOrder rebuilds the list of mergeable pages to scan.
 func (a *Algorithm) RefreshOrder() {
-	a.order = a.order[:0]
-	for i := 0; i < a.HV.NumVMs(); i++ {
-		v := a.HV.VM(i)
-		for g := vm.GFN(0); int(g) < v.Pages(); g++ {
-			if v.Mergeable(g) {
-				a.order = append(a.order, vm.PageID{VM: i, GFN: g})
-			}
-		}
-	}
+	a.order = a.HV.AppendMergeable(a.order[:0])
 	if a.curs >= len(a.order) {
 		a.curs = 0
 	}
@@ -242,7 +234,7 @@ func (a *Algorithm) EndPass() {
 	// tree's own hold).
 	stale := a.stale[:0]
 	a.Stable.InOrder(func(n *rbtree.Node) bool {
-		if a.HV.MapperCount(n.PFN) == 0 {
+		if !a.HV.Mapped(n.PFN) {
 			stale = append(stale, n)
 		}
 		return true

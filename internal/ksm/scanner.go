@@ -308,7 +308,7 @@ func (s *Scanner) scanCandidate(id vm.PageID, ac *scanAcct) (merged bool) {
 // searches, merges, and frame updates are confined to its own content
 // shard (merges only ever relate equal-content pages, and equal content
 // routes to the same shard), per-shard candidate order follows scan order,
-// and the only cross-shard state — statistics sums and the frame freelist —
+// and the only cross-shard state — statistics sums and the free frames —
 // is commutative or flushed in canonical order at the join.
 func (s *Scanner) ScanPass(workers int) BatchResult {
 	a := s.Alg

@@ -280,9 +280,10 @@ func TestPhysSetStateOverwritesBackedChunks(t *testing.T) {
 }
 
 // TestPhysSetStateRejectsMalformedImage feeds SetState images State never
-// writes: a ragged content array, an index past the contents, and a free
-// frame holding content. Each is an error that leaves the machine as it
-// was.
+// writes: a ragged content array, an index past the contents, a free
+// frame holding content, a refcount no Frame holds, and a free list naming
+// a frame twice or past the machine. Each is an error that leaves the
+// machine as it was.
 func TestPhysSetStateRejectsMalformedImage(t *testing.T) {
 	p := New(4 * PageSize)
 	pfn, _ := p.Alloc()
@@ -292,10 +293,13 @@ func TestPhysSetStateRejectsMalformedImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, bad := range map[string]func(st *PhysState){
-		"ragged pages":       func(st *PhysState) { st.Pages = st.Pages[:PageSize-1] },
-		"index past pages":   func(st *PhysState) { st.PageIndex[pfn] = 2 },
-		"negative index":     func(st *PhysState) { st.PageIndex[pfn] = -1 },
-		"free frame content": func(st *PhysState) { st.PageIndex[pfn+1] = 1 },
+		"ragged pages":        func(st *PhysState) { st.Pages = st.Pages[:PageSize-1] },
+		"index past pages":    func(st *PhysState) { st.PageIndex[pfn] = 2 },
+		"negative index":      func(st *PhysState) { st.PageIndex[pfn] = -1 },
+		"free frame content":  func(st *PhysState) { st.PageIndex[pfn+1] = 1 },
+		"negative refcount":   func(st *PhysState) { st.Frames[pfn].Refs = -1 },
+		"free frame twice":    func(st *PhysState) { st.Free = append(st.Free, st.Free[0]) },
+		"free frame past end": func(st *PhysState) { st.Free[0] = 4 },
 	} {
 		st, _ := p.State()
 		bad(&st)

@@ -19,6 +19,11 @@
 // instead of bytes: its generator writes them the first time anything
 // reads the slot, so contents nothing reads are never built.
 //
+// The per-frame bookkeeping is flat and holds no pointers, so the garbage
+// collector has nothing in it to scan: a 12-byte Frame and a 4-byte slot
+// refcount per frame, and one bit per frame in the free-frame bitmap, from
+// which Alloc hands out the lowest free frame.
+//
 // All mutation goes through Phys methods: Alloc, AllocForCopy, CopyPage,
 // WriteAt, SeedPages and SetState. Page and ReadLine return read-only
 // views that stay valid until the next write to that frame (see DESIGN.md
@@ -27,13 +32,11 @@ package mem
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 )
 
@@ -82,16 +85,17 @@ func LineIndexOf(a Addr) int { return int(a % PageSize / LineSize) }
 // rather than treating it as fatal.
 var ErrOutOfFrames = errors.New("mem: out of physical frames")
 
-// Frame is the per-frame metadata the hypervisor tracks.
+// Frame is the per-frame metadata the hypervisor tracks: 12 bytes, with no
+// pointer for the garbage collector to scan.
 type Frame struct {
-	refs  int   // number of guest mappings pointing at this frame
+	refs  int32 // number of guest mappings pointing at this frame
 	cow   bool  // write-protected shared frame (merged or pre-CoW)
 	dirty bool  // bytes may be nonzero from a previous owner
 	slot  int32 // slot holding the frame's bytes; zeroSlot for all zeroes
 }
 
 // Refs reports the number of mappings sharing the frame.
-func (f *Frame) Refs() int { return f.refs }
+func (f *Frame) Refs() int { return int(f.refs) }
 
 // CoW reports whether the frame is write-protected copy-on-write.
 func (f *Frame) CoW() bool { return f.cow }
@@ -99,7 +103,16 @@ func (f *Frame) CoW() bool { return f.cow }
 // Phys is the physical memory of the machine.
 type Phys struct {
 	frames []Frame
-	free   []PFN
+
+	// The free set: bit i of freeBits[w] is set when frame w*64+i is free.
+	// No word below freeLow has a bit set, and nfree counts the set bits.
+	// Alloc hands out the lowest free PFN, so allocation order is a
+	// function of the free set alone, never of release order — the
+	// property that makes a parallel scan pass's frame assignment
+	// bit-identical to a sequential one.
+	freeBits []uint64
+	freeLow  int
+	nfree    int
 
 	// The slot store. Slot s >= 1 is window (s-1)%chunkSlots of
 	// chunks[(s-1)/chunkSlots]; a chunk is nil until a slot in it is first
@@ -114,10 +127,12 @@ type Phys struct {
 	nextSlot  int32
 
 	// Seeded slots. seeded[s] marks a referenced slot whose bytes gen has
-	// not written yet; seeds[s] is what it will write them from. Both are
-	// made by the first SeedPages. unread counts the seeded slots, so that
-	// once all are generated a read costs one branch. A seeded slot's
-	// chunk may be unbacked; every other referenced slot's is backed.
+	// not written yet; seeds[s] is what it will write them from. SeedPages
+	// grows both to cover the slots it hands out, and they are dropped once
+	// no slot is seeded, so a slot past their end is not seeded. unread
+	// counts the seeded slots, so that once all are generated a read costs
+	// one branch. A seeded slot's chunk may be unbacked; every other
+	// referenced slot's is backed.
 	seeded    []bool
 	seeds     []uint64
 	unread    int
@@ -128,51 +143,65 @@ type Phys struct {
 	peak      int
 
 	// Deferred-free mode: while a sharded scan pass runs workers in
-	// parallel, frames released by merges are parked under mu and flushed
-	// to the freelist in canonical PFN order at the pass join, so the
-	// freelist state never depends on worker interleaving.
+	// parallel, frames released by merges are parked under mu and their
+	// slots released in canonical PFN order at the pass join, so the slot
+	// freelist never depends on worker interleaving.
 	mu         sync.Mutex
 	deferFrees bool
 	pending    []PFN
 
 	// Statistics of interest to the evaluation.
 	Allocs     uint64 // total successful Alloc calls
-	AllocFails uint64 // Alloc calls that found an empty freelist
-	Frees      uint64 // frames returned to the freelist
+	AllocFails uint64 // Alloc calls that found no free frame
+	Frees      uint64 // frames returned to the free set
 	ZeroFills  uint64 // frames actually zeroed on allocation
 }
 
 // New creates a physical memory of the given capacity in bytes, rounded
-// down to whole frames. Every frame starts on the zero page, so a new
-// machine holds no backing at all.
+// down to whole frames. Every frame starts free and on the zero page, so a
+// new machine holds no backing at all.
 func New(capacity uint64) *Phys {
 	n := int(capacity / PageSize)
 	p := &Phys{
 		frames:   make([]Frame, n),
-		free:     make([]PFN, 0, n),
+		freeBits: make([]uint64, (n+63)/64),
+		nfree:    n,
 		chunks:   make([][]byte, (n+chunkSlots-1)/chunkSlots),
 		slotRefs: make([]int32, n+1),
-		// Live slots never outnumber frames, so release never grows it.
-		freeSlots: make([]int32, 0, n),
-		nextSlot:  1,
+		nextSlot: 1,
 	}
-	// The freelist is kept sorted descending at all times, so Alloc (which
-	// pops from the end) always hands out the lowest free PFN. Allocation
-	// order is therefore a function of the free SET alone, never of release
-	// order — the property that makes a parallel scan pass's frame
-	// assignment bit-identical to a sequential one.
-	for i := n - 1; i >= 0; i-- {
-		p.free = append(p.free, PFN(i))
+	for w := range p.freeBits {
+		p.freeBits[w] = ^uint64(0)
+	}
+	if tail := n % 64; tail != 0 {
+		p.freeBits[len(p.freeBits)-1] = 1<<tail - 1
 	}
 	return p
 }
 
-// insertFree returns pfn to the freelist, preserving descending order.
-func (p *Phys) insertFree(pfn PFN) {
-	i := sort.Search(len(p.free), func(i int) bool { return p.free[i] < pfn })
-	p.free = append(p.free, 0)
-	copy(p.free[i+1:], p.free[i:])
-	p.free[i] = pfn
+// markFree returns pfn to the free set.
+func (p *Phys) markFree(pfn PFN) {
+	w := int(pfn / 64)
+	p.freeBits[w] |= 1 << (pfn % 64)
+	p.nfree++
+	p.freeLow = min(p.freeLow, w)
+}
+
+// freeList returns the free frames in descending PFN order, as PhysState
+// records them, or nil when none is free.
+func (p *Phys) freeList() []PFN {
+	if p.nfree == 0 {
+		return nil
+	}
+	out := make([]PFN, 0, p.nfree)
+	for w := len(p.freeBits) - 1; w >= p.freeLow; w-- {
+		for word := p.freeBits[w]; word != 0; {
+			b := 63 - bits.LeadingZeros64(word)
+			out = append(out, PFN(w*64+b))
+			word &^= 1 << b
+		}
+	}
+	return out
 }
 
 // TotalFrames reports the machine's frame count.
@@ -185,7 +214,7 @@ func (p *Phys) AllocatedFrames() int { return p.allocated }
 func (p *Phys) PeakFrames() int { return p.peak }
 
 // FreeFrames reports the number of frames available for allocation.
-func (p *Phys) FreeFrames() int { return len(p.free) }
+func (p *Phys) FreeFrames() int { return p.nfree }
 
 // LiveSlots reports the slots holding bytes for some frame: the shared
 // zero page plus every real slot a frame points at.
@@ -209,10 +238,13 @@ func (p *Phys) window(s int32) []byte {
 
 // ready generates slot s's bytes if s is seeded.
 func (p *Phys) ready(s int32) {
-	if p.seeded[s] {
+	if p.isSeeded(s) {
 		p.generate(s)
 	}
 }
+
+// isSeeded reports whether slot s holds a seed in place of bytes.
+func (p *Phys) isSeeded(s int32) bool { return int(s) < len(p.seeded) && p.seeded[s] }
 
 // generate has gen write seeded slot s's bytes. Deferred-free workers read
 // the store concurrently, so BeginDeferredFrees generates every seeded slot
@@ -221,26 +253,28 @@ func (p *Phys) generate(s int32) {
 	if p.deferFrees {
 		panic(fmt.Sprintf("mem: seeded slot %d read inside a deferred-free window", s))
 	}
+	seed := p.seeds[s]
 	p.unseed(s)
 	p.back(s)
-	p.gen(p.view(s), p.seeds[s])
+	p.gen(p.view(s), seed)
 	p.generated++
 }
 
 // generateAll generates every seeded slot, in slot order.
 func (p *Phys) generateAll() {
 	for s := int32(1); p.unread != 0; s++ {
-		if p.seeded[s] {
-			p.generate(s)
-		}
+		p.ready(s)
 	}
 }
 
 // unseed drops slot s's seed, if it has one, without generating its bytes.
+// Dropping the last seed drops the seed arrays.
 func (p *Phys) unseed(s int32) {
-	if p.unread != 0 && p.seeded[s] {
+	if p.unread != 0 && p.isSeeded(s) {
 		p.seeded[s] = false
-		p.unread--
+		if p.unread--; p.unread == 0 {
+			p.seeded, p.seeds = nil, nil
+		}
 	}
 }
 
@@ -331,15 +365,23 @@ func (p *Phys) own(f *Frame, keep bool) []byte {
 	return p.window(s)
 }
 
-// take pops a frame off the freelist and marks it allocated (common body of
-// the Alloc variants; zeroing policy is the caller's).
+// take removes the lowest free frame from the free set and marks it
+// allocated (common body of the Alloc variants; zeroing policy is the
+// caller's).
 func (p *Phys) take() (PFN, error) {
-	if len(p.free) == 0 {
+	if p.nfree == 0 {
 		p.AllocFails++
 		return 0, ErrOutOfFrames
 	}
-	pfn := p.free[len(p.free)-1]
-	p.free = p.free[:len(p.free)-1]
+	w := p.freeLow
+	for p.freeBits[w] == 0 {
+		w++
+	}
+	p.freeLow = w
+	b := bits.TrailingZeros64(p.freeBits[w])
+	p.freeBits[w] &^= 1 << b
+	p.nfree--
+	pfn := PFN(w*64 + b)
 	f := &p.frames[pfn]
 	f.refs = 1
 	f.cow = false
@@ -407,7 +449,7 @@ func (p *Phys) IncRef(pfn PFN) { p.frame(pfn).refs++ }
 
 // DecRef drops a mapping reference; when the last reference is gone the
 // frame releases its slot, moves to the zero page and returns to the
-// freelist. In deferred mode the frame instead parks on the pending list
+// free set. In deferred mode the frame instead parks on the pending list
 // with its slot, because deferred-mode workers call DecRef concurrently
 // and must not touch the slot store; EndDeferredFrees releases the slot.
 func (p *Phys) DecRef(pfn PFN) {
@@ -431,12 +473,12 @@ func (p *Phys) DecRef(pfn PFN) {
 	f.slot = zeroSlot
 	p.allocated--
 	p.Frees++
-	p.insertFree(pfn)
+	p.markFree(pfn)
 }
 
 // BeginDeferredFrees switches DecRef to park fully-released frames on a
-// pending list instead of the freelist. A parallel scan pass brackets its
-// workers with Begin/EndDeferredFrees so freelist order stays canonical.
+// pending list instead of the free set. A parallel scan pass brackets its
+// workers with Begin/EndDeferredFrees so the slot freelist stays canonical.
 // Workers read the store concurrently, so every seeded slot is generated
 // first, here on the calling goroutine.
 func (p *Phys) BeginDeferredFrees() {
@@ -446,9 +488,7 @@ func (p *Phys) BeginDeferredFrees() {
 
 // EndDeferredFrees releases the pending frames' slots in ascending PFN
 // order, so the slot freelist never depends on the order workers freed
-// them, then flushes the frames to the freelist, restoring its descending
-// sorted order. Frames on the freelist are distinct, so any sort gives the
-// same order.
+// them, and returns the frames to the free set.
 func (p *Phys) EndDeferredFrees() {
 	p.deferFrees = false
 	if len(p.pending) == 0 {
@@ -459,9 +499,8 @@ func (p *Phys) EndDeferredFrees() {
 		f := &p.frames[pfn]
 		p.release(f.slot)
 		f.slot = zeroSlot
+		p.markFree(pfn)
 	}
-	p.free = append(p.free, p.pending...)
-	slices.SortFunc(p.free, func(a, b PFN) int { return cmp.Compare(b, a) })
 	p.pending = p.pending[:0]
 }
 
@@ -540,9 +579,11 @@ func (p *Phys) SeedPages(pfns []PFN, seeds []uint64, gen func(pg []byte, seed ui
 		return
 	}
 	p.generateAll()
-	if p.seeded == nil {
-		p.seeded = make([]bool, len(p.slotRefs))
-		p.seeds = make([]uint64, len(p.slotRefs))
+	// Every slot this call hands out is recycled from below nextSlot or
+	// is nextSlot onwards, one per frame.
+	if need := int(p.nextSlot) + len(pfns); len(p.seeded) < need {
+		p.seeded = append(p.seeded, make([]bool, need-len(p.seeded))...)
+		p.seeds = append(p.seeds, make([]uint64, need-len(p.seeds))...)
 	}
 	p.gen = gen
 	for i, pfn := range pfns {

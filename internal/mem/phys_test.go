@@ -3,6 +3,7 @@ package mem
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -231,5 +232,13 @@ func TestAddressHelpers(t *testing.T) {
 	}
 	if LineIndexOf(a) != 2 {
 		t.Fatalf("LineIndexOf = %d", LineIndexOf(a))
+	}
+}
+
+// TestFrameSize pins the per-frame metadata at 12 bytes: the machine keeps
+// one Frame per frame of its capacity.
+func TestFrameSize(t *testing.T) {
+	if n := unsafe.Sizeof(Frame{}); n != 12 {
+		t.Fatalf("Frame is %d bytes, want 12", n)
 	}
 }

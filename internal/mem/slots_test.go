@@ -2,11 +2,9 @@ package mem
 
 import (
 	"bytes"
-	"cmp"
 	"errors"
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
 )
 
@@ -47,7 +45,7 @@ func checkSlots(t *testing.T, p *Phys) {
 		if (refs[s] == 0) != onFree[s] {
 			t.Fatalf("slot %d: %d frames point at it, on freelist %v (leaked or double-owned)", s, refs[s], onFree[s])
 		}
-		seeded := p.unread != 0 && p.seeded[s]
+		seeded := p.unread != 0 && p.isSeeded(s)
 		if seeded {
 			unread++
 			if refs[s] == 0 {
@@ -104,15 +102,15 @@ func checkRestored(t *testing.T, p *Phys, st PhysState) {
 }
 
 // flatPhys is the reference model FuzzPhysOps holds the slot store to: the
-// same frame, freelist and counter semantics over one flat arena in which
-// every frame owns a fixed PageSize window and every copy copies bytes. A
-// frame's bytes are cleared when it is freed, or when a deferred-free
-// window that freed it closes.
+// same frame, free-frame and counter semantics over one flat arena in which
+// every frame owns a fixed PageSize window and every copy copies bytes, and
+// a sorted free list in place of the bitmap. A frame's bytes are cleared
+// when it is freed, or when a deferred-free window that freed it closes.
 type flatPhys struct {
 	arena     []byte
 	frames    []FrameState
-	free      []PFN // descending
-	pending   []PFN
+	free      []PFN // ascending; Alloc takes free[0]
+	pending   []PFN // freed inside the open deferred-free window
 	deferred  bool
 	allocated int
 	peak      int
@@ -122,7 +120,7 @@ type flatPhys struct {
 
 func newFlat(n int) *flatPhys {
 	r := &flatPhys{arena: make([]byte, n*PageSize), frames: make([]FrameState, n)}
-	for i := n - 1; i >= 0; i-- {
+	for i := range n {
 		r.free = append(r.free, PFN(i))
 	}
 	return r
@@ -135,8 +133,8 @@ func (r *flatPhys) take() (PFN, error) {
 		r.allocFails++
 		return 0, ErrOutOfFrames
 	}
-	pfn := r.free[len(r.free)-1]
-	r.free = r.free[:len(r.free)-1]
+	pfn := r.free[0]
+	r.free = r.free[1:]
 	r.frames[pfn].Refs, r.frames[pfn].CoW = 1, false
 	r.allocated++
 	r.peak = max(r.peak, r.allocated)
@@ -174,19 +172,32 @@ func (r *flatPhys) decRef(pfn PFN) {
 		r.pending = append(r.pending, pfn)
 		return
 	}
+	r.release(pfn)
+}
+
+// release clears a freed frame and inserts it into the sorted free list.
+func (r *flatPhys) release(pfn PFN) {
 	clear(r.bytes(pfn))
-	i := sort.Search(len(r.free), func(i int) bool { return r.free[i] < pfn })
+	i, _ := slices.BinarySearch(r.free, pfn)
 	r.free = slices.Insert(r.free, i, pfn)
 }
 
 func (r *flatPhys) endDeferred() {
 	r.deferred = false
 	for _, pfn := range r.pending {
-		clear(r.bytes(pfn))
+		r.release(pfn)
 	}
-	r.free = append(r.free, r.pending...)
-	slices.SortFunc(r.free, func(a, b PFN) int { return cmp.Compare(b, a) })
 	r.pending = r.pending[:0]
+}
+
+// freeDescending is the free list in the order PhysState records it.
+func (r *flatPhys) freeDescending() []PFN {
+	if len(r.free) == 0 {
+		return nil
+	}
+	out := slices.Clone(r.free)
+	slices.Reverse(out)
+	return out
 }
 
 func (r *flatPhys) state() (PhysState, error) {
@@ -196,7 +207,7 @@ func (r *flatPhys) state() (PhysState, error) {
 	st := PhysState{
 		PageIndex: make([]int32, len(r.frames)),
 		Frames:    slices.Clone(r.frames),
-		Free:      append([]PFN(nil), r.free...),
+		Free:      r.freeDescending(),
 		Allocated: r.allocated, Peak: r.peak,
 		Allocs: r.allocs, AllocFails: r.allocFails, Frees: r.frees, ZeroFills: r.zeroFills,
 	}
@@ -421,6 +432,9 @@ func (g *physProgram) compare() {
 			p.Allocs, r.allocs, p.AllocFails, r.allocFails, p.Frees, r.frees, p.ZeroFills, r.zeroFills,
 			p.AllocatedFrames(), r.allocated, p.PeakFrames(), r.peak, p.FreeFrames(), len(r.free))
 	}
+	if got, want := p.freeList(), r.freeDescending(); !slices.Equal(got, want) {
+		t.Fatalf("free frames %v, reference %v", got, want)
+	}
 	var live []PFN
 	for i, f := range r.frames {
 		pfn := PFN(i)
@@ -434,7 +448,7 @@ func (g *physProgram) compare() {
 		if got.Refs() != f.Refs || got.CoW() != f.CoW || p.frames[pfn].dirty != f.Dirty {
 			t.Fatalf("frame %d: metadata differs from the reference", pfn)
 		}
-		if p.unread != 0 && p.seeded[p.frames[pfn].slot] {
+		if p.unread != 0 && p.isSeeded(p.frames[pfn].slot) {
 			continue
 		}
 		live = append(live, pfn)
@@ -491,9 +505,10 @@ func runPhysProgram(t *testing.T, data []byte) {
 // FuzzPhysOps runs random programs of Alloc, AllocForCopy+CopyPage,
 // CopyPage, WriteAt, SeedPages, reads, IncRef/DecRef (inside and outside
 // deferred-free windows), SetCoW and State→SetState on the slot store and
-// on the flat reference, which generates seeded pages at once, and requires
-// identical bytes, compare verdicts and byte counts, State images, and
-// counters, with a consistent, leak-free slot store after every step and
+// on the flat reference, which generates seeded pages at once and keeps a
+// sorted free list, and requires identical bytes, compare verdicts and
+// byte counts, free frames (so Alloc returns the lowest), State images,
+// and counters, with a consistent, leak-free slot store after every step and
 // one slot per distinct content after every restore. The seed corpus runs
 // with the unit tests.
 // Programs are capped at 512 bytes so that the fuzzer's executions, and

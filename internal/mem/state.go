@@ -3,14 +3,15 @@ package mem
 import (
 	"bytes"
 	"fmt"
+	"math"
 )
 
 // Checkpoint support. PhysState is a plain-data, gob-friendly image of the
 // physical memory: the distinct contents of the allocated frames, a
-// per-frame content index, per-frame metadata, the canonical freelist, and
-// the allocation counters. Capturing and restoring it is bit-exact — the
-// freelist order is preserved verbatim so post-restore allocation order
-// matches the uninterrupted run.
+// per-frame content index, per-frame metadata, the free frames, and the
+// allocation counters. Capturing and restoring it is bit-exact: allocation
+// order is a function of the free set alone, so post-restore allocation
+// order matches the uninterrupted run.
 //
 // The image is content-addressed the way the live store is: each distinct
 // nonzero page an allocated frame holds is written once, and pages are
@@ -34,6 +35,8 @@ type PhysState struct {
 	// frame holding content k-1 of Pages.
 	PageIndex []int32
 	Frames    []FrameState
+	// Free lists the free frames in descending PFN order; nil when none
+	// is free.
 	Free      []PFN
 	Allocated int
 	Peak      int
@@ -59,7 +62,7 @@ func (p *Phys) State() (PhysState, error) {
 		Pages:      make([]byte, 0, live*PageSize),
 		PageIndex:  make([]int32, len(p.frames)),
 		Frames:     make([]FrameState, len(p.frames)),
-		Free:       append([]PFN(nil), p.free...),
+		Free:       p.freeList(),
 		Allocated:  p.allocated,
 		Peak:       p.peak,
 		Allocs:     p.Allocs,
@@ -73,7 +76,7 @@ func (p *Phys) State() (PhysState, error) {
 	slotIndex := make([]int32, p.nextSlot)
 	byKey := make(map[uint64][]int32)
 	for i, f := range p.frames {
-		st.Frames[i] = FrameState{Refs: f.refs, CoW: f.cow, Dirty: f.dirty}
+		st.Frames[i] = FrameState{Refs: int(f.refs), CoW: f.cow, Dirty: f.dirty}
 		if f.slot == zeroSlot {
 			continue
 		}
@@ -128,12 +131,19 @@ func (p *Phys) SetState(st PhysState) error {
 		return fmt.Errorf("mem: restore image holds %d content bytes, not whole pages", len(st.Pages))
 	}
 	for i, k := range st.PageIndex {
-		if k < 0 || int(k) > pages || (k != 0 && st.Frames[i].Refs <= 0) {
+		if refs := st.Frames[i].Refs; refs < 0 || refs > math.MaxInt32 {
+			return fmt.Errorf("mem: restore frame %d has refcount %d", i, refs)
+		}
+		if k < 0 || int(k) > pages || (k != 0 && st.Frames[i].Refs == 0) {
 			return fmt.Errorf("mem: restore frame %d (refs %d) holds content %d of %d", i, st.Frames[i].Refs, k, pages)
 		}
 	}
+	free, err := p.freeSet(st.Free)
+	if err != nil {
+		return err
+	}
 	clear(p.slotRefs)
-	clear(p.seeded)
+	p.seeded, p.seeds = nil, nil
 	p.unread = 0
 	p.freeSlots = p.freeSlots[:0]
 	p.nextSlot = 1
@@ -142,7 +152,7 @@ func (p *Phys) SetState(st PhysState) error {
 	// frames.
 	pageSlot := make([]int32, pages+1)
 	for i, f := range st.Frames {
-		fr := Frame{refs: f.Refs, cow: f.CoW, dirty: f.Dirty}
+		fr := Frame{refs: int32(f.Refs), cow: f.CoW, dirty: f.Dirty}
 		if k := st.PageIndex[i]; k != 0 {
 			if pageSlot[k] == zeroSlot {
 				pageSlot[k] = p.newSlot(false)
@@ -160,7 +170,7 @@ func (p *Phys) SetState(st PhysState) error {
 		clear(p.chunks[used-1][tail*PageSize:])
 	}
 	clear(p.chunks[used:])
-	p.free = append(p.free[:0], st.Free...)
+	p.freeBits, p.nfree, p.freeLow = free, len(st.Free), 0
 	p.allocated = st.Allocated
 	p.peak = st.Peak
 	p.deferFrees = false
@@ -170,4 +180,17 @@ func (p *Phys) SetState(st PhysState) error {
 	p.Frees = st.Frees
 	p.ZeroFills = st.ZeroFills
 	return nil
+}
+
+// freeSet builds the free-set bitmap holding the listed frames. A frame out
+// of range or listed twice is an error.
+func (p *Phys) freeSet(free []PFN) ([]uint64, error) {
+	set := make([]uint64, len(p.freeBits))
+	for _, pfn := range free {
+		if int(pfn) >= len(p.frames) || set[pfn/64]&(1<<(pfn%64)) != 0 {
+			return nil, fmt.Errorf("mem: restore free list holds frame %d twice or out of range (%d frames)", pfn, len(p.frames))
+		}
+		set[pfn/64] |= 1 << (pfn % 64)
+	}
+	return set, nil
 }

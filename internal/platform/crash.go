@@ -40,8 +40,10 @@ import (
 // version 4 dropped the cache-hierarchy counters and the controller's
 // in-flight read table; version 5 dropped the KSM zero-frame and smart-scan
 // state and the VMs' huge-page regions; version 6 dropped the fault model's
-// injection counters.
-const crashSnapshotVersion = 6
+// injection counters; version 7 lists each frame's mappers most recently
+// mapped first, the order of the reverse map threaded through the page
+// tables.
+const crashSnapshotVersion = 7
 
 // Recovery cost model (deterministic, charged only to RecoveryCycles):
 // restoring a checkpoint and the per-frame/per-byte cost of the recovery

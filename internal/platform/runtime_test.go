@@ -346,6 +346,24 @@ func TestEntryPointsAfterFailedStart(t *testing.T) {
 	}
 }
 
+// TestBaselineStartAllocs bounds the allocations of one paper-size Baseline
+// Start below 500. The per-frame and per-page bookkeeping lives in flat
+// arrays made once per world, so the count does not grow with the image
+// (about 90); one heap object per touched page would add about 16,000. The
+// test does not call t.Parallel: AllocsPerRun counts every goroutine's
+// allocations, and the parallel tests wait until the sequential ones end.
+func TestBaselineStartAllocs(t *testing.T) {
+	app, cfg := *tailbench.ProfileByName("silo"), DefaultConfig()
+	allocs := testing.AllocsPerRun(2, func() {
+		if err := NewRuntime(Baseline, app, cfg).Start(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= 500 {
+		t.Fatalf("a paper-size Baseline Start makes %.0f allocations, want fewer than 500", allocs)
+	}
+}
+
 // TestSnapshotBaselineRejected pins the Snapshot/Restore surface contract:
 // Baseline has no dedup world to capture.
 func TestSnapshotBaselineRejected(t *testing.T) {

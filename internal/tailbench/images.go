@@ -457,8 +457,7 @@ func (img *Image) MeasureFootprint() Footprint {
 				continue
 			}
 			f.TotalGuestPages++
-			sharers := img.HV.MapperCount(pfn)
-			if sharers <= 1 {
+			if !img.HV.Shared(pfn) {
 				f.Unmergeable++
 				continue
 			}

@@ -1,5 +1,7 @@
 package vm
 
+import "repro/internal/mem"
+
 // Balloon is a deterministic balloon device: under memory pressure the
 // hypervisor "inflates" it inside victim VMs, forcing the guests to release
 // pages whose frames the host can hand to whoever is stalling on an empty
@@ -57,7 +59,7 @@ func (b *Balloon) reclaimFrom(v *VM, want int) int {
 		if !e.present {
 			continue
 		}
-		if b.hv.Phys.Get(e.pfn).Refs() != 1 {
+		if b.hv.Phys.Get(mem.PFN(e.pfn)).Refs() != 1 {
 			continue // shared or engine-held: releasing frees nothing
 		}
 		v.Release(g)

@@ -7,10 +7,11 @@ import (
 )
 
 // Checkpoint support: plain-data images of the virtualization layer. The
-// rmap is captured verbatim — entry order within a frame's mapper list is
-// history-dependent (removal is swap-with-last), and merge candidate
-// iteration observes that order, so restoring it element-for-element is
-// required for bit-exact resume.
+// rmap is captured verbatim, each frame's mappers in list order (most
+// recently mapped first), and SetState threads the lists back in that
+// order, so State → SetState → State is identical. Only idempotent
+// write-protection loops, mapper counts and checker diagnostics read the
+// order; no simulated value depends on it.
 
 // MappingState is the exported image of one page-table entry.
 type MappingState struct {
@@ -32,7 +33,7 @@ type VMState struct {
 // hooks, which are wiring re-established by the restorer).
 type HypervisorState struct {
 	VMs         []VMState
-	Rmap        [][]PageID
+	Rmap        [][]PageID // per frame, its mappers in list order
 	Merges      uint64
 	Unmerges    uint64
 	AllocStalls uint64
@@ -42,7 +43,7 @@ type HypervisorState struct {
 func (h *Hypervisor) State() HypervisorState {
 	st := HypervisorState{
 		VMs:         make([]VMState, len(h.vms)),
-		Rmap:        make([][]PageID, len(h.rmap)),
+		Rmap:        make([][]PageID, len(h.heads)),
 		Merges:      h.Merges,
 		Unmerges:    h.Unmerges,
 		AllocStalls: h.AllocStalls,
@@ -63,10 +64,8 @@ func (h *Hypervisor) State() HypervisorState {
 		}
 		st.VMs[i] = vs
 	}
-	for pfn, ids := range h.rmap {
-		if len(ids) > 0 {
-			st.Rmap[pfn] = append([]PageID(nil), ids...)
-		}
+	for pfn := range h.heads {
+		st.Rmap[pfn] = h.Mappers(mem.PFN(pfn))
 	}
 	return st
 }
@@ -88,8 +87,8 @@ func (h *Hypervisor) SetState(st HypervisorState) error {
 	for len(h.vms) < len(st.VMs) {
 		h.NewVM(uint64(len(st.VMs[len(h.vms)].Table)) * mem.PageSize)
 	}
-	if len(st.Rmap) != len(h.rmap) {
-		return fmt.Errorf("vm: restore rmap-size mismatch (have %d, snapshot %d)", len(h.rmap), len(st.Rmap))
+	if len(st.Rmap) != len(h.heads) {
+		return fmt.Errorf("vm: restore rmap-size mismatch (have %d, snapshot %d)", len(h.heads), len(st.Rmap))
 	}
 	for i, vs := range st.VMs {
 		v := h.vms[i]
@@ -98,23 +97,57 @@ func (h *Hypervisor) SetState(st HypervisorState) error {
 				i, len(v.table), len(vs.Table))
 		}
 		for g, ms := range vs.Table {
+			if ms.Present && ms.PFN >= uint64(len(h.heads)) {
+				return fmt.Errorf("vm: restore VM %d GFN %d maps frame %d of %d", i, g, ms.PFN, len(h.heads))
+			}
 			v.table[g] = mapping{
-				pfn:       mem.PFN(ms.PFN),
+				pfn:       uint32(ms.PFN),
 				present:   ms.Present,
 				writeProt: ms.WriteProt,
 				mergeable: ms.Mergeable,
+			}
+			if ms.Present {
+				v.table[g].next = unlinked
 			}
 		}
 		v.SoftFaults = vs.SoftFaults
 		v.CoWBreaks = vs.CoWBreaks
 	}
-	for pfn := range h.rmap {
-		h.rmap[pfn] = h.rmap[pfn][:0]
-		h.rmap[pfn] = append(h.rmap[pfn], st.Rmap[pfn]...)
+	if err := h.relink(st.Rmap); err != nil {
+		return err
 	}
 	h.Merges = st.Merges
 	h.Unmerges = st.Unmerges
 	h.AllocStalls = st.AllocStalls
+	return nil
+}
+
+// relink threads each frame's mapper list through the restored page tables
+// in rmap's order. Every present mapping must appear exactly once, under
+// the frame it maps; SetState marked them all unlinked beforehand.
+func (h *Hypervisor) relink(rmap [][]PageID) error {
+	for pfn, ids := range rmap {
+		at := &h.heads[pfn]
+		for _, id := range ids {
+			if id.VM < 0 || id.VM >= len(h.vms) || id.GFN >= GFN(len(h.vms[id.VM].table)) {
+				return fmt.Errorf("vm: restore rmap of frame %d names %v, which does not exist", pfn, id)
+			}
+			e := &h.vms[id.VM].table[id.GFN]
+			if !e.present || e.pfn != uint32(pfn) || e.next != unlinked {
+				return fmt.Errorf("vm: restore rmap of frame %d names %v, which does not map it or is listed twice", pfn, id)
+			}
+			*at, e.next = keyOf(id), 0
+			at = &e.next
+		}
+		*at = 0
+	}
+	for _, v := range h.vms {
+		for g := range v.table {
+			if v.table[g].next == unlinked {
+				return fmt.Errorf("vm: restore rmap misses present page %v", PageID{v.ID, GFN(g)})
+			}
+		}
+	}
 	return nil
 }
 

@@ -8,6 +8,7 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/mem"
@@ -25,12 +26,38 @@ type PageID struct {
 // String renders the ID for diagnostics.
 func (p PageID) String() string { return fmt.Sprintf("vm%d:gfn%d", p.VM, p.GFN) }
 
-// mapping is one guest page-table entry.
+// mapping is one guest page-table entry: 16 bytes, with no pointer for the
+// garbage collector to scan.
 type mapping struct {
-	pfn       mem.PFN
+	pfn       uint32 // backing frame, when present
 	present   bool
-	writeProt bool // write-protected: guest writes fault (CoW)
-	mergeable bool // inside a madvise(MADV_MERGEABLE) region
+	writeProt bool    // write-protected: guest writes fault (CoW)
+	mergeable bool    // inside a madvise(MADV_MERGEABLE) region
+	next      pageKey // the backing frame's next mapper; 0 ends the list
+}
+
+// pageKey packs a PageID into one word for the reverse map: the VM in the
+// high 32 bits and the GFN in the low 32, plus one, so that 0 names no
+// page. NewHypervisor and NewVM reject sizes that do not pack.
+type pageKey uint64
+
+// Packing limits: a PFN and a GFN each fit 32 bits, and VM IDs stay below
+// 2^31 so that no key reaches unlinked.
+const (
+	maxFrames = 1 << 32
+	maxPages  = 1 << 32
+	maxVMs    = 1 << 31
+)
+
+// unlinked marks a mapping SetState has not yet threaded onto its frame's
+// reverse map; no page packs to it.
+const unlinked = ^pageKey(0)
+
+func keyOf(id PageID) pageKey { return pageKey(uint64(id.VM)<<32|uint64(id.GFN)) + 1 }
+
+func (k pageKey) id() PageID {
+	k--
+	return PageID{VM: int(k >> 32), GFN: GFN(uint32(k))}
 }
 
 // VM is one virtual machine instance.
@@ -54,12 +81,13 @@ type Hypervisor struct {
 	Phys *mem.Phys
 	vms  []*VM
 
-	// rmap maps each shared-or-shareable frame to every guest page mapping
-	// it. It is the reverse mapping KSM needs to write-protect all sharers.
-	// Indexed by PFN (not a map) so that sharded scan workers, which only
-	// ever touch frames of their own content shard, mutate disjoint
-	// elements without a shared map header to race on.
-	rmap [][]PageID
+	// heads is the reverse map KSM needs to write-protect all sharers,
+	// threaded through the page tables: heads[pfn] is the most recently
+	// added guest page mapping the frame (0 when none maps it), and each
+	// mapping's next names the frame's next mapper. Sharded scan workers
+	// only ever touch frames of their own content shard, so they write
+	// disjoint heads and the links of disjoint mappings.
+	heads []pageKey
 
 	// Merges counts successful page merges; Unmerges counts CoW breaks of
 	// merged frames.
@@ -103,19 +131,29 @@ type Hypervisor struct {
 	AllocStalls uint64
 }
 
-// NewHypervisor creates a hypervisor with the given physical capacity.
+// NewHypervisor creates a hypervisor with the given physical capacity. It
+// panics past 2^32 frames, which a page-table entry cannot name.
 func NewHypervisor(physBytes uint64) *Hypervisor {
+	if frames := physBytes / mem.PageSize; frames > maxFrames {
+		panic(fmt.Sprintf("vm: %d frames exceed the %d a page table can name", frames, uint64(maxFrames)))
+	}
 	p := mem.New(physBytes)
 	return &Hypervisor{
-		Phys: p,
-		rmap: make([][]PageID, p.TotalFrames()),
+		Phys:  p,
+		heads: make([]pageKey, p.TotalFrames()),
 	}
 }
 
 // NewVM creates a VM with the given guest-physical memory size. Guest pages
-// are unbacked until first touch.
+// are unbacked until first touch. It panics past 2^32 guest pages or 2^31
+// VMs, which the reverse map cannot name.
 func (h *Hypervisor) NewVM(memBytes uint64) *VM {
-	v := &VM{ID: len(h.vms), table: make([]mapping, memBytes/mem.PageSize), hv: h}
+	pages := memBytes / mem.PageSize
+	if pages > maxPages || len(h.vms) >= maxVMs {
+		panic(fmt.Sprintf("vm: VM %d of %d pages exceeds the reverse map's %d VMs of %d pages",
+			len(h.vms), pages, maxVMs, uint64(maxPages)))
+	}
+	v := &VM{ID: len(h.vms), table: make([]mapping, pages), hv: h}
 	h.vms = append(h.vms, v)
 	return v
 }
@@ -144,6 +182,29 @@ func (v *VM) Madvise(start GFN, n int, mergeable bool) {
 	}
 }
 
+// AppendMergeable appends every guest page inside a mergeable region to
+// dst, VM by VM in GFN order, and returns the extended slice. It counts the
+// pages first, so dst grows at most once.
+func (h *Hypervisor) AppendMergeable(dst []PageID) []PageID {
+	n := 0
+	for _, v := range h.vms {
+		for g := range v.table {
+			if v.table[g].mergeable {
+				n++
+			}
+		}
+	}
+	dst = slices.Grow(dst, n)
+	for _, v := range h.vms {
+		for g := range v.table {
+			if v.table[g].mergeable {
+				dst = append(dst, PageID{v.ID, GFN(g)})
+			}
+		}
+	}
+	return dst
+}
+
 // Mergeable reports whether the guest page is in a mergeable region.
 func (v *VM) Mergeable(g GFN) bool { return v.entry(g).mergeable }
 
@@ -156,7 +217,7 @@ func (v *VM) WriteProtected(g GFN) bool { return v.entry(g).writeProt }
 // Resolve returns the frame backing the guest page.
 func (v *VM) Resolve(g GFN) (mem.PFN, bool) {
 	e := v.entry(g)
-	return e.pfn, e.present
+	return mem.PFN(e.pfn), e.present
 }
 
 // allocFrame runs one guest-path allocation through the stall-and-retry
@@ -187,11 +248,11 @@ func (v *VM) fault(g GFN) (*mapping, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.pfn = pfn
+	e.pfn = uint32(pfn)
 	e.present = true
 	e.writeProt = false
 	v.SoftFaults++
-	v.hv.rmapAdd(pfn, PageID{v.ID, g})
+	v.hv.rmapAdd(keyOf(PageID{v.ID, g}), e)
 	return e, nil
 }
 
@@ -219,7 +280,7 @@ func (v *VM) Read(g GFN, off int, dst []byte) error {
 	if err != nil {
 		return err
 	}
-	copy(dst, v.hv.Phys.Page(e.pfn)[off:])
+	copy(dst, v.hv.Phys.Page(mem.PFN(e.pfn))[off:])
 	return nil
 }
 
@@ -231,7 +292,7 @@ func (v *VM) Page(g GFN) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return v.hv.Phys.Page(e.pfn), nil
+	return v.hv.Phys.Page(mem.PFN(e.pfn)), nil
 }
 
 // Write stores src at [off, off+len(src)), handling the soft fault and any
@@ -251,7 +312,7 @@ func (v *VM) Write(g GFN, off int, src []byte) (cowBroke bool, err error) {
 		}
 		cowBroke = true
 	}
-	v.hv.Phys.WriteAt(e.pfn, off, src)
+	v.hv.Phys.WriteAt(mem.PFN(e.pfn), off, src)
 	if v.hv.OnWrite != nil {
 		v.hv.OnWrite(PageID{v.ID, g}, off, src)
 	}
@@ -260,7 +321,7 @@ func (v *VM) Write(g GFN, off int, src []byte) (cowBroke bool, err error) {
 
 // breakCoW gives the writing guest a private copy of a protected page.
 func (v *VM) breakCoW(g GFN, e *mapping) error {
-	old := e.pfn
+	old := mem.PFN(e.pfn)
 	if v.hv.Phys.Get(old).Refs() == 1 {
 		// Sole mapper: just drop the protection (Linux reuse_ksm_page path).
 		e.writeProt = false
@@ -278,11 +339,12 @@ func (v *VM) breakCoW(g GFN, e *mapping) error {
 		return err
 	}
 	v.hv.Phys.CopyPage(fresh, old)
-	v.hv.rmapRemove(old, PageID{v.ID, g})
+	k := keyOf(PageID{v.ID, g})
+	v.hv.rmapRemove(old, k)
 	v.hv.Phys.DecRef(old)
-	e.pfn = fresh
+	e.pfn = uint32(fresh)
 	e.writeProt = false
-	v.hv.rmapAdd(fresh, PageID{v.ID, g})
+	v.hv.rmapAdd(k, e)
 	v.CoWBreaks++
 	v.hv.Unmerges++
 	if v.hv.OnCoWBreak != nil {
@@ -297,43 +359,83 @@ func (v *VM) Release(g GFN) {
 	if !e.present {
 		return
 	}
+	pfn := mem.PFN(e.pfn)
 	if v.hv.OnEvict != nil {
-		v.hv.OnEvict(PageID{v.ID, g}, e.pfn)
+		v.hv.OnEvict(PageID{v.ID, g}, pfn)
 	}
-	v.hv.rmapRemove(e.pfn, PageID{v.ID, g})
-	v.hv.Phys.DecRef(e.pfn)
+	v.hv.rmapRemove(pfn, keyOf(PageID{v.ID, g}))
+	v.hv.Phys.DecRef(pfn)
 	*e = mapping{mergeable: e.mergeable}
 	if v.hv.OnRelease != nil {
 		v.hv.OnRelease(PageID{v.ID, g})
 	}
 }
 
-func (h *Hypervisor) rmapAdd(pfn mem.PFN, id PageID) {
-	h.rmap[pfn] = append(h.rmap[pfn], id)
+// link returns the page-table entry of the page k names.
+func (h *Hypervisor) link(k pageKey) *mapping {
+	id := k.id()
+	return &h.vms[id.VM].table[id.GFN]
 }
 
-func (h *Hypervisor) rmapRemove(pfn mem.PFN, id PageID) {
-	refs := h.rmap[pfn]
-	for i, r := range refs {
-		if r == id {
-			refs[i] = refs[len(refs)-1]
-			h.rmap[pfn] = refs[:len(refs)-1]
+// rmapAdd puts the page k names, whose entry e already holds its frame, at
+// the head of that frame's mapper list.
+func (h *Hypervisor) rmapAdd(k pageKey, e *mapping) {
+	e.next = h.heads[e.pfn]
+	h.heads[e.pfn] = k
+}
+
+// rmapRemove unlinks the page k names from the frame's mapper list.
+func (h *Hypervisor) rmapRemove(pfn mem.PFN, k pageKey) {
+	for at := &h.heads[pfn]; *at != 0; {
+		e := h.link(*at)
+		if *at == k {
+			*at = e.next
 			return
 		}
+		at = &e.next
 	}
-	panic(fmt.Sprintf("vm: rmap entry %v for frame %d missing", id, pfn))
+	panic(fmt.Sprintf("vm: rmap entry %v for frame %d missing", k.id(), pfn))
 }
 
-// Mappers returns the guest pages currently mapping the frame.
+// Mappers returns the guest pages currently mapping the frame, most
+// recently mapped first, or nil when none does.
 func (h *Hypervisor) Mappers(pfn mem.PFN) []PageID {
-	out := make([]PageID, len(h.rmap[pfn]))
-	copy(out, h.rmap[pfn])
+	var out []PageID
+	for k := h.heads[pfn]; k != 0; k = h.link(k).next {
+		out = append(out, k.id())
+	}
 	return out
 }
 
 // MapperCount reports how many guest pages currently map the frame,
 // without copying the reverse map like Mappers does.
-func (h *Hypervisor) MapperCount(pfn mem.PFN) int { return len(h.rmap[pfn]) }
+func (h *Hypervisor) MapperCount(pfn mem.PFN) int {
+	n := 0
+	for k := h.heads[pfn]; k != 0; k = h.link(k).next {
+		n++
+	}
+	return n
+}
+
+// Mapped reports whether any guest page maps the frame. Unlike MapperCount
+// it costs the same however many pages share the frame.
+func (h *Hypervisor) Mapped(pfn mem.PFN) bool { return h.heads[pfn] != 0 }
+
+// Shared reports whether more than one guest page maps the frame. Unlike
+// MapperCount it costs the same however many pages share the frame.
+func (h *Hypervisor) Shared(pfn mem.PFN) bool {
+	k := h.heads[pfn]
+	return k != 0 && h.link(k).next != 0
+}
+
+// setWriteProt sets the write protection of every mapping of the frame.
+func (h *Hypervisor) setWriteProt(pfn mem.PFN, on bool) {
+	for k := h.heads[pfn]; k != 0; {
+		e := h.link(k)
+		e.writeProt = on
+		k = e.next
+	}
+}
 
 // Resolve resolves a global page ID to its backing frame.
 func (h *Hypervisor) Resolve(id PageID) (mem.PFN, bool) {
@@ -343,9 +445,7 @@ func (h *Hypervisor) Resolve(id PageID) (mem.PFN, bool) {
 // WriteProtect write-protects every mapping of the frame and marks it CoW.
 // Same-page merging does this before the final "racing writes" comparison.
 func (h *Hypervisor) WriteProtect(pfn mem.PFN) {
-	for _, id := range h.rmap[pfn] {
-		h.vms[id.VM].entry(id.GFN).writeProt = true
-	}
+	h.setWriteProt(pfn, true)
 	h.Phys.SetCoW(pfn, true)
 }
 
@@ -353,9 +453,7 @@ func (h *Hypervisor) WriteProtect(pfn mem.PFN) {
 // clears its CoW mark — the abort path when a pre-merge verification finds
 // the candidate was raced by a guest write.
 func (h *Hypervisor) Unprotect(pfn mem.PFN) {
-	for _, id := range h.rmap[pfn] {
-		h.vms[id.VM].entry(id.GFN).writeProt = false
-	}
+	h.setWriteProt(pfn, false)
 	h.Phys.SetCoW(pfn, false)
 }
 
@@ -372,7 +470,7 @@ func (h *Hypervisor) Merge(candidate PageID, dst mem.PFN) (int, error) {
 	if !e.present {
 		return 0, ErrNotPresent
 	}
-	src := e.pfn
+	src := mem.PFN(e.pfn)
 	if src == dst {
 		return 0, nil // already merged
 	}
@@ -384,18 +482,16 @@ func (h *Hypervisor) Merge(candidate PageID, dst mem.PFN) (int, error) {
 	if !same {
 		// Leave dst protected (it is or will be a stable page); undo the
 		// candidate's protection since it is not being merged.
-		for _, id := range h.rmap[src] {
-			h.vms[id.VM].entry(id.GFN).writeProt = false
-		}
-		h.Phys.SetCoW(src, false)
+		h.Unprotect(src)
 		return n, ErrContentChanged
 	}
-	h.rmapRemove(src, candidate)
+	k := keyOf(candidate)
+	h.rmapRemove(src, k)
 	h.Phys.DecRef(src)
-	e.pfn = dst
+	e.pfn = uint32(dst)
 	e.writeProt = true
 	h.Phys.IncRef(dst)
-	h.rmapAdd(dst, candidate)
+	h.rmapAdd(k, e)
 	// Atomic: sharded scan workers merge concurrently (only ever into
 	// frames of their own content shard); the sum is order-independent.
 	atomic.AddUint64(&h.Merges, 1)
@@ -406,10 +502,10 @@ func (h *Hypervisor) Merge(candidate PageID, dst mem.PFN) (int, error) {
 // total number of guest pages mapping them; the difference is the paper's
 // "memory savings" in pages.
 func (h *Hypervisor) SharedFrames() (frames, mappers int) {
-	for _, ids := range h.rmap {
-		if len(ids) > 1 {
+	for pfn := range h.heads {
+		if h.Shared(mem.PFN(pfn)) {
 			frames++
-			mappers += len(ids)
+			mappers += h.MapperCount(mem.PFN(pfn))
 		}
 	}
 	return frames, mappers
