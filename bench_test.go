@@ -11,6 +11,7 @@ package pageforgesim
 // minutes; the cmd/pageforge binary runs the paper-scale versions.
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/dram"
@@ -570,6 +571,43 @@ func BenchmarkRuntimeStart(b *testing.B) {
 	}
 }
 
+// BenchmarkPageForgeConverge builds the paper-size pf-merge world (img_dnn,
+// 10 VMs, PageForge) and runs Start plus its convergence passes, stepping
+// until a step leaves the pass counter where it was (the step that closes
+// convergence also runs the first measurement interval). It reports the
+// live heap of the converged world, read with runtime.ReadMemStats after a
+// GC, as live-MB: the seeded boot image keeps that small, since reads do
+// not store a page's bytes.
+func BenchmarkPageForgeConverge(b *testing.B) {
+	app, cfg := *tailbench.ProfileByName("img_dnn"), platform.DefaultConfig()
+	b.ReportAllocs()
+	var live float64
+	for i := 0; i < b.N; i++ {
+		r := platform.NewRuntime(platform.PageForge, app, cfg)
+		if err := r.Start(); err != nil {
+			b.Fatal(err)
+		}
+		for {
+			pass := r.Pass()
+			done, err := r.Step()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if done || r.Pass() == pass {
+				break
+			}
+		}
+		b.StopTimer()
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		live = float64(ms.HeapAlloc) / (1 << 20)
+		runtime.KeepAlive(r)
+		b.StartTimer()
+	}
+	b.ReportMetric(live, "live-MB")
+}
+
 // BenchmarkAlgorithmESXvsKSM contrasts the two merging algorithms the
 // hardware supports (§4.2): KSM's content-indexed trees versus ESX-style
 // hash-indexed hints, on identical deployments. The metrics show the
@@ -685,8 +723,9 @@ func BenchmarkSatoriExtension(b *testing.B) {
 // BenchmarkBuildImage measures building the paper-size boot image (img_dnn,
 // 10 VMs of 1,600 pages in the platform's 10*PagesPerVM*2+1024 frames). The
 // build seeds every distinct content and generates none, so "seed" is all
-// a Baseline world pays; "read" adds a first read of every page, which
-// generates each distinct content once, as a dedup world's first pass does.
+// a Baseline world pays; "read" adds a whole-page read of every page into
+// one buffer, which generates each page's bytes from its seed and stores
+// none.
 func BenchmarkBuildImage(b *testing.B) {
 	app := *tailbench.ProfileByName("img_dnn")
 	frames := 10*app.PagesPerVM*2 + 1024
@@ -702,9 +741,10 @@ func BenchmarkBuildImage(b *testing.B) {
 				if name == "seed" {
 					continue
 				}
+				buf := make([]byte, mem.PageSize)
 				for _, v := range img.VMs {
 					for g := vm.GFN(0); int(g) < app.PagesPerVM; g++ {
-						if _, err := v.Page(g); err != nil {
+						if err := v.Read(g, 0, buf); err != nil {
 							b.Fatal(err)
 						}
 					}

@@ -46,7 +46,8 @@ type Checker struct {
 	// checker catches it; production runs leave it nil.
 	Tamper func(p platform.VerifyPoint)
 
-	hv *vm.Hypervisor
+	hv   *vm.Hypervisor
+	page []byte // the buffer checkContents reads each page into
 	// saved holds the shadow-model clones taken at platform checkpoints
 	// (keyed by pass; -1 = boot), so crash restores can rewind the reference
 	// alongside the machine. See crash.go.
@@ -57,6 +58,7 @@ type Checker struct {
 func (c *Checker) BeginRun(mode platform.Mode, img *tailbench.Image) {
 	c.Mode = mode
 	c.hv = img.HV
+	c.page = make([]byte, mem.PageSize)
 	if c.Model == nil {
 		c.Model = NewModel()
 	}
@@ -107,7 +109,8 @@ func (c *Checker) checkContents() error {
 	return c.eachPresent(func(id vm.PageID, pfn mem.PFN) error {
 		c.Counters.ContentChecks++
 		want := c.Model.Expected(id)
-		got := c.hv.Phys.Page(pfn)
+		got := c.page
+		c.hv.Phys.ReadAt(pfn, 0, got)
 		if want == nil {
 			return fmt.Errorf("invariant 1: page %v present but unknown to the model", id)
 		}

@@ -45,7 +45,7 @@ func (m *Model) Attach(hv *vm.Hypervisor) {
 				continue
 			}
 			page := make([]byte, mem.PageSize)
-			copy(page, hv.Phys.Page(pfn))
+			hv.Phys.ReadAt(pfn, 0, page)
 			m.shadow[vm.PageID{VM: i, GFN: g}] = page
 		}
 	}

@@ -10,7 +10,10 @@
 // memory-intensive phase of page deduplication).
 package dram
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Source attributes DRAM traffic for bandwidth accounting.
 type Source int
@@ -111,6 +114,10 @@ type DRAM struct {
 	cfg   Config
 	banks [][]bank // [channel][rank*banksPerRank]
 	chans []channel
+	// dec holds Decode's shifts and masks when every dimension it divides
+	// by is a power of two (pow2); other geometries divide.
+	dec  decoder
+	pow2 bool
 
 	Stats Stats
 	// windows[src] maps window index -> bytes transferred in that window.
@@ -127,6 +134,7 @@ func New(cfg Config) *DRAM {
 		panic(fmt.Sprintf("dram: bad config %+v", cfg))
 	}
 	d := &DRAM{cfg: cfg, chans: make([]channel, cfg.Channels)}
+	d.dec, d.pow2 = newDecoder(cfg)
 	for c := 0; c < cfg.Channels; c++ {
 		banks := make([]bank, cfg.RanksPerChan*cfg.BanksPerRank)
 		for i := range banks {
@@ -152,7 +160,24 @@ type Geometry struct {
 // Decode maps a physical address to channel/bank/row. Consecutive lines
 // interleave across channels first, then across banks, so streams spread
 // over the whole memory system (the interleaving the paper describes).
+// Power-of-two geometries, DefaultConfig's among them, decode with shifts
+// and masks; the result is the division form's (decodeDiv) either way.
 func (d *DRAM) Decode(addr uint64) Geometry {
+	if !d.pow2 {
+		return d.decodeDiv(addr)
+	}
+	k := &d.dec
+	lineN := addr >> k.lineShift
+	rest := lineN >> k.chanShift
+	return Geometry{
+		Channel: int(lineN & k.chanMask),
+		Bank:    int(rest & k.bankMask),
+		Row:     int64(rest >> k.bankShift >> k.rowShift),
+	}
+}
+
+// decodeDiv is Decode by division, for any geometry.
+func (d *DRAM) decodeDiv(addr uint64) Geometry {
 	lineN := addr / uint64(d.cfg.LineBytes)
 	ch := int(lineN % uint64(d.cfg.Channels))
 	rest := lineN / uint64(d.cfg.Channels)
@@ -161,6 +186,32 @@ func (d *DRAM) Decode(addr uint64) Geometry {
 	rowInBank := rest / banksPerChan
 	linesPerRow := uint64(d.cfg.RowBytes / d.cfg.LineBytes)
 	return Geometry{Channel: ch, Bank: bankIdx, Row: int64(rowInBank / linesPerRow)}
+}
+
+// decoder is Decode's shift-and-mask form of a power-of-two geometry.
+type decoder struct {
+	lineShift, chanShift, bankShift, rowShift uint
+	chanMask, bankMask                        uint64
+}
+
+// newDecoder builds the shift-and-mask decoder of cfg, reporting false when
+// a dimension Decode divides by is not a power of two.
+func newDecoder(cfg Config) (decoder, bool) {
+	dims := [4]int{cfg.LineBytes, cfg.Channels, cfg.RanksPerChan * cfg.BanksPerRank, 0}
+	if cfg.LineBytes > 0 {
+		dims[3] = cfg.RowBytes / cfg.LineBytes
+	}
+	var sh [4]uint
+	for i, n := range dims {
+		if n <= 0 || n&(n-1) != 0 {
+			return decoder{}, false
+		}
+		sh[i] = uint(bits.TrailingZeros(uint(n)))
+	}
+	return decoder{
+		lineShift: sh[0], chanShift: sh[1], bankShift: sh[2], rowShift: sh[3],
+		chanMask: uint64(dims[1]) - 1, bankMask: uint64(dims[2]) - 1,
+	}, true
 }
 
 // Access services one line-sized request arriving at cycle now and returns

@@ -181,3 +181,41 @@ func TestBadConfigPanics(t *testing.T) {
 	}()
 	New(Config{})
 }
+
+// TestDecodeShiftMatchesDivision compares Decode with its division form on
+// power-of-two geometries, which decode with shifts and masks, and on
+// geometries with a dimension that is not a power of two, which must fall
+// back to division, over low, random and top-of-range addresses.
+func TestDecodeShiftMatchesDivision(t *testing.T) {
+	geometries := []struct {
+		name string
+		pow2 bool
+		edit func(*Config)
+	}{
+		{"default", true, func(*Config) {}},
+		{"one channel", true, func(c *Config) { c.Channels = 1 }},
+		{"wide", true, func(c *Config) { c.Channels, c.RanksPerChan, c.RowBytes = 4, 2, 2<<10 }},
+		{"three channels", false, func(c *Config) { c.Channels = 3 }},
+		{"six banks", false, func(c *Config) { c.BanksPerRank = 6 }},
+		{"odd row", false, func(c *Config) { c.RowBytes = 3 << 10 }},
+		{"48B lines", false, func(c *Config) { c.LineBytes = 48 }},
+	}
+	rng := sim.NewRNG(5)
+	for _, g := range geometries {
+		cfg := DefaultConfig()
+		g.edit(&cfg)
+		d := New(cfg)
+		if d.pow2 != g.pow2 {
+			t.Fatalf("%s: shift-and-mask decoder %v, want %v", g.name, d.pow2, g.pow2)
+		}
+		addrs := []uint64{0, 63, 64, 8191, 8192, 1 << 34, ^uint64(0), ^uint64(0) - 4095}
+		for i := 0; i < 2000; i++ {
+			addrs = append(addrs, rng.Uint64()>>uint(rng.Intn(40)))
+		}
+		for _, a := range addrs {
+			if got, want := d.Decode(a), d.decodeDiv(a); got != want {
+				t.Fatalf("%s: Decode(%#x) = %+v, division gives %+v", g.name, a, got, want)
+			}
+		}
+	}
+}

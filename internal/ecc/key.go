@@ -82,13 +82,21 @@ func NewKeyAssembler(offsets KeyOffsets) *KeyAssembler {
 // Observe records the ECC code of the page line with index lineIdx (0..63).
 // It returns true if the observation completed the key.
 func (a *KeyAssembler) Observe(lineIdx int, code LineCode) bool {
-	s := lineIdx / LinesPerSection
-	if s < 0 || s >= Sections || a.offsets.LineIndex(s) != lineIdx || a.have[s] {
+	if !a.Wants(lineIdx) {
 		return a.Ready()
 	}
+	s := lineIdx / LinesPerSection
 	a.key |= uint32(code.Minikey()) << (8 * s)
 	a.have[s] = true
 	return a.Ready()
+}
+
+// Wants reports whether the line with index lineIdx would complete a
+// minikey the key still lacks: the one check a caller needs before it pays
+// for the line's code.
+func (a *KeyAssembler) Wants(lineIdx int) bool {
+	s := lineIdx / LinesPerSection
+	return s >= 0 && s < Sections && a.offsets.LineIndex(s) == lineIdx && !a.have[s]
 }
 
 // Ready reports whether all four minikeys have been observed.

@@ -2,6 +2,7 @@ package ecc
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -215,5 +216,29 @@ func TestKeyOffsetsLineIndex(t *testing.T) {
 		if got := o.LineIndex(s); got != w {
 			t.Errorf("LineIndex(%d) = %d, want %d", s, got, w)
 		}
+	}
+}
+
+// TestKeyAssemblerWantsMissingLines checks Wants against Missing: across a
+// random observation order, a line is wanted exactly when Missing lists
+// it, so a caller that encodes only wanted lines builds the same key.
+func TestKeyAssemblerWantsMissingLines(t *testing.T) {
+	r := sim.NewRNG(9)
+	page := make([]byte, PageSize)
+	r.FillBytes(page)
+	a := NewKeyAssembler(KeyOffsets{0, 15, 7, 3})
+	for _, li := range append([]int{-1, PageSize / LineSize}, r.Perm(PageSize/LineSize)...) {
+		missing := a.Missing(nil)
+		for idx := -1; idx <= PageSize/LineSize; idx++ {
+			if want := slices.Contains(missing, idx); a.Wants(idx) != want {
+				t.Fatalf("Wants(%d) = %v, but Missing is %v", idx, !want, missing)
+			}
+		}
+		if li >= 0 && li < PageSize/LineSize && a.Wants(li) {
+			a.Observe(li, EncodeLine(page[li*LineSize:(li+1)*LineSize]))
+		}
+	}
+	if !a.Ready() || a.Key() != PageKey(page, KeyOffsets{0, 15, 7, 3}) {
+		t.Fatal("observing only wanted lines did not build the page key")
 	}
 }

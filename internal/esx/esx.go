@@ -70,13 +70,14 @@ type Table struct {
 	shared map[uint64][]mem.PFN // buckets: hash collisions are possible
 	order  []vm.PageID
 	curs   int
+	page   []byte // the buffer pages are read into for hashing
 
 	Stats Stats
 }
 
 // New builds the algorithm state; cmp decides the comparison engine.
 func New(hv *vm.Hypervisor, cmp Comparer) *Table {
-	t := &Table{HV: hv, Cmp: cmp, hints: make(map[uint64]hint), shared: make(map[uint64][]mem.PFN)}
+	t := &Table{HV: hv, Cmp: cmp, hints: make(map[uint64]hint), shared: make(map[uint64][]mem.PFN), page: make([]byte, mem.PageSize)}
 	t.RefreshOrder()
 	return t
 }
@@ -101,6 +102,13 @@ func (t *Table) SharedFrames() int {
 	return n
 }
 
+// pageHash hashes the frame's bytes, read into the table's buffer so that
+// a seeded frame is not materialized.
+func (t *Table) pageHash(pfn mem.PFN) uint64 {
+	t.HV.Phys.ReadAt(pfn, 0, t.page)
+	return PageHash64(t.page)
+}
+
 // ScanOne processes the next page in the scan order.
 func (t *Table) ScanOne() (merged bool, ok bool) {
 	if len(t.order) == 0 {
@@ -119,7 +127,7 @@ func (t *Table) ScanOne() (merged bool, ok bool) {
 		return false, true // already a shared frame
 	}
 
-	h := PageHash64(t.HV.Phys.Page(pfn))
+	h := t.pageHash(pfn)
 	t.Stats.BytesHashed += mem.PageSize
 
 	// 1. Try the shared frames with this hash.
@@ -144,7 +152,7 @@ func (t *Table) ScanOne() (merged bool, ok bool) {
 		if hpfn, live := t.HV.Resolve(hn.id); live && hpfn == hn.pfn {
 			// Re-hash the hint page: it is not write-protected.
 			t.Stats.BytesHashed += mem.PageSize
-			if PageHash64(t.HV.Phys.Page(hpfn)) == h {
+			if t.pageHash(hpfn) == h {
 				match, bytes := t.Cmp.SamePage(pfn, []mem.PFN{hpfn})
 				t.Stats.Comparisons++
 				t.Stats.BytesCompared += uint64(bytes)

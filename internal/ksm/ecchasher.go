@@ -18,3 +18,6 @@ func (h ECCHasher) PageKey(page []byte) uint32 { return ecc.PageKey(page, h.Offs
 
 // BytesRead implements Hasher: four 64B lines.
 func (h ECCHasher) BytesRead() int { return ecc.Sections * ecc.LineSize }
+
+// Span implements Hasher: the page up to the end of the last sampled line.
+func (h ECCHasher) Span() int { return (h.Offsets.LineIndex(ecc.Sections-1) + 1) * ecc.LineSize }

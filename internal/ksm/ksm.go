@@ -27,9 +27,12 @@ import (
 // Hasher computes the per-page hash key KSM uses to detect page changes
 // between passes, and reports the number of page bytes a computation reads
 // (the "memory footprint" of key generation the paper compares in §6.2).
+// PageKey reads only the first Span bytes of its PageSize-byte page, so
+// HashCheck fills no more than that.
 type Hasher interface {
 	PageKey(page []byte) uint32
 	BytesRead() int
+	Span() int
 }
 
 // JHasher is KSM's hash: jhash2 over the first 1KB of the page.
@@ -40,6 +43,9 @@ func (JHasher) PageKey(page []byte) uint32 { return hash.PageHash(page) }
 
 // BytesRead implements Hasher: jhash reads 1KB of consecutive page data.
 func (JHasher) BytesRead() int { return hash.KSMDigestBytes }
+
+// Span implements Hasher: the 1KB jhash reads is the page's first.
+func (JHasher) Span() int { return hash.KSMDigestBytes }
 
 // rmapItem is KSM's per-mergeable-page tracking state.
 type rmapItem struct {
@@ -103,6 +109,12 @@ type Algorithm struct {
 
 	stale []*rbtree.Node // EndPass's prune buffer, reused every pass
 
+	// hashBufs[shard] is the page buffer HashCheck reads a candidate of
+	// that shard into, made on the shard's first check. A shard's
+	// candidates are checked by one worker at a time, so its buffer is
+	// never shared.
+	hashBufs [][]byte
+
 	Stats Stats
 }
 
@@ -134,6 +146,7 @@ func NewAlgorithmSharded(hv *vm.Hypervisor, h Hasher, shardBits int) *Algorithm 
 		pass:      1,
 		shardBits: shardBits,
 		maxCmp:    make([]int, n),
+		hashBufs:  make([][]byte, n),
 	}
 	mk := func(shard int) *rbtree.Tree {
 		return rbtree.New(func(x, y mem.PFN) (int, int) {
@@ -159,7 +172,9 @@ func (a *Algorithm) ShardOf(pfn mem.PFN) int {
 	if a.shardBits == 0 {
 		return 0
 	}
-	key := binary.BigEndian.Uint64(a.HV.Phys.Page(pfn)[:8])
+	var prefix [8]byte
+	a.HV.Phys.ReadAt(pfn, 0, prefix[:])
+	key := binary.BigEndian.Uint64(prefix[:])
 	return int(key >> (64 - uint(a.shardBits)))
 }
 
@@ -309,13 +324,22 @@ func (a *Algorithm) recordKey(it *rmapItem, key uint32) HashOutcome {
 
 // HashCheck computes the candidate's hash key and compares it with the key
 // from the previous pass, recording the new key either way. Only HashSame
-// permits the unstable-tree search. It also reports the bytes hashed.
+// permits the unstable-tree search. It also reports the bytes hashed. The
+// key is computed over the hasher's Span of the page, read into the
+// candidate's shard buffer, so a seeded page is never materialized.
 func (a *Algorithm) HashCheck(id vm.PageID) (HashOutcome, int) {
 	pfn, ok := a.HV.Resolve(id)
 	if !ok {
 		return HashChanged, 0
 	}
-	key := a.Hasher.PageKey(a.HV.Phys.Page(pfn))
+	shard := a.ShardOf(pfn)
+	buf := a.hashBufs[shard]
+	if buf == nil {
+		buf = make([]byte, mem.PageSize)
+		a.hashBufs[shard] = buf
+	}
+	a.HV.Phys.ReadAt(pfn, 0, buf[:a.Hasher.Span()])
+	key := a.Hasher.PageKey(buf)
 	return a.recordKey(a.item(id), key), a.Hasher.BytesRead()
 }
 

@@ -157,23 +157,31 @@ func TestScanPassBitIdenticalToSequential(t *testing.T) {
 	}
 }
 
-// TestScanPassFirstReadsSharded runs a sharded pass as the very first
-// pass over a freshly built image, whose pages are seeded and not yet
-// generated, and requires the state ScanPass(1) reaches. Under -race it
-// fails if a worker generates a page.
+// TestScanPassFirstReadsSharded runs sharded passes as the first two
+// passes over a freshly built image, whose nonzero pages are all seeded
+// (the first only hashes; the second merges), and requires the state
+// ScanPass(1) reaches, with no page materialized: the passes answer every
+// compare and hash from the seeds. Under -race it fails if a worker's
+// seeded read writes shared state.
 func TestScanPassFirstReadsSharded(t *testing.T) {
 	one := buildDupWorld(t, 3)
 	par := buildDupWorld(t, 3)
-	if n := par.Alg.HV.Phys.GeneratedPages(); n != 0 {
-		t.Fatalf("%d pages generated before the first pass; the test would read no seeded page", n)
+	phys := par.Alg.HV.Phys
+	if n := phys.StoreBytes(); n != 0 {
+		t.Fatalf("the image stores %d bytes before the first pass; the test would read no seeded page", n)
 	}
-	one.ScanPass(1)
-	par.ScanPass(2)
+	for pass := 0; pass < 2; pass++ {
+		one.ScanPass(1)
+		par.ScanPass(2)
+	}
 	if so, sp := snapshot(one), snapshot(par); !reflect.DeepEqual(so, sp) {
-		t.Fatalf("first ScanPass(2) diverged from ScanPass(1)\none: %+v\npar: %+v", so, sp)
+		t.Fatalf("first two ScanPass(2) diverged from ScanPass(1)\none: %+v\npar: %+v", so, sp)
 	}
-	if par.Alg.HV.Phys.GeneratedPages() == 0 {
-		t.Fatal("first pass read no seeded page — test exercised nothing")
+	if par.Alg.HV.Merges == 0 {
+		t.Fatal("first two passes merged nothing — test exercised nothing")
+	}
+	if n, b := phys.MaterializedPages(), phys.StoreBytes(); n != 0 || b != 0 {
+		t.Fatalf("first two passes materialized %d pages and stores %d bytes, want none", n, b)
 	}
 }
 

@@ -160,9 +160,10 @@ func TestComparePageZeroAlloc(t *testing.T) {
 // TestPhysHotPathsZeroAlloc pins the per-line and per-compare paths as
 // allocation-free once the frames hold private slots: ReadLine, SamePage
 // and ComparePage on distinct and on shared slots, and WriteAt into a
-// frame whose slot it already owns.
+// frame whose slot it already owns; and on seeded frames, ReadLine once
+// its cache exists, compares and ReadAt.
 func TestPhysHotPathsZeroAlloc(t *testing.T) {
-	p := New(4 * PageSize)
+	p := New(6 * PageSize)
 	a, _ := p.Alloc()
 	b, _ := p.Alloc()
 	c, _ := p.Alloc()
@@ -172,7 +173,11 @@ func TestPhysHotPathsZeroAlloc(t *testing.T) {
 	pg[PageSize-1] ^= 1
 	p.WriteAt(b, 0, pg)
 	p.CopyPage(c, a)
+	d, _ := p.Alloc()
+	e, _ := p.Alloc()
+	p.SeedPages([]PFN{d, e}, []uint64{1, 2})
 	line := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	buf := make([]byte, PageSize)
 	for _, tc := range []struct {
 		name string
 		fn   func()
@@ -183,6 +188,10 @@ func TestPhysHotPathsZeroAlloc(t *testing.T) {
 		{"SamePage/shared", func() { p.SamePage(a, c) }},
 		{"ComparePage/shared", func() { p.ComparePage(c, a) }},
 		{"WriteAt/private", func() { p.WriteAt(b, 40, line) }},
+		{"ReadLine/seeded", func() { p.ReadLine(d, 40); p.ReadLine(e, 40) }},
+		{"ComparePage/seeded", func() { p.ComparePage(d, e) }},
+		{"SamePage/seeded-stored", func() { p.SamePage(a, d) }},
+		{"ReadAt/seeded", func() { p.ReadAt(e, 8, buf[8:]) }},
 	} {
 		if n := testing.AllocsPerRun(100, tc.fn); n != 0 {
 			t.Errorf("%s: %v allocs per call, want 0", tc.name, n)

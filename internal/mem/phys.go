@@ -15,9 +15,22 @@
 // long as an allocated frame points at it: freeing a frame releases its
 // slot and puts it on the zero page, and released slots are recycled
 // through a freelist, so the store is bounded by the distinct pages the
-// allocated frames hold. A slot handed out by SeedPages holds a seed
-// instead of bytes: its generator writes them the first time anything
-// reads the slot, so contents nothing reads are never built.
+// allocated frames hold.
+//
+// A frame can also point at a seed instead of a slot (SeedPages): it then
+// reads as the page FillPage generates from the seed, and no store slot
+// holds its bytes. Reads answer seeded frames from their seeds, into
+// storage the reader owns, and no read stores them: ReadAt into the
+// caller's buffer; ReadLine from a small cache of partly generated pages;
+// SamePage and ComparePage by generating only the windows they compare,
+// starting past both pages' zero prefixes; IsZero from the seed's zero
+// prefix; ContentKey and State from the generator's stream. A seeded frame
+// materializes — moves into a fresh slot of its own that its bytes are
+// generated into — only when a partial write (WriteAt of less than a
+// whole page) or a Page view needs its bytes stored; a whole-page write
+// drops the seed. The generator is pure: FillPage(dst, seed, off) writes
+// any range of the page, equal seeds give equal pages, and it reports the
+// page's exact zero prefix, so concurrent readers may read seeds at once.
 //
 // The per-frame bookkeeping is flat and holds no pointers, so the garbage
 // collector has nothing in it to scan: a 12-byte Frame and a 4-byte slot
@@ -26,8 +39,8 @@
 //
 // All mutation goes through Phys methods: Alloc, AllocForCopy, CopyPage,
 // WriteAt, SeedPages and SetState. Page and ReadLine return read-only
-// views that stay valid until the next write to that frame (see DESIGN.md
-// §10 for the store's rules).
+// views that stay valid until the next write to that frame, and ReadAt
+// copies bytes out (see DESIGN.md §10 for the store's rules).
 package mem
 
 import (
@@ -91,7 +104,9 @@ type Frame struct {
 	refs  int32 // number of guest mappings pointing at this frame
 	cow   bool  // write-protected shared frame (merged or pre-CoW)
 	dirty bool  // bytes may be nonzero from a previous owner
-	slot  int32 // slot holding the frame's bytes; zeroSlot for all zeroes
+	// slot holds the frame's bytes: zeroSlot for all zeroes, s >= 1 for
+	// store slot s, and -k for seed k, whose bytes are never stored.
+	slot int32
 }
 
 // Refs reports the number of mappings sharing the frame.
@@ -121,23 +136,25 @@ type Phys struct {
 	// window, point at a real slot; every other free frame is on the zero
 	// page. Slots below nextSlot with no referencing frame are on
 	// freeSlots; slots from nextSlot up have never been used and are zero.
+	// Every slot handed out is backed and holds bytes.
 	chunks    [][]byte
 	slotRefs  []int32
 	freeSlots []int32
 	nextSlot  int32
 
-	// Seeded slots. seeded[s] marks a referenced slot whose bytes gen has
-	// not written yet; seeds[s] is what it will write them from. SeedPages
-	// grows both to cover the slots it hands out, and they are dropped once
-	// no slot is seeded, so a slot past their end is not seeded. unread
-	// counts the seeded slots, so that once all are generated a read costs
-	// one branch. A seeded slot's chunk may be unbacked; every other
-	// referenced slot's is backed.
-	seeded    []bool
-	seeds     []uint64
-	unread    int
-	gen       func(pg []byte, seed uint64)
-	generated uint64
+	// The seed table. Seed k >= 1 stands for the page FillPage writes from
+	// seeds[k], shared by the seedRefs[k] frames pointing at -k, and nseeds
+	// counts the seeds some frame points at. Seeds are numbered from the
+	// end of the table and not recycled: the table is dropped once no frame
+	// points at a seed. materialized counts the seeded frames given stored
+	// bytes (own).
+	seeds        []uint64
+	seedRefs     []int32
+	nseeds       int
+	materialized uint64
+
+	// lines serves ReadLine on seeded frames; nil until the first such read.
+	lines *lineCache
 
 	allocated int
 	peak      int
@@ -216,66 +233,25 @@ func (p *Phys) PeakFrames() int { return p.peak }
 // FreeFrames reports the number of frames available for allocation.
 func (p *Phys) FreeFrames() int { return p.nfree }
 
-// LiveSlots reports the slots holding bytes for some frame: the shared
-// zero page plus every real slot a frame points at.
-func (p *Phys) LiveSlots() int { return 1 + int(p.nextSlot-1) - len(p.freeSlots) }
+// LiveSlots reports the distinct contents the store keeps for its frames:
+// the shared zero page, every real slot a frame points at, and every seed
+// a frame points at.
+func (p *Phys) LiveSlots() int { return 1 + int(p.nextSlot-1) - len(p.freeSlots) + p.nseeds }
 
-// GeneratedPages reports how many seeded slots have had their bytes
-// generated. It is host bookkeeping, like LiveSlots: no simulated value or
-// PhysState byte depends on it.
-func (p *Phys) GeneratedPages() uint64 { return p.generated }
+// MaterializedPages reports how many times a seeded frame was given stored
+// bytes: by a partial write, or by a Page view. Reads never materialize.
+// It is host bookkeeping, like LiveSlots: no simulated value or PhysState
+// byte depends on it.
+func (p *Phys) MaterializedPages() uint64 { return p.materialized }
 
-// window returns slot s's bytes, generating them first if s is seeded.
-// Page, SamePage and ComparePage repeat its test inline, so that once every
-// seeded slot is generated a read costs one predictable branch and keeps
-// view inlined.
-func (p *Phys) window(s int32) []byte {
-	if p.unread != 0 {
-		p.ready(s)
+// StoreBytes reports the bytes of the backed store chunks: what holding
+// the frames' stored contents costs the host.
+func (p *Phys) StoreBytes() int {
+	n := 0
+	for _, c := range p.chunks {
+		n += len(c)
 	}
-	return p.view(s)
-}
-
-// ready generates slot s's bytes if s is seeded.
-func (p *Phys) ready(s int32) {
-	if p.isSeeded(s) {
-		p.generate(s)
-	}
-}
-
-// isSeeded reports whether slot s holds a seed in place of bytes.
-func (p *Phys) isSeeded(s int32) bool { return int(s) < len(p.seeded) && p.seeded[s] }
-
-// generate has gen write seeded slot s's bytes. Deferred-free workers read
-// the store concurrently, so BeginDeferredFrees generates every seeded slot
-// before they start, and generating inside the window panics.
-func (p *Phys) generate(s int32) {
-	if p.deferFrees {
-		panic(fmt.Sprintf("mem: seeded slot %d read inside a deferred-free window", s))
-	}
-	seed := p.seeds[s]
-	p.unseed(s)
-	p.back(s)
-	p.gen(p.view(s), seed)
-	p.generated++
-}
-
-// generateAll generates every seeded slot, in slot order.
-func (p *Phys) generateAll() {
-	for s := int32(1); p.unread != 0; s++ {
-		p.ready(s)
-	}
-}
-
-// unseed drops slot s's seed, if it has one, without generating its bytes.
-// Dropping the last seed drops the seed arrays.
-func (p *Phys) unseed(s int32) {
-	if p.unread != 0 && p.isSeeded(s) {
-		p.seeded[s] = false
-		if p.unread--; p.unread == 0 {
-			p.seeded, p.seeds = nil, nil
-		}
-	}
+	return n
 }
 
 // back backs slot s's chunk if it is not yet, reporting whether it was
@@ -289,9 +265,9 @@ func (p *Phys) back(s int32) bool {
 	return true
 }
 
-// view returns slot s's bytes as they are; s's chunk must be backed. The
-// three-index slice caps the view at the slot boundary, so an erroneous
-// append can never spill into a neighbouring slot.
+// view returns stored slot s's bytes (s >= 0). The three-index slice caps
+// the view at the slot boundary, so an erroneous append can never spill
+// into a neighbouring slot.
 func (p *Phys) view(s int32) []byte {
 	if s == zeroSlot {
 		return zeroPage[:]
@@ -307,62 +283,77 @@ func (p *Phys) chunkLen(i int) int {
 	return min(chunkSlots, len(p.frames)-i*chunkSlots) * PageSize
 }
 
-// takeSlot hands out an unreferenced slot, preferring a recycled one,
-// without backing its chunk.
-func (p *Phys) takeSlot() int32 {
+// newSlot hands out an unreferenced slot with its chunk backed, preferring
+// a recycled one. A recycled slot holds a previous owner's bytes; zeroed
+// asks for them to be cleared. Every other slot is zero already.
+func (p *Phys) newSlot(zeroed bool) int32 {
 	if n := len(p.freeSlots); n > 0 {
 		s := p.freeSlots[n-1]
 		p.freeSlots = p.freeSlots[:n-1]
+		if zeroed {
+			clear(p.view(s))
+		}
 		return s
 	}
+	s := p.nextSlot
 	p.nextSlot++
-	return p.nextSlot - 1
-}
-
-// newSlot hands out an unreferenced slot with its chunk backed. A recycled
-// slot in a chunk backed earlier holds a previous owner's bytes; zeroed
-// asks for them to be cleared. Every other slot is zero already.
-func (p *Phys) newSlot(zeroed bool) int32 {
-	recycled := len(p.freeSlots) > 0
-	s := p.takeSlot()
-	if !p.back(s) && recycled && zeroed {
-		clear(p.view(s))
-	}
+	p.back(s)
 	return s
 }
 
-// release drops a frame reference from slot s, recycling it at zero and
-// dropping its seed, if any, ungenerated.
-func (p *Phys) release(s int32) {
-	if s == zeroSlot {
-		return
+// seed returns the seed a frame pointing at s < 0 reads from.
+func (p *Phys) seed(s int32) uint64 { return p.seeds[-s] }
+
+// retain adds a frame reference to s.
+func (p *Phys) retain(s int32) {
+	switch {
+	case s > 0:
+		p.slotRefs[s]++
+	case s < 0:
+		p.seedRefs[-s]++
 	}
-	if p.slotRefs[s]--; p.slotRefs[s] == 0 {
-		p.unseed(s)
-		p.freeSlots = append(p.freeSlots, s)
+}
+
+// release drops a frame reference from s, recycling a slot nothing points
+// at any more. Dropping the last reference to the last seed drops the seed
+// table.
+func (p *Phys) release(s int32) {
+	switch {
+	case s > 0:
+		if p.slotRefs[s]--; p.slotRefs[s] == 0 {
+			p.freeSlots = append(p.freeSlots, s)
+		}
+	case s < 0:
+		if p.seedRefs[-s]--; p.seedRefs[-s] == 0 {
+			if p.nseeds--; p.nseeds == 0 {
+				p.seeds, p.seedRefs = nil, nil
+			}
+		}
 	}
 }
 
 // own gives frame f a slot no other frame points at and returns its
 // window for writing. keep preserves the frame's bytes; without it the
-// caller must overwrite the whole window, so a seed is dropped ungenerated.
+// caller must overwrite the whole window. A seeded frame moves into a
+// fresh slot either way, so the chunk it lands in holds only stored pages;
+// keeping its bytes generates them there and counts a materialization.
 func (p *Phys) own(f *Frame, keep bool) []byte {
 	old := f.slot
-	if old != zeroSlot && p.slotRefs[old] == 1 {
-		if !keep {
-			p.unseed(old)
-			p.back(old)
-		}
-		return p.window(old)
+	if old > 0 && p.slotRefs[old] == 1 {
+		return p.view(old)
 	}
 	s := p.newSlot(keep && old == zeroSlot)
 	p.slotRefs[s] = 1
-	if keep && old != zeroSlot {
-		copy(p.window(s), p.window(old))
+	switch {
+	case keep && old > 0:
+		copy(p.view(s), p.view(old))
+	case keep && old < 0:
+		FillPage(p.view(s), p.seed(old), 0)
+		p.materialized++
 	}
 	p.release(old)
 	f.slot = s
-	return p.window(s)
+	return p.view(s)
 }
 
 // take removes the lowest free frame from the free set and marks it
@@ -479,12 +470,9 @@ func (p *Phys) DecRef(pfn PFN) {
 // BeginDeferredFrees switches DecRef to park fully-released frames on a
 // pending list instead of the free set. A parallel scan pass brackets its
 // workers with Begin/EndDeferredFrees so the slot freelist stays canonical.
-// Workers read the store concurrently, so every seeded slot is generated
-// first, here on the calling goroutine.
-func (p *Phys) BeginDeferredFrees() {
-	p.generateAll()
-	p.deferFrees = true
-}
+// Workers may read seeded frames concurrently: SamePage, ComparePage,
+// ReadAt, IsZero and ContentKey read a seed without writing anything.
+func (p *Phys) BeginDeferredFrees() { p.deferFrees = true }
 
 // EndDeferredFrees releases the pending frames' slots in ascending PFN
 // order, so the slot freelist never depends on the order workers freed
@@ -511,29 +499,110 @@ func (p *Phys) SetCoW(pfn PFN, cow bool) { p.frame(pfn).cow = cow }
 // boundary. The view may be shared with other frames holding the same
 // bytes, so nothing may write through it; it stays valid until the next
 // write to the frame (WriteAt, CopyPage into it, SeedPages, the DecRef
-// that frees it, or SetState).
+// that frees it, or SetState). A view needs stored bytes, so a seeded
+// frame materializes: it moves into a slot of its own, which its bytes are
+// generated into, a write to the store that concurrent readers must not
+// race. Readers that only need the bytes use ReadAt, which never
+// materializes.
 func (p *Phys) Page(pfn PFN) []byte {
-	s := p.frame(pfn).slot
-	if p.unread != 0 {
-		p.ready(s)
+	f := p.frame(pfn)
+	if f.slot < 0 {
+		p.own(f, true)
 	}
-	return p.view(s)
+	return p.view(f.slot)
+}
+
+// ReadAt copies the frame's bytes [off, off+len(dst)) into dst. A seeded
+// frame's bytes are generated into dst from its seed, and nothing is
+// stored, so ReadAt is safe to call from concurrent readers. A range that
+// does not fit the page panics.
+func (p *Phys) ReadAt(pfn PFN, off int, dst []byte) {
+	s := p.frame(pfn).slot
+	if off < 0 || len(dst) > PageSize-off {
+		panic(fmt.Sprintf("mem: read of %d bytes at offset %d overruns frame %d", len(dst), off, pfn))
+	}
+	if s >= 0 {
+		copy(dst, p.view(s)[off:])
+		return
+	}
+	g := newPageGen(p.seed(s))
+	g.readAt(dst, off)
 }
 
 // ReadLine returns a read-only view of the i-th 64B line of the frame,
-// under the same rules as Page.
+// under the same rules as Page, without materializing a seeded frame: its
+// line comes from a small cache of partly generated pages that the store
+// owns. A view of a seeded line stays valid until lineCacheSize-1 other
+// seeds have been read through ReadLine, so a caller may hold the lines of
+// two frames at once. The cache makes ReadLine of a seeded frame unsafe
+// for concurrent use.
 func (p *Phys) ReadLine(pfn PFN, i int) []byte {
 	if i < 0 || i >= LinesPerPage {
 		panic(fmt.Sprintf("mem: line index %d out of range", i))
 	}
-	return p.Page(pfn)[i*LineSize : (i+1)*LineSize]
+	s := p.frame(pfn).slot
+	if s < 0 {
+		return p.seededLine(p.seed(s), i)
+	}
+	return p.view(s)[i*LineSize : (i+1)*LineSize]
+}
+
+// lineCacheSize is the number of partly generated pages ReadLine keeps.
+const lineCacheSize = 4
+
+// lineCache holds the pages ReadLine generated last, each as far as a
+// line was asked of it, least recently used first out.
+type lineCache struct {
+	clock   uint64
+	entries [lineCacheSize]struct {
+		seed uint64
+		used uint64 // clock at the last read; 0 for an empty entry
+		gen  pageGen
+		pg   [PageSize]byte // bytes [0, gen.pos) generated
+	}
+}
+
+// seededLine returns line i of seed's page from the line cache. A page
+// that is read further than it was generated is extended to at least
+// twice its generated length, so a lockstep walk down the page generates
+// it in a handful of steps.
+func (p *Phys) seededLine(seed uint64, i int) []byte {
+	c := p.lines
+	if c == nil {
+		c = new(lineCache)
+		p.lines = c
+	}
+	c.clock++
+	victim := 0
+	for k := range c.entries {
+		e := &c.entries[k]
+		if e.used != 0 && e.seed == seed {
+			victim = k
+			break
+		}
+		if e.used < c.entries[victim].used {
+			victim = k
+		}
+	}
+	e := &c.entries[victim]
+	if e.used == 0 || e.seed != seed {
+		e.seed, e.gen = seed, newPageGen(seed)
+	}
+	e.used = c.clock
+	end := (i + 1) * LineSize
+	if e.gen.pos < end {
+		to := min(max(end, 2*e.gen.pos), PageSize)
+		e.gen.fill(e.pg[e.gen.pos:to])
+	}
+	return e.pg[i*LineSize : end : end]
 }
 
 // WriteAt stores src in the frame at byte offset off. A frame that shares
-// its slot with other frames, or sits on the zero page, gets a private
-// slot first. Writing zeroes over a whole page, or onto the zero page,
-// just points the frame at the zero page. A write that does not fit the
-// page panics: callers own their bounds.
+// its slot with other frames, sits on the zero page or is seeded gets a
+// private slot first; a partial write over a seeded frame materializes it.
+// Writing zeroes over a whole page, or onto the zero page, just points the
+// frame at the zero page. A write that does not fit the page panics:
+// callers own their bounds.
 func (p *Phys) WriteAt(pfn PFN, off int, src []byte) {
 	f := p.frame(pfn)
 	if off < 0 || len(src) > PageSize-off {
@@ -552,51 +621,41 @@ func (p *Phys) WriteAt(pfn PFN, off int, src []byte) {
 }
 
 // CopyPage makes frame dst hold the contents of frame src. It copies no
-// bytes: dst shares src's slot until either frame is written.
+// bytes: dst shares src's slot or seed until either frame is written.
 func (p *Phys) CopyPage(dst, src PFN) {
 	fd, fs := p.frame(dst), p.frame(src)
 	if fd.slot == fs.slot {
 		return
 	}
-	if fs.slot != zeroSlot {
-		p.slotRefs[fs.slot]++
-	}
+	p.retain(fs.slot)
 	p.release(fd.slot)
 	fd.slot = fs.slot
 }
 
-// SeedPages gives every listed frame a private slot holding seeds[i] in
-// place of bytes: gen(pg, seeds[i]) writes the slot's bytes the first time
-// anything reads them, and must overwrite all of pg. A frame whose slot is
-// dropped first (freed, wholly overwritten, or restored over) never has
-// its bytes generated. The frames must be distinct, and slots are handed
-// out in list order. One generator serves the store at a time, so slots
-// seeded by an earlier call with another generator are generated first.
-// The boot image builder uses it so that contents nothing reads are never
-// built.
-func (p *Phys) SeedPages(pfns []PFN, seeds []uint64, gen func(pg []byte, seed uint64)) {
+// SeedPages points every listed frame at a new seed, seeds[i]: the frame
+// reads as the page FillPage writes from seeds[i], and its bytes are never
+// stored unless it materializes (a partial write, or a Page view). Reads —
+// ReadAt, ReadLine, SamePage, ComparePage, IsZero, ContentKey, State —
+// generate what they need from the seed into their own storage. The frames
+// must be distinct, and seeds are numbered in list order. The boot image
+// builder uses it so that the contents nothing writes are never stored.
+func (p *Phys) SeedPages(pfns []PFN, seeds []uint64) {
 	if len(pfns) == 0 {
 		return
 	}
-	p.generateAll()
-	// Every slot this call hands out is recycled from below nextSlot or
-	// is nextSlot onwards, one per frame.
-	if need := int(p.nextSlot) + len(pfns); len(p.seeded) < need {
-		p.seeded = append(p.seeded, make([]bool, need-len(p.seeded))...)
-		p.seeds = append(p.seeds, make([]uint64, need-len(p.seeds))...)
+	if p.seeds == nil {
+		// Seed 0 is never handed out: -0 is the zero page.
+		p.seeds = make([]uint64, 1, 1+len(pfns))
+		p.seedRefs = make([]int32, 1, 1+len(pfns))
 	}
-	p.gen = gen
 	for i, pfn := range pfns {
 		f := p.frame(pfn)
-		s := f.slot
-		if s == zeroSlot || p.slotRefs[s] > 1 {
-			s = p.takeSlot()
-			p.slotRefs[s] = 1
-			p.release(f.slot)
-			f.slot = s
-		}
-		p.seeded[s], p.seeds[s] = true, seeds[i]
-		p.unread++
+		k := int32(len(p.seeds))
+		p.seeds = append(p.seeds, seeds[i])
+		p.seedRefs = append(p.seedRefs, 1)
+		p.nseeds++
+		p.release(f.slot)
+		f.slot = -k
 	}
 }
 
@@ -671,17 +730,19 @@ func comparePages(pa, pb []byte) (int, int) {
 // SamePage reports whether two frames have byte-identical contents, along
 // with the number of bytes that were compared before the verdict (the cost
 // a software comparator would pay: compare until first divergence).
-// Frames sharing a slot are equal without a look at their bytes.
+// Frames sharing a slot or seed are equal without a look at their bytes.
 func (p *Phys) SamePage(a, b PFN) (bool, int) {
 	sa, sb := p.frame(a).slot, p.frame(b).slot
 	if sa == sb {
 		return true, PageSize
 	}
-	if p.unread != 0 {
-		p.ready(sa)
-		p.ready(sb)
+	if sa >= 0 && sb >= 0 {
+		return samePages(p.view(sa), p.view(sb))
 	}
-	return samePages(p.view(sa), p.view(sb))
+	if i, _, _ := p.seededDiff(sa, sb); i >= 0 {
+		return false, i + 1
+	}
+	return true, PageSize
 }
 
 // ComparePage is a three-way content comparison (memcmp order), returning
@@ -692,11 +753,93 @@ func (p *Phys) ComparePage(a, b PFN) (int, int) {
 	if sa == sb {
 		return 0, PageSize
 	}
-	if p.unread != 0 {
-		p.ready(sa)
-		p.ready(sb)
+	if sa >= 0 && sb >= 0 {
+		return comparePages(p.view(sa), p.view(sb))
 	}
-	return comparePages(p.view(sa), p.view(sb))
+	switch i, ba, bb := p.seededDiff(sa, sb); {
+	case i < 0:
+		return 0, PageSize
+	case ba < bb:
+		return -1, i + 1
+	default:
+		return 1, i + 1
+	}
+}
+
+// seedWindow is the largest window seededDiff generates at once.
+const seedWindow = 512
+
+// seededDiff finds the first byte where the contents of sa and sb differ,
+// at least one of them seeded, and returns its index and the two bytes
+// there, or -1 when the pages are equal. Both pages are zero up to the
+// shorter of their zero prefixes — a seed knows its own exactly, and a
+// stored page's is scanned only that far — so the walk starts there, and
+// then compares windows that double from a line up to seedWindow bytes,
+// generating each seeded page's window into a buffer on the stack. Two
+// seeds with different zero prefixes differ where the shorter one ends,
+// which a single word decides. Nothing is written to the store, so
+// concurrent readers may compare seeded frames.
+func (p *Phys) seededDiff(sa, sb int32) (int, byte, byte) {
+	var ga, gb pageGen
+	var pa, pb []byte
+	za, zb := PageSize, PageSize
+	if sa < 0 {
+		ga = newPageGen(p.seed(sa))
+		za = ga.zeroPrefix()
+	} else {
+		pa = p.view(sa)
+	}
+	if sb < 0 {
+		if sa < 0 && p.seed(sa) == p.seed(sb) {
+			return -1, 0, 0
+		}
+		gb = newPageGen(p.seed(sb))
+		zb = gb.zeroPrefix()
+	} else {
+		pb = p.view(sb)
+	}
+	m := min(za, zb)
+	if pa != nil {
+		if i := FirstNonZero(pa[:m]); i >= 0 {
+			return i, pa[i], 0
+		}
+	}
+	if pb != nil {
+		if i := FirstNonZero(pb[:m]); i >= 0 {
+			return i, 0, pb[i]
+		}
+	}
+	off := m &^ 7
+	if pa == nil {
+		ga.skipTo(off)
+	}
+	if pb == nil {
+		gb.skipTo(off)
+	}
+	var bufA, bufB [seedWindow]byte
+	for w := LineSize; off < PageSize; w = min(2*w, seedWindow) {
+		w = min(w, PageSize-off)
+		wa, wb := bufA[:w], bufB[:w]
+		if pa != nil {
+			wa = pa[off : off+w]
+		} else {
+			ga.fill(wa)
+		}
+		if pb != nil {
+			wb = pb[off : off+w]
+		} else {
+			gb.fill(wb)
+		}
+		if !bytes.Equal(wa, wb) {
+			for j := 0; ; j += 8 {
+				if i := wordDiff(wa, wb, j); i >= 0 {
+					return off + i, wa[i], wb[i]
+				}
+			}
+		}
+		off += w
+	}
+	return -1, 0, 0
 }
 
 // FirstNonZero scans b for its first nonzero byte, returning its index or
@@ -736,24 +879,39 @@ var zeroBlock [cmpBlock]byte
 // folding the page in 8-byte little-endian words, used by verification
 // tooling to group frames by content cheaply. Equal pages have equal keys;
 // distinct keys imply distinct contents (collisions are possible in
-// principle but negligible at simulated scales). Keys are never stored.
-func (p *Phys) ContentKey(pfn PFN) uint64 { return contentKey(p.Page(pfn)) }
+// principle but negligible at simulated scales). Keys are never stored. A
+// seeded frame's key is folded from its seed's stream.
+func (p *Phys) ContentKey(pfn PFN) uint64 {
+	s := p.frame(pfn).slot
+	if s < 0 {
+		return contentKeySeeded(p.seed(s))
+	}
+	return contentKey(p.view(s))
+}
+
+// The FNV-1a-style constants of contentKey.
+const (
+	keyOffset64 = 14695981039346656037
+	keyPrime64  = 1099511628211
+)
 
 // contentKey is ContentKey over a page's bytes.
 func contentKey(pg []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	h := uint64(keyOffset64)
 	for off := 0; off < PageSize; off += 8 {
-		h = (h ^ binary.LittleEndian.Uint64(pg[off:off+8])) * prime64
+		h = (h ^ binary.LittleEndian.Uint64(pg[off:off+8])) * keyPrime64
 	}
 	return h
 }
 
 // IsZero reports whether the frame is all zeroes.
 func (p *Phys) IsZero(pfn PFN) bool {
-	s := p.frame(pfn).slot
-	return s == zeroSlot || FirstNonZero(p.window(s)) < 0
+	switch s := p.frame(pfn).slot; {
+	case s == zeroSlot:
+		return true
+	case s < 0:
+		return newPageGen(p.seed(s)).zeroPrefix() == PageSize
+	default:
+		return FirstNonZero(p.view(s)) < 0
+	}
 }

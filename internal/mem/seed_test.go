@@ -2,13 +2,14 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
+	"sync"
 	"testing"
 )
 
-// seededPhys allocates n frames and seeds each with seed i+1 through a
-// generator that counts its calls.
-func seededPhys(t *testing.T, n int) (*Phys, []PFN, *int) {
+// seededPhys allocates n frames and seeds each with seed i+1.
+func seededPhys(t *testing.T, n int) (*Phys, []PFN) {
 	t.Helper()
 	p := New(uint64(2*n) * PageSize)
 	pfns := allocN(t, p, n)
@@ -16,89 +17,179 @@ func seededPhys(t *testing.T, n int) (*Phys, []PFN, *int) {
 	for i := range seeds {
 		seeds[i] = uint64(i + 1)
 	}
-	calls := new(int)
-	p.SeedPages(pfns, seeds, func(pg []byte, seed uint64) {
-		*calls++
-		genPage(pg, seed)
-	})
-	return p, pfns, calls
+	p.SeedPages(pfns, seeds)
+	return p, pfns
 }
 
-// wantPage is the page genPage writes for seed.
+// wantPage is the page FillPage writes for seed.
 func wantPage(seed uint64) []byte {
 	pg := make([]byte, PageSize)
-	genPage(pg, seed)
+	FillPage(pg, seed, 0)
 	return pg
 }
 
-// TestSeedPagesGenerateOnFirstRead pins when a seeded slot's bytes are
-// generated, by counting generator calls: never for a frame freed, wholly
-// overwritten or restored over before any read, once for a partial write or
-// for any number of reads through frames sharing the slot, and for every
-// seeded slot when a deferred-free window opens.
+// refPage is the page generator as a plain loop over the whole page: the
+// reference FillPage's ranges and zero prefix are checked against.
+func refPage(seed uint64) []byte {
+	page := make([]byte, PageSize)
+	z := seed + 0x9E3779B97F4A7C15
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	prefix := (64 + int(z%1025)) &^ 7
+	x := z | 1
+	for i := prefix; i+8 <= len(page); i += 8 {
+		x ^= x >> 12
+		x ^= x << 25
+		x ^= x >> 27
+		binary.LittleEndian.PutUint64(page[i:], x*0x2545F4914F6CDD1D)
+	}
+	return page
+}
+
+// TestFillPageMatchesWholePage checks the range-addressed generator against
+// the whole-page loop: for thousands of seeds and every 8-aligned range
+// (every range of each seed's page for a few seeds, one random range for
+// the others), FillPage writes exactly those bytes of the page, and the
+// zero prefix it reports is the index of the page's first nonzero byte. A
+// few unaligned ranges check the ragged ends.
+func TestFillPageMatchesWholePage(t *testing.T) {
+	check := func(seed uint64, want []byte, off, n int) {
+		t.Helper()
+		dst := make([]byte, n)
+		zp := FillPage(dst, seed, off)
+		if !bytes.Equal(dst, want[off:off+n]) {
+			t.Fatalf("seed %d: FillPage(%d bytes at %d) differs from the page", seed, n, off)
+		}
+		wantZP := FirstNonZero(want)
+		if wantZP < 0 {
+			wantZP = PageSize
+		}
+		if zp != wantZP {
+			t.Fatalf("seed %d: zero prefix %d, want %d", seed, zp, wantZP)
+		}
+	}
+	for seed := uint64(0); seed < 4; seed++ {
+		want := refPage(seed)
+		for off := 0; off <= PageSize; off += 8 {
+			for end := off; end <= PageSize; end += 8 {
+				dst := make([]byte, end-off)
+				FillPage(dst, seed, off)
+				if !bytes.Equal(dst, want[off:end]) {
+					t.Fatalf("seed %d: FillPage [%d, %d) differs from the page", seed, off, end)
+				}
+			}
+		}
+	}
+	x := uint64(88172645463325252)
+	for i := 0; i < 5000; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		seed := x
+		if i%2 == 0 {
+			seed = uint64(i) // small, nearby seeds as the image builder uses
+		}
+		want := refPage(seed)
+		off := int(x>>20) % (PageSize / 8) * 8
+		check(seed, want, off, int(x>>40)%((PageSize-off)/8+1)*8)
+		if i%10 == 0 {
+			uoff := int(x>>8) % PageSize
+			check(seed, want, uoff, int(x>>32)%(PageSize-uoff+1))
+		}
+	}
+}
+
+// TestSeedPagesGenerateOnFirstRead pins when a seeded frame materializes —
+// gets stored bytes — by counting MaterializedPages and backed chunks:
+// never for reads of any kind, for a frame freed, wholly overwritten or
+// restored over, for a copy, or for State; once for each partial write
+// and for each Page view of a seeded frame.
 func TestSeedPagesGenerateOnFirstRead(t *testing.T) {
-	check := func(t *testing.T, p *Phys, calls *int, want int) {
+	check := func(t *testing.T, p *Phys, want int) {
 		t.Helper()
 		checkSlots(t, p)
-		if *calls != want || p.GeneratedPages() != uint64(want) {
-			t.Fatalf("generator ran %d times (GeneratedPages %d), want %d", *calls, p.GeneratedPages(), want)
+		if got := p.MaterializedPages(); got != uint64(want) {
+			t.Fatalf("%d pages materialized, want %d", got, want)
 		}
 	}
 	t.Run("seeding backs nothing", func(t *testing.T) {
-		p, _, calls := seededPhys(t, chunkSlots+1)
+		p, pfns := seededPhys(t, chunkSlots+1)
 		if n := backedChunks(p); n != 0 {
 			t.Fatalf("%d chunks backed by seeding, want 0", n)
 		}
-		check(t, p, calls, 0)
+		// Every read leaves the store unbacked.
+		pg := make([]byte, PageSize)
+		for i, pfn := range pfns {
+			p.ReadAt(pfn, 0, pg)
+			if !bytes.Equal(pg, wantPage(uint64(i+1))) || p.IsZero(pfn) ||
+				p.ContentKey(pfn) != contentKey(pg) || !bytes.Equal(p.ReadLine(pfn, 63), pg[PageSize-LineSize:]) {
+				t.Fatalf("frame %d does not read seed %d's page", pfn, i+1)
+			}
+			if c, _ := p.ComparePage(pfn, pfns[0]); (c == 0) != (i == 0) {
+				t.Fatalf("frame %d compares %d with frame %d", pfn, c, pfns[0])
+			}
+		}
+		if _, err := p.State(); err != nil {
+			t.Fatal(err)
+		}
+		if n := backedChunks(p); n != 0 {
+			t.Fatalf("%d chunks backed by reads, want 0", n)
+		}
+		check(t, p, 0)
 	})
 	t.Run("freed unread", func(t *testing.T) {
-		p, pfns, calls := seededPhys(t, 3)
+		p, pfns := seededPhys(t, 3)
 		p.DecRef(pfns[1])
-		check(t, p, calls, 0)
+		check(t, p, 0)
 		again, _ := p.Alloc()
 		p.WriteAt(again, 7, []byte{9})
 		if pg := p.Page(again); pg[7] != 9 || FirstNonZero(pg[:7]) >= 0 || FirstNonZero(pg[8:]) >= 0 {
-			t.Fatal("a slot recycled from a freed seeded frame does not read as zero")
+			t.Fatal("a frame freed while seeded does not read as zero when reused")
 		}
-		check(t, p, calls, 0)
+		check(t, p, 0)
 	})
 	t.Run("whole-page write", func(t *testing.T) {
-		p, pfns, calls := seededPhys(t, 2)
+		p, pfns := seededPhys(t, 2)
 		src := bytes.Repeat([]byte{0xA5}, PageSize)
 		p.WriteAt(pfns[0], 0, src)
 		p.WriteAt(pfns[1], 0, make([]byte, PageSize))
 		if !bytes.Equal(p.Page(pfns[0]), src) || !p.IsZero(pfns[1]) {
 			t.Fatal("a whole-page write over a seeded frame reads back wrong")
 		}
-		check(t, p, calls, 0)
+		check(t, p, 0)
 	})
 	t.Run("partial write", func(t *testing.T) {
-		p, pfns, calls := seededPhys(t, 2)
+		p, pfns := seededPhys(t, 2)
 		p.WriteAt(pfns[1], 100, []byte{0xEE})
 		want := wantPage(2)
 		want[100] = 0xEE
 		if !bytes.Equal(p.Page(pfns[1]), want) {
 			t.Fatal("a partial write over a seeded frame lost the generated bytes")
 		}
-		check(t, p, calls, 1)
+		if n := backedChunks(p); n != 1 {
+			t.Fatalf("%d chunks backed by one materialized page, want 1", n)
+		}
+		check(t, p, 1)
 	})
 	t.Run("copy then read both", func(t *testing.T) {
-		p, pfns, calls := seededPhys(t, 2)
+		p, pfns := seededPhys(t, 2)
 		p.CopyPage(pfns[1], pfns[0])
-		check(t, p, calls, 0)
+		check(t, p, 0)
 		if same, _ := p.SamePage(pfns[0], pfns[1]); !same {
 			t.Fatal("a copy of a seeded frame differs from it")
 		}
-		check(t, p, calls, 0)
-		for _, pfn := range pfns {
+		check(t, p, 0)
+		// A view materializes each frame it is taken of: the copy keeps
+		// the seed until it is viewed too.
+		for i, pfn := range pfns {
 			if !bytes.Equal(p.Page(pfn), wantPage(1)) {
 				t.Fatalf("frame %d does not read the seeded page", pfn)
 			}
+			check(t, p, i+1)
 		}
-		check(t, p, calls, 1)
 	})
 	t.Run("restore over seeds", func(t *testing.T) {
-		p, pfns, calls := seededPhys(t, 3)
+		p, pfns := seededPhys(t, 3)
 		donor := New(uint64(2*len(pfns)) * PageSize)
 		d := allocN(t, donor, len(pfns))
 		donor.WriteAt(d[0], 0, []byte{1})
@@ -109,20 +200,23 @@ func TestSeedPagesGenerateOnFirstRead(t *testing.T) {
 		if err := p.SetState(st); err != nil {
 			t.Fatal(err)
 		}
-		check(t, p, calls, 0)
+		check(t, p, 0)
 		if back, err := p.State(); err != nil || !reflect.DeepEqual(back, st) {
-			t.Fatalf("restore over seeded slots does not read back the image (error %v)", err)
+			t.Fatalf("restore over seeded frames does not read back the image (error %v)", err)
 		}
-		check(t, p, calls, 0)
+		check(t, p, 0)
 	})
 	t.Run("state round trip", func(t *testing.T) {
-		p, pfns, calls := seededPhys(t, 5)
+		p, pfns := seededPhys(t, 5)
 		p.CopyPage(pfns[4], pfns[0])
 		st, err := p.State()
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(t, p, calls, 4)
+		if got := len(st.Pages) / PageSize; got != 4 {
+			t.Fatalf("State holds %d contents, want 4", got)
+		}
+		check(t, p, 0)
 		if err := p.SetState(st); err != nil {
 			t.Fatal(err)
 		}
@@ -130,35 +224,95 @@ func TestSeedPagesGenerateOnFirstRead(t *testing.T) {
 		if back, err := p.State(); err != nil || !reflect.DeepEqual(back, st) {
 			t.Fatalf("State → SetState → State is not identical (error %v)", err)
 		}
-		check(t, p, calls, 4)
+		check(t, p, 0)
 	})
-	t.Run("deferred window generates first", func(t *testing.T) {
-		p, pfns, calls := seededPhys(t, 4)
+	t.Run("deferred window reads in place", func(t *testing.T) {
+		p, pfns := seededPhys(t, 4)
 		p.DecRef(pfns[2])
 		p.BeginDeferredFrees()
-		check(t, p, calls, 3)
+		pg := make([]byte, PageSize)
 		for i, pfn := range []PFN{pfns[0], pfns[1], pfns[3]} {
-			if want := []uint64{1, 2, 4}[i]; !bytes.Equal(p.Page(pfn), wantPage(want)) {
-				t.Fatalf("frame %d does not read seed %d's page", pfn, want)
+			if p.ReadAt(pfn, 0, pg); !bytes.Equal(pg, wantPage([]uint64{1, 2, 4}[i])) {
+				t.Fatalf("frame %d does not read its seed's page", pfn)
 			}
 		}
 		p.EndDeferredFrees()
-		check(t, p, calls, 3)
+		check(t, p, 0)
 	})
 }
 
-// TestSeededReadInDeferredWindowPanics checks that generating a seeded slot
-// inside a deferred-free window, where workers read the store concurrently,
-// panics instead of racing them.
-func TestSeededReadInDeferredWindowPanics(t *testing.T) {
-	p := New(4 * PageSize)
-	pfns := allocN(t, p, 2)
+// TestSeededComparesConcurrentInDeferredWindow has two goroutines compare,
+// hash and read seeded frames inside a deferred-free window, the way the
+// workers of a sharded scan pass do, and checks every verdict against the
+// stored pages. Run under -race it fails if a seeded read writes shared
+// state.
+func TestSeededComparesConcurrentInDeferredWindow(t *testing.T) {
+	const n = 24
+	p, pfns := seededPhys(t, n)
+	pages := make([][]byte, n)
+	for i := range pages {
+		pages[i] = wantPage(uint64(i + 1))
+	}
 	p.BeginDeferredFrees()
-	p.SeedPages(pfns, []uint64{1, 2}, genPage)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("reading a seeded slot inside a deferred-free window did not panic")
+	var wg sync.WaitGroup
+	errs := make(chan string, 2)
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var key [8]byte
+			for i := w; i < n; i += 2 {
+				for j := range pfns {
+					c, nb := p.ComparePage(pfns[i], pfns[j])
+					wc, wn := comparePages(pages[i], pages[j])
+					same, sn := p.SamePage(pfns[j], pfns[i])
+					if c != wc || nb != wn || same != (wc == 0) || sn != wn {
+						errs <- "seeded compare differs from the stored pages"
+						return
+					}
+				}
+				p.ReadAt(pfns[i], 0, key[:])
+				if !bytes.Equal(key[:], pages[i][:8]) || p.IsZero(pfns[i]) || p.ContentKey(pfns[i]) != contentKey(pages[i]) {
+					errs <- "seeded read differs from the stored page"
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	p.EndDeferredFrees()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+	if backedChunks(p) != 0 || p.MaterializedPages() != 0 {
+		t.Fatal("seeded reads inside the window stored bytes")
+	}
+}
+
+// TestReadLineCacheHoldsRecentLines walks seeded frames line by line the
+// way the PageForge engine does, holding the line views of lineCacheSize
+// frames with distinct seeds at once: each view must still read its own
+// page's line after the other frames' lines were read, and the walk must
+// store nothing.
+func TestReadLineCacheHoldsRecentLines(t *testing.T) {
+	p, pfns := seededPhys(t, lineCacheSize+2)
+	for round := 0; round < 2; round++ {
+		for i := 0; i < LinesPerPage; i++ {
+			frames := pfns[round : round+lineCacheSize]
+			held := make([][]byte, len(frames))
+			for k, pfn := range frames {
+				held[k] = p.ReadLine(pfn, i)
+			}
+			for k := range frames {
+				want := wantPage(uint64(round + k + 1))[i*LineSize : (i+1)*LineSize]
+				if !bytes.Equal(held[k], want) {
+					t.Fatalf("round %d line %d: the held line of frame %d changed under later reads", round, i, frames[k])
+				}
+			}
 		}
-	}()
-	p.Page(pfns[1])
+	}
+	if backedChunks(p) != 0 || p.MaterializedPages() != 0 {
+		t.Fatal("ReadLine of seeded frames stored bytes")
+	}
 }

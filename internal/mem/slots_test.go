@@ -9,29 +9,33 @@ import (
 )
 
 // checkSlots audits the slot store: every free frame, bar those pending in
-// a deferred-free window, is on the zero page; every slot's refcount equals
-// the number of frames pointing at it; every slot ever handed out is either
-// referenced or on the slot freelist, exactly once; only referenced slots
-// are seeded, and unread counts them; every referenced slot that is not
-// seeded has its chunk backed; and the shared zero page still holds only
-// zeroes.
+// a deferred-free window, is on the zero page; every slot's and seed's
+// refcount equals the number of frames pointing at it; every slot ever
+// handed out is either referenced or on the slot freelist, exactly once,
+// and nseeds counts the referenced seeds; every referenced slot has its
+// chunk backed; the seed table is dropped once no frame points at a seed;
+// and the shared zero page still holds only zeroes.
 func checkSlots(t *testing.T, p *Phys) {
 	t.Helper()
 	if FirstNonZero(zeroPage[:]) >= 0 {
 		t.Fatal("the shared zero page was written")
 	}
 	refs := make([]int32, len(p.slotRefs))
+	seedRefs := make([]int32, len(p.seeds))
 	for pfn, f := range p.frames {
-		if f.slot < 0 || f.slot >= p.nextSlot {
-			t.Fatalf("frame %d points at slot %d, outside [0, %d)", pfn, f.slot, p.nextSlot)
+		if (f.slot < 0 && int(-f.slot) >= len(p.seeds)) || f.slot >= p.nextSlot {
+			t.Fatalf("frame %d points at slot %d, outside (-%d, %d)", pfn, f.slot, len(p.seeds), p.nextSlot)
 		}
 		if f.refs == 0 && f.slot != zeroSlot && !slices.Contains(p.pending, PFN(pfn)) {
 			t.Fatalf("free frame %d still holds slot %d", pfn, f.slot)
 		}
-		refs[f.slot]++
+		if f.slot < 0 {
+			seedRefs[-f.slot]++
+		} else {
+			refs[f.slot]++
+		}
 	}
 	onFree := make([]bool, len(p.slotRefs))
-	unread := 0
 	for _, s := range p.freeSlots {
 		if s <= zeroSlot || s >= p.nextSlot || onFree[s] {
 			t.Fatalf("slot freelist holds %d twice or out of range", s)
@@ -45,24 +49,29 @@ func checkSlots(t *testing.T, p *Phys) {
 		if (refs[s] == 0) != onFree[s] {
 			t.Fatalf("slot %d: %d frames point at it, on freelist %v (leaked or double-owned)", s, refs[s], onFree[s])
 		}
-		seeded := p.unread != 0 && p.isSeeded(s)
-		if seeded {
-			unread++
-			if refs[s] == 0 {
-				t.Fatalf("free slot %d is still seeded", s)
-			}
+		if p.chunks[(s-1)/chunkSlots] == nil {
+			t.Fatalf("slot %d was handed out from an unbacked chunk", s)
 		}
-		if refs[s] > 0 && !seeded && p.chunks[(s-1)/chunkSlots] == nil {
-			t.Fatalf("slot %d holds bytes in an unbacked chunk", s)
-		}
-	}
-	if unread != p.unread {
-		t.Fatalf("%d seeded slots, but unread is %d", unread, p.unread)
 	}
 	for s := p.nextSlot; int(s) < len(p.slotRefs); s++ {
 		if p.slotRefs[s] != 0 {
 			t.Fatalf("never-used slot %d has refcount %d", s, p.slotRefs[s])
 		}
+	}
+	if len(p.seeds) != len(p.seedRefs) || (p.nseeds == 0) != (p.seeds == nil) {
+		t.Fatalf("seed table of %d seeds, %d refcounts, with %d seeds live", len(p.seeds), len(p.seedRefs), p.nseeds)
+	}
+	live := 0
+	for k := 1; k < len(p.seeds); k++ {
+		if p.seedRefs[k] != seedRefs[k] {
+			t.Fatalf("seed %d: refcount %d, but %d frames point at it", k, p.seedRefs[k], seedRefs[k])
+		}
+		if seedRefs[k] > 0 {
+			live++
+		}
+	}
+	if live != p.nseeds {
+		t.Fatalf("%d seeds referenced, but nseeds is %d", live, p.nseeds)
 	}
 }
 
@@ -89,7 +98,7 @@ func checkRestored(t *testing.T, p *Phys, st PhysState) {
 		if slotOf[k] == zeroSlot {
 			slotOf[k] = s
 		}
-		if s != slotOf[k] || !bytes.Equal(p.window(s), st.page(k)) {
+		if s != slotOf[k] || !bytes.Equal(p.view(s), st.page(k)) {
 			t.Fatalf("frame %d holds content %d but points at slot %d (content's slot %d)", pfn, k, s, slotOf[k])
 		}
 		holders[k]++
@@ -384,45 +393,60 @@ func (g *physProgram) step() {
 			t.Fatalf("State → SetState → State is not identical (error %v)", err)
 		}
 		g.p = target
-	case 12: // SeedPages over distinct allocated frames, outside a deferred-free window
-		if r.deferred {
-			return // reading a slot seeded inside the window panics
-		}
+	case 12: // SeedPages over distinct allocated frames, inside or outside a deferred-free window
 		var pfns []PFN
 		var seeds []uint64
 		for k := g.next() % 5; k > 0; k-- {
 			if pfn, ok := g.allocated(); ok && !slices.Contains(pfns, pfn) {
 				pfns = append(pfns, pfn)
-				seeds = append(seeds, uint64(g.next()))
+				// A few seed values recur, so distinct seeds of equal
+				// pages meet in compares.
+				seeds = append(seeds, uint64(g.next()%32))
 			}
 		}
-		p.SeedPages(pfns, seeds, genPage)
+		p.SeedPages(pfns, seeds)
 		for i, pfn := range pfns {
-			genPage(r.bytes(pfn), seeds[i])
+			FillPage(r.bytes(pfn), seeds[i], 0)
 		}
-	case 13: // read two frames, generating them if seeded
+	case 13: // read two frames without materializing them, then view one
 		a, ok1 := g.allocated()
 		b, ok2 := g.allocated()
-		if ok1 && ok2 {
-			g.comparePair(a, b)
-			if !bytes.Equal(p.Page(a), r.bytes(a)) || !bytes.Equal(p.Page(b), r.bytes(b)) {
-				t.Fatalf("frames %d,%d: bytes differ from the reference", a, b)
-			}
+		if !ok1 || !ok2 {
+			return
+		}
+		g.comparePair(a, b)
+		g.readLines(a, g.next()%LinesPerPage)
+		off := g.next() * 16 % PageSize
+		got := make([]byte, g.next()%(PageSize-off+1))
+		p.ReadAt(b, off, got)
+		if !bytes.Equal(got, r.bytes(b)[off:off+len(got)]) {
+			t.Fatalf("frame %d: ReadAt(%d, %d bytes) differs from the reference", b, off, len(got))
+		}
+		if !bytes.Equal(p.Page(a), r.bytes(a)) {
+			t.Fatalf("frame %d: Page differs from the reference", a)
 		}
 	}
 }
 
-// genPage is the generator the seeded-slot tests hand SeedPages: seeds that
-// are multiples of 4 give an all-zero page, the others a byte pattern.
-func genPage(pg []byte, seed uint64) {
-	for j := range pg {
-		pg[j] = byte(seed%4) * (byte(seed) + byte(j>>4))
+// readLines checks ReadLine of frame pfn at line i and at every line after
+// it against the reference, holding each line of the frame beside the
+// line of another frame the way a lockstep compare does.
+func (g *physProgram) readLines(pfn PFN, i int) {
+	other, _ := g.allocated()
+	for ; i < LinesPerPage; i++ {
+		line := g.p.ReadLine(pfn, i)
+		held := g.p.ReadLine(other, i)
+		if !bytes.Equal(line, g.r.bytes(pfn)[i*LineSize:(i+1)*LineSize]) ||
+			!bytes.Equal(held, g.r.bytes(other)[i*LineSize:(i+1)*LineSize]) {
+			g.t.Fatalf("frames %d,%d: ReadLine(%d) differs from the reference", pfn, other, i)
+		}
 	}
 }
 
 // compare checks every observable of the two machines against each other.
-// It reads only frames whose slots are not seeded, so that seeded slots
-// live on until an operation drops or reads them.
+// Its reads do not materialize seeded frames (it takes no Page view of
+// one), so seeded frames live on until an operation writes, views or
+// drops them.
 func (g *physProgram) compare() {
 	t, p, r := g.t, g.p, g.r
 	checkSlots(t, p)
@@ -436,6 +460,7 @@ func (g *physProgram) compare() {
 		t.Fatalf("free frames %v, reference %v", got, want)
 	}
 	var live []PFN
+	pg := make([]byte, PageSize)
 	for i, f := range r.frames {
 		pfn := PFN(i)
 		if p.Allocated(pfn) != (f.Refs > 0) {
@@ -448,13 +473,13 @@ func (g *physProgram) compare() {
 		if got.Refs() != f.Refs || got.CoW() != f.CoW || p.frames[pfn].dirty != f.Dirty {
 			t.Fatalf("frame %d: metadata differs from the reference", pfn)
 		}
-		if p.unread != 0 && p.isSeeded(p.frames[pfn].slot) {
-			continue
-		}
 		live = append(live, pfn)
-		if !bytes.Equal(p.Page(pfn), r.bytes(pfn)) || p.IsZero(pfn) != (FirstNonZero(r.bytes(pfn)) < 0) ||
-			!bytes.Equal(p.ReadLine(pfn, LinesPerPage-1), r.bytes(pfn)[PageSize-LineSize:]) {
-			t.Fatalf("frame %d: bytes differ from the reference", pfn)
+		want := r.bytes(pfn)
+		p.ReadAt(pfn, 0, pg)
+		if !bytes.Equal(pg, want) || p.IsZero(pfn) != (FirstNonZero(want) < 0) ||
+			p.ContentKey(pfn) != contentKey(want) ||
+			!bytes.Equal(p.ReadLine(pfn, LinesPerPage-1), want[PageSize-LineSize:]) {
+			t.Fatalf("frame %d (slot %d): bytes differ from the reference", pfn, p.frames[pfn].slot)
 		}
 	}
 	// A handful of pairs per step keeps the byte-wise reference cheap.

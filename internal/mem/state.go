@@ -50,14 +50,15 @@ type PhysState struct {
 // State captures the memory image. It must be called at a quiescent point:
 // deferred-free mode (a parallel scan pass in flight) has pending frames
 // whose ordering is not yet canonical, so capturing there is an error.
-// It reads every allocated frame, so it generates every seeded slot.
+// A seeded frame's bytes are generated into a scratch page, and the frame
+// stays seeded.
 func (p *Phys) State() (PhysState, error) {
 	if p.deferFrees || len(p.pending) > 0 {
 		return PhysState{}, fmt.Errorf("mem: checkpoint during deferred-free window (%d pending)", len(p.pending))
 	}
-	// Frames sharing a slot hold the same bytes, so the live slots bound
-	// the number of distinct contents.
-	live := int(p.nextSlot-1) - len(p.freeSlots)
+	// Frames sharing a slot or seed hold the same bytes, so the live slots
+	// and seeds bound the number of distinct contents.
+	live := int(p.nextSlot-1) - len(p.freeSlots) + p.nseeds
 	st := PhysState{
 		Pages:      make([]byte, 0, live*PageSize),
 		PageIndex:  make([]int32, len(p.frames)),
@@ -70,20 +71,38 @@ func (p *Phys) State() (PhysState, error) {
 		Frees:      p.Frees,
 		ZeroFills:  p.ZeroFills,
 	}
-	// slotIndex memoises each live slot's content index (+1, so that 0
-	// means not yet seen); byKey groups the contents found so far by
-	// ContentKey, and bytes.Equal rules out collisions.
+	// slotIndex and seedIndex memoise each live slot's and seed's content
+	// index (+1, so that 0 means not yet seen); byKey groups the contents
+	// found so far by ContentKey, and bytes.Equal rules out collisions.
 	slotIndex := make([]int32, p.nextSlot)
+	seedIndex := make([]int32, len(p.seeds))
+	var scratch []byte
 	byKey := make(map[uint64][]int32)
 	for i, f := range p.frames {
 		st.Frames[i] = FrameState{Refs: int(f.refs), CoW: f.cow, Dirty: f.dirty}
-		if f.slot == zeroSlot {
+		var memo *int32
+		switch {
+		case f.slot == zeroSlot:
 			continue
+		case f.slot > 0:
+			memo = &slotIndex[f.slot]
+		default:
+			memo = &seedIndex[-f.slot]
 		}
-		if slotIndex[f.slot] == 0 {
-			slotIndex[f.slot] = 1 + st.addPage(p.window(f.slot), byKey)
+		if *memo == 0 {
+			pg := scratch
+			if f.slot > 0 {
+				pg = p.view(f.slot)
+			} else {
+				if pg == nil {
+					pg = make([]byte, PageSize)
+					scratch = pg
+				}
+				FillPage(pg, p.seed(f.slot), 0)
+			}
+			*memo = 1 + st.addPage(pg, byKey)
 		}
-		st.PageIndex[i] = slotIndex[f.slot] - 1
+		st.PageIndex[i] = *memo - 1
 	}
 	if len(st.Pages) == 0 {
 		st.Pages = nil // as a decoded image without contents reads
@@ -119,7 +138,7 @@ func (st *PhysState) page(k int32) []byte {
 // slot store is rebuilt from the image: each distinct content gets one
 // slot, shared by every frame that holds it, and every other frame points
 // at the zero page, so views taken before the restore are no longer valid.
-// Seeds are dropped ungenerated. Backed chunks are reused where the rebuilt
+// Seeds are dropped. Backed chunks are reused where the rebuilt
 // store needs them and dropped beyond it.
 func (p *Phys) SetState(st PhysState) error {
 	n := len(p.frames)
@@ -143,8 +162,7 @@ func (p *Phys) SetState(st PhysState) error {
 		return err
 	}
 	clear(p.slotRefs)
-	p.seeded, p.seeds = nil, nil
-	p.unread = 0
+	p.seeds, p.seedRefs, p.nseeds = nil, nil, 0
 	p.freeSlots = p.freeSlots[:0]
 	p.nextSlot = 1
 	// pageSlot maps a content index to its slot once a frame has claimed
@@ -156,7 +174,7 @@ func (p *Phys) SetState(st PhysState) error {
 		if k := st.PageIndex[i]; k != 0 {
 			if pageSlot[k] == zeroSlot {
 				pageSlot[k] = p.newSlot(false)
-				copy(p.window(pageSlot[k]), st.page(k))
+				copy(p.view(pageSlot[k]), st.page(k))
 			}
 			fr.slot = pageSlot[k]
 			p.slotRefs[fr.slot]++

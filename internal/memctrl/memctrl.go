@@ -84,16 +84,34 @@ func (c *Controller) DemandAccess(addr uint64, now uint64, src dram.Source) uint
 // FetchResult describes a PageForge line fetch.
 type FetchResult struct {
 	Data    []byte
-	Code    ecc.LineCode
 	Latency uint64
 	// FromNetwork reports whether a cache supplied the line; the ECC code
 	// was then produced by the controller's encoder rather than the DIMM.
 	FromNetwork bool
 	// Poisoned reports an uncorrectable ECC error: Data is the raw
-	// corrupted read, Code is zeroed, and neither may be consumed — not
+	// corrupted read, LineCode is zero, and neither may be consumed — not
 	// for comparison verdicts and not for hash minikeys. The requester
 	// must retry, fall back to software, or quarantine.
 	Poisoned bool
+
+	// code is the stored code the DIMM delivered, kept when a fault model
+	// ran the decoder (coded); otherwise LineCode encodes Data when asked.
+	code  ecc.LineCode
+	coded bool
+}
+
+// LineCode reports the line's ECC code: the one the encoder produced for a
+// network-serviced fetch, or the one stored beside the line in the DIMM.
+// For an error-free line both equal ecc.EncodeLine(Data), so the code is
+// computed only here, on demand — most fetched lines are compared and
+// never hashed. A fetch that went through the fault model's decoder kept
+// the stored code (the only one correct after a miscorrection), and a
+// poisoned fetch has a zero code.
+func (r FetchResult) LineCode() ecc.LineCode {
+	if r.coded || r.Poisoned {
+		return r.code
+	}
+	return ecc.EncodeLine(r.Data)
 }
 
 // FetchLine services a PageForge request for one line of a physical frame
@@ -109,7 +127,7 @@ func (c *Controller) FetchLine(pfn mem.PFN, lineIdx int, now uint64, src dram.So
 		// controller and the ECC engine generates the code on the fly.
 		c.Stats.PFNetworkHits++
 		c.Stats.ECCEncodes++
-		return FetchResult{Data: data, Code: ecc.EncodeLine(data), Latency: c.NetworkLatency, FromNetwork: true}
+		return FetchResult{Data: data, Latency: c.NetworkLatency, FromNetwork: true}
 	}
 
 	c.Stats.PFDRAMReads++
@@ -124,25 +142,27 @@ func (c *Controller) FetchLine(pfn mem.PFN, lineIdx int, now uint64, src dram.So
 // from the spare chip alongside the line (the simulation stores no
 // separate ECC array — codes are recomputed, bit-identical for error-free
 // cells), the fault model corrupts the wire/array data, and the decode
-// engine corrects what it can. An uncorrectable error yields a Poisoned
+// engine corrects what it can. Without a fault model every line is
+// error-free, so no code is computed here: FetchResult.LineCode encodes
+// the data if a consumer asks. An uncorrectable error yields a Poisoned
 // result carrying the raw corrupted data and a zero code; a corrected
 // error yields the repaired data with the (clean) stored code, so
 // minikeys always derive from post-correction content.
 func (c *Controller) readDIMM(addr, now uint64, data []byte) FetchResult {
-	code := ecc.EncodeLine(data)
 	if c.Faults == nil {
-		return FetchResult{Data: data, Code: code}
+		return FetchResult{Data: data}
 	}
+	code := ecc.EncodeLine(data)
 	raw := make([]byte, len(data))
 	copy(raw, data)
 	c.Faults.Corrupt(addr, now, raw)
 	decoded, st := ecc.DecodeLine(raw, code)
 	switch st {
 	case ecc.OK:
-		return FetchResult{Data: data, Code: code}
+		return FetchResult{Data: data, code: code, coded: true}
 	case ecc.CorrectedData, ecc.CorrectedCheck:
 		c.Stats.ECCCorrected++
-		return FetchResult{Data: decoded, Code: code}
+		return FetchResult{Data: decoded, code: code, coded: true}
 	default:
 		c.Stats.ECCUncorrectable++
 		return FetchResult{Data: raw, Poisoned: true}

@@ -43,7 +43,7 @@ func TestFetchLineFromDRAM(t *testing.T) {
 	if !bytes.Equal(res.Data, phys.ReadLine(pfn, 3)) {
 		t.Fatal("wrong line data")
 	}
-	if res.Code != ecc.EncodeLine(res.Data) {
+	if res.LineCode() != ecc.EncodeLine(res.Data) {
 		t.Fatal("ECC code mismatch")
 	}
 	if res.Latency == 0 {
@@ -72,7 +72,7 @@ func TestFetchLineFromNetwork(t *testing.T) {
 		t.Fatalf("stats %+v", c.Stats)
 	}
 	// The controller's encoder produced the code.
-	if res.Code != ecc.EncodeLine(res.Data) {
+	if res.LineCode() != ecc.EncodeLine(res.Data) {
 		t.Fatal("encoder code mismatch")
 	}
 	if c.DRAM.TotalBytes(dram.SrcPageForge) != 0 {
@@ -124,7 +124,7 @@ func TestFaultInjectionPath(t *testing.T) {
 	if !bytes.Equal(res.Data, phys.ReadLine(pfn, 0)) {
 		t.Fatal("corrected fetch returned corrupted data")
 	}
-	if res.Code != ecc.EncodeLine(phys.ReadLine(pfn, 0)) {
+	if res.LineCode() != ecc.EncodeLine(phys.ReadLine(pfn, 0)) {
 		t.Fatal("corrected fetch returned a dirty code")
 	}
 	// Double-bit flip in one word: detected, uncorrectable, poisoned, and
@@ -137,7 +137,7 @@ func TestFaultInjectionPath(t *testing.T) {
 	if !res.Poisoned {
 		t.Fatal("uncorrectable fetch not poisoned")
 	}
-	if res.Code != (ecc.LineCode{}) {
+	if res.LineCode() != (ecc.LineCode{}) {
 		t.Fatal("poisoned fetch leaked an ECC code")
 	}
 }
@@ -194,5 +194,57 @@ func TestL3MissFillZeroAlloc(t *testing.T) {
 	}
 	if c.L3.Misses == 0 || c.Stats.DemandReads != c.L3.Misses {
 		t.Fatalf("stream did not take the miss path: %d misses, %d demand reads", c.L3.Misses, c.Stats.DemandReads)
+	}
+}
+
+// TestLineCodeMatchesEagerEncode is the property behind the lazy codes:
+// for every line of a stored and of a seeded frame, fetched from DRAM and
+// from the network, with no fault model and with fault models that flip
+// one, two or three bits or nothing, LineCode returns what the eager
+// controller returned — ecc.EncodeLine of the clean line, or a zero code
+// for a poisoned fetch.
+func TestLineCodeMatchesEagerEncode(t *testing.T) {
+	flips := func(bits ...int) FaultModel {
+		return FaultFunc(func(addr uint64, line []byte) {
+			for _, b := range bits {
+				b = (b + int(addr/mem.LineSize)) % (8 * mem.LineSize)
+				line[b/8] ^= 1 << (b % 8)
+			}
+		})
+	}
+	models := []struct {
+		name string
+		m    FaultModel
+	}{
+		{"none", nil},
+		{"clean", flips()},
+		{"one bit", flips(5)},
+		{"two bits", flips(3, 9)},
+		{"three bits", flips(1, 70, 300)},
+	}
+	for _, fm := range models {
+		for _, network := range []bool{false, true} {
+			c, phys := newCtrl(4, true)
+			c.Faults = fm.m
+			stored := fillFrame(phys)
+			seeded, _ := phys.Alloc()
+			phys.SeedPages([]mem.PFN{seeded}, []uint64{42})
+			for _, pfn := range []mem.PFN{stored, seeded} {
+				for li := 0; li < mem.LinesPerPage; li++ {
+					clean := bytes.Clone(phys.ReadLine(pfn, li))
+					if network {
+						c.L3.Insert(uint64(pfn.LineAddr(li)))
+					}
+					res := c.FetchLine(pfn, li, uint64(li)*1000, dram.SrcPageForge)
+					want := ecc.EncodeLine(clean)
+					if res.Poisoned {
+						want = ecc.LineCode{}
+					}
+					if got := res.LineCode(); got != want {
+						t.Fatalf("%s, network %v, frame %d line %d: LineCode %v, eager %v", fm.name, network, pfn, li, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -200,7 +200,7 @@ func (e *Engine) Trigger(now uint64) {
 				e.FaultAborts++
 				break
 			}
-			e.keyAsm.Observe(li, res.Code)
+			e.keyAsm.Observe(li, res.LineCode())
 		}
 	}
 	if !p.Fault && e.keyAsm.Ready() && !p.HashReady {
@@ -274,8 +274,8 @@ func (e *Engine) comparePages(cand, other mem.PFN, clock *uint64) (cmp int, faul
 			done = doneB
 		}
 		*clock = done + CompareCycles
-		if !resA.Poisoned {
-			e.keyAsm.Observe(li, resA.Code)
+		if !resA.Poisoned && e.keyAsm.Wants(li) {
+			e.keyAsm.Observe(li, resA.LineCode())
 		}
 		if resA.Poisoned || resB.Poisoned {
 			return 0, true

@@ -42,7 +42,7 @@ func buildImageRef(p Profile, numVMs int, physFrames int, seed uint64) (*Image, 
 		for i, v := range img.VMs {
 			group := (slot*numVMs + i) / max(1, int(p.DupCopies+0.5))
 			contentID := group % max(1, distinct)
-			fillPage(page, uint64(contentID)*2654435761+salt)
+			mem.FillPage(page, uint64(contentID)*2654435761+salt, 0)
 			if _, err := v.Write(vm.GFN(slot), 0, page); err != nil {
 				return nil, fmt.Errorf("tailbench: dup page: %w", err)
 			}
@@ -63,7 +63,7 @@ func buildImageRef(p Profile, numVMs int, physFrames int, seed uint64) (*Image, 
 		g := vm.GFN(dupPerVM + zeroPerVM + u)
 		for _, v := range img.VMs {
 			next++
-			fillPage(page, next*0x9E3779B97F4A7C15+7)
+			mem.FillPage(page, next*0x9E3779B97F4A7C15+7, 0)
 			if _, err := v.Write(g, 0, page); err != nil {
 				return nil, fmt.Errorf("tailbench: unique page: %w", err)
 			}
@@ -139,10 +139,10 @@ func requireSameFacts(t *testing.T, want, got imageFacts) {
 }
 
 // readConcurrently makes the first reads of img's memory the way a sharded
-// scan pass does: it opens a deferred-free window, which generates every
-// seeded page, and has workers goroutines each compare every workers-th
-// allocated frame with the same frame of ref. It reports the first frame
-// whose bytes differ, or -1.
+// scan pass does: inside a deferred-free window, workers goroutines each
+// read every workers-th allocated frame into a buffer of their own, from
+// its seed when it is seeded, and compare it with the same frame of ref.
+// It reports the first frame whose bytes differ, or -1.
 func readConcurrently(img, ref *Image, workers int) int {
 	phys := img.HV.Phys
 	same := make([]bool, phys.TotalFrames())
@@ -152,8 +152,12 @@ func readConcurrently(img, ref *Image, workers int) int {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			buf := make([]byte, mem.PageSize)
 			for pfn := mem.PFN(w); int(pfn) < len(same); pfn += mem.PFN(workers) {
-				same[pfn] = !phys.Allocated(pfn) || bytes.Equal(phys.Page(pfn), ref.HV.Phys.Page(pfn))
+				if same[pfn] = !phys.Allocated(pfn); !same[pfn] {
+					phys.ReadAt(pfn, 0, buf)
+					same[pfn] = bytes.Equal(buf, ref.HV.Phys.Page(pfn))
+				}
 			}
 		}()
 	}
@@ -167,7 +171,7 @@ func readConcurrently(img, ref *Image, workers int) int {
 // VM counts whose dup groups straddle chunk boundaries, and 1..4 workers
 // that make the fresh image's first reads concurrently (readConcurrently).
 // At every worker count the workers must read the reference's bytes, which
-// under -race also proves that none of them generates a page. The build
+// under -race also proves that no seeded read writes shared state. The build
 // itself is sequential and deterministic, so the image's facts (the
 // captured State, every page's bytes included) are compared with the
 // reference's once per shape, at one worker.

@@ -1,7 +1,6 @@
 package tailbench
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/mem"
@@ -57,10 +56,10 @@ type Image struct {
 //
 // The build runs in two phases. The mapping phase faults every resident
 // page in, in the fixed order dup (slot-major, VM-minor), zero, unique.
-// The content phase seeds one slot per distinct content with
-// mem.Phys.SeedPages, which generates a page's bytes only when something
-// first reads them, and points every other dup frame at its content's
-// slot. The hypervisor is created here, so no write observer exists to
+// The content phase seeds one frame per distinct content with
+// mem.Phys.SeedPages, which never stores a seeded page's bytes unless a
+// partial write or a Page view needs them, and points every other dup
+// frame at its content's seed. The hypervisor is created here, so no write observer exists to
 // miss the contents (DESIGN.md §10).
 func BuildImage(p Profile, numVMs int, physFrames int, seed uint64) (*Image, error) {
 	img := &Image{Profile: p, HV: vm.NewHypervisor(uint64(physFrames) * mem.PageSize), rng: sim.NewRNG(seed)}
@@ -147,7 +146,7 @@ func BuildImage(p Profile, numVMs int, physFrames int, seed uint64) (*Image, err
 		fills = append(fills, img.pfn(id))
 		seeds = append(seeds, next*0x9E3779B97F4A7C15+7)
 	}
-	img.HV.Phys.SeedPages(fills, seeds, fillPage)
+	img.HV.Phys.SeedPages(fills, seeds)
 	for k, id := range img.DupPages {
 		if pfn, lead := img.pfn(id), leaders[k/copies%distinct]; pfn != lead {
 			img.HV.Phys.CopyPage(pfn, lead)
@@ -160,32 +159,6 @@ func BuildImage(p Profile, numVMs int, physFrames int, seed uint64) (*Image, err
 func (img *Image) pfn(id vm.PageID) mem.PFN {
 	pfn, _ := img.HV.VM(id.VM).Resolve(id.GFN)
 	return pfn
-}
-
-// fillPage writes deterministic content derived from seed: a zero prefix
-// of 64..576 bytes (also seed-derived) followed by pseudo-random data.
-// Pages with equal seeds are byte-identical. The zero prefix reproduces the
-// structure of real system pages — zero-initialized headers, sparse data,
-// common ELF/slab prefixes — which is what makes content-indexed tree
-// comparisons walk hundreds of bytes before diverging (the dominant cost
-// in Table 4) rather than one byte.
-func fillPage(page []byte, seed uint64) {
-	// Mix the seed so nearby seeds produce unrelated prefixes and tails.
-	z := seed + 0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	prefix := 64 + int(z%1025) // 64..1088 bytes (~576 mean), 8B-aligned below
-	prefix &^= 7
-	for i := 0; i < prefix; i++ {
-		page[i] = 0
-	}
-	x := z | 1
-	for i := prefix; i+8 <= len(page); i += 8 {
-		x ^= x >> 12
-		x ^= x << 25
-		x ^= x >> 27
-		binary.LittleEndian.PutUint64(page[i:], x*0x2545F4914F6CDD1D)
-	}
 }
 
 // ChurnVolatile models the application's write traffic between
@@ -202,7 +175,7 @@ func (img *Image) ChurnVolatile() error {
 	for _, id := range img.Volatile {
 		v := img.HV.VM(id.VM)
 		if img.rng.Bool(0.5) {
-			fillPage(buf, img.rng.Uint64())
+			mem.FillPage(buf, img.rng.Uint64(), 0)
 			if _, err := v.Write(id.GFN, 0, buf); err != nil {
 				return err
 			}
@@ -247,7 +220,7 @@ func (img *Image) SpawnVM() (*vm.VM, error) {
 	page := make([]byte, mem.PageSize)
 	for slot := 0; slot < dupPerVM; slot++ {
 		contentID := (slot + img.spawned) % max(1, img.dupDistinct)
-		fillPage(page, uint64(contentID)*2654435761+img.salt)
+		mem.FillPage(page, uint64(contentID)*2654435761+img.salt, 0)
 		if _, err := v.Write(vm.GFN(slot), 0, page); err != nil {
 			return nil, fmt.Errorf("tailbench: spawn dup page: %w", err)
 		}
@@ -267,7 +240,7 @@ func (img *Image) SpawnVM() (*vm.VM, error) {
 	for u := 0; u < uniqPerVM; u++ {
 		g := vm.GFN(dupPerVM + zeroPerVM + u)
 		next++
-		fillPage(page, next*0x9E3779B97F4A7C15+7)
+		mem.FillPage(page, next*0x9E3779B97F4A7C15+7, 0)
 		if _, err := v.Write(g, 0, page); err != nil {
 			return nil, fmt.Errorf("tailbench: spawn unique page: %w", err)
 		}
@@ -344,7 +317,7 @@ func (img *Image) PhaseShift(frac float64) error {
 	img.Volatile = img.Volatile[:0]
 	for i := 0; i < n; i++ {
 		id := img.UniquePages[(start+i)%len(img.UniquePages)]
-		fillPage(buf, img.rng.Uint64())
+		mem.FillPage(buf, img.rng.Uint64(), 0)
 		if _, err := img.HV.VM(id.VM).Write(id.GFN, 0, buf); err != nil {
 			return fmt.Errorf("tailbench: phase shift page %v: %w", id, err)
 		}
@@ -379,9 +352,9 @@ func (img *Image) BurstWrite(n int, dupFrac float64) (int, error) {
 		for i, v := range img.VMs {
 			if float64(slot) < dupFrac*float64(n) {
 				// Pool content: slot-indexed, shared by every VM this window.
-				fillPage(page, salt+uint64(slot)*0x9E3779B97F4A7C15)
+				mem.FillPage(page, salt+uint64(slot)*0x9E3779B97F4A7C15, 0)
 			} else {
-				fillPage(page, salt^(uint64(i*img.Profile.BurstPagesPerVM+img.burstUsed+slot)*0xA24BAED4963EE407+13))
+				mem.FillPage(page, salt^(uint64(i*img.Profile.BurstPagesPerVM+img.burstUsed+slot)*0xA24BAED4963EE407+13), 0)
 			}
 			if _, err := v.Write(g, 0, page); err != nil {
 				return written, fmt.Errorf("tailbench: burst page %v: %w", vm.PageID{VM: v.ID, GFN: g}, err)

@@ -280,7 +280,7 @@ func (v *VM) Read(g GFN, off int, dst []byte) error {
 	if err != nil {
 		return err
 	}
-	copy(dst, v.hv.Phys.Page(mem.PFN(e.pfn))[off:])
+	v.hv.Phys.ReadAt(mem.PFN(e.pfn), off, dst)
 	return nil
 }
 
