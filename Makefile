@@ -62,7 +62,8 @@ digests:
 # overcommitted pressure rows must have run their storm and recovered, every
 # crash row must have fired a crash and recovered bit-identically, and the
 # efficiency run must prove zero perturbation while writing a well-formed
-# per-pass series artifact. It builds the CLI once into a fresh temporary
+# per-pass series artifact, which `pageforge report` must read back and
+# render as at least one track. It builds the CLI once into a fresh temporary
 # directory, which also holds the series file, so a stale artifact from an
 # earlier run cannot mask a failed write; pipefail makes a failing
 # pageforge run fail the step, not only a failing jq check.
@@ -79,6 +80,8 @@ smoke:
 	"$$dir/pageforge" run -exp efficiency -fast -quiet -json -apps img_dnn -series "$$dir/series.json" \
 		| jq -e '.experiments.efficiency.Rows | all(.Identical) and length > 0' > /dev/null; \
 	jq -e '.schema == "pageforge-series/v1" and (.tracks | length > 0) and ([.tracks[].points | length] | add > 0)' "$$dir/series.json" > /dev/null; \
+	"$$dir/pageforge" report -series "$$dir/series.json" > "$$dir/report.txt"; \
+	grep -q '^track ' "$$dir/report.txt"; \
 	"$$dir/pageforge" run -exp stream -fast -quiet -json \
 		| jq -e '.experiments.stream.Rows | all(.Identical) and length > 0' > /dev/null; \
 	echo smoke OK

@@ -777,7 +777,10 @@ func sweep(args []string) {
 				res := s.ScanBatch(pts)
 				busy += s.Cycles.Total() - before
 				if res.PassEnded {
-					img.ChurnVolatile()
+					if err := img.ChurnVolatile(); err != nil {
+						fmt.Fprintln(os.Stderr, "error:", err)
+						os.Exit(1)
+					}
 				}
 			}
 			f := img.MeasureFootprint()

@@ -5,9 +5,9 @@
 // bus occupancy, which is the first-order behaviour an FR-FCFS controller
 // exposes to a small number of outstanding streams.
 //
-// The model also keeps per-source bandwidth accounting in fixed windows,
-// which is what Figure 11 of the paper plots (bandwidth during the most
-// memory-intensive phase of page deduplication).
+// The model counts bytes per traffic source (TotalBytes); Figure 11's
+// dedup bandwidth is the dedup sources' byte volume over the mass-merging
+// phase.
 package dram
 
 import (
@@ -62,7 +62,6 @@ type Config struct {
 	TRP          uint64 // precharge, CPU cycles
 	TCL          uint64 // CAS latency, CPU cycles
 	TBurst       uint64 // data burst occupancy of the channel bus
-	WindowCycles uint64 // bandwidth accounting window
 	CtrlOverhead uint64 // fixed controller/queue overhead per access
 }
 
@@ -78,7 +77,6 @@ func DefaultConfig() Config {
 		TRP:          28,
 		TCL:          28,
 		TBurst:       8,
-		WindowCycles: 2_000_000, // 1ms at 2GHz
 		CtrlOverhead: 12,
 	}
 }
@@ -114,27 +112,23 @@ type DRAM struct {
 	cfg   Config
 	banks [][]bank // [channel][rank*banksPerRank]
 	chans []channel
-	// dec holds Decode's shifts and masks when every dimension it divides
-	// by is a power of two (pow2); other geometries divide.
-	dec  decoder
-	pow2 bool
+	dec   decoder // Decode's shifts and masks
 
 	Stats Stats
-	// windows[src] maps window index -> bytes transferred in that window.
-	windows [numSources]map[uint64]uint64
 	// Per-bank accounting for the observability layer: accesses and
 	// row-buffer hits, indexed [channel][rank*banksPerRank+bank].
 	bankAccess  [][]uint64
 	bankRowHits [][]uint64
 }
 
-// New builds an idle memory system.
+// New builds an idle memory system. It panics on a geometry it cannot
+// decode: a dimension below one or one that is not a power of two.
 func New(cfg Config) *DRAM {
-	if cfg.Channels < 1 || cfg.BanksPerRank < 1 || cfg.RanksPerChan < 1 {
+	dec, ok := newDecoder(cfg)
+	if !ok || cfg.Channels < 1 || cfg.BanksPerRank < 1 || cfg.RanksPerChan < 1 {
 		panic(fmt.Sprintf("dram: bad config %+v", cfg))
 	}
-	d := &DRAM{cfg: cfg, chans: make([]channel, cfg.Channels)}
-	d.dec, d.pow2 = newDecoder(cfg)
+	d := &DRAM{cfg: cfg, chans: make([]channel, cfg.Channels), dec: dec}
 	for c := 0; c < cfg.Channels; c++ {
 		banks := make([]bank, cfg.RanksPerChan*cfg.BanksPerRank)
 		for i := range banks {
@@ -143,9 +137,6 @@ func New(cfg Config) *DRAM {
 		d.banks = append(d.banks, banks)
 		d.bankAccess = append(d.bankAccess, make([]uint64, len(banks)))
 		d.bankRowHits = append(d.bankRowHits, make([]uint64, len(banks)))
-	}
-	for i := range d.windows {
-		d.windows[i] = make(map[uint64]uint64)
 	}
 	return d
 }
@@ -160,12 +151,9 @@ type Geometry struct {
 // Decode maps a physical address to channel/bank/row. Consecutive lines
 // interleave across channels first, then across banks, so streams spread
 // over the whole memory system (the interleaving the paper describes).
-// Power-of-two geometries, DefaultConfig's among them, decode with shifts
-// and masks; the result is the division form's (decodeDiv) either way.
+// Every dimension is a power of two (New rejects other geometries), so the
+// line, channel, bank and row divisions are shifts and masks.
 func (d *DRAM) Decode(addr uint64) Geometry {
-	if !d.pow2 {
-		return d.decodeDiv(addr)
-	}
 	k := &d.dec
 	lineN := addr >> k.lineShift
 	rest := lineN >> k.chanShift
@@ -176,18 +164,6 @@ func (d *DRAM) Decode(addr uint64) Geometry {
 	}
 }
 
-// decodeDiv is Decode by division, for any geometry.
-func (d *DRAM) decodeDiv(addr uint64) Geometry {
-	lineN := addr / uint64(d.cfg.LineBytes)
-	ch := int(lineN % uint64(d.cfg.Channels))
-	rest := lineN / uint64(d.cfg.Channels)
-	banksPerChan := uint64(d.cfg.RanksPerChan * d.cfg.BanksPerRank)
-	bankIdx := int(rest % banksPerChan)
-	rowInBank := rest / banksPerChan
-	linesPerRow := uint64(d.cfg.RowBytes / d.cfg.LineBytes)
-	return Geometry{Channel: ch, Bank: bankIdx, Row: int64(rowInBank / linesPerRow)}
-}
-
 // decoder is Decode's shift-and-mask form of a power-of-two geometry.
 type decoder struct {
 	lineShift, chanShift, bankShift, rowShift uint
@@ -195,7 +171,7 @@ type decoder struct {
 }
 
 // newDecoder builds the shift-and-mask decoder of cfg, reporting false when
-// a dimension Decode divides by is not a power of two.
+// a dimension Decode divides by is below one or not a power of two.
 func newDecoder(cfg Config) (decoder, bool) {
 	dims := [4]int{cfg.LineBytes, cfg.Channels, cfg.RanksPerChan * cfg.BanksPerRank, 0}
 	if cfg.LineBytes > 0 {
@@ -295,61 +271,9 @@ func (d *DRAM) Access(addr uint64, now uint64, write bool, src Source) uint64 {
 	} else {
 		d.Stats.Reads++
 	}
-	bytes := uint64(d.cfg.LineBytes)
-	d.Stats.BytesBySrc[src] += bytes
-	d.windows[src][now/d.cfg.WindowCycles] += bytes
+	d.Stats.BytesBySrc[src] += uint64(d.cfg.LineBytes)
 
 	return done - now
-}
-
-// WindowBandwidth reports the bytes transferred by a source during the
-// given window index.
-func (d *DRAM) WindowBandwidth(src Source, window uint64) uint64 {
-	return d.windows[src][window]
-}
-
-// GBps converts bytes-in-one-window to GB/s.
-func (d *DRAM) GBps(bytes uint64) float64 {
-	seconds := float64(d.cfg.WindowCycles) / 2e9
-	return float64(bytes) / 1e9 / seconds
-}
-
-// PeakWindow finds the window with the highest total traffic from the
-// given sources, returning its index and the per-source bytes in it.
-// Figure 11 reports bandwidth in "the most memory-intensive phase of page
-// deduplication": the peak window of dedup traffic.
-func (d *DRAM) PeakWindow(srcs ...Source) (window uint64, bySrc [numSources]uint64, ok bool) {
-	var best uint64
-	for _, s := range srcs {
-		for w, b := range d.windows[s] {
-			total := b
-			for _, s2 := range srcs {
-				if s2 != s {
-					total += d.windows[s2][w]
-				}
-			}
-			if total > best {
-				best = total
-				window = w
-				ok = true
-			}
-		}
-	}
-	if ok {
-		for s := Source(0); s < numSources; s++ {
-			bySrc[s] = d.windows[s][window]
-		}
-	}
-	return window, bySrc, ok
-}
-
-// ResetBandwidthWindows clears the per-window accounting (but not the bank
-// and bus state). Measurement phases call this after warm-up so peak-window
-// statistics cover only the measured region.
-func (d *DRAM) ResetBandwidthWindows() {
-	for i := range d.windows {
-		d.windows[i] = make(map[uint64]uint64)
-	}
 }
 
 // TotalBytes reports all bytes transferred for a source.

@@ -104,42 +104,6 @@ func TestChannelBusSerializesBursts(t *testing.T) {
 	}
 }
 
-func TestBandwidthWindows(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.WindowCycles = 1000
-	d := New(cfg)
-	d.Access(0, 0, false, SrcKSM)
-	d.Access(64, 0, false, SrcKSM)
-	d.Access(128, 500, false, SrcCore)
-	d.Access(192, 1500, false, SrcKSM) // second window
-	if got := d.WindowBandwidth(SrcKSM, 0); got != 128 {
-		t.Fatalf("window 0 KSM bytes = %d, want 128", got)
-	}
-	if got := d.WindowBandwidth(SrcCore, 0); got != 64 {
-		t.Fatalf("window 0 core bytes = %d, want 64", got)
-	}
-	if got := d.WindowBandwidth(SrcKSM, 1); got != 64 {
-		t.Fatalf("window 1 KSM bytes = %d, want 64", got)
-	}
-	w, bySrc, ok := d.PeakWindow(SrcKSM)
-	if !ok || w != 0 {
-		t.Fatalf("peak window = %d ok=%v, want 0", w, ok)
-	}
-	if bySrc[SrcKSM] != 128 || bySrc[SrcCore] != 64 {
-		t.Fatalf("peak window bytes %v", bySrc)
-	}
-}
-
-func TestGBpsConversion(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.WindowCycles = 2_000_000 // 1ms
-	d := New(cfg)
-	// 2 GB/s = 2e9 bytes/s = 2e6 bytes per 1ms window.
-	if got := d.GBps(2_000_000); got < 1.99 || got > 2.01 {
-		t.Fatalf("GBps(2MB per 1ms) = %g, want ~2", got)
-	}
-}
-
 func TestTotalBytesAndRowHitRate(t *testing.T) {
 	d := New(DefaultConfig())
 	r := sim.NewRNG(1)
@@ -173,47 +137,71 @@ func TestSequentialStreamMostlyRowHits(t *testing.T) {
 	}
 }
 
+// TestBadConfigPanics pins New's rejection of a geometry it cannot decode:
+// the zero Config, negative dimensions whose product is positive, and
+// every dimension Decode divides by set to something other than a power
+// of two.
 func TestBadConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad config accepted")
-		}
-	}()
-	New(Config{})
+	bad := []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"zero", func(c *Config) { *c = Config{} }},
+		{"negative ranks and banks", func(c *Config) { c.RanksPerChan, c.BanksPerRank = -1, -8 }},
+		{"three channels", func(c *Config) { c.Channels = 3 }},
+		{"six banks", func(c *Config) { c.BanksPerRank = 6 }},
+		{"odd row", func(c *Config) { c.RowBytes = 3 << 10 }},
+		{"48B lines", func(c *Config) { c.LineBytes = 48 }},
+	}
+	for _, b := range bad {
+		cfg := DefaultConfig()
+		b.edit(&cfg)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: bad config %+v accepted", b.name, cfg)
+				}
+			}()
+			New(cfg)
+		}()
+	}
+}
+
+// decodeDiv is Decode by division: the reference the shift-and-mask
+// decoder must reproduce.
+func decodeDiv(cfg Config, addr uint64) Geometry {
+	lineN := addr / uint64(cfg.LineBytes)
+	ch := int(lineN % uint64(cfg.Channels))
+	rest := lineN / uint64(cfg.Channels)
+	banksPerChan := uint64(cfg.RanksPerChan * cfg.BanksPerRank)
+	bankIdx := int(rest % banksPerChan)
+	rowInBank := rest / banksPerChan
+	linesPerRow := uint64(cfg.RowBytes / cfg.LineBytes)
+	return Geometry{Channel: ch, Bank: bankIdx, Row: int64(rowInBank / linesPerRow)}
 }
 
 // TestDecodeShiftMatchesDivision compares Decode with its division form on
-// power-of-two geometries, which decode with shifts and masks, and on
-// geometries with a dimension that is not a power of two, which must fall
-// back to division, over low, random and top-of-range addresses.
+// power-of-two geometries over low, random and top-of-range addresses.
 func TestDecodeShiftMatchesDivision(t *testing.T) {
 	geometries := []struct {
 		name string
-		pow2 bool
 		edit func(*Config)
 	}{
-		{"default", true, func(*Config) {}},
-		{"one channel", true, func(c *Config) { c.Channels = 1 }},
-		{"wide", true, func(c *Config) { c.Channels, c.RanksPerChan, c.RowBytes = 4, 2, 2<<10 }},
-		{"three channels", false, func(c *Config) { c.Channels = 3 }},
-		{"six banks", false, func(c *Config) { c.BanksPerRank = 6 }},
-		{"odd row", false, func(c *Config) { c.RowBytes = 3 << 10 }},
-		{"48B lines", false, func(c *Config) { c.LineBytes = 48 }},
+		{"default", func(*Config) {}},
+		{"one channel", func(c *Config) { c.Channels = 1 }},
+		{"wide", func(c *Config) { c.Channels, c.RanksPerChan, c.RowBytes = 4, 2, 2<<10 }},
 	}
 	rng := sim.NewRNG(5)
 	for _, g := range geometries {
 		cfg := DefaultConfig()
 		g.edit(&cfg)
 		d := New(cfg)
-		if d.pow2 != g.pow2 {
-			t.Fatalf("%s: shift-and-mask decoder %v, want %v", g.name, d.pow2, g.pow2)
-		}
 		addrs := []uint64{0, 63, 64, 8191, 8192, 1 << 34, ^uint64(0), ^uint64(0) - 4095}
 		for i := 0; i < 2000; i++ {
 			addrs = append(addrs, rng.Uint64()>>uint(rng.Intn(40)))
 		}
 		for _, a := range addrs {
-			if got, want := d.Decode(a), d.decodeDiv(a); got != want {
+			if got, want := d.Decode(a), decodeDiv(cfg, a); got != want {
 				t.Fatalf("%s: Decode(%#x) = %+v, division gives %+v", g.name, a, got, want)
 			}
 		}

@@ -1,14 +1,9 @@
 package dram
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Checkpoint support. Bank row-buffer contents and occupancy reservations
-// determine every later access's latency, so they are captured exactly;
-// the per-window bandwidth maps are serialized as sorted slices to keep
-// the encoding deterministic.
+// determine every later access's latency, so they are captured exactly.
 
 // BankState is the serialized image of one bank.
 type BankState struct {
@@ -23,18 +18,11 @@ type ChannelState struct {
 	BgOwned bool
 }
 
-// WindowEntry is one bandwidth-accounting window's byte count.
-type WindowEntry struct {
-	Window uint64
-	Bytes  uint64
-}
-
 // DRAMState is the serialized image of a DRAM.
 type DRAMState struct {
 	Banks       [][]BankState
 	Chans       []ChannelState
 	Stats       Stats
-	Windows     [][]WindowEntry // indexed by Source
 	BankAccess  [][]uint64
 	BankRowHits [][]uint64
 }
@@ -45,7 +33,6 @@ func (d *DRAM) State() DRAMState {
 		Banks:       make([][]BankState, len(d.banks)),
 		Chans:       make([]ChannelState, len(d.chans)),
 		Stats:       d.Stats,
-		Windows:     make([][]WindowEntry, len(d.windows)),
 		BankAccess:  make([][]uint64, len(d.bankAccess)),
 		BankRowHits: make([][]uint64, len(d.bankRowHits)),
 	}
@@ -60,21 +47,13 @@ func (d *DRAM) State() DRAMState {
 	for c, ch := range d.chans {
 		st.Chans[c] = ChannelState{BusFree: ch.busFree, BgOwned: ch.bgOwned}
 	}
-	for s := range d.windows {
-		entries := make([]WindowEntry, 0, len(d.windows[s]))
-		for w, b := range d.windows[s] {
-			entries = append(entries, WindowEntry{Window: w, Bytes: b})
-		}
-		sort.Slice(entries, func(i, j int) bool { return entries[i].Window < entries[j].Window })
-		st.Windows[s] = entries
-	}
 	return st
 }
 
 // SetState restores the memory system in place. Geometry must match the
 // live configuration.
 func (d *DRAM) SetState(st DRAMState) error {
-	if len(st.Banks) != len(d.banks) || len(st.Chans) != len(d.chans) || len(st.Windows) != len(d.windows) {
+	if len(st.Banks) != len(d.banks) || len(st.Chans) != len(d.chans) {
 		return fmt.Errorf("dram: restore geometry mismatch")
 	}
 	for c, banks := range st.Banks {
@@ -91,11 +70,5 @@ func (d *DRAM) SetState(st DRAMState) error {
 		d.chans[c] = channel{busFree: ch.BusFree, bgOwned: ch.BgOwned}
 	}
 	d.Stats = st.Stats
-	for s := range d.windows {
-		d.windows[s] = make(map[uint64]uint64, len(st.Windows[s]))
-		for _, e := range st.Windows[s] {
-			d.windows[s][e.Window] = e.Bytes
-		}
-	}
 	return nil
 }

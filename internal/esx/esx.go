@@ -45,11 +45,11 @@ type Stats struct {
 	BytesHashed    uint64
 }
 
-// hint tracks an unshared page whose hash has been seen once.
+// hint tracks an unshared page whose hash, its key in Table.hints, has
+// been seen once.
 type hint struct {
-	id   vm.PageID
-	pfn  mem.PFN
-	hash uint64
+	id  vm.PageID
+	pfn mem.PFN
 }
 
 // Comparer abstracts who performs the exhaustive comparisons: the software
@@ -174,18 +174,18 @@ func (t *Table) ScanOne() (merged bool, ok bool) {
 			}
 			// Hint page changed since recorded: this candidate becomes the
 			// new hint for h.
-			t.hints[h] = hint{id: id, pfn: pfn, hash: h}
+			t.hints[h] = hint{id: id, pfn: pfn}
 			t.Stats.HintUpdates++
 			return false, true
 		}
 		// Hint page vanished or was remapped; replace it.
-		t.hints[h] = hint{id: id, pfn: pfn, hash: h}
+		t.hints[h] = hint{id: id, pfn: pfn}
 		t.Stats.HintUpdates++
 		return false, true
 	}
 
 	// 3. First sighting.
-	t.hints[h] = hint{id: id, pfn: pfn, hash: h}
+	t.hints[h] = hint{id: id, pfn: pfn}
 	t.Stats.HintInserts++
 	return false, true
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"repro/internal/ksm"
 	"repro/internal/tailbench"
 )
@@ -88,7 +90,9 @@ func hashOutcomes(s *Suite, app tailbench.Profile, h ksm.Hasher) (match, mismatc
 		for i := 0; i < pages; i++ {
 			scanner.ScanOne()
 		}
-		img.ChurnVolatile()
+		if err := img.ChurnVolatile(); err != nil {
+			return 0, 0, fmt.Errorf("experiments: fig8 churn: %w", err)
+		}
 	}
 	m := scanner.Alg.Stats.HashMatches - startMatches
 	mm := scanner.Alg.Stats.HashMismatches - startMismatches

@@ -80,7 +80,7 @@ func rasFaultConfig(seed uint64, rate float64, frames int) faults.Config {
 
 // rasWorld builds the scanned population: VMs sharing a block of cross-VM
 // duplicate pages (the achievable merge target) plus per-VM unique pages.
-func rasWorld(seed uint64) *vm.Hypervisor {
+func rasWorld(seed uint64) (*vm.Hypervisor, error) {
 	const (
 		numVMs  = 6
 		dupPgs  = 24
@@ -90,20 +90,26 @@ func rasWorld(seed uint64) *vm.Hypervisor {
 	for i := 0; i < numVMs; i++ {
 		v := hv.NewVM(uint64(dupPgs+uniqPgs) * mem.PageSize)
 		v.Madvise(0, dupPgs+uniqPgs, true)
-		for g := 0; g < dupPgs; g++ {
-			v.Write(vm.GFN(g), 0, satoriPage(seed+uint64(g)*13+1))
-		}
-		for g := dupPgs; g < dupPgs+uniqPgs; g++ {
-			v.Write(vm.GFN(g), 0, satoriPage(seed+uint64(i*1009+g)*7+5))
+		for g := 0; g < dupPgs+uniqPgs; g++ {
+			pageSeed := seed + uint64(g)*13 + 1 // cross-VM duplicate
+			if g >= dupPgs {
+				pageSeed = seed + uint64(i*1009+g)*7 + 5 // unique to this VM
+			}
+			if _, err := v.Write(vm.GFN(g), 0, satoriPage(pageSeed)); err != nil {
+				return nil, err
+			}
 		}
 	}
-	return hv
+	return hv, nil
 }
 
 // rasPoint runs one fault rate to steady state and collects the row
 // (CoveragePct is filled in by the caller, which owns the rate-0 anchor).
-func rasPoint(seed uint64, rate float64, passes, scrubBudget int) RASRow {
-	hv := rasWorld(seed)
+func rasPoint(seed uint64, rate float64, passes, scrubBudget int) (RASRow, error) {
+	hv, err := rasWorld(seed)
+	if err != nil {
+		return RASRow{}, fmt.Errorf("experiments: RAS world: %w", err)
+	}
 	dr := dram.New(dram.DefaultConfig())
 	mc := memctrl.New(dr, hv.Phys, nil)
 	if rate > 0 {
@@ -147,7 +153,7 @@ func rasPoint(seed uint64, rate float64, passes, scrubBudget int) RASRow {
 	if total > 0 {
 		row.ScrubPct = float64(dr.TotalBytes(dram.SrcScrub)) / float64(total) * 100
 	}
-	return row
+	return row, nil
 }
 
 // RAS sweeps fault rate against merge coverage and RAS overheads. The
@@ -172,7 +178,11 @@ func RAS(s *Suite, rates []float64) (*RASResult, error) {
 	}
 	res := &RASResult{Passes: passes}
 	for _, rate := range rates {
-		res.Rows = append(res.Rows, rasPoint(s.Cfg.Seed, rate, passes, scrubBudget))
+		row, err := rasPoint(s.Cfg.Seed, rate, passes, scrubBudget)
+		if err != nil {
+			return nil, err
+		}
+		res.Rows = append(res.Rows, row)
 	}
 	anchor := res.Rows[0].Merged
 	for i := range res.Rows {

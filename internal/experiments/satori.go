@@ -46,17 +46,14 @@ type satoriWorld struct {
 	vms       []*vm.VM
 	stablePgs int
 	transPgs  int
-	life      int
-	phase     int // generation counter for transient contents
 	identical bool
 }
 
-func newSatoriWorld(numVMs, stablePgs, transPgs, life int) *satoriWorld {
+func newSatoriWorld(numVMs, stablePgs, transPgs int) (*satoriWorld, error) {
 	w := &satoriWorld{
 		hv:        vm.NewHypervisor(uint64(numVMs*(stablePgs+transPgs)*2+64) * mem.PageSize),
 		stablePgs: stablePgs,
 		transPgs:  transPgs,
-		life:      life,
 	}
 	total := stablePgs + transPgs
 	for i := 0; i < numVMs; i++ {
@@ -64,12 +61,16 @@ func newSatoriWorld(numVMs, stablePgs, transPgs, life int) *satoriWorld {
 		v.Madvise(0, total, true)
 		for g := 0; g < stablePgs; g++ {
 			// Stable cross-VM duplicates (the background KSM workload).
-			v.Write(vm.GFN(g), 0, satoriPage(uint64(g)*77+1))
+			if _, err := v.Write(vm.GFN(g), 0, satoriPage(uint64(g)*77+1)); err != nil {
+				return nil, err
+			}
 		}
 		w.vms = append(w.vms, v)
 	}
-	w.flip(0) // start divergent
-	return w
+	if err := w.flip(0); err != nil { // start divergent
+		return nil, err
+	}
+	return w, nil
 }
 
 func satoriPage(seed uint64) []byte {
@@ -89,8 +90,7 @@ func satoriPage(seed uint64) []byte {
 
 // flip advances the transient region: odd phases are identical across VMs
 // (a shared disk-cache read), even phases unique per VM.
-func (w *satoriWorld) flip(phase int) {
-	w.phase = phase
+func (w *satoriWorld) flip(phase int) error {
 	w.identical = phase%2 == 1
 	for g := 0; g < w.transPgs; g++ {
 		for i, v := range w.vms {
@@ -100,9 +100,12 @@ func (w *satoriWorld) flip(phase int) {
 			} else {
 				seed = uint64(phase)*1000003 + uint64(g)*131 + uint64(i+1)*7777777
 			}
-			v.Write(vm.GFN(w.stablePgs+g), 0, satoriPage(seed))
+			if _, err := v.Write(vm.GFN(w.stablePgs+g), 0, satoriPage(seed)); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
 }
 
 // sharedTransientPages counts transient guest pages currently backed by a
@@ -135,7 +138,10 @@ func Satori(s *Suite) (*SatoriResult, error) {
 	res := &SatoriResult{TransientLifeIntervals: life}
 
 	run := func(engine string, pts int) (SatoriRow, error) {
-		w := newSatoriWorld(numVMs, stablePgs, transPgs, life)
+		w, err := newSatoriWorld(numVMs, stablePgs, transPgs)
+		if err != nil {
+			return SatoriRow{}, fmt.Errorf("experiments: satori world: %w", err)
+		}
 		var busy uint64
 		captured, possible := 0, 0
 
@@ -155,7 +161,9 @@ func Satori(s *Suite) (*SatoriResult, error) {
 		pfNow := uint64(0)
 		for k := 0; k < intervals; k++ {
 			if k%life == 0 {
-				w.flip(k/life + 1)
+				if err := w.flip(k/life + 1); err != nil {
+					return SatoriRow{}, fmt.Errorf("experiments: satori transient rewrite: %w", err)
+				}
 			}
 			start := uint64(k) * interval
 			if scanner != nil {

@@ -62,7 +62,6 @@ type rmapItem struct {
 	// search, and the checker, recovery and ledger read trees in place or
 	// keep PFNs.
 	unstableNode *rbtree.Node
-	unstablePass uint64
 }
 
 // stableItem is the payload of a stable-tree node: the tree holds one
@@ -416,7 +415,6 @@ func (a *Algorithm) UnstableInsert(id vm.PageID) *rbtree.Node {
 	a.HV.Phys.IncRef(pfn)
 	n := a.Unstable.Insert(pfn, it)
 	it.unstableNode = n
-	it.unstablePass = a.pass
 	return n
 }
 
@@ -436,7 +434,6 @@ func (a *Algorithm) UnstableSearchOrInsert(id vm.PageID) (match *rbtree.Node, in
 		return n, false
 	}
 	it.unstableNode = n
-	it.unstablePass = a.pass
 	return nil, true
 }
 

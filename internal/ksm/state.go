@@ -21,10 +21,9 @@ import (
 
 // ItemState is the exported image of one rmapItem.
 type ItemState struct {
-	ID           vm.PageID
-	OldHash      uint32
-	HasHash      bool
-	UnstablePass uint64
+	ID      vm.PageID
+	OldHash uint32
+	HasHash bool
 }
 
 // AlgorithmState is the serialized image of an Algorithm.
@@ -55,12 +54,7 @@ func (a *Algorithm) State() (AlgorithmState, error) {
 		Unstable: a.Unstable.Export(),
 	}
 	for _, it := range a.items {
-		st.Items = append(st.Items, ItemState{
-			ID:           it.id,
-			OldHash:      it.oldHash,
-			HasHash:      it.hasHash,
-			UnstablePass: it.unstablePass,
-		})
+		st.Items = append(st.Items, ItemState{ID: it.id, OldHash: it.oldHash, HasHash: it.hasHash})
 	}
 	sort.Slice(st.Items, func(i, j int) bool {
 		a, b := st.Items[i].ID, st.Items[j].ID
@@ -83,12 +77,7 @@ func (a *Algorithm) SetState(st AlgorithmState) error {
 	}
 	a.items = make(map[vm.PageID]*rmapItem, len(st.Items))
 	for _, is := range st.Items {
-		a.items[is.ID] = &rmapItem{
-			id:           is.ID,
-			oldHash:      is.OldHash,
-			hasHash:      is.HasHash,
-			unstablePass: is.UnstablePass,
-		}
+		a.items[is.ID] = &rmapItem{id: is.ID, oldHash: is.OldHash, hasHash: is.HasHash}
 	}
 	a.order = append(a.order[:0], st.Order...)
 	a.curs = st.Curs

@@ -6,24 +6,19 @@ import (
 	"io"
 )
 
-// This file is the read side of the observability artifacts: `pageforge
-// report` consumes a -series file (and optionally an explain-exported ledger
-// file) long after the run that produced them is gone, so the on-disk shapes
-// get exported parse types with schema validation. The *File types mirror the
-// writers' JSON field-for-field; keep them in lockstep with series.go and
-// ledger.go.
+// This file holds the on-disk shapes of the observability artifacts. The
+// writers (Series.WriteJSON, Ledger.WriteJSON) encode these types, and
+// `pageforge report` parses them back with schema validation long after the
+// run that produced them is gone (a -series file, and optionally an
+// explain-exported ledger file).
 
 // SeriesFilePoint is one sampled window as stored in a -series artifact:
-// per-window counter deltas, instantaneous gauges, and the derived
-// per-megacycle rates the writer adds at export time.
+// the point's per-window counter deltas and instantaneous gauges, plus the
+// derived per-megacycle rates the writer adds at export time, so the
+// artifact is plottable without a post-processing step.
 type SeriesFilePoint struct {
-	Phase        string             `json:"phase"`
-	Index        int                `json:"index"`
-	Cycles       uint64             `json:"cycles"`
-	WindowCycles uint64             `json:"windowCycles"`
-	Counters     map[string]uint64  `json:"counters,omitempty"`
-	Gauges       map[string]float64 `json:"gauges,omitempty"`
-	Rates        map[string]float64 `json:"ratesPerMcycle,omitempty"`
+	SeriesPoint
+	Rates map[string]float64 `json:"ratesPerMcycle,omitempty"`
 }
 
 // SeriesFileTrack is one run's point sequence as stored in the artifact.
@@ -33,7 +28,8 @@ type SeriesFileTrack struct {
 	Points  []SeriesFilePoint `json:"points"`
 }
 
-// SeriesFile is a parsed -series artifact.
+// SeriesFile is a -series artifact, as Series.WriteJSON writes it and
+// ReadSeriesJSON parses it.
 type SeriesFile struct {
 	Schema string            `json:"schema"`
 	Tracks []SeriesFileTrack `json:"tracks"`
@@ -64,7 +60,8 @@ type LedgerFileEvent struct {
 	Arg   uint64 `json:"arg,omitempty"`
 }
 
-// LedgerFile is a parsed ledger artifact (`pageforge explain -json`).
+// LedgerFile is a ledger artifact (`pageforge explain -json`), as
+// Ledger.WriteJSON writes it and ReadLedgerJSON parses it.
 type LedgerFile struct {
 	Schema      string            `json:"schema"`
 	Attribution Attribution       `json:"attribution"`

@@ -85,22 +85,19 @@ type LedgerEvent struct {
 	Arg   uint64
 }
 
-// MarshalJSON renders kind/cause as names, not enum ordinals.
-func (e LedgerEvent) MarshalJSON() ([]byte, error) {
-	out := struct {
-		Seq   uint64 `json:"seq"`
-		Pass  int    `json:"pass"`
-		Kind  string `json:"kind"`
-		Cause string `json:"cause,omitempty"`
-		VM    int    `json:"vm"`
-		GFN   uint64 `json:"gfn"`
-		PFN   uint64 `json:"pfn"`
-		Arg   uint64 `json:"arg,omitempty"`
-	}{Seq: e.Seq, Pass: e.Pass, Kind: e.Kind.String(), VM: e.VM, GFN: e.GFN, PFN: e.PFN, Arg: e.Arg}
+// fileEvent is the event as a ledger artifact stores it: kind and cause by
+// name, not enum ordinal.
+func (e LedgerEvent) fileEvent() LedgerFileEvent {
+	out := LedgerFileEvent{Seq: e.Seq, Pass: e.Pass, Kind: e.Kind.String(), VM: e.VM, GFN: e.GFN, PFN: e.PFN, Arg: e.Arg}
 	if e.Cause != CauseNone {
 		out.Cause = e.Cause.String()
 	}
-	return json.Marshal(out)
+	return out
+}
+
+// MarshalJSON renders the event the way a ledger artifact stores it.
+func (e LedgerEvent) MarshalJSON() ([]byte, error) {
+	return json.Marshal(e.fileEvent())
 }
 
 // DefaultLedgerCapacity bounds the event ring when NewLedger is given no
@@ -284,17 +281,12 @@ func (l *Ledger) SetState(st LedgerState) {
 
 // --- JSON export -------------------------------------------------------------
 
-type ledgerFileJSON struct {
-	Schema      string        `json:"schema"`
-	Attribution Attribution   `json:"attribution"`
-	Events      []LedgerEvent `json:"events"`
-}
-
 // WriteJSON serializes the full ledger with its attribution summary.
 func (l *Ledger) WriteJSON(w io.Writer) error {
-	out := ledgerFileJSON{Schema: LedgerSchema, Attribution: l.Attribution(), Events: l.Events()}
-	if out.Events == nil {
-		out.Events = []LedgerEvent{}
+	events := l.Events()
+	out := LedgerFile{Schema: LedgerSchema, Attribution: l.Attribution(), Events: make([]LedgerFileEvent, len(events))}
+	for i, e := range events {
+		out.Events[i] = e.fileEvent()
 	}
 	return json.NewEncoder(w).Encode(out)
 }

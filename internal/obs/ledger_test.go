@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 )
@@ -113,7 +114,8 @@ func TestLedgerNilIsNoop(t *testing.T) {
 }
 
 // TestLedgerJSONRoundTrip writes the artifact and parses it back through
-// the exported reader: kinds and causes must come out as names.
+// the exported reader: kinds and causes must come out as names, and
+// re-encoding the parsed file must reproduce the written bytes.
 func TestLedgerJSONRoundTrip(t *testing.T) {
 	l := NewLedger(0)
 	l.SetPass(3)
@@ -124,6 +126,7 @@ func TestLedgerJSONRoundTrip(t *testing.T) {
 	if err := l.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
+	written := append([]byte(nil), buf.Bytes()...)
 	f, err := ReadLedgerJSON(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -143,6 +146,21 @@ func TestLedgerJSONRoundTrip(t *testing.T) {
 	}
 	if f.Attribution.Kinds["merged"] != 1 {
 		t.Fatalf("attribution=%v", f.Attribution)
+	}
+	var again bytes.Buffer
+	if err := json.NewEncoder(&again).Encode(f); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), written) {
+		t.Fatalf("re-encoded artifact differs:\n got %s\nwant %s", again.Bytes(), written)
+	}
+	// An event marshaled on its own matches its artifact entry.
+	ev, err := json.Marshal(l.Events()[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := json.Marshal(f.Events[1]); !bytes.Equal(ev, want) {
+		t.Fatalf("LedgerEvent JSON %s, artifact entry %s", ev, want)
 	}
 	if _, err := ReadLedgerJSON(bytes.NewBufferString(`{"schema":"other/v9"}`)); err == nil {
 		t.Fatal("unknown schema accepted")

@@ -311,30 +311,12 @@ func (t *SeriesTrack) SetState(st SeriesTrackState) {
 
 // --- JSON export -------------------------------------------------------------
 
-// seriesPointJSON augments a point with derived per-megacycle rates so the
-// artifact is directly plottable without a post-processing step.
-type seriesPointJSON struct {
-	SeriesPoint
-	Rates map[string]float64 `json:"ratesPerMcycle,omitempty"`
-}
-
-type seriesTrackJSON struct {
-	Name    string            `json:"name"`
-	Dropped uint64            `json:"dropped"`
-	Points  []seriesPointJSON `json:"points"`
-}
-
-type seriesFileJSON struct {
-	Schema string            `json:"schema"`
-	Tracks []seriesTrackJSON `json:"tracks"`
-}
-
 // fileValue builds the artifact shape: every track, sorted by name, with
 // per-window rates (counter delta per million cycles) derived at export
 // time. Windows with zero elapsed cycles (possible when an engine's wall
 // clock does not advance) carry no rates.
-func (s *Series) fileValue() seriesFileJSON {
-	out := seriesFileJSON{Schema: SeriesSchema}
+func (s *Series) fileValue() SeriesFile {
+	out := SeriesFile{Schema: SeriesSchema}
 	if s != nil {
 		s.mu.Lock()
 		names := make([]string, len(s.order))
@@ -347,9 +329,9 @@ func (s *Series) fileValue() seriesFileJSON {
 		sort.Strings(names)
 		for _, name := range names {
 			t := tracks[name]
-			tj := seriesTrackJSON{Name: name, Dropped: t.Dropped(), Points: []seriesPointJSON{}}
+			tj := SeriesFileTrack{Name: name, Dropped: t.Dropped(), Points: []SeriesFilePoint{}}
 			for _, pt := range t.Points() {
-				pj := seriesPointJSON{SeriesPoint: pt}
+				pj := SeriesFilePoint{SeriesPoint: pt}
 				if pt.WindowCycles > 0 && len(pt.Counters) > 0 {
 					pj.Rates = make(map[string]float64, len(pt.Counters))
 					for k, d := range pt.Counters {
@@ -362,7 +344,7 @@ func (s *Series) fileValue() seriesFileJSON {
 		}
 	}
 	if out.Tracks == nil {
-		out.Tracks = []seriesTrackJSON{}
+		out.Tracks = []SeriesFileTrack{}
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 )
@@ -137,12 +138,14 @@ func TestSeriesNilIsNoop(t *testing.T) {
 }
 
 // TestSeriesJSONRoundTrip writes the artifact and parses it back through
-// the exported reader, checking schema, rates, and shape.
+// the exported reader, checking schema, rates, and shape, and that
+// re-encoding the parsed file reproduces the written bytes.
 func TestSeriesJSONRoundTrip(t *testing.T) {
 	s := NewSeries(8)
 	tr := s.Track("KSM/app")
 	reg := NewRegistry()
 	reg.SetCounter("vm/merges", 100)
+	reg.SetGauge("platform/frames_allocated", 42)
 	tr.Sample("converge", 0, 1000, reg)
 	reg.SetCounter("vm/merges", 300) // +200 over 1000 cycles
 	tr.Sample("converge", 1, 2000, reg)
@@ -151,6 +154,7 @@ func TestSeriesJSONRoundTrip(t *testing.T) {
 	if err := s.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
+	written := append([]byte(nil), buf.Bytes()...)
 	f, err := ReadSeriesJSON(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -170,13 +174,21 @@ func TestSeriesJSONRoundTrip(t *testing.T) {
 		t.Fatalf("rate=%g want 200000", rate)
 	}
 
-	// MarshalJSON must produce the same artifact shape as WriteJSON.
-	var direct bytes.Buffer
-	if err := s.WriteJSON(&direct); err != nil {
+	var again bytes.Buffer
+	if err := json.NewEncoder(&again).Encode(f); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadSeriesJSON(&direct); err != nil {
+	if !bytes.Equal(again.Bytes(), written) {
+		t.Fatalf("re-encoded artifact differs:\n got %s\nwant %s", again.Bytes(), written)
+	}
+
+	// MarshalJSON must produce the same artifact as WriteJSON.
+	direct, err := s.MarshalJSON()
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Equal(append(direct, '\n'), written) {
+		t.Fatalf("MarshalJSON differs from WriteJSON:\n got %s\nwant %s", direct, written)
 	}
 
 	// Unknown schemas are rejected.

@@ -42,8 +42,9 @@ import (
 // state and the VMs' huge-page regions; version 6 dropped the fault model's
 // injection counters; version 7 lists each frame's mappers most recently
 // mapped first, the order of the reverse map threaded through the page
-// tables.
-const crashSnapshotVersion = 7
+// tables; version 8 dropped the DRAM bandwidth windows, the KSM items'
+// unstable-insert pass and the VMs' fault counters.
+const crashSnapshotVersion = 8
 
 // Recovery cost model (deterministic, charged only to RecoveryCycles):
 // restoring a checkpoint and the per-frame/per-byte cost of the recovery

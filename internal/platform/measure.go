@@ -134,7 +134,6 @@ func (r *Runtime) stepMeasure(k int) error {
 	r.clock = start
 	if k == warmupIntervals {
 		r.mc.L3.ResetStats()
-		r.dr.ResetBandwidthWindows()
 		m.burst.Reset()
 		m.demandLat.Reset()
 	}

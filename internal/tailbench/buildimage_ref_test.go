@@ -79,8 +79,8 @@ func buildImageRef(p Profile, numVMs int, physFrames int, seed uint64) (*Image, 
 
 // imageFacts is everything a built image's later behaviour can depend on:
 // arena bytes and frame metadata, every frame's reverse map, the page
-// lists, the allocation counters, every VM's fault count and the image's
-// own checkpointed state.
+// lists, the allocation counters, every VM's present-page count and the
+// image's own checkpointed state.
 type imageFacts struct {
 	Phys         mem.PhysState
 	MapperCounts []int
@@ -92,7 +92,7 @@ type imageFacts struct {
 	Allocs       uint64
 	ZeroFills    uint64
 	PeakFrames   int
-	SoftFaults   []uint64
+	PresentPages []int
 	Image        ImageState
 	Salt         uint64
 	DupDistinct  int
@@ -122,7 +122,13 @@ func factsOf(t *testing.T, img *Image) imageFacts {
 		f.Mappers = append(f.Mappers, img.HV.Mappers(pfn))
 	}
 	for _, v := range img.VMs {
-		f.SoftFaults = append(f.SoftFaults, v.SoftFaults)
+		n := 0
+		for g := 0; g < v.Pages(); g++ {
+			if v.Present(vm.GFN(g)) {
+				n++
+			}
+		}
+		f.PresentPages = append(f.PresentPages, n)
 	}
 	return f
 }

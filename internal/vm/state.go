@@ -23,9 +23,7 @@ type MappingState struct {
 
 // VMState is the serialized image of one VM.
 type VMState struct {
-	Table      []MappingState
-	SoftFaults uint64
-	CoWBreaks  uint64
+	Table []MappingState
 }
 
 // HypervisorState is the serialized image of the hypervisor (excluding
@@ -49,11 +47,7 @@ func (h *Hypervisor) State() HypervisorState {
 		AllocStalls: h.AllocStalls,
 	}
 	for i, v := range h.vms {
-		vs := VMState{
-			Table:      make([]MappingState, len(v.table)),
-			SoftFaults: v.SoftFaults,
-			CoWBreaks:  v.CoWBreaks,
-		}
+		vs := VMState{Table: make([]MappingState, len(v.table))}
 		for g, e := range v.table {
 			vs.Table[g] = MappingState{
 				PFN:       uint64(e.pfn),
@@ -110,8 +104,6 @@ func (h *Hypervisor) SetState(st HypervisorState) error {
 				v.table[g].next = unlinked
 			}
 		}
-		v.SoftFaults = vs.SoftFaults
-		v.CoWBreaks = vs.CoWBreaks
 	}
 	if err := h.relink(st.Rmap); err != nil {
 		return err

@@ -65,11 +65,6 @@ type VM struct {
 	ID    int
 	table []mapping
 	hv    *Hypervisor
-
-	// SoftFaults counts zero-fill first-touch faults.
-	SoftFaults uint64
-	// CoWBreaks counts write faults on shared pages.
-	CoWBreaks uint64
 }
 
 // Pages reports the guest-physical size of the VM in pages.
@@ -251,7 +246,6 @@ func (v *VM) fault(g GFN) (*mapping, error) {
 	e.pfn = uint32(pfn)
 	e.present = true
 	e.writeProt = false
-	v.SoftFaults++
 	v.hv.rmapAdd(keyOf(PageID{v.ID, g}), e)
 	return e, nil
 }
@@ -345,7 +339,6 @@ func (v *VM) breakCoW(g GFN, e *mapping) error {
 	e.pfn = uint32(fresh)
 	e.writeProt = false
 	v.hv.rmapAdd(k, e)
-	v.CoWBreaks++
 	v.hv.Unmerges++
 	if v.hv.OnCoWBreak != nil {
 		v.hv.OnCoWBreak(PageID{v.ID, g}, old, fresh)

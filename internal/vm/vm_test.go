@@ -26,8 +26,8 @@ func TestSoftFaultZeroFill(t *testing.T) {
 	if !bytes.Equal(buf, make([]byte, 16)) {
 		t.Fatal("first-touch page not zeroed")
 	}
-	if v.SoftFaults != 1 {
-		t.Fatalf("SoftFaults = %d, want 1", v.SoftFaults)
+	if h.Phys.Allocs != 1 {
+		t.Fatalf("Allocs = %d after the first touch, want 1", h.Phys.Allocs)
 	}
 	if !v.Present(0) {
 		t.Fatal("page not present after fault")
@@ -36,7 +36,7 @@ func TestSoftFaultZeroFill(t *testing.T) {
 	if err := v.Touch(0); err != nil {
 		t.Fatal(err)
 	}
-	if v.SoftFaults != 1 {
+	if h.Phys.Allocs != 1 {
 		t.Fatal("repeat touch faulted again")
 	}
 }
@@ -74,7 +74,7 @@ func TestAccessPastPageEndRejected(t *testing.T) {
 	}
 	observed := 0
 	h.OnWrite = func(PageID, int, []byte) { observed++ }
-	faults, allocs := a.SoftFaults, h.Phys.Allocs
+	allocs, unmerges := h.Phys.Allocs, h.Unmerges
 	for _, c := range []struct {
 		g   GFN
 		off int
@@ -87,10 +87,10 @@ func TestAccessPastPageEndRejected(t *testing.T) {
 			t.Fatalf("Read(%d, %d, %d bytes) accepted", c.g, c.off, c.n)
 		}
 	}
-	if a.Present(1) || a.SoftFaults != faults || h.Phys.Allocs != allocs {
+	if a.Present(1) || h.Phys.Allocs != allocs {
 		t.Fatal("a rejected access faulted a page in or allocated a frame")
 	}
-	if !a.WriteProtected(0) || a.CoWBreaks != 0 || observed != 0 {
+	if !a.WriteProtected(0) || h.Unmerges != unmerges || observed != 0 {
 		t.Fatal("a rejected write broke CoW or reached the write observer")
 	}
 	tail := bytes.Repeat([]byte{9}, 200)
@@ -180,6 +180,7 @@ func TestCoWBreakOnWriteToMergedPage(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Guest A writes: must get a private copy; B's view unchanged.
+	allocs := h.Phys.Allocs
 	broke, err := a.Write(0, 0, []byte{1})
 	if err != nil {
 		t.Fatal(err)
@@ -202,8 +203,8 @@ func TestCoWBreakOnWriteToMergedPage(t *testing.T) {
 	if ab[0] != 1 || ab[1] != 0x55 {
 		t.Fatalf("writer sees %v, want private modified copy", ab)
 	}
-	if a.CoWBreaks != 1 || h.Unmerges != 1 {
-		t.Fatalf("CoWBreaks=%d Unmerges=%d", a.CoWBreaks, h.Unmerges)
+	if h.Phys.Allocs != allocs+1 || h.Unmerges != 1 {
+		t.Fatalf("CoW break allocated %d frames, Unmerges=%d; want 1 and 1", h.Phys.Allocs-allocs, h.Unmerges)
 	}
 }
 
