@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 5s
 COVER_FLOOR ?= 75
 
-.PHONY: build fmt test race vet bench benchsmoke fuzz smoke cover perfbench-test digests ci
+.PHONY: build fmt test race vet bench benchsmoke fuzz smoke cover perfbench-test digests golden ci
 
 build:
 	$(GO) build ./...
@@ -56,6 +56,27 @@ digests:
 		done; \
 	done; \
 	echo digests OK
+
+# golden pins the paper artifacts byte for byte: it runs every experiment
+# with `pageforge run -exp all -fast -json` (about 25 s, so not part of
+# `make test`) and compares one SHA-256 per key of the document's
+# .experiments object, taken over `jq -c` of that key's value, with the
+# recorded GOLDEN file, so a failure names each experiment whose output
+# moved. The hashes were recorded with jq 1.6, whose -c number formatting
+# they depend on. A change that moves an experiment on purpose re-records
+# that key's line (the diff's + line) in the same commit and says why.
+GOLDEN := internal/experiments/testdata/golden.sha256
+golden: SHELL := /bin/bash
+golden:
+	@set -eo pipefail; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/pageforge" ./cmd/pageforge; \
+	"$$dir/pageforge" run -exp all -fast -quiet -json > "$$dir/all.json"; \
+	for k in $$(jq -r '.experiments | keys[]' "$$dir/all.json"); do \
+		jq -c --arg k "$$k" '.experiments[$$k]' "$$dir/all.json" | sha256sum | awk -v k="$$k" '{ print $$1 "  " k }'; \
+	done > "$$dir/golden.sha256"; \
+	diff -u $(GOLDEN) "$$dir/golden.sha256" \
+		|| { echo "golden: the experiments on the lines above moved from $(GOLDEN)"; exit 1; }; \
+	echo golden OK
 
 # smoke exercises the CLI's machine-readable path end to end: a fast
 # two-app table4 run must emit a JSON document with populated rows, the
@@ -118,6 +139,7 @@ cover:
 # runs its simulations through a concurrent worker pool; the suite includes
 # the exact work-count golden and the zero-allocation pins), the short fuzz
 # budget, one run of every benchmark, the CLI JSON smoke run, the
-# benchmark module's tests, the benchmark's recorded result digests and the
-# coverage floor. Every step is deterministic: no step gates on wall time.
-ci: build fmt vet race fuzz benchsmoke smoke perfbench-test digests cover
+# benchmark module's tests, the benchmark's recorded result digests, the
+# paper artifacts' recorded hashes and the coverage floor. Every step is
+# deterministic: no step gates on wall time.
+ci: build fmt vet race fuzz benchsmoke smoke perfbench-test digests golden cover

@@ -17,20 +17,22 @@
 // through a freelist, so the store is bounded by the distinct pages the
 // allocated frames hold.
 //
-// A frame can also point at a seed instead of a slot (SeedPages): it then
-// reads as the page FillPage generates from the seed, and no store slot
-// holds its bytes. Reads answer seeded frames from their seeds, into
-// storage the reader owns, and no read stores them: ReadAt into the
-// caller's buffer; ReadLine from a small cache of partly generated pages;
-// SamePage and ComparePage by generating only the windows they compare,
-// starting past both pages' zero prefixes; IsZero from the seed's zero
-// prefix; ContentKey and State from the generator's stream. A seeded frame
-// materializes — moves into a fresh slot of its own that its bytes are
-// generated into — only when a partial write (WriteAt of less than a
-// whole page) or a Page view needs its bytes stored; a whole-page write
-// drops the seed. The generator is pure: FillPage(dst, seed, off) writes
-// any range of the page, equal seeds give equal pages, and it reports the
-// page's exact zero prefix, so concurrent readers may read seeds at once.
+// A frame can also point at a seed instead of a slot (SeedPage, SeedPages):
+// it then reads as the page FillPage generates from the seed, and no store
+// slot holds its bytes. Seed table entries are recycled like slots, so the
+// table is bounded by the frames seeded at once. Reads answer seeded
+// frames from their seeds, into storage the reader owns, and no read
+// stores them: ReadAt into the caller's buffer; ReadLine from a small
+// cache of partly generated pages; SamePage and ComparePage by generating
+// only the words they compare, starting past both pages' zero prefixes;
+// IsZero from the seed's zero prefix; ContentKey and State from the
+// generator's stream. A seeded frame materializes — moves into a fresh
+// slot of its own that its bytes are generated into — only when a partial
+// write (WriteAt of less than a whole page) or a Page view needs its bytes
+// stored; a whole-page write drops the seed. The generator is pure:
+// FillPage(dst, seed, off) writes any range of the page, equal seeds give
+// equal pages, and it reports the page's exact zero prefix, so concurrent
+// readers may read seeds at once.
 //
 // The per-frame bookkeeping is flat and holds no pointers, so the garbage
 // collector has nothing in it to scan: a 12-byte Frame and a 4-byte slot
@@ -38,9 +40,9 @@
 // which Alloc hands out the lowest free frame.
 //
 // All mutation goes through Phys methods: Alloc, AllocForCopy, CopyPage,
-// WriteAt, SeedPages and SetState. Page and ReadLine return read-only
-// views that stay valid until the next write to that frame, and ReadAt
-// copies bytes out (see DESIGN.md §10 for the store's rules).
+// WriteAt, SeedPage, SeedPages and SetState. Page and ReadLine return
+// read-only views that stay valid until the next write to that frame, and
+// ReadAt copies bytes out (see DESIGN.md §10 for the store's rules).
 package mem
 
 import (
@@ -144,12 +146,14 @@ type Phys struct {
 
 	// The seed table. Seed k >= 1 stands for the page FillPage writes from
 	// seeds[k], shared by the seedRefs[k] frames pointing at -k, and nseeds
-	// counts the seeds some frame points at. Seeds are numbered from the
-	// end of the table and not recycled: the table is dropped once no frame
-	// points at a seed. materialized counts the seeded frames given stored
-	// bytes (own).
+	// counts the seeds some frame points at. Entries no frame points at are
+	// on freeSeeds and are handed out again before the table grows, so the
+	// table never holds more entries than frames were ever seeded at once;
+	// it is dropped once no frame points at a seed. materialized counts the
+	// seeded frames given stored bytes (own).
 	seeds        []uint64
 	seedRefs     []int32
+	freeSeeds    []int32
 	nseeds       int
 	materialized uint64
 
@@ -314,9 +318,9 @@ func (p *Phys) retain(s int32) {
 	}
 }
 
-// release drops a frame reference from s, recycling a slot nothing points
-// at any more. Dropping the last reference to the last seed drops the seed
-// table.
+// release drops a frame reference from s, recycling a slot or seed nothing
+// points at any more. Dropping the last reference to the last seed drops
+// the seed table.
 func (p *Phys) release(s int32) {
 	switch {
 	case s > 0:
@@ -326,7 +330,9 @@ func (p *Phys) release(s int32) {
 	case s < 0:
 		if p.seedRefs[-s]--; p.seedRefs[-s] == 0 {
 			if p.nseeds--; p.nseeds == 0 {
-				p.seeds, p.seedRefs = nil, nil
+				p.seeds, p.seedRefs, p.freeSeeds = nil, nil, nil
+			} else {
+				p.freeSeeds = append(p.freeSeeds, -s)
 			}
 		}
 	}
@@ -498,7 +504,7 @@ func (p *Phys) SetCoW(pfn PFN, cow bool) { p.frame(pfn).cow = cow }
 // Page returns a read-only view of the frame's bytes, capped at the frame
 // boundary. The view may be shared with other frames holding the same
 // bytes, so nothing may write through it; it stays valid until the next
-// write to the frame (WriteAt, CopyPage into it, SeedPages, the DecRef
+// write to the frame (WriteAt, CopyPage into it, SeedPage, the DecRef
 // that frees it, or SetState). A view needs stored bytes, so a seeded
 // frame materializes: it moves into a slot of its own, which its bytes are
 // generated into, a write to the store that concurrent readers must not
@@ -632,31 +638,54 @@ func (p *Phys) CopyPage(dst, src PFN) {
 	fd.slot = fs.slot
 }
 
-// SeedPages points every listed frame at a new seed, seeds[i]: the frame
-// reads as the page FillPage writes from seeds[i], and its bytes are never
-// stored unless it materializes (a partial write, or a Page view). Reads —
-// ReadAt, ReadLine, SamePage, ComparePage, IsZero, ContentKey, State —
-// generate what they need from the seed into their own storage. The frames
-// must be distinct, and seeds are numbered in list order. The boot image
-// builder uses it so that the contents nothing writes are never stored.
+// SeedPages points every listed frame at its seed, seeds[i], as SeedPage
+// does, sizing a new seed table for the whole list. The boot image builder
+// uses it so that the contents nothing writes are never stored.
 func (p *Phys) SeedPages(pfns []PFN, seeds []uint64) {
-	if len(pfns) == 0 {
-		return
-	}
-	if p.seeds == nil {
-		// Seed 0 is never handed out: -0 is the zero page.
+	if p.seeds == nil && len(pfns) > 0 {
+		// Size a new table for the whole list; seed 0 is never handed out.
 		p.seeds = make([]uint64, 1, 1+len(pfns))
 		p.seedRefs = make([]int32, 1, 1+len(pfns))
 	}
 	for i, pfn := range pfns {
-		f := p.frame(pfn)
-		k := int32(len(p.seeds))
-		p.seeds = append(p.seeds, seeds[i])
-		p.seedRefs = append(p.seedRefs, 1)
-		p.nseeds++
-		p.release(f.slot)
-		f.slot = -k
+		p.SeedPage(pfn, seeds[i])
 	}
+}
+
+// SeedPage points the frame at a seed table entry holding seed: the frame
+// reads as the page FillPage writes from seed, and its bytes are never
+// stored unless it materializes (a partial write, or a Page view). Reads —
+// ReadAt, ReadLine, SamePage, ComparePage, IsZero, ContentKey, State —
+// generate what they need from the seed into their own storage. The frame's
+// old slot or seed is released, as a whole-page write releases it; a seed
+// entry only this frame points at is rewritten in place, and otherwise the
+// entry is a recycled one when any is free, so the table never holds more
+// entries than the most frames that pointed at seeds at once, plus entry 0.
+// The hypervisor's seeded write (vm.VM.WriteSeed) uses it so that generated
+// guest pages are never stored either.
+func (p *Phys) SeedPage(pfn PFN, seed uint64) {
+	f := p.frame(pfn)
+	if f.slot < 0 && p.seedRefs[-f.slot] == 1 {
+		p.seeds[-f.slot] = seed
+		return
+	}
+	var k int32
+	if n := len(p.freeSeeds); n > 0 {
+		k = p.freeSeeds[n-1]
+		p.freeSeeds = p.freeSeeds[:n-1]
+		p.seeds[k], p.seedRefs[k] = seed, 1
+	} else {
+		if p.seeds == nil {
+			// Seed 0 is never handed out: -0 is the zero page.
+			p.seeds, p.seedRefs = make([]uint64, 1), make([]int32, 1)
+		}
+		k = int32(len(p.seeds))
+		p.seeds = append(p.seeds, seed)
+		p.seedRefs = append(p.seedRefs, 1)
+	}
+	p.nseeds++
+	p.release(f.slot)
+	f.slot = -k
 }
 
 // The compare hot path checks the first cmpPrologue bytes a word at a
@@ -766,19 +795,16 @@ func (p *Phys) ComparePage(a, b PFN) (int, int) {
 	}
 }
 
-// seedWindow is the largest window seededDiff generates at once.
-const seedWindow = 512
-
 // seededDiff finds the first byte where the contents of sa and sb differ,
 // at least one of them seeded, and returns its index and the two bytes
 // there, or -1 when the pages are equal. Both pages are zero up to the
 // shorter of their zero prefixes — a seed knows its own exactly, and a
 // stored page's is scanned only that far — so the walk starts there, and
-// then compares windows that double from a line up to seedWindow bytes,
-// generating each seeded page's window into a buffer on the stack. Two
-// seeds with different zero prefixes differ where the shorter one ends,
-// which a single word decides. Nothing is written to the store, so
-// concurrent readers may compare seeded frames.
+// then compares the pages a word at a time, each seeded word as its
+// generator steps to it, so no window is generated or zeroed. Two seeds
+// with different zero prefixes differ where the shorter one ends, which a
+// single word decides. Nothing is written to the store, so concurrent
+// readers may compare seeded frames.
 func (p *Phys) seededDiff(sa, sb int32) (int, byte, byte) {
 	var ga, gb pageGen
 	var pa, pb []byte
@@ -816,28 +842,24 @@ func (p *Phys) seededDiff(sa, sb int32) (int, byte, byte) {
 	if pb == nil {
 		gb.skipTo(off)
 	}
-	var bufA, bufB [seedWindow]byte
-	for w := LineSize; off < PageSize; w = min(2*w, seedWindow) {
-		w = min(w, PageSize-off)
-		wa, wb := bufA[:w], bufB[:w]
+	for ; off < PageSize; off += 8 {
+		var wa, wb uint64
 		if pa != nil {
-			wa = pa[off : off+w]
+			wa = binary.LittleEndian.Uint64(pa[off : off+8])
 		} else {
-			ga.fill(wa)
+			wa = ga.next()
 		}
 		if pb != nil {
-			wb = pb[off : off+w]
+			wb = binary.LittleEndian.Uint64(pb[off : off+8])
 		} else {
-			gb.fill(wb)
+			wb = gb.next()
 		}
-		if !bytes.Equal(wa, wb) {
-			for j := 0; ; j += 8 {
-				if i := wordDiff(wa, wb, j); i >= 0 {
-					return off + i, wa[i], wb[i]
-				}
-			}
+		if wa != wb {
+			// The lowest differing byte of a little-endian word is the
+			// first differing byte of the page.
+			sh := bits.TrailingZeros64(wa^wb) &^ 7
+			return off + sh/8, byte(wa >> sh), byte(wb >> sh)
 		}
-		off += w
 	}
 	return -1, 0, 0
 }

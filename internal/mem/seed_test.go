@@ -316,3 +316,147 @@ func TestReadLineCacheHoldsRecentLines(t *testing.T) {
 		t.Fatal("ReadLine of seeded frames stored bytes")
 	}
 }
+
+// seedWindow is the largest window seededDiffRef generates at once.
+const seedWindow = 512
+
+// seededDiffRef is the windowed form of seededDiff, kept as its reference:
+// after the shared zero prefix it compares windows that double from a line
+// up to seedWindow bytes, generating each seeded page's window into a
+// buffer on the stack, with bytes.Equal, and walks words only inside the
+// first unequal window.
+func (p *Phys) seededDiffRef(sa, sb int32) (int, byte, byte) {
+	var ga, gb pageGen
+	var pa, pb []byte
+	za, zb := PageSize, PageSize
+	if sa < 0 {
+		ga = newPageGen(p.seed(sa))
+		za = ga.zeroPrefix()
+	} else {
+		pa = p.view(sa)
+	}
+	if sb < 0 {
+		if sa < 0 && p.seed(sa) == p.seed(sb) {
+			return -1, 0, 0
+		}
+		gb = newPageGen(p.seed(sb))
+		zb = gb.zeroPrefix()
+	} else {
+		pb = p.view(sb)
+	}
+	m := min(za, zb)
+	if pa != nil {
+		if i := FirstNonZero(pa[:m]); i >= 0 {
+			return i, pa[i], 0
+		}
+	}
+	if pb != nil {
+		if i := FirstNonZero(pb[:m]); i >= 0 {
+			return i, 0, pb[i]
+		}
+	}
+	off := m &^ 7
+	if pa == nil {
+		ga.skipTo(off)
+	}
+	if pb == nil {
+		gb.skipTo(off)
+	}
+	var bufA, bufB [seedWindow]byte
+	for w := LineSize; off < PageSize; w = min(2*w, seedWindow) {
+		w = min(w, PageSize-off)
+		wa, wb := bufA[:w], bufB[:w]
+		if pa != nil {
+			wa = pa[off : off+w]
+		} else {
+			ga.fill(wa)
+		}
+		if pb != nil {
+			wb = pb[off : off+w]
+		} else {
+			gb.fill(wb)
+		}
+		if !bytes.Equal(wa, wb) {
+			for j := 0; ; j += 8 {
+				if i := wordDiff(wa, wb, j); i >= 0 {
+					return off + i, wa[i], wb[i]
+				}
+			}
+		}
+		off += w
+	}
+	return -1, 0, 0
+}
+
+// TestSeededDiffMatchesWindowedReference holds seededDiff to its windowed
+// reference on seed/seed and seed/stored pairs, both ways round: distinct
+// seeds, equal seeds in distinct entries, and stored pages that equal a
+// seed's page but for one byte (inside the zero prefix, at its end, at a
+// window boundary, deep in the stream, or in the last word) or not at all,
+// and stored pages of another seed or of zeroes. Index and bytes must
+// agree, and so must the byte loop on the generated pages.
+func TestSeededDiffMatchesWindowedReference(t *testing.T) {
+	const seeds = 40
+	p := New(4 * seeds * PageSize)
+	seeded := allocN(t, p, seeds)
+	twins := allocN(t, p, seeds)
+	vals := make([]uint64, seeds)
+	for i := range vals {
+		vals[i] = uint64(i * 7 % 13) // values recur, so equal seeds meet
+	}
+	p.SeedPages(seeded, vals)
+	p.SeedPages(twins, vals)
+	var stored []PFN
+	x := uint64(0x9E3779B97F4A7C15)
+	for i := range seeds {
+		pg := wantPage(vals[i])
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		zp := FirstNonZero(pg)
+		switch i % 7 {
+		case 0: // equal to the seed's page
+		case 1:
+			pg[int(x%uint64(zp))] = byte(x>>8) | 1 // inside the zero prefix
+		case 2:
+			pg[zp] ^= byte(x>>8) | 1 // the first nonzero byte
+		case 3:
+			pg[(zp+LineSize)&^(LineSize-1)] ^= 0x80 // a window boundary
+		case 4:
+			pg[PageSize-1-int(x%64)] ^= byte(x>>16) | 1 // the last word
+		case 5:
+			pg = wantPage(vals[(i+1)%seeds] + 100) // another seed's page
+		default:
+			pg = make([]byte, PageSize)
+			pg[PageSize-8+int(x%8)] = 1 // zeroes but for the last word
+		}
+		pfn := allocN(t, p, 1)[0]
+		p.WriteAt(pfn, 0, pg)
+		stored = append(stored, pfn)
+	}
+	check := func(a, b PFN) {
+		t.Helper()
+		sa, sb := p.frames[a].slot, p.frames[b].slot
+		i, ba, bb := p.seededDiff(sa, sb)
+		ri, rba, rbb := p.seededDiffRef(sa, sb)
+		if i != ri || ba != rba || bb != rbb {
+			t.Fatalf("frames %d,%d: seededDiff (%d, %#x, %#x), reference (%d, %#x, %#x)", a, b, i, ba, bb, ri, rba, rbb)
+		}
+		pa, pb := make([]byte, PageSize), make([]byte, PageSize)
+		p.ReadAt(a, 0, pa)
+		p.ReadAt(b, 0, pb)
+		if wi := firstDiff(pa, pb); wi != i || (i >= 0 && (pa[i] != ba || pb[i] != bb)) {
+			t.Fatalf("frames %d,%d: seededDiff index %d, byte loop %d", a, b, i, wi)
+		}
+	}
+	for i := range seeds {
+		for j := range seeds {
+			check(seeded[i], twins[j])
+			check(seeded[i], stored[j])
+			check(stored[j], seeded[i])
+		}
+	}
+	if p.MaterializedPages() != 0 {
+		t.Fatal("seeded compares materialized a page")
+	}
+}

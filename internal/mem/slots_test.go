@@ -3,8 +3,11 @@ package mem
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
 	"testing"
 )
 
@@ -12,7 +15,9 @@ import (
 // a deferred-free window, is on the zero page; every slot's and seed's
 // refcount equals the number of frames pointing at it; every slot ever
 // handed out is either referenced or on the slot freelist, exactly once,
-// and nseeds counts the referenced seeds; every referenced slot has its
+// and nseeds counts the referenced seeds; every seed entry is either
+// referenced or on the seed freelist, exactly once, so the table holds no
+// more entries than the machine has frames; every referenced slot has its
 // chunk backed; the seed table is dropped once no frame points at a seed;
 // and the shared zero page still holds only zeroes.
 func checkSlots(t *testing.T, p *Phys) {
@@ -58,13 +63,24 @@ func checkSlots(t *testing.T, p *Phys) {
 			t.Fatalf("never-used slot %d has refcount %d", s, p.slotRefs[s])
 		}
 	}
-	if len(p.seeds) != len(p.seedRefs) || (p.nseeds == 0) != (p.seeds == nil) {
-		t.Fatalf("seed table of %d seeds, %d refcounts, with %d seeds live", len(p.seeds), len(p.seedRefs), p.nseeds)
+	if len(p.seeds) != len(p.seedRefs) || (p.nseeds == 0) != (p.seeds == nil) || (p.seeds == nil && p.freeSeeds != nil) {
+		t.Fatalf("seed table of %d seeds, %d refcounts, %d free, with %d seeds live",
+			len(p.seeds), len(p.seedRefs), len(p.freeSeeds), p.nseeds)
+	}
+	seedFree := make([]bool, len(p.seeds))
+	for _, k := range p.freeSeeds {
+		if k <= 0 || int(k) >= len(p.seeds) || seedFree[k] {
+			t.Fatalf("seed freelist holds %d twice or out of range", k)
+		}
+		seedFree[k] = true
 	}
 	live := 0
 	for k := 1; k < len(p.seeds); k++ {
 		if p.seedRefs[k] != seedRefs[k] {
 			t.Fatalf("seed %d: refcount %d, but %d frames point at it", k, p.seedRefs[k], seedRefs[k])
+		}
+		if (seedRefs[k] == 0) != seedFree[k] {
+			t.Fatalf("seed %d: %d frames point at it, on freelist %v (leaked or double-owned)", k, seedRefs[k], seedFree[k])
 		}
 		if seedRefs[k] > 0 {
 			live++
@@ -72,6 +88,10 @@ func checkSlots(t *testing.T, p *Phys) {
 	}
 	if live != p.nseeds {
 		t.Fatalf("%d seeds referenced, but nseeds is %d", live, p.nseeds)
+	}
+	if p.seeds != nil && (len(p.seeds) != 1+p.nseeds+len(p.freeSeeds) || len(p.seeds) > len(p.frames)+1) {
+		t.Fatalf("seed table of %d entries for %d live and %d free seeds on %d frames",
+			len(p.seeds), p.nseeds, len(p.freeSeeds), len(p.frames))
 	}
 }
 
@@ -250,7 +270,14 @@ type physProgram struct {
 	data []byte
 	p    *Phys
 	r    *flatPhys
+	nops int   // the operations step chooses among
+	ops  []int // the operation of every step taken
+	at   []int // the offset in data of the byte that chose it
+	size int   // len(data) before the program ran
 }
+
+// physOps is the number of operations FuzzPhysOps programs choose among.
+const physOps = 15
 
 // next consumes one program byte; an exhausted program reads zeroes.
 func (g *physProgram) next() int {
@@ -301,7 +328,10 @@ func (g *physProgram) content(n int) []byte {
 
 func (g *physProgram) step() {
 	t, p, r := g.t, g.p, g.r
-	switch op := g.next() % 14; op {
+	g.at = append(g.at, g.size-len(g.data))
+	op := g.next() % g.nops
+	g.ops = append(g.ops, op)
+	switch op {
 	case 0, 1: // Alloc
 		a, errA := p.Alloc()
 		b, errB := r.alloc()
@@ -408,6 +438,14 @@ func (g *physProgram) step() {
 		for i, pfn := range pfns {
 			FillPage(r.bytes(pfn), seeds[i], 0)
 		}
+	case 14: // SeedPage one allocated frame at a time, as a seeded guest write does
+		for k := 1 + g.next()%4; k > 0; k-- {
+			if pfn, ok := g.allocated(); ok {
+				seed := uint64(g.next() % 32)
+				p.SeedPage(pfn, seed)
+				FillPage(r.bytes(pfn), seed, 0)
+			}
+		}
 	case 13: // read two frames without materializing them, then view one
 		a, ok1 := g.allocated()
 		b, ok2 := g.allocated()
@@ -509,9 +547,15 @@ func (g *physProgram) comparePair(a, b PFN) {
 // runPhysProgram runs the program data encodes (its first byte picks the
 // frame count, up to two chunks' worth plus four) and checks the two
 // machines after every step and their State images at the end.
-func runPhysProgram(t *testing.T, data []byte) {
+func runPhysProgram(t *testing.T, data []byte) { runPhysOps(t, data, physOps) }
+
+// runPhysOps runs data as runPhysProgram does, with step choosing among
+// nops operations, and returns the operation of every step and the offset
+// in data of the byte that chose it.
+func runPhysOps(t *testing.T, data []byte, nops int) (ops, at []int) {
 	n := 1 + int(data[0])%(2*chunkSlots+4)
-	g := &physProgram{t: t, data: data[1:], p: New(uint64(n) * PageSize), r: newFlat(n)}
+	g := &physProgram{t: t, data: data, p: New(uint64(n) * PageSize), r: newFlat(n), nops: nops, size: len(data)}
+	g.next()
 	for len(g.data) > 0 {
 		g.step()
 		g.compare()
@@ -525,16 +569,17 @@ func runPhysProgram(t *testing.T, data []byte) {
 	if err != nil || werr != nil || !reflect.DeepEqual(st, want) {
 		t.Fatalf("final State differs from the reference (errors %v, %v)", err, werr)
 	}
+	return g.ops, g.at
 }
 
 // FuzzPhysOps runs random programs of Alloc, AllocForCopy+CopyPage,
-// CopyPage, WriteAt, SeedPages, reads, IncRef/DecRef (inside and outside
+// CopyPage, WriteAt, SeedPages, single-frame SeedPage reseeds, reads, IncRef/DecRef (inside and outside
 // deferred-free windows), SetCoW and State→SetState on the slot store and
 // on the flat reference, which generates seeded pages at once and keeps a
 // sorted free list, and requires identical bytes, compare verdicts and
 // byte counts, free frames (so Alloc returns the lowest), State images,
-// and counters, with a consistent, leak-free slot store after every step and
-// one slot per distinct content after every restore. The seed corpus runs
+// and counters, with a consistent, leak-free slot store and seed table
+// after every step and one slot per distinct content after every restore. The seed corpus runs
 // with the unit tests.
 // Programs are capped at 512 bytes so that the fuzzer's executions, and
 // its minimisation of new inputs, stay fast; TestPhysOpsLongProgram runs a
@@ -551,6 +596,13 @@ func FuzzPhysOps(f *testing.F) {
 		6, 0, 0, 0, 0, 12, 4, 0, 1, 1, 2, 2, 3, 3, 4, 3, 0, 1, 4, 1, 0, 9, 1, 8, 2,
 		4, 3, 0, 0, 1, 2, 2, 0, 0, 13, 0, 2, 9, 11, 1, 13, 1, 3,
 	})
+	// Reseeds of seeded, shared and stored frames, recycling seed entries
+	// inside and outside a deferred-free window.
+	f.Add([]byte{
+		6, 0, 0, 0, 0, 12, 3, 0, 1, 1, 2, 2, 3, 14, 3, 0, 5, 1, 5, 2, 6, 3, 1, 0,
+		9, 14, 2, 1, 7, 3, 7, 7, 0, 14, 1, 2, 9, 9, 4, 1, 0, 1, 2, 14, 0, 0, 3,
+		11, 0, 14, 3, 3, 4, 0, 4, 1, 4, 7, 1, 7, 2, 13, 0, 1, 0, 0,
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 512 {
 			return
@@ -559,10 +611,43 @@ func FuzzPhysOps(f *testing.F) {
 	})
 }
 
+// TestPhysOpsCorpusKeepsItsPrograms replays the FuzzPhysOps corpus files
+// committed while step chose among 14 operations. The reseed op changed
+// what an op byte of 14 or more selects, so each file holds its original
+// input with every op byte b re-encoded as b%14, which selects the same
+// operation under either count and leaves the argument bytes as they were.
+// The file must be that re-encoding, and must run the original's
+// operations step for step.
+func TestPhysOpsCorpusKeepsItsPrograms(t *testing.T) {
+	for name, orig := range map[string]string{
+		"36423617b1f0d844": "088(0002007",
+		"e57ba90f62d8e63e": "0A8(800X01000",
+	} {
+		t.Run(name, func(t *testing.T) {
+			wantOps, at := runPhysOps(t, []byte(orig), 14)
+			enc := []byte(orig)
+			for _, i := range at {
+				enc[i] %= 14
+			}
+			file, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzPhysOps", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := "go test fuzz v1\n[]byte(" + strconv.Quote(string(enc)) + ")\n"; string(file) != want {
+				t.Fatalf("corpus file holds %q, want %q", file, want)
+			}
+			if ops, _ := runPhysOps(t, enc, physOps); !slices.Equal(ops, wantOps) {
+				t.Fatalf("the re-encoded input runs operations %v, the original ran %v", ops, wantOps)
+			}
+		})
+	}
+}
+
 // TestPhysOpsLongProgram runs FuzzPhysOps's check on a long program over a
 // frame count straddling two chunk boundaries: fill every frame with a
 // distinct page, then share, unshare, free and recycle frames, with
-// checkpoints and a deferred-free window along the way.
+// checkpoints and a deferred-free window along the way, then reseed frames
+// one at a time, so seed entries are freed and handed out again.
 func TestPhysOpsLongProgram(t *testing.T) {
 	long := []byte{2*chunkSlots + 3}
 	for i := 0; i < 140; i++ {
@@ -579,5 +664,12 @@ func TestPhysOpsLongProgram(t *testing.T) {
 		}
 	}
 	long = append(long, 9, 7, 1, 7, 2, 7, 3, 9, 0, 0, 2, 5, 12, 4, 0, 17, 1, 18, 2, 19, 3, 20, 13, 0, 1, 11, 0)
+	for i := 0; i < 40; i++ {
+		long = append(long, 14, 3, byte(i*7), byte(i), byte(i*5), byte(i+1), byte(i*3), byte(i+2), byte(i*11), byte(i+3)) // reseed four frames
+		if i%8 == 0 {
+			long = append(long, 9, 7, byte(i), 14, 0, byte(i*13), byte(i), 9) // a freed frame and a reseed inside a window
+		}
+	}
+	long = append(long, 11, 0)
 	runPhysProgram(t, long)
 }

@@ -162,7 +162,7 @@ func (p *Phys) SetState(st PhysState) error {
 		return err
 	}
 	clear(p.slotRefs)
-	p.seeds, p.seedRefs, p.nseeds = nil, nil, 0
+	p.seeds, p.seedRefs, p.freeSeeds, p.nseeds = nil, nil, nil, 0
 	p.freeSlots = p.freeSlots[:0]
 	p.nextSlot = 1
 	// pageSlot maps a content index to its slot once a frame has claimed

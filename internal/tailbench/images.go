@@ -40,6 +40,11 @@ type Image struct {
 	salt        uint64
 	dupDistinct int
 	spawned     int
+
+	// writePage, when non-nil, stands in for vm.VM.WriteSeed in every
+	// whole-page write the image issues; tests use it to run a world
+	// through FillPage and Write instead.
+	writePage func(v *vm.VM, g vm.GFN, seed uint64) error
 }
 
 // BuildImage deploys numVMs copies of the application and fills guest
@@ -155,6 +160,16 @@ func BuildImage(p Profile, numVMs int, physFrames int, seed uint64) (*Image, err
 	return img, nil
 }
 
+// writeSeed writes the page mem.FillPage generates from seed to guest page
+// g of v: a whole-page guest write whose bytes are never stored.
+func (img *Image) writeSeed(v *vm.VM, g vm.GFN, seed uint64) error {
+	if img.writePage != nil {
+		return img.writePage(v, g, seed)
+	}
+	_, err := v.WriteSeed(g, seed)
+	return err
+}
+
 // pfn returns the frame backing a mapped image page.
 func (img *Image) pfn(id vm.PageID) mem.PFN {
 	pfn, _ := img.HV.VM(id.VM).Resolve(id.GFN)
@@ -170,13 +185,11 @@ func (img *Image) pfn(id vm.PageID) mem.PFN {
 // the first 1KB escapes KSM's jhash, and one that misses all four sampled
 // lines escapes the ECC key.
 func (img *Image) ChurnVolatile() error {
-	buf := make([]byte, mem.PageSize)
 	part := make([]byte, 256)
 	for _, id := range img.Volatile {
 		v := img.HV.VM(id.VM)
 		if img.rng.Bool(0.5) {
-			mem.FillPage(buf, img.rng.Uint64(), 0)
-			if _, err := v.Write(id.GFN, 0, buf); err != nil {
+			if err := img.writeSeed(v, id.GFN, img.rng.Uint64()); err != nil {
 				return err
 			}
 			continue
@@ -201,12 +214,14 @@ func (img *Image) ChurnVolatile() error {
 // existing distinct-content pool (offset by the spawn ordinal so copies
 // spread across contents), the zero region is written as explicit zeros,
 // and the unique region gets fresh contents on a spawn-salted stream. Every
-// page is created through Write — never Touch — so the hypervisor's
+// page is created by a guest write — never Touch — so the hypervisor's
 // write-observer seam sees all of it and an attached verifier's shadow
 // model learns the new VM's contents (boot-time pages are snapshotted at
-// BeginRun instead; a spawned VM has no such moment). All pages are
-// madvised mergeable. The caller owns refreshing any dedup engine's scan
-// order afterwards.
+// BeginRun instead; a spawned VM has no such moment). The dup and unique
+// pages are seeded writes (vm.VM.WriteSeed), so their bytes are never
+// stored; the zero pages are Writes of zeroes, which land on the shared
+// zero page. All pages are madvised mergeable. The caller owns refreshing
+// any dedup engine's scan order afterwards.
 func (img *Image) SpawnVM() (*vm.VM, error) {
 	p := img.Profile
 	dupPerVM := int(p.DupFrac * float64(p.PagesPerVM))
@@ -217,18 +232,14 @@ func (img *Image) SpawnVM() (*vm.VM, error) {
 	v.Madvise(0, p.PagesPerVM+p.BurstPagesPerVM, true)
 	img.spawned++
 
-	page := make([]byte, mem.PageSize)
 	for slot := 0; slot < dupPerVM; slot++ {
 		contentID := (slot + img.spawned) % max(1, img.dupDistinct)
-		mem.FillPage(page, uint64(contentID)*2654435761+img.salt, 0)
-		if _, err := v.Write(vm.GFN(slot), 0, page); err != nil {
+		if err := img.writeSeed(v, vm.GFN(slot), uint64(contentID)*2654435761+img.salt); err != nil {
 			return nil, fmt.Errorf("tailbench: spawn dup page: %w", err)
 		}
 		img.DupPages = append(img.DupPages, vm.PageID{VM: v.ID, GFN: vm.GFN(slot)})
 	}
-	for i := range page {
-		page[i] = 0
-	}
+	page := make([]byte, mem.PageSize)
 	for z := 0; z < zeroPerVM; z++ {
 		g := vm.GFN(dupPerVM + z)
 		if _, err := v.Write(g, 0, page); err != nil {
@@ -240,8 +251,7 @@ func (img *Image) SpawnVM() (*vm.VM, error) {
 	for u := 0; u < uniqPerVM; u++ {
 		g := vm.GFN(dupPerVM + zeroPerVM + u)
 		next++
-		mem.FillPage(page, next*0x9E3779B97F4A7C15+7, 0)
-		if _, err := v.Write(g, 0, page); err != nil {
+		if err := img.writeSeed(v, g, next*0x9E3779B97F4A7C15+7); err != nil {
 			return nil, fmt.Errorf("tailbench: spawn unique page: %w", err)
 		}
 		id := vm.PageID{VM: v.ID, GFN: g}
@@ -313,12 +323,10 @@ func (img *Image) PhaseShift(frac float64) error {
 		n = len(img.UniquePages)
 	}
 	start := img.rng.Intn(len(img.UniquePages))
-	buf := make([]byte, mem.PageSize)
 	img.Volatile = img.Volatile[:0]
 	for i := 0; i < n; i++ {
 		id := img.UniquePages[(start+i)%len(img.UniquePages)]
-		mem.FillPage(buf, img.rng.Uint64(), 0)
-		if _, err := img.HV.VM(id.VM).Write(id.GFN, 0, buf); err != nil {
+		if err := img.writeSeed(img.HV.VM(id.VM), id.GFN, img.rng.Uint64()); err != nil {
 			return fmt.Errorf("tailbench: phase shift page %v: %w", id, err)
 		}
 		img.Volatile = append(img.Volatile, id)
@@ -344,19 +352,17 @@ func (img *Image) BurstWrite(n int, dupFrac float64) (int, error) {
 	if left := img.Profile.BurstPagesPerVM - img.burstUsed; n > left {
 		n = left
 	}
-	page := make([]byte, mem.PageSize)
 	salt := img.burstRNG.Uint64()
 	written := 0
 	for slot := 0; slot < n; slot++ {
 		g := vm.GFN(img.Profile.PagesPerVM + img.burstUsed + slot)
 		for i, v := range img.VMs {
-			if float64(slot) < dupFrac*float64(n) {
-				// Pool content: slot-indexed, shared by every VM this window.
-				mem.FillPage(page, salt+uint64(slot)*0x9E3779B97F4A7C15, 0)
-			} else {
-				mem.FillPage(page, salt^(uint64(i*img.Profile.BurstPagesPerVM+img.burstUsed+slot)*0xA24BAED4963EE407+13), 0)
+			// Pool content is slot-indexed, shared by every VM this window.
+			seed := salt + uint64(slot)*0x9E3779B97F4A7C15
+			if float64(slot) >= dupFrac*float64(n) {
+				seed = salt ^ (uint64(i*img.Profile.BurstPagesPerVM+img.burstUsed+slot)*0xA24BAED4963EE407 + 13)
 			}
-			if _, err := v.Write(g, 0, page); err != nil {
+			if err := img.writeSeed(v, g, seed); err != nil {
 				return written, fmt.Errorf("tailbench: burst page %v: %w", vm.PageID{VM: v.ID, GFN: g}, err)
 			}
 			written++

@@ -1,10 +1,12 @@
 package tailbench
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
 	"repro/internal/ksm"
+	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
@@ -150,6 +152,42 @@ func TestChurnVolatileChangesContent(t *testing.T) {
 	// write; virtually all must differ afterwards.
 	if changed < len(img.Volatile)*9/10 {
 		t.Fatalf("only %d/%d volatile pages changed", changed, len(img.Volatile))
+	}
+}
+
+// TestWholePageWritesStoreNothing pins that the image's whole-page guest
+// writes are seeded: SpawnVM, BurstWrite and PhaseShift on a built image
+// store no page and materialize none, while each page they write reads
+// back what FillPage generates from its seed.
+func TestWholePageWritesStoreNothing(t *testing.T) {
+	p := smallProfile()
+	p.BurstPagesPerVM = 16
+	img, err := BuildImage(p, 3, 4*(p.PagesPerVM+p.BurstPagesPerVM)*2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phys := img.HV.Phys
+	store, materialized := phys.StoreBytes(), phys.MaterializedPages()
+	v, err := img.SpawnVM()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := img.BurstWrite(8, 0.5); err != nil || n != 8*len(img.VMs) {
+		t.Fatalf("BurstWrite wrote %d pages (error %v), want %d", n, err, 8*len(img.VMs))
+	}
+	if err := img.PhaseShift(0.5); err != nil {
+		t.Fatal(err)
+	}
+	if got, gotM := phys.StoreBytes(), phys.MaterializedPages(); got != store || gotM != materialized {
+		t.Fatalf("store %d bytes and %d materialized pages after the writes, want %d and %d", got, gotM, store, materialized)
+	}
+	// The spawned VM's first dup page holds its content's seed.
+	pfn, _ := v.Resolve(0)
+	got, want := make([]byte, mem.PageSize), make([]byte, mem.PageSize)
+	phys.ReadAt(pfn, 0, got)
+	mem.FillPage(want, uint64(img.spawned%img.dupDistinct)*2654435761+img.salt, 0)
+	if !bytes.Equal(got, want) {
+		t.Fatal("a spawned dup page does not read its content seed's page")
 	}
 }
 

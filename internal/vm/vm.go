@@ -92,8 +92,14 @@ type Hypervisor struct {
 	// OnWrite, when non-nil, observes every guest write after it has landed
 	// (including any CoW break it triggered). Verification tooling uses it
 	// to maintain a shadow copy of page contents; it must not mutate
-	// simulation state.
+	// simulation state. data is valid only during the call: a seeded write
+	// hands over a buffer the hypervisor reuses, so an observer that keeps
+	// the bytes copies them.
 	OnWrite func(id PageID, off int, data []byte)
+
+	// seedPage holds the bytes WriteSeed generates for OnWrite; nil until
+	// a seeded write first finds an observer attached.
+	seedPage []byte
 
 	// OnRelease, when non-nil, observes every guest page release (balloon
 	// inflation, sandbox teardown) after the mapping is gone. Verification
@@ -296,21 +302,53 @@ func (v *VM) Write(g GFN, off int, src []byte) (cowBroke bool, err error) {
 	if err := checkRange(off, len(src)); err != nil {
 		return false, err
 	}
-	e, err := v.fault(g)
+	e, cowBroke, err := v.writable(g)
 	if err != nil {
 		return false, err
-	}
-	if e.writeProt {
-		if err := v.breakCoW(g, e); err != nil {
-			return false, err
-		}
-		cowBroke = true
 	}
 	v.hv.Phys.WriteAt(mem.PFN(e.pfn), off, src)
 	if v.hv.OnWrite != nil {
 		v.hv.OnWrite(PageID{v.ID, g}, off, src)
 	}
 	return cowBroke, nil
+}
+
+// WriteSeed writes the whole page mem.FillPage generates from seed, as
+// Write of those bytes would, without generating them: the page's frame
+// points at the seed (mem.Phys.SeedPage), so no store slot holds its
+// bytes. It runs the same soft fault and CoW break as Write and reports
+// whether a CoW break occurred. Only an attached OnWrite observer makes it
+// generate the page, into a buffer the hypervisor owns.
+func (v *VM) WriteSeed(g GFN, seed uint64) (cowBroke bool, err error) {
+	e, cowBroke, err := v.writable(g)
+	if err != nil {
+		return false, err
+	}
+	v.hv.Phys.SeedPage(mem.PFN(e.pfn), seed)
+	if h := v.hv; h.OnWrite != nil {
+		if h.seedPage == nil {
+			h.seedPage = make([]byte, mem.PageSize)
+		}
+		mem.FillPage(h.seedPage, seed, 0)
+		h.OnWrite(PageID{v.ID, g}, 0, h.seedPage)
+	}
+	return cowBroke, nil
+}
+
+// writable is the prologue every guest write shares: it faults the page in
+// (stalling and reclaiming when the arena is exhausted) and breaks
+// copy-on-write when the page is write-protected, reporting whether it did.
+func (v *VM) writable(g GFN) (e *mapping, cowBroke bool, err error) {
+	if e, err = v.fault(g); err != nil {
+		return nil, false, err
+	}
+	if e.writeProt {
+		if err := v.breakCoW(g, e); err != nil {
+			return nil, false, err
+		}
+		cowBroke = true
+	}
+	return e, cowBroke, nil
 }
 
 // breakCoW gives the writing guest a private copy of a protected page.

@@ -233,6 +233,98 @@ func TestCoWBreakSoleMapperReusesFrame(t *testing.T) {
 	}
 }
 
+// TestWriteSeed pins the seeded whole-page write in its three cases: onto
+// a page not yet present (a soft fault), onto a protected page its writer
+// maps alone (the protection drops in place) and onto a protected page
+// another guest shares (a fresh private frame). Each time the writer reads
+// the seed's page and the sharer keeps its bytes, Unmerges and the
+// OnCoWBreak arguments are what Write reports, OnWrite sees FillPage's
+// bytes, and no page is stored.
+func TestWriteSeed(t *testing.T) {
+	const seed = 0xC0FFEE
+	want := make([]byte, mem.PageSize)
+	mem.FillPage(want, seed, 0)
+	for _, tc := range []struct {
+		name   string
+		merged bool // a and b share a protected frame before the write
+		sole   bool // b breaks away first, leaving a the sole mapper
+	}{
+		{name: "not present"},
+		{name: "sole mapper", merged: true, sole: true},
+		{name: "shared", merged: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHV(16)
+			a := h.NewVM(mem.PageSize)
+			b := h.NewVM(mem.PageSize)
+			content := bytes.Repeat([]byte{7}, mem.PageSize)
+			if tc.merged {
+				a.Write(0, 0, content)
+				b.Write(0, 0, content)
+				pb, _ := b.Resolve(0)
+				if _, err := h.Merge(PageID{a.ID, 0}, pb); err != nil {
+					t.Fatal(err)
+				}
+				if tc.sole {
+					b.Write(0, 0, []byte{9})
+				}
+			}
+			old, _ := a.Resolve(0)
+			var breaks [][2]mem.PFN
+			h.OnCoWBreak = func(id PageID, o, fresh mem.PFN) {
+				if id != (PageID{a.ID, 0}) {
+					t.Fatalf("OnCoWBreak for %v, want the writer's page", id)
+				}
+				breaks = append(breaks, [2]mem.PFN{o, fresh})
+			}
+			var seen []byte
+			h.OnWrite = func(id PageID, off int, data []byte) {
+				if id != (PageID{a.ID, 0}) || off != 0 {
+					t.Fatalf("OnWrite at %v offset %d, want the writer's page at 0", id, off)
+				}
+				seen = append([]byte(nil), data...)
+			}
+			unmerges, store := h.Unmerges, h.Phys.StoreBytes()
+			broke, err := a.WriteSeed(0, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pa, _ := a.Resolve(0)
+			wantBreaks := [][2]mem.PFN(nil)
+			switch {
+			case tc.sole:
+				wantBreaks = [][2]mem.PFN{{old, old}}
+			case tc.merged:
+				wantBreaks = [][2]mem.PFN{{old, pa}}
+				if pa == old {
+					t.Fatal("a seeded write to a shared page did not get a private frame")
+				}
+			}
+			if broke != tc.merged || h.Unmerges-unmerges != uint64(len(wantBreaks)) {
+				t.Fatalf("CoW broke %v, Unmerges +%d; want %v, +%d", broke, h.Unmerges-unmerges, tc.merged, len(wantBreaks))
+			}
+			if len(breaks) != len(wantBreaks) || (len(breaks) > 0 && breaks[0] != wantBreaks[0]) {
+				t.Fatalf("OnCoWBreak saw %v, want %v", breaks, wantBreaks)
+			}
+			if !bytes.Equal(seen, want) {
+				t.Fatal("OnWrite did not see the seed's page")
+			}
+			got := make([]byte, mem.PageSize)
+			if a.Read(0, 0, got); !bytes.Equal(got, want) || a.WriteProtected(0) {
+				t.Fatal("the writer does not read the seed's page, or stays protected")
+			}
+			if tc.merged && !tc.sole {
+				if b.Read(0, 0, got); !bytes.Equal(got, content) {
+					t.Fatal("the sharer's bytes changed under a seeded write")
+				}
+			}
+			if h.Phys.StoreBytes() != store || h.Phys.MaterializedPages() != 0 {
+				t.Fatal("a seeded write stored the page")
+			}
+		})
+	}
+}
+
 func TestThreeWayMergeRefcounts(t *testing.T) {
 	h := newHV(16)
 	content := bytes.Repeat([]byte{0xEE}, mem.PageSize)
