@@ -113,9 +113,10 @@ smoke:
 # popcount reference on any word; any ≤2-bit corruption must be corrected or
 # detected, never silently miscorrected; any mutated snapshot envelope must
 # be rejected with a typed error, never decoded into garbage or a panic; any
-# program of frame operations must leave the copy-on-write slot store equal
-# to a flat arena, with free frames on the zero page and one slot per
-# distinct content after every restore.
+# program of frame operations must leave the copy-on-write slot store, its
+# seeded frames and their line patches (patched seeds) equal to a flat
+# arena, with free frames on the zero page, every patch block held once or
+# free, and one slot per distinct content after every restore.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzEncodeTable$$' -fuzztime=$(FUZZTIME) ./internal/ecc/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/ecc/

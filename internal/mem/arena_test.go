@@ -160,8 +160,10 @@ func TestComparePageZeroAlloc(t *testing.T) {
 // TestPhysHotPathsZeroAlloc pins the per-line and per-compare paths as
 // allocation-free once the frames hold private slots: ReadLine, SamePage
 // and ComparePage on distinct and on shared slots, and WriteAt into a
-// frame whose slot it already owns; and on seeded frames, ReadLine once
-// its cache exists, compares and ReadAt.
+// frame whose slot it already owns; on seeded frames, ReadLine once its
+// cache exists, compares and ReadAt; and on a patched seed, ReadLine of a
+// patched line, a compare with its seed's plain twin, ReadAt, and WriteAt
+// over lines its patch already holds.
 func TestPhysHotPathsZeroAlloc(t *testing.T) {
 	p := New(6 * PageSize)
 	a, _ := p.Alloc()
@@ -175,7 +177,9 @@ func TestPhysHotPathsZeroAlloc(t *testing.T) {
 	p.CopyPage(c, a)
 	d, _ := p.Alloc()
 	e, _ := p.Alloc()
-	p.SeedPages([]PFN{d, e}, []uint64{1, 2})
+	f, _ := p.Alloc()
+	p.SeedPages([]PFN{d, e, f}, []uint64{1, 2, 1})
+	p.WriteAt(f, 3*LineSize+5, make([]byte, 2*LineSize))
 	line := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	buf := make([]byte, PageSize)
 	for _, tc := range []struct {
@@ -192,6 +196,10 @@ func TestPhysHotPathsZeroAlloc(t *testing.T) {
 		{"ComparePage/seeded", func() { p.ComparePage(d, e) }},
 		{"SamePage/seeded-stored", func() { p.SamePage(a, d) }},
 		{"ReadAt/seeded", func() { p.ReadAt(e, 8, buf[8:]) }},
+		{"ReadLine/patched", func() { p.ReadLine(f, 4) }},
+		{"ComparePage/patched-same-seed", func() { p.ComparePage(d, f) }},
+		{"ReadAt/patched", func() { p.ReadAt(f, 8, buf[8:]) }},
+		{"WriteAt/patched", func() { p.WriteAt(f, 4*LineSize, line) }},
 	} {
 		if n := testing.AllocsPerRun(100, tc.fn); n != 0 {
 			t.Errorf("%s: %v allocs per call, want 0", tc.name, n)

@@ -119,14 +119,3 @@ func (g *pageGen) readAt(dst []byte, off int) {
 		copy(tail, w[:])
 	}
 }
-
-// contentKeySeeded is contentKey over seed's page, folded word by word
-// from the stream without writing the page anywhere.
-func contentKeySeeded(seed uint64) uint64 {
-	g := newPageGen(seed)
-	h := uint64(keyOffset64)
-	for g.pos < PageSize {
-		h = (h ^ g.next()) * keyPrime64
-	}
-	return h
-}

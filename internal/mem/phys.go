@@ -19,20 +19,26 @@
 //
 // A frame can also point at a seed instead of a slot (SeedPage, SeedPages):
 // it then reads as the page FillPage generates from the seed, and no store
-// slot holds its bytes. Seed table entries are recycled like slots, so the
-// table is bounded by the frames seeded at once. Reads answer seeded
-// frames from their seeds, into storage the reader owns, and no read
-// stores them: ReadAt into the caller's buffer; ReadLine from a small
-// cache of partly generated pages; SamePage and ComparePage by generating
-// only the words they compare, starting past both pages' zero prefixes;
-// IsZero from the seed's zero prefix; ContentKey and State from the
-// generator's stream. A seeded frame materializes — moves into a fresh
-// slot of its own that its bytes are generated into — only when a partial
-// write (WriteAt of less than a whole page) or a Page view needs its bytes
-// stored; a whole-page write drops the seed. The generator is pure:
-// FillPage(dst, seed, off) writes any range of the page, equal seeds give
-// equal pages, and it reports the page's exact zero prefix, so concurrent
-// readers may read seeds at once.
+// slot holds its bytes. A partial write (WriteAt of less than a whole page)
+// over a seeded frame patches it instead of storing it: the 64B lines the
+// write touches are kept, in line order, in a 1KB block of a patch arena
+// beside the seed table, and the frame reads as its seed's page with those
+// lines laid over it. Seed table entries and patch blocks are recycled like
+// slots, so the table is bounded by the frames seeded at once. Reads answer
+// seeded frames from their seeds and patches, into storage the reader owns
+// or as views of a patch's lines, and no read stores them: ReadAt into the
+// caller's buffer; ReadLine from the patch, or from a small cache of partly
+// generated pages; SamePage and ComparePage by generating only the words
+// they compare, starting past both pages' zero prefixes, and for two frames
+// on the same seed only the lines either has patched; IsZero from the
+// seed's zero prefix; ContentKey and State from the generator's stream. A
+// seeded frame materializes — moves into a fresh slot of its own that its
+// bytes are generated into — only when a write would patch more lines than
+// a block holds, or a Page view needs its bytes stored; a whole-page write
+// drops the seed and its patch. The generator is pure: FillPage(dst, seed,
+// off) writes any range of the page, equal seeds give equal pages, and it
+// reports the page's exact zero prefix, so concurrent readers may read
+// seeds at once.
 //
 // The per-frame bookkeeping is flat and holds no pointers, so the garbage
 // collector has nothing in it to scan: a 12-byte Frame and a 4-byte slot
@@ -66,6 +72,17 @@ const LinesPerPage = PageSize / LineSize
 
 // chunkSlots is the number of slots one store chunk backs (256 KiB).
 const chunkSlots = 64
+
+// patchLines is the number of dirty lines a patch block holds; a write
+// that would leave a seeded frame with more materializes it instead.
+const patchLines = 16
+
+// patchBytes is the size of a patch block (1 KiB).
+const patchBytes = patchLines * LineSize
+
+// patchChunkBlocks is the number of blocks one patch-arena chunk holds
+// (64 KiB).
+const patchChunkBlocks = 64
 
 // zeroSlot is the slot number of the shared zero page. Real slots are
 // numbered from 1, so a zero Frame points at the zero page.
@@ -117,6 +134,21 @@ func (f *Frame) Refs() int { return int(f.refs) }
 // CoW reports whether the frame is write-protected copy-on-write.
 func (f *Frame) CoW() bool { return f.cow }
 
+// patch is the set of lines a partial write dirtied on a seeded page: bit
+// i of mask is set for each dirty line i, and block names the patch block
+// that holds those lines in mask order, dirty line i at the index that
+// counts the dirty lines below it (lineAt).
+type patch struct {
+	mask  uint64
+	block int32
+}
+
+// lineAt reports the byte offset, in the block of a patch with the given
+// mask, of line i's place: where it is when the mask holds it.
+func lineAt(mask uint64, i int) int {
+	return bits.OnesCount64(mask&(1<<i-1)) * LineSize
+}
+
 // Phys is the physical memory of the machine.
 type Phys struct {
 	frames []Frame
@@ -156,6 +188,17 @@ type Phys struct {
 	freeSeeds    []int32
 	nseeds       int
 	materialized uint64
+
+	// The patches. patches[k] holds the lines written over seed k's page
+	// since it was seeded; the zero patch, with no block, for a plain seed.
+	// Block b >= 1 is window (b-1)%patchChunkBlocks of
+	// patchChunks[(b-1)/patchChunkBlocks]; blocks up to nextBlock that no
+	// entry holds are on freeBlocks. All of it is nil until the first
+	// partial write over a seed, and it is dropped with the seed table.
+	patches     []patch
+	patchChunks [][]byte
+	freeBlocks  []int32
+	nextBlock   int32
 
 	// lines serves ReadLine on seeded frames; nil until the first such read.
 	lines *lineCache
@@ -243,7 +286,8 @@ func (p *Phys) FreeFrames() int { return p.nfree }
 func (p *Phys) LiveSlots() int { return 1 + int(p.nextSlot-1) - len(p.freeSlots) + p.nseeds }
 
 // MaterializedPages reports how many times a seeded frame was given stored
-// bytes: by a partial write, or by a Page view. Reads never materialize.
+// bytes: by a write that would patch more lines than a block holds, or by
+// a Page view. Reads and writes that fit a patch never materialize.
 // It is host bookkeeping, like LiveSlots: no simulated value or PhysState
 // byte depends on it.
 func (p *Phys) MaterializedPages() uint64 { return p.materialized }
@@ -257,6 +301,10 @@ func (p *Phys) StoreBytes() int {
 	}
 	return n
 }
+
+// PatchBytes reports the bytes of the patch arena's chunks: what holding
+// the seeded frames' patched lines costs the host.
+func (p *Phys) PatchBytes() int { return len(p.patchChunks) * patchChunkBlocks * patchBytes }
 
 // back backs slot s's chunk if it is not yet, reporting whether it was
 // backed now (a fresh chunk is all zeroes).
@@ -308,6 +356,63 @@ func (p *Phys) newSlot(zeroed bool) int32 {
 // seed returns the seed a frame pointing at s < 0 reads from.
 func (p *Phys) seed(s int32) uint64 { return p.seeds[-s] }
 
+// patchOf returns the patch a frame pointing at s < 0 reads through.
+func (p *Phys) patchOf(s int32) patch {
+	if p.patches == nil {
+		return patch{}
+	}
+	return p.patches[-s]
+}
+
+// block returns patch block b's bytes (b >= 1), capped at the block
+// boundary.
+func (p *Phys) block(b int32) []byte {
+	i := int(b - 1)
+	base := i % patchChunkBlocks * patchBytes
+	return p.patchChunks[i/patchChunkBlocks][base : base+patchBytes : base+patchBytes]
+}
+
+// newBlock hands out a patch block no entry holds, preferring a recycled
+// one, whose bytes are stale: a patch only reads the lines it wrote.
+func (p *Phys) newBlock() int32 {
+	if n := len(p.freeBlocks); n > 0 {
+		b := p.freeBlocks[n-1]
+		p.freeBlocks = p.freeBlocks[:n-1]
+		return b
+	}
+	p.nextBlock++
+	if int(p.nextBlock-1)/patchChunkBlocks == len(p.patchChunks) {
+		p.patchChunks = append(p.patchChunks, make([]byte, patchChunkBlocks*patchBytes))
+	}
+	return p.nextBlock
+}
+
+// dropPatch returns seed k's patch block, if it holds one, to the
+// freelist, leaving the plain seed.
+func (p *Phys) dropPatch(k int32) {
+	if q := p.patchOf(-k); q.mask != 0 {
+		p.freeBlocks = append(p.freeBlocks, q.block)
+		p.patches[k] = patch{}
+	}
+}
+
+// overlay lays the lines seeded s's patch holds over dst, which holds
+// bytes [off, off+len(dst)) of its seed's page, wherever they meet.
+func (p *Phys) overlay(dst []byte, s int32, off int) {
+	q := p.patchOf(s)
+	if q.mask == 0 {
+		return
+	}
+	blk := p.block(q.block)
+	end := off + len(dst)
+	for m, at := q.mask, 0; m != 0; m, at = m&(m-1), at+LineSize {
+		base := bits.TrailingZeros64(m) * LineSize
+		if lo, hi := max(base, off), min(base+LineSize, end); lo < hi {
+			copy(dst[lo-off:hi-off], blk[at+lo-base:])
+		}
+	}
+}
+
 // retain adds a frame reference to s.
 func (p *Phys) retain(s int32) {
 	switch {
@@ -318,9 +423,9 @@ func (p *Phys) retain(s int32) {
 	}
 }
 
-// release drops a frame reference from s, recycling a slot or seed nothing
-// points at any more. Dropping the last reference to the last seed drops
-// the seed table.
+// release drops a frame reference from s, recycling a slot, or a seed and
+// its patch block, that nothing points at any more. Dropping the last
+// reference to the last seed drops the seed table and the patch arena.
 func (p *Phys) release(s int32) {
 	switch {
 	case s > 0:
@@ -330,12 +435,19 @@ func (p *Phys) release(s int32) {
 	case s < 0:
 		if p.seedRefs[-s]--; p.seedRefs[-s] == 0 {
 			if p.nseeds--; p.nseeds == 0 {
-				p.seeds, p.seedRefs, p.freeSeeds = nil, nil, nil
+				p.dropSeeds()
 			} else {
+				p.dropPatch(-s)
 				p.freeSeeds = append(p.freeSeeds, -s)
 			}
 		}
 	}
+}
+
+// dropSeeds drops the seed table and the patch arena.
+func (p *Phys) dropSeeds() {
+	p.seeds, p.seedRefs, p.freeSeeds, p.nseeds = nil, nil, nil, 0
+	p.patches, p.patchChunks, p.freeBlocks, p.nextBlock = nil, nil, nil, 0
 }
 
 // own gives frame f a slot no other frame points at and returns its
@@ -355,6 +467,7 @@ func (p *Phys) own(f *Frame, keep bool) []byte {
 		copy(p.view(s), p.view(old))
 	case keep && old < 0:
 		FillPage(p.view(s), p.seed(old), 0)
+		p.overlay(p.view(s), old, 0)
 		p.materialized++
 	}
 	p.release(old)
@@ -519,9 +632,9 @@ func (p *Phys) Page(pfn PFN) []byte {
 }
 
 // ReadAt copies the frame's bytes [off, off+len(dst)) into dst. A seeded
-// frame's bytes are generated into dst from its seed, and nothing is
-// stored, so ReadAt is safe to call from concurrent readers. A range that
-// does not fit the page panics.
+// frame's bytes are generated into dst from its seed, with its patched
+// lines laid over them, and nothing is stored, so ReadAt is safe to call
+// from concurrent readers. A range that does not fit the page panics.
 func (p *Phys) ReadAt(pfn PFN, off int, dst []byte) {
 	s := p.frame(pfn).slot
 	if off < 0 || len(dst) > PageSize-off {
@@ -533,24 +646,30 @@ func (p *Phys) ReadAt(pfn PFN, off int, dst []byte) {
 	}
 	g := newPageGen(p.seed(s))
 	g.readAt(dst, off)
+	p.overlay(dst, s, off)
 }
 
 // ReadLine returns a read-only view of the i-th 64B line of the frame,
-// under the same rules as Page, without materializing a seeded frame: its
-// line comes from a small cache of partly generated pages that the store
-// owns. A view of a seeded line stays valid until lineCacheSize-1 other
-// seeds have been read through ReadLine, so a caller may hold the lines of
-// two frames at once. The cache makes ReadLine of a seeded frame unsafe
-// for concurrent use.
+// under the same rules as Page, without materializing a seeded frame: a
+// patched line is a view of its patch block, and any other seeded line
+// comes from a small cache of partly generated pages that the store owns.
+// A view of a cached line stays valid until lineCacheSize-1 other seeds
+// have been read through ReadLine, so a caller may hold the lines of two
+// frames at once. The cache makes ReadLine of a seeded frame unsafe for
+// concurrent use.
 func (p *Phys) ReadLine(pfn PFN, i int) []byte {
 	if i < 0 || i >= LinesPerPage {
 		panic(fmt.Sprintf("mem: line index %d out of range", i))
 	}
 	s := p.frame(pfn).slot
-	if s < 0 {
-		return p.seededLine(p.seed(s), i)
+	if s >= 0 {
+		return p.view(s)[i*LineSize : (i+1)*LineSize]
 	}
-	return p.view(s)[i*LineSize : (i+1)*LineSize]
+	if q := p.patchOf(s); q.mask>>i&1 != 0 {
+		at := lineAt(q.mask, i)
+		return p.block(q.block)[at : at+LineSize : at+LineSize]
+	}
+	return p.seededLine(p.seed(s), i)
 }
 
 // lineCacheSize is the number of partly generated pages ReadLine keeps.
@@ -603,12 +722,13 @@ func (p *Phys) seededLine(seed uint64, i int) []byte {
 	return e.pg[i*LineSize : end : end]
 }
 
-// WriteAt stores src in the frame at byte offset off. A frame that shares
-// its slot with other frames, sits on the zero page or is seeded gets a
-// private slot first; a partial write over a seeded frame materializes it.
-// Writing zeroes over a whole page, or onto the zero page, just points the
-// frame at the zero page. A write that does not fit the page panics:
-// callers own their bounds.
+// WriteAt stores src in the frame at byte offset off. A partial write over
+// a seeded frame patches it (patchWrite); a frame that shares its slot with
+// other frames, sits on the zero page, or is seeded and takes a whole-page
+// write or more patched lines than a block holds, gets a private slot
+// first. Writing zeroes over a whole page, or onto the zero page, just
+// points the frame at the zero page. A write that does not fit the page
+// panics: callers own their bounds.
 func (p *Phys) WriteAt(pfn PFN, off int, src []byte) {
 	f := p.frame(pfn)
 	if off < 0 || len(src) > PageSize-off {
@@ -623,7 +743,75 @@ func (p *Phys) WriteAt(pfn PFN, off int, src []byte) {
 		f.slot = zeroSlot
 		return
 	}
+	if f.slot < 0 && !whole && p.patchWrite(f, off, src) {
+		return
+	}
 	copy(p.own(f, !whole)[off:], src)
+}
+
+// patchWrite writes src, a nonempty range of the page short of the whole,
+// into seeded frame f's patch, first giving f a seed entry of its own, with
+// a copy of the patch, when other frames share its entry. Only the lines
+// the write newly dirties and does not cover whole are generated. It
+// reports false, with nothing changed, when the patch would then hold more
+// lines than a block does.
+func (p *Phys) patchWrite(f *Frame, off int, src []byte) bool {
+	first, last := off/LineSize, (off+len(src)-1)/LineSize
+	old := p.patchOf(f.slot).mask
+	mask := old | (2<<last-1)&^(1<<first-1)
+	if bits.OnesCount64(mask) > patchLines {
+		return false
+	}
+	if p.seedRefs[-f.slot] > 1 {
+		p.unshare(f)
+	}
+	if p.patches == nil {
+		p.patches = make([]patch, len(p.seeds), cap(p.seeds))
+	}
+	k := -f.slot
+	q := &p.patches[k]
+	if q.mask == 0 {
+		q.block = p.newBlock()
+	}
+	blk := p.block(q.block)
+	// Move the held lines up to their places in the new order, highest
+	// first, so that none is overwritten before it moves; a line that keeps
+	// its place has no newly dirty line below it.
+	for m := old; m != 0; {
+		i := 63 - bits.LeadingZeros64(m)
+		m &^= 1 << i
+		from, to := lineAt(old, i), lineAt(mask, i)
+		if from == to {
+			break
+		}
+		copy(blk[to:to+LineSize], blk[from:from+LineSize])
+	}
+	end := off + len(src)
+	g := newPageGen(p.seeds[k])
+	// Only the end lines can be partly covered.
+	for i := first; i <= last; i += max(last-first, 1) {
+		if base := i * LineSize; old>>i&1 == 0 && (off > base || end < base+LineSize) {
+			at := lineAt(mask, i)
+			g.skipTo(base)
+			g.fill(blk[at : at+LineSize])
+		}
+	}
+	q.mask = mask
+	copy(blk[lineAt(mask, first)+off%LineSize:], src)
+	return true
+}
+
+// unshare points seeded frame f, whose seed entry other frames share too,
+// at an entry of its own that holds the same seed and a copy of the patch.
+func (p *Phys) unshare(f *Frame) {
+	q := p.patchOf(f.slot)
+	p.seedFrame(f, p.seed(f.slot))
+	if q.mask != 0 {
+		b := p.newBlock()
+		n := bits.OnesCount64(q.mask) * LineSize
+		copy(p.block(b)[:n], p.block(q.block))
+		p.patches[-f.slot] = patch{q.mask, b}
+	}
 }
 
 // CopyPage makes frame dst hold the contents of frame src. It copies no
@@ -648,25 +836,29 @@ func (p *Phys) SeedPages(pfns []PFN, seeds []uint64) {
 		p.seedRefs = make([]int32, 1, 1+len(pfns))
 	}
 	for i, pfn := range pfns {
-		p.SeedPage(pfn, seeds[i])
+		p.seedFrame(p.frame(pfn), seeds[i])
 	}
 }
 
 // SeedPage points the frame at a seed table entry holding seed: the frame
 // reads as the page FillPage writes from seed, and its bytes are never
-// stored unless it materializes (a partial write, or a Page view). Reads —
-// ReadAt, ReadLine, SamePage, ComparePage, IsZero, ContentKey, State —
-// generate what they need from the seed into their own storage. The frame's
-// old slot or seed is released, as a whole-page write releases it; a seed
-// entry only this frame points at is rewritten in place, and otherwise the
-// entry is a recycled one when any is free, so the table never holds more
-// entries than the most frames that pointed at seeds at once, plus entry 0.
-// The hypervisor's seeded write (vm.VM.WriteSeed) uses it so that generated
+// stored unless it materializes (a write past what a patch holds, or a Page
+// view). Reads — ReadAt, ReadLine, SamePage, ComparePage, IsZero,
+// ContentKey, State — generate what they need from the seed into their own
+// storage. The frame's old slot, or seed and patch, is released, as a
+// whole-page write releases it; a seed entry only this frame points at is
+// rewritten in place, its patch dropped, and otherwise the entry is a
+// recycled one when any is free, so the table never holds more entries
+// than the most frames that pointed at seeds at once, plus entry 0. The
+// hypervisor's seeded write (vm.VM.WriteSeed) uses it so that generated
 // guest pages are never stored either.
-func (p *Phys) SeedPage(pfn PFN, seed uint64) {
-	f := p.frame(pfn)
+func (p *Phys) SeedPage(pfn PFN, seed uint64) { p.seedFrame(p.frame(pfn), seed) }
+
+// seedFrame is SeedPage on frame f.
+func (p *Phys) seedFrame(f *Frame, seed uint64) {
 	if f.slot < 0 && p.seedRefs[-f.slot] == 1 {
 		p.seeds[-f.slot] = seed
+		p.dropPatch(-f.slot)
 		return
 	}
 	var k int32
@@ -682,9 +874,14 @@ func (p *Phys) SeedPage(pfn PFN, seed uint64) {
 		k = int32(len(p.seeds))
 		p.seeds = append(p.seeds, seed)
 		p.seedRefs = append(p.seedRefs, 1)
+		if p.patches != nil {
+			p.patches = append(p.patches, patch{})
+		}
 	}
 	p.nseeds++
-	p.release(f.slot)
+	if f.slot != zeroSlot { // boot frames, on the zero page, skip the call
+		p.release(f.slot)
+	}
 	f.slot = -k
 }
 
@@ -798,29 +995,32 @@ func (p *Phys) ComparePage(a, b PFN) (int, int) {
 // seededDiff finds the first byte where the contents of sa and sb differ,
 // at least one of them seeded, and returns its index and the two bytes
 // there, or -1 when the pages are equal. Both pages are zero up to the
-// shorter of their zero prefixes — a seed knows its own exactly, and a
-// stored page's is scanned only that far — so the walk starts there, and
-// then compares the pages a word at a time, each seeded word as its
-// generator steps to it, so no window is generated or zeroed. Two seeds
-// with different zero prefixes differ where the shorter one ends, which a
-// single word decides. Nothing is written to the store, so concurrent
-// readers may compare seeded frames.
+// shorter of their zero prefixes — a seed knows its own exactly, a patch
+// can end it no later than its first line, and a stored page's is scanned
+// only that far — so the walk starts there, and then compares the pages a
+// word at a time, each seeded word as its generator steps to it (a patched
+// line's word coming from its block), so no window is generated or
+// zeroed. Two seeds with different zero prefixes differ where the shorter
+// one ends, which a single word decides. Frames on the same seed go to
+// sameSeedDiff. Nothing is written to the store, so concurrent readers may
+// compare seeded frames.
 func (p *Phys) seededDiff(sa, sb int32) (int, byte, byte) {
+	if sa < 0 && sb < 0 && p.seed(sa) == p.seed(sb) {
+		return p.sameSeedDiff(sa, sb)
+	}
 	var ga, gb pageGen
+	var qa, qb patch
 	var pa, pb []byte
 	za, zb := PageSize, PageSize
 	if sa < 0 {
-		ga = newPageGen(p.seed(sa))
-		za = ga.zeroPrefix()
+		ga, qa = newPageGen(p.seed(sa)), p.patchOf(sa)
+		za = min(ga.zeroPrefix(), qa.firstLine())
 	} else {
 		pa = p.view(sa)
 	}
 	if sb < 0 {
-		if sa < 0 && p.seed(sa) == p.seed(sb) {
-			return -1, 0, 0
-		}
-		gb = newPageGen(p.seed(sb))
-		zb = gb.zeroPrefix()
+		gb, qb = newPageGen(p.seed(sb)), p.patchOf(sb)
+		zb = min(gb.zeroPrefix(), qb.firstLine())
 	} else {
 		pb = p.view(sb)
 	}
@@ -846,22 +1046,76 @@ func (p *Phys) seededDiff(sa, sb int32) (int, byte, byte) {
 		var wa, wb uint64
 		if pa != nil {
 			wa = binary.LittleEndian.Uint64(pa[off : off+8])
-		} else {
-			wa = ga.next()
+		} else if wa = ga.next(); qa.mask != 0 && qa.mask>>(uint(off)/LineSize)&1 != 0 {
+			wa = p.patchWord(qa, off)
 		}
 		if pb != nil {
 			wb = binary.LittleEndian.Uint64(pb[off : off+8])
-		} else {
-			wb = gb.next()
+		} else if wb = gb.next(); qb.mask != 0 && qb.mask>>(uint(off)/LineSize)&1 != 0 {
+			wb = p.patchWord(qb, off)
 		}
 		if wa != wb {
-			// The lowest differing byte of a little-endian word is the
-			// first differing byte of the page.
-			sh := bits.TrailingZeros64(wa^wb) &^ 7
-			return off + sh/8, byte(wa >> sh), byte(wb >> sh)
+			return diffAt(off, wa, wb)
 		}
 	}
 	return -1, 0, 0
+}
+
+// sameSeedDiff is seededDiff for two seeded frames on the same seed, whose
+// pages can differ only in the lines either has patched: it walks just
+// those lines, with one generator stepping the seed's words for both, and
+// finds the byte the whole walk would.
+func (p *Phys) sameSeedDiff(sa, sb int32) (int, byte, byte) {
+	qa, qb := p.patchOf(sa), p.patchOf(sb)
+	g := newPageGen(p.seed(sa))
+	for u := qa.mask | qb.mask; u != 0; u &= u - 1 {
+		i := bits.TrailingZeros64(u)
+		inA, inB := qa.mask>>i&1 != 0, qb.mask>>i&1 != 0
+		g.skipTo(i * LineSize)
+		for off := i * LineSize; off < (i+1)*LineSize; off += 8 {
+			wa := g.next()
+			wb := wa
+			if inA {
+				wa = p.patchWord(qa, off)
+			}
+			if inB {
+				wb = p.patchWord(qb, off)
+			}
+			if wa != wb {
+				return diffAt(off, wa, wb)
+			}
+		}
+	}
+	return -1, 0, 0
+}
+
+// diffAt returns the index of the first differing byte of the unequal
+// words wa and wb at page offset off, and the two bytes there: on a
+// little-endian load, the lowest differing byte of the word.
+func diffAt(off int, wa, wb uint64) (int, byte, byte) {
+	sh := bits.TrailingZeros64(wa^wb) &^ 7
+	return off + sh/8, byte(wa >> sh), byte(wb >> sh)
+}
+
+// firstLine reports the page offset of the first line the patch holds, or
+// PageSize for none: the patched page is its seed's up to there.
+func (q patch) firstLine() int { return bits.TrailingZeros64(q.mask) * LineSize }
+
+// patchWord returns the word at page offset off of a line patch q holds.
+func (p *Phys) patchWord(q patch, off int) uint64 {
+	at := lineAt(q.mask, off/LineSize) + off%LineSize
+	return binary.LittleEndian.Uint64(p.block(q.block)[at : at+8])
+}
+
+// seedWord steps a seeded page's generator g past the word at off, its
+// position, and returns the page's word there, from the page's patch q if
+// q holds that line.
+func (p *Phys) seedWord(g *pageGen, q patch, off int) uint64 {
+	w := g.next()
+	if q.mask>>(uint(off)/LineSize)&1 != 0 {
+		w = p.patchWord(q, off)
+	}
+	return w
 }
 
 // FirstNonZero scans b for its first nonzero byte, returning its index or
@@ -902,13 +1156,19 @@ var zeroBlock [cmpBlock]byte
 // tooling to group frames by content cheaply. Equal pages have equal keys;
 // distinct keys imply distinct contents (collisions are possible in
 // principle but negligible at simulated scales). Keys are never stored. A
-// seeded frame's key is folded from its seed's stream.
+// seeded frame's key is folded from its seed's stream, with its patched
+// lines' words in their places.
 func (p *Phys) ContentKey(pfn PFN) uint64 {
 	s := p.frame(pfn).slot
-	if s < 0 {
-		return contentKeySeeded(p.seed(s))
+	if s >= 0 {
+		return contentKey(p.view(s))
 	}
-	return contentKey(p.view(s))
+	g, q := newPageGen(p.seed(s)), p.patchOf(s)
+	h := uint64(keyOffset64)
+	for off := 0; off < PageSize; off += 8 {
+		h = (h ^ p.seedWord(&g, q, off)) * keyPrime64
+	}
+	return h
 }
 
 // The FNV-1a-style constants of contentKey.
@@ -932,7 +1192,17 @@ func (p *Phys) IsZero(pfn PFN) bool {
 	case s == zeroSlot:
 		return true
 	case s < 0:
-		return newPageGen(p.seed(s)).zeroPrefix() == PageSize
+		// Past its zero prefix a plain seed's first word is nonzero; a
+		// patched one is walked on.
+		g, q := newPageGen(p.seed(s)), p.patchOf(s)
+		off := min(g.zeroPrefix(), q.firstLine()) &^ 7
+		g.skipTo(off)
+		for ; off < PageSize; off += 8 {
+			if p.seedWord(&g, q, off) != 0 {
+				return false
+			}
+		}
+		return true
 	default:
 		return FirstNonZero(p.view(s)) < 0
 	}

@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"encoding/binary"
+	"math/bits"
 	"reflect"
 	"sync"
 	"testing"
@@ -102,8 +103,9 @@ func TestFillPageMatchesWholePage(t *testing.T) {
 // TestSeedPagesGenerateOnFirstRead pins when a seeded frame materializes —
 // gets stored bytes — by counting MaterializedPages and backed chunks:
 // never for reads of any kind, for a frame freed, wholly overwritten or
-// restored over, for a copy, or for State; once for each partial write
-// and for each Page view of a seeded frame.
+// restored over, for a copy, for State, or for partial writes that a patch
+// holds; once for each write that would patch a seventeenth line and for
+// each Page view of a seeded frame.
 func TestSeedPagesGenerateOnFirstRead(t *testing.T) {
 	check := func(t *testing.T, p *Phys, want int) {
 		t.Helper()
@@ -163,11 +165,50 @@ func TestSeedPagesGenerateOnFirstRead(t *testing.T) {
 		p.WriteAt(pfns[1], 100, []byte{0xEE})
 		want := wantPage(2)
 		want[100] = 0xEE
-		if !bytes.Equal(p.Page(pfns[1]), want) {
+		got := make([]byte, PageSize)
+		if p.ReadAt(pfns[1], 0, got); !bytes.Equal(got, want) {
 			t.Fatal("a partial write over a seeded frame lost the generated bytes")
+		}
+		if n := backedChunks(p); n != 0 || p.PatchBytes() != patchChunkBlocks*patchBytes {
+			t.Fatalf("a patched line backs %d chunks and %d patch bytes, want none and one arena chunk", n, p.PatchBytes())
+		}
+		check(t, p, 0)
+		if !bytes.Equal(p.Page(pfns[1]), want) {
+			t.Fatal("a view of a patched frame lost its patch")
 		}
 		if n := backedChunks(p); n != 1 {
 			t.Fatalf("%d chunks backed by one materialized page, want 1", n)
+		}
+		check(t, p, 1)
+	})
+	t.Run("sixteen lines patch, seventeen materialize", func(t *testing.T) {
+		p, pfns := seededPhys(t, 3)
+		p.CopyPage(pfns[2], pfns[1])
+		want := wantPage(2)
+		// Each write dirties lines 4j and 4j+1, highest first, so that the
+		// lines a patch holds move up as lower ones come in.
+		for j := patchLines/2 - 1; j >= 0; j-- {
+			at := (4*j+1)*LineSize - 3
+			src := bytes.Repeat([]byte{byte(j + 1)}, 6)
+			p.WriteAt(pfns[1], at, src)
+			copy(want[at:], src)
+		}
+		check(t, p, 0)
+		if q := p.patchOf(p.frames[pfns[1]].slot); bits.OnesCount64(q.mask) != patchLines {
+			t.Fatalf("the patch holds %d lines, want %d", bits.OnesCount64(q.mask), patchLines)
+		}
+		got := make([]byte, PageSize)
+		if p.ReadAt(pfns[1], 0, got); !bytes.Equal(got, want) {
+			t.Fatal("a sixteen-line patch reads back wrong")
+		}
+		if p.ReadAt(pfns[2], 0, got); !bytes.Equal(got, wantPage(2)) {
+			t.Fatal("patching a frame changed the frame that shared its seed")
+		}
+		p.WriteAt(pfns[1], PageSize-1, []byte{0x5A})
+		want[PageSize-1] = 0x5A
+		check(t, p, 1)
+		if got := p.Page(pfns[1]); !bytes.Equal(got, want) {
+			t.Fatal("a patch that outgrew its block materialized wrong")
 		}
 		check(t, p, 1)
 	})
@@ -321,26 +362,24 @@ func TestReadLineCacheHoldsRecentLines(t *testing.T) {
 const seedWindow = 512
 
 // seededDiffRef is the windowed form of seededDiff, kept as its reference:
-// after the shared zero prefix it compares windows that double from a line
-// up to seedWindow bytes, generating each seeded page's window into a
-// buffer on the stack, with bytes.Equal, and walks words only inside the
-// first unequal window.
+// after the shared zero prefix (a patched seed's cut at its first patched
+// line) it compares windows that double from a line up to seedWindow
+// bytes, generating each seeded page's window into a buffer on the stack
+// and laying its patch over it, with bytes.Equal, and walks words only
+// inside the first unequal window. It walks two frames on one seed in full.
 func (p *Phys) seededDiffRef(sa, sb int32) (int, byte, byte) {
 	var ga, gb pageGen
 	var pa, pb []byte
 	za, zb := PageSize, PageSize
 	if sa < 0 {
 		ga = newPageGen(p.seed(sa))
-		za = ga.zeroPrefix()
+		za = min(ga.zeroPrefix(), p.patchOf(sa).firstLine())
 	} else {
 		pa = p.view(sa)
 	}
 	if sb < 0 {
-		if sa < 0 && p.seed(sa) == p.seed(sb) {
-			return -1, 0, 0
-		}
 		gb = newPageGen(p.seed(sb))
-		zb = gb.zeroPrefix()
+		zb = min(gb.zeroPrefix(), p.patchOf(sb).firstLine())
 	} else {
 		pb = p.view(sb)
 	}
@@ -370,11 +409,13 @@ func (p *Phys) seededDiffRef(sa, sb int32) (int, byte, byte) {
 			wa = pa[off : off+w]
 		} else {
 			ga.fill(wa)
+			p.overlay(wa, sa, off)
 		}
 		if pb != nil {
 			wb = pb[off : off+w]
 		} else {
 			gb.fill(wb)
+			p.overlay(wb, sb, off)
 		}
 		if !bytes.Equal(wa, wb) {
 			for j := 0; ; j += 8 {
@@ -393,19 +434,29 @@ func (p *Phys) seededDiffRef(sa, sb int32) (int, byte, byte) {
 // seeds, equal seeds in distinct entries, and stored pages that equal a
 // seed's page but for one byte (inside the zero prefix, at its end, at a
 // window boundary, deep in the stream, or in the last word) or not at all,
-// and stored pages of another seed or of zeroes. Index and bytes must
-// agree, and so must the byte loop on the generated pages.
+// and stored pages of another seed or of zeroes. Patched seeds meet plain,
+// patched and stored frames, on the same seed and on others: patches that
+// rewrite a seed's own bytes, put a nonzero byte in its zero prefix, zero
+// its first nonzero bytes, fill all sixteen lines of a block, or change the
+// page's last byte or five lines at once. Index and bytes must agree, and
+// so must the byte loop on pages built apart from the store.
 func TestSeededDiffMatchesWindowedReference(t *testing.T) {
 	const seeds = 40
 	p := New(4 * seeds * PageSize)
 	seeded := allocN(t, p, seeds)
 	twins := allocN(t, p, seeds)
+	patched := allocN(t, p, seeds)
 	vals := make([]uint64, seeds)
 	for i := range vals {
 		vals[i] = uint64(i * 7 % 13) // values recur, so equal seeds meet
 	}
 	p.SeedPages(seeded, vals)
 	p.SeedPages(twins, vals)
+	p.SeedPages(patched, vals)
+	want := make(map[PFN][]byte)
+	for i := range seeds {
+		want[seeded[i]], want[twins[i]] = wantPage(vals[i]), wantPage(vals[i])
+	}
 	var stored []PFN
 	x := uint64(0x9E3779B97F4A7C15)
 	for i := range seeds {
@@ -433,6 +484,34 @@ func TestSeededDiffMatchesWindowedReference(t *testing.T) {
 		pfn := allocN(t, p, 1)[0]
 		p.WriteAt(pfn, 0, pg)
 		stored = append(stored, pfn)
+		want[pfn] = pg
+	}
+	for i, pfn := range patched {
+		pg := want[twins[i]]
+		pg = append([]byte(nil), pg...)
+		write := func(off int, src []byte) {
+			p.WriteAt(pfn, off, src)
+			copy(pg[off:], src)
+		}
+		zp := FirstNonZero(pg)
+		switch i % 6 {
+		case 0: // the seed's own bytes
+			write(zp+100, pg[zp+100:zp+140])
+		case 1: // a nonzero byte inside the zero prefix
+			write(i%zp, []byte{byte(i) | 1})
+		case 2: // zeroes over the first nonzero bytes
+			write(zp&^7, make([]byte, LineSize))
+		case 3: // sixteen lines, the last the page's last
+			for l := 0; l < patchLines; l++ {
+				at := (4*l+3)*LineSize + l
+				write(at, []byte{pg[at] ^ 0x11})
+			}
+		case 4: // the last byte
+			write(PageSize-1, []byte{pg[PageSize-1] ^ 0x40})
+		default: // five lines
+			write(1000+i, bytes.Repeat([]byte{byte(i)}, 256))
+		}
+		want[pfn] = pg
 	}
 	check := func(a, b PFN) {
 		t.Helper()
@@ -442,9 +521,7 @@ func TestSeededDiffMatchesWindowedReference(t *testing.T) {
 		if i != ri || ba != rba || bb != rbb {
 			t.Fatalf("frames %d,%d: seededDiff (%d, %#x, %#x), reference (%d, %#x, %#x)", a, b, i, ba, bb, ri, rba, rbb)
 		}
-		pa, pb := make([]byte, PageSize), make([]byte, PageSize)
-		p.ReadAt(a, 0, pa)
-		p.ReadAt(b, 0, pb)
+		pa, pb := want[a], want[b]
 		if wi := firstDiff(pa, pb); wi != i || (i >= 0 && (pa[i] != ba || pb[i] != bb)) {
 			t.Fatalf("frames %d,%d: seededDiff index %d, byte loop %d", a, b, i, wi)
 		}
@@ -454,9 +531,14 @@ func TestSeededDiffMatchesWindowedReference(t *testing.T) {
 			check(seeded[i], twins[j])
 			check(seeded[i], stored[j])
 			check(stored[j], seeded[i])
+			check(patched[i], seeded[j])
+			check(seeded[j], patched[i])
+			check(patched[i], patched[j])
+			check(patched[i], stored[j])
+			check(stored[j], patched[i])
 		}
 	}
-	if p.MaterializedPages() != 0 {
-		t.Fatal("seeded compares materialized a page")
+	if p.MaterializedPages() != 0 || backedChunks(p) != 1 { // the stored pages' chunk
+		t.Fatal("seeded compares or patches materialized a page")
 	}
 }

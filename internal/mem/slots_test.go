@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"errors"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -19,7 +20,8 @@ import (
 // referenced or on the seed freelist, exactly once, so the table holds no
 // more entries than the machine has frames; every referenced slot has its
 // chunk backed; the seed table is dropped once no frame points at a seed;
-// and the shared zero page still holds only zeroes.
+// and the shared zero page still holds only zeroes. It audits the patch
+// arena the same way (checkPatches).
 func checkSlots(t *testing.T, p *Phys) {
 	t.Helper()
 	if FirstNonZero(zeroPage[:]) >= 0 {
@@ -92,6 +94,59 @@ func checkSlots(t *testing.T, p *Phys) {
 	if p.seeds != nil && (len(p.seeds) != 1+p.nseeds+len(p.freeSeeds) || len(p.seeds) > len(p.frames)+1) {
 		t.Fatalf("seed table of %d entries for %d live and %d free seeds on %d frames",
 			len(p.seeds), p.nseeds, len(p.freeSeeds), len(p.frames))
+	}
+	checkPatches(t, p)
+}
+
+// checkPatches audits the patch arena: it exists only beside a seed table,
+// whose entries its patches parallel; every block handed out is held by
+// exactly one patched entry, which some frame points at, or is on the block
+// freelist, exactly once; a plain seed, a free entry and entry 0 hold no
+// block; no patch holds more lines than a block; and the arena backs
+// exactly the chunks the blocks handed out need.
+func checkPatches(t *testing.T, p *Phys) {
+	t.Helper()
+	if p.seeds == nil && (p.patches != nil || p.patchChunks != nil || p.freeBlocks != nil || p.nextBlock != 0) {
+		t.Fatalf("no seed table, but a patch arena of %d chunks, %d blocks handed out", len(p.patchChunks), p.nextBlock)
+	}
+	if p.patches != nil && len(p.patches) != len(p.seeds) {
+		t.Fatalf("%d patches for %d seed entries", len(p.patches), len(p.seeds))
+	}
+	if want := (int(p.nextBlock) + patchChunkBlocks - 1) / patchChunkBlocks; len(p.patchChunks) != want {
+		t.Fatalf("patch arena of %d chunks for %d blocks handed out, want %d", len(p.patchChunks), p.nextBlock, want)
+	}
+	holder := make([]int, p.nextBlock+1)
+	for k, q := range p.patches {
+		switch {
+		case q.mask == 0 && q.block != 0:
+			t.Fatalf("plain seed %d holds block %d", k, q.block)
+		case q.mask == 0:
+			continue
+		case k == 0 || p.seedRefs[k] == 0:
+			t.Fatalf("seed %d, which no frame points at, holds block %d", k, q.block)
+		case q.block < 1 || q.block > p.nextBlock:
+			t.Fatalf("seed %d holds block %d, outside [1, %d]", k, q.block, p.nextBlock)
+		case bits.OnesCount64(q.mask) > patchLines:
+			t.Fatalf("seed %d patches %d lines, more than a block holds", k, bits.OnesCount64(q.mask))
+		case holder[q.block] != 0:
+			t.Fatalf("block %d held by seeds %d and %d", q.block, holder[q.block], k)
+		}
+		holder[q.block] = k
+	}
+	onFree := make([]bool, p.nextBlock+1)
+	for _, b := range p.freeBlocks {
+		if b < 1 || b > p.nextBlock || onFree[b] {
+			t.Fatalf("block freelist holds %d twice or out of range", b)
+		}
+		if holder[b] != 0 {
+			t.Fatalf("free block %d is held by seed %d", b, holder[b])
+		}
+		onFree[b] = true
+	}
+	for b := int32(1); b <= p.nextBlock; b++ {
+		if holder[b] == 0 && !onFree[b] {
+			t.Fatalf("block %d is neither held nor free (leaked)", b)
+		}
 	}
 }
 
@@ -573,14 +628,15 @@ func runPhysOps(t *testing.T, data []byte, nops int) (ops, at []int) {
 }
 
 // FuzzPhysOps runs random programs of Alloc, AllocForCopy+CopyPage,
-// CopyPage, WriteAt, SeedPages, single-frame SeedPage reseeds, reads, IncRef/DecRef (inside and outside
-// deferred-free windows), SetCoW and State→SetState on the slot store and
-// on the flat reference, which generates seeded pages at once and keeps a
-// sorted free list, and requires identical bytes, compare verdicts and
-// byte counts, free frames (so Alloc returns the lowest), State images,
-// and counters, with a consistent, leak-free slot store and seed table
-// after every step and one slot per distinct content after every restore. The seed corpus runs
-// with the unit tests.
+// CopyPage, WriteAt (partial writes over seeded frames patch them),
+// SeedPages, single-frame SeedPage reseeds, reads, IncRef/DecRef (inside
+// and outside deferred-free windows), SetCoW and State→SetState on the slot
+// store and on the flat reference, which generates seeded pages at once
+// and keeps a sorted free list, and requires identical bytes, compare
+// verdicts and byte counts, free frames (so Alloc returns the lowest),
+// State images, and counters, with a consistent, leak-free slot store,
+// seed table and patch arena after every step and one slot per distinct
+// content after every restore. The seed corpus runs with the unit tests.
 // Programs are capped at 512 bytes so that the fuzzer's executions, and
 // its minimisation of new inputs, stay fast; TestPhysOpsLongProgram runs a
 // long one.
@@ -602,6 +658,46 @@ func FuzzPhysOps(f *testing.F) {
 		6, 0, 0, 0, 0, 12, 3, 0, 1, 1, 2, 2, 3, 14, 3, 0, 5, 1, 5, 2, 6, 3, 1, 0,
 		9, 14, 2, 1, 7, 3, 7, 7, 0, 14, 1, 2, 9, 9, 4, 1, 0, 1, 2, 14, 0, 0, 3,
 		11, 0, 14, 3, 3, 4, 0, 4, 1, 4, 7, 1, 7, 2, 13, 0, 1, 0, 0,
+	})
+	// Patches on a seeded frame: one dirty line on frame 0; sixteen on frame
+	// 1, which shares frame 0's seed value, in four 255-byte writes, then a
+	// seventeenth line, which materializes it; a write to frame 2 copied
+	// from frame 1; then reads and a Page view of frame 0's patched page.
+	f.Add([]byte{
+		3, 0, 0, 0, 12, 3, 0, 5, 1, 5, 2, 7,
+		4, 0, 1, 3, 10, 3, 1, 2,
+		4, 1, 2, 0, 0, 255, 1, 9, 4, 1, 2, 1, 0, 255, 1, 10,
+		4, 1, 2, 2, 0, 255, 1, 11, 4, 1, 2, 3, 0, 255, 1, 12,
+		4, 1, 1, 128, 4, 3, 0, 7,
+		4, 2, 2, 9, 200, 200, 2, 1,
+		13, 0, 2, 0, 1, 3, 200,
+	})
+	// A patched frame shared three ways (CopyPage, AllocForCopy+CopyPage),
+	// then each sharer written: two copy the patch to entries of their own,
+	// and the last writes the original entry in place; then a view.
+	f.Add([]byte{
+		5, 0, 0, 0, 12, 1, 0, 3,
+		4, 0, 1, 20, 40, 1, 6,
+		3, 1, 0, 2, 0,
+		4, 1, 1, 21, 64, 3, 5, 9,
+		4, 0, 1, 200, 8, 0,
+		4, 3, 2, 0, 100, 50, 1, 200,
+		13, 0, 1, 3, 2, 0, 64,
+	})
+	// Patched frames reseeded in place and while shared, zero-written
+	// whole, and freed outside and inside a deferred-free window, which
+	// recycles their entries and blocks.
+	f.Add([]byte{
+		4, 0, 0, 0, 0, 12, 4, 0, 1, 1, 1, 2, 2, 3, 9,
+		4, 0, 1, 2, 30, 1, 4, 4, 1, 1, 100, 64, 1, 5,
+		4, 2, 1, 250, 64, 3, 0, 3, 4, 3, 1, 5, 16, 1, 8,
+		14, 0, 0, 7,
+		3, 2, 1, 14, 0, 1, 11,
+		4, 2, 0, 0,
+		7, 3,
+		4, 1, 1, 10, 64, 1, 3,
+		9, 7, 1, 0, 4, 3, 1, 40, 64, 1, 2, 9,
+		11, 0,
 	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 512 {
@@ -647,7 +743,10 @@ func TestPhysOpsCorpusKeepsItsPrograms(t *testing.T) {
 // frame count straddling two chunk boundaries: fill every frame with a
 // distinct page, then share, unshare, free and recycle frames, with
 // checkpoints and a deferred-free window along the way, then reseed frames
-// one at a time, so seed entries are freed and handed out again.
+// one at a time, so seed entries are freed and handed out again, then
+// patch seeded frames, share them, write the sharers, and reseed, zero and
+// free patched frames, so patch blocks are copied, freed and handed out
+// again.
 func TestPhysOpsLongProgram(t *testing.T) {
 	long := []byte{2*chunkSlots + 3}
 	for i := 0; i < 140; i++ {
@@ -668,6 +767,18 @@ func TestPhysOpsLongProgram(t *testing.T) {
 		long = append(long, 14, 3, byte(i*7), byte(i), byte(i*5), byte(i+1), byte(i*3), byte(i+2), byte(i*11), byte(i+3)) // reseed four frames
 		if i%8 == 0 {
 			long = append(long, 9, 7, byte(i), 14, 0, byte(i*13), byte(i), 9) // a freed frame and a reseed inside a window
+		}
+	}
+	for i := 0; i < 40; i++ {
+		long = append(long,
+			4, byte(i*7), 2, byte(i%16), byte(i*13), 255, 1, byte(i), // a 255-byte write: four or five lines
+			4, byte(i*7), 1, byte(i*9), 64, 3, byte(i), byte(i), // a 64-byte write to the same frame
+			3, byte(i*5), byte(i*7), // share the frame
+			4, byte(i*5), 1, byte(i*3), 64, 1, byte(i)) // and write the sharer
+		if i%8 == 0 {
+			long = append(long, 14, 0, byte(i*7), byte(i), // reseed a frame
+				4, byte(i*5), 0, 0, // zero-write one whole
+				9, 7, byte(i*7), 9) // and free one inside a window
 		}
 	}
 	long = append(long, 11, 0)

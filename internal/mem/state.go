@@ -50,8 +50,8 @@ type PhysState struct {
 // State captures the memory image. It must be called at a quiescent point:
 // deferred-free mode (a parallel scan pass in flight) has pending frames
 // whose ordering is not yet canonical, so capturing there is an error.
-// A seeded frame's bytes are generated into a scratch page, and the frame
-// stays seeded.
+// A seeded frame's bytes are generated into a scratch page, its patched
+// lines laid over them, and the frame stays seeded.
 func (p *Phys) State() (PhysState, error) {
 	if p.deferFrees || len(p.pending) > 0 {
 		return PhysState{}, fmt.Errorf("mem: checkpoint during deferred-free window (%d pending)", len(p.pending))
@@ -99,6 +99,7 @@ func (p *Phys) State() (PhysState, error) {
 					scratch = pg
 				}
 				FillPage(pg, p.seed(f.slot), 0)
+				p.overlay(pg, f.slot, 0)
 			}
 			*memo = 1 + st.addPage(pg, byKey)
 		}
@@ -138,7 +139,7 @@ func (st *PhysState) page(k int32) []byte {
 // slot store is rebuilt from the image: each distinct content gets one
 // slot, shared by every frame that holds it, and every other frame points
 // at the zero page, so views taken before the restore are no longer valid.
-// Seeds are dropped. Backed chunks are reused where the rebuilt
+// Seeds and their patches are dropped. Backed chunks are reused where the rebuilt
 // store needs them and dropped beyond it.
 func (p *Phys) SetState(st PhysState) error {
 	n := len(p.frames)
@@ -162,7 +163,7 @@ func (p *Phys) SetState(st PhysState) error {
 		return err
 	}
 	clear(p.slotRefs)
-	p.seeds, p.seedRefs, p.freeSeeds, p.nseeds = nil, nil, nil, 0
+	p.dropSeeds()
 	p.freeSlots = p.freeSlots[:0]
 	p.nextSlot = 1
 	// pageSlot maps a content index to its slot once a frame has claimed

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"math/bits"
 	"reflect"
 	"testing"
 
@@ -52,48 +53,75 @@ func TestRunBaseline(t *testing.T) {
 	}
 }
 
-// TestBootContentsGeneratedOnRead pins what seeding the boot image and
-// the whole-page guest writes saves: reads answer seeded pages from their
-// seeds, so a Baseline world, which writes no boot page, materializes none
-// and stores no bytes, and a PageForge world, which reads every boot page,
-// materializes only the seeded pages that take a partial write: at most
-// one per partial write issued (ChurnVolatile's are the only ones; a
-// volatile page whose whole-page rewrite seeded it again materializes
-// again at its next partial write), and its store holds no more than the
-// volatile pages, rounded up to whole chunks, plus one chunk. The counts
-// are host bookkeeping, outside every Result and checkpoint; the write
-// observer that counts the partial writes only reads.
+// TestBootContentsGeneratedOnRead pins what seeding the boot image and the
+// whole-page guest writes, and patching the partial ones, save. Reads
+// answer seeded pages from their seeds, so a Baseline world, which writes
+// no boot page, materializes none and stores no bytes. In a PageForge world
+// and in a KSM world with a balloon storm, a phase change and a spawn, a
+// partial write over a seeded page (ChurnVolatile's are the only ones)
+// keeps the lines it dirties in a patch block, so a page materializes only
+// when a partial write leaves it with more dirty lines since its last
+// whole-page write than a block holds: a write observer that tracks each
+// page's dirty lines counts those writes, and the materializations must
+// equal them. The store must hold no more chunks than those pages need,
+// and the patch arena no more than one block per volatile page, rounded up
+// to an arena chunk. The counts are host bookkeeping, outside every Result
+// and checkpoint; the observer only reads.
 func TestBootContentsGeneratedOnRead(t *testing.T) {
 	t.Parallel()
-	for _, mode := range []Mode{Baseline, PageForge} {
-		r := NewRuntime(mode, fastApp("img_dnn"), fastConfig())
+	churn := fastConfig()
+	churn.Events = []Event{
+		{Pass: 1, Kind: EvBalloonStorm, Pages: 40, Passes: 5},
+		{Pass: 2, Kind: EvPhaseChange, Frac: 0.3},
+		{Pass: 3, Kind: EvVMSpawn},
+	}
+	for _, tc := range []struct {
+		mode Mode
+		cfg  Config
+	}{{Baseline, fastConfig()}, {PageForge, fastConfig()}, {KSM, churn}} {
+		r := NewRuntime(tc.mode, fastApp("img_dnn"), tc.cfg)
 		if err := r.Start(); err != nil {
 			t.Fatal(err)
 		}
 		phys := r.img.HV.Phys
-		volatile := len(r.img.Volatile)
-		partial := 0
-		r.img.HV.OnWrite = func(_ vm.PageID, off int, data []byte) {
-			if off != 0 || len(data) != mem.PageSize {
-				partial++
+		const blockLines = 16 // a patch block holds 1 KiB
+		dirty := make(map[vm.PageID]uint64)
+		overflows := 0
+		r.img.HV.OnWrite = func(id vm.PageID, off int, data []byte) {
+			if off == 0 && len(data) == mem.PageSize {
+				delete(dirty, id)
+				return
+			}
+			first, last := off/mem.LineSize, (off+len(data)-1)/mem.LineSize
+			before := bits.OnesCount64(dirty[id])
+			dirty[id] |= (2<<last - 1) &^ (1<<first - 1)
+			if before <= blockLines && bits.OnesCount64(dirty[id]) > blockLines {
+				overflows++
 			}
 		}
+		volatile := len(r.img.Volatile)
 		for done := false; !done; {
 			var err error
 			if done, err = r.Step(); err != nil {
 				t.Fatal(err)
 			}
+			volatile = max(volatile, len(r.img.Volatile))
 		}
-		got, store := phys.MaterializedPages(), phys.StoreBytes()
-		const chunk = 64 * mem.PageSize
-		maxStore := ((volatile*mem.PageSize+chunk-1)/chunk + 1) * chunk
+		got, store, patches := phys.MaterializedPages(), phys.StoreBytes(), phys.PatchBytes()
+		const chunk, arenaChunk = 64 * mem.PageSize, 64 * 1024
+		maxStore := (int(got) + 63) / 64 * chunk
+		maxPatches := (volatile*1024 + arenaChunk - 1) / arenaChunk * arenaChunk
 		switch {
-		case mode == Baseline && (got != 0 || store != 0):
-			t.Errorf("Baseline materialized %d boot pages and stores %d bytes, want none", got, store)
-		case mode == PageForge && (got == 0 || got > uint64(partial)):
-			t.Errorf("PageForge materialized %d pages, want 1..%d (the partial writes)", got, partial)
-		case mode == PageForge && store > maxStore:
-			t.Errorf("PageForge stores %d bytes, want at most %d (%d volatile pages)", store, maxStore, volatile)
+		case tc.mode == Baseline && (got != 0 || store != 0 || patches != 0):
+			t.Errorf("Baseline materialized %d boot pages and stores %d bytes and %d patch bytes, want none", got, store, patches)
+		case tc.mode != Baseline && patches == 0:
+			t.Errorf("%v patched no partial write", tc.mode)
+		case got != uint64(overflows):
+			t.Errorf("%v materialized %d pages, want %d (the partial writes that overflow a patch block)", tc.mode, got, overflows)
+		case store > maxStore:
+			t.Errorf("%v stores %d bytes, want at most %d (%d materialized pages)", tc.mode, store, maxStore, got)
+		case patches > maxPatches:
+			t.Errorf("%v holds %d patch bytes, want at most %d (%d volatile pages)", tc.mode, patches, maxPatches, volatile)
 		}
 	}
 }
