@@ -81,13 +81,15 @@ golden:
 # smoke exercises the CLI's machine-readable path end to end: a fast
 # two-app table4 run must emit a JSON document with populated rows, the
 # overcommitted pressure rows must have run their storm and recovered, every
-# crash row must have fired a crash and recovered bit-identically, and the
+# crash row must have fired a crash and recovered bit-identically, the
 # efficiency run must prove zero perturbation while writing a well-formed
-# per-pass series artifact, which `pageforge report` must read back and
-# render as at least one track. It builds the CLI once into a fresh temporary
-# directory, which also holds the series file, so a stale artifact from an
-# earlier run cannot mask a failed write; pipefail makes a failing
-# pageforge run fail the step, not only a failing jq check.
+# per-pass series.json into its -out directory, which `pageforge report`
+# must read back and render as at least one track, and the -out directory of
+# `pageforge explain` must render as both a track and a ledger section. It
+# builds the CLI once into a fresh temporary directory, which also holds the
+# -out directories, so a stale artifact from an earlier run cannot mask a
+# failed write; pipefail makes a failing pageforge run fail the step, not
+# only a failing jq check.
 smoke: SHELL := /bin/bash
 smoke:
 	@set -eo pipefail; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
@@ -98,11 +100,15 @@ smoke:
 		| jq -e '.experiments.pressure.Rows | map(select(.Ratio >= 1.5)) | all(.Recovered and .BurstPages > 0) and length > 0' > /dev/null; \
 	"$$dir/pageforge" run -exp crash -fast -quiet -json -crash-passes 2 -ckpt-every 0,2 \
 		| jq -e '.experiments.crash.Rows | all(.Identical and .Crashes > 0) and length > 0' > /dev/null; \
-	"$$dir/pageforge" run -exp efficiency -fast -quiet -json -apps img_dnn -series "$$dir/series.json" \
+	"$$dir/pageforge" run -exp efficiency -fast -quiet -json -apps img_dnn -out "$$dir/run" \
 		| jq -e '.experiments.efficiency.Rows | all(.Identical) and length > 0' > /dev/null; \
-	jq -e '.schema == "pageforge-series/v1" and (.tracks | length > 0) and ([.tracks[].points | length] | add > 0)' "$$dir/series.json" > /dev/null; \
-	"$$dir/pageforge" report -series "$$dir/series.json" > "$$dir/report.txt"; \
+	jq -e '.schema == "pageforge-series/v1" and (.tracks | length > 0) and ([.tracks[].points | length] | add > 0)' "$$dir/run/series.json" > /dev/null; \
+	"$$dir/pageforge" report "$$dir/run" > "$$dir/report.txt"; \
 	grep -q '^track ' "$$dir/report.txt"; \
+	"$$dir/pageforge" explain -fast -out "$$dir/explain" > /dev/null; \
+	"$$dir/pageforge" report "$$dir/explain" > "$$dir/explain.txt"; \
+	grep -q '^track ' "$$dir/explain.txt"; \
+	grep -q '^ledger ' "$$dir/explain.txt"; \
 	"$$dir/pageforge" run -exp stream -fast -quiet -json \
 		| jq -e '.experiments.stream.Rows | all(.Identical) and length > 0' > /dev/null; \
 	echo smoke OK

@@ -5,40 +5,39 @@
 //	pageforge list
 //	pageforge run [-exp all|NAME]
 //	              [-apps img_dnn,silo,...] [-fast] [-seed N] [-fault-rate r1,r2,...] [-verify-n N] [-overcommit r1,r2,...]
-//	              [-crash-passes p1,p2,...] [-ckpt-every n1,n2,...]
-//	              [-json] [-trace file] [-metrics file] [-series file]
-//	              [-cpuprofile file] [-memprofile file] [-pprof addr]
-//	pageforge explain [-mode KSM|PageForge] [-app name] [-fast] [-seed N] [-pfn N] [-json]
-//	pageforge report -series file [-ledger file] [-track substr]
+//	              [-crash-passes p1,p2,...] [-ckpt-every n1,n2,...] [-json] [-out DIR]
+//	pageforge explain [-mode KSM|PageForge] [-app name] [-fast] [-seed N] [-pfn N] [-out DIR]
+//	pageforge report [-track substr] DIR
 //	pageforge bench [-out BENCH_suite.json] [-fast] [-parallel N] [-seed N]
 //
 // `pageforge list` names every experiment of the registry in
 // internal/experiments. Each experiment prints the same rows/series the
 // corresponding table or figure of the paper reports, with the paper's
 // headline numbers noted for comparison; -json replaces the text tables with
-// one machine-readable document on stdout. -trace writes a Chrome trace_event file of the runs'
-// simulation events (open in Perfetto or chrome://tracing); -metrics dumps
-// every run's full counter/histogram snapshot; -series dumps every run's
-// per-pass time-series samples (counter deltas and gauges at each
-// convergence-pass and measurement-interval boundary). A failing experiment
-// is reported on stderr and the remaining selections still run; the exit
-// status is then non-zero. An output-artifact path that cannot be created
-// fails fast with exit status 3, before any simulation runs.
+// one machine-readable document on stdout. -out DIR writes trace.json (the
+// simulation events as Chrome trace_event JSON, for Perfetto), metrics.json
+// (each run's counters and histograms), series.json (each run's per-pass
+// counter deltas and gauges), cpu.pprof and heap.pprof into one directory.
+// A failing experiment is reported on stderr and the remaining selections
+// still run; the exit status is then non-zero. An -out directory that cannot
+// be created or written, or that already holds files, fails fast with exit
+// status 3, before any simulation runs.
 //
 // `pageforge explain` runs one configuration with the merge-lifecycle
-// provenance ledger attached and replays a frame's recorded history;
+// provenance ledger attached and replays a frame's recorded history; with
+// -out DIR it also writes the run's ledger.json and series.json.
 // `pageforge report` renders convergence-curve and scan-budget attribution
-// tables from previously written -series and ledger artifacts.
+// tables from a directory written by run -out or explain -out.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"sort"
@@ -80,51 +79,64 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   pageforge list
   pageforge run [-exp all|`+strings.Join(pageforgesim.Experiments().Names(), "|")+`] [-apps a,b] [-fast] [-seed N] [-parallel N] [-quiet] [-fault-rate r1,r2,...] [-verify-n N] [-overcommit r1,r2,...] [-crash-passes p1,p2,...] [-ckpt-every n1,n2,...]
-                [-json] [-trace file] [-metrics file] [-series file] [-cpuprofile file] [-memprofile file] [-pprof addr]
-  pageforge explain [-mode KSM|PageForge] [-app name] [-fast] [-seed N] [-pfn N] [-json]
-  pageforge report -series file [-ledger file] [-track substr]
+                [-json] [-out DIR]
+  pageforge explain [-mode KSM|PageForge] [-app name] [-fast] [-seed N] [-pfn N] [-out DIR]
+  pageforge report [-track substr] DIR
   pageforge bench [-out BENCH_suite.json] [-fast] [-parallel N] [-seed N]
   pageforge sweep [-app name] [-pages N] [-seconds S]`)
 }
 
-// startProfiling arms the optional profiling hooks: a CPU profile written
-// until stop, a heap profile written at stop, and a live net/http/pprof
-// server. The returned stop must run before exit for the files to be
-// complete; it reports a heap profile it could not write.
-func startProfiling(cpuFile, memFile, addr string) (stop func() error, err error) {
-	var cpuF *os.File
-	if cpuFile != "" {
-		cpuF, err = os.Create(cpuFile)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(cpuF); err != nil {
-			cpuF.Close()
-			return nil, err
-		}
+// startProfiling writes a CPU profile to dir/cpu.pprof until stop, and a
+// heap profile to dir/heap.pprof at stop. The returned stop must run before
+// exit for the files to be complete; it reports a heap profile it could not
+// write.
+func startProfiling(dir string) (stop func() error, err error) {
+	cpuF, err := os.Create(filepath.Join(dir, "cpu.pprof"))
+	if err != nil {
+		return nil, err
 	}
-	if addr != "" {
-		go func() {
-			if err := http.ListenAndServe(addr, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "pprof server: %v\n", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "pprof server on http://%s/debug/pprof/\n", addr)
+	if err := pprof.StartCPUProfile(cpuF); err != nil {
+		cpuF.Close()
+		return nil, err
 	}
 	return func() error {
-		if cpuF != nil {
-			pprof.StopCPUProfile()
-			cpuF.Close()
-		}
-		if memFile == "" {
-			return nil
+		pprof.StopCPUProfile()
+		if err := cpuF.Close(); err != nil {
+			return fmt.Errorf("cpu profile: %w", err)
 		}
 		runtime.GC() // settle the heap so the profile shows live objects
-		if err := writeFile(memFile, func(f *os.File) error { return pprof.WriteHeapProfile(f) }); err != nil {
-			return fmt.Errorf("memprofile: %w", err)
+		if err := writeFile(filepath.Join(dir, "heap.pprof"), func(f *os.File) error { return pprof.WriteHeapProfile(f) }); err != nil {
+			return fmt.Errorf("heap profile: %w", err)
 		}
 		return nil
 	}, nil
+}
+
+// prepareOutDir creates an -out directory and exits with status 3, before
+// any simulation work, when it cannot be created or written or when it
+// already holds files: discovering an unwritable destination after a long
+// run would throw the whole run away, and refusing a used directory keeps
+// one run's artifacts from mixing with another's.
+func prepareOutDir(dir string) {
+	var entries []os.DirEntry
+	err := os.MkdirAll(dir, 0o755)
+	if err == nil {
+		entries, err = os.ReadDir(dir)
+	}
+	if err == nil && len(entries) > 0 {
+		err = fmt.Errorf("%s is not empty", dir)
+	}
+	if err == nil { // an empty directory can still refuse writes
+		var probe *os.File
+		if probe, err = os.CreateTemp(dir, "probe"); err == nil {
+			probe.Close()
+			err = os.Remove(probe.Name())
+		}
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "error: output directory: %v\n", err)
+		os.Exit(3)
+	}
 }
 
 func list() {
@@ -184,12 +196,7 @@ func run(args []string) {
 	crashPasses := fs.String("crash-passes", "", "comma-separated convergence passes to crash at for the crash experiment (default sweep when empty)")
 	ckptEvery := fs.String("ckpt-every", "", "comma-separated checkpoint intervals for the crash experiment (default sweep when empty)")
 	jsonOut := fs.Bool("json", false, "emit one machine-readable JSON document on stdout instead of text tables")
-	traceFile := fs.String("trace", "", "write a Chrome trace_event JSON file of the simulation runs (Perfetto-loadable)")
-	metricsFile := fs.String("metrics", "", "write every run's full metrics snapshot (counters, gauges, histograms) as JSON")
-	seriesFile := fs.String("series", "", "write every run's per-pass time-series samples (counter deltas, gauges) as JSON")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := fs.String("memprofile", "", "write a heap profile to this file at exit")
-	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	out := fs.String("out", "", "write trace.json, metrics.json, series.json, cpu.pprof and heap.pprof into this new or empty directory")
 	fs.Parse(args)
 
 	selected, err := pageforgesim.Experiments().Select(*exp)
@@ -225,11 +232,13 @@ func run(args []string) {
 		}
 		suite.Apps = sel
 	}
-	checkArtifactPaths(*traceFile, *metricsFile, *seriesFile, *cpuProfile, *memProfile)
-	stopProf, err := startProfiling(*cpuProfile, *memProfile, *pprofAddr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
+	stopProf := func() error { return nil }
+	if *out != "" {
+		prepareOutDir(*out)
+		if stopProf, err = startProfiling(*out); err != nil {
+			fmt.Fprintln(os.Stderr, "error:", err)
+			os.Exit(1)
+		}
 	}
 
 	// A failing experiment must not silently take the rest down: the error
@@ -241,13 +250,11 @@ func run(args []string) {
 		exitCode = 1
 	}
 
-	// -trace arms event recording and -series per-pass sampling on every
-	// platform run; -json redirects experiment results into one document
-	// instead of printing tables.
-	if *traceFile != "" {
+	// -out arms event recording and per-pass sampling on every platform
+	// run; -json redirects experiment results into one document instead of
+	// printing tables.
+	if *out != "" {
 		suite.Cfg.Trace = obs.NewTracer(obs.DefaultTraceCapacity)
-	}
-	if *seriesFile != "" {
 		suite.Cfg.Series = obs.NewSeries(obs.DefaultSeriesCapacity)
 	}
 	var doc *experiments.Doc
@@ -293,20 +300,16 @@ func run(args []string) {
 			fail(err)
 		}
 	}
-	if *traceFile != "" {
-		if err := writeTrace(suite.Cfg.Trace, *traceFile); err != nil {
+	if *out != "" {
+		if err := writeTrace(suite.Cfg.Trace, filepath.Join(*out, "trace.json")); err != nil {
 			fail(err)
 		}
-	}
-	if *metricsFile != "" {
-		if err := writeFile(*metricsFile, func(f *os.File) error {
+		if err := writeFile(filepath.Join(*out, "metrics.json"), func(f *os.File) error {
 			return experiments.NewMetricsDoc(suite).Encode(f)
 		}); err != nil {
 			fail(err)
 		}
-	}
-	if *seriesFile != "" {
-		if err := writeSeries(suite.Cfg.Series, *seriesFile); err != nil {
+		if err := writeSeries(suite.Cfg.Series, filepath.Join(*out, "series.json")); err != nil {
 			fail(err)
 		}
 	}
@@ -341,25 +344,6 @@ func writeFile(path string, write func(*os.File) error) error {
 	return f.Close()
 }
 
-// checkArtifactPaths fails fast — exit status 3, before any simulation work
-// — when an output artifact path cannot be created: discovering an
-// unwritable -trace/-metrics/-series/-cpuprofile/-memprofile or bench -out
-// destination after a long run would throw the whole run away. The probe opens without truncating so an
-// existing artifact survives an unrelated later failure.
-func checkArtifactPaths(paths ...string) {
-	for _, p := range paths {
-		if p == "" {
-			continue
-		}
-		f, err := os.OpenFile(p, os.O_WRONLY|os.O_CREATE, 0o644)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "error: output artifact path is not writable: %v\n", err)
-			os.Exit(3)
-		}
-		f.Close()
-	}
-}
-
 // writeSeries serializes the per-pass series artifact and notes its volume
 // on stderr.
 func writeSeries(s *obs.Series, path string) error {
@@ -372,8 +356,9 @@ func writeSeries(s *obs.Series, path string) error {
 
 // explain runs one configuration with the merge-lifecycle provenance ledger
 // attached and replays what it recorded: the attribution summary, the most
-// eventful frames, and — with -pfn — one frame's full history. -json emits
-// the whole ledger as an artifact `pageforge report -ledger` can read.
+// eventful frames, and — with -pfn — one frame's full history. -out also
+// attaches the per-pass series and writes both, as ledger.json and
+// series.json, into a directory `pageforge report` reads.
 func explain(args []string) {
 	fs := flag.NewFlagSet("explain", flag.ExitOnError)
 	modeName := fs.String("mode", "PageForge", "engine configuration (KSM or PageForge)")
@@ -381,7 +366,7 @@ func explain(args []string) {
 	fast := fs.Bool("fast", true, "scaled-down quick mode")
 	seed := fs.Uint64("seed", 1, "simulation seed")
 	pfn := fs.Int64("pfn", -1, "physical frame whose history to replay (-1: summary only)")
-	jsonOut := fs.Bool("json", false, "emit the full ledger document as JSON on stdout")
+	out := fs.String("out", "", "write ledger.json and series.json into this new or empty directory")
 	fs.Parse(args)
 
 	var mode platform.Mode
@@ -410,17 +395,20 @@ func explain(args []string) {
 	cfg.Seed = *seed
 	ledger := obs.NewLedger(0)
 	cfg.Ledger = ledger
+	if *out != "" {
+		prepareOutDir(*out)
+		cfg.Series = obs.NewSeries(obs.DefaultSeriesCapacity)
+	}
 	res, err := pageforgesim.Run(mode, *app, cfg)
+	if err == nil && *out != "" {
+		err = writeFile(filepath.Join(*out, "ledger.json"), func(f *os.File) error { return ledger.WriteJSON(f) })
+		if err == nil {
+			err = writeSeries(cfg.Series, filepath.Join(*out, "series.json"))
+		}
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
-	}
-	if *jsonOut {
-		if err := ledger.WriteJSON(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	at := ledger.Attribution()
@@ -514,22 +502,22 @@ func formatLedgerEvent(e obs.LedgerEvent) string {
 	return b.String()
 }
 
-// report renders previously written observability artifacts: per-pass
-// convergence-curve tables from a -series file, and — with -ledger — the
-// scan-budget attribution recorded by `pageforge explain -json`. It runs no
-// simulation; everything comes from the artifacts.
+// report renders the observability artifacts of an -out directory:
+// per-pass convergence-curve tables from its series.json, and — when the
+// directory holds one, as `pageforge explain -out` writes — the scan-budget
+// attribution of its ledger.json. It runs no simulation; everything comes
+// from the artifacts.
 func report(args []string) {
 	fs := flag.NewFlagSet("report", flag.ExitOnError)
-	seriesPath := fs.String("series", "", "series artifact written by `pageforge run -series` (required)")
-	ledgerPath := fs.String("ledger", "", "ledger artifact written by `pageforge explain -json`")
 	trackFilter := fs.String("track", "", "only render tracks whose name contains this substring")
 	fs.Parse(args)
-	if *seriesPath == "" {
-		fmt.Fprintln(os.Stderr, "report: -series file is required")
+	if fs.NArg() != 1 {
+		fmt.Fprintln(os.Stderr, "usage: pageforge report [-track substr] DIR")
 		os.Exit(2)
 	}
+	dir := fs.Arg(0)
 
-	f, err := os.Open(*seriesPath)
+	f, err := os.Open(filepath.Join(dir, "series.json"))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "report:", err)
 		os.Exit(1)
@@ -554,20 +542,21 @@ func report(args []string) {
 		os.Exit(1)
 	}
 
-	if *ledgerPath != "" {
-		lf, err := os.Open(*ledgerPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "report:", err)
-			os.Exit(1)
-		}
-		led, err := obs.ReadLedgerJSON(lf)
-		lf.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "report:", err)
-			os.Exit(1)
-		}
-		reportLedger(led)
+	lf, err := os.Open(filepath.Join(dir, "ledger.json"))
+	if errors.Is(err, os.ErrNotExist) {
+		return
 	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "report:", err)
+		os.Exit(1)
+	}
+	led, err := obs.ReadLedgerJSON(lf)
+	lf.Close()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "report:", err)
+		os.Exit(1)
+	}
+	reportLedger(led)
 }
 
 // reportTrack renders one track's convergence curve: per-window scan volume,
@@ -581,14 +570,20 @@ func reportTrack(tr obs.SeriesFileTrack) {
 	for _, p := range tr.Points {
 		scanned += p.Counters["ksm/pages_scanned"]
 		merged += p.Counters["vm/merges"]
-		fmt.Printf("  %-12s %10.1f %10d %8d %8d %9.0f %12.2f\n",
+		// A window that spans no simulated cycles (a KSM convergence pass
+		// does not advance the platform clock) has no rate, not a zero one.
+		rate := "-"
+		if p.WindowCycles > 0 {
+			rate = fmt.Sprintf("%.2f", p.Rates["vm/merges"])
+		}
+		fmt.Printf("  %-12s %10.1f %10d %8d %8d %9.0f %12s\n",
 			fmt.Sprintf("%s %d", p.Phase, p.Index),
 			float64(p.WindowCycles)/1e6,
 			p.Counters["ksm/pages_scanned"],
 			p.Counters["vm/merges"],
 			p.Counters["vm/unmerges"],
 			p.Gauges["platform/frames_allocated"],
-			p.Rates["vm/merges"])
+			rate)
 	}
 	eff := 0.0
 	if scanned > 0 {
@@ -663,7 +658,15 @@ func bench(args []string) {
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulation runs")
 	fs.Parse(args)
 
-	checkArtifactPaths(*out)
+	// Fail fast, with exit status 3 before any simulation, when the artifact
+	// cannot be created; opening without truncating keeps an existing
+	// artifact through an unrelated later failure.
+	f, err := os.OpenFile(*out, os.O_WRONLY|os.O_CREATE, 0o644)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "error: output artifact path is not writable: %v\n", err)
+		os.Exit(3)
+	}
+	f.Close()
 	suite := newSuite(*fast)
 	suite.Cfg.Seed = *seed
 	suite.Parallelism = *parallel

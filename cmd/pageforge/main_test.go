@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
@@ -117,20 +118,82 @@ func TestRunRejectsDuplicateApps(t *testing.T) {
 	}
 }
 
-// TestOutputPathsCheckedBeforeRuns pins that a profile or bench artifact
-// path that cannot be created fails with exit 3 before any simulation,
-// rather than after the whole run.
+// TestOutputPathsCheckedBeforeRuns pins that an -out directory that cannot
+// be created, or that already holds files, and a bench artifact path that
+// cannot be created, fail with exit 3 before any simulation, rather than
+// after the whole run.
 func TestOutputPathsCheckedBeforeRuns(t *testing.T) {
-	missing := filepath.Join(t.TempDir(), "missing", "out")
-	for _, args := range [][]string{
-		{"run", "-exp", "table5", "-fast", "-memprofile", missing},
-		{"run", "-exp", "table5", "-fast", "-cpuprofile", missing},
-		{"bench", "-fast", "-out", missing},
+	tmp := t.TempDir()
+	file := filepath.Join(tmp, "file")
+	used := filepath.Join(tmp, "used")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(used, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(used, "series.json"), []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	underFile := filepath.Join(file, "out")
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"run", "-exp", "table5", "-fast", "-out", underFile}, "not a directory"},
+		{[]string{"run", "-exp", "table5", "-fast", "-out", used}, "not empty"},
+		{[]string{"explain", "-fast", "-out", underFile}, "not a directory"},
+		{[]string{"explain", "-fast", "-out", used}, "not empty"},
+		{[]string{"bench", "-fast", "-out", filepath.Join(tmp, "missing", "out")}, "not writable"},
 	} {
-		stdout, stderr, code := runCLI(t, args...)
-		if code != 3 || stdout != "" || !strings.Contains(stderr, "not writable") || strings.Contains(stderr, "run  ") {
-			t.Errorf("%v: exit status %d, stdout %q, stderr %q; want 3 before any run", args, code, stdout, stderr)
+		stdout, stderr, code := runCLI(t, c.args...)
+		if code != 3 || stdout != "" || !strings.Contains(stderr, c.want) || strings.Contains(stderr, "run  ") {
+			t.Errorf("%v: exit status %d, stdout %q, stderr %q; want 3 and %q before any run", c.args, code, stdout, stderr, c.want)
 		}
+	}
+}
+
+// TestOutDirRoundTrip pins the artifact directories end to end: run -out
+// writes all five artifacts, explain -out writes a ledger and a series, and
+// report renders that directory's tracks and ledger, with no rate for a
+// window that spans no simulated cycles.
+func TestOutDirRoundTrip(t *testing.T) {
+	tmp := t.TempDir()
+	runDir := filepath.Join(tmp, "run")
+	if _, stderr, code := runCLI(t, "run", "-exp", "fig7", "-fast", "-quiet", "-apps", "img_dnn", "-out", runDir); code != 0 {
+		t.Fatalf("run -out: exit status %d, stderr %q", code, stderr)
+	}
+	for _, name := range []string{"trace.json", "metrics.json", "series.json", "cpu.pprof", "heap.pprof"} {
+		b, err := os.ReadFile(filepath.Join(runDir, name))
+		if err != nil || len(b) == 0 {
+			t.Errorf("run -out: %s is missing or empty (err %v)", name, err)
+			continue
+		}
+		if strings.HasSuffix(name, ".json") && !json.Valid(b) {
+			t.Errorf("run -out: %s does not parse as JSON", name)
+		}
+	}
+
+	explainDir := filepath.Join(tmp, "explain")
+	if _, stderr, code := runCLI(t, "explain", "-fast", "-mode", "KSM", "-out", explainDir); code != 0 {
+		t.Fatalf("explain -out: exit status %d, stderr %q", code, stderr)
+	}
+	stdout, stderr, code := runCLI(t, "report", explainDir)
+	if code != 0 {
+		t.Fatalf("report: exit status %d, stderr %q", code, stderr)
+	}
+	converge := regexp.MustCompile(`(?m)^  converge \d+ .* -$`)
+	for _, want := range []*regexp.Regexp{regexp.MustCompile(`(?m)^track `), regexp.MustCompile(`(?m)^ledger —`), converge} {
+		if !want.MatchString(stdout) {
+			t.Errorf("report output has no line matching %s:\n%s", want, stdout)
+		}
+	}
+
+	if _, _, code := runCLI(t, "report"); code != 2 {
+		t.Errorf("report with no directory: exit status %d, want 2", code)
+	}
+	if _, _, code := runCLI(t, "report", filepath.Join(tmp, "missing")); code != 1 {
+		t.Errorf("report of a directory with no series.json: exit status %d, want 1", code)
 	}
 }
 

@@ -57,9 +57,6 @@ type EfficiencyRow struct {
 // EfficiencyResult is the sweep.
 type EfficiencyResult struct {
 	Rows []EfficiencyRow
-	// Series is the sweep's per-pass time-series bundle, one track per
-	// (engine, app) run, for -series export alongside the table.
-	Series *obs.Series
 }
 
 // efficiencyPoint runs one (engine, app) twice — instrumented with ledger +
@@ -134,20 +131,21 @@ func efficiencyPoint(base platform.Config, series *obs.Series, mode platform.Mod
 // sharing the suite configuration and seed; they deliberately bypass the
 // suite's singleflight cache because each needs its own per-run ledger.
 func Efficiency(s *Suite) (*EfficiencyResult, error) {
-	res := &EfficiencyResult{Series: obs.NewSeries(0)}
+	res := &EfficiencyResult{}
+	series := obs.NewSeries(0)
 	for _, mode := range []platform.Mode{platform.KSM, platform.PageForge} {
 		for _, app := range s.Apps {
-			row, err := efficiencyPoint(s.Cfg, res.Series, mode, app)
+			row, err := efficiencyPoint(s.Cfg, series, mode, app)
 			if err != nil {
 				return nil, err
 			}
 			res.Rows = append(res.Rows, row)
-			// When the suite carries a shared -series collector, republish
+			// When the suite carries a shared series (run -out), republish
 			// this point's track into it under an "efficiency/" prefix — the
 			// bare "Mode/app" names belong to the suite's own cached runs.
 			if shared := s.Cfg.Series; shared != nil {
 				name := fmt.Sprintf("%s/%s", mode, app.Name)
-				shared.Track("efficiency/" + name).SetState(res.Series.Track(name).State())
+				shared.Track("efficiency/" + name).SetState(series.Track(name).State())
 			}
 		}
 	}

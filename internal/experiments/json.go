@@ -63,8 +63,9 @@ func (s *Suite) Results() map[string]*platform.Result {
 	return out
 }
 
-// MetricsDoc is the -metrics export: each completed run's full registry
-// snapshot, keyed "Mode/app", sorted at encode time via the map keys.
+// MetricsDoc is the metrics.json export of run -out: each completed run's
+// full registry snapshot, keyed "Mode/app", sorted at encode time via the
+// map keys.
 type MetricsDoc struct {
 	Schema string                      `json:"schema"`
 	Seed   uint64                      `json:"seed"`

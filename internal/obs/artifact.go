@@ -9,10 +9,10 @@ import (
 // This file holds the on-disk shapes of the observability artifacts. The
 // writers (Series.WriteJSON, Ledger.WriteJSON) encode these types, and
 // `pageforge report` parses them back with schema validation long after the
-// run that produced them is gone (a -series file, and optionally an
-// explain-exported ledger file).
+// run that produced them is gone (the series.json of a run -out or explain
+// -out directory, and the ledger.json that explain -out writes beside it).
 
-// SeriesFilePoint is one sampled window as stored in a -series artifact:
+// SeriesFilePoint is one sampled window as stored in a series.json artifact:
 // the point's per-window counter deltas and instantaneous gauges, plus the
 // derived per-megacycle rates the writer adds at export time, so the
 // artifact is plottable without a post-processing step.
@@ -28,14 +28,14 @@ type SeriesFileTrack struct {
 	Points  []SeriesFilePoint `json:"points"`
 }
 
-// SeriesFile is a -series artifact, as Series.WriteJSON writes it and
+// SeriesFile is a series.json artifact, as Series.WriteJSON writes it and
 // ReadSeriesJSON parses it.
 type SeriesFile struct {
 	Schema string            `json:"schema"`
 	Tracks []SeriesFileTrack `json:"tracks"`
 }
 
-// ReadSeriesJSON parses a -series artifact, rejecting unknown schemas.
+// ReadSeriesJSON parses a series.json artifact, rejecting unknown schemas.
 func ReadSeriesJSON(r io.Reader) (*SeriesFile, error) {
 	var f SeriesFile
 	if err := json.NewDecoder(r).Decode(&f); err != nil {
@@ -60,7 +60,7 @@ type LedgerFileEvent struct {
 	Arg   uint64 `json:"arg,omitempty"`
 }
 
-// LedgerFile is a ledger artifact (`pageforge explain -json`), as
+// LedgerFile is a ledger.json artifact (`pageforge explain -out`), as
 // Ledger.WriteJSON writes it and ReadLedgerJSON parses it.
 type LedgerFile struct {
 	Schema      string            `json:"schema"`

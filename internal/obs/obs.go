@@ -143,7 +143,7 @@ func (r *Registry) Snapshot() *Snapshot {
 }
 
 // Snapshot is a point-in-time copy of a registry's metrics, the unit of
-// machine-readable metric output (platform.Result.Metrics, -metrics).
+// machine-readable metric output (platform.Result.Metrics, metrics.json).
 type Snapshot struct {
 	Counters   map[string]uint64            `json:"counters,omitempty"`
 	Gauges     map[string]float64           `json:"gauges,omitempty"`

@@ -7,7 +7,7 @@ import (
 	"sync"
 )
 
-// SeriesSchema versions the -series artifact's JSON shape.
+// SeriesSchema versions the JSON shape of the series.json artifact.
 const SeriesSchema = "pageforge-series/v1"
 
 // DefaultSeriesCapacity bounds a track's point ring when NewSeries is given
@@ -349,13 +349,7 @@ func (s *Series) fileValue() SeriesFile {
 	return out
 }
 
-// WriteJSON serializes the series as a -series artifact.
+// WriteJSON serializes the series as a series.json artifact.
 func (s *Series) WriteJSON(w io.Writer) error {
 	return json.NewEncoder(w).Encode(s.fileValue())
-}
-
-// MarshalJSON renders the same shape as WriteJSON, so a Series embedded in
-// an experiment's -json result is byte-compatible with the -series artifact.
-func (s *Series) MarshalJSON() ([]byte, error) {
-	return json.Marshal(s.fileValue())
 }

@@ -182,15 +182,6 @@ func TestSeriesJSONRoundTrip(t *testing.T) {
 		t.Fatalf("re-encoded artifact differs:\n got %s\nwant %s", again.Bytes(), written)
 	}
 
-	// MarshalJSON must produce the same artifact as WriteJSON.
-	direct, err := s.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(append(direct, '\n'), written) {
-		t.Fatalf("MarshalJSON differs from WriteJSON:\n got %s\nwant %s", direct, written)
-	}
-
 	// Unknown schemas are rejected.
 	if _, err := ReadSeriesJSON(bytes.NewBufferString(`{"schema":"other/v9","tracks":[]}`)); err == nil {
 		t.Fatal("unknown schema accepted")

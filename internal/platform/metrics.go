@@ -8,7 +8,7 @@ import (
 
 // publishMetrics copies every simulation layer's cumulative counters into
 // the registry, under stable slash-separated names, so one Snapshot carries
-// the whole machine state for -metrics / -json export. The layers keep
+// the whole machine state for metrics.json / -json export. The layers keep
 // their own plain counters on the hot paths (an atomic per DRAM access
 // would be pure overhead) and the registry is the export boundary. Every
 // publish is an idempotent overwrite: the end-of-run call produces the

@@ -278,7 +278,7 @@ type Result struct {
 
 	// Metrics is the run's full registry snapshot: every counter, gauge,
 	// and histogram the simulation layers published, for machine-readable
-	// export (-metrics / -json).
+	// export (metrics.json / -json).
 	Metrics *obs.Snapshot
 }
 
