@@ -84,8 +84,9 @@ golden:
 # crash row must have fired a crash and recovered bit-identically, the
 # efficiency run must prove zero perturbation while writing a well-formed
 # per-pass series.json into its -out directory, which `pageforge report`
-# must read back and render as at least one track, and the -out directory of
-# `pageforge explain` must render as both a track and a ledger section. It
+# must read back and render as at least one track, the -out directory of
+# `pageforge explain` must render as both a track and a ledger section, and
+# the img_dnn sweep must hold its 12 grid points with savings in [0, 1]. It
 # builds the CLI once into a fresh temporary directory, which also holds the
 # -out directories, so a stale artifact from an earlier run cannot mask a
 # failed write; pipefail makes a failing pageforge run fail the step, not
@@ -111,6 +112,8 @@ smoke:
 	grep -q '^ledger ' "$$dir/explain.txt"; \
 	"$$dir/pageforge" run -exp stream -fast -quiet -json \
 		| jq -e '.experiments.stream.Rows | all(.Identical) and length > 0' > /dev/null; \
+	"$$dir/pageforge" run -exp sweep -fast -quiet -json -apps img_dnn \
+		| jq -e '.experiments.sweep_img_dnn.Rows | length == 12 and all(.Savings >= 0 and .Savings <= 1)' > /dev/null; \
 	echo smoke OK
 
 # fuzz gives the ECC encoder, ECC decoder, page-key, snapshot-codec and

@@ -14,10 +14,12 @@
 // internal/experiments. Each experiment prints the same rows/series the
 // corresponding table or figure of the paper reports, with the paper's
 // headline numbers noted for comparison; -json replaces the text tables with
-// one machine-readable document on stdout. -out DIR writes trace.json (the
-// simulation events as Chrome trace_event JSON, for Perfetto), metrics.json
-// (each run's counters and histograms), series.json (each run's per-pass
-// counter deltas and gauges), cpu.pprof and heap.pprof into one directory.
+// one machine-readable document on stdout. The per-application experiments
+// (timeline, sweep) emit one artifact per selected application, keyed
+// NAME_app. -out DIR writes trace.json (the simulation events as Chrome
+// trace_event JSON, for Perfetto), metrics.json (each run's counters and
+// histograms), series.json (each run's per-pass counter deltas and gauges),
+// cpu.pprof and heap.pprof into one directory.
 // A failing experiment is reported on stderr and the remaining selections
 // still run; the exit status is then non-zero. An -out directory that cannot
 // be created or written, or that already holds files, fails fast with exit
@@ -35,7 +37,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -67,8 +68,6 @@ func main() {
 		report(os.Args[2:])
 	case "bench":
 		bench(os.Args[2:])
-	case "sweep":
-		sweep(os.Args[2:])
 	default:
 		usage()
 		os.Exit(2)
@@ -82,8 +81,7 @@ func usage() {
                 [-json] [-out DIR]
   pageforge explain [-mode KSM|PageForge] [-app name] [-fast] [-seed N] [-pfn N] [-out DIR]
   pageforge report [-track substr] DIR
-  pageforge bench [-out BENCH_suite.json] [-fast] [-parallel N] [-seed N]
-  pageforge sweep [-app name] [-pages N] [-seconds S]`)
+  pageforge bench [-out BENCH_suite.json] [-fast] [-parallel N] [-seed N]`)
 }
 
 // startProfiling writes a CPU profile to dir/cpu.pprof until stop, and a
@@ -727,71 +725,4 @@ func bench(args []string) {
 	}
 	fmt.Fprintf(os.Stderr, "bench: %d runs in %.2fs -> %s\n",
 		len(artifact.Runs), elapsed.Seconds(), *out)
-}
-
-// sweep runs the dedup-aggressiveness study: the sleep_millisecs x
-// pages_to_scan grid the paper's §2.1 describes as KSM's tuning knobs,
-// reporting the savings reached within a fixed simulated time against the
-// kthread's core consumption.
-func sweep(args []string) {
-	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
-	appName := fs.String("app", "img_dnn", "application profile")
-	pages := fs.Int("pages", 400, "per-VM image pages (scaled)")
-	budget := fs.Float64("seconds", 1.0, "simulated scanning time per point")
-	fs.Parse(args)
-
-	p := pageforgesim.ProfileByName(*appName)
-	if p == nil {
-		fmt.Fprintf(os.Stderr, "unknown application %q\n", *appName)
-		os.Exit(2)
-	}
-	if *pages < 1 {
-		fmt.Fprintf(os.Stderr, "-pages %d: need at least 1 page per VM\n", *pages)
-		os.Exit(2)
-	}
-	sleeps := []float64{2.5, 5, 10, 20}
-	longest := uint64(sleeps[len(sleeps)-1] * 2e6)
-	if math.IsNaN(*budget) || math.IsInf(*budget, 0) || *budget < 0 || uint64(*budget*2e9) < longest {
-		fmt.Fprintf(os.Stderr, "-seconds %g: need a finite budget covering at least one %g ms interval\n",
-			*budget, sleeps[len(sleeps)-1])
-		os.Exit(2)
-	}
-	app := *p
-	app.PagesPerVM = *pages
-
-	fmt.Printf("dedup aggressiveness sweep: %s, 10 VMs x %d pages, %.1fs simulated per point\n\n",
-		app.Name, app.PagesPerVM, *budget)
-	fmt.Printf("%12s %14s %12s %14s %12s\n",
-		"sleep_ms", "pages_to_scan", "savings", "kthread_core%", "full_scans")
-
-	for _, sleepMS := range sleeps {
-		for _, pts := range []int{100, 400, 1600} {
-			img, err := pageforgesim.BuildImage(app, 10, 10*app.PagesPerVM*2, 31)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-				os.Exit(1)
-			}
-			s := pageforgesim.NewKSMScanner(img.HV)
-			intervalCycles := uint64(sleepMS * 2e6)
-			intervals := uint64(*budget*2e9) / intervalCycles
-			var busy uint64
-			for k := uint64(0); k < intervals; k++ {
-				before := s.Cycles.Total()
-				res := s.ScanBatch(pts)
-				busy += s.Cycles.Total() - before
-				if res.PassEnded {
-					if err := img.ChurnVolatile(); err != nil {
-						fmt.Fprintln(os.Stderr, "error:", err)
-						os.Exit(1)
-					}
-				}
-			}
-			f := img.MeasureFootprint()
-			corePct := float64(busy) / float64(intervals*intervalCycles) * 100
-			fmt.Printf("%12.1f %14d %11.1f%% %13.1f%% %12d\n",
-				sleepMS, pts, f.Savings()*100, corePct, s.Alg.Stats.FullScans)
-		}
-	}
-	fmt.Println("\nthe paper's operating point (5ms, 400) converges within the budget at ~6-8%")
-	fmt.Println("of one core; PageForge reaches the same savings with the kthread column ~0.")
 }

@@ -231,24 +231,25 @@ func TestSatoriShape(t *testing.T) {
 func TestTimelineShape(t *testing.T) {
 	s := NewFastSuite()
 	app := s.Apps[0]
-	r, err := Timeline(s, app, 30)
+	r, err := Timeline(s, app)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.SavingsKSM) != 30 || len(r.SavingsPF) != 30 {
+	n := timelineIntervals
+	if len(r.SavingsKSM) != n || len(r.SavingsPF) != n {
 		t.Fatalf("series lengths %d/%d", len(r.SavingsKSM), len(r.SavingsPF))
 	}
 	// Monotone non-decreasing ramps reaching real savings.
-	for i := 1; i < 30; i++ {
+	for i := 1; i < n; i++ {
 		if r.SavingsKSM[i]+0.02 < r.SavingsKSM[i-1] || r.SavingsPF[i]+0.02 < r.SavingsPF[i-1] {
 			t.Fatalf("non-monotone ramp at %d", i)
 		}
 	}
-	if r.SavingsKSM[29] < 0.3 {
-		t.Fatalf("KSM final savings %.2f", r.SavingsKSM[29])
+	if r.SavingsKSM[n-1] < 0.3 {
+		t.Fatalf("KSM final savings %.2f", r.SavingsKSM[n-1])
 	}
-	if r.SavingsPF[29] < 0.2 {
-		t.Fatalf("PF final savings %.2f", r.SavingsPF[29])
+	if r.SavingsPF[n-1] < 0.2 {
+		t.Fatalf("PF final savings %.2f", r.SavingsPF[n-1])
 	}
 	// The cost asymmetry.
 	if r.PFCorePct > r.KSMCorePct/5 {
@@ -256,5 +257,52 @@ func TestTimelineShape(t *testing.T) {
 	}
 	if !strings.Contains(r.String(), "Convergence timeline") {
 		t.Fatal("rendering broken")
+	}
+}
+
+// TestSweepShape pins the registry's sweep entry: one artifact per app,
+// keyed sweep_app and naming its app, whose 12 grid rows hold savings in
+// [0, 1], a kthread core share that rises strictly with pages_to_scan at
+// each sleep, and at least one full scan on every point but the slowest
+// (20 ms, 100).
+func TestSweepShape(t *testing.T) {
+	s := fastSuiteOneApp(t, "img_dnn", "silo")
+	set, err := Registry().Select("sweep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	arts, err := set[0].Run(s, Inputs{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(arts) != len(s.Apps) {
+		t.Fatalf("%d artifacts for %d apps", len(arts), len(s.Apps))
+	}
+	for i, a := range arts {
+		app := s.Apps[i].Name
+		r, ok := a.Value.(*SweepResult)
+		if a.Key != "sweep_"+app || !ok || r.App != app {
+			t.Fatalf("artifact %q holds %T, want sweep_%s", a.Key, a.Value, app)
+		}
+		if !strings.Contains(a.Text, app) {
+			t.Errorf("%s: rendering does not name the app:\n%s", app, a.Text)
+		}
+		if len(r.Rows) != 12 {
+			t.Fatalf("%s: %d rows, want 12", app, len(r.Rows))
+		}
+		for j, row := range r.Rows {
+			if row.Savings < 0 || row.Savings > 1 {
+				t.Errorf("%s: savings out of [0, 1]: %+v", app, row)
+			}
+			if row.FullScans < 1 && !(row.SleepMillis == 20 && row.PagesToScan == 100) {
+				t.Errorf("%s: no full scan: %+v", app, row)
+			}
+			if j == 0 {
+				continue
+			}
+			if prev := r.Rows[j-1]; row.SleepMillis == prev.SleepMillis && row.CorePct <= prev.CorePct {
+				t.Errorf("%s: core share does not rise with pages_to_scan: %+v after %+v", app, row, prev)
+			}
+		}
 	}
 }

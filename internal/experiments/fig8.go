@@ -75,10 +75,7 @@ func hashOutcomes(s *Suite, app tailbench.Profile, h ksm.Hasher) (match, mismatc
 	}
 	scanner := ksm.NewScanner(ksm.NewAlgorithm(img.HV, h), s.Cfg.KSMCosts)
 
-	passes := s.Cfg.ConvergePasses
-	if passes < 6 {
-		passes = 6
-	}
+	passes := max(s.Cfg.ConvergePasses, 6)
 	var startMatches, startMismatches uint64
 	for p := 0; p < passes; p++ {
 		if p == passes/2 {

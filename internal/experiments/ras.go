@@ -10,6 +10,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/memctrl"
 	"repro/internal/pageforge"
+	"repro/internal/platform"
 	"repro/internal/vm"
 )
 
@@ -103,20 +104,20 @@ func rasWorld(seed uint64) (*vm.Hypervisor, error) {
 	return hv, nil
 }
 
-// rasPoint runs one fault rate to steady state and collects the row
-// (CoveragePct is filled in by the caller, which owns the rate-0 anchor).
-func rasPoint(seed uint64, rate float64, passes, scrubBudget int) (RASRow, error) {
-	hv, err := rasWorld(seed)
+// rasPoint runs one fault rate to steady state with the config's seed,
+// DRAM and driver and collects the row (CoveragePct is the caller's).
+func rasPoint(cfg platform.Config, rate float64, passes, scrubBudget int) (RASRow, error) {
+	hv, err := rasWorld(cfg.Seed)
 	if err != nil {
 		return RASRow{}, fmt.Errorf("experiments: RAS world: %w", err)
 	}
-	dr := dram.New(dram.DefaultConfig())
+	dr := dram.New(cfg.DRAM)
 	mc := memctrl.New(dr, hv.Phys, nil)
 	if rate > 0 {
-		mc.Faults = faults.NewModel(rasFaultConfig(seed, rate, hv.Phys.TotalFrames()))
+		mc.Faults = faults.NewModel(rasFaultConfig(cfg.Seed, rate, hv.Phys.TotalFrames()))
 	}
 	drv := pageforge.NewDriver(ksm.NewAlgorithm(hv, ksm.NewECCHasher()),
-		pageforge.NewEngine(mc), pageforge.DefaultDriverConfig())
+		pageforge.NewEngine(mc), cfg.Driver)
 	scrub := &memctrl.Scrubber{MC: mc}
 	tracker := faults.NewRateTracker(faults.DefaultTrip())
 
@@ -178,7 +179,7 @@ func RAS(s *Suite, rates []float64) (*RASResult, error) {
 	}
 	res := &RASResult{Passes: passes}
 	for _, rate := range rates {
-		row, err := rasPoint(s.Cfg.Seed, rate, passes, scrubBudget)
+		row, err := rasPoint(s.Cfg, rate, passes, scrubBudget)
 		if err != nil {
 			return nil, err
 		}

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/platform"
+	"repro/internal/tailbench"
 )
 
 // Inputs carries the sweep parameters of the experiments that take them.
@@ -112,6 +113,24 @@ func latencyFigure(name, title string, render func(*LatencyResult) string) Exper
 	}}
 }
 
+// perApp adapts a harness run once per suite application, keying each
+// app's artifact name_app; a failing app does not stop the others.
+func perApp[T fmt.Stringer](name, title string, run func(*Suite, tailbench.Profile) (T, error)) Experiment {
+	return Experiment{Name: name, Title: title, Run: func(s *Suite, _ Inputs) ([]Artifact, error) {
+		var arts []Artifact
+		var errs []error
+		for _, app := range s.Apps {
+			r, err := run(s, app)
+			if err != nil {
+				errs = append(errs, err)
+				continue
+			}
+			arts = append(arts, Artifact{Key: name + "_" + app.Name, Value: r, Text: r.String()})
+		}
+		return arts, errors.Join(errs...)
+	}}
+}
+
 // timelineIntervals is the ramp length of -exp timeline, in 5 ms intervals.
 const timelineIntervals = 60
 
@@ -128,20 +147,8 @@ var registry = Set{
 		[]platform.Mode{platform.PageForge}, noInputs(Table5)),
 	one("latency", "Demand-access latency distribution (mean/p50/p95/p99/max cycles)", AllModes(), noInputs(DemandLatency)),
 	one("satori", "Extension: short-lived sharing capture vs scan aggressiveness (Satori, §7.2)", nil, noInputs(Satori)),
-	{Name: "timeline", Title: "Extension: savings convergence ramp, KSM vs PageForge",
-		Run: func(s *Suite, _ Inputs) ([]Artifact, error) {
-			var arts []Artifact
-			var errs []error
-			for _, app := range s.Apps {
-				r, err := Timeline(s, app, timelineIntervals)
-				if err != nil {
-					errs = append(errs, err)
-					continue
-				}
-				arts = append(arts, Artifact{Key: "timeline_" + app.Name, Value: r, Text: r.String()})
-			}
-			return arts, errors.Join(errs...)
-		}},
+	perApp("timeline", "Extension: savings convergence ramp, KSM vs PageForge", Timeline),
+	perApp("sweep", "§2.1 tunables: sleep_millisecs × pages_to_scan vs savings and kthread core cost", Sweep),
 	one("ras", "Extension: DRAM fault rate vs merge coverage, scrub/retry overhead, degradation", nil,
 		func(s *Suite, in Inputs) (*RASResult, error) { return RAS(s, in.FaultRates) }),
 	one("verify", "Model-based verification: randomized scenarios, invariant checker, KSM≡PageForge differential", nil,

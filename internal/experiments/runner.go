@@ -40,9 +40,7 @@ func (s *Suite) RunAll(modes ...platform.Mode) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+	workers = min(workers, len(jobs))
 
 	jobCh := make(chan job)
 	var wg sync.WaitGroup

@@ -3,11 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/dram"
-	"repro/internal/ksm"
 	"repro/internal/mem"
-	"repro/internal/memctrl"
-	"repro/internal/pageforge"
 	"repro/internal/vm"
 )
 
@@ -134,71 +130,30 @@ func Satori(s *Suite) (*SatoriResult, error) {
 		life      = 8
 		intervals = 96
 	)
-	interval := s.Cfg.IntervalCycles()
 	res := &SatoriResult{TransientLifeIntervals: life}
-
-	run := func(engine string, pts int) (SatoriRow, error) {
-		w, err := newSatoriWorld(numVMs, stablePgs, transPgs)
-		if err != nil {
-			return SatoriRow{}, fmt.Errorf("experiments: satori world: %w", err)
-		}
-		var busy uint64
-		captured, possible := 0, 0
-
-		var scanner *ksm.Scanner
-		var driver *pageforge.Driver
-		switch engine {
-		case "ksm":
-			scanner = ksm.NewScanner(ksm.NewAlgorithm(w.hv, ksm.JHasher{}), s.Cfg.KSMCosts)
-		case "pageforge":
-			mc := memctrl.New(dram.New(s.Cfg.DRAM), w.hv.Phys, nil)
-			driver = pageforge.NewDriver(ksm.NewAlgorithm(w.hv, ksm.NewECCHasher()),
-				pageforge.NewEngine(mc), s.Cfg.Driver)
-		default:
-			return SatoriRow{}, fmt.Errorf("experiments: unknown engine %q", engine)
-		}
-
-		pfNow := uint64(0)
-		for k := 0; k < intervals; k++ {
-			if k%life == 0 {
-				if err := w.flip(k/life + 1); err != nil {
-					return SatoriRow{}, fmt.Errorf("experiments: satori transient rewrite: %w", err)
-				}
-			}
-			start := uint64(k) * interval
-			if scanner != nil {
-				before := scanner.Cycles.Total()
-				scanner.ScanBatch(pts)
-				busy += scanner.Cycles.Total() - before
-			} else {
-				if pfNow < start {
-					pfNow = start
-				}
-				end := start + interval
-				cc := driver.CoreCycles
-				_, _, pfNow = driver.ScanBatch(pts, pfNow, end)
-				busy += driver.CoreCycles - cc
-			}
-			if w.identical {
-				captured += w.sharedTransientPages()
-				possible += numVMs * transPgs
-			}
-		}
-		row := SatoriRow{Engine: engine, PagesToScan: pts}
-		if possible > 0 {
-			row.CapturedPct = float64(captured) / float64(possible) * 100
-		}
-		row.CoreBusyPct = float64(busy) / float64(uint64(intervals)*interval) * 100
-		return row, nil
-	}
 
 	for _, engine := range []string{"ksm", "pageforge"} {
 		for _, pts := range []int{400, 1600, 6400} {
-			row, err := run(engine, pts)
+			w, err := newSatoriWorld(numVMs, stablePgs, transPgs)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("experiments: satori world: %w", err)
 			}
-			res.Rows = append(res.Rows, row)
+			st := newStepper(w.hv, s.Cfg, engine == "pageforge", s.Cfg.IntervalCycles())
+			captured, possible := 0, 0
+			for k := 0; k < intervals; k++ {
+				if k%life == 0 {
+					if err := w.flip(k/life + 1); err != nil {
+						return nil, fmt.Errorf("experiments: satori transient rewrite: %w", err)
+					}
+				}
+				st.step(pts)
+				if w.identical {
+					captured += w.sharedTransientPages()
+					possible += numVMs * transPgs
+				}
+			}
+			res.Rows = append(res.Rows, SatoriRow{Engine: engine, PagesToScan: pts,
+				CapturedPct: float64(captured) / float64(possible) * 100, CoreBusyPct: st.corePct()})
 		}
 	}
 	return res, nil

@@ -140,9 +140,7 @@ func (t *table) String() string {
 	// widest row so rendering never indexes out of range.
 	ncols := len(t.header)
 	for _, r := range t.rows {
-		if len(r) > ncols {
-			ncols = len(r)
-		}
+		ncols = max(ncols, len(r))
 	}
 	widths := make([]int, ncols)
 	for i, h := range t.header {
@@ -150,9 +148,7 @@ func (t *table) String() string {
 	}
 	for _, r := range t.rows {
 		for i, c := range r {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+			widths[i] = max(widths[i], len(c))
 		}
 	}
 	var b strings.Builder

@@ -162,6 +162,15 @@ func (t *SeriesTrack) Sample(phase string, index int, nowCycles uint64, reg *Reg
 	t.push(pt)
 }
 
+// Rebase makes the registry's current counters the baseline of the next
+// sample's deltas, recording no point. Call it right after resetting a
+// cumulative counter, so the next window does not wrap below the old value.
+func (t *SeriesTrack) Rebase(reg *Registry) {
+	if t != nil {
+		t.prevCounters = reg.Snapshot().Counters
+	}
+}
+
 // push appends to the ring, overwriting the oldest point when full.
 func (t *SeriesTrack) push(pt SeriesPoint) {
 	if len(t.buf) < t.cap {

@@ -136,6 +136,10 @@ func (r *Runtime) stepMeasure(k int) error {
 		r.mc.L3.ResetStats()
 		m.burst.Reset()
 		m.demandLat.Reset()
+		if r.track != nil {
+			r.publishMetrics()
+			r.track.Rebase(r.reg)
+		}
 	}
 	measuring := k >= warmupIntervals
 	cfg.Ledger.SetPass(cfg.ConvergePasses + k)

@@ -179,3 +179,29 @@ func TestMetricsSnapshotDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestSeriesDeltasNeverWrap pins the series baseline across the
+// measurement phase's statistics reset: each point's counter deltas count
+// only its own window's events, so no delta exceeds the counter's final
+// cumulative value. A baseline kept across the reset wraps the L3
+// counters' drop to about 1.8e19 at "measure 8".
+func TestSeriesDeltasNeverWrap(t *testing.T) {
+	t.Parallel()
+	app, cfg := fastApp("img_dnn"), fastConfig()
+	cfg.Series = obs.NewSeries(0)
+	res, err := Run(KSM, app, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := cfg.Series.Track("KSM/" + app.Name).Points()
+	if len(points) == 0 {
+		t.Fatal("the track sampled no points")
+	}
+	for _, p := range points {
+		for name, d := range p.Counters {
+			if final := res.Metrics.Counters[name]; d > final {
+				t.Errorf("%s %d: %s delta %d exceeds its final value %d", p.Phase, p.Index, name, d, final)
+			}
+		}
+	}
+}
