@@ -22,11 +22,10 @@ race:
 	$(GO) test -race -timeout 30m ./...
 
 # bench runs the Go micro-benchmarks (-run '^$$' skips the unit tests, which
-# `make test` covers), then the end-to-end suite benchmark that snapshots
-# per-run wall times and key metrics into BENCH_suite.json.
+# `make test` covers). End-to-end wall times are perfbench's (run_s,
+# setup_s); the paper artifacts' values are pinned by `make golden`.
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem ./...
-	$(GO) run ./cmd/pageforge bench -out BENCH_suite.json
 
 # benchsmoke runs every benchmark exactly once, so one that no longer runs
 # fails the gate. The §4 ablation benchmarks are the only callers of some
@@ -83,7 +82,8 @@ golden:
 # overcommitted pressure rows must have run their storm and recovered, every
 # crash row must have fired a crash and recovered bit-identically, the
 # efficiency run must prove zero perturbation while writing a well-formed
-# per-pass series.json into its -out directory, which `pageforge report`
+# per-pass series.json and a trace that dropped no event (its stderr reports
+# `(dropped 0)`) into its -out directory, which `pageforge report`
 # must read back and render as at least one track, the -out directory of
 # `pageforge explain` must render as both a track and a ledger section, and
 # the img_dnn sweep must hold its 12 grid points with savings in [0, 1]. It
@@ -101,8 +101,9 @@ smoke:
 		| jq -e '.experiments.pressure.Rows | map(select(.Ratio >= 1.5)) | all(.Recovered and .BurstPages > 0) and length > 0' > /dev/null; \
 	"$$dir/pageforge" run -exp crash -fast -quiet -json -crash-passes 2 -ckpt-every 0,2 \
 		| jq -e '.experiments.crash.Rows | all(.Identical and .Crashes > 0) and length > 0' > /dev/null; \
-	"$$dir/pageforge" run -exp efficiency -fast -quiet -json -apps img_dnn -out "$$dir/run" \
+	"$$dir/pageforge" run -exp efficiency -fast -quiet -json -apps img_dnn -out "$$dir/run" 2> "$$dir/run.err" \
 		| jq -e '.experiments.efficiency.Rows | all(.Identical) and length > 0' > /dev/null; \
+	grep -q '(dropped 0)' "$$dir/run.err" || { cat "$$dir/run.err"; echo "smoke: the efficiency trace dropped events"; exit 1; }; \
 	jq -e '.schema == "pageforge-series/v1" and (.tracks | length > 0) and ([.tracks[].points | length] | add > 0)' "$$dir/run/series.json" > /dev/null; \
 	"$$dir/pageforge" report "$$dir/run" > "$$dir/report.txt"; \
 	grep -q '^track ' "$$dir/report.txt"; \

@@ -8,7 +8,6 @@
 //	              [-crash-passes p1,p2,...] [-ckpt-every n1,n2,...] [-json] [-out DIR]
 //	pageforge explain [-mode KSM|PageForge] [-app name] [-fast] [-seed N] [-pfn N] [-out DIR]
 //	pageforge report [-track substr] DIR
-//	pageforge bench [-out BENCH_suite.json] [-fast] [-parallel N] [-seed N]
 //
 // `pageforge list` names every experiment of the registry in
 // internal/experiments. Each experiment prints the same rows/series the
@@ -33,7 +32,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -44,7 +42,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	pageforgesim "repro"
 	"repro/internal/experiments"
@@ -66,8 +63,6 @@ func main() {
 		explain(os.Args[2:])
 	case "report":
 		report(os.Args[2:])
-	case "bench":
-		bench(os.Args[2:])
 	default:
 		usage()
 		os.Exit(2)
@@ -80,8 +75,7 @@ func usage() {
   pageforge run [-exp all|`+strings.Join(pageforgesim.Experiments().Names(), "|")+`] [-apps a,b] [-fast] [-seed N] [-parallel N] [-quiet] [-fault-rate r1,r2,...] [-verify-n N] [-overcommit r1,r2,...] [-crash-passes p1,p2,...] [-ckpt-every n1,n2,...]
                 [-json] [-out DIR]
   pageforge explain [-mode KSM|PageForge] [-app name] [-fast] [-seed N] [-pfn N] [-out DIR]
-  pageforge report [-track substr] DIR
-  pageforge bench [-out BENCH_suite.json] [-fast] [-parallel N] [-seed N]`)
+  pageforge report [-track substr] DIR`)
 }
 
 // startProfiling writes a CPU profile to dir/cpu.pprof until stop, and a
@@ -642,87 +636,4 @@ func reportLedger(led *obs.LedgerFile) {
 		w := perPass[p]
 		fmt.Printf("  %-6d %8d %10d %8d %8d\n", p, w.churn, w.unstable, w.fault, w.shed)
 	}
-}
-
-// bench runs the full (mode × app) simulation matrix and writes a
-// machine-readable benchmark artifact: per-run wall-clock times plus each
-// run's headline metrics, with enough environment context (go version,
-// parallelism) to compare artifacts across commits.
-func bench(args []string) {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	out := fs.String("out", "BENCH_suite.json", "artifact file")
-	fast := fs.Bool("fast", true, "scaled-down suite (matches CI; -fast=false runs paper-sized images)")
-	seed := fs.Uint64("seed", 1, "simulation seed")
-	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulation runs")
-	fs.Parse(args)
-
-	// Fail fast, with exit status 3 before any simulation, when the artifact
-	// cannot be created; opening without truncating keeps an existing
-	// artifact through an unrelated later failure.
-	f, err := os.OpenFile(*out, os.O_WRONLY|os.O_CREATE, 0o644)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "error: output artifact path is not writable: %v\n", err)
-		os.Exit(3)
-	}
-	f.Close()
-	suite := newSuite(*fast)
-	suite.Cfg.Seed = *seed
-	suite.Parallelism = *parallel
-	progress := experiments.NewProgressReporter(os.Stderr)
-	suite.Reporter = progress
-
-	start := time.Now()
-	if err := suite.RunAll(); err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
-	}
-	elapsed := time.Since(start)
-
-	type keyMetrics struct {
-		AvgDemandLatency float64 `json:"avg_demand_latency_cycles"`
-		DemandLatP95     float64 `json:"demand_latency_p95_cycles"`
-		DemandLatP99     float64 `json:"demand_latency_p99_cycles"`
-		L3MissRate       float64 `json:"l3_miss_rate"`
-		TotalGBps        float64 `json:"total_gbps"`
-		SavedFrac        float64 `json:"memory_savings_frac"`
-	}
-	artifact := struct {
-		Schema      string                  `json:"schema"`
-		GoVersion   string                  `json:"go_version"`
-		Fast        bool                    `json:"fast"`
-		Seed        uint64                  `json:"seed"`
-		Parallelism int                     `json:"parallelism"`
-		ElapsedSecs float64                 `json:"elapsed_seconds"`
-		Runs        []experiments.RunRecord `json:"runs"`
-		KeyMetrics  map[string]keyMetrics   `json:"key_metrics"`
-	}{
-		Schema:      experiments.DocSchema,
-		GoVersion:   runtime.Version(),
-		Fast:        *fast,
-		Seed:        *seed,
-		Parallelism: *parallel,
-		ElapsedSecs: elapsed.Seconds(),
-		Runs:        progress.Records(),
-		KeyMetrics:  make(map[string]keyMetrics),
-	}
-	for key, r := range suite.Results() {
-		artifact.KeyMetrics[key] = keyMetrics{
-			AvgDemandLatency: r.AvgDemandLatency,
-			DemandLatP95:     r.DemandLatP95,
-			DemandLatP99:     r.DemandLatP99,
-			L3MissRate:       r.L3MissRate,
-			TotalGBps:        r.TotalGBps,
-			SavedFrac:        r.Footprint.Savings(),
-		}
-	}
-	if err := writeFile(*out, func(f *os.File) error {
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		return enc.Encode(artifact)
-	}); err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "bench: %d runs in %.2fs -> %s\n",
-		len(artifact.Runs), elapsed.Seconds(), *out)
 }

@@ -1,11 +1,13 @@
 package check
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/mem"
 	"repro/internal/platform"
+	"repro/internal/tailbench"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -79,6 +81,43 @@ func TestLiveEventScenarioPassesInvariants(t *testing.T) {
 		if c.ContentChecks == 0 || c.RefcountChecks == 0 {
 			t.Fatalf("%s: checker did no work: %+v", mode, c)
 		}
+	}
+}
+
+// TestVerifierIsObservational is the verifier's column of the platform
+// equivalence table, kept here because this package imports platform: a
+// run audited by a Checker, whose write observer makes seeded writes
+// generate their bytes, must be bit-identical to the same run without it.
+func TestVerifierIsObservational(t *testing.T) {
+	app := *tailbench.ProfileByName("img_dnn")
+	app.PagesPerVM = 300
+	cfg := platform.DefaultConfig()
+	cfg.ConvergePasses, cfg.MeasureIntervals, cfg.PagesToScan = 10, 8, 200
+	cfg.Events = []platform.Event{
+		{Pass: 1, Kind: platform.EvVMSpawn},
+		{Pass: 2, Kind: platform.EvVMKill, VM: 1},
+		{Pass: 3, Kind: platform.EvPhaseChange, Frac: 0.4},
+	}
+	for _, mode := range []platform.Mode{platform.KSM, platform.PageForge} {
+		t.Run(mode.String(), func(t *testing.T) {
+			bare, err := platform.Run(mode, app, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chk := &Checker{}
+			checked := cfg
+			checked.Verifier = chk
+			verified, err := platform.Run(mode, app, checked)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if chk.Counters.Intervals == 0 {
+				t.Fatal("the checker audited no interval")
+			}
+			if !reflect.DeepEqual(verified, bare) {
+				t.Fatalf("verification perturbed the run\nverified: %+v\nbare:     %+v", verified, bare)
+			}
+		})
 	}
 }
 

@@ -73,6 +73,7 @@ func efficiencyPoint(base platform.Config, series *obs.Series, mode platform.Mod
 	}
 
 	bareCfg := base
+	bareCfg.Trace = nil
 	bareCfg.Ledger = nil
 	bareCfg.Series = nil
 	bare, err := platform.Run(mode, app, bareCfg)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"encoding/json"
 	"io"
-	"sort"
 
 	"repro/internal/platform"
 )
@@ -103,30 +102,4 @@ func (d *MetricsDoc) Encode(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(d)
-}
-
-// RunRecord is one finished suite run's wall-clock entry, exported for
-// bench artifacts.
-type RunRecord struct {
-	Mode        string  `json:"mode"`
-	App         string  `json:"app"`
-	WallSeconds float64 `json:"wall_seconds"`
-	Err         string  `json:"error,omitempty"`
-}
-
-// Records returns the finished runs, sorted slowest first (the same order
-// Summary renders).
-func (p *ProgressReporter) Records() []RunRecord {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]RunRecord, 0, len(p.records))
-	for _, r := range p.records {
-		rec := RunRecord{Mode: r.mode.String(), App: r.app, WallSeconds: r.wall.Seconds()}
-		if r.err != nil {
-			rec.Err = r.err.Error()
-		}
-		out = append(out, rec)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].WallSeconds > out[j].WallSeconds })
-	return out
 }

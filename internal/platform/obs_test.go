@@ -3,65 +3,10 @@ package platform
 import (
 	"bytes"
 	"encoding/json"
-	"reflect"
 	"testing"
 
 	"repro/internal/obs"
 )
-
-// TestTraceDisabledBitIdentical is the observability layer's core
-// guarantee: attaching a tracer never perturbs the simulation. The traced
-// and untraced runs must agree on every Result field — including the full
-// metrics snapshot, which DeepEqual follows through the pointer.
-func TestTraceDisabledBitIdentical(t *testing.T) {
-	t.Parallel()
-	app := fastApp("silo")
-	plain, err := Run(PageForge, app, fastConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fastConfig()
-	cfg.Trace = obs.NewTracer(obs.DefaultTraceCapacity)
-	traced, err := Run(PageForge, app, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Trace.Len() == 0 {
-		t.Fatal("tracer attached but no events recorded")
-	}
-	if !reflect.DeepEqual(plain, traced) {
-		t.Fatalf("tracing perturbed the run:\n%+v\n%+v", plain, traced)
-	}
-}
-
-// TestTracePressureBitIdentical extends the non-perturbation guarantee to
-// the memory-pressure machinery: an overcommit storm emits burst, balloon,
-// and ladder-transition instants, and the pressure counters land in the
-// metrics snapshot, yet the traced run must stay deeply equal to the
-// untraced one — stalls, transitions, and all.
-func TestTracePressureBitIdentical(t *testing.T) {
-	t.Parallel()
-	app, cfg := stormConfig(7)
-	plain, err := Run(KSM, app, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	app2, cfg2 := stormConfig(7)
-	cfg2.Trace = obs.NewTracer(obs.DefaultTraceCapacity)
-	traced, err := Run(KSM, app2, cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg2.Trace.Len() == 0 {
-		t.Fatal("tracer attached but no events recorded")
-	}
-	if plain.Metrics.Counters["pressure/alloc_stalls"] == 0 {
-		t.Fatal("storm recorded no pressure counters")
-	}
-	if !reflect.DeepEqual(plain, traced) {
-		t.Fatalf("tracing perturbed the pressured run:\n%+v\n%+v", plain, traced)
-	}
-}
 
 // TestTracePerfettoShape checks the exported trace against the Chrome
 // trace_event contract Perfetto loads: a traceEvents array of objects that
@@ -145,38 +90,6 @@ func TestDemandLatencyQuantiles(t *testing.T) {
 	}
 	if res.DemandLatP95 < res.AvgDemandLatency {
 		t.Fatalf("p95 %g below mean %g", res.DemandLatP95, res.AvgDemandLatency)
-	}
-}
-
-// TestMetricsSnapshotDeterminism repeats a run and requires the full
-// registry snapshot — every counter, gauge, and histogram — to match.
-func TestMetricsSnapshotDeterminism(t *testing.T) {
-	t.Parallel()
-	app := fastApp("img_dnn")
-	a, err := Run(PageForge, app, fastConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(PageForge, app, fastConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Metrics == nil || b.Metrics == nil {
-		t.Fatal("run produced no metrics snapshot")
-	}
-	if !reflect.DeepEqual(a.Metrics, b.Metrics) {
-		t.Fatal("metrics snapshots diverged between identical runs")
-	}
-	if len(a.Metrics.Counters) == 0 {
-		t.Fatal("snapshot has no counters")
-	}
-	for _, name := range []string{
-		"memctrl/demand_reads", "dram/reads", "cache/l3_hits",
-		"ksm/pages_scanned", "pageforge/lines_fetched", "pageforge/batches",
-	} {
-		if _, ok := a.Metrics.Counters[name]; !ok {
-			t.Fatalf("snapshot missing %s", name)
-		}
 	}
 }
 

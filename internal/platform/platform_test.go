@@ -2,7 +2,6 @@ package platform
 
 import (
 	"math/bits"
-	"reflect"
 	"testing"
 
 	"repro/internal/dram"
@@ -302,28 +301,6 @@ func TestPageForgeDegradesUnderPathologicalFaults(t *testing.T) {
 	}
 }
 
-func TestFaultConfigZeroIsIdentical(t *testing.T) {
-	t.Parallel()
-	cfg := fastConfig()
-	cfg.ConvergePasses = 4
-	cfg.MeasureIntervals = 4
-	app := fastApp("silo")
-	a, err := Run(PageForge, app, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(PageForge, app, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("identical configs diverged:\n%+v\n%+v", a, b)
-	}
-	if a.ScrubLines != 0 || a.ECCUncorrectable != 0 || a.Degraded {
-		t.Fatalf("zero fault config produced RAS activity: %+v", a)
-	}
-}
-
 // overlapCheck wraps the PageForge engine's line fetcher and records each
 // line's latest completion, failing on a fetch issued while an earlier
 // fetch of the same line is still in flight.
@@ -354,7 +331,7 @@ func (o *overlapCheck) FetchLine(pfn mem.PFN, li int, now uint64, src dram.Sourc
 func TestPageForgeFetchesNeverOverlap(t *testing.T) {
 	t.Parallel()
 	events := fastConfig()
-	events.Events = streamSchedule()
+	events.Events = liveSchedule()
 	faulted := fastConfig()
 	faulted.Faults = faults.Config{Seed: 7, TransientPerRead: 0.01}
 	for name, cfg := range map[string]Config{"plain": fastConfig(), "events": events, "faulted": faulted} {

@@ -1,7 +1,6 @@
 package platform
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/pressure"
@@ -98,55 +97,5 @@ func TestPressureStormParallelScan(t *testing.T) {
 	}
 	if res.Pressure.AllocStalls == 0 || res.Pressure.Final != pressure.Healthy {
 		t.Fatalf("parallel storm: stalls=%d final=%v", res.Pressure.AllocStalls, res.Pressure.Final)
-	}
-}
-
-// TestPressureDeterminism: two same-seed storm runs must produce deeply
-// equal Results — transitions, stall counts, and all measured statistics
-// included.
-func TestPressureDeterminism(t *testing.T) {
-	t.Parallel()
-	run := func() *Result {
-		app, cfg := stormConfig(3)
-		res, err := Run(PageForge, app, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(), run()
-	if !reflect.DeepEqual(a.Pressure, b.Pressure) {
-		t.Fatalf("pressure reports diverged:\n%+v\n%+v", a.Pressure, b.Pressure)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("same-seed storm results diverged outside the pressure report")
-	}
-}
-
-// TestPressureOffBitIdentical: an explicit zero Pressure config must leave
-// the run bit-identical to one that never heard of the layer (the armed
-// code paths are all gated).
-func TestPressureOffBitIdentical(t *testing.T) {
-	t.Parallel()
-	app := *tailbench.ProfileByName("silo")
-	app.PagesPerVM = 120
-	cfg := DefaultConfig()
-	cfg.VMs = 4
-	cfg.Cores = 4
-	cfg.ConvergePasses = 8
-	cfg.MeasureIntervals = 4
-	cfg.Seed = 5
-	base, err := Run(KSM, app, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg2 := cfg
-	cfg2.Pressure = pressure.Config{} // explicit zero: off
-	again, err := Run(KSM, app, cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base, again) {
-		t.Fatal("zero pressure config perturbed the run")
 	}
 }

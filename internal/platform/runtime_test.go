@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/faults"
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/rbtree"
@@ -13,230 +12,6 @@ import (
 	"repro/internal/tailbench"
 	"repro/internal/vm"
 )
-
-// The batch≡streaming equivalence harness. Run is a thin driver over the
-// tick-driven Runtime, so "batch equals streaming" for an empty event
-// schedule is true by construction; what these tests pin is the part that
-// is NOT by construction: a live event stream Injected into a manually
-// stepped Runtime must be indistinguishable from the same schedule carried
-// in Config.Events through batch Run — same Result, same series points,
-// same ledger events — in every world shape (plain engines, sharded index,
-// injected faults, overcommit storm, crash-with-recovery).
-
-// streamSchedule is a live-event script that exercises every stream kind:
-// a mid-run spawn, a mid-run kill, and an application phase flip. The script
-// is front-loaded (passes 1..3) because the fast test configs converge
-// within a handful of passes — each event perturbs the frame count, which
-// postpones the convergence verdict past the next event.
-func streamSchedule() []Event {
-	return []Event{
-		{Pass: 1, Kind: EvVMSpawn},
-		{Pass: 2, Kind: EvVMKill, VM: 1},
-		{Pass: 3, Kind: EvPhaseChange, Frac: 0.4},
-	}
-}
-
-// runStreamed executes the runtime tick by tick, injecting each scheduled
-// event live just before the runtime reaches its pass — the streaming half
-// of the equivalence.
-func runStreamed(t *testing.T, mode Mode, app tailbench.Profile, cfg Config, sched []Event) *Result {
-	t.Helper()
-	r := NewRuntime(mode, app, cfg)
-	if err := r.Start(); err != nil {
-		t.Fatalf("stream start: %v", err)
-	}
-	i := 0
-	for {
-		for i < len(sched) && !r.Done() && sched[i].Pass <= r.Pass() {
-			if err := r.Inject(sched[i]); err != nil {
-				t.Fatalf("inject %v at pass %d: %v", sched[i].Kind, r.Pass(), err)
-			}
-			i++
-		}
-		done, err := r.Step()
-		if err != nil {
-			t.Fatalf("stream step: %v", err)
-		}
-		if done {
-			break
-		}
-	}
-	if i < len(sched) {
-		t.Fatalf("run converged before event %d (%v at pass %d) could be injected; retune the schedule",
-			i, sched[i].Kind, sched[i].Pass)
-	}
-	return r.Result()
-}
-
-// TestStreamEquivalence is the headline deliverable: for every world shape,
-// batch Run with a config-scheduled event stream is bit-identical — Result,
-// per-pass series points, provenance ledger events — to an event stream
-// injected live into a stepped Runtime.
-func TestStreamEquivalence(t *testing.T) {
-	t.Parallel()
-	cases := []struct {
-		name  string
-		mode  Mode
-		setup func() (tailbench.Profile, Config)
-		sched []Event
-	}{
-		{"KSM", KSM,
-			func() (tailbench.Profile, Config) { return fastApp("silo"), fastConfig() },
-			streamSchedule()},
-		{"KSM-sharded", KSM,
-			func() (tailbench.Profile, Config) {
-				cfg := fastConfig()
-				cfg.ShardBits = 2
-				cfg.ShardWorkers = 3
-				return fastApp("silo"), cfg
-			},
-			streamSchedule()},
-		{"PageForge", PageForge,
-			func() (tailbench.Profile, Config) { return fastApp("img_dnn"), fastConfig() },
-			streamSchedule()},
-		{"PageForge-faultstorm", PageForge,
-			func() (tailbench.Profile, Config) {
-				cfg := fastConfig()
-				cfg.Faults = faults.Config{Seed: 7, TransientPerRead: 0.01, DoubleBitPerRead: 0.002}
-				return fastApp("img_dnn"), cfg
-			},
-			[]Event{
-				{Pass: 2, Kind: EvFaultStorm, Passes: 3, Boost: 25},
-				{Pass: 3, Kind: EvVMKill, VM: 1},
-			}},
-		// The overcommit storm itself moves from the config schedule to the
-		// live stream: a pressure storm injected live must match the same
-		// storm scheduled in the config.
-		{"KSM-storm", KSM,
-			func() (tailbench.Profile, Config) {
-				app, cfg := stormConfig(7)
-				cfg.Events = nil
-				return app, cfg
-			},
-			[]Event{
-				{Pass: 1, Kind: EvBalloonStorm, Pages: 30, Passes: 3},
-				{Pass: 1, Kind: EvVMKill, VM: 0},
-			}},
-		{"PageForge-crash", PageForge,
-			func() (tailbench.Profile, Config) {
-				cfg := crashTestConfig()
-				cfg.CheckpointEvery = 2
-				return fastApp("img_dnn"), cfg
-			},
-			[]Event{
-				{Pass: 2, Kind: EvVMKill, VM: 1},
-				{Pass: 3, Kind: EvVMSpawn},
-				{Pass: 4, Kind: EvCrash},
-			}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			app, batchCfg := tc.setup()
-			batchCfg.Events = tc.sched
-			batchLdg := instrument(&batchCfg)
-			batch, err := Run(tc.mode, app, batchCfg)
-			if err != nil {
-				t.Fatalf("batch run: %v", err)
-			}
-
-			_, streamCfg := tc.setup()
-			streamLdg := instrument(&streamCfg)
-			stream := runStreamed(t, tc.mode, app, streamCfg, tc.sched)
-
-			if !reflect.DeepEqual(batch, stream) {
-				t.Fatalf("streamed run diverged from batch run\nbatch:  %+v\nstream: %+v", batch, stream)
-			}
-			if !reflect.DeepEqual(batchLdg.Events(), streamLdg.Events()) {
-				t.Fatalf("ledger streams diverged (batch %d events, stream %d events)",
-					batchLdg.Len(), streamLdg.Len())
-			}
-			name := tc.mode.String() + "/" + app.Name
-			bp := batchCfg.Series.Track(name).Points()
-			sp := streamCfg.Series.Track(name).Points()
-			if len(bp) == 0 {
-				t.Fatal("series sampled nothing")
-			}
-			if !reflect.DeepEqual(bp, sp) {
-				t.Fatalf("series points diverged (batch %d, stream %d)", len(bp), len(sp))
-			}
-		})
-	}
-}
-
-// TestSnapshotRestoreFreshRuntime is the N+M resumability property: step N
-// passes, Snapshot, Restore into a brand-new runtime built from the same
-// config, and drain — the result must equal the uninterrupted N+M run. Run
-// with a live-event schedule straddling the snapshot points, so the blob's
-// applied-event cursor is what makes the fresh runtime replay correctly.
-// No verifier: a fresh runtime's shadow model would have no history of the
-// churned contents (see Runtime.Restore).
-func TestSnapshotRestoreFreshRuntime(t *testing.T) {
-	t.Parallel()
-	for _, mode := range []Mode{KSM, PageForge} {
-		t.Run(mode.String(), func(t *testing.T) {
-			app := fastApp("silo")
-			cfg := fastConfig()
-			cfg.Events = []Event{
-				{Pass: 1, Kind: EvVMSpawn},
-				{Pass: 2, Kind: EvVMKill, VM: 1},
-				{Pass: 3, Kind: EvPhaseChange, Frac: 0.4},
-			}
-			want, err := Run(mode, app, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// N=2 snapshots mid-schedule (the phase flip is still pending);
-			// N=4 snapshots after every event applied.
-			for _, n := range []int{2, 4} {
-				a := NewRuntime(mode, app, cfg)
-				if err := a.Start(); err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < n; i++ {
-					done, err := a.Step()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if done {
-						t.Fatalf("run finished before %d passes", n)
-					}
-				}
-				blob, err := a.Snapshot()
-				if err != nil {
-					t.Fatalf("snapshot at pass %d: %v", n, err)
-				}
-
-				b := NewRuntime(mode, app, cfg)
-				if err := b.Start(); err != nil {
-					t.Fatal(err)
-				}
-				if err := b.Restore(blob); err != nil {
-					t.Fatalf("restore at pass %d: %v", n, err)
-				}
-				if b.Pass() != n {
-					t.Fatalf("restored runtime resumes at pass %d, want %d", b.Pass(), n)
-				}
-				got, err := b.Drain()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("snapshot(N=%d)+restore+drain diverged from uninterrupted run\ngot:  %+v\nwant: %+v", n, got, want)
-				}
-
-				// The donor runtime is untouched by the snapshot: draining it
-				// reproduces the same result too.
-				cont, err := a.Drain()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(cont, want) {
-					t.Fatalf("donor runtime diverged after snapshot (N=%d)", n)
-				}
-			}
-		})
-	}
-}
 
 // TestRestoreSlotCensus checks the frame store a platform Restore rebuilds
 // against the checkpoint it came from: one live slot per distinct nonzero
@@ -249,11 +24,7 @@ func TestRestoreSlotCensus(t *testing.T) {
 	for _, mode := range []Mode{KSM, PageForge} {
 		t.Run(mode.String(), func(t *testing.T) {
 			cfg := fastConfig()
-			cfg.Events = []Event{
-				{Pass: 1, Kind: EvVMSpawn},
-				{Pass: 2, Kind: EvVMKill, VM: 1},
-				{Pass: 3, Kind: EvPhaseChange, Frac: 0.4},
-			}
+			cfg.Events = liveSchedule()
 			r := NewRuntime(mode, fastApp("silo"), cfg)
 			if err := r.Start(); err != nil {
 				t.Fatal(err)
