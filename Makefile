@@ -79,14 +79,15 @@ golden:
 
 # smoke exercises the CLI's machine-readable path end to end: a fast
 # two-app table4 run must emit a JSON document with populated rows, the
-# overcommitted pressure rows must have run their storm and recovered, every
-# crash row must have fired a crash and recovered bit-identically, the
-# efficiency run must prove zero perturbation while writing a well-formed
-# per-pass series.json and a trace that dropped no event (its stderr reports
-# `(dropped 0)`) into its -out directory, which `pageforge report`
-# must read back and render as at least one track, the -out directory of
-# `pageforge explain` must render as both a track and a ledger section, and
-# the img_dnn sweep must hold its 12 grid points with savings in [0, 1]. It
+# overcommitted pressure rows must have run their storm and recovered, each
+# of the 9 crash grid points must have fired a crash and recovered
+# bit-identically, the efficiency run must prove zero perturbation while
+# writing a well-formed per-pass series.json and a trace that dropped no
+# event (its stderr reports `(dropped 0)`) into its -out directory, which
+# `pageforge report` must read back and render as at least one track, the
+# -out directory of `pageforge explain` must render as both a track and a
+# ledger section, and the img_dnn sweep must hold its 12 grid points with
+# savings in [0, 1] and write the same bytes at -parallel 1 and 2. It
 # builds the CLI once into a fresh temporary directory, which also holds the
 # -out directories, so a stale artifact from an earlier run cannot mask a
 # failed write; pipefail makes a failing pageforge run fail the step, not
@@ -99,8 +100,8 @@ smoke:
 		| jq -e '.experiments.table4.Rows | length > 0' > /dev/null; \
 	"$$dir/pageforge" run -exp pressure -fast -quiet -json \
 		| jq -e '.experiments.pressure.Rows | map(select(.Ratio >= 1.5)) | all(.Recovered and .BurstPages > 0) and length > 0' > /dev/null; \
-	"$$dir/pageforge" run -exp crash -fast -quiet -json -crash-passes 2 -ckpt-every 0,2 \
-		| jq -e '.experiments.crash.Rows | all(.Identical and .Crashes > 0) and length > 0' > /dev/null; \
+	"$$dir/pageforge" run -exp crash -fast -quiet -json \
+		| jq -e '.experiments.crash.Rows | all(.Identical and .Crashes > 0) and length == 9' > /dev/null; \
 	"$$dir/pageforge" run -exp efficiency -fast -quiet -json -apps img_dnn -out "$$dir/run" 2> "$$dir/run.err" \
 		| jq -e '.experiments.efficiency.Rows | all(.Identical) and length > 0' > /dev/null; \
 	grep -q '(dropped 0)' "$$dir/run.err" || { cat "$$dir/run.err"; echo "smoke: the efficiency trace dropped events"; exit 1; }; \
@@ -115,6 +116,8 @@ smoke:
 		| jq -e '.experiments.stream.Rows | all(.Identical) and length > 0' > /dev/null; \
 	"$$dir/pageforge" run -exp sweep -fast -quiet -json -apps img_dnn \
 		| jq -e '.experiments.sweep_img_dnn.Rows | length == 12 and all(.Savings >= 0 and .Savings <= 1)' > /dev/null; \
+	for p in 1 2; do "$$dir/pageforge" run -exp sweep -fast -quiet -json -apps img_dnn -parallel $$p > "$$dir/sweep$$p.json"; done; \
+	cmp "$$dir/sweep1.json" "$$dir/sweep2.json" || { echo "smoke: the sweep document depends on -parallel"; exit 1; }; \
 	echo smoke OK
 
 # fuzz gives the ECC encoder, ECC decoder, page-key, snapshot-codec and

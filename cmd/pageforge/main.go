@@ -3,9 +3,8 @@
 // Usage:
 //
 //	pageforge list
-//	pageforge run [-exp all|NAME]
-//	              [-apps img_dnn,silo,...] [-fast] [-seed N] [-fault-rate r1,r2,...] [-verify-n N] [-overcommit r1,r2,...]
-//	              [-crash-passes p1,p2,...] [-ckpt-every n1,n2,...] [-json] [-out DIR]
+//	pageforge run [-exp all|NAME] [-apps img_dnn,silo,...] [-fast] [-seed N] [-parallel N] [-quiet]
+//	              [-json] [-out DIR]
 //	pageforge explain [-mode KSM|PageForge] [-app name] [-fast] [-seed N] [-pfn N] [-out DIR]
 //	pageforge report [-track substr] DIR
 //
@@ -15,10 +14,16 @@
 // headline numbers noted for comparison; -json replaces the text tables with
 // one machine-readable document on stdout. The per-application experiments
 // (timeline, sweep) emit one artifact per selected application, keyed
-// NAME_app. -out DIR writes trace.json (the simulation events as Chrome
-// trace_event JSON, for Perfetto), metrics.json (each run's counters and
-// histograms), series.json (each run's per-pass counter deltas and gauges),
-// cpu.pprof and heap.pprof into one directory.
+// NAME_app. Every experiment runs one fixed grid of independent points.
+// -parallel N bounds how many suite runs or study points execute at once
+// (default GOMAXPROCS). Tables, the -json document, metrics.json and
+// series.json are byte-identical at any setting; trace.json interleaves
+// concurrent runs' events in the order they ran. -quiet drops the per-run
+// progress lines and the duration summary on stderr.
+// -out DIR writes trace.json (the simulation events as Chrome trace_event
+// JSON, for Perfetto), metrics.json (each run's counters and histograms),
+// series.json (each run's per-pass counter deltas and gauges), cpu.pprof
+// and heap.pprof into one directory.
 // A failing experiment is reported on stderr and the remaining selections
 // still run; the exit status is then non-zero. An -out directory that cannot
 // be created or written, or that already holds files, fails fast with exit
@@ -40,7 +45,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strconv"
 	"strings"
 
 	pageforgesim "repro"
@@ -72,7 +76,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   pageforge list
-  pageforge run [-exp all|`+strings.Join(pageforgesim.Experiments().Names(), "|")+`] [-apps a,b] [-fast] [-seed N] [-parallel N] [-quiet] [-fault-rate r1,r2,...] [-verify-n N] [-overcommit r1,r2,...] [-crash-passes p1,p2,...] [-ckpt-every n1,n2,...]
+  pageforge run [-exp all|`+strings.Join(pageforgesim.Experiments().Names(), "|")+`] [-apps a,b] [-fast] [-seed N] [-parallel N] [-quiet]
                 [-json] [-out DIR]
   pageforge explain [-mode KSM|PageForge] [-app name] [-fast] [-seed N] [-pfn N] [-out DIR]
   pageforge report [-track substr] DIR`)
@@ -154,39 +158,14 @@ func newSuite(fast bool) *experiments.Suite {
 	return pageforgesim.NewSuite()
 }
 
-// parseList parses a comma-separated flag value, exiting with status 2 on
-// a malformed element. An empty value is an empty list.
-func parseList[T any](flagName, s string, parse func(string) (T, error)) []T {
-	var out []T
-	if s == "" {
-		return out
-	}
-	for _, tok := range strings.Split(s, ",") {
-		v, err := parse(strings.TrimSpace(tok))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad %s %q: %v\n", flagName, tok, err)
-			os.Exit(2)
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
-
 func run(args []string) {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	exp := fs.String("exp", "all", "experiment to run")
 	apps := fs.String("apps", "", "comma-separated application subset")
 	fast := fs.Bool("fast", false, "scaled-down quick mode")
 	seed := fs.Uint64("seed", 1, "simulation seed")
-	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulation runs (results are bit-identical at any setting)")
+	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "suite runs and study points executing at once (results are byte-identical at any setting)")
 	quiet := fs.Bool("quiet", false, "suppress per-run progress lines on stderr")
-	faultRates := fs.String("fault-rate", "", "comma-separated UE-per-read rates for the ras experiment (default sweep when empty)")
-	verifyN := fs.Int("verify-n", experiments.DefaultVerifyScenarios, "randomized scenario count for the verify experiment")
-	overcommit := fs.String("overcommit", "", "comma-separated demand/capacity ratios for the pressure experiment (default sweep when empty)")
-	crashPasses := fs.String("crash-passes", "", "comma-separated convergence passes to crash at for the crash experiment (default sweep when empty)")
-	ckptEvery := fs.String("ckpt-every", "", "comma-separated checkpoint intervals for the crash experiment (default sweep when empty)")
 	jsonOut := fs.Bool("json", false, "emit one machine-readable JSON document on stdout instead of text tables")
 	out := fs.String("out", "", "write trace.json, metrics.json, series.json, cpu.pprof and heap.pprof into this new or empty directory")
 	fs.Parse(args)
@@ -195,13 +174,6 @@ func run(args []string) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(2)
-	}
-	in := pageforgesim.Inputs{
-		FaultRates:  parseList("-fault-rate", *faultRates, parseFloat),
-		VerifyN:     *verifyN,
-		Overcommit:  parseList("-overcommit", *overcommit, parseFloat),
-		CrashPasses: parseList("-crash-passes", *crashPasses, strconv.Atoi),
-		CkptEvery:   parseList("-ckpt-every", *ckptEvery, strconv.Atoi),
 	}
 	suite := newSuite(*fast)
 	suite.Cfg.Seed = *seed
@@ -255,8 +227,8 @@ func run(args []string) {
 	}
 
 	// Fan the selected experiments' (mode × app) simulation matrix out
-	// across the worker pool up front; the experiments then render from
-	// the warm cache. Progress and the duration summary go to stderr so
+	// across the suite's worker pool up front; the experiments then render
+	// from the warm cache and run their own points on the same pool. Progress and the duration summary go to stderr so
 	// stdout stays pure tables.
 	suite.Parallelism = *parallel
 	var progress *experiments.ProgressReporter
@@ -271,7 +243,7 @@ func run(args []string) {
 		}
 	}
 	for _, e := range selected {
-		arts, err := e.Run(suite, in)
+		arts, err := e.Run(suite)
 		for _, a := range arts {
 			if doc != nil {
 				doc.Add(a.Key, a.Value)

@@ -194,3 +194,63 @@ func TestOutDirRoundTrip(t *testing.T) {
 		t.Errorf("report of a directory with no series.json: exit status %d, want 1", code)
 	}
 }
+
+// TestUsageNamesEveryFlag pins the help texts to the flags: for each
+// subcommand, usage() and the Usage block of the package comment name
+// exactly the flags its FlagSet registers (as -h lists them), so a deleted
+// flag cannot linger in either text and a new one cannot go unlisted.
+func TestUsageNamesEveryFlag(t *testing.T) {
+	cmdRe := regexp.MustCompile(`pageforge ([a-z]+)`)
+	flagRe := regexp.MustCompile(`\[-([a-z-]+)`)
+	// named maps each subcommand to the sorted flags its lines of text name.
+	named := func(lines []string) map[string][]string {
+		out := map[string][]string{}
+		cmd := ""
+		for _, line := range lines {
+			if m := cmdRe.FindStringSubmatch(line); m != nil {
+				cmd = m[1]
+			}
+			for _, f := range flagRe.FindAllStringSubmatch(line, -1) {
+				out[cmd] = append(out[cmd], f[1])
+			}
+		}
+		for _, flags := range out {
+			slices.Sort(flags)
+		}
+		return out
+	}
+	_, usageText, _ := runCLI(t)
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var docLines []string
+	for _, line := range strings.Split(string(src), "\n") {
+		if strings.HasPrefix(line, "//\t") {
+			docLines = append(docLines, line)
+		}
+	}
+	texts := map[string]map[string][]string{
+		"usage()":         named(strings.Split(usageText, "\n")),
+		"package comment": named(docLines),
+	}
+	for _, cmd := range []string{"run", "explain", "report"} {
+		_, help, code := runCLI(t, cmd, "-h")
+		if code != 0 {
+			t.Fatalf("%s -h: exit status %d", cmd, code)
+		}
+		var registered []string
+		for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(help, -1) {
+			registered = append(registered, m[1])
+		}
+		slices.Sort(registered)
+		if len(registered) == 0 {
+			t.Fatalf("%s -h lists no flags:\n%s", cmd, help)
+		}
+		for name, text := range texts {
+			if got := text[cmd]; !slices.Equal(got, registered) {
+				t.Errorf("%s names %s flags %v, its FlagSet registers %v", name, cmd, got, registered)
+			}
+		}
+	}
+}

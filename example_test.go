@@ -69,7 +69,7 @@ func ExampleExperiments() {
 	if err != nil {
 		panic(err)
 	}
-	arts, err := table5[0].Run(suite, pageforgesim.Inputs{})
+	arts, err := table5[0].Run(suite)
 	if err != nil {
 		panic(err)
 	}

@@ -60,17 +60,17 @@ type CrashResult struct {
 	Rows []CrashRow
 }
 
-// DefaultCrashPasses spans the convergence window: the early-exit gate
-// needs at least three passes (p >= 2), and the pass boundary fires the
-// crash plan before the convergence verdict, so every point up to pass 2
-// is guaranteed to crash on any world. (A pass scheduled beyond convergence
+// crashPasses spans the convergence window: the early-exit gate needs at
+// least three passes (p >= 2), and the pass boundary fires the crash plan
+// before the convergence verdict, so every point up to pass 2 is
+// guaranteed to crash on any world. (A pass scheduled beyond convergence
 // never fires; crashPoint rejects such a point rather than report a
 // recovery that never ran.)
-func DefaultCrashPasses() []int { return []int{0, 1, 2} }
+var crashPasses = []int{0, 1, 2}
 
-// DefaultCheckpointIntervals spans boot-only through every-pass
-// checkpointing — the sparser the cadence, the more passes a crash loses.
-func DefaultCheckpointIntervals() []int { return []int{0, 1, 2} }
+// checkpointIntervals spans boot-only through every-pass checkpointing —
+// the sparser the cadence, the more passes a crash loses.
+var checkpointIntervals = []int{0, 1, 2}
 
 // crashWorld is the crash deployment: a compact merge-rich fleet with churn
 // (volatile pages CoW-break between passes), so a crash genuinely destroys
@@ -149,30 +149,20 @@ func crashPoint(seed uint64, crashPass, every int) (CrashRow, error) {
 	}, nil
 }
 
-// Crash sweeps crash point x checkpoint interval. Points are independent
-// hermetic worlds sharing the suite seed.
-func Crash(s *Suite, crashPasses, intervals []int) (*CrashResult, error) {
-	if len(crashPasses) == 0 {
-		crashPasses = DefaultCrashPasses()
-	}
-	if len(intervals) == 0 {
-		intervals = DefaultCheckpointIntervals()
-	}
-	res := &CrashResult{}
-	for _, every := range intervals {
-		if every < 0 {
-			return nil, fmt.Errorf("experiments: checkpoint interval %d below 0", every)
-		}
-		for _, cp := range crashPasses {
-			if cp < 0 {
-				return nil, fmt.Errorf("experiments: crash pass %d below 0", cp)
-			}
-			row, err := crashPoint(s.Cfg.Seed, cp, every)
-			if err != nil {
-				return nil, err
-			}
-			res.Rows = append(res.Rows, row)
-		}
+// Crash sweeps crash point x checkpoint interval.
+func Crash(s *Suite) (*CrashResult, error) { return crashSweep(s, crashPasses, checkpointIntervals) }
+
+// crashSweep runs one point per (interval, crash pass), interval-major, on
+// the suite's worker pool. Points are independent hermetic worlds sharing
+// the suite seed.
+func crashSweep(s *Suite, passes, intervals []int) (*CrashResult, error) {
+	res := &CrashResult{Rows: make([]CrashRow, len(intervals)*len(passes))}
+	err := s.each(len(res.Rows), func(i int) (err error) {
+		res.Rows[i], err = crashPoint(s.Cfg.Seed, passes[i%len(passes)], intervals[i/len(passes)])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

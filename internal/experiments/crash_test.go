@@ -11,7 +11,7 @@ import (
 // is bit-identical to the uninterrupted one. (crashPoint itself fails on
 // any identity violation.)
 func TestCrashSweepShape(t *testing.T) {
-	r, err := Crash(NewFastSuite(), []int{1, 2}, []int{0, 2})
+	r, err := crashSweep(NewFastSuite(), []int{1, 2}, []int{0, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,21 +57,12 @@ func TestCrashSweepShape(t *testing.T) {
 	}
 }
 
-func TestCrashGridValidation(t *testing.T) {
-	if _, err := Crash(NewFastSuite(), []int{-1}, nil); err == nil {
-		t.Fatal("negative crash pass accepted")
-	}
-	if _, err := Crash(NewFastSuite(), nil, []int{-2}); err == nil {
-		t.Fatal("negative checkpoint interval accepted")
-	}
-}
-
 // TestCrashPointRejectsUnfiredCrash: a crash scheduled after the world has
 // converged never fires, so the point must fail with an error naming the
 // crash pass and the converged pass count instead of printing a row that
 // claims a recovery it never ran.
 func TestCrashPointRejectsUnfiredCrash(t *testing.T) {
-	_, err := Crash(NewFastSuite(), []int{5}, []int{1})
+	_, err := crashSweep(NewFastSuite(), []int{5}, []int{1})
 	if err == nil {
 		t.Fatal("crash scheduled past convergence produced a row")
 	}

@@ -128,27 +128,32 @@ func efficiencyPoint(base platform.Config, series *obs.Series, mode platform.Mod
 }
 
 // Efficiency sweeps both dedup engines across the suite's applications with
-// full provenance instrumentation. Points are independent hermetic worlds
-// sharing the suite configuration and seed; they deliberately bypass the
-// suite's singleflight cache because each needs its own per-run ledger.
+// full provenance instrumentation, one point per (engine, app) on the
+// suite's worker pool. Points are independent hermetic worlds sharing the
+// suite configuration and seed; they deliberately bypass the suite's
+// singleflight cache because each needs its own per-run ledger.
 func Efficiency(s *Suite) (*EfficiencyResult, error) {
-	res := &EfficiencyResult{}
+	modes := []platform.Mode{platform.KSM, platform.PageForge}
+	apps := len(s.Apps)
+	res := &EfficiencyResult{Rows: make([]EfficiencyRow, len(modes)*apps)}
 	series := obs.NewSeries(0)
-	for _, mode := range []platform.Mode{platform.KSM, platform.PageForge} {
-		for _, app := range s.Apps {
-			row, err := efficiencyPoint(s.Cfg, series, mode, app)
-			if err != nil {
-				return nil, err
-			}
-			res.Rows = append(res.Rows, row)
-			// When the suite carries a shared series (run -out), republish
-			// this point's track into it under an "efficiency/" prefix — the
-			// bare "Mode/app" names belong to the suite's own cached runs.
-			if shared := s.Cfg.Series; shared != nil {
-				name := fmt.Sprintf("%s/%s", mode, app.Name)
-				shared.Track("efficiency/" + name).SetState(series.Track(name).State())
-			}
+	err := s.each(len(res.Rows), func(i int) (err error) {
+		mode, app := modes[i/apps], s.Apps[i%apps]
+		res.Rows[i], err = efficiencyPoint(s.Cfg, series, mode, app)
+		if err != nil {
+			return err
 		}
+		// When the suite carries a shared series (run -out), republish this
+		// point's track into it under an "efficiency/" prefix — the bare
+		// "Mode/app" names belong to the suite's own cached runs.
+		if shared := s.Cfg.Series; shared != nil {
+			name := fmt.Sprintf("%s/%s", mode, app.Name)
+			shared.Track("efficiency/" + name).SetState(series.Track(name).State())
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -228,13 +228,24 @@ func TestSatoriShape(t *testing.T) {
 	}
 }
 
-func TestTimelineShape(t *testing.T) {
-	s := NewFastSuite()
-	app := s.Apps[0]
-	r, err := Timeline(s, app)
+// runExp runs the registry experiment name on s.
+func runExp(t *testing.T, s *Suite, name string) []Artifact {
+	t.Helper()
+	set, err := Registry().Select(name)
 	if err != nil {
 		t.Fatal(err)
 	}
+	arts, err := set[0].Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return arts
+}
+
+func TestTimelineShape(t *testing.T) {
+	s := NewFastSuite()
+	s.Apps = s.Apps[:1]
+	r := runExp(t, s, "timeline")[0].Value.(*TimelineResult)
 	n := timelineIntervals
 	if len(r.SavingsKSM) != n || len(r.SavingsPF) != n {
 		t.Fatalf("series lengths %d/%d", len(r.SavingsKSM), len(r.SavingsPF))
@@ -267,14 +278,7 @@ func TestTimelineShape(t *testing.T) {
 // (20 ms, 100).
 func TestSweepShape(t *testing.T) {
 	s := fastSuiteOneApp(t, "img_dnn", "silo")
-	set, err := Registry().Select("sweep")
-	if err != nil {
-		t.Fatal(err)
-	}
-	arts, err := set[0].Run(s, Inputs{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	arts := runExp(t, s, "sweep")
 	if len(arts) != len(s.Apps) {
 		t.Fatalf("%d artifacts for %d apps", len(arts), len(s.Apps))
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 
 	"repro/internal/check"
@@ -63,10 +62,8 @@ type PressureResult struct {
 	StormPasses int
 }
 
-// DefaultPressureRatios spans comfortable capacity to a 2x overcommit.
-func DefaultPressureRatios() []float64 {
-	return []float64{1.0, 1.25, 1.5, 2.0}
-}
+// pressureRatios spans comfortable capacity to a 2x overcommit.
+var pressureRatios = []float64{1.0, 1.25, 1.5, 2.0}
 
 // pressureStorm is every point's allocation-burst storm: from pass 1, 30
 // fresh pages per VM per pass for 3 passes, torn down at pass 4.
@@ -143,23 +140,20 @@ func pressurePoint(seed uint64, ratio float64) (PressureRow, error) {
 }
 
 // Pressure sweeps the overcommit ratio against the resilience machinery's
-// behavior. Points are independent hermetic worlds sharing the suite seed.
-func Pressure(s *Suite, ratios []float64) (*PressureResult, error) {
-	if len(ratios) == 0 {
-		ratios = DefaultPressureRatios()
-	}
-	for _, ratio := range ratios {
-		if !(ratio >= 1) || math.IsInf(ratio, 1) { // also rejects NaN
-			return nil, fmt.Errorf("experiments: overcommit ratio %g not a finite value of at least 1", ratio)
-		}
-	}
-	res := &PressureResult{StormPages: pressureStorm.Pages, StormPasses: pressureStorm.Passes}
-	for _, ratio := range ratios {
-		row, err := pressurePoint(s.Cfg.Seed, ratio)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, row)
+// behavior.
+func Pressure(s *Suite) (*PressureResult, error) { return pressureSweep(s, pressureRatios) }
+
+// pressureSweep runs one point per ratio on the suite's worker pool. Points
+// are independent hermetic worlds sharing the suite seed.
+func pressureSweep(s *Suite, ratios []float64) (*PressureResult, error) {
+	res := &PressureResult{Rows: make([]PressureRow, len(ratios)),
+		StormPages: pressureStorm.Pages, StormPasses: pressureStorm.Passes}
+	err := s.each(len(ratios), func(i int) (err error) {
+		res.Rows[i], err = pressurePoint(s.Cfg.Seed, ratios[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -11,7 +10,7 @@ import (
 // ladder degrades and recovers, and the oracle audited the whole run.
 // (pressurePoint itself enforces the audited ≡ bare determinism.)
 func TestPressureSweepShape(t *testing.T) {
-	r, err := Pressure(NewFastSuite(), []float64{1.5, 2.0})
+	r, err := pressureSweep(NewFastSuite(), []float64{1.5, 2.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,13 +35,5 @@ func TestPressureSweepShape(t *testing.T) {
 	}
 	if out := r.String(); !strings.Contains(out, "throttled") {
 		t.Fatalf("rendering lost the ladder path:\n%s", out)
-	}
-}
-
-func TestPressureRatioValidation(t *testing.T) {
-	for _, ratio := range []float64{0.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if _, err := Pressure(NewFastSuite(), []float64{1.5, ratio}); err == nil {
-			t.Errorf("ratio %g accepted", ratio)
-		}
 	}
 }

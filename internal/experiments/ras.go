@@ -60,10 +60,9 @@ type RASResult struct {
 	Passes int
 }
 
-// DefaultRASRates spans clean silicon to an always-faulting DIMM.
-func DefaultRASRates() []float64 {
-	return []float64{0, 1e-4, 1e-3, 1e-2, 0.1, 1}
-}
+// rasRates spans clean silicon to an always-faulting DIMM. The first rate
+// is 0: the fault-free run anchors the coverage normalization.
+var rasRates = []float64{0, 1e-4, 1e-3, 1e-2, 0.1, 1}
 
 // rasFaultConfig maps one sweep rate to a fault population: uncorrectable
 // double-bit upsets at the rate itself, correctable single-bit transients
@@ -158,32 +157,20 @@ func rasPoint(cfg platform.Config, rate float64, passes, scrubBudget int) (RASRo
 }
 
 // RAS sweeps fault rate against merge coverage and RAS overheads. The
-// points are independent hermetic worlds sharing the suite's seed; the
-// first rate must be 0 (it anchors the coverage normalization) and is
-// prepended if missing.
-func RAS(s *Suite, rates []float64) (*RASResult, error) {
-	if len(rates) == 0 {
-		rates = DefaultRASRates()
-	}
-	if rates[0] != 0 {
-		rates = append([]float64{0}, rates...)
-	}
+// points are independent hermetic worlds sharing the suite's seed, run on
+// the suite's worker pool.
+func RAS(s *Suite) (*RASResult, error) {
 	const (
 		passes      = 10
 		scrubBudget = 512
 	)
-	for _, rate := range rates {
-		if !(rate >= 0 && rate <= 1) { // also rejects NaN
-			return nil, fmt.Errorf("experiments: fault rate %g out of [0,1]", rate)
-		}
-	}
-	res := &RASResult{Passes: passes}
-	for _, rate := range rates {
-		row, err := rasPoint(s.Cfg, rate, passes, scrubBudget)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, row)
+	res := &RASResult{Rows: make([]RASRow, len(rasRates)), Passes: passes}
+	err := s.each(len(rasRates), func(i int) (err error) {
+		res.Rows[i], err = rasPoint(s.Cfg, rasRates[i], passes, scrubBudget)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	anchor := res.Rows[0].Merged
 	for i := range res.Rows {

@@ -44,7 +44,7 @@ func TestFigures9And10ShareOneQueueingPhase(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := set[0].Run(s, Inputs{})
+		a, err := set[0].Run(s)
 		if err != nil {
 			t.Fatal(err)
 		}

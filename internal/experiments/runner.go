@@ -6,10 +6,10 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/platform"
-	"repro/internal/tailbench"
 )
 
 // AllModes is the paper's full configuration matrix.
@@ -17,56 +17,57 @@ func AllModes() []platform.Mode {
 	return []platform.Mode{platform.Baseline, platform.KSM, platform.PageForge}
 }
 
-// RunAll executes the (mode × app) matrix across a bounded worker pool and
-// returns the first error. With no modes given it runs all three
-// configurations. Results land in the suite's cache, so experiments
-// consuming them afterwards are pure table rendering; runs already cached
-// (or requested concurrently by another experiment) are not duplicated.
+// RunAll executes the (mode × app) matrix on the suite's worker pool and
+// returns the first failing run's error in (mode, app) order. With no
+// modes given it runs all three configurations. Results land in the
+// suite's cache, so experiments consuming them afterwards are pure table
+// rendering; runs already cached (or requested concurrently by another
+// experiment) are not duplicated.
 func (s *Suite) RunAll(modes ...platform.Mode) error {
 	if len(modes) == 0 {
 		modes = AllModes()
 	}
-	type job struct {
-		mode platform.Mode
-		app  tailbench.Profile
-	}
-	var jobs []job
-	for _, m := range modes {
-		for _, app := range s.Apps {
-			jobs = append(jobs, job{m, app})
-		}
-	}
+	apps := len(s.Apps)
+	return s.each(len(modes)*apps, func(i int) error {
+		_, err := s.Result(modes[i/apps], s.Apps[i%apps])
+		return err
+	})
+}
+
+// each is the suite's one worker pool: it runs point(i) for every i in
+// [0, n) on min(Parallelism, n) goroutines (Parallelism 0 means
+// GOMAXPROCS) and returns the lowest-index failure, so the error does not
+// depend on scheduling. Every point runs, failing or not. Points must not
+// call each themselves, so Parallelism stays a hard bound.
+func (s *Suite) each(n int, point func(i int) error) error {
 	workers := s.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	workers = min(workers, len(jobs))
-
-	jobCh := make(chan job)
+	errs := make([]error, n)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	var errMu sync.Mutex
-	var firstErr error
-	for w := 0; w < workers; w++ {
+	for range min(workers, n) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobCh {
-				if _, err := s.Result(j.mode, j.app); err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-				}
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				errs[i] = point(i)
 			}
 		}()
 	}
-	for _, j := range jobs {
-		jobCh <- j
-	}
-	close(jobCh)
 	wg.Wait()
-	return firstErr
+	return firstErr(errs)
+}
+
+// firstErr returns the lowest-index non-nil error.
+func firstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Reporter observes suite run lifecycle events. Implementations must be

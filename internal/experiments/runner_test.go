@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -46,6 +47,51 @@ func TestParallelMatchesSequential(t *testing.T) {
 				t.Fatalf("%s/%s: parallel result diverged from sequential:\nseq: %+v\npar: %+v",
 					mode, app.Name, a, b)
 			}
+		}
+	}
+}
+
+// TestStudiesParallelMatchSequential extends the audit to the studies'
+// own points: each grid study run on a one-app fast suite at Parallelism 1
+// and 4 yields deeply equal artifacts, values and text alike, so the
+// points share no mutable state and rows land in grid order. verify,
+// pressure and crash run smaller grids through their unexported entries,
+// and the app's image is shrunk to 4 VMs of 100 pages, to keep the test short.
+func TestStudiesParallelMatchSequential(t *testing.T) {
+	grid := func(name string, run func(*Suite) (fmt.Stringer, error)) Experiment {
+		return Experiment{Name: name, Run: func(s *Suite) ([]Artifact, error) {
+			r, err := run(s)
+			if err != nil {
+				return nil, err
+			}
+			return []Artifact{{Key: name, Value: r, Text: r.String()}}, nil
+		}}
+	}
+	studies := []Experiment{
+		grid("verify", func(s *Suite) (fmt.Stringer, error) { return verify(s, 2) }),
+		grid("pressure", func(s *Suite) (fmt.Stringer, error) { return pressureSweep(s, []float64{1, 2}) }),
+		grid("crash", func(s *Suite) (fmt.Stringer, error) { return crashSweep(s, []int{1, 2}, []int{0, 2}) }),
+	}
+	for _, name := range []string{"sweep", "timeline", "satori", "ras", "stream", "efficiency"} {
+		set, err := Registry().Select(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		studies = append(studies, set...)
+	}
+	for _, e := range studies {
+		var arts [2][]Artifact
+		for k, par := range []int{1, 4} {
+			s := fastSuiteOneApp(t, "img_dnn")
+			s.Apps[0].PagesPerVM, s.Cfg.VMs = 100, 4
+			s.Parallelism = par
+			var err error
+			if arts[k], err = e.Run(s); err != nil {
+				t.Fatalf("%s at parallelism %d: %v", e.Name, par, err)
+			}
+		}
+		if !reflect.DeepEqual(arts[0], arts[1]) {
+			t.Errorf("%s: artifacts at parallelism 4 differ from parallelism 1:\n%+v\n%+v", e.Name, arts[1], arts[0])
 		}
 	}
 }
@@ -128,34 +174,64 @@ func TestSuiteResultSharesErrors(t *testing.T) {
 	}
 }
 
-// TestRunAllBoundsWorkers checks the pool never exceeds Parallelism
-// concurrent runs.
+// TestRunAllBoundsWorkers checks the suite's one worker pool never runs
+// more than Parallelism points at once, both for the (mode × app) runs
+// RunAll submits and for a study's points submitted through each.
 func TestRunAllBoundsWorkers(t *testing.T) {
 	s := NewFastSuite()
 	s.Parallelism = 3
 	var mu sync.Mutex
 	cur, peak := 0, 0
-	s.runFn = func(mode platform.Mode, app tailbench.Profile, _ platform.Config) (*platform.Result, error) {
+	point := func() {
 		mu.Lock()
 		cur++
-		if cur > peak {
-			peak = cur
-		}
+		peak = max(peak, cur)
 		mu.Unlock()
 		time.Sleep(time.Millisecond)
 		mu.Lock()
 		cur--
 		mu.Unlock()
+	}
+	s.runFn = func(mode platform.Mode, app tailbench.Profile, _ platform.Config) (*platform.Result, error) {
+		point()
 		return &platform.Result{Mode: mode, App: app}, nil
 	}
-	if err := s.RunAll(); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"RunAll", func() error { return s.RunAll() }},
+		{"each", func() error { return s.each(20, func(int) error { point(); return nil }) }},
+	} {
+		peak = 0
+		if err := c.run(); err != nil {
+			t.Fatal(err)
+		}
+		if peak > 3 {
+			t.Fatalf("%s: worker pool peaked at %d concurrent points, bound is 3", c.name, peak)
+		}
+		if peak < 2 {
+			t.Fatalf("%s: worker pool peaked at %d concurrent points, expected overlap", c.name, peak)
+		}
 	}
-	if peak > 3 {
-		t.Fatalf("worker pool peaked at %d concurrent runs, bound is 3", peak)
-	}
-	if peak < 2 {
-		t.Fatalf("worker pool peaked at %d concurrent runs, expected overlap", peak)
+}
+
+// TestEachReportsLowestIndexFailure pins that the pool runs every point and
+// returns the lowest-index failure whatever order the points finish in.
+func TestEachReportsLowestIndexFailure(t *testing.T) {
+	s := NewFastSuite()
+	s.Parallelism = 4
+	var ran atomic.Int64
+	err := s.each(40, func(i int) error {
+		ran.Add(1)
+		if i%7 == 5 {
+			time.Sleep(time.Duration(40-i) * 100 * time.Microsecond) // the lowest failure finishes last
+			return fmt.Errorf("point %d", i)
+		}
+		return nil
+	})
+	if err == nil || err.Error() != "point 5" || ran.Load() != 40 {
+		t.Fatalf("each: err %v after %d points, want point 5 after 40", err, ran.Load())
 	}
 }
 

@@ -120,7 +120,8 @@ func (w *satoriWorld) sharedTransientPages() int {
 	return n
 }
 
-// Satori runs the sweep. Aggressiveness is pages_to_scan per 5ms interval;
+// Satori runs the sweep, one point per (engine, aggressiveness) on the
+// suite's worker pool. Aggressiveness is pages_to_scan per 5ms interval;
 // the transient sharing window lasts `life` intervals.
 func Satori(s *Suite) (*SatoriResult, error) {
 	const (
@@ -130,33 +131,36 @@ func Satori(s *Suite) (*SatoriResult, error) {
 		life      = 8
 		intervals = 96
 	)
-	res := &SatoriResult{TransientLifeIntervals: life}
-
-	for _, engine := range []string{"ksm", "pageforge"} {
-		for _, pts := range []int{400, 1600, 6400} {
-			w, err := newSatoriWorld(numVMs, stablePgs, transPgs)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: satori world: %w", err)
-			}
-			st := newStepper(w.hv, s.Cfg, engine == "pageforge", s.Cfg.IntervalCycles())
-			captured, possible := 0, 0
-			for k := 0; k < intervals; k++ {
-				if k%life == 0 {
-					if err := w.flip(k/life + 1); err != nil {
-						return nil, fmt.Errorf("experiments: satori transient rewrite: %w", err)
-					}
-				}
-				st.step(pts)
-				if w.identical {
-					captured += w.sharedTransientPages()
-					possible += numVMs * transPgs
-				}
-			}
-			res.Rows = append(res.Rows, SatoriRow{Engine: engine, PagesToScan: pts,
-				CapturedPct: float64(captured) / float64(possible) * 100, CoreBusyPct: st.corePct()})
+	engines, scanRates := []string{"ksm", "pageforge"}, []int{400, 1600, 6400}
+	rows := make([]SatoriRow, len(engines)*len(scanRates))
+	err := s.each(len(rows), func(i int) error {
+		engine, pts := engines[i/len(scanRates)], scanRates[i%len(scanRates)]
+		w, err := newSatoriWorld(numVMs, stablePgs, transPgs)
+		if err != nil {
+			return fmt.Errorf("experiments: satori world: %w", err)
 		}
+		st := newStepper(w.hv, s.Cfg, engine == "pageforge", s.Cfg.IntervalCycles())
+		captured, possible := 0, 0
+		for k := 0; k < intervals; k++ {
+			if k%life == 0 {
+				if err := w.flip(k/life + 1); err != nil {
+					return fmt.Errorf("experiments: satori transient rewrite: %w", err)
+				}
+			}
+			st.step(pts)
+			if w.identical {
+				captured += w.sharedTransientPages()
+				possible += numVMs * transPgs
+			}
+		}
+		rows[i] = SatoriRow{Engine: engine, PagesToScan: pts,
+			CapturedPct: float64(captured) / float64(possible) * 100, CoreBusyPct: st.corePct()}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &SatoriResult{Rows: rows, TransientLifeIntervals: life}, nil
 }
 
 // String renders the sweep.

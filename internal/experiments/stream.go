@@ -133,8 +133,9 @@ func streamPoint(seed uint64, world string, mode platform.Mode,
 }
 
 // Stream runs the batch ≡ streaming equivalence sweep over every world
-// shape: both engines, the sharded index, and a crash-with-recovery world
-// whose host crash is itself delivered as a live event.
+// shape, one point per world on the suite's worker pool: both engines, the
+// sharded index, and a crash-with-recovery world whose host crash is itself
+// delivered as a live event.
 func Stream(s *Suite) (*StreamResult, error) {
 	crashSched := []platform.Event{
 		{Pass: 2, Kind: platform.EvVMKill, VM: 1},
@@ -157,13 +158,14 @@ func Stream(s *Suite) (*StreamResult, error) {
 			cfg.CheckpointEvery = 2
 		}, crashSched},
 	}
-	res := &StreamResult{}
-	for _, w := range worlds {
-		row, err := streamPoint(s.Cfg.Seed, w.name, w.mode, w.mutate, w.sched)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, row)
+	res := &StreamResult{Rows: make([]StreamRow, len(worlds))}
+	err := s.each(len(worlds), func(i int) (err error) {
+		w := worlds[i]
+		res.Rows[i], err = streamPoint(s.Cfg.Seed, w.name, w.mode, w.mutate, w.sched)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -22,7 +22,8 @@ import (
 // Result is safe for concurrent use from any number of goroutines: the
 // cache is singleflight-style, so two experiments requesting the same
 // (mode, app) run share one execution instead of duplicating or racing
-// it. RunAll fans the whole matrix out across a bounded worker pool.
+// it. The suite owns one bounded worker pool: RunAll fans the whole matrix
+// out across it, and every study runs its grid points on it.
 type Suite struct {
 	Cfg platform.Config
 	// Apps are the workloads to evaluate (default: all five TailBench
@@ -30,11 +31,10 @@ type Suite struct {
 	Apps []tailbench.Profile
 	// MinQueries controls queueing-simulation quality per VM.
 	MinQueries int
-	// Parallelism bounds how many platform runs RunAll executes
-	// concurrently (0 means GOMAXPROCS). Each run is hermetic — it owns
-	// its image, L3, DRAM model, and RNG streams — so
-	// parallel execution is bit-identical to sequential for the same
-	// seeds.
+	// Parallelism bounds how many suite runs or study points the pool
+	// executes at once (0 means GOMAXPROCS). Each run and point is
+	// hermetic — it owns its image, L3, DRAM model, and RNG streams — and
+	// lands in its grid slot, so results are byte-identical at any setting.
 	Parallelism int
 	// Reporter, when non-nil, observes run start/finish events. It must
 	// be safe for concurrent use (ProgressReporter is).

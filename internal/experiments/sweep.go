@@ -29,33 +29,43 @@ type SweepResult struct {
 	Rows       []SweepRow
 }
 
-// Sweep studies the two tunables the paper's §2.1 names as KSM's
-// aggressiveness knobs: it runs software KSM over the sleep_millisecs ×
-// pages_to_scan grid on one application, each point on a fresh image for
-// sweepMillis of simulated time, and churns the volatile pages whenever a
-// full scan ends.
-func Sweep(s *Suite, app tailbench.Profile) (*SweepResult, error) {
-	res := &SweepResult{App: app.Name, VMs: s.Cfg.VMs, PagesPerVM: app.PagesPerVM}
+// sweepGrid is the study's sleep_millisecs × pages_to_scan grid, in row
+// order.
+var sweepGrid = func() (grid []SweepRow) {
 	for _, sleepMS := range []float64{2.5, 5, 10, 20} {
-		interval := sim.MillisToCycles(sleepMS)
 		for _, pts := range []int{100, 400, 1600} {
-			img, err := tailbench.BuildImage(app, s.Cfg.VMs, s.Cfg.VMs*app.PagesPerVM*2+1024, s.Cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			st := newStepper(img.HV, s.Cfg, false, interval)
-			for k := uint64(0); k < sim.MillisToCycles(sweepMillis)/interval; k++ {
-				if st.step(pts) {
-					if err := img.ChurnVolatile(); err != nil {
-						return nil, err
-					}
-				}
-			}
-			res.Rows = append(res.Rows, SweepRow{SleepMillis: sleepMS, PagesToScan: pts,
-				Savings: img.MeasureFootprint().Savings(), CorePct: st.corePct(), FullScans: st.alg.Stats.FullScans})
+			grid = append(grid, SweepRow{SleepMillis: sleepMS, PagesToScan: pts})
 		}
 	}
-	return res, nil
+	return grid
+}()
+
+// sweepPoint runs point i of the study of the two tunables the paper's
+// §2.1 names as KSM's aggressiveness knobs: software KSM over one
+// application on a fresh image for sweepMillis of simulated time at grid
+// point i, churning the volatile pages whenever a full scan ends.
+func sweepPoint(s *Suite, app tailbench.Profile, i int) (SweepRow, error) {
+	row := sweepGrid[i]
+	interval := sim.MillisToCycles(row.SleepMillis)
+	img, err := tailbench.BuildImage(app, s.Cfg.VMs, s.Cfg.VMs*app.PagesPerVM*2+1024, s.Cfg.Seed)
+	if err != nil {
+		return row, err
+	}
+	st := newStepper(img.HV, s.Cfg, false, interval)
+	for k := uint64(0); k < sim.MillisToCycles(sweepMillis)/interval; k++ {
+		if st.step(row.PagesToScan) {
+			if err := img.ChurnVolatile(); err != nil {
+				return row, err
+			}
+		}
+	}
+	row.Savings, row.CorePct, row.FullScans = img.MeasureFootprint().Savings(), st.corePct(), st.alg.Stats.FullScans
+	return row, nil
+}
+
+// newSweepResult assembles one application's grid rows.
+func newSweepResult(s *Suite, app tailbench.Profile, rows []SweepRow) *SweepResult {
+	return &SweepResult{App: app.Name, VMs: s.Cfg.VMs, PagesPerVM: app.PagesPerVM, Rows: rows}
 }
 
 // String renders the grid.

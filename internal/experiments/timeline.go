@@ -23,27 +23,35 @@ type TimelineResult struct {
 	PFCorePct  float64
 }
 
-// Timeline measures the convergence ramp on one application over
-// timelineIntervals sleep intervals.
-func Timeline(s *Suite, app tailbench.Profile) (*TimelineResult, error) {
-	res := &TimelineResult{App: app.Name}
-	for _, e := range []struct {
-		pageForge bool
-		savings   *[]float64
-		corePct   *float64
-	}{{false, &res.SavingsKSM, &res.KSMCorePct}, {true, &res.SavingsPF, &res.PFCorePct}} {
-		img, err := tailbench.BuildImage(app, s.Cfg.VMs, s.Cfg.VMs*app.PagesPerVM*2+1024, s.Cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		st := newStepper(img.HV, s.Cfg, e.pageForge, s.Cfg.IntervalCycles())
-		for k := 0; k < timelineIntervals; k++ {
-			st.step(s.Cfg.PagesToScan)
-			*e.savings = append(*e.savings, img.MeasureFootprint().Savings())
-		}
-		*e.corePct = st.corePct()
+// timelineRamp is one engine's convergence ramp: the savings after each
+// interval and the engine's busy share of one core over the ramp.
+type timelineRamp struct {
+	savings []float64
+	corePct float64
+}
+
+// timelinePoint measures the convergence ramp on one application over
+// timelineIntervals sleep intervals: point 0 runs software KSM, point 1
+// PageForge.
+func timelinePoint(s *Suite, app tailbench.Profile, i int) (timelineRamp, error) {
+	img, err := tailbench.BuildImage(app, s.Cfg.VMs, s.Cfg.VMs*app.PagesPerVM*2+1024, s.Cfg.Seed)
+	if err != nil {
+		return timelineRamp{}, err
 	}
-	return res, nil
+	st := newStepper(img.HV, s.Cfg, i == 1, s.Cfg.IntervalCycles())
+	var r timelineRamp
+	for k := 0; k < timelineIntervals; k++ {
+		st.step(s.Cfg.PagesToScan)
+		r.savings = append(r.savings, img.MeasureFootprint().Savings())
+	}
+	r.corePct = st.corePct()
+	return r, nil
+}
+
+// newTimelineResult assembles one application's KSM and PageForge ramps.
+func newTimelineResult(_ *Suite, app tailbench.Profile, ramps []timelineRamp) *TimelineResult {
+	return &TimelineResult{App: app.Name, SavingsKSM: ramps[0].savings, SavingsPF: ramps[1].savings,
+		KSMCorePct: ramps[0].corePct, PFCorePct: ramps[1].corePct}
 }
 
 // String renders the ramp as sampled rows plus a sparkline-style bar.

