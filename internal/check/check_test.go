@@ -129,7 +129,7 @@ func TestModelTracksWrites(t *testing.T) {
 	}
 	m := NewModel()
 	m.Attach(hv)
-	id := vm.PageID{VM: v.ID, GFN: 0}
+	id := v.PageID(0)
 	if !m.Clean(id) {
 		t.Fatal("snapshot pages start clean")
 	}

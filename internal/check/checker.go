@@ -96,7 +96,7 @@ func (c *Checker) eachPresent(visit func(id vm.PageID, pfn mem.PFN) error) error
 			if !ok {
 				continue
 			}
-			if err := visit(vm.PageID{VM: i, GFN: g}, pfn); err != nil {
+			if err := visit(v.PageID(g), pfn); err != nil {
 				return err
 			}
 		}
@@ -164,7 +164,7 @@ func (c *Checker) checkRefcounts(p platform.VerifyPoint) error {
 				return fmt.Errorf("invariant 2: frame %d shared by %d pages but not CoW-protected", pfn, len(mappers))
 			}
 			for _, id := range mappers {
-				if !c.hv.VM(id.VM).WriteProtected(id.GFN) {
+				if !c.hv.VM(int(id.VM)).WriteProtected(id.GFN) {
 					return fmt.Errorf("invariant 2: frame %d shared by %d pages but mapping %v is writable",
 						pfn, len(mappers), id)
 				}
@@ -213,7 +213,7 @@ func (c *Checker) Final(converged bool) error {
 	groups := map[string][]vm.PageID{}
 	frames := map[string][]mem.PFN{}
 	err := c.eachPresent(func(id vm.PageID, pfn mem.PFN) error {
-		if !c.Model.Clean(id) || !c.hv.VM(id.VM).Mergeable(id.GFN) {
+		if !c.Model.Clean(id) || !c.hv.VM(int(id.VM)).Mergeable(id.GFN) {
 			return nil
 		}
 		key := string(c.Model.Expected(id))

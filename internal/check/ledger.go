@@ -30,7 +30,7 @@ func AuditLedger(l *obs.Ledger, hv *vm.Hypervisor) (mappings int, audited bool, 
 		return 0, false, nil
 	}
 	type key struct {
-		vm  int
+		vm  int32
 		gfn uint64
 	}
 	loc := map[key]uint64{}
@@ -57,7 +57,7 @@ func AuditLedger(l *obs.Ledger, hv *vm.Hypervisor) (mappings int, audited bool, 
 	})
 	for _, k := range keys {
 		want := loc[k]
-		pfn, ok := hv.VM(k.vm).Resolve(vm.GFN(k.gfn))
+		pfn, ok := hv.VM(int(k.vm)).Resolve(vm.GFN(k.gfn))
 		if !ok {
 			return len(keys), true, fmt.Errorf(
 				"check: ledger audit: vm%d gfn%d last moved to frame %d but is no longer present",

@@ -46,7 +46,7 @@ func (m *Model) Attach(hv *vm.Hypervisor) {
 			}
 			page := make([]byte, mem.PageSize)
 			hv.Phys.ReadAt(pfn, 0, page)
-			m.shadow[vm.PageID{VM: i, GFN: g}] = page
+			m.shadow[v.PageID(g)] = page
 		}
 	}
 	hv.OnWrite = m.observe

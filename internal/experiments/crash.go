@@ -87,11 +87,11 @@ func crashWorld() (tailbench.Profile, platform.Config) {
 	return app, cfg
 }
 
-// crashPoint runs one grid point twice: the crashed run audited by the
-// invariant checker (which rides along through the restore via its
-// CrashObserver hooks), and an uninterrupted bare run. The two Results
-// must be deeply equal once the Crash report is zeroed.
-func crashPoint(seed uint64, crashPass, every int) (CrashRow, error) {
+// crashPoint runs one grid point: the crashed run audited by the invariant
+// checker (which rides along through the restore via its CrashObserver
+// hooks). Its Result must be deeply equal to the uninterrupted run want
+// once the Crash report is zeroed.
+func crashPoint(seed uint64, crashPass, every int, want *platform.Result) (CrashRow, error) {
 	app, cfg := crashWorld()
 	cfg.Seed = seed
 	cfg.CheckpointEvery = every
@@ -102,15 +102,6 @@ func crashPoint(seed uint64, crashPass, every int) (CrashRow, error) {
 	res, err := platform.Run(platform.PageForge, app, cfg)
 	if err != nil {
 		return CrashRow{}, fmt.Errorf("experiments: crash pass %d every %d: %w", crashPass, every, err)
-	}
-
-	plain := cfg
-	plain.Verifier = nil
-	plain.Events = nil
-	plain.CheckpointEvery = 0
-	want, err := platform.Run(platform.PageForge, app, plain)
-	if err != nil {
-		return CrashRow{}, fmt.Errorf("experiments: crash pass %d every %d (uninterrupted): %w", crashPass, every, err)
 	}
 
 	rep := res.Crash
@@ -154,11 +145,18 @@ func Crash(s *Suite) (*CrashResult, error) { return crashSweep(s, crashPasses, c
 
 // crashSweep runs one point per (interval, crash pass), interval-major, on
 // the suite's worker pool. Points are independent hermetic worlds sharing
-// the suite seed.
+// the suite seed, so one uninterrupted run of the crash world (no events,
+// checkpoints or verifier), made first, serves them all.
 func crashSweep(s *Suite, passes, intervals []int) (*CrashResult, error) {
+	app, cfg := crashWorld()
+	cfg.Seed = s.Cfg.Seed
+	want, err := platform.Run(platform.PageForge, app, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: crash (uninterrupted): %w", err)
+	}
 	res := &CrashResult{Rows: make([]CrashRow, len(intervals)*len(passes))}
-	err := s.each(len(res.Rows), func(i int) (err error) {
-		res.Rows[i], err = crashPoint(s.Cfg.Seed, passes[i%len(passes)], intervals[i/len(passes)])
+	err = s.each(len(res.Rows), func(i int) (err error) {
+		res.Rows[i], err = crashPoint(s.Cfg.Seed, passes[i%len(passes)], intervals[i/len(passes)], want)
 		return err
 	})
 	if err != nil {

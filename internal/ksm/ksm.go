@@ -4,8 +4,9 @@
 // an unstable tree of recently-unchanged pages — both indexed by page
 // contents — and merges duplicates.
 //
-// The algorithmic state (trees, per-page tracking, merge bookkeeping) is
-// factored into Algorithm so that two frontends can drive it:
+// The algorithmic state (trees, per-page hash keys in dense per-VM slabs,
+// merge bookkeeping) is factored into Algorithm so that two frontends can
+// drive it:
 //
 //   - Scanner (this package): the software implementation, paying for every
 //     byte compared and hashed with core cycles, exactly like the KSM
@@ -47,27 +48,16 @@ func (JHasher) BytesRead() int { return hash.KSMDigestBytes }
 // Span implements Hasher: the 1KB jhash reads is the page's first.
 func (JHasher) Span() int { return hash.KSMDigestBytes }
 
-// rmapItem is KSM's per-mergeable-page tracking state.
+// rmapItem is KSM's per-page tracking state: the hash key Algorithm 1
+// recorded for the page on its last pass, and the page it describes, so an
+// unstable-tree node can point at its item (a pointer into the VM's slab,
+// which never moves) and still resolve the page. Items live in dense
+// per-VM slabs (Algorithm.items), 16 bytes each; an item that holds no
+// hash is indistinguishable from one never made.
 type rmapItem struct {
 	id      vm.PageID
 	oldHash uint32
 	hasHash bool
-	// unstableNode links the page to its node for the current pass only.
-	// EndPass recycles unstable nodes (rbtree.Tree.Reset), so after the
-	// pass it may point at a zeroed node or one reused for another page.
-	// The only reader, removeUnstable, reaches the item through
-	// node.Item, the node's current owner, and so only ever compares a
-	// live node with its own payload. No other *rbtree.Node outlives a
-	// Reset: the PageForge driver's Scan Table scratch is refilled per
-	// search, and the checker, recovery and ledger read trees in place or
-	// keep PFNs.
-	unstableNode *rbtree.Node
-}
-
-// stableItem is the payload of a stable-tree node: the tree holds one
-// reference on the frame so node contents stay valid until pruned.
-type stableItem struct {
-	pfn mem.PFN
 }
 
 // Stats are the /sys/kernel/mm/ksm-style counters plus the instrumentation
@@ -99,7 +89,12 @@ type Algorithm struct {
 	Unstable *rbtree.Sharded
 	Hasher   Hasher
 
-	items     map[vm.PageID]*rmapItem
+	// items[vm][gfn] tracks one guest page. A VM's slab is made, sized to
+	// the whole VM, the first time one of its pages needs an item: VM IDs
+	// are never reused and VM sizes never change, so a slab never grows.
+	// Sharded scan workers only read the slab headers (PrepareItems makes
+	// them first) and each writes the items of its own candidates only.
+	items     [][]rmapItem
 	order     []vm.PageID // scan order over mergeable pages
 	curs      int
 	pass      uint64
@@ -141,7 +136,6 @@ func NewAlgorithmSharded(hv *vm.Hypervisor, h Hasher, shardBits int) *Algorithm 
 	a := &Algorithm{
 		HV:        hv,
 		Hasher:    h,
-		items:     make(map[vm.PageID]*rmapItem),
 		pass:      1,
 		shardBits: shardBits,
 		maxCmp:    make([]int, n),
@@ -205,12 +199,12 @@ func (a *Algorithm) MergeablePages() int { return len(a.order) }
 // it as read-only.
 func (a *Algorithm) OrderSnapshot() []vm.PageID { return a.order }
 
-// PrepareItems materializes tracking state for every page in the scan
-// order. A parallel pass calls it before spawning workers so the items map
-// is never written concurrently — workers then only read it.
+// PrepareItems makes the item slab of every VM with a page in the scan
+// order. A parallel pass calls it before spawning workers so the slab
+// table is never written concurrently — workers then only read it.
 func (a *Algorithm) PrepareItems() {
 	for _, id := range a.order {
-		a.item(id)
+		a.slab(id.VM)
 	}
 }
 
@@ -265,14 +259,25 @@ func (a *Algorithm) EndPass() {
 	bump(&a.Stats.FullScans)
 }
 
-// item returns (creating if needed) the tracking state for a page.
-func (a *Algorithm) item(id vm.PageID) *rmapItem {
-	it := a.items[id]
-	if it == nil {
-		it = &rmapItem{id: id}
-		a.items[id] = it
+// item returns the tracking state for a page, making its VM's slab if
+// needed.
+func (a *Algorithm) item(id vm.PageID) *rmapItem { return &a.slab(id.VM)[id.GFN] }
+
+// slab returns the VM's item slab, making it on first use.
+func (a *Algorithm) slab(vmID int32) []rmapItem {
+	if int(vmID) < len(a.items) && a.items[vmID] != nil {
+		return a.items[vmID]
 	}
-	return it
+	for len(a.items) <= int(vmID) {
+		a.items = append(a.items, nil)
+	}
+	v := a.HV.VM(int(vmID))
+	s := make([]rmapItem, v.Pages())
+	for g := range s {
+		s[g].id = v.PageID(vm.GFN(g))
+	}
+	a.items[vmID] = s
+	return s
 }
 
 // SkipCandidate reports whether the candidate should be skipped outright:
@@ -388,17 +393,15 @@ func (a *Algorithm) MergeWithUnstable(id vm.PageID, node *rbtree.Node) (bytes in
 	pfn := node.PFN
 	a.removeUnstable(node)
 	// The stable tree takes its own reference so the node stays valid even
-	// if every sharer later CoW-breaks away.
+	// if every sharer later CoW-breaks away. A stable node carries no
+	// payload: nothing reads one back.
 	a.HV.Phys.IncRef(pfn)
-	a.Stable.Insert(pfn, stableItem{pfn: pfn})
+	a.Stable.Insert(pfn, nil)
 	bump(&a.Stats.UnstableMerges)
 	return n, true
 }
 
 func (a *Algorithm) removeUnstable(node *rbtree.Node) {
-	if it, _ := node.Item.(*rmapItem); it != nil && it.unstableNode == node {
-		it.unstableNode = nil
-	}
 	a.Unstable.Delete(node)
 	a.HV.Phys.DecRef(node.PFN)
 }
@@ -411,11 +414,8 @@ func (a *Algorithm) UnstableInsert(id vm.PageID) *rbtree.Node {
 	if !ok {
 		return nil
 	}
-	it := a.item(id)
 	a.HV.Phys.IncRef(pfn)
-	n := a.Unstable.Insert(pfn, it)
-	it.unstableNode = n
-	return n
+	return a.Unstable.Insert(pfn, a.item(id))
 }
 
 // UnstableSearchOrInsert is the software path: one tree descent that either
@@ -425,15 +425,13 @@ func (a *Algorithm) UnstableSearchOrInsert(id vm.PageID) (match *rbtree.Node, in
 	if !ok {
 		return nil, false
 	}
-	it := a.item(id)
 	a.HV.Phys.IncRef(pfn)
-	n, ins := a.Unstable.InsertOrGet(pfn, it)
+	n, ins := a.Unstable.InsertOrGet(pfn, a.item(id))
 	if !ins {
 		// Not inserted: drop the speculative reference.
 		a.HV.Phys.DecRef(pfn)
 		return n, false
 	}
-	it.unstableNode = n
 	return nil, true
 }
 

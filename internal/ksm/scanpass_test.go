@@ -97,7 +97,7 @@ func churn(t *testing.T, s *Scanner, pass int) {
 		for j := range buf {
 			buf[j] = byte(i*31 + j + pass)
 		}
-		v := a.HV.VM(id.VM)
+		v := a.HV.VM(int(id.VM))
 		if _, err := v.Write(id.GFN, 0, buf); err != nil {
 			t.Fatal(err)
 		}
@@ -244,5 +244,15 @@ func TestScanPassZeroAlloc(t *testing.T) {
 				t.Errorf("workers %d: ledger recorded no events", workers)
 			}
 		}
+	}
+}
+
+// TestPrepareItemsZeroAlloc: once every VM of the scan order has its slab,
+// preparing the items for a parallel pass allocates nothing.
+func TestPrepareItemsZeroAlloc(t *testing.T) {
+	s := buildDupWorld(t, 3)
+	s.ScanPass(2)
+	if allocs := testing.AllocsPerRun(100, s.Alg.PrepareItems); allocs != 0 {
+		t.Fatalf("PrepareItems on a warm algorithm made %v allocations, want 0", allocs)
 	}
 }

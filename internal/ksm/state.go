@@ -2,28 +2,26 @@ package ksm
 
 import (
 	"fmt"
-	"sort"
 
-	"repro/internal/mem"
 	"repro/internal/rbtree"
 	"repro/internal/vm"
 )
 
 // Checkpoint support. AlgorithmState is a plain-data image of the KSM
-// engine state: per-page tracking items (sorted by PageID so the encoding
-// is deterministic — the live map has no stable order), the scan order and
-// cursor, pass number, statistics, the per-shard
-// deepest-comparison trackers, and the exact structure of every tree shard.
+// engine state: the per-page hash keys (in (VM, GFN) order, the slabs'
+// own order, and only for pages that hold one — a page without a key
+// behaves exactly like a page never tracked), the scan order and cursor,
+// pass number, statistics, the per-shard deepest-comparison trackers, and
+// the exact structure of every tree shard.
 //
 // Capture is only legal at a pass boundary, where the unstable tree is
 // empty (EndPass throws it away): mid-pass unstable nodes hold frame
 // references whose item back-pointers cannot be rebuilt from plain data.
 
-// ItemState is the exported image of one rmapItem.
+// ItemState is the exported image of one rmapItem that holds a hash.
 type ItemState struct {
 	ID      vm.PageID
 	OldHash uint32
-	HasHash bool
 }
 
 // AlgorithmState is the serialized image of an Algorithm.
@@ -44,7 +42,6 @@ func (a *Algorithm) State() (AlgorithmState, error) {
 		return AlgorithmState{}, fmt.Errorf("ksm: checkpoint mid-pass (%d unstable nodes)", n)
 	}
 	st := AlgorithmState{
-		Items:    make([]ItemState, 0, len(a.items)),
 		Order:    append([]vm.PageID(nil), a.order...),
 		Curs:     a.curs,
 		Pass:     a.pass,
@@ -53,16 +50,13 @@ func (a *Algorithm) State() (AlgorithmState, error) {
 		Stable:   a.Stable.Export(),
 		Unstable: a.Unstable.Export(),
 	}
-	for _, it := range a.items {
-		st.Items = append(st.Items, ItemState{ID: it.id, OldHash: it.oldHash, HasHash: it.hasHash})
-	}
-	sort.Slice(st.Items, func(i, j int) bool {
-		a, b := st.Items[i].ID, st.Items[j].ID
-		if a.VM != b.VM {
-			return a.VM < b.VM
+	for _, slab := range a.items {
+		for _, it := range slab {
+			if it.hasHash {
+				st.Items = append(st.Items, ItemState{ID: it.id, OldHash: it.oldHash})
+			}
 		}
-		return a.GFN < b.GFN
-	})
+	}
 	return st, nil
 }
 
@@ -75,18 +69,20 @@ func (a *Algorithm) SetState(st AlgorithmState) error {
 		return fmt.Errorf("ksm: restore shard-count mismatch (have %d, snapshot %d)",
 			len(a.maxCmp), len(st.MaxCmp))
 	}
-	a.items = make(map[vm.PageID]*rmapItem, len(st.Items))
+	a.items = nil
 	for _, is := range st.Items {
-		a.items[is.ID] = &rmapItem{id: is.ID, oldHash: is.OldHash, hasHash: is.HasHash}
+		if is.ID.VM < 0 || int(is.ID.VM) >= a.HV.NumVMs() || int(is.ID.GFN) >= a.HV.VM(int(is.ID.VM)).Pages() {
+			return fmt.Errorf("ksm: restore item names %v, which does not exist", is.ID)
+		}
+		it := a.item(is.ID)
+		it.oldHash, it.hasHash = is.OldHash, true
 	}
 	a.order = append(a.order[:0], st.Order...)
 	a.curs = st.Curs
 	a.pass = st.Pass
 	a.Stats = st.Stats
 	copy(a.maxCmp, st.MaxCmp)
-	a.Stable.Import(st.Stable, func(pfn mem.PFN) interface{} {
-		return stableItem{pfn: pfn}
-	})
+	a.Stable.Import(st.Stable, nil)
 	// The unstable tree is structurally empty at every legal capture point;
 	// importing still restores each shard's cumulative comparison counters.
 	a.Unstable.Import(st.Unstable, nil)

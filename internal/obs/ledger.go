@@ -79,7 +79,7 @@ type LedgerEvent struct {
 	Pass  int
 	Kind  LedgerKind
 	Cause LedgerCause
-	VM    int
+	VM    int32
 	GFN   uint64
 	PFN   uint64
 	Arg   uint64
@@ -88,7 +88,7 @@ type LedgerEvent struct {
 // fileEvent is the event as a ledger artifact stores it: kind and cause by
 // name, not enum ordinal.
 func (e LedgerEvent) fileEvent() LedgerFileEvent {
-	out := LedgerFileEvent{Seq: e.Seq, Pass: e.Pass, Kind: e.Kind.String(), VM: e.VM, GFN: e.GFN, PFN: e.PFN, Arg: e.Arg}
+	out := LedgerFileEvent{Seq: e.Seq, Pass: e.Pass, Kind: e.Kind.String(), VM: int(e.VM), GFN: e.GFN, PFN: e.PFN, Arg: e.Arg}
 	if e.Cause != CauseNone {
 		out.Cause = e.Cause.String()
 	}

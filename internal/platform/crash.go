@@ -43,8 +43,9 @@ import (
 // injection counters; version 7 lists each frame's mappers most recently
 // mapped first, the order of the reverse map threaded through the page
 // tables; version 8 dropped the DRAM bandwidth windows, the KSM items'
-// unstable-insert pass and the VMs' fault counters.
-const crashSnapshotVersion = 8
+// unstable-insert pass and the VMs' fault counters; version 9 lists only
+// the KSM items that hold a hash, without the has-hash flag.
+const crashSnapshotVersion = 9
 
 // Recovery cost model (deterministic, charged only to RecoveryCycles):
 // restoring a checkpoint and the per-frame/per-byte cost of the recovery

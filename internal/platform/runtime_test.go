@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/ksm"
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/rbtree"
@@ -63,6 +64,58 @@ func TestRestoreSlotCensus(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, w.Phys) {
 				t.Fatal("restored memory image captures to a different PhysState than the checkpoint")
+			}
+		})
+	}
+}
+
+// TestSnapshotRestoreKeepsItems: the KSM items a Snapshot captures come
+// back exactly from a Restore, into the donor after it ran on and into a
+// fresh runtime. The sharded world prepares every scan-order slab before
+// its passes, so it also holds items that never got a hash.
+func TestSnapshotRestoreKeepsItems(t *testing.T) {
+	t.Parallel()
+	for _, name := range []string{"KSM", "KSM-sharded", "PageForge"} {
+		t.Run(name, func(t *testing.T) {
+			w := rows[name]
+			items := func(r *Runtime) []ksm.ItemState {
+				st, err := r.alg.State()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st.Items
+			}
+			donor := NewRuntime(w.mode, w.app, w.cfg)
+			if err := donor.Start(); err != nil {
+				t.Fatal(err)
+			}
+			for donor.Pass() < 3 {
+				if done, err := donor.Step(); err != nil || done {
+					t.Fatalf("step: done=%v err=%v", done, err)
+				}
+			}
+			blob, err := donor.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := items(donor)
+			if len(want) == 0 {
+				t.Fatal("snapshot holds no items")
+			}
+			if done, err := donor.Step(); err != nil || done {
+				t.Fatalf("step: done=%v err=%v", done, err)
+			}
+			fresh := NewRuntime(w.mode, w.app, w.cfg)
+			if err := fresh.Start(); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range []*Runtime{donor, fresh} {
+				if err := r.Restore(blob); err != nil {
+					t.Fatal(err)
+				}
+				if got := items(r); !reflect.DeepEqual(got, want) {
+					t.Fatalf("restore yields %d items, the snapshot %d, or their keys differ", len(got), len(want))
+				}
 			}
 		})
 	}

@@ -46,7 +46,7 @@ func buildImageRef(p Profile, numVMs int, physFrames int, seed uint64) (*Image, 
 			if _, err := v.Write(vm.GFN(slot), 0, page); err != nil {
 				return nil, fmt.Errorf("tailbench: dup page: %w", err)
 			}
-			img.DupPages = append(img.DupPages, vm.PageID{VM: v.ID, GFN: vm.GFN(slot)})
+			img.DupPages = append(img.DupPages, v.PageID(vm.GFN(slot)))
 		}
 	}
 	for z := 0; z < zeroPerVM; z++ {
@@ -55,7 +55,7 @@ func buildImageRef(p Profile, numVMs int, physFrames int, seed uint64) (*Image, 
 			if err := v.Touch(g); err != nil {
 				return nil, fmt.Errorf("tailbench: zero page: %w", err)
 			}
-			img.ZeroPages = append(img.ZeroPages, vm.PageID{VM: v.ID, GFN: g})
+			img.ZeroPages = append(img.ZeroPages, v.PageID(g))
 		}
 	}
 	next := salt ^ 0xF00D
@@ -67,7 +67,7 @@ func buildImageRef(p Profile, numVMs int, physFrames int, seed uint64) (*Image, 
 			if _, err := v.Write(g, 0, page); err != nil {
 				return nil, fmt.Errorf("tailbench: unique page: %w", err)
 			}
-			id := vm.PageID{VM: v.ID, GFN: g}
+			id := v.PageID(g)
 			img.UniquePages = append(img.UniquePages, id)
 			if float64(u) < p.VolatileFrac*float64(uniqPerVM) {
 				img.Volatile = append(img.Volatile, id)

@@ -97,7 +97,7 @@ func BuildImage(p Profile, numVMs int, physFrames int, seed uint64) (*Image, err
 			if err := v.Touch(vm.GFN(slot)); err != nil {
 				return nil, fmt.Errorf("tailbench: dup page: %w", err)
 			}
-			img.DupPages = append(img.DupPages, vm.PageID{VM: v.ID, GFN: vm.GFN(slot)})
+			img.DupPages = append(img.DupPages, v.PageID(vm.GFN(slot)))
 		}
 	}
 	// Zero region: gfns [dupPerVM, dupPerVM+zeroPerVM) — touched only.
@@ -108,7 +108,7 @@ func BuildImage(p Profile, numVMs int, physFrames int, seed uint64) (*Image, err
 			if err := v.Touch(g); err != nil {
 				return nil, fmt.Errorf("tailbench: zero page: %w", err)
 			}
-			img.ZeroPages = append(img.ZeroPages, vm.PageID{VM: v.ID, GFN: g})
+			img.ZeroPages = append(img.ZeroPages, v.PageID(g))
 		}
 	}
 	// Unique region: remaining gfns, globally unique contents.
@@ -119,7 +119,7 @@ func BuildImage(p Profile, numVMs int, physFrames int, seed uint64) (*Image, err
 			if err := v.Touch(g); err != nil {
 				return nil, fmt.Errorf("tailbench: unique page: %w", err)
 			}
-			id := vm.PageID{VM: v.ID, GFN: g}
+			id := v.PageID(g)
 			img.UniquePages = append(img.UniquePages, id)
 			if float64(u) < p.VolatileFrac*float64(uniqPerVM) {
 				img.Volatile = append(img.Volatile, id)
@@ -172,7 +172,7 @@ func (img *Image) writeSeed(v *vm.VM, g vm.GFN, seed uint64) error {
 
 // pfn returns the frame backing a mapped image page.
 func (img *Image) pfn(id vm.PageID) mem.PFN {
-	pfn, _ := img.HV.VM(id.VM).Resolve(id.GFN)
+	pfn, _ := img.HV.VM(int(id.VM)).Resolve(id.GFN)
 	return pfn
 }
 
@@ -187,7 +187,7 @@ func (img *Image) pfn(id vm.PageID) mem.PFN {
 func (img *Image) ChurnVolatile() error {
 	part := make([]byte, 256)
 	for _, id := range img.Volatile {
-		v := img.HV.VM(id.VM)
+		v := img.HV.VM(int(id.VM))
 		if img.rng.Bool(0.5) {
 			if err := img.writeSeed(v, id.GFN, img.rng.Uint64()); err != nil {
 				return err
@@ -237,7 +237,7 @@ func (img *Image) SpawnVM() (*vm.VM, error) {
 		if err := img.writeSeed(v, vm.GFN(slot), uint64(contentID)*2654435761+img.salt); err != nil {
 			return nil, fmt.Errorf("tailbench: spawn dup page: %w", err)
 		}
-		img.DupPages = append(img.DupPages, vm.PageID{VM: v.ID, GFN: vm.GFN(slot)})
+		img.DupPages = append(img.DupPages, v.PageID(vm.GFN(slot)))
 	}
 	page := make([]byte, mem.PageSize)
 	for z := 0; z < zeroPerVM; z++ {
@@ -245,7 +245,7 @@ func (img *Image) SpawnVM() (*vm.VM, error) {
 		if _, err := v.Write(g, 0, page); err != nil {
 			return nil, fmt.Errorf("tailbench: spawn zero page: %w", err)
 		}
-		img.ZeroPages = append(img.ZeroPages, vm.PageID{VM: v.ID, GFN: g})
+		img.ZeroPages = append(img.ZeroPages, v.PageID(g))
 	}
 	next := img.salt ^ 0xF00D ^ (uint64(img.spawned) * 0x517CC1B727220A95)
 	for u := 0; u < uniqPerVM; u++ {
@@ -254,7 +254,7 @@ func (img *Image) SpawnVM() (*vm.VM, error) {
 		if err := img.writeSeed(v, g, next*0x9E3779B97F4A7C15+7); err != nil {
 			return nil, fmt.Errorf("tailbench: spawn unique page: %w", err)
 		}
-		id := vm.PageID{VM: v.ID, GFN: g}
+		id := v.PageID(g)
 		img.UniquePages = append(img.UniquePages, id)
 		if float64(u) < p.VolatileFrac*float64(uniqPerVM) {
 			img.Volatile = append(img.Volatile, id)
@@ -294,7 +294,7 @@ func (img *Image) KillVM(id int) error {
 	filter := func(ids []vm.PageID) []vm.PageID {
 		out := ids[:0]
 		for _, pid := range ids {
-			if pid.VM != id {
+			if int(pid.VM) != id {
 				out = append(out, pid)
 			}
 		}
@@ -326,7 +326,7 @@ func (img *Image) PhaseShift(frac float64) error {
 	img.Volatile = img.Volatile[:0]
 	for i := 0; i < n; i++ {
 		id := img.UniquePages[(start+i)%len(img.UniquePages)]
-		if err := img.writeSeed(img.HV.VM(id.VM), id.GFN, img.rng.Uint64()); err != nil {
+		if err := img.writeSeed(img.HV.VM(int(id.VM)), id.GFN, img.rng.Uint64()); err != nil {
 			return fmt.Errorf("tailbench: phase shift page %v: %w", id, err)
 		}
 		img.Volatile = append(img.Volatile, id)
@@ -363,7 +363,7 @@ func (img *Image) BurstWrite(n int, dupFrac float64) (int, error) {
 				seed = salt ^ (uint64(i*img.Profile.BurstPagesPerVM+img.burstUsed+slot)*0xA24BAED4963EE407 + 13)
 			}
 			if err := img.writeSeed(v, g, seed); err != nil {
-				return written, fmt.Errorf("tailbench: burst page %v: %w", vm.PageID{VM: v.ID, GFN: g}, err)
+				return written, fmt.Errorf("tailbench: burst page %v: %w", v.PageID(g), err)
 			}
 			written++
 		}

@@ -53,7 +53,7 @@ func (b *Balloon) Reclaim(frames int) int {
 // to want sole-mapper base pages.
 func (b *Balloon) reclaimFrom(v *VM, want int) int {
 	freed := 0
-	for g := GFN(len(v.table)); g > 0 && freed < want; {
+	for g := len(v.table); g > 0 && freed < want; {
 		g--
 		e := &v.table[g]
 		if !e.present {
@@ -62,7 +62,7 @@ func (b *Balloon) reclaimFrom(v *VM, want int) int {
 		if b.hv.Phys.Get(mem.PFN(e.pfn)).Refs() != 1 {
 			continue // shared or engine-held: releasing frees nothing
 		}
-		v.Release(g)
+		v.Release(GFN(g))
 		b.Inflated++
 		freed++
 	}

@@ -64,7 +64,7 @@ func TestBalloonSkipsSharedFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst, _ := a.Resolve(1)
-	if _, err := h.Merge(PageID{b.ID, 1}, dst); err != nil {
+	if _, err := h.Merge(b.PageID(1), dst); err != nil {
 		t.Fatal(err)
 	}
 	bal := NewBalloon(h)

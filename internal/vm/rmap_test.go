@@ -95,7 +95,7 @@ type rmapProgram struct {
 
 // page picks a random guest page.
 func (g *rmapProgram) page() PageID {
-	return PageID{g.r.Intn(g.nVM), GFN(g.r.Intn(g.nPg))}
+	return PageID{int32(g.r.Intn(g.nVM)), GFN(g.r.Intn(g.nPg))}
 }
 
 // mapped picks a random present page's frame, or reports false.
@@ -108,7 +108,7 @@ func (g *rmapProgram) mapped() (mem.PFN, bool) {
 func (g *rmapProgram) step() {
 	t, h, m := g.t, g.h, g.m
 	id := g.page()
-	v := h.VM(id.VM)
+	v := h.VM(int(id.VM))
 	switch op := g.r.Intn(10); op {
 	case 0: // Touch
 		if err := v.Touch(id.GFN); err != nil {
@@ -234,7 +234,7 @@ func (g *rmapProgram) compare() {
 	for vmID := range g.nVM {
 		v := h.VM(vmID)
 		for gfn := GFN(0); int(gfn) < g.nPg; gfn++ {
-			id := PageID{vmID, gfn}
+			id := v.PageID(gfn)
 			pfn, present := v.Resolve(gfn)
 			wantPFN, wantPresent := m.frame[id]
 			if present != wantPresent || (present && (pfn != wantPFN || v.WriteProtected(gfn) != m.prot[id])) {
@@ -281,7 +281,7 @@ func TestSetStateRejectsInconsistentRmap(t *testing.T) {
 	a.Touch(0)
 	b.Touch(0)
 	dst, _ := b.Resolve(0)
-	if _, err := h.Merge(PageID{a.ID, 0}, dst); err != nil {
+	if _, err := h.Merge(a.PageID(0), dst); err != nil {
 		t.Fatal(err)
 	}
 	a.Write(1, 0, []byte{1})
@@ -290,7 +290,7 @@ func TestSetStateRejectsInconsistentRmap(t *testing.T) {
 		"listed twice":  func(st *HypervisorState) { st.Rmap[dst] = append(st.Rmap[dst], st.Rmap[dst][0]) },
 		"wrong frame":   func(st *HypervisorState) { st.Rmap[other] = append(st.Rmap[other], st.Rmap[dst][0]) },
 		"missing":       func(st *HypervisorState) { st.Rmap[dst] = st.Rmap[dst][1:] },
-		"no such page":  func(st *HypervisorState) { st.Rmap[dst] = append(st.Rmap[dst], PageID{a.ID, 2}) },
+		"no such page":  func(st *HypervisorState) { st.Rmap[dst] = append(st.Rmap[dst], a.PageID(2)) },
 		"no such VM":    func(st *HypervisorState) { st.Rmap[dst] = append(st.Rmap[dst], PageID{2, 0}) },
 		"frame too far": func(st *HypervisorState) { st.VMs[a.ID].Table[1].PFN = 8 },
 	} {

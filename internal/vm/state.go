@@ -121,7 +121,7 @@ func (h *Hypervisor) relink(rmap [][]PageID) error {
 	for pfn, ids := range rmap {
 		at := &h.heads[pfn]
 		for _, id := range ids {
-			if id.VM < 0 || id.VM >= len(h.vms) || id.GFN >= GFN(len(h.vms[id.VM].table)) {
+			if id.VM < 0 || int(id.VM) >= len(h.vms) || int(id.GFN) >= len(h.vms[id.VM].table) {
 				return fmt.Errorf("vm: restore rmap of frame %d names %v, which does not exist", pfn, id)
 			}
 			e := &h.vms[id.VM].table[id.GFN]
@@ -136,7 +136,7 @@ func (h *Hypervisor) relink(rmap [][]PageID) error {
 	for _, v := range h.vms {
 		for g := range v.table {
 			if v.table[g].next == unlinked {
-				return fmt.Errorf("vm: restore rmap misses present page %v", PageID{v.ID, GFN(g)})
+				return fmt.Errorf("vm: restore rmap misses present page %v", v.PageID(GFN(g)))
 			}
 		}
 	}

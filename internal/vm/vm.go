@@ -15,13 +15,18 @@ import (
 )
 
 // GFN is a guest frame number (guest-physical page index within one VM).
-type GFN uint64
+// It fits 32 bits because NewVM panics past 2^32 guest pages.
+type GFN uint32
 
-// PageID names one guest page globally: the VM and the guest frame.
+// PageID names one guest page globally: the VM and the guest frame, in 8
+// bytes. The VM fits an int32 because NewVM panics past 2^31 VMs.
 type PageID struct {
-	VM  int
+	VM  int32
 	GFN GFN
 }
+
+// PageID names the VM's guest page g.
+func (v *VM) PageID(g GFN) PageID { return PageID{int32(v.ID), g} }
 
 // String renders the ID for diagnostics.
 func (p PageID) String() string { return fmt.Sprintf("vm%d:gfn%d", p.VM, p.GFN) }
@@ -57,7 +62,7 @@ func keyOf(id PageID) pageKey { return pageKey(uint64(id.VM)<<32|uint64(id.GFN))
 
 func (k pageKey) id() PageID {
 	k--
-	return PageID{VM: int(k >> 32), GFN: GFN(uint32(k))}
+	return PageID{VM: int32(k >> 32), GFN: GFN(k)}
 }
 
 // VM is one virtual machine instance.
@@ -178,8 +183,8 @@ func (v *VM) entry(g GFN) *mapping {
 // Madvise marks [start, start+n) mergeable or not, mirroring the
 // MADV_MERGEABLE hint a guest's deployment gives KSM.
 func (v *VM) Madvise(start GFN, n int, mergeable bool) {
-	for g := start; g < start+GFN(n); g++ {
-		v.entry(g).mergeable = mergeable
+	for i := range n {
+		v.entry(start + GFN(i)).mergeable = mergeable
 	}
 }
 
@@ -199,7 +204,7 @@ func (h *Hypervisor) AppendMergeable(dst []PageID) []PageID {
 	for _, v := range h.vms {
 		for g := range v.table {
 			if v.table[g].mergeable {
-				dst = append(dst, PageID{v.ID, GFN(g)})
+				dst = append(dst, v.PageID(GFN(g)))
 			}
 		}
 	}
@@ -252,7 +257,7 @@ func (v *VM) fault(g GFN) (*mapping, error) {
 	e.pfn = uint32(pfn)
 	e.present = true
 	e.writeProt = false
-	v.hv.rmapAdd(keyOf(PageID{v.ID, g}), e)
+	v.hv.rmapAdd(keyOf(v.PageID(g)), e)
 	return e, nil
 }
 
@@ -308,7 +313,7 @@ func (v *VM) Write(g GFN, off int, src []byte) (cowBroke bool, err error) {
 	}
 	v.hv.Phys.WriteAt(mem.PFN(e.pfn), off, src)
 	if v.hv.OnWrite != nil {
-		v.hv.OnWrite(PageID{v.ID, g}, off, src)
+		v.hv.OnWrite(v.PageID(g), off, src)
 	}
 	return cowBroke, nil
 }
@@ -330,7 +335,7 @@ func (v *VM) WriteSeed(g GFN, seed uint64) (cowBroke bool, err error) {
 			h.seedPage = make([]byte, mem.PageSize)
 		}
 		mem.FillPage(h.seedPage, seed, 0)
-		h.OnWrite(PageID{v.ID, g}, 0, h.seedPage)
+		h.OnWrite(v.PageID(g), 0, h.seedPage)
 	}
 	return cowBroke, nil
 }
@@ -360,7 +365,7 @@ func (v *VM) breakCoW(g GFN, e *mapping) error {
 		v.hv.Phys.SetCoW(old, false)
 		v.hv.Unmerges++
 		if v.hv.OnCoWBreak != nil {
-			v.hv.OnCoWBreak(PageID{v.ID, g}, old, old)
+			v.hv.OnCoWBreak(v.PageID(g), old, old)
 		}
 		return nil
 	}
@@ -371,7 +376,7 @@ func (v *VM) breakCoW(g GFN, e *mapping) error {
 		return err
 	}
 	v.hv.Phys.CopyPage(fresh, old)
-	k := keyOf(PageID{v.ID, g})
+	k := keyOf(v.PageID(g))
 	v.hv.rmapRemove(old, k)
 	v.hv.Phys.DecRef(old)
 	e.pfn = uint32(fresh)
@@ -379,7 +384,7 @@ func (v *VM) breakCoW(g GFN, e *mapping) error {
 	v.hv.rmapAdd(k, e)
 	v.hv.Unmerges++
 	if v.hv.OnCoWBreak != nil {
-		v.hv.OnCoWBreak(PageID{v.ID, g}, old, fresh)
+		v.hv.OnCoWBreak(v.PageID(g), old, fresh)
 	}
 	return nil
 }
@@ -392,13 +397,13 @@ func (v *VM) Release(g GFN) {
 	}
 	pfn := mem.PFN(e.pfn)
 	if v.hv.OnEvict != nil {
-		v.hv.OnEvict(PageID{v.ID, g}, pfn)
+		v.hv.OnEvict(v.PageID(g), pfn)
 	}
-	v.hv.rmapRemove(pfn, keyOf(PageID{v.ID, g}))
+	v.hv.rmapRemove(pfn, keyOf(v.PageID(g)))
 	v.hv.Phys.DecRef(pfn)
 	*e = mapping{mergeable: e.mergeable}
 	if v.hv.OnRelease != nil {
-		v.hv.OnRelease(PageID{v.ID, g})
+		v.hv.OnRelease(v.PageID(g))
 	}
 }
 

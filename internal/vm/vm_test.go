@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -11,6 +12,14 @@ import (
 
 func newHV(frames int) *Hypervisor {
 	return NewHypervisor(uint64(frames) * mem.PageSize)
+}
+
+// TestPageIDLayout pins the packed page ID: a 32-bit VM and a 32-bit GFN,
+// the unit of every scan order, shard queue and image page list.
+func TestPageIDLayout(t *testing.T) {
+	if n := unsafe.Sizeof(PageID{}); n != 8 {
+		t.Fatalf("PageID is %d bytes, want 8", n)
+	}
 }
 
 func TestSoftFaultZeroFill(t *testing.T) {
@@ -69,7 +78,7 @@ func TestAccessPastPageEndRejected(t *testing.T) {
 	a.Write(0, 0, content)
 	b.Write(0, 0, content)
 	pb, _ := b.Resolve(0)
-	if _, err := h.Merge(PageID{a.ID, 0}, pb); err != nil {
+	if _, err := h.Merge(a.PageID(0), pb); err != nil {
 		t.Fatal(err)
 	}
 	observed := 0
@@ -114,7 +123,7 @@ func TestMergeSharesFrame(t *testing.T) {
 		t.Fatalf("frames before merge = %d", h.Phys.AllocatedFrames())
 	}
 	dst, _ := b.Resolve(0)
-	n, err := h.Merge(PageID{a.ID, 0}, dst)
+	n, err := h.Merge(a.PageID(0), dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +165,7 @@ func TestMergeDetectsRacingWrite(t *testing.T) {
 	h.Phys.WriteAt(pb, 0, []byte{99})
 	pa, _ := a.Resolve(0)
 	_ = pa
-	if _, err := h.Merge(PageID{a.ID, 0}, pb); err != ErrContentChanged {
+	if _, err := h.Merge(a.PageID(0), pb); err != ErrContentChanged {
 		t.Fatalf("err = %v, want ErrContentChanged", err)
 	}
 	if h.Phys.AllocatedFrames() != 2 {
@@ -176,7 +185,7 @@ func TestCoWBreakOnWriteToMergedPage(t *testing.T) {
 	a.Write(0, 0, content)
 	b.Write(0, 0, content)
 	dst, _ := b.Resolve(0)
-	if _, err := h.Merge(PageID{a.ID, 0}, dst); err != nil {
+	if _, err := h.Merge(a.PageID(0), dst); err != nil {
 		t.Fatal(err)
 	}
 	// Guest A writes: must get a private copy; B's view unchanged.
@@ -216,7 +225,7 @@ func TestCoWBreakSoleMapperReusesFrame(t *testing.T) {
 	a.Write(0, 0, content)
 	b.Write(0, 0, content)
 	dst, _ := b.Resolve(0)
-	h.Merge(PageID{a.ID, 0}, dst)
+	h.Merge(a.PageID(0), dst)
 	// B breaks away first (copy), then A is the sole mapper and its write
 	// should reuse the frame in place without allocating.
 	b.Write(0, 0, []byte{9})
@@ -262,7 +271,7 @@ func TestWriteSeed(t *testing.T) {
 				a.Write(0, 0, content)
 				b.Write(0, 0, content)
 				pb, _ := b.Resolve(0)
-				if _, err := h.Merge(PageID{a.ID, 0}, pb); err != nil {
+				if _, err := h.Merge(a.PageID(0), pb); err != nil {
 					t.Fatal(err)
 				}
 				if tc.sole {
@@ -272,14 +281,14 @@ func TestWriteSeed(t *testing.T) {
 			old, _ := a.Resolve(0)
 			var breaks [][2]mem.PFN
 			h.OnCoWBreak = func(id PageID, o, fresh mem.PFN) {
-				if id != (PageID{a.ID, 0}) {
+				if id != a.PageID(0) {
 					t.Fatalf("OnCoWBreak for %v, want the writer's page", id)
 				}
 				breaks = append(breaks, [2]mem.PFN{o, fresh})
 			}
 			var seen []byte
 			h.OnWrite = func(id PageID, off int, data []byte) {
-				if id != (PageID{a.ID, 0}) || off != 0 {
+				if id != a.PageID(0) || off != 0 {
 					t.Fatalf("OnWrite at %v offset %d, want the writer's page at 0", id, off)
 				}
 				seen = append([]byte(nil), data...)
@@ -334,7 +343,7 @@ func TestThreeWayMergeRefcounts(t *testing.T) {
 	}
 	dst, _ := vms[0].Resolve(0)
 	for _, v := range vms[1:] {
-		if _, err := h.Merge(PageID{v.ID, 0}, dst); err != nil {
+		if _, err := h.Merge(v.PageID(0), dst); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -392,8 +401,8 @@ func TestMergeAlreadyMergedIsNoop(t *testing.T) {
 	a.Write(0, 0, c)
 	b.Write(0, 0, c)
 	dst, _ := b.Resolve(0)
-	h.Merge(PageID{a.ID, 0}, dst)
-	n, err := h.Merge(PageID{a.ID, 0}, dst)
+	h.Merge(a.PageID(0), dst)
+	n, err := h.Merge(a.PageID(0), dst)
 	if err != nil || n != 0 {
 		t.Fatalf("re-merge: n=%d err=%v", n, err)
 	}
@@ -408,7 +417,7 @@ func TestMergeUnbackedCandidate(t *testing.T) {
 	b := h.NewVM(mem.PageSize)
 	b.Write(0, 0, []byte{1})
 	dst, _ := b.Resolve(0)
-	if _, err := h.Merge(PageID{a.ID, 0}, dst); err != ErrNotPresent {
+	if _, err := h.Merge(a.PageID(0), dst); err != ErrNotPresent {
 		t.Fatalf("err = %v, want ErrNotPresent", err)
 	}
 }
@@ -430,7 +439,7 @@ func TestIsolationUnderRandomMergeTraffic(t *testing.T) {
 		for op := 0; op < 80; op++ {
 			v := vms[r.Intn(nVM)]
 			g := GFN(r.Intn(nPg))
-			id := PageID{v.ID, g}
+			id := v.PageID(g)
 			switch {
 			case r.Bool(0.6): // write a full page of some small value
 				val := byte(r.Intn(4))
@@ -441,7 +450,7 @@ func TestIsolationUnderRandomMergeTraffic(t *testing.T) {
 			default: // try to merge with any other content-equal page
 				for _, o := range vms {
 					for og := GFN(0); og < nPg; og++ {
-						oid := PageID{o.ID, og}
+						oid := o.PageID(og)
 						if oid == id {
 							continue
 						}
