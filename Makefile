@@ -121,17 +121,20 @@ smoke:
 	echo smoke OK
 
 # fuzz gives the ECC encoder, ECC decoder, page-key, snapshot-codec,
-# frame-store and KSM item-slab contracts a short native-fuzzing budget per
-# target (raise FUZZTIME for a real campaign). The table-driven encoder must match the
-# popcount reference on any word; any ≤2-bit corruption must be corrected or
-# detected, never silently miscorrected; any mutated snapshot envelope must
-# be rejected with a typed error, never decoded into garbage or a panic; any
-# program of frame operations must leave the copy-on-write slot store, its
-# seeded frames and their line patches (patched seeds) equal to a flat
-# arena, with free frames on the zero page, every patch block held once or
-# free, and one slot per distinct content after every restore; any program
-# of KSM hash records, checks and restores must leave the per-VM item slabs
-# equal to the map tracker they replaced.
+# frame-store, KSM item-slab and L3 tag-store contracts a short
+# native-fuzzing budget per target (raise FUZZTIME for a real campaign). The
+# table-driven encoder must match the popcount reference on any word; any
+# ≤2-bit corruption must be corrected or detected, never silently
+# miscorrected; any mutated snapshot envelope must be rejected with a typed
+# error, never decoded into garbage or a panic; any program of frame
+# operations must leave the copy-on-write slot store, its seeded frames and
+# their line patches (patched seeds) equal to a flat arena, with free frames
+# on the zero page, every patch block held once or free in the arena of its
+# patch's line count, and one slot per distinct content after every restore;
+# any program of KSM hash records, checks and restores must leave the per-VM
+# item slabs equal to the map tracker they replaced; any stream of L3
+# lookups, fills and probes, over any way and set count and across the
+# 32-bit stamp counter's wrap, must give the reference LRU cache's verdicts.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzEncodeTable$$' -fuzztime=$(FUZZTIME) ./internal/ecc/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/ecc/
@@ -139,6 +142,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotDecode$$' -fuzztime=$(FUZZTIME) ./internal/snapshot/
 	$(GO) test -run='^$$' -fuzz='^FuzzPhysOps$$' -fuzztime=$(FUZZTIME) ./internal/mem/
 	$(GO) test -run='^$$' -fuzz='^FuzzItemSlab$$' -fuzztime=$(FUZZTIME) ./internal/ksm/
+	$(GO) test -run='^$$' -fuzz='^FuzzCacheLRU$$' -fuzztime=$(FUZZTIME) ./internal/cache/
 
 # cover measures cross-package statement coverage over the whole test
 # suite and fails when the total drops below COVER_FLOOR percent. It prints

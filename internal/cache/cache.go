@@ -9,7 +9,11 @@
 // supplied by the network, not the DRAM.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
 
 // LineSize is the cache-line size in bytes (Table 2: 64B everywhere).
 const LineSize = 64
@@ -30,19 +34,19 @@ func (c Config) Sets() int {
 	return s
 }
 
-// line is one way of the tag store. key is the line number plus one, so
-// the zero value is an invalid way.
-type line struct {
-	key uint64
-	lru uint64
-}
-
-// Cache is one set-associative cache array.
+// Cache is one set-associative cache array. Its tag store keeps two
+// parallel arrays of 32-bit words, 8 bytes a way: a way's tag is its line
+// number divided by the set count, plus one, so 0 is an invalid way, and
+// its stamp is the access counter's value when the way was last touched,
+// so the set's least recently used valid way holds its lowest stamp.
 type Cache struct {
-	ways  int
-	nsets uint64
-	lines []line // set-major: set s holds lines[s*ways : (s+1)*ways]
-	tick  uint64
+	ways   int
+	nsets  uint64
+	pow2   bool     // nsets is a power of two: index by mask and shift
+	shift  uint     // log2(nsets) when pow2
+	tags   []uint32 // set-major: set s holds tags[s*ways : (s+1)*ways]
+	stamps []uint32 // parallel to tags
+	tick   uint32   // the last stamp handed out; 0 until the first insert
 
 	Hits   uint64
 	Misses uint64
@@ -54,33 +58,84 @@ func NewCache(cfg Config) *Cache {
 		panic(fmt.Sprintf("cache: bad config %+v", cfg))
 	}
 	sets := cfg.Sets()
-	return &Cache{ways: cfg.Ways, nsets: uint64(sets), lines: make([]line, sets*cfg.Ways)}
+	return &Cache{
+		ways:   cfg.Ways,
+		nsets:  uint64(sets),
+		pow2:   sets&(sets-1) == 0,
+		shift:  uint(bits.TrailingZeros64(uint64(sets))),
+		tags:   make([]uint32, sets*cfg.Ways),
+		stamps: make([]uint32, sets*cfg.Ways),
+	}
 }
 
-// set returns the ways of the line's set and the line's tag-store key.
-func (c *Cache) set(addr uint64) ([]line, uint64) {
+// set returns the index of the first way of the line's set and the line's
+// tag. A line whose tag does not fit 32 bits panics: every address the
+// simulator issues is far below that.
+func (c *Cache) set(addr uint64) (int, uint32) {
 	n := addr / LineSize
-	s := int(n % c.nsets)
-	return c.lines[s*c.ways : (s+1)*c.ways], n + 1
+	var s, t uint64
+	if c.pow2 {
+		s, t = n&(c.nsets-1), n>>c.shift
+	} else {
+		s, t = n%c.nsets, n/c.nsets
+	}
+	if t >= math.MaxUint32 {
+		panic(fmt.Sprintf("cache: address %#x does not fit the 32-bit tag store", addr))
+	}
+	return int(s) * c.ways, uint32(t) + 1
 }
 
-// find returns the way holding the line, or nil.
-func (c *Cache) find(addr uint64) *line {
-	set, key := c.set(addr)
-	for i := range set {
-		if set[i].key == key {
-			return &set[i]
+// find returns the index of the way holding the line, or -1.
+func (c *Cache) find(addr uint64) int {
+	base, tag := c.set(addr)
+	for i, t := range c.tags[base : base+c.ways] {
+		if t == tag {
+			return base + i
 		}
 	}
-	return nil
+	return -1
+}
+
+// stamp hands out the next access stamp, renumbering the sets' stamps
+// first when the counter would wrap.
+func (c *Cache) stamp() uint32 {
+	if c.tick == math.MaxUint32 {
+		c.renumber()
+	}
+	c.tick++
+	return c.tick
+}
+
+// renumber replaces every valid way's stamp by its rank in its set, 1 for
+// the least recently used, and restarts the counter at the highest rank.
+// Replacement reads only the order of a set's stamps, which ranks keep, so
+// every later victim is the one an unbounded counter would pick.
+func (c *Cache) renumber() {
+	old := make([]uint32, c.ways)
+	c.tick = 0
+	for base := 0; base < len(c.tags); base += c.ways {
+		tags, stamps := c.tags[base:base+c.ways], c.stamps[base:base+c.ways]
+		copy(old, stamps)
+		for i := range stamps {
+			r := uint32(0)
+			if tags[i] != 0 {
+				for j, s := range old {
+					if tags[j] != 0 && s <= old[i] {
+						r++
+					}
+				}
+			}
+			stamps[i] = r
+			c.tick = max(c.tick, r)
+		}
+	}
 }
 
 // Lookup reports whether the line is present, updating hit/miss counters
 // and LRU on hit.
 func (c *Cache) Lookup(addr uint64) bool {
-	if l := c.find(addr); l != nil {
-		c.tick++
-		l.lru = c.tick
+	if i := c.find(addr); i >= 0 {
+		c.stamps[i] = c.stamp()
 		c.Hits++
 		return true
 	}
@@ -89,35 +144,37 @@ func (c *Cache) Lookup(addr uint64) bool {
 }
 
 // Peek is Lookup without statistics or LRU side effects (network probes).
-func (c *Cache) Peek(addr uint64) bool { return c.find(addr) != nil }
+// Before the first insert the cache holds nothing, so no set is walked.
+func (c *Cache) Peek(addr uint64) bool { return c.tick != 0 && c.find(addr) >= 0 }
 
 // Insert allocates the line as most recently used, displacing the set's
 // first invalid way, else its least recently used one.
 func (c *Cache) Insert(addr uint64) {
-	set, key := c.set(addr)
-	victim := &set[0]
-	for i := range set {
-		if set[i].key == 0 {
-			victim = &set[i]
+	base, tag := c.set(addr)
+	tags, stamps := c.tags[base:base+c.ways], c.stamps[base:base+c.ways]
+	victim := 0
+	for i, t := range tags {
+		if t == 0 {
+			victim = i
 			break
 		}
-		if set[i].lru < victim.lru {
-			victim = &set[i]
+		if stamps[i] < stamps[victim] {
+			victim = i
 		}
 	}
-	c.tick++
-	*victim = line{key: key, lru: c.tick}
+	s := c.stamp()
+	tags[victim], stamps[victim] = tag, s
 }
 
 // Occupancy reports the fraction of ways holding valid lines; tests use it.
 func (c *Cache) Occupancy() float64 {
 	valid := 0
-	for i := range c.lines {
-		if c.lines[i].key != 0 {
+	for _, t := range c.tags {
+		if t != 0 {
 			valid++
 		}
 	}
-	return float64(valid) / float64(len(c.lines))
+	return float64(valid) / float64(len(c.tags))
 }
 
 // MissRate reports misses / (hits+misses), 0 when idle.

@@ -64,20 +64,6 @@ func TestRASSweepShape(t *testing.T) {
 	}
 }
 
-func TestRASSweepDeterminism(t *testing.T) {
-	a, err := RAS(NewFastSuite())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RAS(NewFastSuite())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("sweep not deterministic:\n%v\n%v", a, b)
-	}
-}
-
 // TestFaultedSuiteParallelDeterminism verifies the suite-level guarantee
 // survives fault injection: with a fault model attached, the parallel and
 // sequential (mode × app) matrices are bit-identical.

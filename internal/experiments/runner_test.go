@@ -57,6 +57,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 // points share no mutable state and rows land in grid order. verify,
 // pressure and crash run smaller grids through their unexported entries,
 // and the app's image is shrunk to 4 VMs of 100 pages, to keep the test short.
+// verify's two scenarios are one faulted and one fault-free, so both
+// regimes are held to the sequential run.
 func TestStudiesParallelMatchSequential(t *testing.T) {
 	grid := func(name string, run func(*Suite) (fmt.Stringer, error)) Experiment {
 		return Experiment{Name: name, Run: func(s *Suite) ([]Artifact, error) {
@@ -92,6 +94,9 @@ func TestStudiesParallelMatchSequential(t *testing.T) {
 		}
 		if !reflect.DeepEqual(arts[0], arts[1]) {
 			t.Errorf("%s: artifacts at parallelism 4 differ from parallelism 1:\n%+v\n%+v", e.Name, arts[1], arts[0])
+		}
+		if v, ok := arts[0][0].Value.(*VerifyResult); ok && (v.Faulted.Scenarios == 0 || v.FaultFree.Scenarios == 0) {
+			t.Errorf("verify ran %d faulted and %d fault-free scenarios, want both regimes", v.Faulted.Scenarios, v.FaultFree.Scenarios)
 		}
 	}
 }

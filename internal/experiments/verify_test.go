@@ -39,21 +39,6 @@ func TestVerifySweepPasses(t *testing.T) {
 	}
 }
 
-func TestVerifyIsDeterministic(t *testing.T) {
-	run := func(par int) *VerifyResult {
-		s := NewFastSuite()
-		s.Parallelism = par
-		res, err := verify(s, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	if a, b := run(1), run(6); *a != *b {
-		t.Fatalf("verify sweep depends on parallelism:\n%+v\n%+v", a, b)
-	}
-}
-
 // TestVerifyShrinksInjectedBug substitutes the scenario runner with one
 // carrying an intentional oracle bug — it rejects any scenario with ≥3 VMs
 // and a duplicated region — and checks the sweep catches it and shrinks it

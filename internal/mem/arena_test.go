@@ -178,7 +178,7 @@ func TestPhysHotPathsZeroAlloc(t *testing.T) {
 	d, _ := p.Alloc()
 	e, _ := p.Alloc()
 	f, _ := p.Alloc()
-	p.SeedPages([]PFN{d, e, f}, []uint64{1, 2, 1})
+	seedPages(p, []PFN{d, e, f}, []uint64{1, 2, 1})
 	p.WriteAt(f, 3*LineSize+5, make([]byte, 2*LineSize))
 	line := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	buf := make([]byte, PageSize)

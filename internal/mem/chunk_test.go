@@ -293,13 +293,14 @@ func TestPhysSetStateRejectsMalformedImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, bad := range map[string]func(st *PhysState){
-		"ragged pages":        func(st *PhysState) { st.Pages = st.Pages[:PageSize-1] },
-		"index past pages":    func(st *PhysState) { st.PageIndex[pfn] = 2 },
-		"negative index":      func(st *PhysState) { st.PageIndex[pfn] = -1 },
-		"free frame content":  func(st *PhysState) { st.PageIndex[pfn+1] = 1 },
-		"negative refcount":   func(st *PhysState) { st.Frames[pfn].Refs = -1 },
-		"free frame twice":    func(st *PhysState) { st.Free = append(st.Free, st.Free[0]) },
-		"free frame past end": func(st *PhysState) { st.Free[0] = 4 },
+		"ragged pages":          func(st *PhysState) { st.Pages = st.Pages[:PageSize-1] },
+		"index past pages":      func(st *PhysState) { st.PageIndex[pfn] = 2 },
+		"negative index":        func(st *PhysState) { st.PageIndex[pfn] = -1 },
+		"free frame content":    func(st *PhysState) { st.PageIndex[pfn+1] = 1 },
+		"negative refcount":     func(st *PhysState) { st.Frames[pfn].Refs = -1 },
+		"refcount past 30 bits": func(st *PhysState) { st.Frames[pfn].Refs = maxRefs + 1 },
+		"free frame twice":      func(st *PhysState) { st.Free = append(st.Free, st.Free[0]) },
+		"free frame past end":   func(st *PhysState) { st.Free[0] = 4 },
 	} {
 		st, _ := p.State()
 		bad(&st)

@@ -17,7 +17,7 @@ import (
 //
 // Every byte of a page is addressable without the bytes before it being
 // stored: FillPage writes any range, and the store reads seeded frames
-// through it (see SeedPages) instead of keeping their bytes.
+// through it (see SeedPage) instead of keeping their bytes.
 
 // pageGen walks one seeded page's words in order. It is a value, so a
 // reader that stops mid-page can resume where it stopped.

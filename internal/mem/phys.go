@@ -17,36 +17,39 @@
 // through a freelist, so the store is bounded by the distinct pages the
 // allocated frames hold.
 //
-// A frame can also point at a seed instead of a slot (SeedPage, SeedPages):
-// it then reads as the page FillPage generates from the seed, and no store
-// slot holds its bytes. A partial write (WriteAt of less than a whole page)
-// over a seeded frame patches it instead of storing it: the 64B lines the
-// write touches are kept, in line order, in a 1KB block of a patch arena
-// beside the seed table, and the frame reads as its seed's page with those
-// lines laid over it. Seed table entries and patch blocks are recycled like
-// slots, so the table is bounded by the frames seeded at once. Reads answer
-// seeded frames from their seeds and patches, into storage the reader owns
-// or as views of a patch's lines, and no read stores them: ReadAt into the
-// caller's buffer; ReadLine from the patch, or from a small cache of partly
-// generated pages; SamePage and ComparePage by generating only the words
-// they compare, starting past both pages' zero prefixes, and for two frames
-// on the same seed only the lines either has patched; IsZero from the
-// seed's zero prefix; ContentKey and State from the generator's stream. A
-// seeded frame materializes — moves into a fresh slot of its own that its
-// bytes are generated into — only when a write would patch more lines than
-// a block holds, or a Page view needs its bytes stored; a whole-page write
+// A frame can also point at a seed instead of a slot (SeedPage): it then
+// reads as the page FillPage generates from the seed, and no store slot
+// holds its bytes. A partial write (WriteAt of less than a whole page) over
+// a seeded frame patches it instead of storing it: the 64B lines the write
+// touches are kept, in line order, in a block of exactly that many lines,
+// from one of 16 patch arenas (one per line count) beside the seed table,
+// and the frame reads as its seed's page with those lines laid over it; a
+// write that adds lines moves the patch into a block of its new size. Seed
+// table entries and patch blocks are recycled like slots, so the table is
+// bounded by the frames seeded at once. Reads answer seeded frames from
+// their seeds and patches, into storage the reader owns or as views of a
+// patch's lines, and no read stores them: ReadAt into the caller's buffer;
+// ReadLine from the patch, or from a small cache of partly generated pages;
+// SamePage and ComparePage by generating only the words they compare,
+// starting past both pages' zero prefixes, and for two frames on the same
+// seed only the lines either has patched; IsZero from the seed's zero
+// prefix; ContentKey and State from the generator's stream. A seeded frame
+// materializes — moves into a fresh slot of its own that its bytes are
+// generated into — only when a write would patch more lines than a patch
+// holds (16), or a Page view needs its bytes stored; a whole-page write
 // drops the seed and its patch. The generator is pure: FillPage(dst, seed,
 // off) writes any range of the page, equal seeds give equal pages, and it
 // reports the page's exact zero prefix, so concurrent readers may read
 // seeds at once.
 //
 // The per-frame bookkeeping is flat and holds no pointers, so the garbage
-// collector has nothing in it to scan: a 12-byte Frame and a 4-byte slot
-// refcount per frame, and one bit per frame in the free-frame bitmap, from
-// which Alloc hands out the lowest free frame.
+// collector has nothing in it to scan: an 8-byte Frame (a refcount with the
+// CoW and dirty flags in its top bits, and a slot) per frame, and one bit
+// per frame in the free-frame bitmap, from which Alloc hands out the lowest
+// free frame. Slot refcounts cover only the slots handed out so far.
 //
 // All mutation goes through Phys methods: Alloc, AllocForCopy, CopyPage,
-// WriteAt, SeedPage, SeedPages and SetState. Page and ReadLine return
+// WriteAt, SeedPage (after ReserveSeeds) and SetState. Page and ReadLine return
 // read-only views that stay valid until the next write to that frame, and
 // ReadAt copies bytes out (see DESIGN.md §10 for the store's rules).
 package mem
@@ -73,16 +76,13 @@ const LinesPerPage = PageSize / LineSize
 // chunkSlots is the number of slots one store chunk backs (256 KiB).
 const chunkSlots = 64
 
-// patchLines is the number of dirty lines a patch block holds; a write
-// that would leave a seeded frame with more materializes it instead.
+// patchLines is the most dirty lines a patch holds; a write that would
+// leave a seeded frame with more materializes it instead.
 const patchLines = 16
 
-// patchBytes is the size of a patch block (1 KiB).
-const patchBytes = patchLines * LineSize
-
-// patchChunkBlocks is the number of blocks one patch-arena chunk holds
-// (64 KiB).
-const patchChunkBlocks = 64
+// patchChunkBlocks is the number of blocks one chunk of a patch arena
+// holds: 1 KiB of one-line blocks up to 16 KiB of 16-line ones.
+const patchChunkBlocks = 16
 
 // zeroSlot is the slot number of the shared zero page. Real slots are
 // numbered from 1, so a zero Frame points at the zero page.
@@ -117,30 +117,55 @@ func LineIndexOf(a Addr) int { return int(a % PageSize / LineSize) }
 // rather than treating it as fatal.
 var ErrOutOfFrames = errors.New("mem: out of physical frames")
 
-// Frame is the per-frame metadata the hypervisor tracks: 12 bytes, with no
+// Frame is the per-frame metadata the hypervisor tracks: 8 bytes, with no
 // pointer for the garbage collector to scan.
 type Frame struct {
-	refs  int32 // number of guest mappings pointing at this frame
-	cow   bool  // write-protected shared frame (merged or pre-CoW)
-	dirty bool  // bytes may be nonzero from a previous owner
+	// word holds the number of guest mappings pointing at this frame in its
+	// low 30 bits, and the frameCoW and frameDirty flags above them.
+	word uint32
 	// slot holds the frame's bytes: zeroSlot for all zeroes, s >= 1 for
 	// store slot s, and -k for seed k, whose bytes are never stored.
 	slot int32
 }
 
+// The flags of Frame.word, above its refcount.
+const (
+	frameCoW   = 1 << 31 // write-protected shared frame (merged or pre-CoW)
+	frameDirty = 1 << 30 // bytes may be nonzero from a previous owner
+	// maxRefs is the most mappings a frame can count.
+	maxRefs = frameDirty - 1
+)
+
 // Refs reports the number of mappings sharing the frame.
-func (f *Frame) Refs() int { return int(f.refs) }
+func (f *Frame) Refs() int { return int(f.word & maxRefs) }
 
 // CoW reports whether the frame is write-protected copy-on-write.
-func (f *Frame) CoW() bool { return f.cow }
+func (f *Frame) CoW() bool { return f.word&frameCoW != 0 }
+
+// dirty reports whether the frame's bytes may be nonzero from a previous
+// owner.
+func (f *Frame) dirty() bool { return f.word&frameDirty != 0 }
 
 // patch is the set of lines a partial write dirtied on a seeded page: bit
-// i of mask is set for each dirty line i, and block names the patch block
-// that holds those lines in mask order, dirty line i at the index that
-// counts the dirty lines below it (lineAt).
+// i of mask is set for each dirty line i, and block names the block, in
+// the arena of blocks of as many lines as mask holds, that holds those
+// lines in mask order, dirty line i at the index that counts the dirty
+// lines below it (lineAt).
 type patch struct {
 	mask  uint64
 	block int32
+}
+
+// lines reports the number of lines the patch holds.
+func (q patch) lines() int { return bits.OnesCount64(q.mask) }
+
+// patchArena holds the patch blocks of one size. Block b >= 1 is window
+// (b-1)%patchChunkBlocks of chunks[(b-1)/patchChunkBlocks]; blocks up to
+// next that no patch holds are on free.
+type patchArena struct {
+	chunks [][]byte
+	free   []int32
+	next   int32
 }
 
 // lineAt reports the byte offset, in the block of a patch with the given
@@ -165,7 +190,9 @@ type Phys struct {
 
 	// The slot store. Slot s >= 1 is window (s-1)%chunkSlots of
 	// chunks[(s-1)/chunkSlots]; a chunk is nil until a slot in it is first
-	// handed out. slotRefs[s] counts the frames pointing at slot s. Only
+	// handed out. slotRefs[s] counts the frames pointing at slot s; it
+	// covers the slots below nextSlot, so a machine that stores nothing
+	// keeps no refcounts. Only
 	// allocated frames, and freed frames still pending in a deferred-free
 	// window, point at a real slot; every other free frame is on the zero
 	// page. Slots below nextSlot with no referencing frame are on
@@ -191,14 +218,11 @@ type Phys struct {
 
 	// The patches. patches[k] holds the lines written over seed k's page
 	// since it was seeded; the zero patch, with no block, for a plain seed.
-	// Block b >= 1 is window (b-1)%patchChunkBlocks of
-	// patchChunks[(b-1)/patchChunkBlocks]; blocks up to nextBlock that no
-	// entry holds are on freeBlocks. All of it is nil until the first
-	// partial write over a seed, and it is dropped with the seed table.
-	patches     []patch
-	patchChunks [][]byte
-	freeBlocks  []int32
-	nextBlock   int32
+	// A patch of n lines keeps them in a block of arenas[n-1], so it holds
+	// only the lines written. All of it is empty until the first partial
+	// write over a seed, and it is dropped with the seed table.
+	patches []patch
+	arenas  [patchLines]patchArena
 
 	// lines serves ReadLine on seeded frames; nil until the first such read.
 	lines *lineCache
@@ -231,7 +255,7 @@ func New(capacity uint64) *Phys {
 		freeBits: make([]uint64, (n+63)/64),
 		nfree:    n,
 		chunks:   make([][]byte, (n+chunkSlots-1)/chunkSlots),
-		slotRefs: make([]int32, n+1),
+		slotRefs: make([]int32, 1),
 		nextSlot: 1,
 	}
 	for w := range p.freeBits {
@@ -286,7 +310,7 @@ func (p *Phys) FreeFrames() int { return p.nfree }
 func (p *Phys) LiveSlots() int { return 1 + int(p.nextSlot-1) - len(p.freeSlots) + p.nseeds }
 
 // MaterializedPages reports how many times a seeded frame was given stored
-// bytes: by a write that would patch more lines than a block holds, or by
+// bytes: by a write that would patch more lines than a patch holds, or by
 // a Page view. Reads and writes that fit a patch never materialize.
 // It is host bookkeeping, like LiveSlots: no simulated value or PhysState
 // byte depends on it.
@@ -302,9 +326,15 @@ func (p *Phys) StoreBytes() int {
 	return n
 }
 
-// PatchBytes reports the bytes of the patch arena's chunks: what holding
+// PatchBytes reports the bytes of the patch arenas' chunks: what holding
 // the seeded frames' patched lines costs the host.
-func (p *Phys) PatchBytes() int { return len(p.patchChunks) * patchChunkBlocks * patchBytes }
+func (p *Phys) PatchBytes() int {
+	n := 0
+	for i := range p.arenas {
+		n += len(p.arenas[i].chunks) * patchChunkBlocks * (i + 1) * LineSize
+	}
+	return n
+}
 
 // back backs slot s's chunk if it is not yet, reporting whether it was
 // backed now (a fresh chunk is all zeroes).
@@ -349,6 +379,7 @@ func (p *Phys) newSlot(zeroed bool) int32 {
 	}
 	s := p.nextSlot
 	p.nextSlot++
+	p.slotRefs = append(p.slotRefs, 0)
 	p.back(s)
 	return s
 }
@@ -364,34 +395,44 @@ func (p *Phys) patchOf(s int32) patch {
 	return p.patches[-s]
 }
 
-// block returns patch block b's bytes (b >= 1), capped at the block
-// boundary.
-func (p *Phys) block(b int32) []byte {
-	i := int(b - 1)
-	base := i % patchChunkBlocks * patchBytes
-	return p.patchChunks[i/patchChunkBlocks][base : base+patchBytes : base+patchBytes]
+// block returns the bytes of patch q's block (q.mask != 0), capped at the
+// block boundary.
+func (p *Phys) block(q patch) []byte {
+	k, i := q.lines(), int(q.block-1)
+	n := k * LineSize
+	base := i % patchChunkBlocks * n
+	c := p.arenas[k-1].chunks[i/patchChunkBlocks]
+	return c[base : base+n : base+n]
 }
 
-// newBlock hands out a patch block no entry holds, preferring a recycled
-// one, whose bytes are stale: a patch only reads the lines it wrote.
-func (p *Phys) newBlock() int32 {
-	if n := len(p.freeBlocks); n > 0 {
-		b := p.freeBlocks[n-1]
-		p.freeBlocks = p.freeBlocks[:n-1]
+// newBlock hands out a block of n lines that no patch holds, preferring a
+// recycled one, whose bytes are stale: a patch only reads the lines it
+// wrote.
+func (p *Phys) newBlock(n int) int32 {
+	a := &p.arenas[n-1]
+	if k := len(a.free); k > 0 {
+		b := a.free[k-1]
+		a.free = a.free[:k-1]
 		return b
 	}
-	p.nextBlock++
-	if int(p.nextBlock-1)/patchChunkBlocks == len(p.patchChunks) {
-		p.patchChunks = append(p.patchChunks, make([]byte, patchChunkBlocks*patchBytes))
+	a.next++
+	if int(a.next-1)/patchChunkBlocks == len(a.chunks) {
+		a.chunks = append(a.chunks, make([]byte, patchChunkBlocks*n*LineSize))
 	}
-	return p.nextBlock
+	return a.next
 }
 
-// dropPatch returns seed k's patch block, if it holds one, to the
-// freelist, leaving the plain seed.
+// freeBlock returns patch q's block (q.mask != 0) to its arena's freelist.
+func (p *Phys) freeBlock(q patch) {
+	a := &p.arenas[q.lines()-1]
+	a.free = append(a.free, q.block)
+}
+
+// dropPatch returns seed k's patch block, if it holds one, to its arena,
+// leaving the plain seed.
 func (p *Phys) dropPatch(k int32) {
 	if q := p.patchOf(-k); q.mask != 0 {
-		p.freeBlocks = append(p.freeBlocks, q.block)
+		p.freeBlock(q)
 		p.patches[k] = patch{}
 	}
 }
@@ -403,7 +444,7 @@ func (p *Phys) overlay(dst []byte, s int32, off int) {
 	if q.mask == 0 {
 		return
 	}
-	blk := p.block(q.block)
+	blk := p.block(q)
 	end := off + len(dst)
 	for m, at := q.mask, 0; m != 0; m, at = m&(m-1), at+LineSize {
 		base := bits.TrailingZeros64(m) * LineSize
@@ -444,10 +485,10 @@ func (p *Phys) release(s int32) {
 	}
 }
 
-// dropSeeds drops the seed table and the patch arena.
+// dropSeeds drops the seed table and the patch arenas.
 func (p *Phys) dropSeeds() {
 	p.seeds, p.seedRefs, p.freeSeeds, p.nseeds = nil, nil, nil, 0
-	p.patches, p.patchChunks, p.freeBlocks, p.nextBlock = nil, nil, nil, 0
+	p.patches, p.arenas = nil, [patchLines]patchArena{}
 }
 
 // own gives frame f a slot no other frame points at and returns its
@@ -493,8 +534,7 @@ func (p *Phys) take() (PFN, error) {
 	p.nfree--
 	pfn := PFN(w*64 + b)
 	f := &p.frames[pfn]
-	f.refs = 1
-	f.cow = false
+	f.word = f.word&frameDirty | 1
 	p.allocated++
 	if p.allocated > p.peak {
 		p.peak = p.allocated
@@ -512,8 +552,8 @@ func (p *Phys) Alloc() (PFN, error) {
 	if err != nil {
 		return 0, err
 	}
-	if f := &p.frames[pfn]; f.dirty {
-		f.dirty = false
+	if f := &p.frames[pfn]; f.dirty() {
+		f.word &^= frameDirty
 		p.ZeroFills++
 	}
 	return pfn, nil
@@ -528,7 +568,7 @@ func (p *Phys) AllocForCopy() (PFN, error) {
 		return 0, err
 	}
 	// Whatever the caller writes, the frame no longer holds zeroes.
-	p.frames[pfn].dirty = true
+	p.frames[pfn].word |= frameDirty
 	return pfn, nil
 }
 
@@ -537,7 +577,7 @@ func (p *Phys) frame(pfn PFN) *Frame {
 		panic(fmt.Sprintf("mem: PFN %d out of range (%d frames)", pfn, len(p.frames)))
 	}
 	f := &p.frames[pfn]
-	if f.refs == 0 {
+	if f.word&maxRefs == 0 {
 		panic(fmt.Sprintf("mem: access to unallocated frame %d", pfn))
 	}
 	return f
@@ -550,12 +590,19 @@ func (p *Phys) Get(pfn PFN) *Frame { return p.frame(pfn) }
 // patrol scrubber uses it to walk the array without tripping the
 // unallocated-access panic.
 func (p *Phys) Allocated(pfn PFN) bool {
-	return int(pfn) < len(p.frames) && p.frames[pfn].refs > 0
+	return int(pfn) < len(p.frames) && p.frames[pfn].word&maxRefs != 0
 }
 
 // IncRef adds a mapping reference to the frame (page merging points an
-// additional guest page at it).
-func (p *Phys) IncRef(pfn PFN) { p.frame(pfn).refs++ }
+// additional guest page at it). A frame counts at most 2^30-1 mappings;
+// one more panics.
+func (p *Phys) IncRef(pfn PFN) {
+	f := p.frame(pfn)
+	if f.word&maxRefs == maxRefs {
+		panic(fmt.Sprintf("mem: frame %d already counts the most mappings a frame can (%d)", pfn, maxRefs))
+	}
+	f.word++
+}
 
 // DecRef drops a mapping reference; when the last reference is gone the
 // frame releases its slot, moves to the zero page and returns to the
@@ -564,13 +611,12 @@ func (p *Phys) IncRef(pfn PFN) { p.frame(pfn).refs++ }
 // and must not touch the slot store; EndDeferredFrees releases the slot.
 func (p *Phys) DecRef(pfn PFN) {
 	f := p.frame(pfn)
-	f.refs--
-	if f.refs != 0 {
+	if f.word--; f.word&maxRefs != 0 {
 		return
 	}
-	f.cow = false
-	// The page held guest data; the next zeroing Alloc must scrub it.
-	f.dirty = true
+	// The frame is no longer CoW, and the page held guest data: the next
+	// zeroing Alloc must scrub it.
+	f.word = frameDirty
 	if p.deferFrees {
 		p.mu.Lock()
 		p.allocated--
@@ -612,7 +658,13 @@ func (p *Phys) EndDeferredFrees() {
 }
 
 // SetCoW marks the frame write-protected (shared read-only).
-func (p *Phys) SetCoW(pfn PFN, cow bool) { p.frame(pfn).cow = cow }
+func (p *Phys) SetCoW(pfn PFN, cow bool) {
+	if f := p.frame(pfn); cow {
+		f.word |= frameCoW
+	} else {
+		f.word &^= frameCoW
+	}
+}
 
 // Page returns a read-only view of the frame's bytes, capped at the frame
 // boundary. The view may be shared with other frames holding the same
@@ -667,7 +719,7 @@ func (p *Phys) ReadLine(pfn PFN, i int) []byte {
 	}
 	if q := p.patchOf(s); q.mask>>i&1 != 0 {
 		at := lineAt(q.mask, i)
-		return p.block(q.block)[at : at+LineSize : at+LineSize]
+		return p.block(q)[at : at+LineSize : at+LineSize]
 	}
 	return p.seededLine(p.seed(s), i)
 }
@@ -725,7 +777,7 @@ func (p *Phys) seededLine(seed uint64, i int) []byte {
 // WriteAt stores src in the frame at byte offset off. A partial write over
 // a seeded frame patches it (patchWrite); a frame that shares its slot with
 // other frames, sits on the zero page, or is seeded and takes a whole-page
-// write or more patched lines than a block holds, gets a private slot
+// write or more patched lines than a patch holds, gets a private slot
 // first. Writing zeroes over a whole page, or onto the zero page, just
 // points the frame at the zero page. A write that does not fit the page
 // panics: callers own their bounds.
@@ -750,68 +802,55 @@ func (p *Phys) WriteAt(pfn PFN, off int, src []byte) {
 }
 
 // patchWrite writes src, a nonempty range of the page short of the whole,
-// into seeded frame f's patch, first giving f a seed entry of its own, with
-// a copy of the patch, when other frames share its entry. Only the lines
-// the write newly dirties and does not cover whole are generated. It
-// reports false, with nothing changed, when the patch would then hold more
-// lines than a block does.
+// into seeded frame f's patch, first giving f a seed entry of its own when
+// other frames share its entry. A patch that gains lines, or leaves a
+// shared entry, moves into a fresh block of its new size, each held line to
+// its place in the new order, and a block only f held is recycled; only
+// the lines the write newly dirties and does not cover whole are
+// generated. It reports false, with nothing changed, when the patch would
+// then hold more than patchLines lines.
 func (p *Phys) patchWrite(f *Frame, off int, src []byte) bool {
 	first, last := off/LineSize, (off+len(src)-1)/LineSize
-	old := p.patchOf(f.slot).mask
-	mask := old | (2<<last-1)&^(1<<first-1)
-	if bits.OnesCount64(mask) > patchLines {
+	old := p.patchOf(f.slot)
+	q := patch{mask: old.mask | (2<<last-1)&^(1<<first-1), block: old.block}
+	if q.lines() > patchLines {
 		return false
 	}
-	if p.seedRefs[-f.slot] > 1 {
-		p.unshare(f)
+	shared := p.seedRefs[-f.slot] > 1
+	if shared {
+		p.seedFrame(f, p.seed(f.slot))
 	}
 	if p.patches == nil {
 		p.patches = make([]patch, len(p.seeds), cap(p.seeds))
 	}
-	k := -f.slot
-	q := &p.patches[k]
-	if q.mask == 0 {
-		q.block = p.newBlock()
-	}
-	blk := p.block(q.block)
-	// Move the held lines up to their places in the new order, highest
-	// first, so that none is overwritten before it moves; a line that keeps
-	// its place has no newly dirty line below it.
-	for m := old; m != 0; {
-		i := 63 - bits.LeadingZeros64(m)
-		m &^= 1 << i
-		from, to := lineAt(old, i), lineAt(mask, i)
-		if from == to {
-			break
+	if shared || q.mask != old.mask {
+		q.block = p.newBlock(q.lines())
+		if old.mask != 0 {
+			blk, from := p.block(q), p.block(old)
+			for m := old.mask; m != 0; m &= m - 1 {
+				i := bits.TrailingZeros64(m)
+				at := lineAt(old.mask, i)
+				copy(blk[lineAt(q.mask, i):], from[at:at+LineSize])
+			}
+			if !shared {
+				p.freeBlock(old)
+			}
 		}
-		copy(blk[to:to+LineSize], blk[from:from+LineSize])
 	}
+	blk := p.block(q)
 	end := off + len(src)
-	g := newPageGen(p.seeds[k])
+	g := newPageGen(p.seed(f.slot))
 	// Only the end lines can be partly covered.
 	for i := first; i <= last; i += max(last-first, 1) {
-		if base := i * LineSize; old>>i&1 == 0 && (off > base || end < base+LineSize) {
-			at := lineAt(mask, i)
+		if base := i * LineSize; old.mask>>i&1 == 0 && (off > base || end < base+LineSize) {
+			at := lineAt(q.mask, i)
 			g.skipTo(base)
 			g.fill(blk[at : at+LineSize])
 		}
 	}
-	q.mask = mask
-	copy(blk[lineAt(mask, first)+off%LineSize:], src)
+	p.patches[-f.slot] = q
+	copy(blk[lineAt(q.mask, first)+off%LineSize:], src)
 	return true
-}
-
-// unshare points seeded frame f, whose seed entry other frames share too,
-// at an entry of its own that holds the same seed and a copy of the patch.
-func (p *Phys) unshare(f *Frame) {
-	q := p.patchOf(f.slot)
-	p.seedFrame(f, p.seed(f.slot))
-	if q.mask != 0 {
-		b := p.newBlock()
-		n := bits.OnesCount64(q.mask) * LineSize
-		copy(p.block(b)[:n], p.block(q.block))
-		p.patches[-f.slot] = patch{q.mask, b}
-	}
 }
 
 // CopyPage makes frame dst hold the contents of frame src. It copies no
@@ -826,18 +865,19 @@ func (p *Phys) CopyPage(dst, src PFN) {
 	fd.slot = fs.slot
 }
 
-// SeedPages points every listed frame at its seed, seeds[i], as SeedPage
-// does, sizing a new seed table for the whole list. The boot image builder
-// uses it so that the contents nothing writes are never stored.
-func (p *Phys) SeedPages(pfns []PFN, seeds []uint64) {
-	if p.seeds == nil && len(pfns) > 0 {
-		// Size a new table for the whole list; seed 0 is never handed out.
-		p.seeds = make([]uint64, 1, 1+len(pfns))
-		p.seedRefs = make([]int32, 1, 1+len(pfns))
+// ReserveSeeds makes room in the seed table for n more seed entries, so
+// that the next n SeedPage calls do not grow it. The boot image builder
+// sizes the table once for the frames it seeds.
+func (p *Phys) ReserveSeeds(n int) {
+	if n <= 0 {
+		return
 	}
-	for i, pfn := range pfns {
-		p.seedFrame(p.frame(pfn), seeds[i])
+	if p.seeds == nil {
+		// Seed 0 is never handed out: -0 is the zero page.
+		p.seeds, p.seedRefs = make([]uint64, 1, 1+n), make([]int32, 1, 1+n)
+		return
 	}
+	p.seeds, p.seedRefs = slices.Grow(p.seeds, n), slices.Grow(p.seedRefs, n)
 }
 
 // SeedPage points the frame at a seed table entry holding seed: the frame
@@ -1104,7 +1144,7 @@ func (q patch) firstLine() int { return bits.TrailingZeros64(q.mask) * LineSize 
 // patchWord returns the word at page offset off of a line patch q holds.
 func (p *Phys) patchWord(q patch, off int) uint64 {
 	at := lineAt(q.mask, off/LineSize) + off%LineSize
-	return binary.LittleEndian.Uint64(p.block(q.block)[at : at+8])
+	return binary.LittleEndian.Uint64(p.block(q)[at : at+8])
 }
 
 // seedWord steps a seeded page's generator g past the word at off, its

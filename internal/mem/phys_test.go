@@ -235,10 +235,50 @@ func TestAddressHelpers(t *testing.T) {
 	}
 }
 
-// TestFrameSize pins the per-frame metadata at 12 bytes: the machine keeps
+// TestFrameSize pins the per-frame metadata at 8 bytes: the machine keeps
 // one Frame per frame of its capacity.
 func TestFrameSize(t *testing.T) {
-	if n := unsafe.Sizeof(Frame{}); n != 12 {
-		t.Fatalf("Frame is %d bytes, want 12", n)
+	if n := unsafe.Sizeof(Frame{}); n != 8 {
+		t.Fatalf("Frame is %d bytes, want 8", n)
+	}
+}
+
+// TestFrameFlagsBesideRefcount pins the packed Frame word: the CoW and
+// dirty flags survive refcount changes up to the 30-bit limit, one more
+// mapping panics instead of spilling into the flags, and the last DecRef
+// leaves a free frame dirty and not CoW.
+func TestFrameFlagsBesideRefcount(t *testing.T) {
+	p := New(2 * PageSize)
+	pfn, _ := p.AllocForCopy() // dirty
+	p.SetCoW(pfn, true)
+	f := p.Get(pfn)
+	f.word += maxRefs - 2 // as if maxRefs-1 more mappings had been added
+	p.IncRef(pfn)
+	if f.Refs() != maxRefs || !f.CoW() || !f.dirty() {
+		t.Fatalf("at the limit: refs %d, CoW %v, dirty %v", f.Refs(), f.CoW(), f.dirty())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("IncRef past the 30-bit refcount was accepted")
+			}
+		}()
+		p.IncRef(pfn)
+	}()
+	if f.Refs() != maxRefs || !f.CoW() || !f.dirty() {
+		t.Fatal("a rejected IncRef changed the frame")
+	}
+	f.word -= maxRefs - 1 // back to one mapping
+	p.SetCoW(pfn, false)
+	if f.Refs() != 1 || f.CoW() || !f.dirty() {
+		t.Fatalf("after SetCoW(false): refs %d, CoW %v, dirty %v", f.Refs(), f.CoW(), f.dirty())
+	}
+	p.SetCoW(pfn, true)
+	p.DecRef(pfn)
+	if p.Allocated(pfn) || f.CoW() || !f.dirty() {
+		t.Fatalf("a freed frame: allocated %v, CoW %v, dirty %v", p.Allocated(pfn), f.CoW(), f.dirty())
+	}
+	if again, _ := p.Alloc(); again != pfn || f.dirty() || f.Refs() != 1 || p.ZeroFills != 1 {
+		t.Fatalf("a reused dirty frame: pfn %d, dirty %v, refs %d, %d zero fills", again, f.dirty(), f.Refs(), p.ZeroFills)
 	}
 }

@@ -18,8 +18,17 @@ func seededPhys(t *testing.T, n int) (*Phys, []PFN) {
 	for i := range seeds {
 		seeds[i] = uint64(i + 1)
 	}
-	p.SeedPages(pfns, seeds)
+	seedPages(p, pfns, seeds)
 	return p, pfns
+}
+
+// seedPages seeds frame pfns[i] with seeds[i], sizing the seed table first,
+// as the boot image builder does.
+func seedPages(p *Phys, pfns []PFN, seeds []uint64) {
+	p.ReserveSeeds(len(pfns))
+	for i, pfn := range pfns {
+		p.SeedPage(pfn, seeds[i])
+	}
 }
 
 // wantPage is the page FillPage writes for seed.
@@ -169,8 +178,8 @@ func TestSeedPagesGenerateOnFirstRead(t *testing.T) {
 		if p.ReadAt(pfns[1], 0, got); !bytes.Equal(got, want) {
 			t.Fatal("a partial write over a seeded frame lost the generated bytes")
 		}
-		if n := backedChunks(p); n != 0 || p.PatchBytes() != patchChunkBlocks*patchBytes {
-			t.Fatalf("a patched line backs %d chunks and %d patch bytes, want none and one arena chunk", n, p.PatchBytes())
+		if n := backedChunks(p); n != 0 || p.PatchBytes() != patchChunkBlocks*LineSize {
+			t.Fatalf("a patched line backs %d chunks and %d patch bytes, want none and one chunk of one-line blocks", n, p.PatchBytes())
 		}
 		check(t, p, 0)
 		if !bytes.Equal(p.Page(pfns[1]), want) {
@@ -450,9 +459,9 @@ func TestSeededDiffMatchesWindowedReference(t *testing.T) {
 	for i := range vals {
 		vals[i] = uint64(i * 7 % 13) // values recur, so equal seeds meet
 	}
-	p.SeedPages(seeded, vals)
-	p.SeedPages(twins, vals)
-	p.SeedPages(patched, vals)
+	seedPages(p, seeded, vals)
+	seedPages(p, twins, vals)
+	seedPages(p, patched, vals)
 	want := make(map[PFN][]byte)
 	for i := range seeds {
 		want[seeded[i]], want[twins[i]] = wantPage(vals[i]), wantPage(vals[i])

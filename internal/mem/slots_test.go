@@ -3,7 +3,6 @@ package mem
 import (
 	"bytes"
 	"errors"
-	"math/bits"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -19,21 +18,23 @@ import (
 // and nseeds counts the referenced seeds; every seed entry is either
 // referenced or on the seed freelist, exactly once, so the table holds no
 // more entries than the machine has frames; every referenced slot has its
-// chunk backed; the seed table is dropped once no frame points at a seed;
-// and the shared zero page still holds only zeroes. It audits the patch
-// arena the same way (checkPatches).
+// chunk backed; the slot refcounts cover exactly the slots below nextSlot;
+// the seed table holds no entry besides entry 0 once no frame points at a
+// seed (it is dropped then, or only reserved); and the shared zero page
+// still holds only zeroes. It audits the patch arenas the same way
+// (checkPatches).
 func checkSlots(t *testing.T, p *Phys) {
 	t.Helper()
 	if FirstNonZero(zeroPage[:]) >= 0 {
 		t.Fatal("the shared zero page was written")
 	}
-	refs := make([]int32, len(p.slotRefs))
+	refs := make([]int32, p.nextSlot)
 	seedRefs := make([]int32, len(p.seeds))
 	for pfn, f := range p.frames {
 		if (f.slot < 0 && int(-f.slot) >= len(p.seeds)) || f.slot >= p.nextSlot {
 			t.Fatalf("frame %d points at slot %d, outside (-%d, %d)", pfn, f.slot, len(p.seeds), p.nextSlot)
 		}
-		if f.refs == 0 && f.slot != zeroSlot && !slices.Contains(p.pending, PFN(pfn)) {
+		if f.Refs() == 0 && f.slot != zeroSlot && !slices.Contains(p.pending, PFN(pfn)) {
 			t.Fatalf("free frame %d still holds slot %d", pfn, f.slot)
 		}
 		if f.slot < 0 {
@@ -42,7 +43,7 @@ func checkSlots(t *testing.T, p *Phys) {
 			refs[f.slot]++
 		}
 	}
-	onFree := make([]bool, len(p.slotRefs))
+	onFree := make([]bool, p.nextSlot)
 	for _, s := range p.freeSlots {
 		if s <= zeroSlot || s >= p.nextSlot || onFree[s] {
 			t.Fatalf("slot freelist holds %d twice or out of range", s)
@@ -60,12 +61,10 @@ func checkSlots(t *testing.T, p *Phys) {
 			t.Fatalf("slot %d was handed out from an unbacked chunk", s)
 		}
 	}
-	for s := p.nextSlot; int(s) < len(p.slotRefs); s++ {
-		if p.slotRefs[s] != 0 {
-			t.Fatalf("never-used slot %d has refcount %d", s, p.slotRefs[s])
-		}
+	if len(p.slotRefs) != int(p.nextSlot) {
+		t.Fatalf("%d slot refcounts for the %d slots below nextSlot", len(p.slotRefs), p.nextSlot)
 	}
-	if len(p.seeds) != len(p.seedRefs) || (p.nseeds == 0) != (p.seeds == nil) || (p.seeds == nil && p.freeSeeds != nil) {
+	if len(p.seeds) != len(p.seedRefs) || (p.nseeds > 0) != (len(p.seeds) > 1) || (p.seeds == nil && p.freeSeeds != nil) {
 		t.Fatalf("seed table of %d seeds, %d refcounts, %d free, with %d seeds live",
 			len(p.seeds), len(p.seedRefs), len(p.freeSeeds), p.nseeds)
 	}
@@ -98,25 +97,37 @@ func checkSlots(t *testing.T, p *Phys) {
 	checkPatches(t, p)
 }
 
-// checkPatches audits the patch arena: it exists only beside a seed table,
-// whose entries its patches parallel; every block handed out is held by
-// exactly one patched entry, which some frame points at, or is on the block
-// freelist, exactly once; a plain seed, a free entry and entry 0 hold no
-// block; no patch holds more lines than a block; and the arena backs
-// exactly the chunks the blocks handed out need.
+// checkPatches audits the patch arenas: they exist only beside a seed
+// table, whose entries the patches parallel; a plain seed, a free entry and
+// entry 0 hold no block; no patch holds more than patchLines lines; every
+// patch's block lies in the arena of its line count, and every block an
+// arena handed out is held by exactly one patched entry, which some frame
+// points at, or is on that arena's freelist, exactly once; and each arena
+// backs exactly the chunks its blocks handed out need, each chunk
+// patchChunkBlocks blocks of its line count.
 func checkPatches(t *testing.T, p *Phys) {
 	t.Helper()
-	if p.seeds == nil && (p.patches != nil || p.patchChunks != nil || p.freeBlocks != nil || p.nextBlock != 0) {
-		t.Fatalf("no seed table, but a patch arena of %d chunks, %d blocks handed out", len(p.patchChunks), p.nextBlock)
+	if p.seeds == nil && (p.patches != nil || !reflect.DeepEqual(p.arenas, [patchLines]patchArena{})) {
+		t.Fatalf("no seed table, but %d patches and a patch arena", len(p.patches))
 	}
 	if p.patches != nil && len(p.patches) != len(p.seeds) {
 		t.Fatalf("%d patches for %d seed entries", len(p.patches), len(p.seeds))
 	}
-	if want := (int(p.nextBlock) + patchChunkBlocks - 1) / patchChunkBlocks; len(p.patchChunks) != want {
-		t.Fatalf("patch arena of %d chunks for %d blocks handed out, want %d", len(p.patchChunks), p.nextBlock, want)
+	var holder [patchLines][]int
+	for n := range holder {
+		a := &p.arenas[n]
+		if want := (int(a.next) + patchChunkBlocks - 1) / patchChunkBlocks; len(a.chunks) != want {
+			t.Fatalf("%d-line arena of %d chunks for %d blocks handed out, want %d", n+1, len(a.chunks), a.next, want)
+		}
+		for _, c := range a.chunks {
+			if len(c) != patchChunkBlocks*(n+1)*LineSize {
+				t.Fatalf("%d-line arena chunk of %d bytes", n+1, len(c))
+			}
+		}
+		holder[n] = make([]int, a.next+1)
 	}
-	holder := make([]int, p.nextBlock+1)
 	for k, q := range p.patches {
+		n := q.lines()
 		switch {
 		case q.mask == 0 && q.block != 0:
 			t.Fatalf("plain seed %d holds block %d", k, q.block)
@@ -124,28 +135,31 @@ func checkPatches(t *testing.T, p *Phys) {
 			continue
 		case k == 0 || p.seedRefs[k] == 0:
 			t.Fatalf("seed %d, which no frame points at, holds block %d", k, q.block)
-		case q.block < 1 || q.block > p.nextBlock:
-			t.Fatalf("seed %d holds block %d, outside [1, %d]", k, q.block, p.nextBlock)
-		case bits.OnesCount64(q.mask) > patchLines:
-			t.Fatalf("seed %d patches %d lines, more than a block holds", k, bits.OnesCount64(q.mask))
-		case holder[q.block] != 0:
-			t.Fatalf("block %d held by seeds %d and %d", q.block, holder[q.block], k)
+		case n > patchLines:
+			t.Fatalf("seed %d patches %d lines, more than a patch holds", k, n)
+		case q.block < 1 || q.block > p.arenas[n-1].next:
+			t.Fatalf("seed %d holds %d-line block %d, outside [1, %d]", k, n, q.block, p.arenas[n-1].next)
+		case holder[n-1][q.block] != 0:
+			t.Fatalf("%d-line block %d held by seeds %d and %d", n, q.block, holder[n-1][q.block], k)
 		}
-		holder[q.block] = k
+		holder[n-1][q.block] = k
 	}
-	onFree := make([]bool, p.nextBlock+1)
-	for _, b := range p.freeBlocks {
-		if b < 1 || b > p.nextBlock || onFree[b] {
-			t.Fatalf("block freelist holds %d twice or out of range", b)
+	for n := range holder {
+		a := &p.arenas[n]
+		onFree := make([]bool, a.next+1)
+		for _, b := range a.free {
+			if b < 1 || b > a.next || onFree[b] {
+				t.Fatalf("%d-line block freelist holds %d twice or out of range", n+1, b)
+			}
+			if holder[n][b] != 0 {
+				t.Fatalf("free %d-line block %d is held by seed %d", n+1, b, holder[n][b])
+			}
+			onFree[b] = true
 		}
-		if holder[b] != 0 {
-			t.Fatalf("free block %d is held by seed %d", b, holder[b])
-		}
-		onFree[b] = true
-	}
-	for b := int32(1); b <= p.nextBlock; b++ {
-		if holder[b] == 0 && !onFree[b] {
-			t.Fatalf("block %d is neither held nor free (leaked)", b)
+		for b := int32(1); b <= a.next; b++ {
+			if holder[n][b] == 0 && !onFree[b] {
+				t.Fatalf("%d-line block %d is neither held nor free (leaked)", n+1, b)
+			}
 		}
 	}
 }
@@ -478,7 +492,7 @@ func (g *physProgram) step() {
 			t.Fatalf("State → SetState → State is not identical (error %v)", err)
 		}
 		g.p = target
-	case 12: // SeedPages over distinct allocated frames, inside or outside a deferred-free window
+	case 12: // ReserveSeeds, then SeedPage over distinct allocated frames, inside or outside a deferred-free window
 		var pfns []PFN
 		var seeds []uint64
 		for k := g.next() % 5; k > 0; k-- {
@@ -489,7 +503,7 @@ func (g *physProgram) step() {
 				seeds = append(seeds, uint64(g.next()%32))
 			}
 		}
-		p.SeedPages(pfns, seeds)
+		seedPages(p, pfns, seeds)
 		for i, pfn := range pfns {
 			FillPage(r.bytes(pfn), seeds[i], 0)
 		}
@@ -563,7 +577,7 @@ func (g *physProgram) compare() {
 			continue
 		}
 		got := p.Get(pfn)
-		if got.Refs() != f.Refs || got.CoW() != f.CoW || p.frames[pfn].dirty != f.Dirty {
+		if got.Refs() != f.Refs || got.CoW() != f.CoW || p.frames[pfn].dirty() != f.Dirty {
 			t.Fatalf("frame %d: metadata differs from the reference", pfn)
 		}
 		live = append(live, pfn)
@@ -629,7 +643,7 @@ func runPhysOps(t *testing.T, data []byte, nops int) (ops, at []int) {
 
 // FuzzPhysOps runs random programs of Alloc, AllocForCopy+CopyPage,
 // CopyPage, WriteAt (partial writes over seeded frames patch them),
-// SeedPages, single-frame SeedPage reseeds, reads, IncRef/DecRef (inside
+// ReserveSeeds with SeedPage over several frames, single-frame SeedPage reseeds, reads, IncRef/DecRef (inside
 // and outside deferred-free windows), SetCoW and State→SetState on the slot
 // store and on the flat reference, which generates seeded pages at once
 // and keeps a sorted free list, and requires identical bytes, compare

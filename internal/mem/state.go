@@ -3,7 +3,6 @@ package mem
 import (
 	"bytes"
 	"fmt"
-	"math"
 )
 
 // Checkpoint support. PhysState is a plain-data, gob-friendly image of the
@@ -79,7 +78,7 @@ func (p *Phys) State() (PhysState, error) {
 	var scratch []byte
 	byKey := make(map[uint64][]int32)
 	for i, f := range p.frames {
-		st.Frames[i] = FrameState{Refs: int(f.refs), CoW: f.cow, Dirty: f.dirty}
+		st.Frames[i] = FrameState{Refs: f.Refs(), CoW: f.CoW(), Dirty: f.dirty()}
 		var memo *int32
 		switch {
 		case f.slot == zeroSlot:
@@ -151,7 +150,7 @@ func (p *Phys) SetState(st PhysState) error {
 		return fmt.Errorf("mem: restore image holds %d content bytes, not whole pages", len(st.Pages))
 	}
 	for i, k := range st.PageIndex {
-		if refs := st.Frames[i].Refs; refs < 0 || refs > math.MaxInt32 {
+		if refs := st.Frames[i].Refs; refs < 0 || refs > maxRefs {
 			return fmt.Errorf("mem: restore frame %d has refcount %d", i, refs)
 		}
 		if k < 0 || int(k) > pages || (k != 0 && st.Frames[i].Refs == 0) {
@@ -162,7 +161,7 @@ func (p *Phys) SetState(st PhysState) error {
 	if err != nil {
 		return err
 	}
-	clear(p.slotRefs)
+	p.slotRefs = p.slotRefs[:1]
 	p.dropSeeds()
 	p.freeSlots = p.freeSlots[:0]
 	p.nextSlot = 1
@@ -171,7 +170,13 @@ func (p *Phys) SetState(st PhysState) error {
 	// frames.
 	pageSlot := make([]int32, pages+1)
 	for i, f := range st.Frames {
-		fr := Frame{refs: int32(f.Refs), cow: f.CoW, dirty: f.Dirty}
+		fr := Frame{word: uint32(f.Refs)}
+		if f.CoW {
+			fr.word |= frameCoW
+		}
+		if f.Dirty {
+			fr.word |= frameDirty
+		}
 		if k := st.PageIndex[i]; k != 0 {
 			if pageSlot[k] == zeroSlot {
 				pageSlot[k] = p.newSlot(false)

@@ -228,7 +228,7 @@ func TestLineCodeMatchesEagerEncode(t *testing.T) {
 			c.Faults = fm.m
 			stored := fillFrame(phys)
 			seeded, _ := phys.Alloc()
-			phys.SeedPages([]mem.PFN{seeded}, []uint64{42})
+			phys.SeedPage(seeded, 42)
 			for _, pfn := range []mem.PFN{stored, seeded} {
 				for li := 0; li < mem.LinesPerPage; li++ {
 					clean := bytes.Clone(phys.ReadLine(pfn, li))

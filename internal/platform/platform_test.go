@@ -58,14 +58,16 @@ func TestRunBaseline(t *testing.T) {
 // no boot page, materializes none and stores no bytes. In a PageForge world
 // and in a KSM world with a balloon storm, a phase change and a spawn, a
 // partial write over a seeded page (ChurnVolatile's are the only ones)
-// keeps the lines it dirties in a patch block, so a page materializes only
-// when a partial write leaves it with more dirty lines since its last
-// whole-page write than a block holds: a write observer that tracks each
+// keeps the lines it dirties in a patch, so a page materializes only when
+// a partial write leaves it with more dirty lines since its last
+// whole-page write than a patch holds: a write observer that tracks each
 // page's dirty lines counts those writes, and the materializations must
-// equal them. The store must hold no more chunks than those pages need,
-// and the patch arena no more than one block per volatile page, rounded up
-// to an arena chunk. The counts are host bookkeeping, outside every Result
-// and checkpoint; the observer only reads.
+// equal them. The store must hold no more chunks than those pages need.
+// The patch arenas must be line-exact: for each line count n, no more than
+// the most pages the observer saw patched with n lines at once, times n
+// lines of 64 B, rounded up to one part-used chunk of 16 n-line blocks.
+// The counts are host bookkeeping, outside every Result and checkpoint;
+// the observer only reads.
 func TestBootContentsGeneratedOnRead(t *testing.T) {
 	t.Parallel()
 	churn := fastConfig()
@@ -83,44 +85,56 @@ func TestBootContentsGeneratedOnRead(t *testing.T) {
 			t.Fatal(err)
 		}
 		phys := r.img.HV.Phys
-		const blockLines = 16 // a patch block holds 1 KiB
+		const patchLines, chunkBlocks = 16, 16 // a patch's most lines; blocks a chunk
 		dirty := make(map[vm.PageID]uint64)
+		// live[n] counts the pages patched with n lines, peak[n] the most
+		// at once.
+		var live, peak [patchLines + 1]int
 		overflows := 0
 		r.img.HV.OnWrite = func(id vm.PageID, off int, data []byte) {
+			before := bits.OnesCount64(dirty[id])
 			if off == 0 && len(data) == mem.PageSize {
 				delete(dirty, id)
-				return
+			} else {
+				first, last := off/mem.LineSize, (off+len(data)-1)/mem.LineSize
+				dirty[id] |= (2<<last - 1) &^ (1<<first - 1)
 			}
-			first, last := off/mem.LineSize, (off+len(data)-1)/mem.LineSize
-			before := bits.OnesCount64(dirty[id])
-			dirty[id] |= (2<<last - 1) &^ (1<<first - 1)
-			if before <= blockLines && bits.OnesCount64(dirty[id]) > blockLines {
+			after := bits.OnesCount64(dirty[id])
+			if before <= patchLines && after > patchLines {
 				overflows++
 			}
+			if 0 < before && before <= patchLines {
+				live[before]--
+			}
+			if 0 < after && after <= patchLines {
+				live[after]++
+				peak[after] = max(peak[after], live[after])
+			}
 		}
-		volatile := len(r.img.Volatile)
 		for done := false; !done; {
 			var err error
 			if done, err = r.Step(); err != nil {
 				t.Fatal(err)
 			}
-			volatile = max(volatile, len(r.img.Volatile))
 		}
 		got, store, patches := phys.MaterializedPages(), phys.StoreBytes(), phys.PatchBytes()
-		const chunk, arenaChunk = 64 * mem.PageSize, 64 * 1024
+		const chunk = 64 * mem.PageSize
 		maxStore := (int(got) + 63) / 64 * chunk
-		maxPatches := (volatile*1024 + arenaChunk - 1) / arenaChunk * arenaChunk
+		maxPatches := 0
+		for n := 1; n <= patchLines; n++ {
+			maxPatches += (peak[n] + chunkBlocks - 1) / chunkBlocks * chunkBlocks * n * mem.LineSize
+		}
 		switch {
 		case tc.mode == Baseline && (got != 0 || store != 0 || patches != 0):
 			t.Errorf("Baseline materialized %d boot pages and stores %d bytes and %d patch bytes, want none", got, store, patches)
 		case tc.mode != Baseline && patches == 0:
 			t.Errorf("%v patched no partial write", tc.mode)
 		case got != uint64(overflows):
-			t.Errorf("%v materialized %d pages, want %d (the partial writes that overflow a patch block)", tc.mode, got, overflows)
+			t.Errorf("%v materialized %d pages, want %d (the partial writes that overflow a patch)", tc.mode, got, overflows)
 		case store > maxStore:
 			t.Errorf("%v stores %d bytes, want at most %d (%d materialized pages)", tc.mode, store, maxStore, got)
 		case patches > maxPatches:
-			t.Errorf("%v holds %d patch bytes, want at most %d (%d volatile pages)", tc.mode, patches, maxPatches, volatile)
+			t.Errorf("%v holds %d patch bytes, want at most %d (most pages patched at once, by line count: %v)", tc.mode, patches, maxPatches, peak[1:])
 		}
 	}
 }

@@ -3,6 +3,7 @@ package platform
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/ksm"
@@ -185,6 +186,26 @@ func TestBaselineStartAllocs(t *testing.T) {
 	})
 	if allocs >= 500 {
 		t.Fatalf("a paper-size Baseline Start makes %.0f allocations, want fewer than 500", allocs)
+	}
+}
+
+// TestBaselineStartBytes bounds the bytes one paper-size Baseline Start
+// allocates at its measured value plus 10%: the world's tables (the L3 tag
+// store at 8 B a way, 8 B frames, the seed table, the page tables) and no
+// temporary lists, so a wider table fails here before it shows in
+// perfbench's peak_heap_mb. The test does not call t.Parallel, for the
+// reason TestBaselineStartAllocs gives.
+func TestBaselineStartBytes(t *testing.T) {
+	const measured = 1_373_144 // bytes, go1.24 linux/amd64
+	app, cfg := *tailbench.ProfileByName("silo"), DefaultConfig()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := NewRuntime(Baseline, app, cfg).Start(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > measured*11/10 {
+		t.Fatalf("a paper-size Baseline Start allocates %d bytes, want at most %d (%d measured + 10%%)", got, measured*11/10, measured)
 	}
 }
 

@@ -2,6 +2,7 @@ package tailbench
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -61,11 +62,12 @@ type Image struct {
 //
 // The build runs in two phases. The mapping phase faults every resident
 // page in, in the fixed order dup (slot-major, VM-minor), zero, unique.
-// The content phase seeds one frame per distinct content with
-// mem.Phys.SeedPages, which never stores a seeded page's bytes unless a
-// partial write or a Page view needs them, and points every other dup
-// frame at its content's seed. The hypervisor is created here, so no write observer exists to
-// miss the contents (DESIGN.md §10).
+// The content phase sizes the seed table once (mem.Phys.ReserveSeeds),
+// seeds one frame per distinct content with mem.Phys.SeedPage, which never
+// stores a seeded page's bytes unless a partial write or a Page view needs
+// them, and points every other dup frame at its content's seed. The
+// hypervisor is created here, so no write observer exists to miss the
+// contents (DESIGN.md §10).
 func BuildImage(p Profile, numVMs int, physFrames int, seed uint64) (*Image, error) {
 	img := &Image{Profile: p, HV: vm.NewHypervisor(uint64(physFrames) * mem.PageSize), rng: sim.NewRNG(seed)}
 
@@ -111,8 +113,11 @@ func BuildImage(p Profile, numVMs int, physFrames int, seed uint64) (*Image, err
 			img.ZeroPages = append(img.ZeroPages, v.PageID(g))
 		}
 	}
-	// Unique region: remaining gfns, globally unique contents.
+	// Unique region: remaining gfns, globally unique contents. The first
+	// ceil(VolatileFrac*uniqPerVM) of each VM's are volatile.
 	img.UniquePages = make([]vm.PageID, 0, uniqPerVM*numVMs)
+	volatile := max(0, min(uniqPerVM, int(math.Ceil(p.VolatileFrac*float64(uniqPerVM)))))
+	img.Volatile = make([]vm.PageID, 0, volatile*numVMs)
 	for u := 0; u < uniqPerVM; u++ {
 		g := vm.GFN(dupPerVM + zeroPerVM + u)
 		for _, v := range img.VMs {
@@ -129,33 +134,27 @@ func BuildImage(p Profile, numVMs int, physFrames int, seed uint64) (*Image, err
 
 	// Content phase. Dup page k (slot-major, VM-minor) carries content
 	// k/copies % distinct: striding contents across slots lands each one in
-	// ~DupCopies VMs at the same slot. The first page of each content is
-	// seeded and the others share its frame's slot through CopyPage; each
+	// ~DupCopies VMs at the same slot, and the first ceil(dup pages/copies)
+	// contents, at most distinct, occur. The first page of each content is
+	// seeded and the others share its frame's seed through CopyPage; each
 	// unique page k draws the k-th content of the image's unique stream.
 	// Zero pages stay on the shared zero page.
+	phys := img.HV.Phys
 	copies := max(1, int(p.DupCopies+0.5))
-	fills := make([]mem.PFN, 0, distinct+len(img.UniquePages))
-	seeds := make([]uint64, 0, cap(fills))
+	phys.ReserveSeeds(min(distinct, (len(img.DupPages)+copies-1)/copies) + len(img.UniquePages))
 	leaders := make([]mem.PFN, distinct)
 	filled := make([]bool, distinct)
 	for k, id := range img.DupPages {
-		if c := k / copies % distinct; !filled[c] {
-			filled[c] = true
-			leaders[c] = img.pfn(id)
-			fills = append(fills, leaders[c])
-			seeds = append(seeds, uint64(c)*2654435761+salt)
+		if c, pfn := k/copies%distinct, img.pfn(id); filled[c] {
+			phys.CopyPage(pfn, leaders[c])
+		} else {
+			filled[c], leaders[c] = true, pfn
+			phys.SeedPage(pfn, uint64(c)*2654435761+salt)
 		}
 	}
 	for k, id := range img.UniquePages {
 		next := (salt ^ 0xF00D) + 1 + uint64(k)
-		fills = append(fills, img.pfn(id))
-		seeds = append(seeds, next*0x9E3779B97F4A7C15+7)
-	}
-	img.HV.Phys.SeedPages(fills, seeds)
-	for k, id := range img.DupPages {
-		if pfn, lead := img.pfn(id), leaders[k/copies%distinct]; pfn != lead {
-			img.HV.Phys.CopyPage(pfn, lead)
-		}
+		phys.SeedPage(img.pfn(id), next*0x9E3779B97F4A7C15+7)
 	}
 	return img, nil
 }

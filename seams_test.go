@@ -39,7 +39,7 @@ func TestNoWritesThroughPageViews(t *testing.T) {
 		}
 		files++
 		for _, pos := range viewWrites(f) {
-			t.Errorf("%s: write through a read-only frame view; use mem.Phys.WriteAt, CopyPage or SeedPages", fset.Position(pos))
+			t.Errorf("%s: write through a read-only frame view; use mem.Phys.WriteAt, CopyPage or SeedPage", fset.Position(pos))
 		}
 		return nil
 	}
